@@ -5,8 +5,10 @@
 # default tier (every roster protocol — figure set, update, adaptive, and
 # the ternary-tree shapes — exhaustively explored at P=2 and P=3, plus as
 # much of the P=4 roster as fits a one-minute wall-clock budget, with
-# per-shape explored/deduped/sleep-pruned state counts printed). Run from
-# the repository root; fails fast on the first problem.
+# per-shape explored/deduped/sleep-pruned state counts printed), then the
+# perf gates: golden byte-compares and the benchmark's host_s ratio check
+# against BENCH_layers.json. Run from the repository root; fails fast on
+# the first problem.
 #
 #   ./ci.sh          default gate (~2-3 min of model checking: P=2, P=3,
 #                    and a time-budgeted P=4 slice)
@@ -73,3 +75,22 @@ timeout 300 ./target/release/adaptive_ablation \
   --filter P=16 --no-cache --jobs 2 --out-dir target/adaptive_smoke >/dev/null
 cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.jsonl
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
+
+# Ledger ratio gate (ROADMAP aim 1: "a 2x regression fails CI"). One
+# end-to-end pass of the benchmark's protocol-family workload: every
+# config digest must match benchmark/expected.json (`correct`), and
+# host_s may not exceed twice the value committed in BENCH_layers.json —
+# wide enough for a slower machine or a noisy neighbour, tight enough to
+# catch a handler going back to O(machine) per call (that was 3.4x).
+python3 benchmark/run.py --workload lu_p32_families --seed 1996 --seconds 10 --trace 0 \
+  | tail -n 1 | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+gate = json.load(open("BENCH_layers.json"))["ci_gate"]
+host_s = result["metrics"]["host_s"]["value"]
+limit = gate["host_s"] * gate["fail_above_ratio"]
+ok = result["correct"] and host_s <= limit
+print("ledger-gate: lu_p32_families host_s = %.2f s (committed %.2f s, limit %.2f s), correct = %s: %s"
+      % (host_s, gate["host_s"], limit, result["correct"], "ok" if ok else "FAILED"))
+sys.exit(0 if ok else 1)
+'

@@ -3,7 +3,8 @@
 //! the relative cost of the invalidation machinery at scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dirtree_core::protocol::ProtocolKind;
+use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
+use dirtree_core::testkit::MockCtx;
 use dirtree_machine::{DriverOp, Machine, MachineConfig, ScriptDriver};
 use std::hint::black_box;
 
@@ -85,5 +86,79 @@ fn bench_invalidation_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_protocol_runs, bench_invalidation_scaling);
+/// Drop the mock's logs so a long measurement does not grow them.
+fn clear_logs(ctx: &mut MockCtx) {
+    ctx.sent.clear();
+    ctx.completed.clear();
+    ctx.events.clear();
+}
+
+fn bench_stp_repair(c: &mut Criterion) {
+    // Two interior-node repairs (evict + rejoin of members 2 and 7, which
+    // returns the 7-member tree to its starting shape) while
+    // `background_blocks` other blocks hold trees naming the same nodes:
+    // a handler's cost must depend on its own block only.
+    let mut g = c.benchmark_group("stp_repair/background_blocks");
+    for background in [1u64, 4096] {
+        g.bench_with_input(
+            BenchmarkId::from_parameter(background),
+            &background,
+            |b, &background| {
+                let mut ctx = MockCtx::new(16);
+                let mut p =
+                    build_protocol(ProtocolKind::Stp { arity: 2 }, ProtocolParams::default());
+                for block in 1..=background {
+                    for n in [8, 7, 5, 4, 3] {
+                        ctx.read(p.as_mut(), n, block);
+                    }
+                }
+                for n in 1..=7 {
+                    ctx.read(p.as_mut(), n, 0);
+                }
+                b.iter(|| {
+                    for leaver in [2, 7] {
+                        ctx.evict(p.as_mut(), leaver, 0);
+                        ctx.read(p.as_mut(), leaver, 0);
+                    }
+                    clear_logs(&mut ctx);
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
+fn bench_scitree_mutate(c: &mut Criterion) {
+    // One AVL delete plus one AVL insert (a sharer leaves and rejoins) on
+    // a tree of `sharers` nodes: the children diff behind the fix-ups
+    // should cost O(log sharers), not two snapshots of the whole tree.
+    let mut g = c.benchmark_group("scitree_mutate");
+    for sharers in [8u32, 32] {
+        g.bench_with_input(
+            BenchmarkId::from_parameter(sharers),
+            &sharers,
+            |b, &sharers| {
+                let mut ctx = MockCtx::new(64);
+                let mut p = build_protocol(ProtocolKind::SciTree, ProtocolParams::default());
+                for n in 1..=sharers {
+                    ctx.read(p.as_mut(), n, 0);
+                }
+                b.iter(|| {
+                    ctx.evict(p.as_mut(), sharers / 2, 0);
+                    ctx.read(p.as_mut(), sharers / 2, 0);
+                    clear_logs(&mut ctx);
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_protocol_runs,
+    bench_invalidation_scaling,
+    bench_stp_repair,
+    bench_scitree_mutate
+);
 criterion_main!(benches);

@@ -338,3 +338,28 @@ fn relabeling_commutes_with_execution() {
         );
     }
 }
+
+/// The two baseline tree protocols, which `check_all` does not carry
+/// (both lose SWMR to a stale queued leave at P = 2 with three ops per
+/// processor — ROADMAP), on shapes they do survive. `Stp`'s block-major
+/// edge table is validated against a full scan and against the home's
+/// arrival list at every reachable state, and the state counts — those of
+/// the flat-map representation it replaced — pin that neither it nor
+/// `SciTree`'s touched-node scratch leaks into the fingerprint.
+#[test]
+fn baseline_tree_protocols_keep_their_state_counts() {
+    let params = ProtocolParams::default();
+    for (kind, one_block_p4, two_blocks_p3) in [
+        (ProtocolKind::Stp { arity: 2 }, 21_277, 6_559),
+        (ProtocolKind::SciTree, 31_897, 8_136),
+    ] {
+        for (nodes, blocks, want) in [(4, 1, one_block_p4), (3, 2, two_blocks_p3)] {
+            let mut cfg = CheckConfig::small(nodes, blocks);
+            cfg.fuel = 1;
+            let outcome = explore(&cfg, || build_protocol(kind, params));
+            let shape = format!("{} P={nodes} B={blocks}", kind.name());
+            assert!(outcome.is_pass(), "{shape}: {outcome:?}");
+            assert_eq!(outcome.states(), want, "{shape}");
+        }
+    }
+}

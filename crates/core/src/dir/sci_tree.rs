@@ -29,6 +29,12 @@ struct AvlN {
     h: i32,
 }
 
+/// What [`Avl::insert`]/[`Avl::remove`] log per pointer write: the node
+/// and its `(l, r)` just before the write (`None`: not in the tree). A
+/// node written twice is logged twice; the first record is its state
+/// before the whole operation.
+pub type Touched = Vec<(NodeId, Option<(Option<NodeId>, Option<NodeId>)>)>;
+
 /// An AVL tree of node ids (the sharing set).
 #[derive(Default, Clone)]
 pub struct Avl {
@@ -67,50 +73,67 @@ impl Avl {
         self.h(n.l) - self.h(n.r)
     }
 
-    fn rotate_right(&mut self, y: NodeId) -> NodeId {
+    /// The node whose child pointers are about to be written (or which is
+    /// about to enter or leave the tree): log its current pointers.
+    fn touch(&mut self, id: NodeId, log: &mut Touched) -> Option<&mut AvlN> {
+        let n = self.nodes.get_mut(&id);
+        log.push((id, n.as_ref().map(|n| (n.l, n.r))));
+        n
+    }
+
+    fn set_l(&mut self, id: NodeId, l: Option<NodeId>, log: &mut Touched) {
+        self.touch(id, log).expect("set_l on absent node").l = l;
+    }
+
+    fn set_r(&mut self, id: NodeId, r: Option<NodeId>, log: &mut Touched) {
+        self.touch(id, log).expect("set_r on absent node").r = r;
+    }
+
+    fn rotate_right(&mut self, y: NodeId, log: &mut Touched) -> NodeId {
         let x = self.nodes[&y].l.expect("rotate_right without left child");
         let t2 = self.nodes[&x].r;
-        self.nodes.get_mut(&y).unwrap().l = t2;
-        self.nodes.get_mut(&x).unwrap().r = Some(y);
+        self.set_l(y, t2, log);
+        self.set_r(x, Some(y), log);
         self.update(y);
         self.update(x);
         x
     }
 
-    fn rotate_left(&mut self, x: NodeId) -> NodeId {
+    fn rotate_left(&mut self, x: NodeId, log: &mut Touched) -> NodeId {
         let y = self.nodes[&x].r.expect("rotate_left without right child");
         let t2 = self.nodes[&y].l;
-        self.nodes.get_mut(&x).unwrap().r = t2;
-        self.nodes.get_mut(&y).unwrap().l = Some(x);
+        self.set_r(x, t2, log);
+        self.set_l(y, Some(x), log);
         self.update(x);
         self.update(y);
         y
     }
 
-    fn rebalance(&mut self, id: NodeId) -> NodeId {
+    fn rebalance(&mut self, id: NodeId, log: &mut Touched) -> NodeId {
         self.update(id);
         let bf = self.balance_factor(id);
         if bf > 1 {
             let l = self.nodes[&id].l.unwrap();
             if self.balance_factor(l) < 0 {
-                let new_l = self.rotate_left(l);
-                self.nodes.get_mut(&id).unwrap().l = Some(new_l);
+                let new_l = self.rotate_left(l, log);
+                self.set_l(id, Some(new_l), log);
             }
-            self.rotate_right(id)
+            self.rotate_right(id, log)
         } else if bf < -1 {
             let r = self.nodes[&id].r.unwrap();
             if self.balance_factor(r) > 0 {
-                let new_r = self.rotate_right(r);
-                self.nodes.get_mut(&id).unwrap().r = Some(new_r);
+                let new_r = self.rotate_right(r, log);
+                self.set_r(id, Some(new_r), log);
             }
-            self.rotate_left(id)
+            self.rotate_left(id, log)
         } else {
             id
         }
     }
 
-    fn insert_at(&mut self, root: Option<NodeId>, id: NodeId) -> NodeId {
+    fn insert_at(&mut self, root: Option<NodeId>, id: NodeId, log: &mut Touched) -> NodeId {
         let Some(cur) = root else {
+            self.touch(id, log);
             self.nodes.insert(
                 id,
                 AvlN {
@@ -122,19 +145,21 @@ impl Avl {
             return id;
         };
         if id < cur {
-            let new = self.insert_at(self.nodes[&cur].l, id);
-            self.nodes.get_mut(&cur).unwrap().l = Some(new);
+            let new = self.insert_at(self.nodes[&cur].l, id, log);
+            self.set_l(cur, Some(new), log);
         } else if id > cur {
-            let new = self.insert_at(self.nodes[&cur].r, id);
-            self.nodes.get_mut(&cur).unwrap().r = Some(new);
+            let new = self.insert_at(self.nodes[&cur].r, id, log);
+            self.set_r(cur, Some(new), log);
         } else {
             return cur; // already present
         }
-        self.rebalance(cur)
+        self.rebalance(cur, log)
     }
 
-    pub fn insert(&mut self, id: NodeId) {
-        self.root = Some(self.insert_at(self.root, id));
+    /// Insert `id`, appending every node whose pointers were written to
+    /// `log` (O(log n) records).
+    pub fn insert(&mut self, id: NodeId, log: &mut Touched) {
+        self.root = Some(self.insert_at(self.root, id, log));
     }
 
     fn min_id(&self, mut cur: NodeId) -> NodeId {
@@ -144,34 +169,34 @@ impl Avl {
         cur
     }
 
-    fn remove_at(&mut self, root: Option<NodeId>, id: NodeId) -> Option<NodeId> {
+    fn remove_at(&mut self, root: Option<NodeId>, id: NodeId, log: &mut Touched) -> Option<NodeId> {
         let cur = root?;
         if id < cur {
-            let new = self.remove_at(self.nodes[&cur].l, id);
-            self.nodes.get_mut(&cur).unwrap().l = new;
+            let new = self.remove_at(self.nodes[&cur].l, id, log);
+            self.set_l(cur, new, log);
         } else if id > cur {
-            let new = self.remove_at(self.nodes[&cur].r, id);
-            self.nodes.get_mut(&cur).unwrap().r = new;
+            let new = self.remove_at(self.nodes[&cur].r, id, log);
+            self.set_r(cur, new, log);
         } else {
             let n = self.nodes[&cur];
             let replacement = match (n.l, n.r) {
                 (None, None) => {
+                    self.touch(cur, log);
                     self.nodes.remove(&cur);
                     return None;
                 }
-                (Some(l), None) => {
+                (Some(only), None) | (None, Some(only)) => {
+                    self.touch(cur, log);
                     self.nodes.remove(&cur);
-                    return Some(self.rebalance_if_present(l));
-                }
-                (None, Some(r)) => {
-                    self.nodes.remove(&cur);
-                    return Some(self.rebalance_if_present(r));
+                    return Some(self.rebalance(only, log));
                 }
                 (Some(_), Some(r)) => {
                     // Replace with the in-order successor's id.
                     let succ = self.min_id(r);
-                    let new_r = self.remove_at(Some(r), succ);
+                    let new_r = self.remove_at(Some(r), succ, log);
+                    self.touch(cur, log);
                     let old = self.nodes.remove(&cur).unwrap();
+                    // `succ` was logged when it was unlinked just above.
                     self.nodes.insert(
                         succ,
                         AvlN {
@@ -183,17 +208,14 @@ impl Avl {
                     succ
                 }
             };
-            return Some(self.rebalance(replacement));
+            return Some(self.rebalance(replacement, log));
         }
-        Some(self.rebalance(cur))
+        Some(self.rebalance(cur, log))
     }
 
-    fn rebalance_if_present(&mut self, id: NodeId) -> NodeId {
-        self.rebalance(id)
-    }
-
-    pub fn remove(&mut self, id: NodeId) {
-        self.root = self.remove_at(self.root, id);
+    /// Remove `id`, logging like [`Avl::insert`].
+    pub fn remove(&mut self, id: NodeId, log: &mut Touched) {
+        self.root = self.remove_at(self.root, id, log);
     }
 
     pub fn contains(&self, id: NodeId) -> bool {
@@ -234,8 +256,34 @@ impl Avl {
         path
     }
 
-    /// `(node → children)` snapshot for fix-up diffing.
-    pub fn children_snapshot(&self) -> FxHashMap<NodeId, Vec<NodeId>> {
+    /// Given the log of one or more inserts/removes, call `emit(node, new
+    /// children)` for every node whose child set differs from before them,
+    /// in ascending node id order. A newcomer without children is skipped
+    /// (its cache-side map starts empty anyway); a node that left gets an
+    /// empty list. Only logged nodes are looked at: O(log n), not O(n).
+    fn diff_touched(&self, log: &mut Touched, mut emit: impl FnMut(NodeId, Vec<NodeId>)) {
+        // Stable sort + dedup keeps each node's first (oldest) record.
+        log.sort_by_key(|&(id, _)| id);
+        log.dedup_by_key(|&mut (id, _)| id);
+        let kids = |(l, r): (Option<NodeId>, Option<NodeId>)| l.into_iter().chain(r);
+        for &(id, before) in log.iter() {
+            let after = self.nodes.get(&id).map(|n| (n.l, n.r));
+            let changed = match (before, after) {
+                (None, None) => false,
+                (None, Some(a)) => kids(a).next().is_some(),
+                (Some(_), None) => true,
+                (Some(b), Some(a)) => !kids(b).eq(kids(a)),
+            };
+            if changed {
+                emit(id, after.map(kids).into_iter().flatten().collect());
+            }
+        }
+    }
+
+    /// `(node → children)` snapshot of the whole tree: the oracle the
+    /// touched-node diff is tested against.
+    #[cfg(test)]
+    fn children_snapshot(&self) -> FxHashMap<NodeId, Vec<NodeId>> {
         self.nodes
             .iter()
             .map(|(&id, n)| {
@@ -291,6 +339,9 @@ pub struct SciTree {
     gate: TxnGate,
     children: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
     collectors: AckCollectors,
+    /// Scratch for `mutate_tree`, reused across calls; empty between them,
+    /// so not part of the fingerprint.
+    touched: Touched,
 }
 
 impl SciTree {
@@ -300,6 +351,7 @@ impl SciTree {
             gate: TxnGate::new(),
             children: FxHashMap::default(),
             collectors: AckCollectors::new(),
+            touched: Touched::new(),
         }
     }
 
@@ -329,47 +381,33 @@ impl SciTree {
         }
     }
 
-    /// Apply a structural mutation to the home tree and broadcast the
-    /// children-map diff as fix-ups. Returns the number of fix-ups sent.
+    /// Apply a structural mutation to the home tree and send each node
+    /// whose child pointers it changed its new children, in ascending node
+    /// id order. Returns the number of fix-ups sent.
     fn mutate_tree(
         &mut self,
         ctx: &mut dyn ProtoCtx,
         home: NodeId,
         addr: Addr,
-        mutate: impl FnOnce(&mut Avl),
+        mutate: impl FnOnce(&mut Avl, &mut Touched),
     ) -> u32 {
         let e = self.entries.get_mut(&addr).unwrap();
-        let before = e.tree.children_snapshot();
-        mutate(&mut e.tree);
+        mutate(&mut e.tree, &mut self.touched);
         #[cfg(debug_assertions)]
         e.tree.validate();
-        let after = e.tree.children_snapshot();
         let mut fixups = 0;
-        let mut targets: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-        for (&id, kids) in &after {
-            // A brand-new childless node needs no fix-up (its cache-side
-            // map starts empty anyway).
-            let newcomer_without_children = kids.is_empty() && !before.contains_key(&id);
-            if before.get(&id) != Some(kids) && !newcomer_without_children {
-                targets.push((id, kids.clone()));
-            }
-        }
-        for (&id, _) in before.iter().filter(|(id, _)| !after.contains_key(*id)) {
-            targets.push((id, Vec::new()));
-        }
-        // Deterministic order.
-        targets.sort_by_key(|(id, _)| *id);
-        for (id, kids) in targets {
+        e.tree.diff_touched(&mut self.touched, |id, children| {
             ctx.send(
                 id,
                 Msg {
                     addr,
                     src: home,
-                    kind: MsgKind::SctFixup { children: kids },
+                    kind: MsgKind::SctFixup { children },
                 },
             );
             fixups += 1;
-        }
+        });
+        self.touched.clear();
         fixups
     }
 
@@ -404,7 +442,7 @@ impl SciTree {
             // Root insertion (or a re-read by a still-recorded node whose
             // leave is queued): home supplies directly.
             e.wait_parts = 1; // the FillAck
-            let fixups = self.mutate_tree(ctx, home, addr, |t| t.insert(requester));
+            let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.insert(requester, log));
             let e = self.entries.get_mut(&addr).unwrap();
             e.wait_parts += fixups;
             ctx.send(
@@ -418,7 +456,7 @@ impl SciTree {
         } else {
             let path = e.tree.descent_path(requester);
             e.wait_parts = 1; // the FillAck
-            let fixups = self.mutate_tree(ctx, home, addr, |t| t.insert(requester));
+            let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.insert(requester, log));
             let e = self.entries.get_mut(&addr).unwrap();
             e.wait_parts += fixups;
             let first = path[0];
@@ -512,11 +550,11 @@ impl SciTree {
                 OpKind::Read => {
                     e.tree.clear();
                     e.wait_parts = 1;
-                    let fixups = self.mutate_tree(ctx, home, addr, |t| {
+                    let fixups = self.mutate_tree(ctx, home, addr, |t, log| {
                         if !evict {
-                            t.insert(old_owner);
+                            t.insert(old_owner, log);
                         }
-                        t.insert(requester);
+                        t.insert(requester, log);
                     });
                     let e = self.entries.get_mut(&addr).unwrap();
                     e.wait_parts += fixups;
@@ -602,7 +640,7 @@ impl SciTree {
         }
         ctx.note(ProtoEvent::ReplacementInvalidation);
         e.wait_parts = 0;
-        let fixups = self.mutate_tree(ctx, home, addr, |t| t.remove(leaver));
+        let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.remove(leaver, log));
         let e = self.entries.get_mut(&addr).unwrap();
         e.wait_parts = fixups;
         if fixups == 0 {
@@ -824,13 +862,14 @@ mod tests {
         let mut t = Avl::default();
         let mut rng = SimRng::new(42);
         let mut present = Vec::new();
+        let mut log = Touched::new();
         for _ in 0..200 {
             let id = rng.gen_range(64) as NodeId;
             if present.contains(&id) {
-                t.remove(id);
+                t.remove(id, &mut log);
                 present.retain(|&x| x != id);
             } else {
-                t.insert(id);
+                t.insert(id, &mut log);
                 present.push(id);
             }
             t.validate();
@@ -838,11 +877,86 @@ mod tests {
         }
     }
 
+    /// The fix-up targets the whole-tree snapshot diff produced before the
+    /// touched-node diff replaced it (ascending id order).
+    fn snapshot_diff(
+        before: &FxHashMap<NodeId, Vec<NodeId>>,
+        after: &FxHashMap<NodeId, Vec<NodeId>>,
+    ) -> Vec<(NodeId, Vec<NodeId>)> {
+        let mut targets: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        for (&id, kids) in after {
+            let newcomer_without_children = kids.is_empty() && !before.contains_key(&id);
+            if before.get(&id) != Some(kids) && !newcomer_without_children {
+                targets.push((id, kids.clone()));
+            }
+        }
+        for (&id, _) in before.iter().filter(|(id, _)| !after.contains_key(*id)) {
+            targets.push((id, Vec::new()));
+        }
+        targets.sort_by_key(|(id, _)| *id);
+        targets
+    }
+
+    fn touched_diff(t: &Avl, log: &mut Touched) -> Vec<(NodeId, Vec<NodeId>)> {
+        let mut targets = Vec::new();
+        t.diff_touched(log, |id, kids| targets.push((id, kids)));
+        targets
+    }
+
+    #[test]
+    fn touched_diff_equals_snapshot_diff_on_random_churn() {
+        for seed in 0..20 {
+            let mut rng = SimRng::new(seed);
+            let range = [4, 8, 32, 64, 256][seed as usize % 5];
+            let mut t = Avl::default();
+            let mut fixups = 0;
+            for _ in 0..400 {
+                let before = t.children_snapshot();
+                let mut log = Touched::new();
+                // One to three operations per diff, like `handle_wb`'s
+                // double insert; repeats hit the insert-then-remove and
+                // already-present cases.
+                for _ in 0..1 + rng.gen_range(3) {
+                    let id = rng.gen_range(range) as NodeId;
+                    if t.contains(id) && rng.gen_range(3) != 0 {
+                        t.remove(id, &mut log);
+                    } else {
+                        t.insert(id, &mut log);
+                    }
+                }
+                t.validate();
+                let got = touched_diff(&t, &mut log);
+                assert_eq!(got, snapshot_diff(&before, &t.children_snapshot()));
+                fixups += got.len();
+            }
+            assert!(fixups > 100, "seed {seed}: churn produced too few fix-ups");
+        }
+    }
+
+    #[test]
+    fn touched_diff_compares_child_sets_not_slots() {
+        // `(Some(a), None)` → `(None, Some(a))` is the same cache-side
+        // child list, so (like the snapshot diff) it needs no fix-up; a
+        // real change at the same node does.
+        let node = |l, r| AvlN { l, r, h: 2 };
+        let mut t = Avl::default();
+        t.nodes.insert(5, node(None, Some(3)));
+        t.nodes.insert(3, AvlN::default());
+        let mut log: Touched = vec![(5, Some((Some(3), None)))];
+        assert_eq!(touched_diff(&t, &mut log), vec![]);
+        let mut log: Touched = vec![(5, Some((Some(4), None))), (5, Some((None, Some(3))))];
+        assert_eq!(touched_diff(&t, &mut log), vec![(5, vec![3])]);
+        // Entered without children: skipped. Left: told to forget its kids.
+        let mut log: Touched = vec![(9, Some((None, None))), (3, None)];
+        assert_eq!(touched_diff(&t, &mut log), vec![(9, vec![])]);
+    }
+
     #[test]
     fn avl_height_is_logarithmic() {
         let mut t = Avl::default();
+        let mut log = Touched::new();
         for id in 0..1024u32 {
-            t.insert(id); // adversarial (sorted) insertion order
+            t.insert(id, &mut log); // adversarial (sorted) insertion order
         }
         t.validate();
         let root = t.root().unwrap();

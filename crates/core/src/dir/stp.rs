@@ -32,13 +32,75 @@ struct Entry {
     wait_acks: u32,
 }
 
+/// Cache-side child pointers, stored block-major (`addr → node → kids`)
+/// so that a repair's "who lists me as a child?" reads the edges of its
+/// own block only. Canonical: no empty child list and no empty per-block
+/// table is ever stored, so equal edge sets have one representation.
+#[derive(Clone, Default)]
+struct Edges(FxHashMap<Addr, FxHashMap<NodeId, Vec<NodeId>>>);
+
+impl Edges {
+    fn get(&self, node: NodeId, addr: Addr) -> &[NodeId] {
+        self.0
+            .get(&addr)
+            .and_then(|block| block.get(&node))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn take(&mut self, node: NodeId, addr: Addr) -> Vec<NodeId> {
+        let Some(block) = self.0.get_mut(&addr) else {
+            return Vec::new();
+        };
+        let kids = block.remove(&node).unwrap_or_default();
+        if block.is_empty() {
+            self.0.remove(&addr);
+        }
+        kids
+    }
+
+    /// Edit `node`'s child list in place.
+    fn edit(&mut self, node: NodeId, addr: Addr, f: impl FnOnce(&mut Vec<NodeId>)) {
+        let block = self.0.entry(addr).or_default();
+        let kids = block.entry(node).or_default();
+        f(kids);
+        if kids.is_empty() {
+            self.take(node, addr);
+        }
+    }
+
+    /// Every node other than `child` whose list for `addr` names `child`,
+    /// in ascending node id order.
+    fn parents_of(&self, child: NodeId, addr: Addr) -> Vec<NodeId> {
+        let Some(block) = self.0.get(&addr) else {
+            return Vec::new();
+        };
+        let mut parents: Vec<NodeId> = block
+            .iter()
+            .filter(|(&p, kids)| p != child && kids.contains(&child))
+            .map(|(&p, _)| p)
+            .collect();
+        parents.sort_unstable();
+        parents
+    }
+
+    /// The flat `(node, addr) → kids` map this table replaced, which is the
+    /// shape the state digest is defined over. Walks the whole table: for
+    /// `fingerprint` and `check_invariants` only.
+    fn flat(&self) -> FxHashMap<(NodeId, Addr), &Vec<NodeId>> {
+        self.0
+            .iter()
+            .flat_map(|(&addr, block)| block.iter().map(move |(&node, kids)| ((node, addr), kids)))
+            .collect()
+    }
+}
+
 /// The STP protocol with `arity`-ary trees.
 #[derive(Clone)]
 pub struct Stp {
     arity: u32,
     entries: FxHashMap<Addr, Entry>,
     gate: TxnGate,
-    children: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
+    children: Edges,
     collectors: AckCollectors,
     /// Mover-side count of outstanding repair fix-up acks.
     fixups: FxHashMap<(NodeId, Addr), u32>,
@@ -51,7 +113,7 @@ impl Stp {
             arity,
             entries: FxHashMap::default(),
             gate: TxnGate::new(),
-            children: FxHashMap::default(),
+            children: Edges::default(),
             collectors: AckCollectors::new(),
             fixups: FxHashMap::default(),
         }
@@ -66,10 +128,7 @@ impl Stp {
     }
 
     pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.children
-            .get(&(node, addr))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.children.get(node, addr)
     }
 
     fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
@@ -200,15 +259,7 @@ impl Stp {
         }
     }
 
-    fn handle_wb(
-        &mut self,
-        ctx: &mut dyn ProtoCtx,
-        home: NodeId,
-        addr: Addr,
-        src: NodeId,
-        evict: bool,
-    ) {
-        let _ = src;
+    fn handle_wb(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, evict: bool) {
         let e = self.entries.entry(addr).or_default();
         if e.wait_wb {
             e.wait_wb = false;
@@ -257,7 +308,7 @@ impl Stp {
             return;
         }
         let state = ctx.line_state(node, addr);
-        let kids = self.children.remove(&(node, addr)).unwrap_or_default();
+        let kids = self.children.take(node, addr);
         match state {
             LineState::V => {
                 ctx.note(ProtoEvent::Invalidation);
@@ -336,7 +387,7 @@ impl Stp {
         ctx.note(ProtoEvent::ReplacementInvalidation);
         if j == last {
             e.members.pop();
-            self.children.remove(&(leaver, addr));
+            self.children.take(leaver, addr);
             if j == 0 {
                 // Sole member: nothing to fix.
                 self.finish_txn(ctx, home, addr);
@@ -400,28 +451,18 @@ impl Stp {
         let home = ctx.home_of(addr);
         // Take over the leaver's children locally (we were the last member
         // so we had none of our own).
-        let mut inherited = self.children.remove(&(replacing, addr)).unwrap_or_default();
+        let mut inherited = self.children.take(replacing, addr);
         inherited.retain(|&c| c != node);
         for c in new_children {
             if !inherited.contains(&c) && c != node {
                 inherited.push(c);
             }
         }
-        if inherited.is_empty() {
-            self.children.remove(&(node, addr));
-        } else {
-            self.children.insert((node, addr), inherited);
-        }
+        self.children.edit(node, addr, |kids| *kids = inherited);
         // Fix both parents; their acks close the leave transaction. Our
         // old parent is whoever currently lists us as a child.
-        let old_parents: Vec<NodeId> = self
-            .children
-            .iter()
-            .filter(|((p, a), kids)| *a == addr && *p != node && kids.contains(&node))
-            .map(|((p, _), _)| *p)
-            .collect();
         let mut outstanding = 0;
-        for p in old_parents {
+        for p in self.children.parents_of(node, addr) {
             ctx.send(
                 p,
                 Msg {
@@ -475,18 +516,16 @@ impl Stp {
         else {
             unreachable!()
         };
-        let kids = self.children.entry((node, addr)).or_default();
-        if let Some(r) = remove {
-            kids.retain(|&c| c != r);
-        }
-        if let Some(a) = add {
-            if !kids.contains(&a) && a != node {
-                kids.push(a);
+        self.children.edit(node, addr, |kids| {
+            if let Some(r) = remove {
+                kids.retain(|&c| c != r);
             }
-        }
-        if kids.is_empty() {
-            self.children.remove(&(node, addr));
-        }
+            if let Some(a) = add {
+                if !kids.contains(&a) && a != node {
+                    kids.push(a);
+                }
+            }
+        });
         ctx.send(
             msg.src,
             Msg {
@@ -585,18 +624,19 @@ impl Protocol for Stp {
         match msg.kind {
             MsgKind::ReadReq { .. } => self.handle_read_req(ctx, node, msg),
             MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
-            MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, msg.src, false),
-            MsgKind::WbEvict => self.handle_wb(ctx, node, addr, msg.src, true),
+            MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, false),
+            MsgKind::WbEvict => self.handle_wb(ctx, node, addr, true),
             MsgKind::InvAck { dir: true } => self.handle_inv_ack_home(ctx, node, addr),
             MsgKind::InvAck { dir: false } => self.handle_inv_ack_cache(ctx, node, addr),
             MsgKind::FillAck => self.finish_txn(ctx, node, addr),
             MsgKind::StpJoinResp { .. } => self.handle_join_resp(ctx, node, msg),
             MsgKind::StpAttach => {
                 let child = msg.src;
-                let kids = self.children.entry((node, addr)).or_default();
-                if !kids.contains(&child) {
-                    kids.push(child);
-                }
+                self.children.edit(node, addr, |kids| {
+                    if !kids.contains(&child) {
+                        kids.push(child);
+                    }
+                });
                 ctx.send(
                     child,
                     Msg {
@@ -615,7 +655,7 @@ impl Protocol for Stp {
             MsgKind::Inv { .. } => self.handle_inv(ctx, node, msg),
             MsgKind::WriteReply { .. } => {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                self.children.remove(&(node, addr));
+                self.children.take(node, addr);
                 ctx.set_line_state(node, addr, LineState::E);
                 ctx.complete(node, addr, OpKind::Write);
             }
@@ -690,9 +730,148 @@ impl Protocol for Stp {
         use crate::fingerprint::digest_map;
         digest_map(h, &self.entries);
         self.gate.digest(h);
-        digest_map(h, &self.children);
+        digest_map(h, &self.children.flat());
         self.collectors.digest(h);
         digest_map(h, &self.fixups);
+    }
+
+    /// STP structural invariants.
+    ///
+    /// Checked at **every** state:
+    /// * the edge table is canonical — no empty per-block table and no
+    ///   empty child list — so the flat digest in `fingerprint` sees every
+    ///   stored key and equal edge sets digest equally;
+    /// * child lists hold ≤ `k` distinct valid nodes, never the node
+    ///   itself;
+    /// * the per-block parent lookup a repair uses agrees with a scan of
+    ///   every edge in the machine.
+    ///
+    /// Checked only at **quiescence**:
+    /// * no ack collector, home transaction or repair is left open;
+    /// * a dirty block has no members and no edges, and its owner is
+    ///   exclusive;
+    /// * a clean block has no exclusive copy, and its edges are exactly the
+    ///   balanced tree of the home's arrival list (member `j`'s children
+    ///   are members `k·j+1 … k·j+k`; non-members hold none).
+    ///
+    /// Deliberately absent: "every valid copy is a member". A leave queued
+    /// behind a write and a re-read by the same node removes the rejoined
+    /// member (the checker's P=2 counterexample; see ROADMAP), so that
+    /// claim is false of the protocol as it stands.
+    fn check_invariants(
+        &self,
+        ctx: &dyn ProtoCtx,
+        addrs: &[Addr],
+        quiescent: bool,
+    ) -> Result<(), String> {
+        let nodes = ctx.num_nodes();
+        let arity = self.arity as usize;
+        if self.children.0.values().any(FxHashMap::is_empty) {
+            return Err("empty per-block edge table stored".into());
+        }
+        let flat = self.children.flat();
+        // Reverse index built from a scan of every edge in the machine.
+        let mut listed_by: FxHashMap<(NodeId, Addr), Vec<NodeId>> = FxHashMap::default();
+        for (&(node, addr), &kids) in &flat {
+            if kids.is_empty() {
+                return Err(format!(
+                    "empty child list stored at node {node} for {addr:#x}"
+                ));
+            }
+            if kids.len() > arity {
+                return Err(format!(
+                    "node {node} holds {} children for {addr:#x}, arity is {arity}",
+                    kids.len()
+                ));
+            }
+            let mut seen = kids.clone();
+            seen.sort_unstable();
+            seen.dedup();
+            if seen.len() != kids.len() || kids.contains(&node) || kids.iter().any(|&k| k >= nodes)
+            {
+                return Err(format!(
+                    "malformed child list {kids:?} at node {node} for {addr:#x}"
+                ));
+            }
+            for &k in kids.iter().filter(|&&k| k != node) {
+                listed_by.entry((k, addr)).or_default().push(node);
+            }
+        }
+        for ((k, addr), mut scan) in listed_by {
+            scan.sort_unstable();
+            if scan != self.children.parents_of(k, addr) {
+                return Err(format!(
+                    "per-block parent lookup of node {k} for {addr:#x} disagrees with a full scan"
+                ));
+            }
+        }
+        if !quiescent {
+            return Ok(());
+        }
+        if self.collectors.open_count() != 0 {
+            return Err(format!(
+                "{} ack collector(s) still open at quiescence",
+                self.collectors.open_count()
+            ));
+        }
+        if self.gate.open_transactions() != 0 {
+            return Err(format!(
+                "{} home transaction(s) still open at quiescence",
+                self.gate.open_transactions()
+            ));
+        }
+        if !self.fixups.is_empty() {
+            return Err(format!(
+                "{} repair(s) still open at quiescence",
+                self.fixups.len()
+            ));
+        }
+        for &addr in addrs {
+            let entry = self.entries.get(&addr);
+            let members: &[NodeId] = entry.map_or(&[], |e| &e.members);
+            let dirty = entry.filter(|e| e.dirty);
+            if let Some(e) = dirty {
+                if !members.is_empty() {
+                    return Err(format!("dirty block {addr:#x} still records members"));
+                }
+                if ctx.line_state(e.owner, addr) != LineState::E {
+                    return Err(format!(
+                        "dirty block {addr:#x}: recorded owner {} is not exclusive",
+                        e.owner
+                    ));
+                }
+            }
+            for (j, &m) in members.iter().enumerate() {
+                let first = (arity * j + 1).min(members.len());
+                let last = (arity * j + 1 + arity).min(members.len());
+                let mut want = members[first..last].to_vec();
+                let mut have = self.children.get(m, addr).to_vec();
+                want.sort_unstable();
+                have.sort_unstable();
+                if want != have {
+                    return Err(format!(
+                        "member {m} of {addr:#x} lists children {have:?}, arrival order {members:?} implies {want:?}"
+                    ));
+                }
+            }
+            if let Some(stray) = flat
+                .keys()
+                .find(|(n, a)| *a == addr && !members.contains(n))
+                .map(|&(n, _)| n)
+            {
+                return Err(format!(
+                    "non-member {stray} of {addr:#x} still holds child edges"
+                ));
+            }
+            if let Some(n) = (0..nodes).find(|&n| ctx.line_state(n, addr) == LineState::E) {
+                if dirty.is_none() {
+                    return Err(format!(
+                        "clean block {addr:#x} has an exclusive copy at node {n}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -845,6 +1024,106 @@ mod tests {
             assert!(!ctx.line_state(n, A).readable());
         }
         ctx.assert_swmr(A);
+    }
+
+    /// Build a 7-member tree on `A`, then repair it three ways (interior,
+    /// last-member and root eviction); returns everything sent meanwhile.
+    fn repairs_on_a(ctx: &mut MockCtx, p: &mut Stp) -> Vec<(NodeId, Msg)> {
+        for n in 1..=7 {
+            ctx.read(p, n, A);
+        }
+        let mark = ctx.mark();
+        for leaver in [2, 6, 1] {
+            ctx.evict(p, leaver, A);
+            p.check_invariants(ctx, &[A], true).unwrap();
+        }
+        ctx.sent_since(mark).to_vec()
+    }
+
+    #[test]
+    fn repair_traffic_is_independent_of_other_blocks_trees() {
+        let (mut ctx, mut p) = setup(16);
+        let alone = repairs_on_a(&mut ctx, &mut p);
+        assert!(
+            alone.iter().any(|(_, m)| matches!(
+                m.kind,
+                MsgKind::StpFixup {
+                    from_home: false,
+                    ..
+                }
+            )),
+            "no mover-issued fix-up: the parent lookup was never exercised"
+        );
+
+        let (mut ctx, mut p) = setup(16);
+        for block in 1..=4096u64 {
+            // Trees that list the nodes `A`'s repairs move (7, 5, 4) as
+            // children of other parents.
+            for n in [8, 7, 5, 4, 3] {
+                ctx.read(&mut p, n, block);
+            }
+        }
+        assert_eq!(repairs_on_a(&mut ctx, &mut p), alone);
+        assert_eq!(
+            p.children_of(8, 4096),
+            &[7, 5],
+            "background trees untouched"
+        );
+    }
+
+    #[test]
+    fn interleaved_evictions_on_two_blocks_repair_each_tree_alone() {
+        const B: Addr = 1;
+        let (mut ctx, mut p) = setup(16);
+        // Same members, opposite arrival order: every node's parent in one
+        // tree differs from its parent in the other.
+        for n in 1..=7 {
+            ctx.read(&mut p, n, A);
+            ctx.read(&mut p, 8 - n, B);
+        }
+        ctx.evict(&mut p, 2, A); // 7 moves under 1 in A; it is B's root
+        p.check_invariants(&ctx, &[A, B], true).unwrap();
+        assert_eq!(p.members(A), vec![1, 7, 3, 4, 5, 6]);
+        assert_eq!(p.members(B), vec![7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(p.children_of(7, A), &[4, 5]);
+        assert_eq!(p.children_of(7, B), &[6, 5]);
+        ctx.evict(&mut p, 6, B); // 1 moves under 7 in B; it is A's root
+        p.check_invariants(&ctx, &[A, B], true).unwrap();
+        assert_eq!(p.members(B), vec![7, 1, 5, 4, 3, 2]);
+        assert_eq!(p.children_of(1, B), &[4, 3]);
+        assert_eq!(p.children_of(1, A), &[3, 7]);
+        ctx.evict(&mut p, 7, A);
+        ctx.evict(&mut p, 7, B);
+        p.check_invariants(&ctx, &[A, B], true).unwrap();
+        assert_eq!(p.members(A), vec![1, 6, 3, 4, 5]);
+        assert_eq!(p.members(B), vec![2, 1, 5, 4, 3]);
+        for (addr, survivors) in [(A, [1, 3, 4, 5, 6]), (B, [1, 2, 3, 4, 5])] {
+            ctx.write(&mut p, 9, addr);
+            for n in survivors {
+                assert!(!ctx.line_state(n, addr).readable(), "node {n} survived");
+            }
+            ctx.assert_swmr(addr);
+        }
+        p.check_invariants(&ctx, &[A, B], true).unwrap();
+    }
+
+    #[test]
+    fn invariants_reject_non_canonical_and_misshapen_edge_tables() {
+        let (mut ctx, mut p) = setup(16);
+        for n in 1..=3 {
+            ctx.read(&mut p, n, A);
+        }
+        p.check_invariants(&ctx, &[A], true).unwrap();
+        let mut empty_list = p.clone();
+        empty_list.children.0.get_mut(&A).unwrap().insert(3, vec![]);
+        assert!(empty_list.check_invariants(&ctx, &[A], false).is_err());
+        let mut empty_block = p.clone();
+        empty_block.children.0.insert(5, FxHashMap::default());
+        assert!(empty_block.check_invariants(&ctx, &[A], false).is_err());
+        let mut wrong_shape = p.clone();
+        wrong_shape.children.edit(2, A, |kids| kids.push(3));
+        assert!(wrong_shape.check_invariants(&ctx, &[A], false).is_ok());
+        assert!(wrong_shape.check_invariants(&ctx, &[A], true).is_err());
     }
 
     #[test]

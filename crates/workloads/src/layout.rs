@@ -113,6 +113,8 @@ mod tests {
         assert_eq!(m.rows(), 3);
     }
 
+    // The bound is a `debug_assert!`: there is nothing to catch in release.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn array_bounds_checked_in_debug() {
