@@ -6,9 +6,10 @@
 # the ternary-tree shapes — exhaustively explored at P=2 and P=3, plus as
 # much of the P=4 roster as fits a one-minute wall-clock budget, with
 # per-shape explored/deduped/sleep-pruned state counts printed), then the
-# perf gates: golden byte-compares and the benchmark's host_s ratio check
-# against BENCH_layers.json. Run from the repository root; fails fast on
-# the first problem.
+# perf gates: golden byte-compares and the benchmark's ledger gates (three
+# workloads' digests and state counts against benchmark/expected.json,
+# plus a host_s ratio check against BENCH_layers.json). Run from the
+# repository root; fails fast on the first problem.
 #
 #   ./ci.sh          default gate (~2-3 min of model checking: P=2, P=3,
 #                    and a time-budgeted P=4 slice)
@@ -76,21 +77,39 @@ timeout 300 ./target/release/adaptive_ablation \
 cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.jsonl
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 
-# Ledger ratio gate (ROADMAP aim 1: "a 2x regression fails CI"). One
-# end-to-end pass of the benchmark's protocol-family workload: every
-# config digest must match benchmark/expected.json (`correct`), and
-# host_s may not exceed twice the value committed in BENCH_layers.json —
-# wide enough for a slower machine or a noisy neighbour, tight enough to
-# catch a handler going back to O(machine) per call (that was 3.4x).
-python3 benchmark/run.py --workload lu_p32_families --seed 1996 --seconds 10 --trace 0 \
-  | tail -n 1 | python3 -c '
+# Ledger gates (ROADMAP aim 1: "a 2x regression fails CI"). One
+# end-to-end pass of a benchmark workload each; every config digest and
+# state count must match benchmark/expected.json (`correct`, no failed
+# operation).
+ledger_gate() {  # workload [host_s limit from BENCH_layers.json: yes|no]
+  python3 benchmark/run.py --workload "$1" --seed 1996 --seconds 10 --trace 0 \
+    | tail -n 1 | python3 -c '
 import json, sys
+workload, timed = sys.argv[1], sys.argv[2] == "yes"
 result = json.load(sys.stdin)
-gate = json.load(open("BENCH_layers.json"))["ci_gate"]
 host_s = result["metrics"]["host_s"]["value"]
-limit = gate["host_s"] * gate["fail_above_ratio"]
-ok = result["correct"] and host_s <= limit
-print("ledger-gate: lu_p32_families host_s = %.2f s (committed %.2f s, limit %.2f s), correct = %s: %s"
-      % (host_s, gate["host_s"], limit, result["correct"], "ok" if ok else "FAILED"))
+ok = result["correct"] and result["failed"] == 0
+note = ""
+if timed:
+    gate = json.load(open("BENCH_layers.json"))["ci_gate"]
+    limit = gate["host_s"] * gate["fail_above_ratio"]
+    ok = ok and host_s <= limit
+    note = " (committed %.2f s, limit %.2f s)" % (gate["host_s"], limit)
+print("ledger-gate: %s host_s = %.2f s%s, correct = %s, failed = %d/%d: %s"
+      % (workload, host_s, note, result["correct"], result["failed"],
+         result["attempted"], "ok" if ok else "FAILED"))
 sys.exit(0 if ok else 1)
-'
+' "$1" "${2:-no}"
+}
+# The protocol-family workload also carries the time ratio: host_s may
+# not exceed twice the value committed in BENCH_layers.json — wide enough
+# for a slower machine or a noisy neighbour, tight enough to catch a
+# handler going back to O(machine) per call (that was 3.4x).
+ledger_gate lu_p32_families yes
+# The two workloads that run Dir_iTree_k's update and per-block write
+# policies (lu_p32_families is static invalidate throughout): the twelve
+# invalidate/update/adaptive digests at P=256 and the checker's pinned
+# state counts for the update, adaptive and ternary shapes. Correctness
+# only; their times are the PR-14 row of BENCH_layers.json, ungated.
+ledger_gate policies_p256
+ledger_gate check_mix

@@ -110,7 +110,13 @@ fn main() {
     // roots ever merge, and the state graphs are identical). The i=3
     // entries below are the smallest shapes where a P=4 frontier adopts
     // *three* equal-height roots in one merge, covering the generalized
-    // wave/adoption fan-out the arity-2 sweep cannot reach.
+    // wave/adoption fan-out the arity-2 sweep cannot reach. That holds for
+    // `tree3` and for the invalidate-mode blocks of `adp3` only: update
+    // blocks merge pairs whatever the arity (`DirTree::insert_sharer`), so
+    // `upd3` explores exactly the k=2 graph — pinned by `exhaustive.rs`'s
+    // `ternary_update_merge_does_not_diverge_from_binary_at_p5` — and
+    // stays on the roster as the shape to re-baseline when the merge width
+    // is unified (ROADMAP).
     let tree3 = ProtocolKind::DirTree {
         pointers: 3,
         arity: 3,

@@ -271,6 +271,34 @@ fn ternary_merge_diverges_from_binary_at_p5() {
     );
 }
 
+/// The same pair under the *update* write policy: today the two graphs are
+/// the same graph. Update blocks merge pairs only whatever the arity
+/// (`DirTree::insert_sharer` — a drift from when the update variant was a
+/// file of its own), so `Dir3Tree3U` re-checks `Dir3Tree2U` and never
+/// reaches a three-way adoption. Pinned as it is because
+/// `benchmark/expected.json` pins the resulting count; when the merge
+/// width is unified (ROADMAP, after a `[benchmark]` re-baseline) this flips
+/// to `assert_ne!` like the invalidate case above.
+#[test]
+fn ternary_update_merge_does_not_diverge_from_binary_at_p5() {
+    let cfg = CheckConfig::small(5, 1);
+    let run = |arity| {
+        explore(&cfg, || {
+            build_protocol(
+                ProtocolKind::DirTreeUpdate { pointers: 3, arity },
+                ProtocolParams::default(),
+            )
+        })
+    };
+    let ternary = run(3);
+    let binary = run(2);
+    assert!(ternary.is_pass(), "{ternary:?}");
+    assert!(binary.is_pass(), "{binary:?}");
+    assert_eq!(ternary.states(), 18_891);
+    assert_eq!(ternary.states(), binary.states());
+    assert_eq!(ternary.stats(), binary.stats());
+}
+
 /// With both reductions enabled, the layer-synchronous merge keeps the
 /// P=4 exploration bit-identical regardless of worker count: verdict,
 /// state count, and every work counter must match between 1 and 8 jobs.

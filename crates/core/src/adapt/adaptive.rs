@@ -1,50 +1,43 @@
-//! `DirTreeAdaptive` — per-block hybrid of the invalidate and update
-//! Dir<sub>i</sub>Tree<sub>k</sub> variants.
+//! `DirTreeAdaptive` — Dir<sub>i</sub>Tree<sub>k</sub> with a per-block
+//! write policy chosen at run time.
 //!
-//! The protocol owns one instance of each static variant and a
-//! [`PatternDetector`]. Every block is in exactly one *mode* (invalidate by
-//! default); all of a block's directory and cache-side tree state lives in
-//! the instance matching its mode, and messages are routed by kind — wave
-//! traffic (`Inv`/`Update`/...) goes to the variant that generates it,
-//! mode-ambiguous traffic (`ReadReply`, `FillAck`, `ReplaceInv`, ...) to
-//! the block's current owner, which is well-defined because the mode cannot
-//! change while any message for the block is in flight.
+//! The protocol is a [`PatternDetector`] and two drain counters around
+//! *one* [`DirTree`] built with the per-block write policy: every block
+//! carries one bit (invalidate by default) that decides which wave its next
+//! write launches, and a flip sets that bit in place — roots, child edges
+//! and zombie edges are meaningful to either wave and never move. Every
+//! message goes to the one tree, whose handlers dispatch on the message
+//! kind; that is well-defined because the bit cannot change while any
+//! message for the block is in flight.
 //!
 //! **Transition-drain rule.** A block flips only when the home is about to
 //! serve a fresh request for it and the block is *drained*: zero in-flight
-//! messages (counted by wrapping the [`ProtoCtx`] the inner protocols see),
-//! zero pending processor-op retirements (so a write completed under the
-//! old mode also *retires* under it), no open home transaction, no open ack
-//! collection, no pending writeback, and a clean directory entry — an
+//! messages (counted by wrapping the [`ProtoCtx`] the tree sees), zero
+//! pending processor-op retirements (so a write completed under the old
+//! policy also *retires* under it), and [`DirTree::flip_idle`] — no home
+//! transaction or deferred request, no open ack collection, no deferred
+//! kill, and a clean directory entry with no write in progress: an
 //! exclusive owner must write back before its block can become an update
-//! block. The sharer forest (directory roots, cache child edges, *and*
-//! zombie edges) carries across verbatim: both variants build identical
-//! Figure-6 forests, and [`Protocol::check_invariants`] pins that at every
-//! explored state the non-owning instance holds no state for the block and
-//! the owning instance's reachability invariants hold.
+//! block. [`Protocol::check_invariants`] pins the forest's reachability
+//! invariants under whichever policy each block currently has.
 
 use crate::adapt::detector::PatternDetector;
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::dir_tree::DirTree;
-use crate::dir::dir_tree_update::DirTreeUpdate;
+use crate::dir::dir_tree::{DirTree, WritePolicy};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::{Cycle, FxHashMap, FxHashSet};
+use dirtree_sim::{Cycle, FxHashMap};
 
 /// The adaptive hybrid protocol (see module docs).
 #[derive(Clone)]
 pub struct DirTreeAdaptive {
-    pointers: u32,
-    arity: u32,
-    inv: DirTree,
-    upd: DirTreeUpdate,
-    /// Blocks currently in update mode (absent = invalidate, the default).
-    update_mode: FxHashSet<Addr>,
+    /// The forest, holding each block's write-policy bit.
+    tree: DirTree,
     detector: PatternDetector,
-    /// In-flight message count per block: incremented when an inner
-    /// protocol sends or redelivers, decremented on every arrival. A block
-    /// may only flip at zero.
+    /// In-flight message count per block: incremented when the tree sends
+    /// or redelivers, decremented on every arrival. A block may only flip
+    /// at zero.
     inflight: FxHashMap<Addr, u32>,
     /// Completions handed to the machine whose processor-side retirement
     /// has not been confirmed yet ([`Protocol::note_op_retired`]). A write
@@ -56,7 +49,7 @@ pub struct DirTreeAdaptive {
     nodes: u32,
 }
 
-/// The [`ProtoCtx`] the inner protocols see: counts sends/redeliveries and
+/// The [`ProtoCtx`] the tree sees: counts sends/redeliveries and
 /// completions per block so the outer protocol knows when a block is
 /// drained; everything else passes through.
 struct CountingCtx<'a> {
@@ -111,14 +104,21 @@ macro_rules! counting {
     };
 }
 
+/// One counted message arrived / completion retired for `addr`.
+fn count_down(counts: &mut FxHashMap<Addr, u32>, addr: Addr, what: &str) {
+    match counts.get_mut(&addr) {
+        Some(c) if *c > 1 => *c -= 1,
+        Some(_) => {
+            counts.remove(&addr);
+        }
+        None => debug_assert!(false, "uncounted {what} for {addr:#x}"),
+    }
+}
+
 impl DirTreeAdaptive {
     pub fn new(pointers: u32, arity: u32, params: ProtocolParams) -> Self {
         Self {
-            pointers,
-            arity,
-            inv: DirTree::new(pointers, arity, params),
-            upd: DirTreeUpdate::new(pointers, arity, params),
-            update_mode: FxHashSet::default(),
+            tree: DirTree::with_policy(pointers, arity, params, WritePolicy::PerBlock),
             detector: PatternDetector::new(
                 params.adapt_flip_up,
                 params.adapt_flip_down,
@@ -132,7 +132,7 @@ impl DirTreeAdaptive {
 
     /// Is `addr` currently an update-mode block?
     pub fn in_update_mode(&self, addr: Addr) -> bool {
-        self.update_mode.contains(&addr)
+        self.tree.updates(addr)
     }
 
     /// Current detector score for `addr` (diagnostics / tests).
@@ -140,91 +140,42 @@ impl DirTreeAdaptive {
         self.detector.score(addr)
     }
 
-    /// Force `addr`'s mode bit *without* the drain check or state transfer.
-    /// This is a fault injector for the mutation tests — flipping mid-wave
-    /// makes a completing write retire under the wrong semantics, which the
-    /// SWMR witness must catch. Never called by the protocol itself.
+    /// Force `addr`'s mode bit *without* the drain check. This is a fault
+    /// injector for the mutation tests — flipping mid-wave makes a
+    /// completing write retire under the wrong semantics, which the SWMR
+    /// witness must catch. Never called by the protocol itself.
     #[doc(hidden)]
     pub fn force_mode(&mut self, addr: Addr, update: bool) {
-        if update {
-            self.update_mode.insert(addr);
-        } else {
-            self.update_mode.remove(&addr);
-        }
-    }
-
-    fn note_arrival(&mut self, addr: Addr) {
-        match self.inflight.get_mut(&addr) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.inflight.remove(&addr);
-            }
-            None => debug_assert!(false, "uncounted message arrived for {addr:#x}"),
-        }
-    }
-
-    fn gate_busy(&self, addr: Addr) -> bool {
-        if self.update_mode.contains(&addr) {
-            !self.upd.flip_idle(addr)
-        } else {
-            !self.inv.flip_idle(addr)
-        }
+        self.tree.set_update_bit(addr, update);
     }
 
     /// Flip `addr`'s mode if the detector wants the other policy and the
     /// block is drained (see module docs). Called while the home serves a
-    /// fresh `ReadReq`/`WriteReq` for the block, *before* routing it.
+    /// fresh `ReadReq`/`WriteReq` for a block the tree reports idle,
+    /// *before* the tree sees the request.
     fn maybe_flip(&mut self, ctx: &mut dyn ProtoCtx, addr: Addr) {
-        let in_update = self.update_mode.contains(&addr);
+        debug_assert!(self.tree.flip_idle(addr));
+        let in_update = self.tree.updates(addr);
         if self.detector.prefers_update(addr, in_update) == in_update {
             return;
         }
         if self.inflight.contains_key(&addr) || self.pending_retire.contains_key(&addr) {
             return;
         }
-        if in_update {
-            if !self.upd.flip_idle(addr) {
-                return;
-            }
-            debug_assert!(!self.inv.has_block_state(addr));
-            let x = self.upd.take_block(addr);
-            self.inv.install_block(addr, x);
-            self.update_mode.remove(&addr);
-        } else {
-            if !self.inv.flip_idle(addr) {
-                return;
-            }
-            debug_assert!(!self.upd.has_block_state(addr));
-            let x = self.inv.take_block(addr);
-            self.upd.install_block(addr, x);
-            self.update_mode.insert(addr);
-        }
+        self.tree.flip(addr, !in_update);
         ctx.note(ProtoEvent::ModeFlip {
             to_update: !in_update,
         });
-    }
-
-    fn route_mode(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let mut c = counting!(self, ctx);
-        if self.update_mode.contains(&addr) {
-            self.upd.handle(&mut c, node, msg);
-        } else {
-            self.inv.handle(&mut c, node, msg);
-        }
     }
 }
 
 impl Protocol for DirTreeAdaptive {
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirTreeAdaptive {
-            pointers: self.pointers,
-            arity: self.arity,
-        }
+        self.tree.kind()
     }
 
     fn is_update_for(&self, addr: Addr) -> bool {
-        self.update_mode.contains(&addr)
+        self.tree.updates(addr)
     }
 
     fn wants_read_hits(&self) -> bool {
@@ -238,98 +189,56 @@ impl Protocol for DirTreeAdaptive {
 
     fn note_op_retired(&mut self, node: NodeId, addr: Addr, op: OpKind) {
         let _ = (node, op);
-        match self.pending_retire.get_mut(&addr) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.pending_retire.remove(&addr);
-            }
-            None => debug_assert!(false, "retire without completion for {addr:#x}"),
-        }
+        count_down(&mut self.pending_retire, addr, "retirement");
     }
 
     fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
         self.nodes = ctx.num_nodes();
-        let mut c = counting!(self, ctx);
-        if self.update_mode.contains(&addr) {
-            self.upd.start_miss(&mut c, node, addr, op);
-        } else {
-            self.inv.start_miss(&mut c, node, addr, op);
-        }
+        self.tree
+            .start_miss(&mut counting!(self, ctx), node, addr, op);
     }
 
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         self.nodes = ctx.num_nodes();
         let addr = msg.addr;
-        self.note_arrival(addr);
+        count_down(&mut self.inflight, addr, "arrival");
+        // Fresh requests at the home: feed the detector and consider a mode
+        // flip before the tree serves them under the (possibly new) mode.
+        // Reads are recorded even when the request will be deferred by the
+        // transaction gate (the reader set is idempotent); writes are
+        // classified only when actually admitted, so each write transaction
+        // closes exactly one interval.
         match msg.kind {
-            // Fresh requests at the home: feed the detector, consider a
-            // mode flip, then serve under the (possibly new) mode. Reads
-            // are recorded even when the request will be deferred by the
-            // transaction gate (the reader set is idempotent); writes are
-            // classified only when actually admitted, so each write
-            // transaction closes exactly one interval.
             MsgKind::ReadReq { requester } => {
                 self.detector.record_read(addr, requester, self.nodes);
-                if !self.gate_busy(addr) {
+                if self.tree.flip_idle(addr) {
                     self.maybe_flip(ctx, addr);
                 }
-                self.route_mode(ctx, node, msg);
             }
-            MsgKind::WriteReq { requester } => {
-                if !self.gate_busy(addr) {
-                    let pattern = self.detector.record_write(addr, requester, self.nodes);
-                    ctx.note(ProtoEvent::PatternSample(pattern));
-                    self.maybe_flip(ctx, addr);
-                }
-                self.route_mode(ctx, node, msg);
+            MsgKind::WriteReq { requester } if self.tree.flip_idle(addr) => {
+                let pattern = self.detector.record_write(addr, requester, self.nodes);
+                ctx.note(ProtoEvent::PatternSample(pattern));
+                self.maybe_flip(ctx, addr);
             }
-            // Wave traffic is unambiguous: only one variant generates it.
-            MsgKind::Update { .. } | MsgKind::UpdateAck { .. } | MsgKind::UpdateGrant { .. } => {
-                let mut c = counting!(self, ctx);
-                self.upd.handle(&mut c, node, msg);
-            }
-            MsgKind::Inv { .. }
-            | MsgKind::InvAck { .. }
-            | MsgKind::WriteReply { .. }
-            | MsgKind::WbReq { .. }
-            | MsgKind::WbData { .. }
-            | MsgKind::WbEvict => {
-                let mut c = counting!(self, ctx);
-                self.inv.handle(&mut c, node, msg);
-            }
-            // Mode-ambiguous kinds route to the block's current owner —
-            // well-defined because the mode cannot flip while any message
-            // for the block (including this one) is in flight.
-            MsgKind::ReadReply { .. }
-            | MsgKind::FillAck
-            | MsgKind::ReplaceInv
-            | MsgKind::ReplNotify => self.route_mode(ctx, node, msg),
-            other => unreachable!("DirTreeAdaptive received {other:?}"),
+            _ => {}
         }
+        self.tree.handle(&mut counting!(self, ctx), node, msg);
     }
 
     fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
         self.nodes = ctx.num_nodes();
-        debug_assert!(
-            !(self.update_mode.contains(&addr) && state == LineState::E),
-            "exclusive copy of an update-mode block"
-        );
-        let mut c = counting!(self, ctx);
-        if self.update_mode.contains(&addr) {
-            self.upd.evict(&mut c, node, addr, state);
-        } else {
-            self.inv.evict(&mut c, node, addr, state);
-        }
+        self.tree
+            .evict(&mut counting!(self, ctx), node, addr, state);
     }
 
     fn dir_bits_per_mem_block(&self, nodes: u32) -> u64 {
         // Tree directory + detector state: reader bitset, last-writer
         // pointer, 4-bit saturating score, and the mode bit.
-        self.inv.dir_bits_per_mem_block(nodes) + nodes as u64 + ptr_bits(nodes) + 5
+        self.tree.dir_bits_per_mem_block(nodes) + nodes as u64 + ptr_bits(nodes) + 5
     }
 
     fn cache_bits_per_line(&self, nodes: u32) -> u64 {
-        self.inv.cache_bits_per_line(nodes)
+        self.tree.cache_bits_per_line(nodes)
     }
 
     fn boxed_clone(&self) -> Box<dyn Protocol> {
@@ -337,26 +246,19 @@ impl Protocol for DirTreeAdaptive {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::{digest_map, digest_set};
-        self.inv.fingerprint(h);
-        self.upd.fingerprint(h);
-        digest_set(h, &self.update_mode);
+        use crate::fingerprint::digest_map;
+        self.tree.fingerprint(h);
         digest_map(h, &self.inflight);
         digest_map(h, &self.pending_retire);
         self.detector.digest(h);
     }
 
     fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
-        // Mode membership, in-flight counts and retire counts are keyed by
-        // address only; the node-bearing state lives in the two inner
-        // protocol instances and the detector, all of which certify
-        // equivariance concretely.
+        // In-flight and retire counts are keyed by address only; the
+        // node-bearing state lives in the tree and the detector, both of
+        // which certify equivariance concretely.
         Some(Box::new(DirTreeAdaptive {
-            pointers: self.pointers,
-            arity: self.arity,
-            inv: self.inv.relabeled_concrete(perm),
-            upd: self.upd.relabeled_concrete(perm),
-            update_mode: self.update_mode.clone(),
+            tree: self.tree.relabeled_concrete(perm),
             detector: self.detector.relabeled(perm),
             inflight: self.inflight.clone(),
             pending_retire: self.pending_retire.clone(),
@@ -374,34 +276,7 @@ impl Protocol for DirTreeAdaptive {
         addrs: &[Addr],
         quiescent: bool,
     ) -> Result<(), String> {
-        let (upd_addrs, inv_addrs): (Vec<Addr>, Vec<Addr>) =
-            addrs.iter().partition(|a| self.update_mode.contains(*a));
-        self.inv.check_invariants(ctx, &inv_addrs, quiescent)?;
-        self.upd.check_invariants(ctx, &upd_addrs, quiescent)?;
-        for &addr in addrs {
-            let in_update = self.update_mode.contains(&addr);
-            let stray = if in_update {
-                self.inv.has_block_state(addr)
-            } else {
-                self.upd.has_block_state(addr)
-            };
-            if stray {
-                return Err(format!(
-                    "block {addr:#x} is in {} mode but the {} instance holds state for it",
-                    if in_update { "update" } else { "invalidate" },
-                    if in_update { "invalidate" } else { "update" },
-                ));
-            }
-            if in_update {
-                for n in 0..ctx.num_nodes() {
-                    if ctx.line_state(n, addr) == LineState::E {
-                        return Err(format!(
-                            "update-mode block {addr:#x} has an exclusive copy at {n}"
-                        ));
-                    }
-                }
-            }
-        }
+        self.tree.check_invariants(ctx, addrs, quiescent)?;
         if quiescent {
             if let Some((&addr, &c)) = self.inflight.iter().next() {
                 return Err(format!(
@@ -568,22 +443,6 @@ mod tests {
             .count();
         assert!(updates >= 15, "updates reached {updates}/15+ sharers");
         assert!(ctx.holders(A).len() >= 16);
-    }
-
-    #[test]
-    fn state_lives_in_exactly_one_instance() {
-        let (mut ctx, mut p) = (MockCtx::new(P), adaptive());
-        for round in 0..2 {
-            let _ = round;
-            for n in 1..=8 {
-                do_read(&mut ctx, &mut p, n, A);
-            }
-            do_write(&mut ctx, &mut p, 0, A);
-        }
-        assert!(p.in_update_mode(A));
-        assert!(!p.inv.has_block_state(A), "invalidate instance drained");
-        assert!(p.upd.has_block_state(A));
-        p.check_invariants(&ctx, &[A], true).unwrap();
     }
 
     #[test]

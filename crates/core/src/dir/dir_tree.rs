@@ -24,21 +24,40 @@
 //! after its subtree acks. Even-numbered pointers additionally invalidate
 //! their odd-numbered partners, so the home collects at most `⌈i/2⌉` acks.
 //!
+//! **Write policy.** §3 allows "either an invalidation or an update
+//! protocol", and both run on this one forest. An *update* write pushes the
+//! new value down the trees with `Update` messages (fanned out and paired
+//! exactly like the invalidations); every copy stays valid and the writer
+//! joins the forest through the Figure-6 insertion. There is no exclusive
+//! state, so every write — including repeated writes by one processor — is
+//! a full home transaction; the home applies the value to memory when it
+//! processes the write, so memory is always current and there are no dirty
+//! recalls. Good for producer/consumer sharing, terrible for private
+//! read-modify-write data (measurable with the `ablation_update` binary).
+//! The policy is fixed by the [`ProtocolKind`] that built the instance —
+//! `DirTree` invalidates, `DirTreeUpdate` updates, `DirTreeAdaptive` keeps
+//! one bit per block that [`crate::adapt`] sets — and the handlers consult
+//! it in exactly four places: which wave a `WriteReq` launches, what a
+//! `Replace_INV` landing on a `WmIp` line does, the merge width of the
+//! Figure-6 insertion, and whether an exclusive line can be evicted.
+//! Everything else dispatches on the message kind, which names its wave.
+//!
 //! **Replacement**: the evicted block silently kills its subtree with
 //! unacknowledged `Replace_INV` messages and never informs the home —
-//! directory pointers may go stale; invalidation handling is idempotent so
-//! every `Inv` still produces exactly one ack.
+//! directory pointers may go stale; wave handling is idempotent so every
+//! `Inv`/`Update` still produces exactly one ack.
 //!
 //! Because `Replace_INV` is unacknowledged, nothing orders the silent kill
 //! before a later write grant: if the disbanding node forgot its child
 //! edges, a write could complete (all *recorded* sharers acked) while a
 //! `Replace_INV` is still in flight toward a live copy. The disbanded
 //! edges are therefore remembered as **zombie edges** and every
-//! acknowledged invalidation wave re-traverses them; per-channel FIFO
-//! delivery guarantees the wave's `Inv` reaches each ex-child after the
-//! `Replace_INV` did, so its acknowledgement proves the copy is dead.
-//! (The model checker in `crates/check` finds the 12-step counterexample
-//! at P=2 if the edges are dropped instead.)
+//! acknowledged wave — invalidate or update — re-traverses them;
+//! per-channel FIFO delivery guarantees the wave's message reaches each
+//! ex-child after the `Replace_INV` did, so its acknowledgement proves the
+//! copy is dead (or has independently re-joined the forest). (The model
+//! checker in `crates/check` finds the 12-step counterexample at P=2 if
+//! the edges are dropped instead.)
 //!
 //! ```
 //! use dirtree_core::dir::dir_tree::DirTree;
@@ -56,11 +75,12 @@
 //! ```
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, AckCollectors, TxnGate};
+use crate::dir::util::{AckCollectors, TxnGate};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::FxHashMap;
+use dirtree_sim::{FxHashMap, FxHashSet};
+use std::collections::BTreeSet;
 
 /// A directory pointer: the root of one sharer tree and its recorded level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -69,33 +89,14 @@ pub struct Ptr {
     pub level: u32,
 }
 
-/// One block's transferable tree state — directory roots, cache-side child
-/// edges, zombie edges — moved verbatim between the invalidate and update
-/// protocol instances when the adaptive hybrid flips the block's write
-/// policy. Both variants build Figure-6 forests with identical metadata, so
-/// a drained block's tree is meaningful to either.
-#[derive(Debug, Default)]
-pub(crate) struct BlockXfer {
-    pub(crate) ptrs: Vec<Option<Ptr>>,
-    pub(crate) children: Vec<(NodeId, Vec<NodeId>)>,
-    pub(crate) zombies: Vec<(NodeId, Vec<NodeId>)>,
-}
-
-/// Remove every `(node, addr)` entry matching `addr` from a per-node edge
-/// map, returned sorted by node (the map is unordered; sorting keeps the
-/// transfer deterministic for debugging even though reinsertion into a map
-/// erases the order again).
-pub(crate) fn drain_addr(
-    map: &mut FxHashMap<(NodeId, Addr), Vec<NodeId>>,
-    addr: Addr,
-) -> Vec<(NodeId, Vec<NodeId>)> {
-    let keys: Vec<NodeId> = map.keys().filter(|k| k.1 == addr).map(|k| k.0).collect();
-    let mut out: Vec<(NodeId, Vec<NodeId>)> = keys
-        .into_iter()
-        .map(|n| (n, map.remove(&(n, addr)).unwrap()))
-        .collect();
-    out.sort_by_key(|(n, _)| *n);
-    out
+/// What a write does to the other copies (see the module docs). Static
+/// policies answer [`DirTree::updates`] from this enum alone; only
+/// `PerBlock` looks at the per-block bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WritePolicy {
+    Invalidate,
+    Update,
+    PerBlock,
 }
 
 #[derive(Clone, Default, Hash)]
@@ -111,12 +112,8 @@ struct Entry {
     grant_self_root: bool,
 }
 
-/// An invalidation obligation: who to acknowledge and the pairing duty.
-struct DeferredInv {
-    from: NodeId,
-    dir: bool,
-    also: Option<NodeId>,
-}
+/// Per-`(node, block)` edge lists: child pointers, or zombie edges.
+type Edges = FxHashMap<(NodeId, Addr), Vec<NodeId>>;
 
 /// The Dir_iTree_k protocol.
 #[derive(Clone)]
@@ -124,48 +121,141 @@ pub struct DirTree {
     pointers: u32,
     arity: u32,
     params: ProtocolParams,
+    policy: WritePolicy,
+    /// The per-block write-policy bit: blocks a `PerBlock` instance
+    /// currently writes with updates (absent = invalidate, the default).
+    /// Always empty under the two static policies.
+    update_blocks: FxHashSet<Addr>,
     entries: FxHashMap<Addr, Entry>,
     gate: TxnGate,
     /// Cache-side child pointers (up to `arity` per line).
-    children: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
+    children: Edges,
     /// Edges of a disbanded subtree: children a node has already sent an
     /// *unacknowledged* `ReplaceInv`, remembered until an acknowledged
-    /// invalidation wave re-traverses them. Nothing orders a silent kill
-    /// before a later write grant except per-channel FIFO — so the wave's
-    /// `Inv` must follow the same channels the `ReplaceInv` took. Dropping
-    /// these edges at replacement time lets a write complete while the
-    /// kill is still in flight (the model checker finds the race in 12
-    /// steps at P=2).
-    zombies: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
+    /// wave re-traverses them. Nothing orders a silent kill before a later
+    /// write grant except per-channel FIFO — so the wave's message must
+    /// follow the same channels the `ReplaceInv` took. Dropping these
+    /// edges at replacement time lets a write complete while the kill is
+    /// still in flight (the model checker finds the race in 12 steps at
+    /// P=2).
+    zombies: Edges,
     collectors: AckCollectors,
     /// Writeback requests that arrived while the owner was still killing
     /// its own subtree (`WmLip`); served when it becomes exclusive.
     pending_wb: FxHashMap<(NodeId, Addr), (OpKind, NodeId)>,
-    /// Reusable scratch for one invalidation wave's `(target, partner)`
-    /// fan-out — cleared before every use, so its carry-over contents are
-    /// *not* protocol state: it is excluded from [`Protocol::fingerprint`]
-    /// (the model checker must never observe scratch reuse; a mutant that
+    /// `Replace_INV`s that landed on an update block while the target's
+    /// update grant was in flight (state `WmIp`): the kill is deferred to
+    /// grant time, because the edge that led here is already gone — a copy
+    /// the grant made valid would be unreachable from the roots forever.
+    /// Block-major and ordered, so [`Self::flip_idle`] asks about one block
+    /// with a range lookup and the digest needs no sorting.
+    pending_kill: BTreeSet<(Addr, NodeId)>,
+    /// Reusable scratch for one wave's `(target, partner)` root fan-out —
+    /// cleared before every use, so its carry-over contents are *not*
+    /// protocol state: it is excluded from [`Protocol::fingerprint`] (the
+    /// model checker must never observe scratch reuse; a mutant that
     /// aliases this buffer across waves is caught by the witness — see
     /// `dirtree-check`'s `MutantKind::StaleWaveScratch`).
     wave_scratch: Vec<(NodeId, Option<NodeId>)>,
 }
 
+/// The message one wave step carries.
+fn wave_msg(update: bool, also: Option<NodeId>, from_dir: bool) -> MsgKind {
+    if update {
+        MsgKind::Update { also, from_dir }
+    } else {
+        MsgKind::Inv { also, from_dir }
+    }
+}
+
+/// Acknowledge one wave message, in the wave's own ack kind.
+fn send_ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool, update: bool) {
+    let kind = if update {
+        MsgKind::UpdateAck { dir }
+    } else {
+        MsgKind::InvAck { dir }
+    };
+    ctx.send(
+        to,
+        Msg {
+            addr,
+            src: node,
+            kind,
+        },
+    );
+}
+
 impl DirTree {
+    /// Dir_iTree_k with invalidating writes, as the paper evaluates it.
     pub fn new(pointers: u32, arity: u32, params: ProtocolParams) -> Self {
+        Self::with_policy(pointers, arity, params, WritePolicy::Invalidate)
+    }
+
+    pub(crate) fn with_policy(
+        pointers: u32,
+        arity: u32,
+        params: ProtocolParams,
+        policy: WritePolicy,
+    ) -> Self {
         assert!(pointers >= 1, "need at least one directory pointer");
         assert!(arity >= 2, "cache blocks need at least two child pointers");
         Self {
             pointers,
             arity,
             params,
+            policy,
+            update_blocks: FxHashSet::default(),
             entries: FxHashMap::default(),
             gate: TxnGate::new(),
             children: FxHashMap::default(),
             zombies: FxHashMap::default(),
             collectors: AckCollectors::new(),
             pending_wb: FxHashMap::default(),
+            pending_kill: BTreeSet::new(),
             wave_scratch: Vec::new(),
         }
+    }
+
+    /// Does a write to `addr` update the other copies (rather than
+    /// invalidate them)? No map lookup under a static policy.
+    pub(crate) fn updates(&self, addr: Addr) -> bool {
+        match self.policy {
+            WritePolicy::Invalidate => false,
+            WritePolicy::Update => true,
+            WritePolicy::PerBlock => self.update_blocks.contains(&addr),
+        }
+    }
+
+    /// Set `addr`'s write-policy bit and nothing else — no drain check, no
+    /// canonicalisation. [`Self::flip`] is the protocol's path; on its own
+    /// this is the fault injector behind `DirTreeAdaptive::force_mode`.
+    pub(crate) fn set_update_bit(&mut self, addr: Addr, update: bool) {
+        debug_assert_eq!(self.policy, WritePolicy::PerBlock);
+        if update {
+            self.update_blocks.insert(addr);
+        } else {
+            self.update_blocks.remove(&addr);
+        }
+    }
+
+    /// Flip a drained block ([`Self::flip_idle`]) to the other write
+    /// policy, in place: roots, child edges and zombie edges are meaningful
+    /// to either wave and stay exactly where they are. The directory entry
+    /// is put in canonical form — dropped if it records no roots, else its
+    /// only non-forest residue, the stale `owner` of the last exclusive
+    /// grant, is reset — so two histories that drained to the same forest
+    /// are one state to the model checker (its pinned state counts assume
+    /// it).
+    pub(crate) fn flip(&mut self, addr: Addr, to_update: bool) {
+        debug_assert!(self.flip_idle(addr));
+        if let Some(e) = self.entries.get_mut(&addr) {
+            if e.ptrs.iter().all(Option::is_none) {
+                self.entries.remove(&addr);
+            } else {
+                e.owner = NodeId::default();
+            }
+        }
+        self.set_update_bit(addr, to_update);
     }
 
     fn entry(&mut self, addr: Addr) -> &mut Entry {
@@ -203,15 +293,22 @@ impl DirTree {
             .unwrap_or(&[])
     }
 
-    /// No home transaction, no ack collection, no pending writeback, clean
-    /// directory entry: the block is safe to hand to the other write policy
-    /// (the adaptive hybrid additionally requires zero in-flight messages).
-    /// A dirty block is *not* idle — the update variant has no exclusive
-    /// state, so the owner must write back before the block can flip.
+    /// The drain predicate of a policy flip: no home transaction or
+    /// deferred request, no ack collection, no deferred kill, and an entry
+    /// with no write in progress and no exclusive owner — a dirty block is
+    /// *not* idle, because update blocks have no exclusive state and the
+    /// owner must write back first. (A recall parked in `pending_wb` needs
+    /// no clause of its own: the home's `wait_wb` is set for as long as it
+    /// exists, which [`Protocol::check_invariants`] pins.) The adaptive
+    /// hybrid additionally requires zero in-flight messages.
     pub(crate) fn flip_idle(&self, addr: Addr) -> bool {
         !self.gate.has_traffic(addr)
             && !self.collectors.open_at_addr(addr)
-            && !self.pending_wb.keys().any(|k| k.1 == addr)
+            && self
+                .pending_kill
+                .range((addr, NodeId::MIN)..=(addr, NodeId::MAX))
+                .next()
+                .is_none()
             && self.entries.get(&addr).is_none_or(|e| {
                 !e.dirty
                     && e.pending.is_none()
@@ -221,58 +318,9 @@ impl DirTree {
             })
     }
 
-    /// Does this instance hold *any* state for `addr`? The adaptive hybrid
-    /// pins this to false for the instance that does not own the block.
-    pub(crate) fn has_block_state(&self, addr: Addr) -> bool {
-        self.entries.contains_key(&addr)
-            || self.gate.has_traffic(addr)
-            || self.collectors.open_at_addr(addr)
-            || self.pending_wb.keys().any(|k| k.1 == addr)
-            || self.children.keys().any(|k| k.1 == addr)
-            || self.zombies.keys().any(|k| k.1 == addr)
-    }
-
-    /// Remove and return the block's transferable tree state. Caller must
-    /// have checked [`Self::flip_idle`] (in particular the entry is clean,
-    /// so dropping `dirty`/`owner` loses nothing).
-    pub(crate) fn take_block(&mut self, addr: Addr) -> BlockXfer {
-        debug_assert!(self.flip_idle(addr));
-        let ptrs = self
-            .entries
-            .remove(&addr)
-            .map(|e| e.ptrs)
-            .unwrap_or_else(|| vec![None; self.pointers as usize]);
-        BlockXfer {
-            ptrs,
-            children: drain_addr(&mut self.children, addr),
-            zombies: drain_addr(&mut self.zombies, addr),
-        }
-    }
-
-    /// Install tree state taken from the other protocol instance.
-    pub(crate) fn install_block(&mut self, addr: Addr, x: BlockXfer) {
-        debug_assert!(!self.has_block_state(addr));
-        debug_assert_eq!(x.ptrs.len(), self.pointers as usize);
-        if x.ptrs.iter().any(Option::is_some) {
-            self.entries.insert(
-                addr,
-                Entry {
-                    ptrs: x.ptrs,
-                    ..Entry::default()
-                },
-            );
-        }
-        for (node, kids) in x.children {
-            self.children.insert((node, addr), kids);
-        }
-        for (node, kids) in x.zombies {
-            self.zombies.insert((node, addr), kids);
-        }
-    }
-
     /// Silently disband `(node, addr)`'s subtree: one unacknowledged
     /// `ReplaceInv` per child, with the edges moved to the zombie set so
-    /// the next acknowledged invalidation wave still covers them.
+    /// the next acknowledged wave still covers them.
     fn disband(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
         let kids = self.children.remove(&(node, addr)).unwrap_or_default();
         if kids.is_empty() {
@@ -325,7 +373,16 @@ impl DirTree {
         addr: Addr,
         requester: NodeId,
     ) -> Vec<NodeId> {
-        let arity = self.arity as usize;
+        // Policy point 3 of 4. Update blocks merge pairs only: the k > 2
+        // generalisation below never reached the update variant while it
+        // was a file of its own, and `benchmark/expected.json` pins the
+        // state counts that drift produces (Dir3Tree3U/P5B1, Dir3Tree3A/
+        // P5B1). Unify the width only together with a re-baseline (ROADMAP).
+        let width = if self.updates(addr) {
+            2
+        } else {
+            self.arity as usize
+        };
         let e = self.entry(addr);
         // Case 1: already recorded (e.g. silently replaced, now re-reading).
         if e.ptrs.iter().flatten().any(|p| p.node == requester) {
@@ -351,7 +408,7 @@ impl DirTree {
             }
             let slots: Vec<usize> = (a..e.ptrs.len())
                 .filter(|&b| e.ptrs[b].unwrap().level == la)
-                .take(arity)
+                .take(width)
                 .collect();
             if slots.len() >= 2 {
                 best = Some((la, slots));
@@ -424,70 +481,53 @@ impl DirTree {
         }
     }
 
-    /// Send invalidations to the forest roots, skipping a root that is the
-    /// requesting writer itself — the grant tells it to kill its own
-    /// subtree locally (it holds the child pointers; an `Inv` would only
-    /// bounce back to it). Returns `(expected home acks, writer was a
-    /// recorded root)`.
-    fn invalidate_forest(
+    /// Launch one write wave from the home: a message to every forest root
+    /// except `skip`, even-numbered roots carrying their odd partner when
+    /// pairing is on. Returns the number of acknowledgements the home must
+    /// collect.
+    fn wave_roots(
         &mut self,
         ctx: &mut dyn ProtoCtx,
         home: NodeId,
         addr: Addr,
-        requester: NodeId,
-    ) -> (u32, bool) {
-        let pairing = self.params.dir_tree_pairing;
+        skip: Option<NodeId>,
+        update: bool,
+    ) -> u32 {
         // Reuse the wave scratch buffer (taken, cleared, and put back) so a
         // write's fan-out list never allocates on the hot path.
         let mut sends = std::mem::take(&mut self.wave_scratch);
         sends.clear();
-        let e = self.entries.get_mut(&addr).unwrap();
-        let self_root = e.ptrs.iter().flatten().any(|p| p.node == requester);
-        let mut expected = 0;
-        if pairing {
-            // Even-numbered roots invalidate their odd partners: the home
+        let ptrs = &self.entries[&addr].ptrs;
+        let root = |slot: usize| {
+            let node = ptrs.get(slot).copied().flatten()?.node;
+            (Some(node) != skip).then_some(node)
+        };
+        if self.params.dir_tree_pairing {
+            // Even-numbered roots forward to their odd partners: the home
             // receives at most ceil(i/2) acknowledgements.
-            let mut slot = 0;
-            while slot < e.ptrs.len() {
-                let even = e.ptrs[slot].map(|p| p.node).filter(|&n| n != requester);
-                let odd = e
-                    .ptrs
-                    .get(slot + 1)
-                    .copied()
-                    .flatten()
-                    .map(|p| p.node)
-                    .filter(|&n| n != requester);
-                match (even, odd) {
+            for slot in (0..ptrs.len()).step_by(2) {
+                match (root(slot), root(slot + 1)) {
                     (Some(a), also) => sends.push((a, also)),
                     (None, Some(b)) => sends.push((b, None)),
                     (None, None) => {}
                 }
-                slot += 2;
             }
         } else {
-            for p in e.ptrs.iter().flatten() {
-                if p.node != requester {
-                    sends.push((p.node, None));
-                }
-            }
+            sends.extend((0..ptrs.len()).filter_map(root).map(|n| (n, None)));
         }
-        e.ptrs.iter_mut().for_each(|p| *p = None);
         for &(dst, also) in &sends {
             ctx.send(
                 dst,
                 Msg {
                     addr,
                     src: home,
-                    kind: MsgKind::Inv {
-                        also,
-                        from_dir: true,
-                    },
+                    kind: wave_msg(update, also, true),
                 },
             );
-            expected += 1;
         }
+        let expected = sends.len() as u32;
         self.wave_scratch = sends;
-        (expected, self_root)
+        expected
     }
 
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
@@ -508,6 +548,21 @@ impl DirTree {
         self.finish_txn(ctx, home, addr);
     }
 
+    /// Grant an update write: the writer keeps a valid copy, so it joins
+    /// the forest like any other sharer.
+    fn grant_update(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
+        let adopt = self.insert_sharer(ctx, addr, writer);
+        ctx.send(
+            writer,
+            Msg {
+                addr,
+                src: home,
+                kind: MsgKind::UpdateGrant { adopt },
+            },
+        );
+        self.finish_txn(ctx, home, addr);
+    }
+
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
         let addr = msg.addr;
         let MsgKind::WriteReq { requester } = msg.kind else {
@@ -516,8 +571,13 @@ impl DirTree {
         if !self.gate.admit(addr, &msg) {
             return;
         }
+        // Policy point 1 of 4: which wave this write launches.
+        let update = self.updates(addr);
         let e = self.entry(addr);
-        if e.dirty {
+        let expected = if update {
+            // Every recorded copy is refreshed, the writer's included.
+            self.wave_roots(ctx, home, addr, None, true)
+        } else if e.dirty {
             e.pending = Some((requester, OpKind::Write));
             e.wait_wb = true;
             let owner = e.owner;
@@ -533,18 +593,37 @@ impl DirTree {
                 },
             );
             return;
-        }
-        let (expected, self_root) = self.invalidate_forest(ctx, home, addr, requester);
-        {
-            let e = self.entries.get_mut(&addr).unwrap();
-            e.grant_self_root = self_root;
-        }
-        if expected == 0 {
-            self.grant_write(ctx, home, addr, requester);
         } else {
-            let e = self.entries.get_mut(&addr).unwrap();
+            // The wave consumes the forest. A root that is the writer
+            // itself is skipped: the grant tells it to kill its own subtree
+            // locally (it holds the child pointers; an `Inv` would only
+            // bounce back to it).
+            e.grant_self_root = e.ptrs.iter().flatten().any(|p| p.node == requester);
+            let expected = self.wave_roots(ctx, home, addr, Some(requester), false);
+            self.entry(addr).ptrs.fill(None);
+            expected
+        };
+        if expected == 0 {
+            self.grant(ctx, home, addr, requester, update);
+        } else {
+            let e = self.entry(addr);
             e.pending = Some((requester, OpKind::Write));
             e.wait_acks = expected;
+        }
+    }
+
+    fn grant(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        writer: NodeId,
+        update: bool,
+    ) {
+        if update {
+            self.grant_update(ctx, home, addr, writer);
+        } else {
+            self.grant_write(ctx, home, addr, writer);
         }
     }
 
@@ -595,170 +674,123 @@ impl DirTree {
         }
     }
 
-    fn handle_inv_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
+    /// A root acknowledged the home's wave; the last ack grants the write.
+    fn handle_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, update: bool) {
         let e = self.entries.get_mut(&addr).expect("ack without entry");
         debug_assert!(e.wait_acks > 0);
         e.wait_acks -= 1;
         if e.wait_acks == 0 {
             let (requester, op) = e.pending.take().expect("acks without pending");
             debug_assert_eq!(op, OpKind::Write);
-            self.grant_write(ctx, home, addr, requester);
+            self.grant(ctx, home, addr, requester, update);
         }
     }
 
-    /// Perform the invalidation of a live copy at `node`: forward to
-    /// children and any `also` partner, then ack the debt (immediately or
-    /// through a collector). Every invalidation delivery settles exactly one
-    /// debt — later arrivals find the collector open and are absorbed in
-    /// [`Self::handle_inv`] — so the debt is passed by value, not boxed in a
-    /// single-element `Vec`.
-    fn kill_copy(
-        &mut self,
-        ctx: &mut dyn ProtoCtx,
-        node: NodeId,
-        addr: Addr,
-        debt: DeferredInv,
-        invalidate_line: bool,
-    ) {
-        let mut kids = self.children.remove(&(node, addr)).unwrap_or_default();
-        for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
-            if !kids.contains(&z) {
-                kids.push(z);
-            }
-        }
-        let mut outstanding = 0;
-        for k in kids {
-            ctx.send(
-                k,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::Inv {
-                        also: None,
-                        from_dir: false,
-                    },
-                },
-            );
-            outstanding += 1;
-        }
-        if let Some(partner) = debt.also {
-            ctx.send(
-                partner,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::Inv {
-                        also: None,
-                        from_dir: false,
-                    },
-                },
-            );
-            outstanding += 1;
-        }
-        if outstanding == 0 {
-            if invalidate_line {
-                ctx.set_line_state(node, addr, LineState::Iv);
-            }
-            ack(ctx, node, addr, debt.from, debt.dir);
-        } else {
-            if invalidate_line {
-                ctx.set_line_state(node, addr, LineState::InvIp);
-            }
-            self.collectors
-                .open(node, addr, debt.from, debt.dir, outstanding);
-        }
-    }
-
-    fn handle_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+    /// One step of a write wave at a cache: forward to the subtree and any
+    /// `also` partner, then acknowledge the sender — immediately, or
+    /// through a collector once everything forwarded has acked. An `Inv`
+    /// kills the copy and consumes its child edges; an `Update` refreshes
+    /// the copy in place and keeps them. Both consume the zombie edges:
+    /// FIFO puts this message behind the `Replace_INV` on the same pair, so
+    /// its ack proves the disbanded subtree processed its kill.
+    fn handle_wave(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
-        let MsgKind::Inv { also, from_dir } = msg.kind else {
-            unreachable!()
+        let (update, also, dir) = match msg.kind {
+            MsgKind::Inv { also, from_dir } => (false, also, from_dir),
+            MsgKind::Update { also, from_dir } => (true, also, from_dir),
+            _ => unreachable!(),
         };
-        let debt = DeferredInv {
-            from: msg.src,
-            dir: from_dir,
-            also,
+        let forward = || Msg {
+            addr,
+            src: node,
+            kind: wave_msg(update, None, false),
         };
         // A node already collecting acknowledgements answers immediately:
-        // its subtree is covered by the first invalidation path, and
-        // waiting here could deadlock on child-pointer *cycles* created by
-        // silent replacement + rejoin (A is replaced, re-reads, and adopts
-        // its own ex-ancestor). Immediate acks make every wait edge follow
+        // its subtree is covered by the first wave path, and waiting here
+        // could deadlock on child-pointer *cycles* created by silent
+        // replacement + rejoin (A is replaced, re-reads, and adopts its own
+        // ex-ancestor). Immediate acks make every wait edge follow
         // first-visit order, which is acyclic. A pairing duty ('also') is
         // the one thing that must still be discharged and awaited.
         if self.collectors.is_open(node, addr) {
-            if let Some(partner) = debt.also {
-                ctx.send(
-                    partner,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::Inv {
-                            also: None,
-                            from_dir: false,
-                        },
-                    },
-                );
-                self.collectors.absorb(node, addr, debt.from, debt.dir, 1);
+            if let Some(partner) = also {
+                ctx.send(partner, forward());
+                self.collectors.absorb(node, addr, msg.src, dir, 1);
             } else {
-                ack(ctx, node, addr, debt.from, debt.dir);
+                send_ack(ctx, node, addr, msg.src, dir, update);
             }
             return;
         }
-        match ctx.line_state(node, addr) {
-            LineState::V => {
-                ctx.note(ProtoEvent::Invalidation);
-                self.kill_copy(ctx, node, addr, debt, true);
+        // `InvIp` is set exactly while a collector is open (handled above),
+        // and no wave reaches an exclusive owner (see the module docs).
+        let state = ctx.line_state(node, addr);
+        debug_assert!(!matches!(state, LineState::InvIp | LineState::E));
+        debug_assert!(
+            matches!(state, LineState::V | LineState::WmIp | LineState::WmLip)
+                || self.children_of(node, addr).is_empty(),
+            "a dead copy still owns children"
+        );
+        if state == LineState::V {
+            // Counted as "copies touched" for an update wave.
+            ctx.note(ProtoEvent::Invalidation);
+        }
+        // A stale target (`Iv`/`NotPresent`, or `RmIp` — the home holds
+        // read transactions open until the FillAck, so no fill can be in
+        // flight) has no copy and no children, but its zombie edges and its
+        // pairing duty are still owed. An upgrading writer (`WmIp`) loses
+        // its old copy's subtree to an `Inv` and keeps it under an `Update`;
+        // its line stays transient awaiting the grant either way.
+        let mut targets = if !update {
+            self.children.remove(&(node, addr)).unwrap_or_default()
+        } else if matches!(state, LineState::V | LineState::WmIp) {
+            self.children_of(node, addr).to_vec()
+        } else {
+            Vec::new()
+        };
+        for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
+            if !targets.contains(&z) {
+                targets.push(z);
             }
-            LineState::WmIp | LineState::WmLip => {
-                // Upgrading writer: its old copy (and subtree) dies, but the
-                // line stays transient awaiting the grant.
-                self.kill_copy(ctx, node, addr, debt, false);
+        }
+        targets.extend(also);
+        for &t in &targets {
+            ctx.send(t, forward());
+        }
+        let dies = !update && state == LineState::V;
+        if targets.is_empty() {
+            if dies {
+                ctx.set_line_state(node, addr, LineState::Iv);
             }
-            LineState::InvIp => {
-                // InvIp with a closed collector cannot happen (the state is
-                // set exactly while a collector is open, and the open case
-                // returned above).
-                unreachable!("InvIp line without an open collector");
+            send_ack(ctx, node, addr, msg.src, dir, update);
+        } else {
+            if dies {
+                ctx.set_line_state(node, addr, LineState::InvIp);
             }
-            LineState::Iv | LineState::NotPresent | LineState::RmIp => {
-                // Stale target (or a requester whose read has not been
-                // served yet — the home holds read transactions open until
-                // the FillAck, so no fill can be in flight here): no copy,
-                // no children. But a disbanded subtree (zombie edges) must
-                // be re-traversed with *acknowledged* invalidations — the
-                // silent `ReplaceInv`s may still be in flight, and this
-                // wave is what orders the kill before the write grant —
-                // and a pairing duty must still be discharged. `kill_copy`
-                // handles all of it (with no live line to invalidate).
-                debug_assert!(self.children_of(node, addr).is_empty());
-                self.kill_copy(ctx, node, addr, debt, false);
-            }
-            LineState::E => {
-                // Unreachable by construction (see module docs); be safe.
-                debug_assert!(false, "Inv reached an exclusive owner");
-                ack(ctx, node, addr, debt.from, debt.dir);
-            }
+            self.collectors
+                .open(node, addr, msg.src, dir, targets.len() as u32);
         }
     }
 
-    fn handle_inv_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        if let Some(targets) = self.collectors.ack(node, addr) {
-            if ctx.line_state(node, addr) == LineState::InvIp {
-                ctx.set_line_state(node, addr, LineState::Iv);
-            }
-            for (to, dir) in targets {
-                if to == node && !dir {
-                    // Self-subtree kill finished: the write completes.
-                    debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
-                    ctx.set_line_state(node, addr, LineState::E);
-                    ctx.complete(node, addr, OpKind::Write);
-                    if let Some((for_op, requester)) = self.pending_wb.remove(&(node, addr)) {
-                        self.serve_wb_req(ctx, node, addr, for_op, requester);
-                    }
-                } else {
-                    ack(ctx, node, addr, to, dir);
+    /// A forwarded wave message was acknowledged; the last ack settles
+    /// every debt the collector absorbed.
+    fn handle_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, update: bool) {
+        let Some(targets) = self.collectors.ack(node, addr) else {
+            return;
+        };
+        if ctx.line_state(node, addr) == LineState::InvIp {
+            ctx.set_line_state(node, addr, LineState::Iv);
+        }
+        for (to, dir) in targets {
+            if to == node && !dir {
+                // Self-subtree kill finished: the write completes.
+                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
+                ctx.set_line_state(node, addr, LineState::E);
+                ctx.complete(node, addr, OpKind::Write);
+                if let Some((for_op, requester)) = self.pending_wb.remove(&(node, addr)) {
+                    self.serve_wb_req(ctx, node, addr, for_op, requester);
                 }
+            } else {
+                send_ack(ctx, node, addr, to, dir, update);
             }
         }
     }
@@ -821,13 +853,60 @@ impl DirTree {
         );
     }
 
+    /// The update writer's grant: adopt the roots the home handed over and
+    /// keep a *valid* (not exclusive) copy.
+    fn handle_update_grant(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+        let addr = msg.addr;
+        let MsgKind::UpdateGrant { adopt } = msg.kind else {
+            unreachable!()
+        };
+        debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
+        if !adopt.is_empty() {
+            let slot = self.children.entry((node, addr)).or_default();
+            for a in adopt {
+                if !slot.contains(&a) && a != node {
+                    slot.push(a);
+                }
+            }
+        }
+        if self.pending_kill.remove(&(addr, node)) {
+            // A `Replace_INV` raced this grant (see `handle_replace_inv`).
+            // The write itself is done — the home applied the value when it
+            // processed the request — but the local copy must go the way
+            // the kill intended, or it stays valid yet unreachable from the
+            // roots. Adoption came first so adopted subtrees get their own
+            // kills.
+            self.replaced(ctx, node, addr);
+        } else {
+            ctx.set_line_state(node, addr, LineState::V);
+        }
+        ctx.complete(node, addr, OpKind::Write);
+    }
+
+    /// A parent's replacement kills this live copy and, silently, its
+    /// subtree.
+    fn replaced(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
+        ctx.note(ProtoEvent::ReplacementInvalidation);
+        self.disband(ctx, node, addr);
+        ctx.set_line_state(node, addr, LineState::Iv);
+    }
+
     fn handle_replace_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        // A transient, invalid or exclusive line is no longer the copy the
-        // stale parent thought it was killing; only a live shared copy dies.
-        if ctx.line_state(node, addr) == LineState::V {
-            ctx.note(ProtoEvent::ReplacementInvalidation);
-            self.disband(ctx, node, addr);
-            ctx.set_line_state(node, addr, LineState::Iv);
+        match ctx.line_state(node, addr) {
+            LineState::V => self.replaced(ctx, node, addr),
+            // Policy point 2 of 4. On an update block the kill crossed our
+            // in-flight grant: the parent edge that led here is gone (an
+            // update wave consumes it as a zombie), so the copy the grant
+            // is about to validate would be unreachable from the roots.
+            // Ignoring the kill would leak a live orphan; defer it to grant
+            // time instead. An invalidate grant makes the line exclusive,
+            // which is no longer the copy the stale parent meant.
+            LineState::WmIp if self.updates(addr) => {
+                self.pending_kill.insert((addr, node));
+            }
+            // Any other transient, invalid or exclusive line is not the
+            // copy the stale parent thought it was killing.
+            _ => {}
         }
     }
 
@@ -845,10 +924,20 @@ impl DirTree {
 
 impl Protocol for DirTree {
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirTree {
-            pointers: self.pointers,
-            arity: self.arity,
+        let (pointers, arity) = (self.pointers, self.arity);
+        match self.policy {
+            WritePolicy::Invalidate => ProtocolKind::DirTree { pointers, arity },
+            WritePolicy::Update => ProtocolKind::DirTreeUpdate { pointers, arity },
+            WritePolicy::PerBlock => ProtocolKind::DirTreeAdaptive { pointers, arity },
         }
+    }
+
+    fn is_update(&self) -> bool {
+        self.policy == WritePolicy::Update
+    }
+
+    fn is_update_for(&self, addr: Addr) -> bool {
+        self.updates(addr)
     }
 
     fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
@@ -874,10 +963,13 @@ impl Protocol for DirTree {
             MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
             MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, msg.src, false),
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, msg.src, true),
-            MsgKind::InvAck { dir: true } => self.handle_inv_ack_home(ctx, node, addr),
+            MsgKind::InvAck { dir: true } => self.handle_ack_home(ctx, node, addr, false),
+            MsgKind::UpdateAck { dir: true } => self.handle_ack_home(ctx, node, addr, true),
             MsgKind::FillAck => self.finish_txn(ctx, node, addr),
-            MsgKind::InvAck { dir: false } => self.handle_inv_ack_cache(ctx, node, addr),
+            MsgKind::InvAck { dir: false } => self.handle_ack_cache(ctx, node, addr, false),
+            MsgKind::UpdateAck { dir: false } => self.handle_ack_cache(ctx, node, addr, true),
             MsgKind::ReadReply { .. } => self.handle_read_reply(ctx, node, msg),
+            MsgKind::UpdateGrant { .. } => self.handle_update_grant(ctx, node, msg),
             MsgKind::WriteReply { kill_self_subtree } => {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
                 let mut kids = if kill_self_subtree {
@@ -921,7 +1013,7 @@ impl Protocol for DirTree {
                     }
                 }
             }
-            MsgKind::Inv { .. } => self.handle_inv(ctx, node, msg),
+            MsgKind::Inv { .. } | MsgKind::Update { .. } => self.handle_wave(ctx, node, msg),
             MsgKind::ReplaceInv => self.handle_replace_inv(ctx, node, addr),
             MsgKind::ReplNotify => self.handle_repl_notify(ctx, addr, msg.src),
             MsgKind::WbReq { for_op, requester } => {
@@ -957,7 +1049,10 @@ impl Protocol for DirTree {
                     );
                 }
             }
-            LineState::E => {
+            // Policy point 4 of 4: an update block has no exclusive state
+            // (memory is always current), so only an invalidate block can
+            // be evicting one.
+            LineState::E if !self.updates(addr) => {
                 let home = ctx.home_of(addr);
                 ctx.send(
                     home,
@@ -973,8 +1068,9 @@ impl Protocol for DirTree {
     }
 
     fn dir_bits_per_mem_block(&self, nodes: u32) -> u64 {
-        // i pointers, each (node id + level) ≈ 2·log n bits, plus dirty.
-        2 * self.pointers as u64 * ptr_bits(nodes) + 1
+        // i pointers, each (node id + level) ≈ 2·log n bits, plus the dirty
+        // bit unless every block is an update block.
+        2 * self.pointers as u64 * ptr_bits(nodes) + u64::from(!self.is_update())
     }
 
     fn cache_bits_per_line(&self, nodes: u32) -> u64 {
@@ -987,13 +1083,15 @@ impl Protocol for DirTree {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
+        use crate::fingerprint::{digest, digest_map, digest_set};
+        digest_set(h, &self.update_blocks);
         digest_map(h, &self.entries);
         self.gate.digest(h);
         digest_map(h, &self.children);
         digest_map(h, &self.zombies);
         self.collectors.digest(h);
         digest_map(h, &self.pending_wb);
+        digest(h, &self.pending_kill);
     }
 
     fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
@@ -1013,18 +1111,23 @@ impl Protocol for DirTree {
     /// * cache-side child lists hold ≤ `k` distinct children, never the
     ///   node itself;
     /// * zombie (disbanded-subtree) edge lists hold distinct valid nodes,
-    ///   never the node itself.
+    ///   never the node itself;
+    /// * a recall parked at a self-killing owner (`pending_wb`) has the
+    ///   home waiting for it (`wait_wb`) — what lets [`Self::flip_idle`]
+    ///   read the entry alone;
+    /// * an update block has no exclusive copy.
     ///
     /// Checked only at **quiescence** (no message in flight — mid-
     /// transaction these are legitimately violated, e.g. while a recalled
     /// owner's data is on the wire):
-    /// * no ack collector or home transaction is left open;
+    /// * no ack collector, home transaction, pending write or deferred
+    ///   kill is left open;
     /// * `dirty` entries have an empty forest, no child or zombie edges
     ///   (the granting wave drains both), and the recorded owner exclusive;
     /// * clean blocks have no exclusive copy, and every valid copy is
     ///   reachable from the recorded roots through child and zombie
     ///   pointers — a sharer the forest cannot see would silently survive
-    ///   the next write invalidation.
+    ///   the next write wave.
     ///
     /// Note the *absence* of a height-vs-level claim: recorded levels are
     /// upper bounds at insertion time, and silent replacement + rejoin can
@@ -1037,53 +1140,8 @@ impl Protocol for DirTree {
         quiescent: bool,
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
-        for (&(node, addr), kids) in &self.children {
-            if kids.len() > self.arity as usize {
-                return Err(format!(
-                    "node {node} holds {} children for {addr:#x}, arity is {}",
-                    kids.len(),
-                    self.arity
-                ));
-            }
-            let mut seen = kids.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != kids.len() {
-                return Err(format!(
-                    "duplicate child pointer at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.contains(&node) {
-                return Err(format!(
-                    "self-loop child pointer at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.iter().any(|&k| k >= nodes) {
-                return Err(format!(
-                    "out-of-range child pointer at node {node} for {addr:#x}"
-                ));
-            }
-        }
-        for (&(node, addr), kids) in &self.zombies {
-            let mut seen = kids.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != kids.len() {
-                return Err(format!(
-                    "duplicate zombie edge at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.contains(&node) {
-                return Err(format!(
-                    "self-loop zombie edge at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.iter().any(|&k| k >= nodes) {
-                return Err(format!(
-                    "out-of-range zombie edge at node {node} for {addr:#x}"
-                ));
-            }
-        }
+        check_edges(&self.children, "child pointer", self.arity as usize, nodes)?;
+        check_edges(&self.zombies, "zombie edge", nodes as usize, nodes)?;
         for (&addr, e) in &self.entries {
             if e.ptrs.len() != self.pointers as usize {
                 return Err(format!(
@@ -1093,19 +1151,32 @@ impl Protocol for DirTree {
                 ));
             }
             let roots: Vec<Ptr> = e.ptrs.iter().flatten().copied().collect();
-            for p in &roots {
+            for (i, p) in roots.iter().enumerate() {
                 if p.node >= nodes {
                     return Err(format!("pointer at {addr:#x} references node {}", p.node));
                 }
                 if p.level == 0 {
                     return Err(format!("pointer at {addr:#x} has level 0"));
                 }
+                if roots[..i].iter().any(|q| q.node == p.node) {
+                    return Err(format!("duplicate root pointer at {addr:#x}"));
+                }
             }
-            let mut root_nodes: Vec<NodeId> = roots.iter().map(|p| p.node).collect();
-            root_nodes.sort_unstable();
-            root_nodes.dedup();
-            if root_nodes.len() != roots.len() {
-                return Err(format!("duplicate root pointer at {addr:#x}"));
+        }
+        for &(node, addr) in self.pending_wb.keys() {
+            if !self.entries.get(&addr).is_some_and(|e| e.wait_wb) {
+                return Err(format!(
+                    "recall parked at node {node} for {addr:#x} but the home is not waiting for it"
+                ));
+            }
+        }
+        for &addr in addrs {
+            if self.updates(addr) {
+                if let Some(n) = (0..nodes).find(|&n| ctx.line_state(n, addr) == LineState::E) {
+                    return Err(format!(
+                        "update block {addr:#x} has an exclusive copy at node {n}"
+                    ));
+                }
             }
         }
         if !quiescent {
@@ -1123,11 +1194,22 @@ impl Protocol for DirTree {
                 self.gate.open_transactions()
             ));
         }
+        for (&addr, e) in &self.entries {
+            if e.pending.is_some() || e.wait_acks != 0 {
+                return Err(format!("quiescent but write pending for {addr:#x}"));
+            }
+        }
+        if let Some((addr, node)) = self.pending_kill.first() {
+            return Err(format!(
+                "quiescent but deferred kill at {node} for {addr:#x}"
+            ));
+        }
+        let has_edges = |map: &Edges, addr: Addr| {
+            (0..nodes).any(|n| map.get(&(n, addr)).is_some_and(|kids| !kids.is_empty()))
+        };
         for &addr in addrs {
-            let Some(e) = self.entries.get(&addr) else {
-                continue;
-            };
-            if e.dirty {
+            let e = self.entries.get(&addr);
+            if let Some(e) = e.filter(|e| e.dirty) {
                 if e.ptrs.iter().any(Option::is_some) {
                     return Err(format!("dirty block {addr:#x} still records roots"));
                 }
@@ -1137,35 +1219,24 @@ impl Protocol for DirTree {
                         e.owner
                     ));
                 }
-                if self
-                    .children
-                    .iter()
-                    .any(|(&(_, a), k)| a == addr && !k.is_empty())
-                {
+                if has_edges(&self.children, addr) {
                     return Err(format!("dirty block {addr:#x} still has child edges"));
                 }
-                if self
-                    .zombies
-                    .iter()
-                    .any(|(&(_, a), k)| a == addr && !k.is_empty())
-                {
+                if has_edges(&self.zombies, addr) {
                     return Err(format!("dirty block {addr:#x} still has zombie edges"));
                 }
                 continue;
             }
             // Clean block: no exclusive copy, and every valid copy must be
             // reachable from the recorded roots.
-            let mut reachable: Vec<NodeId> = Vec::new();
-            let mut frontier: Vec<NodeId> = self
-                .entries
-                .get(&addr)
+            let mut reachable = vec![false; nodes as usize];
+            let mut frontier: Vec<NodeId> = e
                 .map(|e| e.ptrs.iter().flatten().map(|p| p.node).collect())
                 .unwrap_or_default();
             while let Some(n) = frontier.pop() {
-                if reachable.contains(&n) {
+                if std::mem::replace(&mut reachable[n as usize], true) {
                     continue;
                 }
-                reachable.push(n);
                 frontier.extend_from_slice(self.children_of(n, addr));
                 frontier.extend_from_slice(self.zombies_of(n, addr));
             }
@@ -1176,7 +1247,7 @@ impl Protocol for DirTree {
                             "clean block {addr:#x} has an exclusive copy at node {n}"
                         ));
                     }
-                    LineState::V if !reachable.contains(&n) => {
+                    LineState::V if !reachable[n as usize] => {
                         return Err(format!(
                             "valid copy at node {n} for {addr:#x} unreachable from the forest"
                         ));
@@ -1189,12 +1260,33 @@ impl Protocol for DirTree {
     }
 }
 
-/// Relabel a per-`(node, addr)` edge map (children / zombies) through
-/// `perm`, preserving each edge list's order.
-pub(crate) fn relabel_edges(
-    map: &FxHashMap<(NodeId, Addr), Vec<NodeId>>,
-    perm: &[NodeId],
-) -> FxHashMap<(NodeId, Addr), Vec<NodeId>> {
+/// Shape check shared by the child and zombie tables: every list holds at
+/// most `max` distinct in-range nodes, never the owning node itself.
+fn check_edges(map: &Edges, what: &str, max: usize, nodes: u32) -> Result<(), String> {
+    for (&(node, addr), kids) in map {
+        if kids.len() > max {
+            return Err(format!(
+                "node {node} holds {} {what}s for {addr:#x}, limit is {max}",
+                kids.len()
+            ));
+        }
+        for (i, &k) in kids.iter().enumerate() {
+            if k == node {
+                return Err(format!("self-loop {what} at node {node} for {addr:#x}"));
+            }
+            if k >= nodes {
+                return Err(format!("out-of-range {what} at node {node} for {addr:#x}"));
+            }
+            if kids[..i].contains(&k) {
+                return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Relabel an edge table through `perm`, preserving each list's order.
+fn relabel_edges(map: &Edges, perm: &[NodeId]) -> Edges {
     map.iter()
         .map(|(&(n, a), kids)| {
             (
@@ -1208,9 +1300,9 @@ pub(crate) fn relabel_edges(
 impl DirTree {
     /// Node-relabeled clone ([`Protocol::relabeled`]). Every decision the
     /// protocol makes — slot selection, level comparison, wave pairing
-    /// (`slot += 2`), push-down target — is a function of slot indices and
-    /// levels, never of node-id magnitude, so element-wise mapping of ids
-    /// (preserving slot and edge-list order) is an exact equivariance.
+    /// (even/odd slots), push-down target — is a function of slot indices
+    /// and levels, never of node-id magnitude, so element-wise mapping of
+    /// ids (preserving slot and edge-list order) is an exact equivariance.
     /// `wave_scratch` is cleared before every use and is not protocol
     /// state, so the clone starts with it empty.
     pub(crate) fn relabeled_concrete(&self, perm: &[NodeId]) -> DirTree {
@@ -1224,6 +1316,8 @@ impl DirTree {
             pointers: self.pointers,
             arity: self.arity,
             params: self.params,
+            policy: self.policy,
+            update_blocks: self.update_blocks.clone(),
             entries: self
                 .entries
                 .iter()
@@ -1250,6 +1344,11 @@ impl DirTree {
                 .pending_wb
                 .iter()
                 .map(|(&(n, a), &(op, req))| ((perm[n as usize], a), (op, perm[req as usize])))
+                .collect(),
+            pending_kill: self
+                .pending_kill
+                .iter()
+                .map(|&(a, n)| (a, perm[n as usize]))
                 .collect(),
             wave_scratch: Vec::new(),
         }
@@ -1637,6 +1736,250 @@ mod tests {
             ctx.write(&mut p, round, A);
             ctx.assert_swmr(A);
             assert_eq!(ctx.holders(A), vec![round]);
+        }
+    }
+
+    /// The update write policy on the same forest (the tests of the former
+    /// update-variant file, on the merged type).
+    mod update {
+        use super::*;
+
+        fn update_tree(pointers: u32) -> DirTree {
+            DirTree::with_policy(pointers, 2, ProtocolParams::default(), WritePolicy::Update)
+        }
+
+        fn setup(nodes: u32) -> (MockCtx, DirTree) {
+            (MockCtx::new(nodes), update_tree(4))
+        }
+
+        /// An update-protocol write via the mock (the MockCtx `write` helper
+        /// asserts E, which does not exist here).
+        fn do_write(ctx: &mut MockCtx, p: &mut DirTree, node: u32) {
+            let before = ctx.completed.len();
+            ctx.begin_miss(p, node, A, OpKind::Write);
+            ctx.run(p);
+            assert!(
+                ctx.completed[before..].contains(&(node, A, OpKind::Write)),
+                "write by {node} did not complete"
+            );
+            assert_eq!(ctx.line_state(node, A), LineState::V, "writer stays valid");
+        }
+
+        #[test]
+        fn read_misses_cost_two_messages_like_invalidate_variant() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=10 {
+                let mark = ctx.mark();
+                ctx.read(&mut p, n, A);
+                assert_eq!(ctx.critical_since(mark), 2);
+            }
+        }
+
+        #[test]
+        fn writes_leave_all_copies_valid() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=6 {
+                ctx.read(&mut p, n, A);
+            }
+            do_write(&mut ctx, &mut p, 9);
+            for n in 1..=6 {
+                assert_eq!(
+                    ctx.line_state(n, A),
+                    LineState::V,
+                    "update must not kill node {n}"
+                );
+            }
+            assert_eq!(ctx.holders(A).len(), 7, "writer joins the sharers");
+        }
+
+        #[test]
+        fn forest_shape_matches_invalidation_variant() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=14 {
+                ctx.read(&mut p, n, A);
+            }
+            ctx.read(&mut p, 15, A);
+            assert_eq!(p.children_of(15, A), &[11, 13], "Figure 5 shape preserved");
+        }
+
+        #[test]
+        fn every_sharer_receives_every_update() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=8 {
+                ctx.read(&mut p, n, A);
+            }
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 4); // writer inside the forest
+            let updates = ctx
+                .sent_since(mark)
+                .iter()
+                .filter(|(_, m)| matches!(m.kind, MsgKind::Update { .. }))
+                .count();
+            assert_eq!(updates, 8, "one update per recorded sharer");
+        }
+
+        #[test]
+        fn repeated_writes_by_same_node_each_pay_a_transaction() {
+            let (mut ctx, mut p) = setup(32);
+            do_write(&mut ctx, &mut p, 3);
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 3);
+            // req + self-update + ack + grant: the no-E price.
+            assert!(ctx.critical_since(mark) >= 4);
+        }
+
+        #[test]
+        fn silent_replacement_then_update_is_safe() {
+            // Two pointers so the third read merges: 3 -> {1, 2}.
+            let mut p = update_tree(2);
+            let mut ctx = MockCtx::new(32);
+            for n in 1..=3 {
+                ctx.read(&mut p, n, A);
+            }
+            assert_eq!(p.children_of(3, A), &[1, 2]);
+            ctx.evict(&mut p, 3, A); // kills 1 and 2 silently
+            do_write(&mut ctx, &mut p, 5);
+            assert!(!ctx.line_state(1, A).readable());
+            assert!(!ctx.line_state(2, A).readable());
+            assert_eq!(ctx.line_state(5, A), LineState::V);
+        }
+
+        #[test]
+        fn disband_retains_zombie_edges_until_wave_retraverses() {
+            let mut p = update_tree(2);
+            let mut ctx = MockCtx::new(32);
+            for n in 1..=3 {
+                ctx.read(&mut p, n, A);
+            }
+            assert_eq!(p.children_of(3, A), &[1, 2]);
+            ctx.evict(&mut p, 3, A);
+            assert_eq!(
+                p.zombies.get(&(3, A)).map(Vec::as_slice),
+                Some(&[1u32, 2][..]),
+                "disbanded edges are retained as zombies"
+            );
+            do_write(&mut ctx, &mut p, 5);
+            assert!(
+                p.zombies.is_empty(),
+                "the acked update wave consumes zombie edges"
+            );
+            assert!(!ctx.line_state(1, A).readable());
+            assert!(!ctx.line_state(2, A).readable());
+        }
+
+        #[test]
+        fn pairing_bounds_home_acks() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=8 {
+                ctx.read(&mut p, n, A);
+            }
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 9);
+            let home_acks = ctx
+                .sent_since(mark)
+                .iter()
+                .filter(|(_, m)| matches!(m.kind, MsgKind::UpdateAck { dir: true }))
+                .count();
+            assert!(
+                home_acks <= 2,
+                "pairing should bound home acks, got {home_acks}"
+            );
+        }
+    }
+
+    /// The per-block policy bit: a `PerBlock` tree is the static policy its
+    /// bit names, and a flip moves nothing.
+    mod per_block {
+        use super::*;
+        use dirtree_sim::SimRng;
+
+        const NODES: u32 = 16;
+        const BLOCKS: [Addr; 2] = [0, 1];
+
+        fn tree(pointers: u32, policy: WritePolicy) -> DirTree {
+            DirTree::with_policy(pointers, 2, ProtocolParams::default(), policy)
+        }
+
+        /// Play a seeded random read/write/evict sequence over two blocks
+        /// and return everything observable: the message log, the
+        /// completions, the protocol events and the final line states.
+        fn play(p: &mut DirTree, seed: u64) -> impl PartialEq + std::fmt::Debug {
+            let mut ctx = MockCtx::new(NODES);
+            let mut rng = SimRng::new(seed);
+            for _ in 0..300 {
+                let node = rng.gen_range(NODES as u64) as NodeId;
+                let addr = BLOCKS[rng.gen_index(BLOCKS.len())];
+                let state = ctx.line_state(node, addr);
+                match rng.gen_range(4) {
+                    0 | 1 => ctx.read(p, node, addr),
+                    2 if !state.writable() => {
+                        let before = ctx.completed.len();
+                        ctx.begin_miss(p, node, addr, OpKind::Write);
+                        ctx.run(p);
+                        assert!(ctx.completed[before..].contains(&(node, addr, OpKind::Write)));
+                    }
+                    3 if matches!(state, LineState::V | LineState::E) => ctx.evict(p, node, addr),
+                    _ => {}
+                }
+            }
+            let states: Vec<_> = BLOCKS.iter().map(|&a| ctx.states_of(a)).collect();
+            (ctx.sent, ctx.completed, ctx.events, states)
+        }
+
+        #[test]
+        fn unset_bit_is_static_invalidate_and_set_bit_is_static_update() {
+            for pointers in [1, 2, 4] {
+                for seed in 0..24 {
+                    let unset = play(&mut tree(pointers, WritePolicy::PerBlock), seed);
+                    let invalidate = play(&mut tree(pointers, WritePolicy::Invalidate), seed);
+                    assert!(
+                        unset == invalidate,
+                        "i={pointers} seed={seed}: bit never set diverges from Invalidate"
+                    );
+                    let mut set = tree(pointers, WritePolicy::PerBlock);
+                    for addr in BLOCKS {
+                        set.set_update_bit(addr, true);
+                    }
+                    let update = play(&mut tree(pointers, WritePolicy::Update), seed);
+                    assert!(
+                        play(&mut set, seed) == update,
+                        "i={pointers} seed={seed}: bit set from the start diverges from Update"
+                    );
+                    assert!(invalidate != update, "the two policies must differ");
+                }
+            }
+        }
+
+        #[test]
+        fn flip_is_in_place() {
+            let mut ctx = MockCtx::new(NODES);
+            let mut p = tree(2, WritePolicy::PerBlock);
+            for n in 1..=9 {
+                ctx.read(&mut p, n, A);
+            }
+            // Evict an interior node so the block also carries zombie edges.
+            let interior = (1..=9)
+                .find(|&n| {
+                    !p.children_of(n, A).is_empty()
+                        && p.forest(A).iter().flatten().all(|r| r.node != n)
+                })
+                .expect("nine sharers under two pointers have an interior node");
+            ctx.evict(&mut p, interior, A);
+            assert!(!p.zombies_of(interior, A).is_empty());
+            let snapshot = |p: &DirTree| {
+                let edges: Vec<_> = (0..NODES)
+                    .map(|n| (p.children_of(n, A).to_vec(), p.zombies_of(n, A).to_vec()))
+                    .collect();
+                (p.forest(A), edges)
+            };
+            let before = snapshot(&p);
+            for to_update in [true, false] {
+                assert!(p.flip_idle(A));
+                p.flip(A, to_update);
+                assert_eq!(p.updates(A), to_update);
+                assert_eq!(snapshot(&p), before, "flip moved tree state");
+            }
+            p.check_invariants(&ctx, &[A], true).unwrap();
         }
     }
 }

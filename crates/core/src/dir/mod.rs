@@ -1,6 +1,7 @@
 //! Directory protocol implementations.
 //!
-//! * [`dir_tree`] — **the paper's contribution**, Dir<sub>i</sub>Tree<sub>k</sub>;
+//! * [`dir_tree`] — **the paper's contribution**, Dir<sub>i</sub>Tree<sub>k</sub>,
+//!   with invalidate, update or per-block write policy;
 //! * [`full_map`], [`limited`], [`limitless`] — bit-map family baselines;
 //! * [`singly`], [`sci`] — linked-list baselines;
 //! * [`stp`], [`sci_tree`] — tree-structured baselines;
@@ -9,7 +10,6 @@
 //!   invalidation-ack collector).
 
 pub mod dir_tree;
-pub mod dir_tree_update;
 pub mod full_map;
 pub mod limited;
 pub mod limitless;

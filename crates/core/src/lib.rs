@@ -1,8 +1,9 @@
 //! # dirtree-core — cache coherence protocols
 //!
 //! The paper's contribution, **Dir<sub>i</sub>Tree<sub>k</sub>**
-//! ([`dir::dir_tree`]), plus every baseline it is evaluated against or
-//! compared to:
+//! ([`dir::dir_tree`] — one implementation for the invalidate, update and
+//! per-block write policies; [`adapt`] chooses the per-block policy at run
+//! time), plus every baseline it is evaluated against or compared to:
 //!
 //! * [`dir::full_map`] — Dir<sub>n</sub>NB full bit-map directory,
 //! * [`dir::limited`] — Dir<sub>i</sub>NB (pointer replacement) and

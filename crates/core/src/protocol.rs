@@ -301,9 +301,14 @@ pub fn build_protocol(kind: ProtocolKind, params: ProtocolParams) -> Box<dyn Pro
         ProtocolKind::DirTree { pointers, arity } => {
             Box::new(crate::dir::dir_tree::DirTree::new(pointers, arity, params))
         }
-        ProtocolKind::DirTreeUpdate { pointers, arity } => Box::new(
-            crate::dir::dir_tree_update::DirTreeUpdate::new(pointers, arity, params),
-        ),
+        ProtocolKind::DirTreeUpdate { pointers, arity } => {
+            Box::new(crate::dir::dir_tree::DirTree::with_policy(
+                pointers,
+                arity,
+                params,
+                crate::dir::dir_tree::WritePolicy::Update,
+            ))
+        }
         ProtocolKind::DirTreeAdaptive { pointers, arity } => {
             Box::new(crate::adapt::DirTreeAdaptive::new(pointers, arity, params))
         }
