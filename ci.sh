@@ -2,14 +2,15 @@
 # Tier-1 gate: formatting, lints, build, the full workspace test suite
 # (which includes the paper-claims and cross-protocol differential
 # suites), the feature-off observability check, and the model checker's
-# default tier (every roster protocol — figure set, update, adaptive, and
-# the ternary-tree shapes — exhaustively explored at P=2 and P=3, plus as
-# much of the P=4 roster as fits a one-minute wall-clock budget, with
-# per-shape explored/deduped/sleep-pruned state counts printed), then the
-# perf gates: golden byte-compares and the benchmark's ledger gates (three
-# workloads' digests and state counts against benchmark/expected.json,
-# plus a host_s ratio check against BENCH_layers.json). Run from the
-# repository root; fails fast on the first problem.
+# default tier (every roster protocol — figure set, Dir2B and LimitLESS2,
+# update, adaptive, and the ternary-tree shapes — exhaustively explored at
+# P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
+# wall-clock budget, with per-shape explored/deduped/sleep-pruned state
+# counts printed), then the perf gates: golden byte-compares and the
+# benchmark's ledger gates (three workloads' digests and state counts
+# against benchmark/expected.json, plus a host_s ratio check against
+# BENCH_layers.json). Run from the repository root; fails fast on the
+# first problem.
 #
 #   ./ci.sh          default gate (~2-3 min of model checking: P=2, P=3,
 #                    and a time-budgeted P=4 slice)

@@ -1,4 +1,6 @@
-//! Exhaustively model-check every protocol of the paper's figure set.
+//! Exhaustively model-check every protocol of the paper's figure set, the
+//! other two flat directories (Dir2B, LimitLESS2) and the update, adaptive
+//! and ternary Dir_iTree_k shapes.
 //!
 //! Usage:
 //!   cargo run --release -p dirtree-check --bin check_all [-- FLAGS]
@@ -73,12 +75,13 @@ fn main() {
         shapes.push((3, 2));
     }
 
-    // The figure-set protocols under default parameters, plus the write-
-    // policy shapes the figure set does not cover: the update protocol at
-    // both pointer counts and the adaptive hybrid. The aggressive Schmitt
-    // thresholds (flip up at +1, back down below 0) force mode flips in
-    // the middle of explored histories, so the drained-transition
-    // machinery itself — not just each inner protocol — is model-checked.
+    // The figure-set protocols under default parameters, plus the shapes
+    // the figure set does not cover: Dir2B and LimitLESS2 (below), the
+    // update protocol at both pointer counts and the adaptive hybrid. The
+    // aggressive Schmitt thresholds (flip up at +1, back down below 0)
+    // force mode flips in the middle of explored histories, so the
+    // drained-transition machinery itself — not just each inner protocol —
+    // is model-checked.
     let aggressive = ProtocolParams {
         adapt_flip_up: 1,
         adapt_flip_down: 0,
@@ -88,6 +91,16 @@ fn main() {
         .into_iter()
         .map(|kind| (kind.name(), kind, ProtocolParams::default()))
         .collect();
+    // The two flat-directory overflow policies the figure set leaves out
+    // (it carries full-map and Dir_iNB): broadcast and software spill, at
+    // i = 2 so that P=3 already overflows the pointers. LimitLESS4 is in
+    // the benchmark's and `crates/bench`'s published comparisons.
+    for kind in [
+        ProtocolKind::LimitedB { pointers: 2 },
+        ProtocolKind::LimitLess { pointers: 2 },
+    ] {
+        roster.push((kind.name(), kind, ProtocolParams::default()));
+    }
     for pointers in [1u32, 2] {
         let kind = ProtocolKind::DirTreeUpdate { pointers, arity: 2 };
         roster.push((kind.name(), kind, ProtocolParams::default()));

@@ -319,15 +319,13 @@ fn p4_reduced_exploration_is_deterministic_across_jobs() {
 /// Empirical equivariance check behind the symmetry reduction's soundness
 /// argument: running a choice sequence and then relabeling the state must
 /// equal relabeling first and running the renamed sequence. Walked over a
-/// deterministic pseudo-random path through Dir_1Tree_2's choice graph,
-/// comparing full state digests at every step.
+/// deterministic pseudo-random path through each certifying family's choice
+/// graph — Dir_1Tree_2 and the four flat-directory overflow policies, i = 2
+/// so that three processors overflow the pointers — comparing full state
+/// digests at every step.
 #[test]
 fn relabeling_commutes_with_execution() {
     let params = ProtocolParams::default();
-    let kind = ProtocolKind::DirTree {
-        pointers: 1,
-        arity: 2,
-    };
     let perm: Vec<NodeId> = vec![0, 2, 1];
     let map_choice = |c: Choice| match c {
         Choice::Deliver { src, dst } => Choice::Deliver {
@@ -342,29 +340,77 @@ fn relabeling_commutes_with_execution() {
             op,
         },
     };
-    let mut a = CheckState::new(3, 2, vec![0], build_protocol(kind, params));
-    let mut b = CheckState::new(3, 2, vec![0], build_protocol(kind, params));
-    for step in 0..60usize {
-        let choices = a.enabled_choices();
-        if choices.is_empty() {
-            assert!(step > 10, "walk quiesced suspiciously early");
-            break;
+    for kind in [
+        ProtocolKind::DirTree {
+            pointers: 1,
+            arity: 2,
+        },
+        ProtocolKind::FullMap,
+        ProtocolKind::LimitedNB { pointers: 2 },
+        ProtocolKind::LimitedB { pointers: 2 },
+        ProtocolKind::LimitLess { pointers: 2 },
+    ] {
+        let name = kind.name();
+        let mut a = CheckState::new(3, 2, vec![0], build_protocol(kind, params));
+        let mut b = CheckState::new(3, 2, vec![0], build_protocol(kind, params));
+        for step in 0..60usize {
+            let choices = a.enabled_choices();
+            if choices.is_empty() {
+                assert!(step > 10, "{name}: walk quiesced suspiciously early");
+                break;
+            }
+            // A deterministic scramble so the walk leaves the lockstep paths.
+            let c = choices[(step * 7 + 3) % choices.len()];
+            a.apply(c)
+                .unwrap_or_else(|v| panic!("{name}: walk hit a violation: {v}"));
+            b.apply(map_choice(c))
+                .unwrap_or_else(|v| panic!("{name}: renamed walk diverged into a violation: {v}"));
+            let ra = a
+                .relabeled(&perm)
+                .unwrap_or_else(|| panic!("{name} does not certify Protocol::relabeled"));
+            assert_eq!(
+                ra.digest(),
+                b.digest(),
+                "{name}: relabel(run(s)) != run(relabel(s)) at step {step}"
+            );
         }
-        // A deterministic scramble so the walk leaves the lockstep paths.
-        let c = choices[(step * 7 + 3) % choices.len()];
-        a.apply(c)
-            .unwrap_or_else(|v| panic!("walk hit a violation: {v}"));
-        b.apply(map_choice(c))
-            .unwrap_or_else(|v| panic!("renamed walk diverged into a violation: {v}"));
-        let ra = a
-            .relabeled(&perm)
-            .expect("DirTree certifies Protocol::relabeled");
-        assert_eq!(
-            ra.digest(),
-            b.digest(),
-            "relabel(run(s)) != run(relabel(s)) at step {step}"
-        );
     }
+}
+
+/// The flat-directory family's graphs, as measured before the three
+/// implementations became one `FlatDir` (PR 15): a merge that moved a
+/// single transition or let a policy-foreign field into the digest would
+/// move these. Dir_iB and LimitLESS have no other exhaustive coverage in
+/// the test suite. LimitLESS gained its symmetry/commutation certificates
+/// in that merge, so its *raw* graph is what is pinned, and the reduced
+/// search must now quotient it.
+#[test]
+fn flat_directories_keep_their_state_counts() {
+    let params = ProtocolParams::default();
+    for (kind, want) in [
+        (ProtocolKind::FullMap, 43_602),
+        (ProtocolKind::LimitedNB { pointers: 1 }, 46_296),
+        (ProtocolKind::LimitedNB { pointers: 2 }, 44_863),
+        (ProtocolKind::LimitedB { pointers: 2 }, 42_872),
+    ] {
+        let outcome = explore(&CheckConfig::small(3, 1), || build_protocol(kind, params));
+        assert!(outcome.is_pass(), "{} P=3 B=1: {outcome:?}", kind.name());
+        assert_eq!(outcome.states(), want, "{} P=3 B=1", kind.name());
+    }
+
+    let limitless = || build_protocol(ProtocolKind::LimitLess { pointers: 2 }, params);
+    for (nodes, blocks, want) in [(3, 1, 85_547), (2, 2, 182_807), (4, 1, 18_741)] {
+        let mut cfg = CheckConfig::small(nodes, blocks);
+        cfg.symmetry = false;
+        cfg.por = false;
+        let raw = explore(&cfg, limitless);
+        assert!(raw.is_pass(), "LimitLESS2 P={nodes} B={blocks}: {raw:?}");
+        assert_eq!(raw.states(), want, "LimitLESS2 P={nodes} B={blocks} raw");
+    }
+    let reduced = explore(&CheckConfig::small(3, 1), limitless);
+    assert!(reduced.is_pass(), "{reduced:?}");
+    assert_eq!(reduced.stats().unwrap().sym_group, 2);
+    assert!(reduced.states() < 85_547);
 }
 
 /// The two baseline tree protocols, which `check_all` does not carry

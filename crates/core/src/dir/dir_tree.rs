@@ -359,12 +359,6 @@ impl DirTree {
         out
     }
 
-    fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        if let Some(next) = self.gate.finish(addr) {
-            ctx.redeliver(home, next, 0);
-        }
-    }
-
     /// Figure 6: insert `requester` into the forest, returning the roots it
     /// must adopt as children (empty for cases 1 and 2).
     fn insert_sharer(
@@ -545,7 +539,7 @@ impl DirTree {
                 kind: MsgKind::WriteReply { kill_self_subtree },
             },
         );
-        self.finish_txn(ctx, home, addr);
+        self.gate.finish_txn(ctx, home, addr);
     }
 
     /// Grant an update write: the writer keeps a valid copy, so it joins
@@ -560,7 +554,7 @@ impl DirTree {
                 kind: MsgKind::UpdateGrant { adopt },
             },
         );
-        self.finish_txn(ctx, home, addr);
+        self.gate.finish_txn(ctx, home, addr);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -940,22 +934,6 @@ impl Protocol for DirTree {
         self.updates(addr)
     }
 
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
-    }
-
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
         match msg.kind {
@@ -965,7 +943,7 @@ impl Protocol for DirTree {
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, msg.src, true),
             MsgKind::InvAck { dir: true } => self.handle_ack_home(ctx, node, addr, false),
             MsgKind::UpdateAck { dir: true } => self.handle_ack_home(ctx, node, addr, true),
-            MsgKind::FillAck => self.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
             MsgKind::InvAck { dir: false } => self.handle_ack_cache(ctx, node, addr, false),
             MsgKind::UpdateAck { dir: false } => self.handle_ack_cache(ctx, node, addr, true),
             MsgKind::ReadReply { .. } => self.handle_read_reply(ctx, node, msg),

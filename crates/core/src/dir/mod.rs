@@ -2,17 +2,17 @@
 //!
 //! * [`dir_tree`] — **the paper's contribution**, Dir<sub>i</sub>Tree<sub>k</sub>,
 //!   with invalidate, update or per-block write policy;
-//! * [`full_map`], [`limited`], [`limitless`] — bit-map family baselines;
+//! * [`flat`] — the flat-directory baselines: full-map, Dir<sub>i</sub>NB,
+//!   Dir<sub>i</sub>B and LimitLESS<sub>i</sub> as one state machine with
+//!   an overflow policy;
 //! * [`singly`], [`sci`] — linked-list baselines;
 //! * [`stp`], [`sci_tree`] — tree-structured baselines;
 //! * [`snoop`] — the §1 snooping-MSI bus baseline;
 //! * [`util`] — shared building blocks (per-block transaction gate,
-//!   invalidation-ack collector).
+//!   invalidation-ack collector, node bitset).
 
 pub mod dir_tree;
-pub mod full_map;
-pub mod limited;
-pub mod limitless;
+pub mod flat;
 pub mod sci;
 pub mod sci_tree;
 pub mod singly;

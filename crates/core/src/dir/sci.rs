@@ -67,12 +67,6 @@ impl Sci {
         out
     }
 
-    fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        if let Some(next) = self.gate.finish(addr) {
-            ctx.redeliver(home, next, 0);
-        }
-    }
-
     fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
         let addr = msg.addr;
         let MsgKind::ReadReq { requester } = msg.kind else {
@@ -377,22 +371,6 @@ impl Protocol for Sci {
         ProtocolKind::Sci
     }
 
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
-    }
-
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
         match msg.kind {
@@ -423,7 +401,7 @@ impl Protocol for Sci {
                 // Writer finished; grant any attaches that queued at the
                 // writer while it was WmIp (they were deferred there, not
                 // here), and retire the transaction.
-                self.finish_txn(ctx, node, addr);
+                self.gate.finish_txn(ctx, node, addr);
             }
             MsgKind::WriteReply { .. } => unreachable!("SCI uses SciWriteResp"),
             MsgKind::ReadReply { .. } => {
@@ -465,7 +443,7 @@ impl Protocol for Sci {
             MsgKind::FillAck => {
                 let e = self.entries.entry(addr).or_default();
                 e.wait_fill = false;
-                self.finish_txn(ctx, node, addr);
+                self.gate.finish_txn(ctx, node, addr);
             }
             MsgKind::SciNewHead { new_head } => {
                 let e = self.entries.entry(addr).or_default();

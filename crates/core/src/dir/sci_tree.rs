@@ -366,18 +366,12 @@ impl SciTree {
             .unwrap_or(&[])
     }
 
-    fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        if let Some(next) = self.gate.finish(addr) {
-            ctx.redeliver(home, next, 0);
-        }
-    }
-
     fn part_done(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
         let e = self.entries.get_mut(&addr).expect("part ack without entry");
         debug_assert!(e.wait_parts > 0, "unexpected structural ack");
         e.wait_parts -= 1;
         if e.wait_parts == 0 {
-            self.finish_txn(ctx, home, addr);
+            self.gate.finish_txn(ctx, home, addr);
         }
     }
 
@@ -489,7 +483,7 @@ impl SciTree {
                 },
             },
         );
-        self.finish_txn(ctx, home, addr);
+        self.gate.finish_txn(ctx, home, addr);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -635,7 +629,7 @@ impl SciTree {
         }
         let e = self.entries.entry(addr).or_default();
         if !e.tree.contains(leaver) {
-            self.finish_txn(ctx, home, addr);
+            self.gate.finish_txn(ctx, home, addr);
             return;
         }
         ctx.note(ProtoEvent::ReplacementInvalidation);
@@ -644,7 +638,7 @@ impl SciTree {
         let e = self.entries.get_mut(&addr).unwrap();
         e.wait_parts = fixups;
         if fixups == 0 {
-            self.finish_txn(ctx, home, addr);
+            self.gate.finish_txn(ctx, home, addr);
         }
     }
 
@@ -673,22 +667,6 @@ impl Default for SciTree {
 impl Protocol for SciTree {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::SciTree
-    }
-
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
     }
 
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {

@@ -67,9 +67,7 @@ impl SinglyList {
     fn maybe_finish(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
         let e = self.entries.get_mut(&addr).unwrap();
         if !e.wait_fill && !e.wait_wbdata {
-            if let Some(next) = self.gate.finish(addr) {
-                ctx.redeliver(home, next, 0);
-            }
+            self.gate.finish_txn(ctx, home, addr);
         }
     }
 
@@ -149,9 +147,7 @@ impl SinglyList {
                         },
                     },
                 );
-                if let Some(next) = self.gate.finish(addr) {
-                    ctx.redeliver(home, next, 0);
-                }
+                self.gate.finish_txn(ctx, home, addr);
             }
             Some(head) => {
                 e.pending_writer = Some(requester);
@@ -185,9 +181,7 @@ impl SinglyList {
                 },
             },
         );
-        if let Some(next) = self.gate.finish(addr) {
-            ctx.redeliver(home, next, 0);
-        }
+        self.gate.finish_txn(ctx, home, addr);
     }
 
     /// A node's slot in the chain has ended (invalidated or dead): either
@@ -355,22 +349,6 @@ impl Default for SinglyList {
 impl Protocol for SinglyList {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::SinglyList
-    }
-
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
     }
 
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {

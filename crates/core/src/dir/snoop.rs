@@ -49,12 +49,6 @@ impl Snoop {
         }
     }
 
-    fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        if let Some(next) = self.gate.finish(addr) {
-            ctx.redeliver(home, next, 0);
-        }
-    }
-
     fn handle_request(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg, write: bool) {
         let addr = msg.addr;
         let requester = match msg.kind {
@@ -123,22 +117,6 @@ impl Protocol for Snoop {
         ProtocolKind::Snoop
     }
 
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
-    }
-
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
         match msg.kind {
@@ -205,7 +183,7 @@ impl Protocol for Snoop {
                     },
                 );
             }
-            MsgKind::FillAck => self.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
             MsgKind::WbEvict => {
                 let e = self.entries.entry(addr).or_default();
                 if e.owner == Some(msg.src) {

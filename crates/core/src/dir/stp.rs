@@ -131,12 +131,6 @@ impl Stp {
         self.children.get(node, addr)
     }
 
-    fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        if let Some(next) = self.gate.finish(addr) {
-            ctx.redeliver(home, next, 0);
-        }
-    }
-
     fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
         let addr = msg.addr;
         let MsgKind::ReadReq { requester } = msg.kind else {
@@ -209,7 +203,7 @@ impl Stp {
                 },
             },
         );
-        self.finish_txn(ctx, home, addr);
+        self.gate.finish_txn(ctx, home, addr);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -380,7 +374,7 @@ impl Stp {
         let e = self.entries.entry(addr).or_default();
         let Some(j) = e.members.iter().position(|&m| m == leaver) else {
             // Already gone (a write transaction cleared the tree first).
-            self.finish_txn(ctx, home, addr);
+            self.gate.finish_txn(ctx, home, addr);
             return;
         };
         let last = e.members.len() - 1;
@@ -390,7 +384,7 @@ impl Stp {
             self.children.take(leaver, addr);
             if j == 0 {
                 // Sole member: nothing to fix.
-                self.finish_txn(ctx, home, addr);
+                self.gate.finish_txn(ctx, home, addr);
             } else {
                 // Tell the parent to forget the leaver; its ack closes the
                 // transaction.
@@ -539,7 +533,7 @@ impl Stp {
     fn handle_fixup_ack(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, dir: bool) {
         if dir {
             // Home-issued fix-up (leaver-was-last case): close the txn.
-            self.finish_txn(ctx, node, addr);
+            self.gate.finish_txn(ctx, node, addr);
         } else {
             let remaining = self
                 .fixups
@@ -603,22 +597,6 @@ impl Protocol for Stp {
         ProtocolKind::Stp { arity: self.arity }
     }
 
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
-    }
-
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
         match msg.kind {
@@ -628,7 +606,7 @@ impl Protocol for Stp {
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, true),
             MsgKind::InvAck { dir: true } => self.handle_inv_ack_home(ctx, node, addr),
             MsgKind::InvAck { dir: false } => self.handle_inv_ack_cache(ctx, node, addr),
-            MsgKind::FillAck => self.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
             MsgKind::StpJoinResp { .. } => self.handle_join_resp(ctx, node, msg),
             MsgKind::StpAttach => {
                 let child = msg.src;
@@ -648,7 +626,7 @@ impl Protocol for Stp {
             }
             MsgKind::StpAttachAck => self.fill(ctx, node, addr),
             MsgKind::StpLeave => self.handle_leave(ctx, node, msg),
-            MsgKind::StpLeaveDone => self.finish_txn(ctx, node, addr),
+            MsgKind::StpLeaveDone => self.gate.finish_txn(ctx, node, addr),
             MsgKind::StpMove { .. } => self.handle_move(ctx, node, msg),
             MsgKind::StpFixup { .. } => self.handle_fixup(ctx, node, msg),
             MsgKind::StpFixupAck { dir } => self.handle_fixup_ack(ctx, node, addr, dir),

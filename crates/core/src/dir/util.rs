@@ -1,6 +1,7 @@
 //! Building blocks shared by the directory protocols.
 
-use crate::msg::Msg;
+use crate::ctx::ProtoCtx;
+use crate::msg::{Msg, MsgKind};
 use crate::types::{Addr, NodeId};
 use dirtree_sim::FxHashMap;
 use std::collections::VecDeque;
@@ -48,6 +49,14 @@ impl TxnGate {
             self.waiting.remove(&addr);
         }
         next
+    }
+
+    /// Retire the transaction for `addr` at `home` and hand the next
+    /// deferred request, if any, back to the home for redelivery.
+    pub fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
+        if let Some(next) = self.finish(addr) {
+            ctx.redeliver(home, next, 0);
+        }
     }
 
     /// Is a transaction in flight for `addr`?
@@ -214,112 +223,8 @@ impl AckCollectors {
     }
 }
 
-/// Cache-controller behaviour shared by the flat (non-tree) bit-map
-/// protocols: full-map, Dir_iNB, Dir_iB and LimitLESS. These protocols keep
-/// no coherence metadata in the caches, so the cache side only fills lines,
-/// answers invalidations (deferring those that race an outstanding read
-/// fill), and serves writeback requests.
-#[derive(Clone, Default)]
-pub struct FlatCacheSide;
-
-impl FlatCacheSide {
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Handle `ReadReply`: fill the line, complete the processor, and
-    /// confirm the fill to the home (which holds the read transaction open
-    /// until then, so no invalidation can race this fill).
-    pub fn read_fill(&mut self, ctx: &mut dyn crate::ctx::ProtoCtx, node: NodeId, addr: Addr) {
-        debug_assert_eq!(ctx.line_state(node, addr), crate::types::LineState::RmIp);
-        ctx.set_line_state(node, addr, crate::types::LineState::V);
-        ctx.complete(node, addr, crate::types::OpKind::Read);
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::FillAck,
-            },
-        );
-    }
-
-    /// Handle `WriteReply`: the writer becomes exclusive.
-    pub fn write_fill(&self, ctx: &mut dyn crate::ctx::ProtoCtx, node: NodeId, addr: Addr) {
-        debug_assert_eq!(ctx.line_state(node, addr), crate::types::LineState::WmIp);
-        ctx.set_line_state(node, addr, crate::types::LineState::E);
-        ctx.complete(node, addr, crate::types::OpKind::Write);
-    }
-
-    /// Handle `Inv` at a cache with no children metadata.
-    pub fn inv(
-        &mut self,
-        ctx: &mut dyn crate::ctx::ProtoCtx,
-        node: NodeId,
-        addr: Addr,
-        from: NodeId,
-        dir: bool,
-    ) {
-        use crate::types::LineState as S;
-        match ctx.line_state(node, addr) {
-            S::V => {
-                ctx.note(crate::ctx::ProtoEvent::Invalidation);
-                ctx.set_line_state(node, addr, S::Iv);
-                ack(ctx, node, addr, from, dir);
-            }
-            // RmIp: the home holds read transactions open until the fill
-            // is acknowledged, so an Inv here means our request has not
-            // been served yet — there is no copy and no fill in flight.
-            // Upgrading writer / stale target / already invalid: the copy
-            // is (or will be) dead. All ack immediately.
-            S::RmIp | S::WmIp | S::WmLip | S::Iv | S::NotPresent | S::InvIp => {
-                ack(ctx, node, addr, from, dir);
-            }
-            S::E => {
-                // Flat directories never invalidate an owner (they recall
-                // with WbReq); reaching here is a protocol bug.
-                unreachable!("Inv delivered to exclusive owner {node} for {addr:#x}");
-            }
-        }
-    }
-
-    /// Handle `WbReq` at the (possibly former) owner.
-    pub fn wb_req(
-        &self,
-        ctx: &mut dyn crate::ctx::ProtoCtx,
-        node: NodeId,
-        addr: Addr,
-        for_op: crate::types::OpKind,
-        requester: NodeId,
-    ) {
-        use crate::types::{LineState as S, OpKind};
-        if ctx.line_state(node, addr) == S::E {
-            ctx.set_line_state(
-                node,
-                addr,
-                match for_op {
-                    OpKind::Read => S::V,
-                    OpKind::Write => S::Iv,
-                },
-            );
-            let home = ctx.home_of(addr);
-            ctx.send(
-                home,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::WbData { for_op, requester },
-                },
-            );
-        }
-        // Otherwise the line was evicted: the WbEvict already in flight
-        // (FIFO ahead of any new request from this node) satisfies the home.
-    }
-}
-
 /// Send an invalidation acknowledgement.
-pub fn ack(ctx: &mut dyn crate::ctx::ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool) {
+pub fn ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool) {
     ctx.send(
         to,
         Msg {
@@ -329,8 +234,6 @@ pub fn ack(ctx: &mut dyn crate::ctx::ProtoCtx, node: NodeId, addr: Addr, to: Nod
         },
     );
 }
-
-use crate::msg::MsgKind;
 
 /// A dense bitset of node ids (the full-map presence vector).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]

@@ -5,10 +5,10 @@
 //! per-block write policies; [`adapt`] chooses the per-block policy at run
 //! time), plus every baseline it is evaluated against or compared to:
 //!
-//! * [`dir::full_map`] — Dir<sub>n</sub>NB full bit-map directory,
-//! * [`dir::limited`] — Dir<sub>i</sub>NB (pointer replacement) and
-//!   Dir<sub>i</sub>B (broadcast-on-overflow),
-//! * [`dir::limitless`] — LimitLESS<sub>i</sub> software-extended directory,
+//! * [`dir::flat`] — the flat directories, one state machine with an
+//!   overflow policy: Dir<sub>n</sub>NB full bit-map, Dir<sub>i</sub>NB
+//!   (pointer replacement), Dir<sub>i</sub>B (broadcast-on-overflow) and
+//!   the LimitLESS<sub>i</sub> software-extended directory,
 //! * [`dir::singly`] — Stanford singly-linked-list protocol,
 //! * [`dir::sci`] — IEEE 1596 SCI doubly-linked list,
 //! * [`dir::stp`] — the Scalable Tree Protocol (balanced top-down trees),

@@ -1,7 +1,8 @@
 //! The [`Protocol`] trait and the protocol registry.
 
 use crate::ctx::ProtoCtx;
-use crate::msg::Msg;
+use crate::dir::flat::FlatDir;
+use crate::msg::{Msg, MsgKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::Cycle;
 
@@ -158,8 +159,23 @@ pub trait Protocol: Send {
     /// A read or write miss began at `node` for `addr`. The machine has
     /// already allocated the line and set it to `RmIp`/`WmIp`; the protocol
     /// sends the request to the home. For a write to a `V` line (upgrade),
-    /// `op == Write` and the old state was `V`.
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind);
+    /// `op == Write` and the old state was `V`. Every directory and the
+    /// snooping baseline open a miss the same way, so that is the default.
+    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
+        let home = ctx.home_of(addr);
+        let kind = match op {
+            OpKind::Read => MsgKind::ReadReq { requester: node },
+            OpKind::Write => MsgKind::WriteReq { requester: node },
+        };
+        ctx.send(
+            home,
+            Msg {
+                addr,
+                src: node,
+                kind,
+            },
+        );
+    }
 
     /// A message arrived at `node` (directory side if it is the home and
     /// the kind is directory-bound, cache side otherwise).
@@ -283,17 +299,12 @@ pub(crate) fn ptr_bits(nodes: u32) -> u64 {
 /// Instantiate a protocol implementation.
 pub fn build_protocol(kind: ProtocolKind, params: ProtocolParams) -> Box<dyn Protocol> {
     match kind {
-        ProtocolKind::FullMap => Box::new(crate::dir::full_map::FullMap::new()),
-        ProtocolKind::LimitedNB { pointers } => {
-            Box::new(crate::dir::limited::Limited::new(pointers, false))
+        ProtocolKind::FullMap => Box::new(FlatDir::full_map()),
+        ProtocolKind::LimitedNB { pointers } => Box::new(FlatDir::limited(pointers, false)),
+        ProtocolKind::LimitedB { pointers } => Box::new(FlatDir::limited(pointers, true)),
+        ProtocolKind::LimitLess { pointers } => {
+            Box::new(FlatDir::limitless(pointers, params.sw_trap_cycles))
         }
-        ProtocolKind::LimitedB { pointers } => {
-            Box::new(crate::dir::limited::Limited::new(pointers, true))
-        }
-        ProtocolKind::LimitLess { pointers } => Box::new(crate::dir::limitless::LimitLess::new(
-            pointers,
-            params.sw_trap_cycles,
-        )),
         ProtocolKind::SinglyList => Box::new(crate::dir::singly::SinglyList::new()),
         ProtocolKind::Sci => Box::new(crate::dir::sci::Sci::new()),
         ProtocolKind::Stp { arity } => Box::new(crate::dir::stp::Stp::new(arity)),
