@@ -52,7 +52,7 @@ fi
 # simulator regressions, not noise) and its records must stay
 # byte-identical to the committed golden — the determinism gate for the
 # whole record/replay + cached-sweep pipeline.
-timeout 300 ./target/release/scale_up \
+timeout 300 ./target/release/dirtree-bench scale_up \
   --filter P=64 --no-cache --jobs 2 --out-dir target/perf_smoke >/dev/null
 cmp target/perf_smoke/scale_up.jsonl tests/golden/scale_up_p64.jsonl
 echo "perf-smoke: records match tests/golden/scale_up_p64.jsonl"
@@ -69,14 +69,28 @@ cmp target/perf_smoke/scale_up_vc_credited.jsonl \
 echo "perf-smoke: records match tests/golden/scale_up_p64_vc_credited.jsonl"
 
 # Adaptive-ablation smoke: the P=16 slice of the update/invalidate
-# ablation (DESIGN.md #24). The binary itself asserts the acceptance
+# ablation (DESIGN.md #24). The experiment itself asserts the acceptance
 # criterion (adaptive within 1.05x of the best static policy per
 # pattern workload); the cmp pins the records — including the detector
 # counters and mode-flip counts — byte-for-byte.
-timeout 300 ./target/release/adaptive_ablation \
+timeout 300 ./target/release/dirtree-bench adaptive_ablation \
   --filter P=16 --no-cache --jobs 2 --out-dir target/adaptive_smoke >/dev/null
 cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.jsonl
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
+
+# Front-end smoke: every experiment name shares one executable and so one
+# sweep cache — what `fig10_floyd` simulated, `all` must serve from the
+# cache — and an unknown experiment name is a usage error (exit 64), not
+# a run with defaults.
+rm -rf target/cache_smoke
+./target/release/dirtree-bench fig10_floyd --jobs 2 --out-dir target/cache_smoke >/dev/null
+./target/release/dirtree-bench all --filter fig10 --jobs 2 --out-dir target/cache_smoke \
+  2>&1 >/dev/null | grep ': 0 simulations run, ' >/dev/null
+echo "cache-smoke: \`all\` re-used every result of \`fig10_floyd\`"
+status=0
+./target/release/dirtree-bench no_such_experiment >/dev/null 2>&1 || status=$?
+[[ $status -eq 64 ]]
+echo "cli-smoke: unknown experiment name exits 64"
 
 # Ledger gates (ROADMAP aim 1: "a 2x regression fails CI"). One
 # end-to-end pass of a benchmark workload each; every config digest and

@@ -1,6 +1,7 @@
-//! Shared command-line parsing for the experiment binaries.
+//! Command-line parsing for the `dirtree-bench` front end.
 //!
-//! Every binary accepts the sweep-runner flags:
+//! `dirtree-bench <experiment|all|list> [flags]`, with the sweep-runner
+//! flags:
 //!
 //! - `--jobs N` — worker threads (default: available parallelism)
 //! - `--no-cache` — ignore cached results, re-simulate everything
@@ -9,16 +10,31 @@
 //!   under `<out-dir>/trace/` (forces re-simulation; cached records
 //!   carry no timeline)
 //! - `--full` — the paper's exact workload sizes instead of scaled-down
-//! - `--filter SUBSTR` — `reproduce_all` only: run the experiments whose
-//!   name contains the substring
+//! - `--filter SUBSTR` — `all`: run the experiments whose name contains
+//!   the substring; `scale_up` / `adaptive_ablation`: keep the machine
+//!   sizes whose `P=<nodes>` contains it
 //!
-//! Flags may be written `--flag value` or `--flag=value`.
+//! Flags may be written `--flag value` or `--flag=value`. Anything the
+//! parser does not recognise is an error ([`Cli::from_args`]), which the
+//! binary reports with [`usage`] and exit status 64.
 
+use crate::experiments::{Experiment, REGISTRY};
 use crate::runner::SweepOptions;
 use std::path::PathBuf;
 
-#[derive(Clone, Debug, Default)]
+/// What the command line asks to run.
+#[derive(Clone, Copy, Debug)]
+pub enum Target {
+    /// Print the experiment names.
+    List,
+    /// Every registry entry with `in_all`, in report order.
+    All,
+    One(&'static Experiment),
+}
+
+#[derive(Clone, Debug)]
 pub struct Cli {
+    pub target: Target,
     pub jobs: Option<usize>,
     pub no_cache: bool,
     pub trace: bool,
@@ -28,40 +44,68 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments. Unknown flags warn and are ignored so
-    /// older invocations keep working.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
-        let mut cli = Cli::default();
-        let mut args = args.peekable();
+    /// Parse the arguments after the program name. The error is the
+    /// one-line reason; the caller adds [`usage`].
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut target = None;
+        let (mut jobs, mut filter, mut out_dir) = (None, None, None);
+        let (mut no_cache, mut trace, mut full) = (false, false, false);
         while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                if target.is_some() {
+                    return Err(format!("unexpected second experiment name {arg:?}"));
+                }
+                target = Some(match arg.as_str() {
+                    "list" => Target::List,
+                    "all" => Target::All,
+                    name => Target::One(
+                        REGISTRY
+                            .iter()
+                            .find(|e| e.name == name)
+                            .ok_or_else(|| format!("unknown experiment {name:?}"))?,
+                    ),
+                });
+                continue;
+            }
             let (flag, inline) = match arg.split_once('=') {
                 Some((f, v)) => (f.to_string(), Some(v.to_string())),
                 None => (arg, None),
             };
+            let mut value = || {
+                inline
+                    .clone()
+                    .or_else(|| args.next())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
             match flag.as_str() {
                 "--jobs" => {
-                    cli.jobs = take_value(&flag, inline.clone(), &mut args)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1);
-                    if cli.jobs.is_none() {
-                        eprintln!("warning: --jobs needs a positive integer");
-                    }
+                    let v = value()?;
+                    let n = v.parse().ok().filter(|&n: &usize| n >= 1);
+                    jobs =
+                        Some(n.ok_or_else(|| {
+                            format!("--jobs needs a positive integer, got {v:?}")
+                        })?);
                 }
-                "--no-cache" => cli.no_cache = true,
-                "--trace" => cli.trace = true,
-                "--full" => cli.full = true,
-                "--filter" => cli.filter = take_value(&flag, inline.clone(), &mut args),
-                "--out-dir" => {
-                    cli.out_dir = take_value(&flag, inline.clone(), &mut args).map(PathBuf::from)
+                "--filter" => filter = Some(value()?),
+                "--out-dir" => out_dir = Some(PathBuf::from(value()?)),
+                "--no-cache" | "--trace" | "--full" if inline.is_some() => {
+                    return Err(format!("{flag} takes no value"));
                 }
-                other => eprintln!("warning: ignoring unknown flag {other}"),
+                "--no-cache" => no_cache = true,
+                "--trace" => trace = true,
+                "--full" => full = true,
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        cli
+        Ok(Cli {
+            target: target.ok_or("no experiment named")?,
+            jobs,
+            no_cache,
+            trace,
+            full,
+            filter,
+            out_dir,
+        })
     }
 
     /// The runner options implied by the parsed flags.
@@ -79,29 +123,34 @@ impl Cli {
     }
 }
 
-fn take_value(
-    flag: &str,
-    inline: Option<String>,
-    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-) -> Option<String> {
-    let v = inline.or_else(|| args.next());
-    if v.is_none() {
-        eprintln!("warning: {flag} needs a value");
-    }
-    v
+/// The experiment names, one per line, in registry order (what
+/// `dirtree-bench list` prints).
+pub fn list() -> String {
+    REGISTRY.iter().map(|e| format!("{}\n", e.name)).collect()
+}
+
+/// Usage text: the grammar plus the `list` output.
+pub fn usage() -> String {
+    format!(
+        "usage: dirtree-bench <experiment|all|list> [--jobs N] [--no-cache] [--trace] \
+         [--full] [--filter SUBSTR] [--out-dir PATH]\n\
+         experiments:\n{}",
+        list()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Cli {
+    fn parse(args: &[&str]) -> Result<Cli, String> {
         Cli::from_args(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn parses_all_flags() {
         let cli = parse(&[
+            "all",
             "--jobs",
             "4",
             "--no-cache",
@@ -110,7 +159,9 @@ mod tests {
             "--filter=fig",
             "--out-dir",
             "/tmp/x",
-        ]);
+        ])
+        .unwrap();
+        assert!(matches!(cli.target, Target::All));
         assert_eq!(cli.jobs, Some(4));
         assert!(cli.no_cache);
         assert!(cli.trace);
@@ -124,18 +175,49 @@ mod tests {
     }
 
     #[test]
-    fn equals_form_and_defaults() {
-        let cli = parse(&["--jobs=2"]);
+    fn equals_form_defaults_and_name_position() {
+        let cli = parse(&["--jobs=2", "fig10_floyd"]).unwrap();
+        assert!(matches!(cli.target, Target::One(e) if e.name == "fig10_floyd"));
         assert_eq!(cli.jobs, Some(2));
         assert!(!cli.no_cache && !cli.trace && !cli.full && cli.filter.is_none());
-        let cli = parse(&[]);
+        let cli = parse(&["list"]).unwrap();
+        assert!(matches!(cli.target, Target::List));
         assert!(cli.jobs.is_none());
         assert!(cli.sweep_options().jobs >= 1);
     }
 
     #[test]
-    fn bad_jobs_is_ignored_with_warning() {
-        assert_eq!(parse(&["--jobs", "zero"]).jobs, None);
-        assert_eq!(parse(&["--jobs", "0"]).jobs, None);
+    fn every_malformed_command_line_is_rejected() {
+        for (args, reason) in [
+            (&["table1", "--frobnicate"][..], "unknown flag --frobnicate"),
+            (
+                &["table1", "--jobs", "zero"],
+                "--jobs needs a positive integer",
+            ),
+            (
+                &["table1", "--jobs", "0"],
+                "--jobs needs a positive integer",
+            ),
+            (&["table1", "--jobs=-1"], "--jobs needs a positive integer"),
+            (&["table1", "--jobs"], "--jobs needs a value"),
+            (&["all", "--filter"], "--filter needs a value"),
+            (&["all", "--out-dir"], "--out-dir needs a value"),
+            (&["table1", "--full=yes"], "--full takes no value"),
+            (&["reproduce_everything"], "unknown experiment"),
+            (&["table1", "table3"], "unexpected second experiment"),
+            (&["--jobs", "2"], "no experiment named"),
+            (&[], "no experiment named"),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.contains(reason), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_experiment() {
+        let text = usage();
+        for e in REGISTRY {
+            assert!(text.contains(&format!("\n{}\n", e.name)), "{}", e.name);
+        }
     }
 }

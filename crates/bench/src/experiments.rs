@@ -1,16 +1,18 @@
 //! Every experiment of the reproduction as a library function.
 //!
 //! Each function builds its configurations, runs them through the shared
-//! sweep [`Runner`] (parallel + cached), and returns the report text. The
-//! binaries in `src/bin/` are thin wrappers; `reproduce_all` iterates the
-//! [`registry`] in-process so a panic in one experiment is caught,
-//! reported in the final `FAILED:` summary, and does not stop the rest.
+//! sweep [`Runner`] (parallel + cached), and returns the report text.
+//! [`REGISTRY`] names them all; the `dirtree-bench` binary (`main.rs`)
+//! runs one entry by name, or every `in_all` entry in-process under
+//! `all`, where a panic in one experiment is caught, reported in the
+//! final `FAILED:` summary, and does not stop the rest.
 //!
 //! Analytic experiments (Tables 3/4, tree shapes, memory overhead) and
 //! the controlled-sharing-degree measurements (Table 1, the latency
 //! model) do not go through the runner: they are closed-form or
 //! millisecond-scale scripted runs with no caching value.
 
+use crate::cli::Cli;
 use crate::figures::{record_grid, run_figure, RecordCell};
 use crate::miss_cost::{read_miss_cost, write_miss_cost, write_miss_latency_measured};
 use crate::runner::Runner;
@@ -27,88 +29,63 @@ use dirtree_net::NetworkConfig;
 use dirtree_workloads::WorkloadKind;
 use std::fmt::Write as _;
 
-/// One experiment: a stable name (used by `--filter` and the report
-/// headings) and the function producing its report.
+/// One experiment: a stable name (the command-line name, the `all`
+/// report heading, and what `all --filter` matches) and the function
+/// producing its report from the runner and the parsed flags.
+#[derive(Debug)]
 pub struct Experiment {
     pub name: &'static str,
-    pub run: fn(&Runner, bool) -> String,
+    /// Part of `dirtree-bench all`. The studies beyond the paper's sizes
+    /// (and `all_figures`, which would repeat four entries) run by name
+    /// only.
+    pub in_all: bool,
+    pub run: fn(&Runner, &Cli) -> String,
 }
 
-/// Every experiment `reproduce_all` runs, in report order. The `scaling`
-/// study (to 128 processors) is intentionally not here — it is an
-/// explicit opt-in via its own binary.
-pub fn registry() -> Vec<Experiment> {
-    vec![
-        Experiment {
-            name: "table1",
-            run: |_, _| table1(),
-        },
-        Experiment {
-            name: "table3",
-            run: |_, _| table3(),
-        },
-        Experiment {
-            name: "table4",
-            run: |_, _| table4(),
-        },
-        Experiment {
-            name: "tree_shapes",
-            run: |_, _| tree_shapes(),
-        },
-        Experiment {
-            name: "memory_overhead",
-            run: |_, _| memory_overhead(),
-        },
-        Experiment {
-            name: "fig8_mp3d",
-            run: fig8_mp3d,
-        },
-        Experiment {
-            name: "fig9_lu",
-            run: fig9_lu,
-        },
-        Experiment {
-            name: "fig10_floyd",
-            run: |r, _| fig10_floyd(r),
-        },
-        Experiment {
-            name: "fig11_fft",
-            run: fig11_fft,
-        },
-        Experiment {
-            name: "sharing_profile",
-            run: |r, _| sharing_profile(r),
-        },
-        Experiment {
-            name: "latency_model",
-            run: |_, _| latency_model(),
-        },
-        Experiment {
-            name: "bus_vs_cube",
-            run: |r, _| bus_vs_cube(r),
-        },
-        Experiment {
-            name: "sensitivity",
-            run: |r, _| sensitivity(r),
-        },
-        Experiment {
-            name: "ablation_replacement",
-            run: |r, _| ablation_replacement(r),
-        },
-        Experiment {
-            name: "ablation_pairing",
-            run: |r, _| ablation_pairing(r),
-        },
-        Experiment {
-            name: "ablation_update",
-            run: |r, _| ablation_update(r),
-        },
-        Experiment {
-            name: "ablation_arity",
-            run: |r, _| ablation_arity(r),
-        },
-    ]
+impl Experiment {
+    const fn part_of_all(name: &'static str, run: fn(&Runner, &Cli) -> String) -> Self {
+        Self {
+            name,
+            in_all: true,
+            run,
+        }
+    }
+
+    const fn opt_in(name: &'static str, run: fn(&Runner, &Cli) -> String) -> Self {
+        Self {
+            name,
+            in_all: false,
+            run,
+        }
+    }
 }
+
+/// Every experiment, the `all` set first and in report order.
+pub static REGISTRY: &[Experiment] = &[
+    Experiment::part_of_all("table1", |_, _| table1()),
+    Experiment::part_of_all("table3", |_, _| table3()),
+    Experiment::part_of_all("table4", |_, _| table4()),
+    Experiment::part_of_all("tree_shapes", |_, _| tree_shapes()),
+    Experiment::part_of_all("memory_overhead", |_, _| memory_overhead()),
+    Experiment::part_of_all("fig8_mp3d", |r, cli| fig8_mp3d(r, cli.full)),
+    Experiment::part_of_all("fig9_lu", |r, cli| fig9_lu(r, cli.full)),
+    Experiment::part_of_all("fig10_floyd", |r, _| fig10_floyd(r)),
+    Experiment::part_of_all("fig11_fft", |r, cli| fig11_fft(r, cli.full)),
+    Experiment::part_of_all("sharing_profile", |r, _| sharing_profile(r)),
+    Experiment::part_of_all("latency_model", |_, _| latency_model()),
+    Experiment::part_of_all("bus_vs_cube", |r, _| bus_vs_cube(r)),
+    Experiment::part_of_all("sensitivity", |r, _| sensitivity(r)),
+    Experiment::part_of_all("ablation_replacement", |r, _| ablation_replacement(r)),
+    Experiment::part_of_all("ablation_pairing", |r, _| ablation_pairing(r)),
+    Experiment::part_of_all("ablation_update", |r, _| ablation_update(r)),
+    Experiment::part_of_all("ablation_arity", |r, _| ablation_arity(r)),
+    Experiment::opt_in("all_figures", |r, cli| all_figures(r, cli.full)),
+    Experiment::opt_in("scaling", |r, _| scaling(r)),
+    Experiment::opt_in("scale_up", |r, cli| scale_up(r, cli.filter.as_deref())),
+    Experiment::opt_in("adaptive_ablation", |r, cli| {
+        adaptive_ablation(r, cli.filter.as_deref())
+    }),
+];
 
 // ---------------------------------------------------------------------
 // Figures 8–11 (normalized execution time grids)
@@ -163,7 +140,8 @@ pub fn fig11_fft(runner: &Runner, full: bool) -> String {
     run_figure(runner, "Figure 11", w)
 }
 
-/// All four figure grids back to back (the `all_figures` binary).
+/// All four figure grids back to back. Opt-in: `all` already runs each
+/// figure as its own entry.
 pub fn all_figures(runner: &Runner, full: bool) -> String {
     let mut out = String::new();
     out.push_str(&fig8_mp3d(runner, full));
@@ -684,8 +662,10 @@ pub fn bus_vs_cube(runner: &Runner) -> String {
     out
 }
 
-/// **Beyond the paper (ours)** — extends the Figure 10 comparison to 64
-/// and 128 processors. Not in [`registry`]; run via the `scaling` binary.
+/// **Beyond the paper (ours)** — the paper stops at 32 processors; this
+/// extends the Figure 10 comparison to 64 and 128 to show the trend the
+/// conclusion claims ("when the number of processors is large, the new
+/// scheme even performs better"). Opt-in: not part of `all`.
 pub fn scaling(runner: &Runner) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -747,15 +727,7 @@ pub fn scaling(runner: &Runner) -> String {
     out
 }
 
-/// The machine sizes of the [`scale_up`] study.
-pub const SCALE_UP_SIZES: [u32; 3] = [64, 128, 256];
-
-/// The machine sizes of the [`scale_up_vc`] study: the shared P=64
-/// anchor (for a direct single-channel vs VC comparison and the CI
-/// golden slice) plus the sizes only the VC network reaches safely.
-pub const SCALE_UP_VC_SIZES: [u32; 3] = [64, 512, 1024];
-
-/// Protocols shared by both scale-up grids (the paper's Figure-10
+/// Protocols shared by the scale-up grids (the paper's Figure-10
 /// shapes: full-map vs Dir_iTree_2 vs Dir_4NB).
 const SCALE_UP_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::FullMap,
@@ -779,65 +751,72 @@ pub fn vc_default(nodes: u32) -> MachineConfig {
     m
 }
 
-fn scale_up_sizes(all: &[u32], filter: Option<&str>) -> Vec<u32> {
+/// The [`vc_default`] machine with credit-bounded injection: each
+/// controller may hold at most this many unacknowledged *flits* per
+/// (destination-VC) pool before further sends park. Models finite output
+/// buffering instead of the default infinite-queue idealization. At the
+/// paper's 8-bit links a header-only message is 8 flits and a data
+/// message 16, so 64 flits ≈ eight control messages (or four data
+/// messages) of buffering per pool.
+pub const VC_CREDITS: u32 = 64;
+
+/// [`vc_default`] plus credit-bounded sends ([`VC_CREDITS`] per pool).
+pub fn vc_credited(nodes: u32) -> MachineConfig {
+    let mut m = vc_default(nodes);
+    m.net.vc_credits = VC_CREDITS;
+    m
+}
+
+/// The grids of the [`scale_up`] study: (spec name — the `.jsonl` the
+/// runner writes and CI compares against a golden —, report title,
+/// machine sizes, machine). The single-channel grid stops at 256; the
+/// VC grids share the P=64 anchor (for a direct single-channel vs VC
+/// comparison and the CI golden slice) and add the sizes only the VC
+/// network reaches safely. The credited grid repeats the VC one on
+/// finite buffers, so the report shows what they cost.
+type ScaleUpGrid = (
+    &'static str,
+    &'static str,
+    [u32; 3],
+    fn(u32) -> MachineConfig,
+);
+const SCALE_UP_GRIDS: [ScaleUpGrid; 3] = [
+    (
+        "scale_up",
+        "Hot-path scaling study (Floyd-Warshall 64v, normalized to full-map):",
+        [64, 128, 256],
+        MachineConfig::paper_default,
+    ),
+    (
+        "scale_up_vc",
+        "VC scaling study (3 virtual channels, adaptive e-cube; \
+         Floyd-Warshall 64v, normalized to full-map):",
+        [64, 512, 1024],
+        vc_default,
+    ),
+    (
+        "scale_up_vc_credited",
+        "Credit-bounded VC scaling study (64 credits per pool, \
+         3 virtual channels, adaptive e-cube; Floyd-Warshall 64v, \
+         normalized to full-map):",
+        [64, 512, 1024],
+        vc_credited,
+    ),
+];
+
+/// The sizes a `--filter` substring keeps, matched against `P=<nodes>`
+/// (so `--filter P=64` keeps only the 64-processor group).
+fn filter_sizes(all: &[u32], filter: Option<&str>) -> Vec<u32> {
     all.iter()
         .copied()
         .filter(|p| filter.is_none_or(|f| format!("P={p}").contains(f)))
         .collect()
 }
 
-/// Configurations of the [`scale_up`] hot-path study, optionally
-/// restricted by a `--filter` substring matched against `P=<nodes>`
-/// (so `--filter P=64` runs only the 64-processor group). Returns the
-/// sizes kept and the grid cells; a filter matching none of this grid's
-/// sizes (e.g. `P=512`, which only the VC grid has) returns empty.
-pub fn scale_up_cells(runner: &Runner, filter: Option<&str>) -> (Vec<u32>, Vec<RecordCell>) {
-    let sizes = scale_up_sizes(&SCALE_UP_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
-    let w = WorkloadKind::Floyd {
-        vertices: 64,
-        seed: 1996,
-    };
-    let cells = record_grid(
-        runner,
-        "scale_up",
-        w,
-        &sizes,
-        &SCALE_UP_PROTOCOLS,
-        MachineConfig::paper_default,
-    );
-    (sizes, cells)
-}
-
-/// The virtual-channel companion grid of [`scale_up`]: the same
-/// protocols and workload on the [`vc_default`] machine at
-/// P ∈ {64, 512, 1024}. Filter grammar matches [`scale_up_cells`].
-pub fn scale_up_vc_cells(runner: &Runner, filter: Option<&str>) -> (Vec<u32>, Vec<RecordCell>) {
-    let sizes = scale_up_sizes(&SCALE_UP_VC_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
-    let w = WorkloadKind::Floyd {
-        vertices: 64,
-        seed: 1996,
-    };
-    let cells = record_grid(
-        runner,
-        "scale_up_vc",
-        w,
-        &sizes,
-        &SCALE_UP_PROTOCOLS,
-        vc_default,
-    );
-    (sizes, cells)
-}
-
 /// Render one scale-up grid: normalized execution time plus the
-/// simulator-throughput columns (`events`, `peak queue depth`) the
-/// hot-path benchmark reads, and the network-wait split.
-pub fn scale_up_grid_report(title: &str, sizes: &[u32], cells: &[RecordCell]) -> String {
+/// simulator-throughput columns (`events`, `peak queue depth`) and the
+/// network-wait split.
+fn scale_up_grid_report(title: &str, sizes: &[u32], cells: &[RecordCell]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let mut t = AsciiTable::new(&[
@@ -871,113 +850,40 @@ pub fn scale_up_grid_report(title: &str, sizes: &[u32], cells: &[RecordCell]) ->
     out
 }
 
-/// Render the single-channel [`scale_up`] grid (kept as a named entry
-/// point for the `scale_up` binary and its golden slice).
-pub fn scale_up_report(sizes: &[u32], cells: &[RecordCell]) -> String {
-    let mut out = scale_up_grid_report(
-        "Hot-path scaling study (Floyd-Warshall 64v, normalized to full-map):",
-        sizes,
-        cells,
-    );
-    let _ = writeln!(
-        out,
-        "Per-size full-map baselines; `events` and `peak queue` are\n\
-         deterministic simulator-throughput denominators (see\n\
-         BENCH_sim_hotpath.json for the wall-clock side)."
-    );
-    out
-}
-
-/// Render the [`scale_up_vc`] grid.
-pub fn scale_up_vc_report(sizes: &[u32], cells: &[RecordCell]) -> String {
-    scale_up_grid_report(
-        "VC scaling study (3 virtual channels, adaptive e-cube; \
-         Floyd-Warshall 64v, normalized to full-map):",
-        sizes,
-        cells,
-    )
-}
-
-/// The [`vc_default`] machine with credit-bounded injection: each
-/// controller may hold at most this many unacknowledged *flits* per
-/// (destination-VC) pool before further sends park. Models finite output
-/// buffering instead of the default infinite-queue idealization. At the
-/// paper's 8-bit links a header-only message is 8 flits and a data
-/// message 16, so 64 flits ≈ eight control messages (or four data
-/// messages) of buffering per pool.
-pub const VC_CREDITS: u32 = 64;
-
-/// [`vc_default`] plus credit-bounded sends ([`VC_CREDITS`] per pool).
-pub fn vc_credited(nodes: u32) -> MachineConfig {
-    let mut m = vc_default(nodes);
-    m.net.vc_credits = VC_CREDITS;
-    m
-}
-
-/// The credit-bounded companion of [`scale_up_vc_cells`]: the same
-/// protocols, workload, and sizes on the [`vc_credited`] machine, so the
-/// report can show what finite buffering costs next to the idealized VC
-/// column. Filter grammar matches [`scale_up_cells`].
-pub fn scale_up_vc_credited_cells(
-    runner: &Runner,
-    filter: Option<&str>,
-) -> (Vec<u32>, Vec<RecordCell>) {
-    let sizes = scale_up_sizes(&SCALE_UP_VC_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
+/// **Beyond the paper (ours)** — the hot-path scaling study: the
+/// Figure-10 shapes on the single-channel network at P ∈ {64, 128, 256}
+/// and on the virtual-channel machine (idealized and credit-bounded) at
+/// P ∈ {64, 512, 1024}, with the simulator-throughput columns. Opt-in:
+/// not part of `all`; CI's perf-smoke step runs the `--filter P=64`
+/// slice and compares each grid's records with its golden. A grid whose
+/// sizes the filter excludes entirely (e.g. `P=512` on the
+/// single-channel grid) is skipped.
+pub fn scale_up(runner: &Runner, filter: Option<&str>) -> String {
     let w = WorkloadKind::Floyd {
         vertices: 64,
         seed: 1996,
     };
-    let cells = record_grid(
-        runner,
-        "scale_up_vc_credited",
-        w,
-        &sizes,
-        &SCALE_UP_PROTOCOLS,
-        vc_credited,
-    );
-    (sizes, cells)
-}
-
-/// Render the [`scale_up_vc_credited`] grid.
-pub fn scale_up_vc_credited_report(sizes: &[u32], cells: &[RecordCell]) -> String {
-    scale_up_grid_report(
-        &format!(
-            "Credit-bounded VC scaling study ({VC_CREDITS} credits per pool, \
-             3 virtual channels, adaptive e-cube; Floyd-Warshall 64v, \
-             normalized to full-map):"
-        ),
-        sizes,
-        cells,
-    )
-}
-
-/// **Beyond the paper (ours)** — the hot-path scaling study:
-/// single-channel at P ∈ {64, 128, 256} and the virtual-channel machine
-/// at P ∈ {64, 512, 1024}. Not in [`registry`] (like [`scaling`], it is
-/// an explicit opt-in via the `scale_up` binary; CI's perf-smoke step
-/// runs the `--filter P=64` slice of both grids).
-pub fn scale_up(runner: &Runner, filter: Option<&str>) -> String {
-    let (sizes, cells) = scale_up_cells(runner, filter);
-    let (vc_sizes, vc_cells) = scale_up_vc_cells(runner, filter);
-    let (cr_sizes, cr_cells) = scale_up_vc_credited_cells(runner, filter);
+    let mut out = String::new();
+    for (spec_name, title, sizes, machine) in SCALE_UP_GRIDS {
+        let sizes = filter_sizes(&sizes, filter);
+        if sizes.is_empty() {
+            continue;
+        }
+        let cells = record_grid(runner, spec_name, w, &sizes, &SCALE_UP_PROTOCOLS, machine);
+        out.push_str(&scale_up_grid_report(title, &sizes, &cells));
+    }
     assert!(
-        !(sizes.is_empty() && vc_sizes.is_empty()),
+        !out.is_empty(),
         "--filter {:?} matches no scale-up size (base P=64/128/256, vc P=64/512/1024)",
         filter.unwrap_or_default()
     );
-    let mut out = String::new();
-    if !sizes.is_empty() {
-        out.push_str(&scale_up_report(&sizes, &cells));
-    }
-    if !vc_sizes.is_empty() {
-        out.push_str(&scale_up_vc_report(&vc_sizes, &vc_cells));
-    }
-    if !cr_sizes.is_empty() {
-        out.push_str(&scale_up_vc_credited_report(&cr_sizes, &cr_cells));
-    }
+    let _ = writeln!(
+        out,
+        "Per-size full-map baselines; `events` and `peak queue` are\n\
+         deterministic simulator-throughput denominators (the wall-clock\n\
+         side is the benchmark's: floyd_p64 and floyd_p1024_vc in\n\
+         benchmark/README.md)."
+    );
     out
 }
 
@@ -1331,16 +1237,16 @@ pub fn ablation_arity(runner: &Runner) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive update/invalidate ablation (the `adaptive_ablation` binary)
+// Adaptive update/invalidate ablation
 // ---------------------------------------------------------------------
 
 /// The machine sizes of the [`adaptive_ablation`] study.
-pub const ADAPTIVE_SIZES: [u32; 3] = [16, 64, 256];
+const ADAPTIVE_SIZES: [u32; 3] = [16, 64, 256];
 
 /// The write policies the adaptive study compares: static invalidation,
 /// static update, and the per-block adaptive hybrid — all on the same
 /// Dir₄Tree₂ directory organization.
-pub const ADAPTIVE_PROTOCOLS: [ProtocolKind; 3] = [
+const ADAPTIVE_PROTOCOLS: [ProtocolKind; 3] = [
     ProtocolKind::DirTree {
         pointers: 4,
         arity: 2,
@@ -1359,7 +1265,7 @@ pub const ADAPTIVE_PROTOCOLS: [ProtocolKind; 3] = [
 /// `dirtree_workloads::apps::patterns`). Each is best served by a known
 /// static policy, so the grid measures how close the adaptive protocol
 /// gets to an oracle that picks the right policy per block.
-pub fn adaptive_workloads() -> [WorkloadKind; 4] {
+fn adaptive_workloads() -> [WorkloadKind; 4] {
     [
         WorkloadKind::PcPipeline {
             buffers: 16,
@@ -1379,30 +1285,21 @@ pub fn adaptive_workloads() -> [WorkloadKind; 4] {
 }
 
 /// One cell of the adaptive ablation grid.
-#[derive(Clone, Debug)]
-pub struct AdaptiveCell {
-    pub workload: WorkloadKind,
-    pub protocol: ProtocolKind,
-    pub nodes: u32,
-    pub record: RunRecord,
+struct AdaptiveCell {
+    workload: WorkloadKind,
+    protocol: ProtocolKind,
+    nodes: u32,
+    record: RunRecord,
 }
 
 /// Run the adaptive ablation grid: every pattern workload × write policy
-/// × machine size, optionally restricted by a `--filter` substring over
-/// `P=<nodes>` (grammar matches [`scale_up_cells`]). One spec named
+/// × the machine sizes the `--filter` kept. One spec named
 /// `adaptive_ablation`, so the runner writes a single byte-deterministic
 /// `adaptive_ablation.jsonl` the CI golden compares against.
-pub fn adaptive_ablation_cells(
-    runner: &Runner,
-    filter: Option<&str>,
-) -> (Vec<u32>, Vec<AdaptiveCell>) {
-    let sizes = scale_up_sizes(&ADAPTIVE_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
+fn adaptive_ablation_cells(runner: &Runner, sizes: &[u32]) -> Vec<AdaptiveCell> {
     let mut spec = SweepSpec::new("adaptive_ablation");
     for &w in &adaptive_workloads() {
-        for &nodes in &sizes {
+        for &nodes in sizes {
             for &protocol in &ADAPTIVE_PROTOCOLS {
                 spec.push(SweepConfig::new(
                     MachineConfig::paper_default(nodes),
@@ -1426,7 +1323,7 @@ pub fn adaptive_ablation_cells(
     let mut records = outcome.records.into_iter();
     let mut cells = Vec::new();
     for &workload in &adaptive_workloads() {
-        for &nodes in &sizes {
+        for &nodes in sizes {
             for &protocol in &ADAPTIVE_PROTOCOLS {
                 cells.push(AdaptiveCell {
                     workload,
@@ -1437,41 +1334,40 @@ pub fn adaptive_ablation_cells(
             }
         }
     }
-    (sizes, cells)
+    cells
 }
 
 /// Per-workload verdict: each policy's cycles summed over the machine
 /// sizes that ran, and how the adaptive protocol compares to the statics.
-#[derive(Clone, Debug)]
-pub struct AdaptiveVerdict {
-    pub workload: WorkloadKind,
-    pub invalidate_cycles: u64,
-    pub update_cycles: u64,
-    pub adaptive_cycles: u64,
+struct AdaptiveVerdict {
+    workload: WorkloadKind,
+    invalidate_cycles: u64,
+    update_cycles: u64,
+    adaptive_cycles: u64,
 }
 
 impl AdaptiveVerdict {
-    pub fn best_static(&self) -> u64 {
+    fn best_static(&self) -> u64 {
         self.invalidate_cycles.min(self.update_cycles)
     }
 
-    pub fn worst_static(&self) -> u64 {
+    fn worst_static(&self) -> u64 {
         self.invalidate_cycles.max(self.update_cycles)
     }
 
     /// Adaptive cycles relative to the better static policy (1.0 = ties
     /// the oracle; the acceptance bar is ≤ 1.05).
-    pub fn vs_best_static(&self) -> f64 {
+    fn vs_best_static(&self) -> f64 {
         self.adaptive_cycles as f64 / self.best_static().max(1) as f64
     }
 
-    pub fn beats_worst_static(&self) -> bool {
+    fn beats_worst_static(&self) -> bool {
         self.adaptive_cycles < self.worst_static()
     }
 }
 
 /// Fold the grid into one [`AdaptiveVerdict`] per workload.
-pub fn adaptive_verdicts(cells: &[AdaptiveCell]) -> Vec<AdaptiveVerdict> {
+fn adaptive_verdicts(cells: &[AdaptiveCell]) -> Vec<AdaptiveVerdict> {
     let [inv, upd, adp] = ADAPTIVE_PROTOCOLS;
     let mut verdicts: Vec<AdaptiveVerdict> = Vec::new();
     for c in cells {
@@ -1494,11 +1390,11 @@ pub fn adaptive_verdicts(cells: &[AdaptiveCell]) -> Vec<AdaptiveVerdict> {
     verdicts
 }
 
-/// The acceptance bar for the adaptive protocol, asserted by the
-/// `adaptive_ablation` binary: within 5% of the better static policy on
+/// The acceptance bar for the adaptive protocol, asserted by
+/// [`adaptive_ablation`]: within 5% of the better static policy on
 /// *every* pattern workload, and strictly cheaper than the worse static
 /// policy on at least two of them.
-pub fn assert_adaptive_criterion(verdicts: &[AdaptiveVerdict]) {
+fn assert_adaptive_criterion(verdicts: &[AdaptiveVerdict]) {
     for v in verdicts {
         assert!(
             v.vs_best_static() <= 1.05,
@@ -1518,7 +1414,7 @@ pub fn assert_adaptive_criterion(verdicts: &[AdaptiveVerdict]) {
 }
 
 /// Render the adaptive ablation grid plus the per-workload verdicts.
-pub fn adaptive_ablation_report(sizes: &[u32], cells: &[AdaptiveCell]) -> String {
+fn adaptive_ablation_report(sizes: &[u32], cells: &[AdaptiveCell]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1574,17 +1470,124 @@ pub fn adaptive_ablation_report(sizes: &[u32], cells: &[AdaptiveCell]) -> String
     out
 }
 
-/// **Extension (ours)** — the adaptive write-policy study. Not in
-/// [`registry`]; explicit opt-in via the `adaptive_ablation` binary
-/// (CI runs the `--filter P=16` slice against a committed golden).
+/// The cell and verdict data behind the report, as written to
+/// `<out-dir>/BENCH_adaptive.json`. The committed repo-root
+/// `BENCH_adaptive.json` is a snapshot of the full-grid output (see
+/// EXPERIMENTS.md).
+fn adaptive_ablation_json(
+    filter: Option<&str>,
+    sizes: &[u32],
+    cells: &[AdaptiveCell],
+    verdicts: &[AdaptiveVerdict],
+) -> String {
+    let mut json = String::from("{\n");
+    let _ = writeln!(
+        json,
+        "  \"schema\": \"dirtree-bench/adaptive_ablation/v1\","
+    );
+    let _ = writeln!(
+        json,
+        "  \"filter\": {},",
+        match filter {
+            Some(f) => format!("\"{f}\""),
+            None => "null".to_string(),
+        }
+    );
+    let _ = writeln!(
+        json,
+        "  \"sizes\": [{}],",
+        sizes
+            .iter()
+            .map(|p| p.to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let _ = writeln!(json, "  \"cells\": [");
+    for (i, c) in cells.iter().enumerate() {
+        let r = &c.record;
+        let _ = writeln!(
+            json,
+            "    {{\"workload\": \"{}\", \"protocol\": \"{}\", \"nodes\": {}, \
+             \"cycles\": {}, \"messages\": {}, \"bytes\": {}, \
+             \"mode_flips_to_update\": {}, \"mode_flips_to_invalidate\": {}, \
+             \"pattern_producer_consumer\": {}, \"pattern_read_mostly\": {}, \
+             \"pattern_migratory\": {}, \"pattern_write_shared\": {}, \
+             \"pattern_private\": {}}}{}",
+            r.workload,
+            r.protocol,
+            r.nodes,
+            r.cycles,
+            r.messages,
+            r.bytes,
+            r.mode_flips_to_update,
+            r.mode_flips_to_invalidate,
+            r.pattern_producer_consumer,
+            r.pattern_read_mostly,
+            r.pattern_migratory,
+            r.pattern_write_shared,
+            r.pattern_private,
+            if i + 1 < cells.len() { "," } else { "" },
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"verdicts\": [");
+    for (i, v) in verdicts.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"workload\": \"{}\", \"invalidate_cycles\": {}, \
+             \"update_cycles\": {}, \"adaptive_cycles\": {}, \
+             \"vs_best_static\": {:.4}, \"beats_worst_static\": {}}}{}",
+            v.workload.name(),
+            v.invalidate_cycles,
+            v.update_cycles,
+            v.adaptive_cycles,
+            v.vs_best_static(),
+            v.beats_worst_static(),
+            if i + 1 < verdicts.len() { "," } else { "" },
+        );
+    }
+    let _ = writeln!(json, "  ]");
+    json.push_str("}\n");
+    json
+}
+
+/// **Extension (ours)** — the adaptive write-policy ablation: the four
+/// canonical sharing-pattern workloads (producer–consumer pipeline,
+/// migratory token ring, read-mostly broadcast, write-shared ping-pong)
+/// under static invalidation, static update, and the per-block adaptive
+/// protocol, at P ∈ {16, 64, 256} (`--filter` grammar as [`scale_up`]).
+/// Asserts the acceptance bar (within 1.05× of the better static policy
+/// on every workload, beating the worse one on at least two) and writes
+/// the cell and verdict data to `<out-dir>/BENCH_adaptive.json`. Opt-in:
+/// not part of `all`; CI runs the `--filter P=16` slice against a
+/// committed golden.
 pub fn adaptive_ablation(runner: &Runner, filter: Option<&str>) -> String {
-    let (sizes, cells) = adaptive_ablation_cells(runner, filter);
+    let sizes = filter_sizes(&ADAPTIVE_SIZES, filter);
     assert!(
         !sizes.is_empty(),
         "--filter {:?} matches no adaptive-ablation size (P=16/64/256)",
         filter.unwrap_or_default()
     );
-    adaptive_ablation_report(&sizes, &cells)
+    let cells = adaptive_ablation_cells(runner, &sizes);
+    let mut out = adaptive_ablation_report(&sizes, &cells);
+    let verdicts = adaptive_verdicts(&cells);
+    assert_adaptive_criterion(&verdicts);
+    let _ = writeln!(
+        out,
+        "adaptive_ablation: criterion holds over P={sizes:?} — within 5% of the best \
+         static policy on all {} workloads, beats the worst on {}",
+        verdicts.len(),
+        verdicts.iter().filter(|v| v.beats_worst_static()).count(),
+    );
+    let path = runner.options().out_dir.join("BENCH_adaptive.json");
+    match std::fs::write(
+        &path,
+        adaptive_ablation_json(filter, &sizes, &cells, &verdicts),
+    ) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1593,27 +1596,59 @@ mod tests {
     use crate::runner::SweepOptions;
 
     #[test]
-    fn registry_matches_reproduce_all_set() {
-        let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), 17);
-        assert!(names.contains(&"table1") && names.contains(&"ablation_arity"));
-        assert!(!names.contains(&"scaling"), "scaling is opt-in only");
-        assert!(
-            !names.contains(&"scale_up"),
-            "scale_up is opt-in only (own binary + CI perf-smoke)"
+    fn registry_names_are_unique_and_all_keeps_its_set_and_order() {
+        let mut names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        let in_all: Vec<&str> = REGISTRY
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| e.name)
+            .collect();
+        // Report order is part of the byte-identity contract of
+        // `target/reproduction_report.txt`.
+        assert_eq!(
+            in_all,
+            [
+                "table1",
+                "table3",
+                "table4",
+                "tree_shapes",
+                "memory_overhead",
+                "fig8_mp3d",
+                "fig9_lu",
+                "fig10_floyd",
+                "fig11_fft",
+                "sharing_profile",
+                "latency_model",
+                "bus_vs_cube",
+                "sensitivity",
+                "ablation_replacement",
+                "ablation_pairing",
+                "ablation_update",
+                "ablation_arity",
+            ]
         );
-        assert!(
-            !names.contains(&"adaptive_ablation"),
-            "adaptive_ablation is opt-in only (own binary + CI golden slice)"
-        );
+        for opt_in in ["all_figures", "scaling", "scale_up", "adaptive_ablation"] {
+            let e = REGISTRY
+                .iter()
+                .find(|e| e.name == opt_in)
+                .unwrap_or_else(|| panic!("{opt_in} must resolve by name"));
+            assert!(!e.in_all, "{opt_in} is opt-in only");
+        }
+        assert_eq!(names.len(), 21);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 21, "duplicate experiment name");
+        assert!(!names.contains(&"all") && !names.contains(&"list"));
     }
 
     #[test]
     fn scale_up_filter_selects_size_groups() {
         // Pure config-side check (no simulation): the filter grammar the
-        // CI perf-smoke step relies on, over both grids.
-        let base = |f: Option<&str>| scale_up_sizes(&SCALE_UP_SIZES, f);
-        let vc = |f: Option<&str>| scale_up_sizes(&SCALE_UP_VC_SIZES, f);
+        // CI perf-smoke step relies on, over every grid of the table.
+        let [base, vc, credited] = SCALE_UP_GRIDS.map(|(_, _, sizes, _)| sizes);
+        assert_eq!(vc, credited);
+        let base = |f: Option<&str>| filter_sizes(&base, f);
+        let vc = |f: Option<&str>| filter_sizes(&vc, f);
         assert_eq!(base(None), vec![64, 128, 256]);
         assert_eq!(base(Some("P=64")), vec![64]);
         assert_eq!(base(Some("P=128")), vec![128]);
@@ -1623,10 +1658,28 @@ mod tests {
         assert_eq!(vc(Some("P=64")), vec![64]);
         assert_eq!(vc(Some("P=512")), vec![512]);
         assert_eq!(vc(Some("P=1024")), vec![1024]);
-        // Sizes exclusive to the other grid select nothing here (the
-        // binary only rejects a filter empty on *both* grids).
+        // Sizes exclusive to the other grid select nothing here
+        // (`scale_up` only rejects a filter empty on *every* grid).
         assert!(base(Some("P=512")).is_empty());
         assert!(vc(Some("P=128")).is_empty());
+    }
+
+    #[test]
+    fn scale_up_grids_keep_their_spec_names_and_machines() {
+        // The spec names are the `.jsonl` files ci.sh compares with the
+        // goldens; the machines are what those goldens were recorded on.
+        let names = SCALE_UP_GRIDS.map(|(name, ..)| name);
+        assert_eq!(names, ["scale_up", "scale_up_vc", "scale_up_vc_credited"]);
+        let [base, vc, credited] = SCALE_UP_GRIDS.map(|(_, _, _, machine)| machine(64));
+        assert_eq!(
+            base.fingerprint(),
+            MachineConfig::paper_default(64).fingerprint()
+        );
+        assert_eq!(vc.fingerprint(), vc_default(64).fingerprint());
+        assert_eq!(credited.fingerprint(), vc_credited(64).fingerprint());
+        assert!(SCALE_UP_GRIDS[2]
+            .1
+            .contains(&format!("({VC_CREDITS} credits per pool")));
     }
 
     #[test]
@@ -1658,7 +1711,7 @@ mod tests {
 
     #[test]
     fn adaptive_filter_selects_size_groups() {
-        let adp = |f: Option<&str>| scale_up_sizes(&ADAPTIVE_SIZES, f);
+        let adp = |f: Option<&str>| filter_sizes(&ADAPTIVE_SIZES, f);
         assert_eq!(adp(None), vec![16, 64, 256]);
         assert_eq!(adp(Some("P=16")), vec![16]);
         assert_eq!(adp(Some("P=64")), vec![64]);

@@ -1,8 +1,7 @@
 //! Record-based figure grids on top of the sweep runner.
 //!
 //! The Figures 8–11 presentation (protocols × machine sizes, execution
-//! time normalized to full-map per size) used to be rebuilt as a
-//! sequential loop in every binary; it is now one [`record_grid`] call
+//! time normalized to full-map per size) is one [`record_grid`] call
 //! that the parallel, cached [`Runner`] serves.
 
 use crate::runner::Runner;

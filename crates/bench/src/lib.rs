@@ -1,17 +1,18 @@
-//! # dirtree-bench — experiment binaries and criterion benchmarks
+//! # dirtree-bench — the experiment front end and criterion benchmarks
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index). The library holds the whole experiment layer:
+//! One binary, `dirtree-bench <experiment|all|list>` (`main.rs`), runs
+//! every table, figure and ablation of the paper (see DESIGN.md §5 for
+//! the index). This library holds the whole experiment layer:
 //!
 //! - [`sweep`] — configuration enumeration ([`sweep::SweepSpec`]) and the
 //!   JSON-lines [`sweep::RunRecord`] each simulation produces
 //! - [`runner`] — the parallel, cached, deterministic executor
 //! - [`figures`] — record-based figure grids (normalized execution time)
 //! - [`experiments`] — every table/figure/ablation as a function
-//!   returning its report text, plus the [`experiments::registry`] that
-//!   `reproduce_all` iterates
+//!   returning its report text, named by [`experiments::REGISTRY`]
 //! - [`miss_cost`] — controlled-sharing-degree marginal measurements
-//! - [`cli`] — the shared `--jobs/--no-cache/--filter/--full` flags
+//! - [`cli`] — the experiment name and the shared
+//!   `--jobs/--no-cache/--filter/--full` flags
 
 pub mod cli;
 pub mod experiments;
@@ -19,16 +20,3 @@ pub mod figures;
 pub mod miss_cost;
 pub mod runner;
 pub mod sweep;
-
-/// Parse the common `--full` flag: experiment binaries default to scaled
-/// sizes that finish in seconds and use the paper's exact sizes with
-/// `--full`.
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// The runner every binary uses, configured from the process arguments.
-pub fn runner_from_args() -> (runner::Runner, cli::Cli) {
-    let cli = cli::Cli::parse();
-    (runner::Runner::new(cli.sweep_options()), cli)
-}

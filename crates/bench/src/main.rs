@@ -1,37 +1,69 @@
-//! Run every table, figure and ablation in-process and write a combined
-//! report to `target/reproduction_report.txt`. The one-command
-//! reproduction of the whole paper.
+//! `dirtree-bench <experiment|all|list> [flags]` — the one front end to
+//! every table, figure and ablation of the reproduction (see `cli` for
+//! the flags and DESIGN.md §5 for the experiment index).
+//!
+//! `<experiment>` runs one [`REGISTRY`] entry and prints its report;
+//! `list` prints the names. `all` is the one-command reproduction of the
+//! whole paper: every `in_all` entry in-process, a combined report on
+//! stdout and in `target/reproduction_report.txt`. A panic in one
+//! experiment — or any failed simulation inside one — is caught, the
+//! remaining experiments still run, and the process exits non-zero with
+//! a final `FAILED: [...]` summary.
 //!
 //! All simulations go through the shared sweep runner: they execute on a
 //! worker pool (`--jobs`, default: all cores) and results are cached
-//! under `target/sweep/cache/`, so a rerun that changes nothing simulates
-//! nothing. A panic in one experiment — or any failed simulation inside
-//! one — is caught, the remaining experiments still run, and the process
-//! exits non-zero with a final `FAILED: [...]` summary.
+//! under `<out-dir>/cache/` keyed by this executable's bytes, so a rerun
+//! that changes nothing simulates nothing — whichever experiment name
+//! first produced the result.
 //!
-//! Run: `cargo run --release -p dirtree-bench --bin reproduce_all
-//!       [-- --full] [--jobs N] [--no-cache] [--filter SUBSTR]`
+//! Run: `cargo run --release -p dirtree-bench -- all
+//!       [--full] [--jobs N] [--no-cache] [--filter SUBSTR]`
 
-use dirtree_bench::experiments::registry;
+use dirtree_bench::cli::{self, Cli, Target};
+use dirtree_bench::experiments::{Experiment, REGISTRY};
+use dirtree_bench::runner::Runner;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 fn main() {
-    let (runner, cli) = dirtree_bench::runner_from_args();
+    let cli = Cli::from_args(std::env::args().skip(1)).unwrap_or_else(|reason| {
+        eprint!("error: {reason}\n{}", cli::usage());
+        std::process::exit(64);
+    });
+    let runner = Runner::new(cli.sweep_options());
+    let t0 = Instant::now();
+    match cli.target {
+        Target::List => print!("{}", cli::list()),
+        Target::All => run_all(&runner, &cli, t0),
+        Target::One(exp) => {
+            print!("{}", (exp.run)(&runner, &cli));
+            eprintln!("{} {}", exp.name, totals(&runner, t0));
+        }
+    }
+}
+
+/// The end-of-run summary: wall time and what the runner did.
+fn totals(runner: &Runner, t0: Instant) -> String {
+    let (executed, cached) = runner.totals();
+    format!(
+        "in {:.1?}: {executed} simulations run, {cached} served from cache ({} jobs)",
+        t0.elapsed(),
+        runner.options().jobs,
+    )
+}
+
+fn run_all(runner: &Runner, cli: &Cli, t0: Instant) {
+    let selected: Vec<&Experiment> = REGISTRY
+        .iter()
+        .filter(|e| e.in_all && cli.filter.as_deref().is_none_or(|f| e.name.contains(f)))
+        .collect();
     let mut report = String::new();
     let mut failed: Vec<&'static str> = Vec::new();
-    let mut ran = 0usize;
-    let t0 = std::time::Instant::now();
-    for exp in registry() {
-        if let Some(f) = &cli.filter {
-            if !exp.name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        ran += 1;
+    for exp in &selected {
         eprintln!("==> {}", exp.name);
         let failures_before = runner.failures().len();
-        let result = catch_unwind(AssertUnwindSafe(|| (exp.run)(&runner, cli.full)));
+        let result = catch_unwind(AssertUnwindSafe(|| (exp.run)(runner, cli)));
         let _ = writeln!(
             report,
             "==================== {} ====================",
@@ -75,15 +107,13 @@ fn main() {
     let _ = std::fs::create_dir_all("target");
     std::fs::write(path, &report).expect("write report");
     println!("{report}");
-    let (executed, cached) = runner.totals();
     eprintln!(
-        "{ran} experiments in {:.1?}: {executed} simulations run, {cached} served from cache \
-         ({} jobs); report written to {}",
-        t0.elapsed(),
-        runner.options().jobs,
+        "{} experiments {}; report written to {}",
+        selected.len(),
+        totals(runner, t0),
         path.display()
     );
-    if ran == 0 {
+    if selected.is_empty() {
         eprintln!(
             "no experiment matches --filter {:?}",
             cli.filter.as_deref().unwrap_or("")

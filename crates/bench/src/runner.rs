@@ -82,7 +82,7 @@ pub struct Runner {
     opts: SweepOptions,
     code_hash: u64,
     /// Lifetime counters across all specs this runner has executed, for
-    /// end-of-run reporting by `reproduce_all`.
+    /// the end-of-run summary line of `dirtree-bench`.
     total_executed: AtomicUsize,
     total_cached: AtomicUsize,
     all_failures: Mutex<Vec<RunFailure>>,
@@ -198,18 +198,6 @@ impl Runner {
 
         self.write_jsonl(spec, &outcome.records);
         outcome
-    }
-
-    /// Run a single config, panicking on failure. For experiment code
-    /// whose result shape makes per-config failure handling pointless.
-    pub fn run_one(&self, config: &SweepConfig) -> RunRecord {
-        let mut spec = SweepSpec::new("adhoc");
-        spec.push(config.clone());
-        let mut out = self.run(&spec);
-        if let Some(f) = out.failures.first() {
-            panic!("config {} failed: {}", f.key, f.message);
-        }
-        out.records.remove(0)
     }
 
     fn cache_dir(&self) -> PathBuf {
@@ -479,6 +467,37 @@ mod tests {
         let bypass = Runner::new(opts.clone()).run(&spec);
         assert_eq!(bypass.executed, spec.configs.len());
         opts.no_cache = false;
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_cache_entries_are_misses_that_get_overwritten() {
+        let dir = scratch_dir("corrupt");
+        let spec = tiny_spec("corrupt");
+        let runner = runner_in(&dir, 2);
+        let cold = runner.run(&spec);
+        let paths: Vec<PathBuf> = spec.configs.iter().map(|c| runner.cache_path(c)).collect();
+        let valid = fs::read_to_string(&paths[1]).unwrap();
+        // Empty file; record truncated mid-histogram; a valid record whose
+        // `key` is another config's; deep-nesting garbage.
+        fs::write(&paths[0], "").unwrap();
+        let cut = valid.find("\"buckets\":[[").expect("a non-empty histogram") + 12;
+        fs::write(&paths[1], &valid[..cut]).unwrap();
+        fs::copy(&paths[3], &paths[2]).unwrap();
+        fs::write(&paths[3], "[".repeat(1 << 20)).unwrap();
+
+        let again = runner_in(&dir, 2).run(&spec);
+        assert_eq!(again.executed, spec.configs.len(), "every entry is a miss");
+        assert_eq!(again.cached, 0);
+        assert!(again.failures.is_empty());
+        for ((config, path), before) in spec.configs.iter().zip(&paths).zip(&cold.records) {
+            let text = fs::read_to_string(path).unwrap();
+            let stored = RunRecord::from_json(text.trim_end()).expect("entry was overwritten");
+            assert_eq!(stored.key, config.key());
+            assert_eq!(stored.to_json(), before.to_json());
+        }
+        let healed = runner_in(&dir, 2).run(&spec);
+        assert_eq!(healed.cached, spec.configs.len());
         let _ = fs::remove_dir_all(&dir);
     }
 

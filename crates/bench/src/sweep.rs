@@ -203,127 +203,148 @@ impl SweepSpec {
     }
 }
 
-/// The deterministic, serializable outcome of one config's simulation.
-#[derive(Clone, Debug, Default)]
-pub struct RunRecord {
-    pub key: String,
-    pub config_hash: u64,
-    pub protocol: String,
-    pub workload: String,
-    pub nodes: u32,
-    pub seed: u64,
-    pub cycles: u64,
-    pub reads: u64,
-    pub writes: u64,
-    pub read_hits: u64,
-    pub write_hits: u64,
-    pub read_misses: u64,
-    pub write_misses: u64,
-    pub messages: u64,
-    pub fill_acks: u64,
-    pub bytes: u64,
-    pub invalidations: u64,
-    pub replacement_invalidations: u64,
-    pub software_traps: u64,
-    pub broadcasts: u64,
-    pub tree_merges: u64,
-    pub tree_push_downs: u64,
-    pub evictions: u64,
-    pub barriers: u64,
-    pub lock_acquires: u64,
-    pub max_controller_busy: u64,
+/// When a scalar counter appears in the serialized record.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Presence {
+    /// Always written; a record without it does not parse.
+    Always,
+    /// Written only when non-zero (the adaptive-protocol counters, zero
+    /// for static protocols), so every pre-adaptive record and golden
+    /// file keeps its exact bytes. Absent parses as 0.
+    NonZero,
+    /// Written only on multi-channel runs (`net_vcs > 1`), keeping legacy
+    /// single-channel records byte-stable.
+    VcOnly,
+}
+
+/// One row of the scalar field list: everything `from_outcome`, `to_json`
+/// and `from_json` need to know about a `u64` counter of [`RunRecord`].
+struct Scalar {
+    name: &'static str,
+    presence: Presence,
+    get: fn(&RunRecord) -> u64,
+    set: fn(&mut RunRecord, u64),
+    fill: fn(&RunOutcome) -> u64,
+}
+
+/// Where a counter comes from: `MachineStats` under the same name unless
+/// the field list says otherwise.
+macro_rules! scalar_source {
+    ($name:ident) => {
+        |o| o.stats.$name
+    };
+    ($name:ident, $src:expr) => {
+        $src
+    };
+}
+
+/// Declares [`RunRecord`] and its scalar field list from one table, in
+/// serialization order: `name: Presence [= |outcome| source],`. Adding a
+/// counter is one line here; the struct field, the snapshot from
+/// `RunOutcome`, the writer and the parser all follow from it.
+macro_rules! run_record {
+    ($($(#[$doc:meta])* $name:ident: $presence:ident $(= $src:expr)?,)*) => {
+        /// The deterministic, serializable outcome of one config's simulation.
+        #[derive(Clone, Debug, Default)]
+        pub struct RunRecord {
+            pub key: String,
+            pub config_hash: u64,
+            pub protocol: String,
+            pub workload: String,
+            pub nodes: u32,
+            pub seed: u64,
+            $($(#[$doc])* pub $name: u64,)*
+            /// Virtual channels simulated (1 = the classic single-channel
+            /// model; the `VcOnly` fields serialize only when this exceeds 1).
+            pub net_vcs: u32,
+            /// Per-virtual-channel share of the network wait (empty when
+            /// single-channel).
+            pub net_vc_wait_cycles: Vec<u64>,
+            pub read_miss_latency: Histogram,
+            pub write_miss_latency: Histogram,
+            pub sharers_at_write: Histogram,
+            /// Observability export: per-class message counts, transaction
+            /// latency, wave geometry, link utilization (all-zero when the
+            /// machine was built without the `trace` feature; this crate
+            /// enables it).
+            pub metrics: MetricsSnapshot,
+        }
+
+        const SCALARS: &[Scalar] = &[$(Scalar {
+            name: stringify!($name),
+            presence: Presence::$presence,
+            get: |r| r.$name,
+            set: |r, v| r.$name = v,
+            fill: scalar_source!($name $(, $src)?),
+        },)*];
+    };
+}
+
+run_record! {
+    cycles: Always = |o| o.cycles,
+    reads: Always,
+    writes: Always,
+    read_hits: Always,
+    write_hits: Always,
+    read_misses: Always,
+    write_misses: Always,
+    messages: Always,
+    fill_acks: Always,
+    bytes: Always,
+    invalidations: Always,
+    replacement_invalidations: Always,
+    software_traps: Always,
+    broadcasts: Always,
+    tree_merges: Always,
+    tree_push_downs: Always,
+    evictions: Always,
+    barriers: Always,
+    lock_acquires: Always,
+    max_controller_busy: Always,
     /// Simulation events delivered (throughput denominator for the
     /// hot-path benchmarks; deterministic).
-    pub events: u64,
+    events: Always,
     /// Event-queue high-water mark (deterministic schedule property).
-    pub peak_queue_depth: u64,
-    /// Adaptive-protocol pattern samples and mode flips. All zero for
-    /// static protocols, and serialized only when non-zero, so every
-    /// pre-adaptive record and golden file keeps its exact bytes.
-    pub pattern_producer_consumer: u64,
-    pub pattern_read_mostly: u64,
-    pub pattern_migratory: u64,
-    pub pattern_write_shared: u64,
-    pub pattern_private: u64,
-    pub mode_flips_to_update: u64,
-    pub mode_flips_to_invalidate: u64,
-    pub net_messages: u64,
-    pub net_bytes: u64,
-    pub net_hops: u64,
-    /// Virtual channels simulated (1 = the classic single-channel model;
-    /// the VC fields below serialize only when this exceeds 1, keeping
-    /// legacy records byte-stable).
-    pub net_vcs: u32,
+    peak_queue_depth: Always,
+    pattern_producer_consumer: NonZero,
+    pattern_read_mostly: NonZero,
+    pattern_migratory: NonZero,
+    pattern_write_shared: NonZero,
+    pattern_private: NonZero,
+    mode_flips_to_update: NonZero,
+    mode_flips_to_invalidate: NonZero,
+    net_messages: Always = |o| o.net.messages,
+    net_bytes: Always = |o| o.net.bytes,
+    net_hops: Always = |o| o.net.total_hops,
     /// Cycles spent waiting for the injection port (plus all bus
     /// arbitration, which has no per-hop links to attribute to).
-    pub net_inject_wait_cycles: u64,
+    net_inject_wait_cycles: VcOnly = |o| o.net.inject_wait_cycles,
     /// Cycles spent waiting for transit links along routes.
-    pub net_link_wait_cycles: u64,
-    /// Per-virtual-channel share of the wait above (empty when
-    /// single-channel).
-    pub net_vc_wait_cycles: Vec<u64>,
-    pub read_miss_latency: Histogram,
-    pub write_miss_latency: Histogram,
-    pub sharers_at_write: Histogram,
-    /// Observability export: per-class message counts, transaction latency,
-    /// wave geometry, link utilization (all-zero when the machine was
-    /// built without the `trace` feature; this crate enables it).
-    pub metrics: MetricsSnapshot,
+    net_link_wait_cycles: VcOnly = |o| o.net.link_wait_cycles,
 }
 
 impl RunRecord {
     /// Snapshot a machine run into a record.
     pub fn from_outcome(config: &SweepConfig, outcome: &RunOutcome) -> Self {
-        let s = &outcome.stats;
-        let n = &outcome.net;
-        Self {
+        let mut record = Self {
             key: config.key(),
             config_hash: config.config_hash(),
             protocol: config.protocol.name(),
             workload: config.workload.name(),
             nodes: config.machine.nodes,
             seed: config.seed,
-            cycles: outcome.cycles,
-            reads: s.reads,
-            writes: s.writes,
-            read_hits: s.read_hits,
-            write_hits: s.write_hits,
-            read_misses: s.read_misses,
-            write_misses: s.write_misses,
-            messages: s.messages,
-            fill_acks: s.fill_acks,
-            bytes: s.bytes,
-            invalidations: s.invalidations,
-            replacement_invalidations: s.replacement_invalidations,
-            software_traps: s.software_traps,
-            broadcasts: s.broadcasts,
-            tree_merges: s.tree_merges,
-            tree_push_downs: s.tree_push_downs,
-            evictions: s.evictions,
-            barriers: s.barriers,
-            lock_acquires: s.lock_acquires,
-            max_controller_busy: s.max_controller_busy,
-            events: s.events,
-            peak_queue_depth: s.peak_queue_depth,
-            pattern_producer_consumer: s.pattern_producer_consumer,
-            pattern_read_mostly: s.pattern_read_mostly,
-            pattern_migratory: s.pattern_migratory,
-            pattern_write_shared: s.pattern_write_shared,
-            pattern_private: s.pattern_private,
-            mode_flips_to_update: s.mode_flips_to_update,
-            mode_flips_to_invalidate: s.mode_flips_to_invalidate,
-            net_messages: n.messages,
-            net_bytes: n.bytes,
-            net_hops: n.total_hops,
             net_vcs: config.machine.net.vc_count(),
-            net_inject_wait_cycles: n.inject_wait_cycles,
-            net_link_wait_cycles: n.link_wait_cycles,
-            net_vc_wait_cycles: n.vc_wait_cycles.clone(),
-            read_miss_latency: s.read_miss_latency.clone(),
-            write_miss_latency: s.write_miss_latency.clone(),
-            sharers_at_write: s.sharers_at_write.clone(),
+            net_vc_wait_cycles: outcome.net.vc_wait_cycles.clone(),
+            read_miss_latency: outcome.stats.read_miss_latency.clone(),
+            write_miss_latency: outcome.stats.write_miss_latency.clone(),
+            sharers_at_write: outcome.stats.sharers_at_write.clone(),
             metrics: outcome.metrics.clone(),
+            ..Self::default()
+        };
+        for f in SCALARS {
+            (f.set)(&mut record, (f.fill)(outcome));
         }
+        record
     }
 
     /// Critical-path messages (fill acknowledgements excluded, as in the
@@ -352,48 +373,17 @@ impl RunRecord {
         json_str(&mut out, "workload", &self.workload);
         json_u64(&mut out, "nodes", self.nodes as u64);
         json_u64(&mut out, "seed", self.seed);
-        json_u64(&mut out, "cycles", self.cycles);
-        json_u64(&mut out, "reads", self.reads);
-        json_u64(&mut out, "writes", self.writes);
-        json_u64(&mut out, "read_hits", self.read_hits);
-        json_u64(&mut out, "write_hits", self.write_hits);
-        json_u64(&mut out, "read_misses", self.read_misses);
-        json_u64(&mut out, "write_misses", self.write_misses);
-        json_u64(&mut out, "messages", self.messages);
-        json_u64(&mut out, "fill_acks", self.fill_acks);
-        json_u64(&mut out, "bytes", self.bytes);
-        json_u64(&mut out, "invalidations", self.invalidations);
-        json_u64(
-            &mut out,
-            "replacement_invalidations",
-            self.replacement_invalidations,
-        );
-        json_u64(&mut out, "software_traps", self.software_traps);
-        json_u64(&mut out, "broadcasts", self.broadcasts);
-        json_u64(&mut out, "tree_merges", self.tree_merges);
-        json_u64(&mut out, "tree_push_downs", self.tree_push_downs);
-        json_u64(&mut out, "evictions", self.evictions);
-        json_u64(&mut out, "barriers", self.barriers);
-        json_u64(&mut out, "lock_acquires", self.lock_acquires);
-        json_u64(&mut out, "max_controller_busy", self.max_controller_busy);
-        json_u64(&mut out, "events", self.events);
-        json_u64(&mut out, "peak_queue_depth", self.peak_queue_depth);
-        for (name, v) in [
-            ("pattern_producer_consumer", self.pattern_producer_consumer),
-            ("pattern_read_mostly", self.pattern_read_mostly),
-            ("pattern_migratory", self.pattern_migratory),
-            ("pattern_write_shared", self.pattern_write_shared),
-            ("pattern_private", self.pattern_private),
-            ("mode_flips_to_update", self.mode_flips_to_update),
-            ("mode_flips_to_invalidate", self.mode_flips_to_invalidate),
-        ] {
-            if v > 0 {
-                json_u64(&mut out, name, v);
+        for f in SCALARS {
+            let v = (f.get)(self);
+            let present = match f.presence {
+                Presence::Always => true,
+                Presence::NonZero => v > 0,
+                Presence::VcOnly => false, // written in the VC block below
+            };
+            if present {
+                json_u64(&mut out, f.name, v);
             }
         }
-        json_u64(&mut out, "net_messages", self.net_messages);
-        json_u64(&mut out, "net_bytes", self.net_bytes);
-        json_u64(&mut out, "net_hops", self.net_hops);
         json_u64(
             &mut out,
             "net_contention_cycles",
@@ -401,12 +391,9 @@ impl RunRecord {
         );
         if self.net_vcs > 1 {
             json_u64(&mut out, "net_vcs", self.net_vcs as u64);
-            json_u64(
-                &mut out,
-                "net_inject_wait_cycles",
-                self.net_inject_wait_cycles,
-            );
-            json_u64(&mut out, "net_link_wait_cycles", self.net_link_wait_cycles);
+            for f in SCALARS.iter().filter(|f| f.presence == Presence::VcOnly) {
+                json_u64(&mut out, f.name, (f.get)(self));
+            }
             out.push_str("\"net_vc_wait_cycles\":[");
             for (i, w) in self.net_vc_wait_cycles.iter().enumerate() {
                 if i > 0 {
@@ -442,6 +429,9 @@ impl RunRecord {
                 .ok_or_else(|| format!("field {name} is not a u64"))
         };
         let opt_u64 = |name: &str| -> Option<u64> { get(name).ok().and_then(json::Value::as_u64) };
+        let to_u32 = |name: &str, v: u64| -> Result<u32, String> {
+            u32::try_from(v).map_err(|_| format!("field {name} = {v} does not fit a u32"))
+        };
         let get_str = |name: &str| -> Result<String, String> {
             Ok(get(name)?
                 .as_str()
@@ -449,52 +439,14 @@ impl RunRecord {
                 .to_string())
         };
         let get_hist = |name: &str| -> Result<Histogram, String> { parse_hist(get(name)?) };
-        Ok(Self {
+        let mut record = Self {
             key: get_str("key")?,
             config_hash: get_u64("config_hash")?,
             protocol: get_str("protocol")?,
             workload: get_str("workload")?,
-            nodes: get_u64("nodes")? as u32,
+            nodes: to_u32("nodes", get_u64("nodes")?)?,
             seed: get_u64("seed")?,
-            cycles: get_u64("cycles")?,
-            reads: get_u64("reads")?,
-            writes: get_u64("writes")?,
-            read_hits: get_u64("read_hits")?,
-            write_hits: get_u64("write_hits")?,
-            read_misses: get_u64("read_misses")?,
-            write_misses: get_u64("write_misses")?,
-            messages: get_u64("messages")?,
-            fill_acks: get_u64("fill_acks")?,
-            bytes: get_u64("bytes")?,
-            invalidations: get_u64("invalidations")?,
-            replacement_invalidations: get_u64("replacement_invalidations")?,
-            software_traps: get_u64("software_traps")?,
-            broadcasts: get_u64("broadcasts")?,
-            tree_merges: get_u64("tree_merges")?,
-            tree_push_downs: get_u64("tree_push_downs")?,
-            evictions: get_u64("evictions")?,
-            barriers: get_u64("barriers")?,
-            lock_acquires: get_u64("lock_acquires")?,
-            max_controller_busy: get_u64("max_controller_busy")?,
-            events: get_u64("events")?,
-            peak_queue_depth: get_u64("peak_queue_depth")?,
-            pattern_producer_consumer: opt_u64("pattern_producer_consumer").unwrap_or(0),
-            pattern_read_mostly: opt_u64("pattern_read_mostly").unwrap_or(0),
-            pattern_migratory: opt_u64("pattern_migratory").unwrap_or(0),
-            pattern_write_shared: opt_u64("pattern_write_shared").unwrap_or(0),
-            pattern_private: opt_u64("pattern_private").unwrap_or(0),
-            mode_flips_to_update: opt_u64("mode_flips_to_update").unwrap_or(0),
-            mode_flips_to_invalidate: opt_u64("mode_flips_to_invalidate").unwrap_or(0),
-            net_messages: get_u64("net_messages")?,
-            net_bytes: get_u64("net_bytes")?,
-            net_hops: get_u64("net_hops")?,
-            // VC fields are absent from legacy (single-channel) records:
-            // the split is unrecoverable there, so the whole aggregate is
-            // attributed to injection and the serialized sum round-trips.
-            net_vcs: opt_u64("net_vcs").unwrap_or(1) as u32,
-            net_inject_wait_cycles: opt_u64("net_inject_wait_cycles")
-                .unwrap_or(get_u64("net_contention_cycles")?),
-            net_link_wait_cycles: opt_u64("net_link_wait_cycles").unwrap_or(0),
+            net_vcs: to_u32("net_vcs", opt_u64("net_vcs").unwrap_or(1))?,
             net_vc_wait_cycles: match get("net_vc_wait_cycles") {
                 Ok(v) => v
                     .as_array()
@@ -508,7 +460,23 @@ impl RunRecord {
             write_miss_latency: get_hist("write_miss_latency")?,
             sharers_at_write: get_hist("sharers_at_write")?,
             metrics: parse_metrics(get("metrics")?)?,
-        })
+            ..Self::default()
+        };
+        for f in SCALARS {
+            let v = match f.presence {
+                Presence::Always => get_u64(f.name)?,
+                Presence::NonZero | Presence::VcOnly => opt_u64(f.name).unwrap_or(0),
+            };
+            (f.set)(&mut record, v);
+        }
+        // VC fields are absent from legacy (single-channel) records: the
+        // split is unrecoverable there, so the whole aggregate is
+        // attributed to injection and the serialized sum round-trips.
+        let contention = get_u64("net_contention_cycles")?;
+        if opt_u64("net_inject_wait_cycles").is_none() {
+            record.net_inject_wait_cycles = contention;
+        }
+        Ok(record)
     }
 }
 
@@ -775,10 +743,16 @@ pub mod json {
         }
     }
 
+    /// Deepest container nesting [`parse`] accepts. A record nests six
+    /// deep (record → metrics → vc_queue → histogram → buckets → pair);
+    /// the cap turns a file of a million `[` into a parse error instead of
+    /// a stack overflow.
+    const MAX_DEPTH: usize = 16;
+
     pub fn parse(input: &str) -> Result<Value, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -801,11 +775,14 @@ pub mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+        }
         match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
+            Some(b'{') => parse_object(b, pos, depth),
+            Some(b'[') => parse_array(b, pos, depth),
             Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
             Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
             Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -824,7 +801,7 @@ pub mod json {
         }
     }
 
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -837,7 +814,7 @@ pub mod json {
             let name = parse_string(b, pos)?;
             skip_ws(b, pos);
             expect(b, pos, b':')?;
-            let value = parse_value(b, pos)?;
+            let value = parse_value(b, pos, depth + 1)?;
             fields.push((name, value));
             skip_ws(b, pos);
             match b.get(*pos) {
@@ -851,7 +828,7 @@ pub mod json {
         }
     }
 
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -860,7 +837,7 @@ pub mod json {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(parse_value(b, pos)?);
+            items.push(parse_value(b, pos, depth + 1)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -1093,6 +1070,71 @@ mod tests {
             "the sum must survive the split being unrecoverable"
         );
         assert_eq!(parsed.to_json(), line, "roundtrip must be byte-identical");
+    }
+
+    /// The committed goldens cover every record shape: legacy
+    /// single-channel, VC, credited VC, and the sparse adaptive counters.
+    #[test]
+    fn golden_records_reserialize_to_identical_bytes() {
+        for (name, text) in [
+            (
+                "scale_up_p64",
+                include_str!("../../../tests/golden/scale_up_p64.jsonl"),
+            ),
+            (
+                "scale_up_p64_vc",
+                include_str!("../../../tests/golden/scale_up_p64_vc.jsonl"),
+            ),
+            (
+                "scale_up_p64_vc_credited",
+                include_str!("../../../tests/golden/scale_up_p64_vc_credited.jsonl"),
+            ),
+            (
+                "adaptive_p16",
+                include_str!("../../../tests/golden/adaptive_p16.jsonl"),
+            ),
+        ] {
+            assert!(!text.is_empty(), "{name} is empty");
+            for (i, line) in text.lines().enumerate() {
+                let record = RunRecord::from_json(line)
+                    .unwrap_or_else(|e| panic!("{name} line {}: {e}", i + 1));
+                assert_eq!(record.to_json(), line, "{name} line {}", i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_missing_any_required_scalar_is_rejected() {
+        let line = include_str!("../../../tests/golden/scale_up_p64.jsonl")
+            .lines()
+            .next()
+            .unwrap();
+        for f in SCALARS.iter().filter(|f| f.presence == Presence::Always) {
+            let renamed = line.replacen(&format!("\"{}\":", f.name), "\"renamed\":", 1);
+            assert_ne!(renamed, line, "{} is not in the golden line", f.name);
+            let err = RunRecord::from_json(&renamed).unwrap_err();
+            assert!(err.contains(f.name), "{}: {err}", f.name);
+        }
+    }
+
+    #[test]
+    fn out_of_range_node_count_is_a_parse_error() {
+        let line = include_str!("../../../tests/golden/scale_up_p64.jsonl")
+            .lines()
+            .next()
+            .unwrap();
+        let huge = line.replacen("\"nodes\":64,", "\"nodes\":4294967360,", 1);
+        assert_ne!(huge, line);
+        let err = RunRecord::from_json(&huge).unwrap_err();
+        assert!(err.contains("nodes"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        assert!(json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(json::parse(&"{\"a\":".repeat(1 << 20)).is_err());
+        // The deepest shape a record has still parses.
+        assert!(json::parse(r#"{"m":{"q":[{"buckets":[[1,2]]}]}}"#).is_ok());
     }
 
     #[test]
