@@ -4,16 +4,21 @@
 //! the Proteus execution-driven simulator. This crate reproduces that
 //! methodology: the *real algorithms* (LU decomposition, FFT,
 //! Floyd-Warshall, an MP3D-style particle-in-cell code) run as Rust
-//! closures on OS threads that rendezvous with the simulated machine at
-//! every shared memory reference, barrier, and lock. The interleaving of
-//! references therefore depends on simulated protocol latencies; the
-//! bundled apps are data-race-free with interleaving-independent op
-//! streams, which [`trace`] exploits to record each stream once and
-//! replay it across protocol configs without the thread rendezvous.
+//! closures on OS threads, one per simulated processor. Run live under
+//! the machine, a thread rendezvouses with it at every shared memory
+//! reference, barrier, and lock, so the interleaving of references
+//! depends on simulated protocol latencies. The bundled apps are
+//! data-race-free with interleaving-independent op streams, which
+//! [`trace`] exploits to record each stream once — without a machine, at
+//! one thread hand-off per barrier or contended lock rather than per
+//! operation — and replay it across protocol configs with no threads at
+//! all.
 //!
-//! * [`rendezvous`] — the thread/channel machinery implementing
-//!   [`dirtree_machine::Driver`];
-//! * [`trace`] — record-once / replay-many op traces for sweeps;
+//! * [`rendezvous`] — the application threads and their two modes: live
+//!   as a [`dirtree_machine::Driver`], or recording, where the running
+//!   thread owns the architectural memory;
+//! * [`trace`] — record-once / replay-many op traces for sweeps: the
+//!   recording scheduler and the replay driver;
 //! * [`layout`] — a bump allocator + typed views over the shared address
 //!   space;
 //! * [`apps`] — the four paper applications plus synthetic

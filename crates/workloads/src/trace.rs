@@ -1,94 +1,96 @@
 //! Record-once / replay-many operation traces.
 //!
-//! The execution-driven rendezvous ([`ThreadedWorkload`]) pays two OS
-//! context switches per operation — on a sweep that runs the *same*
-//! application under nine protocols, that thread ping-pong dominates
-//! wall-clock while contributing nothing after the first run. This module
-//! exploits a structural property of the bundled applications: a
-//! [`DriverOp`] carries addresses and sync ids but never data values, and
-//! every app's control flow and addressing depend only on values ordered
-//! by barriers (data-race-free), never on lock-grant order — MP3D's
-//! lock-protected occupancy increment is commutative and the value it
-//! reads back feeds no branch or address. Each node's operation stream is
-//! therefore independent of the machine's interleaving, so a stream
-//! recorded once under *any* correct schedule drives every protocol
-//! config to a bit-identical simulation.
+//! Running an application live under the machine ([`ThreadedWorkload`] as
+//! a [`Driver`]) pays two OS context switches per operation — on a sweep
+//! that runs the *same* application under nine protocols, that thread
+//! ping-pong would dominate wall-clock while contributing nothing after
+//! the first run. This module exploits a structural property of the
+//! bundled applications: a [`DriverOp`] carries addresses and sync ids but
+//! never data values, and every app's control flow and addressing depend
+//! only on values ordered by barriers (data-race-free), never on
+//! lock-grant order — MP3D's lock-protected occupancy increment is
+//! commutative and the value it reads back feeds no branch or address.
+//! Each node's operation stream is therefore independent of the machine's
+//! interleaving, so a stream recorded once under *any* correct schedule
+//! drives every protocol config to a bit-identical simulation.
 //!
-//! [`record_ops`] drains a workload through a deterministic round-robin
-//! scheduler (no machine, no simulated timing) and returns the per-node
-//! streams; [`ReplayDriver`] feeds them back with zero context switches.
+//! [`record_ops`] runs a workload's threads under a deterministic
+//! round-robin scheduler (no machine, no simulated timing) and returns the
+//! per-node streams; [`ReplayDriver`] feeds them back with zero context
+//! switches. Recording costs one thread hand-off per *blocking point*
+//! (barrier arrival, contended lock, thread exit), not per operation: the
+//! running thread owns the architectural memory and the lock table (the
+//! baton of [`crate::rendezvous`]) and records its own operations until it
+//! has to wait. What remains is barrier-bound: a trace that is mostly
+//! barrier arrivals (the token-ring and false-sharing patterns at P=256)
+//! still pays ~6 µs per arrival.
+//!
 //! The `replay_matches_execution_driven` tests below pin the equivalence
-//! for every application family, including the lock-heavy MP3D.
+//! of replay and live execution for every application family, including
+//! the lock-heavy MP3D; `matches_reference_recorder` pins `record_ops`
+//! op for op against a per-operation recorder built on the live path.
 
-use crate::rendezvous::ThreadedWorkload;
+use crate::rendezvous::{Baton, Blocked, ThreadedWorkload};
 use dirtree_core::types::NodeId;
 use dirtree_machine::{Driver, DriverOp};
 use dirtree_sim::Cycle;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Per-node operation streams recorded from one workload run.
 pub type OpTrace = Vec<Vec<DriverOp>>;
 
+#[derive(Clone, Copy, PartialEq)]
+enum St {
+    Run,
+    AtBarrier,
+    WaitLock,
+    Done,
+}
+
 /// Run `w`'s application threads to completion under a deterministic
-/// round-robin scheduler, recording each node's operation stream.
+/// round-robin scheduler, recording each node's operation stream. `w`
+/// must not have started running.
 ///
 /// Sync semantics mirror the machine's: barriers release when every
 /// node has arrived, locks grant FIFO. The schedule differs from any
 /// simulated one, but per-node streams do not (see module docs), and the
-/// round-robin is fixed, so the returned trace is a pure function of the
-/// workload — safe to share across protocol configs and `--jobs` levels.
+/// round-robin is fixed — each runnable node in turn runs until it blocks,
+/// alone, because it holds the only copy of the memory — so the returned
+/// trace is a pure function of the workload: safe to share across
+/// protocol configs and `--jobs` levels.
+///
+/// # Panics
+/// With the application's own payload if one of its threads panics, and
+/// with a report of who waits for what if the program deadlocks.
 pub fn record_ops(w: &mut ThreadedWorkload) -> OpTrace {
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Run,
-        AtBarrier,
-        WaitLock,
-        Done,
-    }
     let n = w.nprocs();
     let mut st = vec![St::Run; n];
     let mut ops: OpTrace = vec![Vec::new(); n];
-    // Lock id → (owner, FIFO waiters); matches the machine's grant order.
-    let mut locks: HashMap<u32, (Option<usize>, VecDeque<usize>)> = HashMap::new();
+    let mut baton = w.start_recording();
     let (mut at_barrier, mut done) = (0usize, 0usize);
     while done < n {
         let mut progressed = false;
         for i in 0..n {
-            while st[i] == St::Run {
-                progressed = true;
-                let op = w.next_op(i as NodeId, 0);
-                if op != DriverOp::Done {
-                    ops[i].push(op);
+            if st[i] != St::Run {
+                continue;
+            }
+            progressed = true;
+            let why;
+            (baton, why) = w.run_slice(i, baton);
+            match why {
+                Blocked::Barrier => {
+                    st[i] = St::AtBarrier;
+                    at_barrier += 1;
                 }
-                match op {
-                    DriverOp::Read(_) | DriverOp::Write(_) | DriverOp::Work(_) => {}
-                    DriverOp::Barrier(_) => {
-                        st[i] = St::AtBarrier;
-                        at_barrier += 1;
-                    }
-                    DriverOp::Lock(id) => {
-                        let l = locks.entry(id).or_default();
-                        if l.0.is_none() {
-                            l.0 = Some(i);
-                        } else {
-                            l.1.push_back(i);
-                            st[i] = St::WaitLock;
-                        }
-                    }
-                    DriverOp::Unlock(id) => {
-                        let l = locks.get_mut(&id).expect("unlock of unknown lock");
-                        debug_assert_eq!(l.0, Some(i), "unlock by non-owner");
-                        l.0 = l.1.pop_front();
-                        if let Some(next) = l.0 {
-                            st[next] = St::Run;
-                        }
-                    }
-                    DriverOp::Done => {
-                        st[i] = St::Done;
-                        done += 1;
-                    }
+                Blocked::Lock => st[i] = St::WaitLock,
+                Blocked::Done(stream) => {
+                    ops[i] = stream;
+                    st[i] = St::Done;
+                    done += 1;
                 }
+            }
+            for next in baton.woken.drain(..) {
+                st[next] = St::Run;
             }
         }
         // A barrier releases only when every node has arrived (the
@@ -104,11 +106,27 @@ pub fn record_ops(w: &mut ThreadedWorkload) -> OpTrace {
         }
         assert!(
             progressed || done == n,
-            "workload deadlocked during trace recording \
-             ({done}/{n} done, {at_barrier} at barrier)"
+            "workload deadlocked during trace recording ({done}/{n} done): {}",
+            blocked_report(&st, &baton)
         );
     }
+    w.finish_recording(baton);
     ops
+}
+
+/// Who waits for what, for the deadlock panic: the nodes at the barrier,
+/// then every held lock with its owner and FIFO waiters, by lock id.
+fn blocked_report(st: &[St], baton: &Baton) -> String {
+    let at_barrier: Vec<usize> = (0..st.len()).filter(|&i| st[i] == St::AtBarrier).collect();
+    let mut report = format!("nodes at the barrier: {at_barrier:?}");
+    let mut held: Vec<_> = baton.locks.iter().collect();
+    held.sort_by_key(|(id, _)| **id);
+    for (id, (owner, waiters)) in held {
+        if let Some(owner) = owner {
+            report += &format!("; lock {id} held by node {owner}, waited for by {waiters:?}");
+        }
+    }
+    report
 }
 
 /// Replays a recorded [`OpTrace`]. The trace is behind an `Arc` so a
@@ -146,9 +164,422 @@ impl Driver for ReplayDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::PhasedTrace;
+    use crate::rendezvous::AppFn;
     use crate::WorkloadKind;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig, RunOutcome};
+    use std::collections::{HashMap, VecDeque};
+
+    /// The recorder `record_ops` replaced, kept verbatim as the oracle: the
+    /// same scheduler, but driving the execution-driven path one
+    /// `next_op` rendezvous per operation (11–70 µs each on an unpinned
+    /// host, so keep what it records small).
+    fn reference_record_ops(w: &mut ThreadedWorkload) -> OpTrace {
+        let n = w.nprocs();
+        let mut st = vec![St::Run; n];
+        let mut ops: OpTrace = vec![Vec::new(); n];
+        // Lock id → (owner, FIFO waiters); matches the machine's grant order.
+        let mut locks: HashMap<u32, (Option<usize>, VecDeque<usize>)> = HashMap::new();
+        let (mut at_barrier, mut done) = (0usize, 0usize);
+        while done < n {
+            let mut progressed = false;
+            for i in 0..n {
+                while st[i] == St::Run {
+                    progressed = true;
+                    let op = w.next_op(i as NodeId, 0);
+                    if op != DriverOp::Done {
+                        ops[i].push(op);
+                    }
+                    match op {
+                        DriverOp::Read(_) | DriverOp::Write(_) | DriverOp::Work(_) => {}
+                        DriverOp::Barrier(_) => {
+                            st[i] = St::AtBarrier;
+                            at_barrier += 1;
+                        }
+                        DriverOp::Lock(id) => {
+                            let l = locks.entry(id).or_default();
+                            if l.0.is_none() {
+                                l.0 = Some(i);
+                            } else {
+                                l.1.push_back(i);
+                                st[i] = St::WaitLock;
+                            }
+                        }
+                        DriverOp::Unlock(id) => {
+                            let l = locks.get_mut(&id).expect("unlock of unknown lock");
+                            debug_assert_eq!(l.0, Some(i), "unlock by non-owner");
+                            l.0 = l.1.pop_front();
+                            if let Some(next) = l.0 {
+                                st[next] = St::Run;
+                            }
+                        }
+                        DriverOp::Done => {
+                            st[i] = St::Done;
+                            done += 1;
+                        }
+                    }
+                }
+            }
+            // A barrier releases only when every node has arrived (the
+            // machine's rule: finished processors never satisfy a barrier).
+            if at_barrier > 0 && at_barrier == n - done {
+                at_barrier = 0;
+                for s in st.iter_mut() {
+                    if *s == St::AtBarrier {
+                        *s = St::Run;
+                    }
+                }
+                progressed = true;
+            }
+            assert!(
+                progressed || done == n,
+                "workload deadlocked during trace recording \
+                 ({done}/{n} done, {at_barrier} at barrier)"
+            );
+        }
+        ops
+    }
+
+    /// Record two fresh copies of a workload, one per recorder, and demand
+    /// the same streams and the same final memory. Returns the op count.
+    fn assert_recorders_agree(what: &str, build: impl Fn() -> ThreadedWorkload) -> usize {
+        let (mut old, mut new) = (build(), build());
+        let reference = reference_record_ops(&mut old);
+        let trace = record_ops(&mut new);
+        assert_eq!(reference, trace, "{what}: streams differ");
+        assert_eq!(old.values(), new.values(), "{what}: final memory differs");
+        trace.iter().map(Vec::len).sum()
+    }
+
+    /// A hand-written program: name, nodes, per-thread code.
+    type Shape = (&'static str, u32, fn(usize) -> AppFn);
+
+    /// Small programs with the shapes the recording fast path makes special.
+    fn special_shapes() -> Vec<Shape> {
+        fn bump(env: &mut crate::Env, addr: u64) {
+            let v = env.read(addr);
+            env.write(addr, v * 3 + env.tid() as u64 + 1);
+        }
+        vec![
+            ("lock held across a barrier", 4, |tid| {
+                Box::new(move |env| {
+                    if tid == 1 {
+                        env.lock(7);
+                    }
+                    env.barrier();
+                    if tid != 1 {
+                        env.lock(7);
+                    }
+                    bump(env, 0);
+                    env.unlock(7);
+                    env.barrier();
+                    bump(env, 1 + tid as u64);
+                })
+            }),
+            // Node 3 takes both locks before the barrier, so nodes 0, 1
+            // and 2 queue on lock 1 in that order before it releases.
+            ("nested locks, three FIFO waiters", 4, |tid| {
+                Box::new(move |env| {
+                    if tid == 3 {
+                        env.lock(1);
+                        env.lock(2);
+                    }
+                    env.barrier();
+                    if tid != 3 {
+                        env.lock(1);
+                        env.lock(2);
+                    }
+                    bump(env, 0);
+                    env.unlock(2);
+                    bump(env, 1);
+                    env.unlock(1);
+                    env.barrier();
+                    bump(env, 2 + tid as u64);
+                })
+            }),
+            ("a node exits while others are at a barrier", 4, |tid| {
+                Box::new(move |env| {
+                    bump(env, tid as u64);
+                    if tid == 2 {
+                        return;
+                    }
+                    env.barrier();
+                    bump(env, 2);
+                    env.work(5);
+                    env.barrier();
+                })
+            }),
+            ("a node with an empty program", 3, |tid| {
+                Box::new(move |env| {
+                    if tid == 1 {
+                        return;
+                    }
+                    for round in 0..3 {
+                        bump(env, round);
+                        env.barrier();
+                    }
+                })
+            }),
+        ]
+    }
+
+    /// `record_ops` against the per-operation recorder it replaced, for
+    /// every application family, the phased trace and the special shapes.
+    #[test]
+    fn matches_reference_recorder() {
+        let apps = [
+            (
+                WorkloadKind::Mp3d {
+                    particles: 60,
+                    steps: 3,
+                },
+                4,
+            ),
+            (WorkloadKind::Lu { n: 12 }, 4),
+            (WorkloadKind::LuBlocked { n: 12, block: 4 }, 4),
+            (
+                WorkloadKind::Floyd {
+                    vertices: 10,
+                    seed: 1996,
+                },
+                4,
+            ),
+            // P larger than the work: nodes 10..15 own no rows.
+            (
+                WorkloadKind::Floyd {
+                    vertices: 10,
+                    seed: 7,
+                },
+                16,
+            ),
+            (WorkloadKind::Fft { points: 64 }, 4),
+            (
+                WorkloadKind::Jacobi {
+                    grid: 10,
+                    sweeps: 2,
+                },
+                4,
+            ),
+            (
+                WorkloadKind::Sharing {
+                    blocks: 8,
+                    rounds: 4,
+                },
+                4,
+            ),
+            (
+                WorkloadKind::Migratory {
+                    blocks: 4,
+                    rounds: 6,
+                },
+                8,
+            ),
+            (
+                WorkloadKind::Storm {
+                    words: 96,
+                    passes: 2,
+                },
+                4,
+            ),
+            (
+                WorkloadKind::PcPipeline {
+                    buffers: 4,
+                    rounds: 6,
+                },
+                8,
+            ),
+            (WorkloadKind::TokenRing { tokens: 2, laps: 2 }, 8),
+            (
+                WorkloadKind::Broadcast {
+                    blocks: 4,
+                    rounds: 6,
+                    scans: 2,
+                },
+                8,
+            ),
+            (
+                WorkloadKind::FalseShare {
+                    blocks: 4,
+                    rounds: 12,
+                },
+                8,
+            ),
+        ];
+        let mut total = 0;
+        for (kind, nodes) in apps {
+            total +=
+                assert_recorders_agree(&format!("{} P={nodes}", kind.name()), || kind.build(nodes));
+        }
+        let phased = PhasedTrace {
+            nodes: 8,
+            blocks: 16,
+            phases: 4,
+            reads_per_phase: 12,
+            seed: 1996,
+        };
+        total += assert_recorders_agree("phased", || phased.build());
+        for (what, nodes, program) in special_shapes() {
+            let ops = assert_recorders_agree(what, || ThreadedWorkload::new(nodes, 8, program));
+            assert!(ops > 0, "{what}: recorded nothing");
+            total += ops;
+        }
+        assert!(
+            total < 50_000,
+            "{total} ops: too many for the per-op reference on an unpinned host"
+        );
+    }
+
+    /// FNV-1a over the whole trace: per node its length, then per op a
+    /// tag byte and the operand, little-endian.
+    fn fnv1a(trace: &OpTrace) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for stream in trace {
+            eat(&(stream.len() as u64).to_le_bytes());
+            for op in stream {
+                let (tag, x) = match *op {
+                    DriverOp::Read(a) => (0u8, a),
+                    DriverOp::Write(a) => (1, a),
+                    DriverOp::Work(c) => (2, c),
+                    DriverOp::Barrier(s) => (3, s as u64),
+                    DriverOp::Lock(id) => (4, id as u64),
+                    DriverOp::Unlock(id) => (5, id as u64),
+                    DriverOp::Done => (6, 0),
+                };
+                eat(&[tag]);
+                eat(&x.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// The traces `benchmark/` replays (seed 1996), hashed. The constants
+    /// were computed with the per-operation recorder on the commit before
+    /// recording moved to barrier granularity; `benchmark/expected.json`'s
+    /// digests hold only while these do.
+    #[test]
+    fn benchmark_traces_hash_as_recorded_per_op() {
+        let nodes = 256;
+        let app = |kind: WorkloadKind, nodes| record_ops(&mut kind.build(nodes));
+        let floyd = WorkloadKind::Floyd {
+            vertices: 64,
+            seed: 1996,
+        };
+        let broadcast = WorkloadKind::Broadcast {
+            blocks: 8,
+            rounds: 120,
+            scans: 2,
+        };
+        let token_ring = WorkloadKind::TokenRing { tokens: 4, laps: 4 };
+        let false_share = WorkloadKind::FalseShare {
+            blocks: 8,
+            rounds: 600,
+        };
+        let phased = PhasedTrace {
+            nodes,
+            blocks: 64,
+            phases: 24,
+            reads_per_phase: 96,
+            seed: 1996,
+        };
+        let cases = [
+            (
+                "Floyd 64v P=64",
+                app(floyd, 64),
+                553_556,
+                0x1f54_00b4_a6c5_e43e,
+            ),
+            (
+                "LU 80 P=32",
+                app(WorkloadKind::Lu { n: 80 }, 32),
+                454_896,
+                0x7ec5_85c0_402b_d5e6,
+            ),
+            (
+                "Broadcast P=256",
+                app(broadcast, nodes),
+                584_640,
+                0x3346_95d5_8aed_d769,
+            ),
+            (
+                "TokenRing P=256",
+                app(token_ring, nodes),
+                270_336,
+                0x49ab_d9fa_6723_0125,
+            ),
+            (
+                "FalseShare P=256",
+                app(false_share, nodes),
+                160_960,
+                0xfc46_3e73_cbe2_9315,
+            ),
+            (
+                "Phased P=256",
+                record_ops(&mut phased.build()),
+                603_904,
+                0xab56_cafa_f1a4_5b6a,
+            ),
+        ];
+        for (what, trace, ops, hash) in cases {
+            assert_eq!(
+                trace.iter().map(Vec::len).sum::<usize>(),
+                ops,
+                "{what}: op count"
+            );
+            let got = fnv1a(&trace);
+            assert_eq!(got, hash, "{what}: trace hash {got:#018x}");
+        }
+    }
+
+    /// A panic in an application thread fails the recording with the
+    /// application's own message instead of truncating that node's stream.
+    #[test]
+    #[should_panic(expected = "node 2 fell over")]
+    fn app_panic_fails_the_recording() {
+        let mut w = ThreadedWorkload::new(4, 4, |tid| {
+            Box::new(move |env| {
+                env.write(tid as u64, 1);
+                env.barrier();
+                assert!(tid != 2, "node {tid} fell over");
+                env.barrier();
+            })
+        });
+        record_ops(&mut w);
+    }
+
+    /// The deadlock panic says who waits for what: an ABBA pair (each node
+    /// takes its first lock before the barrier, the other's after it).
+    #[test]
+    fn deadlock_report_names_owners_and_waiters() {
+        let mut w = ThreadedWorkload::new(3, 1, |tid| {
+            Box::new(move |env| {
+                let (first, second) = [(1, 2), (2, 1), (3, 3)][tid];
+                env.lock(first);
+                env.barrier();
+                if tid < 2 {
+                    env.lock(second);
+                }
+                env.barrier();
+            })
+        });
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| record_ops(&mut w)))
+            .expect_err("an ABBA program must not record");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        for part in [
+            "(0/3 done)",
+            "nodes at the barrier: [2]",
+            "lock 1 held by node 0, waited for by [1]",
+            "lock 2 held by node 1, waited for by [0]",
+            "lock 3 held by node 2, waited for by []",
+        ] {
+            assert!(message.contains(part), "{part:?} missing from {message:?}");
+        }
+    }
 
     fn run_threaded(kind: WorkloadKind, nodes: u32, proto: ProtocolKind) -> RunOutcome {
         let mut w = kind.build(nodes);
