@@ -120,9 +120,13 @@ sys.exit(0 if ok else 1)
 ' "$1" "${2:-no}"
 }
 # The protocol-family workload also carries the time ratios. host_s may
-# not exceed twice the value committed in BENCH_layers.json — wide enough
-# for a slower machine or a noisy neighbour, tight enough to catch a
-# handler going back to O(machine) per call (that was 3.4x). setup_s
+# not exceed twice the value committed in BENCH_layers.json — since PR 21
+# the level with the calendar-ring event queue (1.76 s; 2.41 s with the
+# binary heap) — wide enough for a slower machine or a noisy neighbour,
+# tight enough to catch a handler going back to O(machine) per call (that
+# was 3.4x). It does not catch the event queue going back to a heap: that
+# is 1.47x, and shows as sim.queue_hold_ns (21-32 ns -> 77-102 ns) in a
+# `--trace 1` pass and in the PR-21 ledger row, not here. setup_s
 # (spawn 32 threads, record LU(80x80), join) gets ten times its committed
 # value, not two: at a twentieth of a second it doubles under a noisy
 # neighbour, and the regression it guards — trace recording going back to

@@ -1,40 +1,14 @@
-//! Criterion microbenchmarks for the simulation substrate itself: event
-//! queue throughput, network routing + contention bookkeeping, cache
-//! tag-store operations, and the deterministic RNG.
+//! Criterion microbenchmarks for the simulation substrate itself: network
+//! routing + contention bookkeeping, cache tag-store operations, and the
+//! deterministic RNG. The event queue is measured by the benchmark's hold
+//! model on the machine's own traffic (`sim.queue_hold_ns`), not here.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dirtree_core::cache::{Cache, CacheConfig};
 use dirtree_core::types::LineState;
 use dirtree_net::{Network, NetworkConfig, Topology};
-use dirtree_sim::{EventQueue, SimRng};
+use dirtree_sim::SimRng;
 use std::hint::black_box;
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/push_pop_1k", |b| {
-        let mut rng = SimRng::new(1);
-        b.iter_batched(
-            || {
-                (0..1024u64)
-                    .map(|_| rng.gen_range(1_000_000))
-                    .collect::<Vec<_>>()
-            },
-            |times| {
-                let mut q = EventQueue::new();
-                let mut sorted = times.clone();
-                sorted.sort_unstable();
-                for &t in &sorted {
-                    q.push(t, t);
-                }
-                let mut acc = 0u64;
-                while let Some((_, v)) = q.pop() {
-                    acc = acc.wrapping_add(v);
-                }
-                black_box(acc)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
 
 fn bench_network(c: &mut Criterion) {
     let mut g = c.benchmark_group("network");
@@ -88,11 +62,5 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_network,
-    bench_cache,
-    bench_rng
-);
+criterion_group!(benches, bench_network, bench_cache, bench_rng);
 criterion_main!(benches);

@@ -1683,6 +1683,27 @@ mod tests {
     }
 
     #[test]
+    fn window_covers_scale_up_traffic() {
+        // The event queue's ring window (`dirtree_sim::event`, 1024
+        // cycles) is a constant chosen from the measured delay
+        // distribution: no event of the first scale_up golden row (Floyd
+        // 64v, P=64, full map) is scheduled further ahead than that, so
+        // the overflow heap is never touched.
+        use dirtree_machine::Machine;
+        use dirtree_workloads::{record_ops, ReplayDriver};
+        let (_, _, [nodes, ..], machine) = SCALE_UP_GRIDS[0];
+        let floyd = WorkloadKind::Floyd {
+            vertices: 64,
+            seed: 1996,
+        };
+        let trace = record_ops(&mut floyd.build(nodes));
+        let mut m = Machine::new(machine(nodes), SCALE_UP_PROTOCOLS[0]);
+        let out = m.run(&mut ReplayDriver::new(trace.into()));
+        assert_eq!(out.cycles, 1_175_847, "tests/golden/scale_up_p64.jsonl");
+        assert_eq!(m.queue_overflowed(), 0);
+    }
+
+    #[test]
     fn vc_default_flips_only_the_network_mode() {
         let m = vc_default(512);
         assert_eq!(m.net.vcs, 3);

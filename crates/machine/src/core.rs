@@ -95,15 +95,12 @@ pub struct MachineCore {
     /// Node whose controller handler is currently executing (distinguishes
     /// handler sends from processor-side sends for parking).
     current_ctrl: Option<NodeId>,
+    /// Worklist of [`MachineCore::release_credit`]: one machine-lifetime
+    /// buffer instead of one `Vec` per retired message. Empty between calls.
+    release_scratch: Vec<(NodeId, u32, u32)>,
 }
 
 impl MachineCore {
-    /// Event-queue capacity from the machine shape: every node can have a
-    /// handful of messages and one processor/controller event in flight.
-    fn queue_capacity(config: &MachineConfig) -> usize {
-        (config.nodes as usize * 8).max(1024)
-    }
-
     /// Initial per-(node, VC) credit pools: empty (unbounded) unless the
     /// config bounds sends, else `vc_credits` per pool.
     fn fresh_credits(config: &MachineConfig) -> Vec<u32> {
@@ -118,7 +115,10 @@ impl MachineCore {
     pub fn new(config: MachineConfig) -> Self {
         let n = config.nodes as usize;
         Self {
-            queue: EventQueue::with_capacity(Self::queue_capacity(&config)),
+            // One pending wake-up per processor plus about one message
+            // each: the measured peak depth is P + 1 at P >= 512 and about
+            // 5 P at P = 64, which the slab reaches by doubling.
+            queue: EventQueue::with_capacity(2 * n),
             net: Network::new(config.topology.build(config.nodes), config.net),
             caches: (0..n).map(|_| Cache::new(config.cache)).collect(),
             stats: MachineStats::default(),
@@ -137,6 +137,7 @@ impl MachineCore {
             deferred_release: vec![None; n],
             in_flight: vec![None; n],
             current_ctrl: None,
+            release_scratch: Vec::new(),
             config,
         }
     }
@@ -149,7 +150,7 @@ impl MachineCore {
     /// `ctrl_scheduled` / `ctrl_extra` / `ctrl_busy`) is reset explicitly
     /// and pinned by `machine::tests::reset_then_reuse_is_bit_identical_to_fresh`.
     pub fn reset(&mut self) {
-        self.queue = EventQueue::with_capacity(Self::queue_capacity(&self.config));
+        self.queue.clear();
         self.net.reset();
         for c in &mut self.caches {
             *c = Cache::new(self.config.cache);
@@ -170,6 +171,7 @@ impl MachineCore {
         self.deferred_release.iter_mut().for_each(|r| *r = None);
         self.in_flight.iter_mut().for_each(|r| *r = None);
         self.current_ctrl = None;
+        self.release_scratch.clear();
     }
 
     /// Controller occupancy for a message: directory-bound messages pay the
@@ -292,7 +294,8 @@ impl MachineCore {
     /// worklist.
     fn release_credit(&mut self, node: NodeId, vc: u32, cost: u32) {
         let vcs = self.config.net.vc_count() as usize;
-        let mut work = vec![(node, vc, cost)];
+        let mut work = std::mem::take(&mut self.release_scratch);
+        work.push((node, vc, cost));
         while let Some((node, vc, cost)) = work.pop() {
             let n = node as usize;
             self.credits[n * vcs + vc as usize] += cost;
@@ -315,6 +318,7 @@ impl MachineCore {
                 self.dispatch_send(p.dst, p.msg, p.vc);
             }
         }
+        self.release_scratch = work;
     }
 
     /// Take `cost` flits of `(node, vc)` send credit if the pool covers

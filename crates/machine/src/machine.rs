@@ -179,6 +179,12 @@ impl Machine {
         &self.core.metrics
     }
 
+    /// Events this run scheduled beyond the event queue's ring window
+    /// (`dirtree_sim::EventQueue::total_overflowed`; diagnostic).
+    pub fn queue_overflowed(&self) -> u64 {
+        self.core.queue.total_overflowed()
+    }
+
     /// Install a structured message trace; every subsequent protocol send
     /// is recorded through the shared hook (for Chrome-trace export).
     pub fn set_trace(&mut self, trace: MsgTrace) {
@@ -217,8 +223,8 @@ impl Machine {
         }
         let mut events: u64 = 0;
         // Same-cycle events are drained in one batch (reusing `batch`
-        // across iterations); `pop_batch` preserves the exact (time, seq)
-        // delivery order of one-at-a-time popping.
+        // across iterations); `pop_batch` preserves the exact (time, push
+        // order) delivery of one-at-a-time popping.
         let mut batch: Vec<(Cycle, Ev)> = Vec::new();
         while self.core.queue.pop_batch(&mut batch) > 0 {
             for (_, ev) in batch.drain(..) {
@@ -567,6 +573,37 @@ mod tests {
             .try_run(&mut d)
             .expect("virtual channels must break the cyclic wait");
         assert_eq!(out.stats.reads, 2);
+    }
+
+    #[test]
+    fn long_work_takes_the_queue_overflow_path_and_keeps_its_time() {
+        // The event queue's ring covers 1024 cycles: `Work(1023)` is the
+        // last delay that stays in it, `Work(1024)` and `Work(5000)` go
+        // through its overflow heap. Node 1 does nothing.
+        let (out, m) = run_script(
+            2,
+            ProtocolKind::FullMap,
+            vec![
+                vec![
+                    DriverOp::Work(1023),
+                    DriverOp::Work(1024),
+                    DriverOp::Work(5000),
+                    DriverOp::Read(0),
+                ],
+                vec![],
+            ],
+        );
+        assert_eq!(m.queue_overflowed(), 2);
+        // The read issues at 1023 + 1024 + 5000 = 7047 to its own home:
+        // request loopback 1 + memory 5 + reply loopback 1 + cache 1 hands
+        // the line over at 7055, the fill completes one cache access later,
+        // and the FillAck sent at 7055 (loopback 1, memory 5) is the last
+        // event of the run.
+        assert_eq!(out.stats.read_miss_latency.mean(), 9.0);
+        assert_eq!(out.cycles, 7047 + 1 + 5 + 1 + 1 + 1 + 5);
+        // Six processor wake-ups, three deliveries, three controller
+        // executions, one fill.
+        assert_eq!(out.stats.events, 13);
     }
 
     #[test]

@@ -32,28 +32,39 @@ proptest! {
 
     #[test]
     fn interleaved_push_pop_is_a_stable_priority_queue(
-        ops in proptest::collection::vec((0u64..10_000, any::<bool>()), 1..300)
+        ops in proptest::collection::vec((0u64..40, 0u8..4), 1..300)
     ) {
-        // Model: compare against a sorted reference built incrementally.
+        // Model: a list kept sorted by (time, push number). Times are
+        // multiples of 256 up to 10 000: pushes fall on both sides of the
+        // queue's 1 024-cycle ring window, and one cycle is often pushed to
+        // from beyond the window and again from inside it, in that order.
         let mut q = EventQueue::new();
         let mut reference: Vec<(u64, usize)> = Vec::new();
+        let mut batch = Vec::new();
         let mut seq = 0usize;
-        for (t, do_pop) in ops {
-            if do_pop {
-                let got = q.pop();
-                reference.sort_by_key(|&(t, s)| (t, s));
-                let want = if reference.is_empty() {
-                    None
-                } else {
-                    Some(reference.remove(0))
-                };
-                prop_assert_eq!(got, want);
-            } else {
-                let t = t.max(q.now());
-                q.push(t, seq);
-                reference.push((t, seq));
-                seq += 1;
+        for (t, op) in ops {
+            match op {
+                0 => {
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(q.pop(), want);
+                }
+                1 => {
+                    let same = reference.iter().take_while(|e| e.0 == reference[0].0).count();
+                    let want: Vec<_> = reference.drain(..same).collect();
+                    batch.clear();
+                    prop_assert_eq!(q.pop_batch(&mut batch), want.len());
+                    prop_assert_eq!(&batch, &want);
+                }
+                _ => {
+                    let t = (t * 256).max(q.now());
+                    q.push(t, seq);
+                    let at = reference.partition_point(|e| e.0 <= t);
+                    reference.insert(at, (t, seq));
+                    seq += 1;
+                }
             }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
         }
     }
 
