@@ -7,7 +7,7 @@
 # P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
 # counts printed), then the perf gates: golden byte-compares and the
-# benchmark's ledger gates (three workloads' digests and state counts
+# benchmark's ledger gates (four workloads' digests and state counts
 # against benchmark/expected.json, plus host_s and setup_s ratio checks
 # against BENCH_layers.json). Run from the repository root; fails fast on the
 # first problem.
@@ -139,3 +139,13 @@ ledger_gate lu_p32_families yes
 # only; their times are the PR-14 row of BENCH_layers.json, ungated.
 ledger_gate policies_p256
 ledger_gate check_mix
+# The depth the VC send path is about: no step above takes the
+# VC/adaptive branch of Network::send_vc over more than 6 dimensions (the
+# goldens stop at P=64; the gates above run vcs = 1 or no network at all).
+# Four digests at P=1024 — 3 VCs, adaptive routing, vc_credits 0 and 64 —
+# pin every cycle count, wait counter and link/VC histogram the
+# one-decomposition hop walk and the record-once sampling produce over 10
+# dimensions, and the credited pair pins the per-channel park queues.
+# Correctness only (about half a minute); its times are the PR-22 row of
+# BENCH_layers.json, ungated.
+ledger_gate floyd_p1024_vc

@@ -29,6 +29,31 @@ fn bench_network(c: &mut Criterion) {
             )
         });
     }
+    // The VC/adaptive path at the depth the scale-up study runs it: 3 VCs,
+    // minimal-adaptive routing, a 10-dimensional cube (hops re-derived per
+    // message, no route table). Eight times the sends of the cases above,
+    // so the 60 K (link, VC) horizons fill up and the contended branches
+    // (arbitration, non-zero backlog samples) run too.
+    g.bench_function("send_vc_adaptive_n1024", |b| {
+        let config = NetworkConfig {
+            vcs: 3,
+            adaptive: true,
+            ..NetworkConfig::default()
+        };
+        b.iter_batched(
+            || Network::new(Topology::hypercube(1024), config),
+            |mut net| {
+                let mut t = 0;
+                for i in 0..4096u32 {
+                    let src = (i * 37) % 1024;
+                    let dst = (i * 97 + 13) % 1024;
+                    t = net.send_vc(t / 2, src, dst, 16, i % 3);
+                }
+                black_box(t)
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 

@@ -20,11 +20,11 @@ use std::collections::VecDeque;
 
 /// A protocol send waiting for a `(node, VC)` injection credit (bounded
 /// output buffering, `net.vc_credits > 0`). Parked sends hold no network
-/// resources; they are dispatched FIFO per channel as credits free up.
+/// resources; they are dispatched FIFO per channel as credits free up (the
+/// channel is the queue the send sits in, see `MachineCore::parked`).
 struct ParkedSend {
     dst: NodeId,
     msg: Msg,
-    vc: u32,
     /// Flit-granularity credit cost of the message
     /// ([`dirtree_net::NetworkConfig::flit_cost`]); the send dispatches
     /// only when the channel pool can cover all of it.
@@ -80,7 +80,9 @@ pub struct MachineCore {
     /// packet occupies buffer space proportional to its length instead of
     /// counting as one unit like a header-only control message.
     credits: Vec<u32>,
-    /// Sends parked per node, waiting for enough credit on their channel.
+    /// Sends parked per (node, VC), waiting for enough credit on their
+    /// channel; laid out `node * vcs + vc` like `credits`, so each queue is
+    /// one channel's FIFO.
     parked: Vec<VecDeque<ParkedSend>>,
     /// Handler-originated parked sends per node; while > 0 the node's
     /// controller is gated (see [`ParkedSend::from_handler`]).
@@ -132,7 +134,9 @@ impl MachineCore {
             ctrl_extra: 0,
             ctrl_busy: vec![0; n],
             credits: Self::fresh_credits(&config),
-            parked: (0..n).map(|_| VecDeque::new()).collect(),
+            parked: (0..n * config.net.vc_count() as usize)
+                .map(|_| VecDeque::new())
+                .collect(),
             handler_parked: vec![0; n],
             deferred_release: vec![None; n],
             in_flight: vec![None; n],
@@ -298,14 +302,14 @@ impl MachineCore {
         work.push((node, vc, cost));
         while let Some((node, vc, cost)) = work.pop() {
             let n = node as usize;
-            self.credits[n * vcs + vc as usize] += cost;
-            while let Some(pos) = self.parked[n].iter().position(|p| p.vc == vc) {
-                let pool = &mut self.credits[n * vcs + vc as usize];
-                if *pool < self.parked[n][pos].cost {
+            let channel = n * vcs + vc as usize;
+            self.credits[channel] += cost;
+            while let Some(front) = self.parked[channel].front() {
+                if self.credits[channel] < front.cost {
                     break;
                 }
-                *pool -= self.parked[n][pos].cost;
-                let p = self.parked[n].remove(pos).expect("position() is in range");
+                self.credits[channel] -= front.cost;
+                let p = self.parked[channel].pop_front().expect("front() was Some");
                 if p.from_handler {
                     self.handler_parked[n] -= 1;
                     if self.handler_parked[n] == 0 {
@@ -315,23 +319,10 @@ impl MachineCore {
                         self.schedule_ctrl(node);
                     }
                 }
-                self.dispatch_send(p.dst, p.msg, p.vc);
+                self.dispatch_send(p.dst, p.msg, vc);
             }
         }
         self.release_scratch = work;
-    }
-
-    /// Take `cost` flits of `(node, vc)` send credit if the pool covers
-    /// all of them.
-    fn try_take_credit(&mut self, node: NodeId, vc: u32, cost: u32) -> bool {
-        let vcs = self.config.net.vc_count() as usize;
-        let c = &mut self.credits[node as usize * vcs + vc as usize];
-        if *c < cost {
-            false
-        } else {
-            *c -= cost;
-            true
-        }
     }
 
     /// Put a message on the wire and schedule its delivery — the tail of
@@ -351,21 +342,23 @@ impl MachineCore {
         self.queue.push(arrival, Ev::Deliver(dst, msg));
     }
 
-    /// Parked sends per node, as `(node, description)` — actionable context
-    /// for [`crate::machine::StallError::Deadlock`] reports.
+    /// Parked sends as `(node, description)`, in node-then-channel order
+    /// (oldest first within a channel) — actionable context for
+    /// [`crate::machine::StallError::Deadlock`] reports.
     pub fn parked_summary(&self) -> Vec<(u32, String)> {
+        let vcs = self.config.net.vc_count() as usize;
         self.parked
             .iter()
             .enumerate()
-            .flat_map(|(n, q)| {
+            .flat_map(|(channel, q)| {
                 q.iter().map(move |p| {
                     (
-                        n as u32,
+                        (channel / vcs) as u32,
                         format!(
                             "{} -> node {} on vc {} ({})",
                             p.msg.kind.label(),
                             p.dst,
-                            p.vc,
+                            channel % vcs,
                             if p.from_handler {
                                 "handler output, controller gated"
                             } else {
@@ -487,21 +480,21 @@ impl ProtoCtx for MachineCore {
             // additionally gates the node's controller — the handler
             // cannot retire until its output is on the wire.
             let cost = self.flit_cost(&msg);
-            let queued = self.parked[msg.src as usize].iter().any(|p| p.vc == vc);
-            if queued || !self.try_take_credit(msg.src, vc, cost) {
+            let channel = msg.src as usize * self.config.net.vc_count() as usize + vc as usize;
+            if !self.parked[channel].is_empty() || self.credits[channel] < cost {
                 let from_handler = self.current_ctrl == Some(msg.src);
                 if from_handler {
                     self.handler_parked[msg.src as usize] += 1;
                 }
-                self.parked[msg.src as usize].push_back(ParkedSend {
+                self.parked[channel].push_back(ParkedSend {
                     dst,
                     msg,
-                    vc,
                     cost,
                     from_handler,
                 });
                 return;
             }
+            self.credits[channel] -= cost;
         }
         self.dispatch_send(dst, msg, vc);
     }
@@ -650,5 +643,41 @@ mod tests {
         core.release_credit(0, 0, 1);
         assert_eq!(core.stats.messages, 3, "the control send drains last");
         assert_eq!(core.credits[0], 0);
+    }
+
+    /// Park queues are per (node, VC): two channels parked at one node
+    /// drain independently, each on its own credit.
+    #[test]
+    fn returned_credit_drains_only_its_own_channel() {
+        let mut cfg = MachineConfig::paper_default(2);
+        cfg.net.link_width_bits = 64;
+        cfg.net.vcs = 3;
+        cfg.net.vc_credits = 1;
+        let mut core = MachineCore::new(cfg);
+        let ack = |src| Msg {
+            addr: 0,
+            src,
+            kind: MsgKind::FillAck,
+        };
+        // One request (VC 0) and one ack (VC 2) take the single flit of
+        // their pools; the second of each parks.
+        core.send(1, control(0));
+        core.send(1, control(0));
+        core.send(1, ack(0));
+        core.send(1, ack(0));
+        assert_eq!(core.stats.messages, 2);
+        let parked = core.parked_summary();
+        assert_eq!(parked.len(), 2);
+        assert!(parked[0].1.contains("on vc 0") && parked[1].1.contains("on vc 2"));
+        // Credit back on the ack channel: the ack goes, the request stays.
+        core.release_credit(0, 2, 1);
+        assert_eq!(core.stats.messages, 3);
+        assert_eq!(core.stats.fill_acks, 2);
+        let parked = core.parked_summary();
+        assert_eq!(parked.len(), 1);
+        assert!(parked[0].1.contains("on vc 0"), "{parked:?}");
+        core.release_credit(0, 0, 1);
+        assert_eq!(core.stats.messages, 4);
+        assert!(core.parked_summary().is_empty());
     }
 }

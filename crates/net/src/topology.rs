@@ -107,10 +107,13 @@ impl Topology {
     /// to +) exactly like [`Topology::route`]. `None` when the dimension is
     /// already resolved.
     ///
-    /// This is the per-hop building block shared by deterministic e-cube
+    /// This is the reference derivation of a hop, for deterministic e-cube
     /// (always the lowest productive dimension) and the minimal-adaptive
-    /// mode (any productive dimension, chosen by link backlog): both route
-    /// minimally because every hop reduces the remaining distance by one.
+    /// mode (any productive dimension, chosen by link backlog) alike: both
+    /// route minimally because every hop reduces the remaining distance by
+    /// one. [`Topology::route`] is built on it; the VC/adaptive send of
+    /// [`crate::Network`] decomposes a message once instead of asking per
+    /// dimension per hop, and is tested against it.
     #[inline]
     pub fn hop_toward(&self, cur: NodeId, dst: NodeId, dim: u32) -> Option<(LinkId, NodeId)> {
         let have = self.digit(cur, dim);

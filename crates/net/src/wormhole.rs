@@ -161,6 +161,15 @@ pub struct LinkMetrics {
 }
 
 /// Per-link observability accumulators (feature `trace` only).
+///
+/// Every backlog sample is recorded exactly once. The single-channel and
+/// bus paths write `inject_queue`/`link_queue` directly; the VC/adaptive
+/// path ([`Network::send_cube_vc`]) writes the per-channel pair
+/// `vc_inject[vc]`/`vc_link[vc]` instead, and [`Network::link_metrics`]
+/// derives the three exported views from them with [`Histogram::merge`]:
+/// `inject_queue` = Σ `vc_inject`, `link_queue` = Σ `vc_link`,
+/// `vc_queue[v]` = `vc_inject[v]` ∪ `vc_link[v]`. A network only ever takes
+/// one of the two cube paths, so one side of each merge is empty.
 #[cfg(feature = "trace")]
 #[derive(Default)]
 struct LinkObs {
@@ -170,9 +179,17 @@ struct LinkObs {
     bus_busy: u64,
     inject_queue: Histogram,
     link_queue: Histogram,
-    /// Per-VC backlog samples (len = vcs when vcs > 1, else empty).
-    vc_queue: Vec<Histogram>,
+    /// Injection-port backlog samples of the VC/adaptive path, per channel
+    /// (len = `vc_count()`).
+    vc_inject: Vec<Histogram>,
+    /// Link backlog samples of the VC/adaptive path, per channel.
+    vc_link: Vec<Histogram>,
 }
+
+/// Upper bound on the dimension count of any [`Topology`]: `k ≥ 2` and
+/// `kⁿ ≤ u32::MAX` give `n ≤ 31`, so per-dimension scratch fits fixed stack
+/// arrays and a `u32` bitmask.
+const MAX_DIMS: usize = 32;
 
 /// The interconnection network: topology + per-link reservation state.
 pub struct Network {
@@ -212,11 +229,8 @@ impl Network {
             #[cfg(feature = "trace")]
             obs: LinkObs {
                 link_busy: vec![0; topo.num_directed_links() as usize],
-                vc_queue: if vcs > 1 {
-                    vec![Histogram::new(); vcs]
-                } else {
-                    Vec::new()
-                },
+                vc_inject: vec![Histogram::new(); vcs],
+                vc_link: vec![Histogram::new(); vcs],
                 ..LinkObs::default()
             },
             routes: (config.fabric == Fabric::KaryNcube && !config.adaptive && vcs == 1)
@@ -383,6 +397,26 @@ impl Network {
     ///   channels' horizons are pushed back by its serialization time —
     ///   flits interleave, so physical bandwidth is conserved while no
     ///   channel can head-of-line block another outright.
+    ///
+    /// The route is decomposed once per message, not once per hop: one pass
+    /// of `% k`, `/= k` over the `n` dimensions (`n ≤ 31`, since `k ≥ 2` and
+    /// `kⁿ ≤ u32::MAX`) fills stack arrays with each dimension's current
+    /// digit, its weight `k^dim` and the hops still to make in it,
+    /// `min(up, down)`, plus two `u32` masks: the productive dimensions and
+    /// their direction (`up <= down` → plus, the tie rule of
+    /// [`Topology::hop_toward`], the reference derivation this must agree
+    /// with). The direction bit never changes along a minimal route — a plus
+    /// step turns `(up, down)` into `(up − 1, down + 1)` and a minus step
+    /// into `(up + 1, down − 1)`, so `up <= down` keeps its truth value
+    /// until the digits meet — which is why it can be fixed up front. Each
+    /// hop then walks the set bits of the productive mask, steps `cur` by
+    /// `±weight` (wrapping at digit `k − 1`/`0`) and clears the bit of a
+    /// dimension whose count reaches zero.
+    ///
+    /// Never inlined, so the scratch arrays stay out of [`Network::send_vc`]'s
+    /// frame and the single-channel branch there compiles the same whatever
+    /// happens here.
+    #[inline(never)]
     fn send_cube_vc(&mut self, now: Cycle, src: NodeId, dst: NodeId, ser: Cycle, vc: u32) -> Cycle {
         let vcs = self.config.vc_count() as usize;
         let vc = (vc as usize).min(vcs - 1);
@@ -409,48 +443,74 @@ impl Network {
         let inj_free = self.inject_free[pi];
         let depart = now.max(inj_free);
         self.stats.inject_wait_cycles += depart - now;
-        if !self.stats.vc_wait_cycles.is_empty() {
-            self.stats.vc_wait_cycles[vc] += depart - now;
-        }
         self.inject_free[pi] = depart + ser;
         #[cfg(feature = "trace")]
-        {
-            self.obs.inject_queue.record(inj_free.saturating_sub(now));
-            if let Some(h) = self.obs.vc_queue.get_mut(vc) {
-                h.record(inj_free.saturating_sub(now));
+        self.obs.vc_inject[vc].record(inj_free.saturating_sub(now));
+
+        // Decompose the route once (see above).
+        let k = self.topo.radix();
+        let n = self.topo.dimensions() as usize;
+        let mut digit = [0u32; MAX_DIMS];
+        let mut weight = [0u32; MAX_DIMS];
+        let mut left = [0u32; MAX_DIMS];
+        let (mut productive, mut plus_dirs) = (0u32, 0u32);
+        let mut hops = 0u64;
+        let (mut have_rest, mut want_rest, mut w) = (src, dst, 1u32);
+        for dim in 0..n {
+            let (have, want) = (have_rest % k, want_rest % k);
+            have_rest /= k;
+            want_rest /= k;
+            digit[dim] = have;
+            weight[dim] = w;
+            w = w.wrapping_mul(k);
+            if have != want {
+                let up = if want > have {
+                    want - have
+                } else {
+                    want + k - have
+                };
+                let down = k - up;
+                left[dim] = up.min(down);
+                hops += left[dim] as u64;
+                productive |= 1 << dim;
+                plus_dirs |= ((up <= down) as u32) << dim;
             }
         }
+        self.stats.total_hops += hops;
 
+        let t_sw = self.config.switch_delay;
+        let adaptive = self.config.adaptive;
         let mut head = depart;
         let mut cur = src;
-        let mut hops = 0u64;
-        while cur != dst {
-            // Next hop: adaptive picks the productive dimension whose
-            // (link, vc) horizon has the least backlog when the head would
-            // arrive, ties broken toward the lowest dimension (strict `<`
-            // keeps the first minimum); deterministic e-cube takes the
-            // lowest productive dimension outright.
-            let mut chosen: Option<(LinkId, NodeId)> = None;
-            if self.config.adaptive {
+        let mut link_wait = 0;
+        // Hops that met an idle channel (sample 0), flushed in one
+        // `record_n` after the walk.
+        #[cfg(feature = "trace")]
+        let mut idle = 0u64;
+        while productive != 0 {
+            // Next hop: deterministic e-cube takes the lowest productive
+            // dimension outright; adaptive picks the productive dimension
+            // whose (link, vc) horizon has the least backlog when the head
+            // would arrive, ties broken toward the lowest dimension (the
+            // bits are walked in ascending order and strict `<` keeps the
+            // first minimum).
+            let mut dim = productive.trailing_zeros() as usize;
+            if adaptive {
                 let mut best = Cycle::MAX;
-                for dim in 0..self.topo.dimensions() {
-                    if let Some((link, next)) = self.topo.hop_toward(cur, dst, dim) {
-                        let backlog = self.link_free[link as usize * vcs + vc].saturating_sub(head);
-                        if backlog < best {
-                            best = backlog;
-                            chosen = Some((link, next));
-                        }
-                    }
-                }
-            } else {
-                for dim in 0..self.topo.dimensions() {
-                    chosen = self.topo.hop_toward(cur, dst, dim);
-                    if chosen.is_some() {
-                        break;
+                let mut rest = productive;
+                while rest != 0 {
+                    let d = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    let link = self.topo.link_id(cur, d, plus_dirs >> d & 1 != 0);
+                    let backlog = self.link_free[link as usize * vcs + vc].saturating_sub(head);
+                    if backlog < best {
+                        best = backlog;
+                        dim = d as usize;
                     }
                 }
             }
-            let (link, next) = chosen.expect("no productive dimension for cur != dst");
+            let plus = plus_dirs >> dim & 1 != 0;
+            let link = self.topo.link_id(cur, dim as u32, plus);
 
             let base = link as usize * vcs;
             let own = self.link_free[base + vc];
@@ -461,7 +521,7 @@ impl Network {
                 // theirs on the physical wires.
                 let shared = (0..vcs).any(|u| u != vc && self.link_free[base + u] > enter);
                 if shared {
-                    enter += self.config.switch_delay;
+                    enter += t_sw;
                     for u in 0..vcs {
                         if u != vc && self.link_free[base + u] > enter {
                             self.link_free[base + u] += ser;
@@ -469,24 +529,48 @@ impl Network {
                     }
                 }
             }
-            self.stats.link_wait_cycles += enter - head;
-            if !self.stats.vc_wait_cycles.is_empty() {
-                self.stats.vc_wait_cycles[vc] += enter - head;
-            }
+            link_wait += enter - head;
             self.link_free[base + vc] = enter + ser;
             #[cfg(feature = "trace")]
             {
-                self.obs.link_queue.record(own.saturating_sub(head));
-                if let Some(h) = self.obs.vc_queue.get_mut(vc) {
-                    h.record(own.saturating_sub(head));
+                if own > head {
+                    self.obs.vc_link[vc].record(own - head);
+                } else {
+                    idle += 1;
                 }
                 self.obs.link_busy[link as usize] += ser;
             }
-            head = enter + self.config.switch_delay;
-            cur = next;
-            hops += 1;
+            head = enter + t_sw;
+
+            // Step one digit along `dim`, wrapping at the ends of the ring.
+            let (at, wt) = (digit[dim], weight[dim]);
+            if plus {
+                if at == k - 1 {
+                    digit[dim] = 0;
+                    cur -= at * wt;
+                } else {
+                    digit[dim] = at + 1;
+                    cur += wt;
+                }
+            } else if at == 0 {
+                digit[dim] = k - 1;
+                cur += (k - 1) * wt;
+            } else {
+                digit[dim] = at - 1;
+                cur -= wt;
+            }
+            left[dim] -= 1;
+            if left[dim] == 0 {
+                productive &= !(1 << dim);
+            }
         }
-        self.stats.total_hops += hops;
+        debug_assert_eq!(cur, dst);
+        self.stats.link_wait_cycles += link_wait;
+        if let Some(waited) = self.stats.vc_wait_cycles.get_mut(vc) {
+            *waited += depart - now + link_wait;
+        }
+        #[cfg(feature = "trace")]
+        self.obs.vc_link[vc].record_n(0, idle);
         head + ser
     }
 
@@ -549,13 +633,27 @@ impl Network {
                     self.obs.link_busy.iter().sum(),
                 )
             };
+            // The VC/adaptive path records per channel only (see
+            // `LinkObs`); the exported views are merges of those.
+            let mut inject_queue = self.obs.inject_queue.clone();
+            let mut link_queue = self.obs.link_queue.clone();
+            let mut vc_queue = Vec::new();
+            for (inject, link) in self.obs.vc_inject.iter().zip(&self.obs.vc_link) {
+                inject_queue.merge(inject);
+                link_queue.merge(link);
+                if self.config.vc_count() > 1 {
+                    let mut both = inject.clone();
+                    both.merge(link);
+                    vc_queue.push(both);
+                }
+            }
             LinkMetrics {
                 links,
                 max_link_busy,
                 total_link_busy,
-                inject_queue: self.obs.inject_queue.clone(),
-                link_queue: self.obs.link_queue.clone(),
-                vc_queue: self.obs.vc_queue.clone(),
+                inject_queue,
+                link_queue,
+                vc_queue,
             }
         }
         #[cfg(not(feature = "trace"))]
@@ -575,10 +673,9 @@ impl Network {
             self.obs.bus_busy = 0;
             self.obs.inject_queue = Histogram::new();
             self.obs.link_queue = Histogram::new();
-            self.obs
-                .vc_queue
-                .iter_mut()
-                .for_each(|h| *h = Histogram::new());
+            for h in self.obs.vc_inject.iter_mut().chain(&mut self.obs.vc_link) {
+                *h = Histogram::new();
+            }
         }
     }
 }
@@ -586,6 +683,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dirtree_sim::SimRng;
 
     fn net(nodes: u32, contention: bool) -> Network {
         Network::new(
@@ -1087,6 +1185,298 @@ mod tests {
         );
         n.reset();
         assert!(n.link_metrics().vc_queue.iter().all(|h| h.count() == 0));
+    }
+
+    /// Found in PR 22, recorded, not fixed there: `links` is
+    /// `link_free.len()`, i.e. directed links × `vcs`, although its doc
+    /// comment says "directed links in the fabric" (a 64-node 6-cube has
+    /// 768, and `tests/golden/scale_up_p64_vc_credited.jsonl` says 2304).
+    /// Correcting it moves two goldens and every VC `full` digest in
+    /// `benchmark/expected.json`, so it is on ROADMAP's `[benchmark]`
+    /// re-baseline list; this pins today's value so the fix flips one line.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn links_counts_channels_under_three_vcs() {
+        let n = vc_net(64, 3, true);
+        assert_eq!(n.topology().num_directed_links(), 768);
+        assert_eq!(n.link_metrics().links, 768 * 3);
+    }
+
+    /// The parent's (PR 21) VC/adaptive cube send, kept verbatim as the
+    /// oracle for the one-decomposition walk of `send_cube_vc`: every hop
+    /// asks [`Topology::hop_toward`] about every dimension, and every
+    /// backlog sample is written twice (the aggregate histogram and the
+    /// channel's). Only the state the cube path touches is carried over.
+    struct RefNetwork {
+        topo: Topology,
+        config: NetworkConfig,
+        link_free: Vec<Cycle>,
+        inject_free: Vec<Cycle>,
+        stats: NetworkStats,
+        link_busy: Vec<u64>,
+        /// Running maximum and sum of `link_busy`, so the per-send comparison
+        /// does not rescan 20 480 links at P = 1024.
+        max_link_busy: u64,
+        total_link_busy: u64,
+        inject_queue: Histogram,
+        link_queue: Histogram,
+        vc_queue: Vec<Histogram>,
+    }
+
+    impl RefNetwork {
+        fn new(topo: Topology, config: NetworkConfig) -> Self {
+            let vcs = config.vc_count() as usize;
+            Self {
+                link_free: vec![0; topo.num_directed_links() as usize * vcs],
+                inject_free: vec![0; topo.num_nodes() as usize * vcs],
+                stats: Network::fresh_stats(&config),
+                link_busy: vec![0; topo.num_directed_links() as usize],
+                max_link_busy: 0,
+                total_link_busy: 0,
+                inject_queue: Histogram::new(),
+                link_queue: Histogram::new(),
+                vc_queue: if vcs > 1 {
+                    vec![Histogram::new(); vcs]
+                } else {
+                    Vec::new()
+                },
+                topo,
+                config,
+            }
+        }
+
+        fn occupy(&mut self, link: LinkId, ser: Cycle) {
+            self.link_busy[link as usize] += ser;
+            self.max_link_busy = self.max_link_busy.max(self.link_busy[link as usize]);
+            self.total_link_busy += ser;
+        }
+
+        fn send_vc(&mut self, now: Cycle, src: NodeId, dst: NodeId, bytes: u32, vc: u32) -> Cycle {
+            self.stats.messages += 1;
+            self.stats.bytes += bytes as u64;
+            if src == dst {
+                self.stats.latency.record(self.config.local_delay);
+                return now + self.config.local_delay;
+            }
+            let ser = (bytes as u64 * 8)
+                .div_ceil(self.config.link_width_bits as u64)
+                .max(1);
+            let arrival = self.send_cube_vc(now, src, dst, ser, vc);
+            self.stats.latency.record(arrival - now);
+            arrival
+        }
+
+        fn send_cube_vc(
+            &mut self,
+            now: Cycle,
+            src: NodeId,
+            dst: NodeId,
+            ser: Cycle,
+            vc: u32,
+        ) -> Cycle {
+            let vcs = self.config.vc_count() as usize;
+            let vc = (vc as usize).min(vcs - 1);
+
+            if !self.config.contention {
+                let hops = self.topo.distance(src, dst) as u64;
+                self.stats.total_hops += hops;
+                let mut path = Vec::new();
+                self.topo.route(src, dst, &mut path);
+                for link in path {
+                    self.occupy(link, ser);
+                }
+                return now + hops * self.config.switch_delay + ser;
+            }
+
+            let pi = src as usize * vcs + vc;
+            let inj_free = self.inject_free[pi];
+            let depart = now.max(inj_free);
+            self.stats.inject_wait_cycles += depart - now;
+            if !self.stats.vc_wait_cycles.is_empty() {
+                self.stats.vc_wait_cycles[vc] += depart - now;
+            }
+            self.inject_free[pi] = depart + ser;
+            self.inject_queue.record(inj_free.saturating_sub(now));
+            if let Some(h) = self.vc_queue.get_mut(vc) {
+                h.record(inj_free.saturating_sub(now));
+            }
+
+            let mut head = depart;
+            let mut cur = src;
+            let mut hops = 0u64;
+            while cur != dst {
+                let mut chosen: Option<(LinkId, NodeId)> = None;
+                if self.config.adaptive {
+                    let mut best = Cycle::MAX;
+                    for dim in 0..self.topo.dimensions() {
+                        if let Some((link, next)) = self.topo.hop_toward(cur, dst, dim) {
+                            let backlog =
+                                self.link_free[link as usize * vcs + vc].saturating_sub(head);
+                            if backlog < best {
+                                best = backlog;
+                                chosen = Some((link, next));
+                            }
+                        }
+                    }
+                } else {
+                    for dim in 0..self.topo.dimensions() {
+                        chosen = self.topo.hop_toward(cur, dst, dim);
+                        if chosen.is_some() {
+                            break;
+                        }
+                    }
+                }
+                let (link, next) = chosen.expect("no productive dimension for cur != dst");
+
+                let base = link as usize * vcs;
+                let own = self.link_free[base + vc];
+                let mut enter = head.max(own);
+                if vcs > 1 {
+                    let shared = (0..vcs).any(|u| u != vc && self.link_free[base + u] > enter);
+                    if shared {
+                        enter += self.config.switch_delay;
+                        for u in 0..vcs {
+                            if u != vc && self.link_free[base + u] > enter {
+                                self.link_free[base + u] += ser;
+                            }
+                        }
+                    }
+                }
+                self.stats.link_wait_cycles += enter - head;
+                if !self.stats.vc_wait_cycles.is_empty() {
+                    self.stats.vc_wait_cycles[vc] += enter - head;
+                }
+                self.link_free[base + vc] = enter + ser;
+                self.link_queue.record(own.saturating_sub(head));
+                if let Some(h) = self.vc_queue.get_mut(vc) {
+                    h.record(own.saturating_sub(head));
+                }
+                self.occupy(link, ser);
+                head = enter + self.config.switch_delay;
+                cur = next;
+                hops += 1;
+            }
+            self.stats.total_hops += hops;
+            head + ser
+        }
+    }
+
+    /// Every field of a histogram (`min` as reported).
+    fn parts(h: &Histogram) -> ([u64; 65], u64, u64, u64, u64) {
+        (*h.buckets(), h.count(), h.sum(), h.min(), h.max())
+    }
+
+    /// Every field of `stats()` and (with `trace`) of `link_metrics()`.
+    fn assert_same_state(real: &Network, reference: &RefNetwork, at: &dyn std::fmt::Debug) {
+        let (a, b) = (real.stats(), &reference.stats);
+        assert_eq!(a.messages, b.messages, "{at:?}");
+        assert_eq!(a.bytes, b.bytes, "{at:?}");
+        assert_eq!(a.total_hops, b.total_hops, "{at:?}");
+        assert_eq!(parts(&a.latency), parts(&b.latency), "{at:?}");
+        assert_eq!(a.inject_wait_cycles, b.inject_wait_cycles, "{at:?}");
+        assert_eq!(a.link_wait_cycles, b.link_wait_cycles, "{at:?}");
+        assert_eq!(a.vc_wait_cycles, b.vc_wait_cycles, "{at:?}");
+        #[cfg(feature = "trace")]
+        {
+            let m = real.link_metrics();
+            assert_eq!(m.links, reference.link_free.len() as u64, "{at:?}");
+            assert_eq!(m.max_link_busy, reference.max_link_busy, "{at:?}");
+            assert_eq!(m.total_link_busy, reference.total_link_busy, "{at:?}");
+            assert_eq!(
+                parts(&m.inject_queue),
+                parts(&reference.inject_queue),
+                "{at:?}"
+            );
+            assert_eq!(parts(&m.link_queue), parts(&reference.link_queue), "{at:?}");
+            assert_eq!(m.vc_queue.len(), reference.vc_queue.len(), "{at:?}");
+            for (x, y) in m.vc_queue.iter().zip(&reference.vc_queue) {
+                assert_eq!(parts(x), parts(y), "{at:?}");
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Traffic {
+        /// Everyone sends to one node. The target's digits are `k − 1` in
+        /// dimension 0 and `0` elsewhere, so sources at digit `0` wrap
+        /// downward into it and sources at digit `k − 1` wrap upward.
+        HotSpot,
+        UniformRandom,
+        /// `src → P − 1 − src`: every digit `d` goes to `k − 1 − d`.
+        BitComplement,
+    }
+
+    /// Differential oracle for the hop walk: the real network and the
+    /// reference are driven in lock step and must agree on the arrival
+    /// cycle and on every statistic after every single send. The
+    /// `vcs = 1`, non-adaptive cells run the real network's table-driven
+    /// single-channel branch against the same reference.
+    ///
+    /// Shown by hand in PR 22 to fail on two mutations of `send_cube_vc`:
+    /// the adaptive tie-break as `<=` (ties then go to the highest
+    /// dimension), and the even-radix half-way tie sent minus
+    /// (`up < down` for the direction bit).
+    #[test]
+    fn walk_matches_reference_derivation_in_lock_step() {
+        let shapes: [(u32, u32); 8] = [
+            (2, 1),
+            (2, 3),
+            (2, 6),
+            (2, 10),
+            (3, 3),
+            (4, 2),
+            (5, 2),
+            (6, 2),
+        ];
+        for (k, n) in shapes {
+            let topo = Topology::kary_ncube(k, n);
+            let nodes = topo.num_nodes();
+            let sends = if nodes > 64 { nodes + 100 } else { 600 };
+            for adaptive in [false, true] {
+                for vcs in 1..=3u32 {
+                    for contention in [true, false] {
+                        let config = NetworkConfig {
+                            vcs,
+                            adaptive,
+                            contention,
+                            ..NetworkConfig::default()
+                        };
+                        for traffic in [
+                            Traffic::HotSpot,
+                            Traffic::UniformRandom,
+                            Traffic::BitComplement,
+                        ] {
+                            let cell = (k, n, adaptive, vcs, contention, traffic);
+                            let mut real = Network::new(topo, config);
+                            let mut reference = RefNetwork::new(topo, config);
+                            let mut rng = SimRng::new(0x5eed ^ nodes as u64);
+                            let mut now: Cycle = 0;
+                            for i in 0..sends {
+                                // Non-decreasing, a third of the time equal.
+                                now += rng.gen_range(3);
+                                let (src, dst) = match traffic {
+                                    Traffic::HotSpot => (i % nodes, k - 1),
+                                    Traffic::UniformRandom => (
+                                        rng.gen_range(nodes as u64) as u32,
+                                        rng.gen_range(nodes as u64) as u32,
+                                    ),
+                                    Traffic::BitComplement => (i % nodes, nodes - 1 - i % nodes),
+                                };
+                                let bytes = 1 + rng.gen_range(72) as u32;
+                                let vc = rng.gen_range(3) as u32;
+                                let at = (cell, i, now, src, dst, bytes, vc);
+                                assert_eq!(
+                                    real.send_vc(now, src, dst, bytes, vc),
+                                    reference.send_vc(now, src, dst, bytes, vc),
+                                    "{at:?}"
+                                );
+                                assert_same_state(&real, &reference, &at);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,15 +53,35 @@ impl Histogram {
         }
     }
 
-    pub fn record(&mut self, value: u64) {
-        let b = if value == 0 {
+    /// Bucket index of a sample: 0 for the value 0, else its bit length.
+    #[inline]
+    fn bucket(value: u64) -> usize {
+        if value == 0 {
             0
         } else {
             64 - value.leading_zeros() as usize
-        };
-        self.buckets[b] += 1;
+        }
+    }
+
+    pub fn record(&mut self, value: u64) {
+        self.buckets[Self::bucket(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Record `n` samples of `value` at once: field for field what `n`
+    /// calls of [`Self::record`] leave behind, so a caller that sees the
+    /// same sample many times in a row (an idle link's zero backlog) can
+    /// count locally and flush once. `n = 0` is a no-op.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -215,6 +235,7 @@ impl fmt::Display for StatTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_increments_and_saturates() {
@@ -334,6 +355,57 @@ mod tests {
         assert_eq!(small.min(), 1);
         assert_eq!(small.max(), 1 << 40);
         assert_eq!(small.sum(), 3 + (1u64 << 40));
+    }
+
+    /// Every field, with `min` raw (the empty sentinel is `u64::MAX`, which
+    /// the accessor hides).
+    fn raw(h: &Histogram) -> ([u64; 65], u64, u64, u64, u64) {
+        (h.buckets, h.count, h.sum, h.min, h.max)
+    }
+
+    /// Samples across the whole bucket range, zeros and near-overflow
+    /// values included so `sum` saturates in some cases.
+    fn sample() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 0u64..8, 0u64..100_000, any::<u64>()]
+    }
+
+    proptest! {
+        #[test]
+        fn record_n_equals_n_records(
+            before in proptest::collection::vec(sample(), 0..8),
+            value in sample(),
+            n in 0u64..40,
+        ) {
+            let mut batched = Histogram::new();
+            before.iter().for_each(|&v| batched.record(v));
+            let mut one_by_one = batched.clone();
+            batched.record_n(value, n);
+            (0..n).for_each(|_| one_by_one.record(value));
+            prop_assert_eq!(raw(&batched), raw(&one_by_one));
+            if before.is_empty() && n == 0 {
+                prop_assert_eq!(batched.min, u64::MAX, "no-op keeps the empty sentinel");
+            }
+        }
+
+        #[test]
+        fn split_then_merge_equals_recording_into_one(
+            stream in proptest::collection::vec((sample(), 0usize..6), 0..60),
+            live in proptest::collection::vec(any::<bool>(), 1..6),
+        ) {
+            // Only the `live` parts receive samples; the others stay empty
+            // wherever they sit in the merge order: the `vc_queue` of a
+            // channel that never carried a message.
+            let targets: Vec<usize> = (0..live.len()).filter(|&i| live[i]).collect();
+            let mut whole = Histogram::new();
+            let mut parts = vec![Histogram::new(); live.len()];
+            for &(v, pick) in stream.iter().filter(|_| !targets.is_empty()) {
+                whole.record(v);
+                parts[targets[pick % targets.len()]].record(v);
+            }
+            let mut merged = Histogram::new();
+            parts.iter().for_each(|p| merged.merge(p));
+            prop_assert_eq!(raw(&merged), raw(&whole));
+        }
     }
 
     #[test]
