@@ -11,9 +11,16 @@
 //! lazy stack of invalidated slots, so `touch` and `allocate` are O(1)
 //! even at the paper's 2048-way associativity — the victim walk only skips
 //! the rare transient line.
+//!
+//! The tag index is a table indexed by block address
+//! ([`dirtree_sim::BlockTable`]), not a hash map: one load finds a line.
+//! That rests on block addresses being dense — `Alloc` hands them out from
+//! 0 — and costs 4 bytes times the highest block address this cache ever
+//! allocated (rounded up to a power of two), per cache; [`Cache::allocate`]
+//! panics on an address of 2³² or more rather than attempt the allocation.
 
 use crate::types::{Addr, LineState};
-use dirtree_sim::FxHashMap;
+use dirtree_sim::BlockTable;
 
 /// Geometry of one processor's cache.
 #[derive(Clone, Copy, Debug)]
@@ -123,13 +130,48 @@ impl Set {
             self.push_front(i);
         }
     }
+
+    /// Set slot `i`'s state, returning the one it had.
+    fn set_state(&mut self, i: u32, state: LineState) -> LineState {
+        let old = std::mem::replace(&mut self.slots[i as usize].state, state);
+        if state == LineState::Iv && old != LineState::Iv {
+            self.invalid.push(i);
+        }
+        old
+    }
+
+    /// The slot a full set re-binds next: a (still-)invalid one from the
+    /// lazy stack, else the least-recently-used stable line — the walk
+    /// from the tail skips transient lines (rare). `None` if every line is
+    /// transient.
+    fn pick_victim(&mut self) -> Option<u32> {
+        while let Some(i) = self.invalid.pop() {
+            if self.slots[i as usize].state == LineState::Iv {
+                return Some(i);
+            }
+            // revalidated since; stale stack entry
+        }
+        let mut i = self.lru;
+        while i != NIL {
+            if matches!(self.slots[i as usize].state, LineState::V | LineState::E) {
+                return Some(i);
+            }
+            i = self.slots[i as usize].prev;
+        }
+        None
+    }
 }
 
 /// One processor's cache.
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Set>,
-    index: FxHashMap<Addr, (u32, u32)>,
+    /// Tag index: `index[addr]` is the line's slot within its set plus one,
+    /// 0 (or no row) when `addr` is not resident. The set is not stored —
+    /// it is `set_of(addr)`.
+    index: BlockTable<u32>,
+    /// Resident tags (slots ever filled: a slot is re-bound, never freed).
+    resident: usize,
 }
 
 impl Cache {
@@ -145,7 +187,8 @@ impl Cache {
         Self {
             config,
             sets: (0..sets).map(|_| Set::new(config.associativity)).collect(),
-            index: FxHashMap::default(),
+            index: BlockTable::new(),
+            resident: 0,
         }
     }
 
@@ -153,55 +196,111 @@ impl Cache {
         &self.config
     }
 
+    /// Empty the cache, keeping its allocations (the state of
+    /// [`Cache::new`] with the same geometry).
+    pub fn clear(&mut self) {
+        for set in &mut self.sets {
+            set.slots.clear();
+            set.invalid.clear();
+            set.mru = NIL;
+            set.lru = NIL;
+        }
+        self.index.clear();
+        self.resident = 0;
+    }
+
     #[inline]
     fn set_of(&self, addr: Addr) -> usize {
         (addr as usize) % self.sets.len()
     }
 
+    /// The one tag lookup: `(set, slot)` of a resident `addr`.
+    #[inline]
+    fn find(&self, addr: Addr) -> Option<(usize, u32)> {
+        match self.index.get(addr) {
+            None | Some(0) => None,
+            Some(&tag) => Some((self.set_of(addr), tag - 1)),
+        }
+    }
+
     /// State of `addr`, or `NotPresent`.
     pub fn state(&self, addr: Addr) -> LineState {
-        match self.index.get(&addr) {
-            Some(&(s, i)) => self.sets[s as usize].slots[i as usize].state,
+        match self.find(addr) {
+            Some((s, i)) => self.sets[s].slots[i as usize].state,
             None => LineState::NotPresent,
         }
     }
 
-    /// Set the state of a resident line.
+    /// A processor access, through one lookup: the state of `addr`, marked
+    /// most-recently-used iff the access hits (readable for a read,
+    /// writable for a write). A miss leaves the LRU order alone — the
+    /// caller allocates or upgrades, which marks the line itself.
+    pub fn access(&mut self, addr: Addr, write: bool) -> LineState {
+        let Some((s, i)) = self.find(addr) else {
+            return LineState::NotPresent;
+        };
+        let set = &mut self.sets[s];
+        let state = set.slots[i as usize].state;
+        let hit = if write {
+            state.writable()
+        } else {
+            state.readable()
+        };
+        if hit {
+            set.touch(i);
+        }
+        state
+    }
+
+    /// Set the state of a resident line; returns the state it had.
     ///
     /// # Panics
     /// Panics if the tag is not resident — protocols must only touch lines
     /// that exist (invalidations for evicted lines are handled before this).
-    pub fn set_state(&mut self, addr: Addr, state: LineState) {
-        let &(s, i) = self
-            .index
-            .get(&addr)
-            .unwrap_or_else(|| panic!("set_state on non-resident line {addr:#x}"));
-        let set = &mut self.sets[s as usize];
-        let was_invalid = set.slots[i as usize].state == LineState::Iv;
-        set.slots[i as usize].state = state;
-        if state == LineState::Iv && !was_invalid {
-            set.invalid.push(i);
-        }
+    pub fn set_state(&mut self, addr: Addr, state: LineState) -> LineState {
+        let (s, i) = self.find_resident(addr);
+        self.sets[s].set_state(i, state)
+    }
+
+    /// [`Cache::set_state`] plus [`Cache::touch`] through one lookup: what
+    /// starting a miss does to its line.
+    pub fn set_state_mru(&mut self, addr: Addr, state: LineState) -> LineState {
+        let (s, i) = self.find_resident(addr);
+        let set = &mut self.sets[s];
+        set.touch(i);
+        set.set_state(i, state)
+    }
+
+    fn find_resident(&self, addr: Addr) -> (usize, u32) {
+        self.find(addr)
+            .unwrap_or_else(|| panic!("set_state on non-resident line {addr:#x}"))
     }
 
     /// Mark `addr` most-recently-used (on every processor access).
     pub fn touch(&mut self, addr: Addr) {
-        if let Some(&(s, i)) = self.index.get(&addr) {
-            self.sets[s as usize].touch(i);
+        if let Some((s, i)) = self.find(addr) {
+            self.sets[s].touch(i);
         }
     }
 
     /// Ensure a tag exists for `addr`, evicting an LRU victim if the set is
     /// full. New lines start in `Iv`; the caller transitions them. Victims
     /// are never transient lines.
+    ///
+    /// # Panics
+    /// Panics if `addr >= 2^32`: the tag index is a table indexed by block
+    /// address (see the module docs).
     pub fn allocate(&mut self, addr: Addr) -> AllocOutcome {
-        if self.index.contains_key(&addr) {
-            self.touch(addr);
-            return AllocOutcome::AlreadyResident;
-        }
         let set_idx = self.set_of(addr);
         let assoc = self.config.associativity;
         let set = &mut self.sets[set_idx];
+        // Growing the index up front makes binding the tag, on either path
+        // below, a plain store.
+        let tag = self.index.get_mut_or_grow(addr);
+        if *tag != 0 {
+            set.touch(*tag - 1);
+            return AllocOutcome::AlreadyResident;
+        }
 
         // Free capacity: grow the set.
         if set.slots.len() < assoc {
@@ -216,49 +315,30 @@ impl Cache {
             // The new line is invalid until the caller transitions it, so
             // it is itself a legal victim for a subsequent allocation.
             set.invalid.push(slot);
-            self.index.insert(addr, (set_idx as u32, slot));
+            *tag = slot + 1;
+            self.resident += 1;
             return AllocOutcome::Fresh;
         }
 
-        // Prefer a (still-)invalid slot from the lazy stack.
-        while let Some(i) = set.invalid.pop() {
-            if set.slots[i as usize].state != LineState::Iv {
-                continue; // revalidated since; stale stack entry
-            }
-            let victim_addr = set.slots[i as usize].addr;
-            self.index.remove(&victim_addr);
-            set.slots[i as usize] = Line {
-                addr,
-                state: LineState::Iv,
-                prev: set.slots[i as usize].prev,
-                next: set.slots[i as usize].next,
-            };
-            set.touch(i);
-            set.invalid.push(i); // still invalid until transitioned
-            self.index.insert(addr, (set_idx as u32, i));
-            return AllocOutcome::Fresh;
+        let Some(i) = set.pick_victim() else {
+            return AllocOutcome::Stalled;
+        };
+        let line = &mut set.slots[i as usize];
+        let (victim, state) = (line.addr, line.state);
+        line.addr = addr;
+        line.state = LineState::Iv;
+        set.touch(i);
+        set.invalid.push(i); // still invalid until transitioned
+        *tag = i + 1;
+        *self
+            .index
+            .get_mut(victim)
+            .expect("a resident line has an index row") = 0;
+        if state == LineState::Iv {
+            AllocOutcome::Fresh
+        } else {
+            AllocOutcome::Evicted { victim, state }
         }
-
-        // LRU walk from the tail, skipping transient lines (rare).
-        let mut i = set.lru;
-        while i != NIL {
-            let state = set.slots[i as usize].state;
-            if matches!(state, LineState::V | LineState::E) {
-                let victim_addr = set.slots[i as usize].addr;
-                self.index.remove(&victim_addr);
-                set.slots[i as usize].addr = addr;
-                set.slots[i as usize].state = LineState::Iv;
-                set.touch(i);
-                set.invalid.push(i); // still invalid until transitioned
-                self.index.insert(addr, (set_idx as u32, i));
-                return AllocOutcome::Evicted {
-                    victim: victim_addr,
-                    state,
-                };
-            }
-            i = set.slots[i as usize].prev;
-        }
-        AllocOutcome::Stalled
     }
 
     /// All resident `(addr, state)` pairs (for verification).
@@ -270,11 +350,167 @@ impl Cache {
 
     /// Number of resident tags.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident == 0
+    }
+}
+
+/// The hash-indexed cache this module had before the block-indexed tag
+/// table, kept verbatim (renamed; the two accessors no test calls dropped)
+/// as the reference the block-indexed [`Cache`] is driven against in lock
+/// step. Test-only: it shares `Set`/`Line` with the real cache, so the
+/// differential test isolates the tag index and the calls built on it.
+#[cfg(test)]
+mod reference {
+    use super::{AllocOutcome, CacheConfig, Line, Set, NIL};
+    use crate::types::{Addr, LineState};
+    use dirtree_sim::FxHashMap;
+
+    pub struct HashCache {
+        config: CacheConfig,
+        sets: Vec<Set>,
+        index: FxHashMap<Addr, (u32, u32)>,
+    }
+
+    impl HashCache {
+        pub fn new(config: CacheConfig) -> Self {
+            assert!(config.lines > 0 && config.associativity > 0);
+            assert_eq!(
+                config.lines % config.associativity,
+                0,
+                "lines must be a multiple of associativity"
+            );
+            assert!(config.associativity < NIL as usize);
+            let sets = config.sets();
+            Self {
+                config,
+                sets: (0..sets).map(|_| Set::new(config.associativity)).collect(),
+                index: FxHashMap::default(),
+            }
+        }
+
+        #[inline]
+        fn set_of(&self, addr: Addr) -> usize {
+            (addr as usize) % self.sets.len()
+        }
+
+        /// State of `addr`, or `NotPresent`.
+        pub fn state(&self, addr: Addr) -> LineState {
+            match self.index.get(&addr) {
+                Some(&(s, i)) => self.sets[s as usize].slots[i as usize].state,
+                None => LineState::NotPresent,
+            }
+        }
+
+        /// Set the state of a resident line.
+        ///
+        /// # Panics
+        /// Panics if the tag is not resident — protocols must only touch lines
+        /// that exist (invalidations for evicted lines are handled before this).
+        pub fn set_state(&mut self, addr: Addr, state: LineState) {
+            let &(s, i) = self
+                .index
+                .get(&addr)
+                .unwrap_or_else(|| panic!("set_state on non-resident line {addr:#x}"));
+            let set = &mut self.sets[s as usize];
+            let was_invalid = set.slots[i as usize].state == LineState::Iv;
+            set.slots[i as usize].state = state;
+            if state == LineState::Iv && !was_invalid {
+                set.invalid.push(i);
+            }
+        }
+
+        /// Mark `addr` most-recently-used (on every processor access).
+        pub fn touch(&mut self, addr: Addr) {
+            if let Some(&(s, i)) = self.index.get(&addr) {
+                self.sets[s as usize].touch(i);
+            }
+        }
+
+        /// Ensure a tag exists for `addr`, evicting an LRU victim if the set is
+        /// full. New lines start in `Iv`; the caller transitions them. Victims
+        /// are never transient lines.
+        pub fn allocate(&mut self, addr: Addr) -> AllocOutcome {
+            if self.index.contains_key(&addr) {
+                self.touch(addr);
+                return AllocOutcome::AlreadyResident;
+            }
+            let set_idx = self.set_of(addr);
+            let assoc = self.config.associativity;
+            let set = &mut self.sets[set_idx];
+
+            // Free capacity: grow the set.
+            if set.slots.len() < assoc {
+                let slot = set.slots.len() as u32;
+                set.slots.push(Line {
+                    addr,
+                    state: LineState::Iv,
+                    prev: NIL,
+                    next: NIL,
+                });
+                set.push_front(slot);
+                // The new line is invalid until the caller transitions it, so
+                // it is itself a legal victim for a subsequent allocation.
+                set.invalid.push(slot);
+                self.index.insert(addr, (set_idx as u32, slot));
+                return AllocOutcome::Fresh;
+            }
+
+            // Prefer a (still-)invalid slot from the lazy stack.
+            while let Some(i) = set.invalid.pop() {
+                if set.slots[i as usize].state != LineState::Iv {
+                    continue; // revalidated since; stale stack entry
+                }
+                let victim_addr = set.slots[i as usize].addr;
+                self.index.remove(&victim_addr);
+                set.slots[i as usize] = Line {
+                    addr,
+                    state: LineState::Iv,
+                    prev: set.slots[i as usize].prev,
+                    next: set.slots[i as usize].next,
+                };
+                set.touch(i);
+                set.invalid.push(i); // still invalid until transitioned
+                self.index.insert(addr, (set_idx as u32, i));
+                return AllocOutcome::Fresh;
+            }
+
+            // LRU walk from the tail, skipping transient lines (rare).
+            let mut i = set.lru;
+            while i != NIL {
+                let state = set.slots[i as usize].state;
+                if matches!(state, LineState::V | LineState::E) {
+                    let victim_addr = set.slots[i as usize].addr;
+                    self.index.remove(&victim_addr);
+                    set.slots[i as usize].addr = addr;
+                    set.slots[i as usize].state = LineState::Iv;
+                    set.touch(i);
+                    set.invalid.push(i); // still invalid until transitioned
+                    self.index.insert(addr, (set_idx as u32, i));
+                    return AllocOutcome::Evicted {
+                        victim: victim_addr,
+                        state,
+                    };
+                }
+                i = set.slots[i as usize].prev;
+            }
+            AllocOutcome::Stalled
+        }
+
+        /// All resident `(addr, state)` pairs (for verification).
+        pub fn resident(&self) -> impl Iterator<Item = (Addr, LineState)> + '_ {
+            self.sets
+                .iter()
+                .flat_map(|s| s.slots.iter().map(|l| (l.addr, l.state)))
+        }
+
+        /// Number of resident tags.
+        pub fn len(&self) -> usize {
+            self.index.len()
+        }
     }
 }
 
@@ -459,5 +695,143 @@ mod tests {
             }
             c.set_state(new_addr, LineState::V);
         }
+    }
+
+    #[test]
+    fn access_marks_mru_only_on_a_hit() {
+        let mut c = small();
+        for a in 0..4 {
+            c.allocate(a);
+            c.set_state(a, LineState::V);
+        }
+        assert_eq!(c.access(9, false), LineState::NotPresent);
+        // A read hit on 0 makes 1 the LRU; a write to V line 1 is a miss
+        // (not writable) and must leave it there.
+        assert_eq!(c.access(0, false), LineState::V);
+        assert_eq!(c.access(1, true), LineState::V);
+        match c.allocate(100) {
+            AllocOutcome::Evicted { victim, .. } => assert_eq!(victim, 1),
+            other => panic!("expected eviction, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn set_state_returns_the_previous_state() {
+        let mut c = small();
+        c.allocate(3);
+        assert_eq!(c.set_state(3, LineState::RmIp), LineState::Iv);
+        assert_eq!(c.set_state(3, LineState::V), LineState::RmIp);
+        assert_eq!(c.set_state_mru(3, LineState::WmIp), LineState::V);
+        assert_eq!(c.state(3), LineState::WmIp);
+    }
+
+    #[test]
+    fn clear_is_a_new_cache() {
+        let mut c = small();
+        for a in 0..6 {
+            c.allocate(a);
+            c.set_state(a, LineState::V);
+        }
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.resident().count(), 0);
+        for a in 0..6 {
+            assert_eq!(c.state(a), LineState::NotPresent);
+        }
+        assert_eq!(c.allocate(5), AllocOutcome::Fresh);
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "block addresses are dense: `Alloc` hands them out from 0")]
+    fn sparse_block_address_is_refused() {
+        small().allocate(1 << 32);
+    }
+
+    /// Drive the block-indexed cache and the hash-indexed reference in lock
+    /// step over a seeded random call sequence; every observable must agree
+    /// after every call.
+    fn lock_step(config: CacheConfig, addrs: u64, steps: usize, seed: u64) {
+        use dirtree_sim::SimRng;
+        const STATES: [LineState; 5] = [
+            LineState::V,
+            LineState::E,
+            LineState::Iv,
+            LineState::RmIp,
+            LineState::WmIp,
+        ];
+        let mut new = Cache::new(config);
+        let mut old = reference::HashCache::new(config);
+        let mut rng = SimRng::new(seed);
+        for step in 0..steps {
+            let a = rng.gen_range(addrs);
+            let at = format!("step {step}, addr {a}, {config:?}");
+            match rng.gen_range(8) {
+                // Weighted towards allocate so full sets keep rebinding.
+                0..=2 => assert_eq!(new.allocate(a), old.allocate(a), "allocate at {at}"),
+                3 | 4 if old.state(a) != LineState::NotPresent => {
+                    let to = STATES[rng.gen_index(STATES.len())];
+                    let was = old.state(a);
+                    old.set_state(a, to);
+                    if rng.gen_bool(0.5) {
+                        assert_eq!(new.set_state(a, to), was, "set_state at {at}");
+                    } else {
+                        old.touch(a);
+                        assert_eq!(new.set_state_mru(a, to), was, "set_state_mru at {at}");
+                    }
+                }
+                5 => {
+                    new.touch(a);
+                    old.touch(a);
+                }
+                6 => {
+                    // `access` against what `issue_access` used to do:
+                    // `state()`, then `touch()` iff the access hits.
+                    let write = rng.gen_bool(0.3);
+                    let was = old.state(a);
+                    let hit = if write {
+                        was.writable()
+                    } else {
+                        was.readable()
+                    };
+                    if hit {
+                        old.touch(a);
+                    }
+                    assert_eq!(new.access(a, write), was, "access at {at}");
+                }
+                _ => assert_eq!(new.state(a), old.state(a), "state at {at}"),
+            }
+            assert_eq!(new.len(), old.len(), "len at {at}");
+            // The whole address space every few steps (every step would be
+            // quadratic at the paper's geometry), and always at the end.
+            if step % 64 == 0 || step + 1 == steps {
+                for b in 0..addrs {
+                    assert_eq!(new.state(b), old.state(b), "state({b}) at {at}");
+                }
+                let sorted = |mut v: Vec<(Addr, LineState)>| {
+                    v.sort_by_key(|&(b, st)| (b, st as u8));
+                    v
+                };
+                assert_eq!(
+                    sorted(new.resident().collect()),
+                    sorted(old.resident().collect()),
+                    "resident at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_index_matches_the_hash_index_in_lock_step() {
+        let geometry = |lines, associativity| CacheConfig {
+            lines,
+            associativity,
+        };
+        for seed in [1996, 31337, 7] {
+            lock_step(geometry(4, 4), 12, 4_000, seed);
+            lock_step(geometry(8, 2), 40, 4_000, seed);
+        }
+        // The paper's geometry, with more addresses than lines so it evicts.
+        lock_step(CacheConfig::paper_default(), 3_000, 60_000, 1996);
     }
 }

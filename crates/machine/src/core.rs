@@ -9,13 +9,13 @@ use crate::config::MachineConfig;
 use crate::stats::MachineStats;
 use crate::trace::MsgTrace;
 use crate::verify::Verifier;
-use dirtree_core::cache::Cache;
+use dirtree_core::cache::{AllocOutcome, Cache};
 use dirtree_core::ctx::{ProtoCtx, ProtoEvent};
 use dirtree_core::msg::{Msg, MsgKind};
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_net::{vc_for, Network};
 use dirtree_sim::metrics::{Metrics, MsgClass};
-use dirtree_sim::{Cycle, EventQueue, FxHashMap};
+use dirtree_sim::{BlockTable, Cycle, EventQueue};
 use std::collections::VecDeque;
 
 /// A protocol send waiting for a `(node, VC)` injection credit (bounded
@@ -55,7 +55,13 @@ pub struct MachineCore {
     pub config: MachineConfig,
     pub queue: EventQueue<Ev>,
     pub net: Network,
-    pub caches: Vec<Cache>,
+    /// One cache per node. Private: every change to a line's state goes
+    /// through the methods below, which keep `readable` in step.
+    caches: Vec<Cache>,
+    /// Readable (`V` or `E`) copies of each block over all caches, adjusted
+    /// wherever a line's `readable()` flips — what a write miss's sharer
+    /// count reads instead of probing every cache.
+    readable: BlockTable<u32>,
     pub stats: MachineStats,
     pub verifier: Option<Verifier>,
     /// Observability sink fed by the shared send hook below. A zero-sized
@@ -64,8 +70,9 @@ pub struct MachineCore {
     /// Optional structured event trace (Chrome-trace export), also fed by
     /// the send hook.
     pub trace_sink: Option<MsgTrace>,
-    /// Issue time of each outstanding miss (latency accounting).
-    pub pending_miss: FxHashMap<(NodeId, Addr), Cycle>,
+    /// Address and issue time of each node's outstanding miss (latency
+    /// accounting). One slot per node: a processor blocks on its miss.
+    pending_miss: Vec<Option<(Addr, Cycle)>>,
     ctrl_q: Vec<VecDeque<Msg>>,
     ctrl_free: Vec<Cycle>,
     ctrl_scheduled: Vec<bool>,
@@ -123,11 +130,12 @@ impl MachineCore {
             queue: EventQueue::with_capacity(2 * n),
             net: Network::new(config.topology.build(config.nodes), config.net),
             caches: (0..n).map(|_| Cache::new(config.cache)).collect(),
+            readable: BlockTable::new(),
             stats: MachineStats::default(),
             verifier: config.verify.then(Verifier::new),
             metrics: Metrics::default(),
             trace_sink: None,
-            pending_miss: FxHashMap::default(),
+            pending_miss: vec![None; n],
             ctrl_q: (0..n).map(|_| VecDeque::new()).collect(),
             ctrl_free: vec![0; n],
             ctrl_scheduled: vec![false; n],
@@ -156,14 +164,13 @@ impl MachineCore {
     pub fn reset(&mut self) {
         self.queue.clear();
         self.net.reset();
-        for c in &mut self.caches {
-            *c = Cache::new(self.config.cache);
-        }
+        self.caches.iter_mut().for_each(Cache::clear);
+        self.readable.clear();
         self.stats = MachineStats::default();
         self.verifier = self.config.verify.then(Verifier::new);
         self.metrics = Metrics::default();
         self.trace_sink = None;
-        self.pending_miss.clear();
+        self.pending_miss.iter_mut().for_each(|m| *m = None);
         self.ctrl_q.iter_mut().for_each(VecDeque::clear);
         self.ctrl_free.iter_mut().for_each(|c| *c = 0);
         self.ctrl_scheduled.iter_mut().for_each(|s| *s = false);
@@ -383,13 +390,91 @@ impl MachineCore {
         );
     }
 
-    /// Number of readable copies of `addr` outside `except` — the
-    /// allocation-free variant for pure counting (per-write sharer stats on
-    /// the hot path).
+    /// Number of readable copies of `addr` outside `except` (per-write
+    /// sharer stats on the hot path): the block's readable-copy count less
+    /// `except`'s own copy, O(1). Debug builds check it against a scan of
+    /// every cache.
     pub fn count_other_holders(&self, addr: Addr, except: NodeId) -> u64 {
-        (0..self.config.nodes)
-            .filter(|&m| m != except && self.caches[m as usize].state(addr).readable())
-            .count() as u64
+        let all = self.readable.get(addr).copied().unwrap_or(0);
+        let own = self.caches[except as usize].state(addr).readable();
+        let others = u64::from(all) - u64::from(own);
+        debug_assert_eq!(
+            others,
+            (0..self.config.nodes)
+                .filter(|&m| m != except && self.caches[m as usize].state(addr).readable())
+                .count() as u64,
+            "readable-copy count of block {addr:#x} drifted from the caches"
+        );
+        others
+    }
+
+    /// Keep `readable` in step with one line's state change.
+    #[inline]
+    fn note_readable(&mut self, addr: Addr, was: LineState, now: LineState) {
+        match (was.readable(), now.readable()) {
+            (false, true) => *self.readable.get_mut_or_grow(addr) += 1,
+            (true, false) => *self.readable.get_mut_or_grow(addr) -= 1,
+            _ => {}
+        }
+    }
+
+    /// Processor `node` accesses `addr`: the line's state, marked
+    /// most-recently-used iff the access hits ([`Cache::access`]).
+    #[inline]
+    pub fn access_line(&mut self, node: NodeId, addr: Addr, write: bool) -> LineState {
+        self.caches[node as usize].access(addr, write)
+    }
+
+    /// Allocate a line for `addr` in `node`'s cache ([`Cache::allocate`]).
+    /// A displaced readable victim stops counting as a copy here; the
+    /// caller runs the protocol's replacement action for it.
+    pub fn allocate_line(&mut self, node: NodeId, addr: Addr) -> AllocOutcome {
+        let outcome = self.caches[node as usize].allocate(addr);
+        if let AllocOutcome::Evicted { victim, state } = outcome {
+            self.note_readable(victim, state, LineState::Iv);
+        }
+        outcome
+    }
+
+    /// Record that `node` blocks on a miss to `addr` issued now: the line
+    /// enters `transient` and becomes most-recently-used (one lookup), and
+    /// the miss is stamped for [`MachineCore::retire_miss`].
+    ///
+    /// # Panics
+    /// Panics if the node already has a miss outstanding — a processor
+    /// blocks on its miss, so a second one is a machine bug.
+    pub fn enter_miss(&mut self, node: NodeId, addr: Addr, transient: LineState) {
+        let slot = &mut self.pending_miss[node as usize];
+        if let Some((blocked_on, _)) = *slot {
+            panic!(
+                "processor {node} began a miss on {addr:#x} while blocked on \
+                 its miss on {blocked_on:#x}"
+            );
+        }
+        *slot = Some((addr, self.queue.now()));
+        let was = self.caches[node as usize].set_state_mru(addr, transient);
+        self.note_readable(addr, was, transient);
+    }
+
+    /// The outstanding miss of `node` completed: its latency in cycles.
+    ///
+    /// # Panics
+    /// Panics unless the node's outstanding miss is the one on `addr`.
+    pub fn retire_miss(&mut self, node: NodeId, addr: Addr) -> Cycle {
+        match self.pending_miss[node as usize].take() {
+            Some((missed, issued)) if missed == addr => self.queue.now() - issued,
+            other => panic!(
+                "access to {addr:#x} completed at processor {node}, whose \
+                 outstanding miss is {other:?}"
+            ),
+        }
+    }
+
+    /// `(addr, copies)` for every block with a non-zero readable-copy
+    /// count; must agree with a scan of [`MachineCore::survivors`].
+    #[cfg(test)]
+    pub(crate) fn readable_counts(&self) -> impl Iterator<Item = (Addr, u32)> + '_ {
+        self.readable.iter_nonempty().map(|(a, c)| (a, *c))
     }
 
     /// Busy cycles per memory/cache controller (hot-spot diagnostics).
@@ -547,7 +632,8 @@ impl ProtoCtx for MachineCore {
     }
 
     fn set_line_state(&mut self, node: NodeId, addr: Addr, state: LineState) {
-        self.caches[node as usize].set_state(addr, state);
+        let was = self.caches[node as usize].set_state(addr, state);
+        self.note_readable(addr, was, state);
     }
 
     fn complete(&mut self, node: NodeId, addr: Addr, op: OpKind) {

@@ -120,6 +120,10 @@ pub struct Machine {
     /// Scratch for holder queries on the write-verification paths: one
     /// machine-lifetime buffer instead of one `Vec` per checked write.
     holders_scratch: Vec<NodeId>,
+    /// Whether an `Ev::Proc(n)` is in the queue, per node: a processor has
+    /// at most one wake-up pending (checked in debug builds only).
+    #[cfg(debug_assertions)]
+    proc_pending: Vec<bool>,
 }
 
 impl Machine {
@@ -141,6 +145,8 @@ impl Machine {
             locks: FxHashMap::default(),
             done_count: 0,
             holders_scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            proc_pending: vec![false; n],
         }
     }
 
@@ -159,6 +165,8 @@ impl Machine {
         self.locks.clear();
         self.done_count = 0;
         self.holders_scratch.clear();
+        #[cfg(debug_assertions)]
+        self.proc_pending.iter_mut().for_each(|p| *p = false);
     }
 
     pub fn config(&self) -> &MachineConfig {
@@ -219,7 +227,7 @@ impl Machine {
     /// those indicate a broken protocol, not a stalled run.
     pub fn try_run(&mut self, driver: &mut dyn Driver) -> Result<RunOutcome, StallError> {
         for n in 0..self.core.config.nodes {
-            self.core.queue.push(0, Ev::Proc(n));
+            self.reschedule(n, 0);
         }
         let mut events: u64 = 0;
         // Same-cycle events are drained in one batch (reusing `batch`
@@ -309,12 +317,22 @@ impl Machine {
     }
 
     fn reschedule(&mut self, n: NodeId, delay: Cycle) {
+        #[cfg(debug_assertions)]
+        {
+            let pending = &mut self.proc_pending[n as usize];
+            assert!(!*pending, "processor {n} already has a wake-up pending");
+            *pending = true;
+        }
         self.core
             .queue
             .push(self.core.queue.now() + delay, Ev::Proc(n));
     }
 
     fn step_processor(&mut self, n: NodeId, driver: &mut dyn Driver) {
+        #[cfg(debug_assertions)]
+        {
+            self.proc_pending[n as usize] = false;
+        }
         let op = match self.retry_op[n as usize].take() {
             Some(op) => op,
             None => driver.next_op(n, self.core.queue.now()),
@@ -342,14 +360,14 @@ impl Machine {
 
     fn issue_access(&mut self, n: NodeId, addr: Addr, kind: OpKind, op: DriverOp) {
         let cache_latency = self.core.config.cache_latency;
-        let state = self.core.caches[n as usize].state(addr);
+        // One tag lookup: the state, and the MRU mark if this is a hit.
+        let state = self.core.access_line(n, addr, kind == OpKind::Write);
 
         match kind {
             OpKind::Read => {
                 self.core.stats.reads += 1;
                 if state.readable() {
                     self.core.stats.read_hits += 1;
-                    self.core.caches[n as usize].touch(addr);
                     if self.wants_read_hits {
                         self.protocol.note_read_hit(n, addr);
                     }
@@ -368,7 +386,6 @@ impl Machine {
                 if state.writable() {
                     self.core.stats.write_hits += 1;
                     self.core.stats.sharers_at_write.record(0);
-                    self.core.caches[n as usize].touch(addr);
                     // (is_some + unwrap rather than if-let: `other_holders_into`
                     // needs an immutable borrow of the core in between.)
                     #[allow(clippy::unnecessary_unwrap)]
@@ -401,7 +418,7 @@ impl Machine {
         }
 
         // Genuine miss: allocate a line (possibly evicting a victim).
-        match self.core.caches[n as usize].allocate(addr) {
+        match self.core.allocate_line(n, addr) {
             AllocOutcome::Stalled => {
                 self.retry(n, op);
                 return;
@@ -420,36 +437,30 @@ impl Machine {
             OpKind::Read => {
                 self.core.stats.reads += 1;
                 self.core.stats.read_misses += 1;
-                self.core.caches[n as usize].set_state(addr, LineState::RmIp);
+                self.core.enter_miss(n, addr, LineState::RmIp);
             }
             OpKind::Write => {
                 self.core.stats.writes += 1;
                 self.core.stats.write_misses += 1;
                 let sharers = self.core.count_other_holders(addr, n);
                 self.core.stats.sharers_at_write.record(sharers);
-                self.core.caches[n as usize].set_state(addr, LineState::WmIp);
+                self.core.enter_miss(n, addr, LineState::WmIp);
             }
         }
-        self.core.caches[n as usize].touch(addr);
-        self.core
-            .pending_miss
-            .insert((n, addr), self.core.queue.now());
         self.procs[n as usize] = ProcState::Blocked;
         self.protocol.start_miss(&mut self.core, n, addr, kind);
     }
 
     fn op_done(&mut self, n: NodeId, addr: Addr, op: OpKind) {
-        if let Some(issued) = self.core.pending_miss.remove(&(n, addr)) {
-            let lat = self.core.queue.now() - issued;
-            match op {
-                OpKind::Read => {
-                    self.core.stats.read_miss_latency.record(lat);
-                    self.core.metrics.on_read_done(addr, lat);
-                }
-                OpKind::Write => {
-                    self.core.stats.write_miss_latency.record(lat);
-                    self.core.metrics.on_write_done(addr, lat);
-                }
+        let lat = self.core.retire_miss(n, addr);
+        match op {
+            OpKind::Read => {
+                self.core.stats.read_miss_latency.record(lat);
+                self.core.metrics.on_read_done(addr, lat);
+            }
+            OpKind::Write => {
+                self.core.stats.write_miss_latency.record(lat);
+                self.core.metrics.on_write_done(addr, lat);
             }
         }
         // (see note above about the split borrow)
@@ -785,7 +796,7 @@ mod tests {
             pointers: 4,
             arity: 2,
         };
-        let scripts: Vec<Vec<DriverOp>> = (0..8u64)
+        let contended: Vec<Vec<DriverOp>> = (0..8u64)
             .map(|n| {
                 vec![
                     DriverOp::Read(0),
@@ -797,18 +808,127 @@ mod tests {
                 ]
             })
             .collect();
-        let (fresh, _) = run_script(8, kind, scripts.clone());
-        let mut m = Machine::new(MachineConfig::test_default(8), kind);
-        m.run(&mut ScriptDriver::new(scripts.clone()));
-        m.reset();
-        let reused = m.run(&mut ScriptDriver::new(scripts));
-        // Debug formatting covers every stat, histogram bucket, network
-        // counter, and metrics field — a full bit-identity proxy.
-        assert_eq!(
-            format!("{fresh:?}"),
-            format!("{reused:?}"),
-            "reset() left state behind"
-        );
+        // A 4-line cache swept over 6 blocks, so the run ends with lines
+        // evicted, blocks 4 and 5 readable everywhere and block 0 written
+        // last: stale readable-copy counts, miss stamps or tags from the
+        // first run would change the second's `sharers_at_write` or hits.
+        let mut tiny = MachineConfig::test_default(4);
+        tiny.cache = dirtree_core::cache::CacheConfig {
+            lines: 4,
+            associativity: 4,
+        };
+        let evicting: Vec<Vec<DriverOp>> = (0..4u64)
+            .map(|n| {
+                let mut ops: Vec<DriverOp> = (0..6).map(DriverOp::Read).collect();
+                ops.extend([
+                    DriverOp::Barrier(0),
+                    DriverOp::Write(n),
+                    DriverOp::Barrier(1),
+                    DriverOp::Read(4),
+                    DriverOp::Read(5),
+                ]);
+                if n == 0 {
+                    ops.push(DriverOp::Write(0));
+                }
+                ops
+            })
+            .collect();
+        for (config, scripts) in [
+            (MachineConfig::test_default(8), contended),
+            (tiny, evicting),
+        ] {
+            let mut m = Machine::new(config, kind);
+            let fresh = m.run(&mut ScriptDriver::new(scripts.clone()));
+            assert!(m.core.readable_counts().next().is_some());
+            m.reset();
+            assert!(m.core.readable_counts().next().is_none());
+            let reused = m.run(&mut ScriptDriver::new(scripts));
+            // Debug formatting covers every stat, histogram bucket, network
+            // counter, and metrics field — a full bit-identity proxy.
+            assert_eq!(
+                format!("{fresh:?}"),
+                format!("{reused:?}"),
+                "reset() left state behind"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "processor 1 began a miss on 0x8 while blocked")]
+    fn second_miss_on_a_blocked_processor_panics() {
+        let mut m = Machine::new(MachineConfig::test_default(2), ProtocolKind::FullMap);
+        for addr in [4, 8] {
+            m.core.allocate_line(1, addr);
+            m.begin_miss(1, addr, OpKind::Read);
+        }
+    }
+
+    /// The O(1) sharer count against the caches, on every protocol the
+    /// benchmark runs: P=8 with a 16-line cache forces evictions, upgrades,
+    /// update-mode writes and list unlinks, every write miss checks the
+    /// count against a scan (`count_other_holders`' debug assertion), and
+    /// at quiescence every block's count must equal a scan of all caches.
+    #[test]
+    fn readable_copy_counts_track_the_caches_on_every_protocol() {
+        use dirtree_sim::SimRng;
+        let tree = |pointers| ProtocolKind::DirTree { pointers, arity: 2 };
+        let (pointers, arity) = (4, 2);
+        let kinds = [
+            ProtocolKind::FullMap,
+            ProtocolKind::LimitedNB { pointers },
+            ProtocolKind::LimitLess { pointers },
+            ProtocolKind::SinglyList,
+            ProtocolKind::Sci,
+            ProtocolKind::Stp { arity },
+            ProtocolKind::SciTree,
+            tree(2),
+            tree(4),
+            ProtocolKind::DirTreeUpdate { pointers, arity },
+            ProtocolKind::DirTreeAdaptive { pointers, arity },
+        ];
+        let mut config = MachineConfig::test_default(8);
+        config.cache = dirtree_core::cache::CacheConfig {
+            lines: 16,
+            associativity: 16,
+        };
+        for kind in kinds {
+            for seed in [1996, 31337] {
+                let mut rng = SimRng::new(seed);
+                let scripts: Vec<Vec<DriverOp>> = (0..8)
+                    .map(|_| {
+                        let mut ops = Vec::new();
+                        for phase in 0..4 {
+                            for _ in 0..60 {
+                                // Half the accesses on 6 hot blocks (sharing,
+                                // upgrades), half over 48 (evictions).
+                                let addr = if rng.gen_bool(0.5) {
+                                    rng.gen_range(6)
+                                } else {
+                                    rng.gen_range(48)
+                                };
+                                ops.push(if rng.gen_bool(0.3) {
+                                    DriverOp::Write(addr)
+                                } else {
+                                    DriverOp::Read(addr)
+                                });
+                            }
+                            ops.push(DriverOp::Barrier(phase));
+                        }
+                        ops
+                    })
+                    .collect();
+                let mut m = Machine::new(config, kind);
+                let out = m.run(&mut ScriptDriver::new(scripts));
+                assert!(out.stats.evictions > 0, "{kind:?}: no evictions");
+                assert!(out.stats.write_misses > 0, "{kind:?}: no write misses");
+                let mut scanned = std::collections::BTreeMap::new();
+                for (_, addr) in m.core.survivors() {
+                    *scanned.entry(addr).or_insert(0u32) += 1;
+                }
+                let counted: std::collections::BTreeMap<_, _> = m.core.readable_counts().collect();
+                assert_eq!(counted, scanned, "{kind:?}, seed {seed}");
+            }
+        }
     }
 
     #[test]

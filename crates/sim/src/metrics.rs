@@ -19,6 +19,8 @@
 //! vocabulary below (`MsgKind::class()`), which is what the paper's
 //! quantitative claims are phrased in.
 
+#[cfg(feature = "trace")]
+use crate::block_table::BlockTable;
 use crate::stats::Histogram;
 
 /// Coarse protocol-message classification shared by all eleven protocols.
@@ -198,8 +200,10 @@ pub struct Metrics {
     write_tx: Histogram,
     wave_depth: Histogram,
     wave_acks: Histogram,
-    per_block: crate::hash::FxHashMap<u64, [ClassCounts; NUM_MSG_CLASSES]>,
-    waves: crate::hash::FxHashMap<u64, WaveState>,
+    /// Indexed by block address; a block that saw no traffic is all zeros.
+    per_block: BlockTable<[ClassCounts; NUM_MSG_CLASSES]>,
+    /// Indexed by block address; `Some` while a write's wave is open.
+    waves: BlockTable<Option<WaveState>>,
 }
 
 #[cfg(feature = "trace")]
@@ -212,7 +216,7 @@ impl Metrics {
         self.classes[i].count += 1;
         self.classes[i].bytes += bytes;
         self.classes[i].to_dir += dir;
-        let block = self.per_block.entry(addr).or_default();
+        let block = self.per_block.get_mut_or_grow(addr);
         block[i].count += 1;
         block[i].bytes += bytes;
         block[i].to_dir += dir;
@@ -224,7 +228,7 @@ impl Metrics {
     /// sender's (unknown senders — e.g. the writer starting a list chain —
     /// count as level 0).
     pub fn on_inv(&mut self, addr: u64, src: u32, dst: u32, from_home: bool) {
-        let w = self.waves.entry(addr).or_default();
+        let w = self.wave(addr);
         let level = if from_home {
             1
         } else {
@@ -238,7 +242,12 @@ impl Metrics {
 
     /// The home collected a directory-bound wave acknowledgement.
     pub fn on_home_ack(&mut self, addr: u64) {
-        self.waves.entry(addr).or_default().acks += 1;
+        self.wave(addr).acks += 1;
+    }
+
+    /// The open wave of `addr`, opened if there is none.
+    fn wave(&mut self, addr: u64) -> &mut WaveState {
+        self.waves.get_mut_or_grow(addr).get_or_insert_default()
     }
 
     /// A read transaction completed.
@@ -250,7 +259,7 @@ impl Metrics {
     /// block's invalidation wave (depth and home-ack count).
     pub fn on_write_done(&mut self, addr: u64, latency: u64) {
         self.write_tx.record(latency);
-        if let Some(w) = self.waves.remove(&addr) {
+        if let Some(w) = self.waves.get_mut(addr).and_then(Option::take) {
             if w.invs > 0 || w.acks > 0 {
                 self.wave_depth.record(w.max_level);
                 self.wave_acks.record(w.acks);
@@ -265,7 +274,7 @@ impl Metrics {
 
     /// Per-class counts for one block (zeros if the block saw no traffic).
     pub fn block_counts(&self, addr: u64) -> [ClassCounts; NUM_MSG_CLASSES] {
-        self.per_block.get(&addr).copied().unwrap_or_default()
+        self.per_block.get(addr).copied().unwrap_or_default()
     }
 
     /// Export the accumulated metrics. Network link fields are left at
@@ -274,8 +283,8 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut top: Vec<(u64, u64)> = self
             .per_block
-            .iter()
-            .map(|(a, c)| (*a, c.iter().map(|cc| cc.count).sum()))
+            .iter_nonempty()
+            .map(|(a, c)| (a, c.iter().map(|cc| cc.count).sum()))
             .collect();
         top.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
         top.truncate(TOP_BLOCKS);
@@ -445,6 +454,31 @@ mod tests {
             for w in s.top_blocks.windows(2) {
                 assert!(w[0].1 >= w[1].1);
             }
+            // Count descending, then address: exactly this list.
+            let expect: Vec<(u64, u64)> = (12..20u64).rev().map(|a| (a, a + 1)).collect();
+            assert_eq!(s.top_blocks, expect);
+        }
+
+        #[test]
+        fn top_blocks_skip_untouched_addresses_and_break_ties_by_address() {
+            let mut m = Metrics::default();
+            // Touched blocks with untouched ones between them (rows of the
+            // dense table that exist but hold zeros), two ties, and the
+            // classes spread so a row's total is a sum over classes.
+            for (addr, msgs) in [(40u64, 3u64), (2, 5), (17, 3), (1000, 1), (9, 5)] {
+                for i in 0..msgs {
+                    let class = MsgClass::ALL[i as usize % NUM_MSG_CLASSES];
+                    m.on_msg(class, addr, 8, false);
+                }
+            }
+            assert_eq!(
+                m.snapshot().top_blocks,
+                vec![(2, 5), (9, 5), (17, 3), (40, 3), (1000, 1)]
+            );
+            // Never-seen addresses: inside the grown table, and beyond it.
+            let zeros = [ClassCounts::default(); NUM_MSG_CLASSES];
+            assert_eq!(m.block_counts(3), zeros);
+            assert_eq!(m.block_counts(1 << 20), zeros);
         }
     }
 }
