@@ -9,8 +9,8 @@
 # counts printed), then the perf gates: golden byte-compares and the
 # benchmark's ledger gates (four workloads' digests and state counts
 # against benchmark/expected.json, plus host_s and setup_s ratio checks
-# against BENCH_layers.json). Run from the repository root; fails fast on the
-# first problem.
+# for the workloads BENCH_layers.json's ci_gate names). Run from the
+# repository root; fails fast on the first problem.
 #
 #   ./ci.sh          default gate (~2-3 min of model checking: P=2, P=3,
 #                    and a time-budgeted P=4 slice)
@@ -96,28 +96,32 @@ echo "cli-smoke: unknown experiment name exits 64"
 # end-to-end pass of a benchmark workload each; every config digest and
 # state count must match benchmark/expected.json (`correct`, no failed
 # operation).
-ledger_gate() {  # workload [time limits from BENCH_layers.json: yes|no]
+ledger_gate() {  # workload; timed iff BENCH_layers.json's ci_gate names it
   python3 benchmark/run.py --workload "$1" --seed 1996 --seconds 10 --trace 0 \
     | tail -n 1 | python3 -c '
 import json, sys
-workload, timed = sys.argv[1], sys.argv[2] == "yes"
+workload = sys.argv[1]
 result = json.load(sys.stdin)
 host_s = result["metrics"]["host_s"]["value"]
 setup_s = result["metrics"]["setup_s"]["value"]
 ok = result["correct"] and result["failed"] == 0
 note = ""
-if timed:
-    gate = json.load(open("BENCH_layers.json"))["ci_gate"]
-    limit = gate["host_s"] * gate["fail_above_ratio"]
-    setup_limit = gate["setup_s"] * gate["setup_fail_above_ratio"]
-    ok = ok and host_s <= limit and setup_s <= setup_limit
-    note = (" (committed %.2f s, limit %.2f s), setup_s = %.3f s (committed %.3f s, limit %.2f s)"
-            % (gate["host_s"], limit, setup_s, gate["setup_s"], setup_limit))
+gate = json.load(open("BENCH_layers.json"))["ci_gate"]
+committed = gate["workloads"].get(workload)
+if committed:
+    limit = committed["host_s"] * gate["fail_above_ratio"]
+    ok = ok and host_s <= limit
+    note = " (committed %.2f s, limit %.2f s)" % (committed["host_s"], limit)
+    if "setup_s" in committed:
+        setup_limit = committed["setup_s"] * gate["setup_fail_above_ratio"]
+        ok = ok and setup_s <= setup_limit
+        note += (", setup_s = %.3f s (committed %.3f s, limit %.2f s)"
+                 % (setup_s, committed["setup_s"], setup_limit))
 print("ledger-gate: %s host_s = %.2f s%s, correct = %s, failed = %d/%d: %s"
       % (workload, host_s, note, result["correct"], result["failed"],
          result["attempted"], "ok" if ok else "FAILED"))
 sys.exit(0 if ok else 1)
-' "$1" "${2:-no}"
+' "$1"
 }
 # The protocol-family workload also carries the time ratios. host_s may
 # not exceed twice the value committed in BENCH_layers.json — since PR 21
@@ -131,12 +135,19 @@ sys.exit(0 if ok else 1)
 # value, not two: at a twentieth of a second it doubles under a noisy
 # neighbour, and the regression it guards — trace recording going back to
 # one thread rendezvous per operation — is 28x at best (1.45 s pinned).
-ledger_gate lu_p32_families yes
+ledger_gate lu_p32_families
 # The two workloads that run Dir_iTree_k's update and per-block write
 # policies (lu_p32_families is static invalidate throughout): the twelve
 # invalidate/update/adaptive digests at P=256 and the checker's pinned
-# state counts for the update, adaptive and ternary shapes. Correctness
-# only; their times are the PR-14 row of BENCH_layers.json, ungated.
+# state counts for the update, adaptive and ternary shapes. policies_p256
+# is correctness only (its times are the PR-14 row of BENCH_layers.json,
+# ungated). check_mix is timed at the same 2x ratio since PR 24: the level
+# committed is the one with canonicalization by sorting; going back to
+# relabeling every permutation of the group is 1.5x on host_s (the P=2
+# two-block shapes, which have no symmetry to lose, are most of it), so
+# what this catches is a checker layer going quadratic, and what catches
+# the canonicalization itself is the clock-free `tried`-per-call pin in
+# crates/check/tests/exhaustive.rs.
 ledger_gate policies_p256
 ledger_gate check_mix
 # The depth the VC send path is about: no step above takes the

@@ -52,8 +52,8 @@ fn main() {
         let out = explore(&cfg, factory);
         let s = out.stats().unwrap();
         println!(
-            "sym={sym:5} por={por:5}: states={:8} explored={:9} dedup={:9} pruned={:8} |G|={} pass={} [{:.2?}]",
-            out.states(), s.explored, s.deduped, s.sleep_pruned, s.sym_group, out.is_pass(), t.elapsed()
+            "sym={sym:5} por={por:5}: states={:8} explored={:9} dedup={:9} pruned={:8} |G|={} tried={:.2} pass={} [{:.2?}]",
+            out.states(), s.explored, s.deduped, s.sleep_pruned, s.sym_group, s.mean_perms_tried(), out.is_pass(), t.elapsed()
         );
     }
 }

@@ -23,7 +23,9 @@
 //! given machine speed); `--deep` runs the whole P>=4 roster. Each line
 //! reports the reduction statistics: states
 //! actually explored (`apply()` calls), canonical-duplicate hits, sleep-
-//! set-pruned transitions, and the symmetry group size.
+//! set-pruned transitions, the symmetry group size with the mean number
+//! of its permutations a canonicalization tried, and `POR off: …` if the
+//! shape has more choice slots than a sleep mask has bits.
 //!
 //! Exit status: 0 all pass, 1 a violation was found, 2 a resource limit
 //! stopped an exploration before exhaustion.

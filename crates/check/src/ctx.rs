@@ -19,6 +19,7 @@ use dirtree_core::fingerprint::digest_map;
 use dirtree_core::msg::Msg;
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_core::verify::Verifier;
+use dirtree_sim::hash::FxHasher;
 use dirtree_sim::{Cycle, FxHashMap};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -201,6 +202,67 @@ impl CheckCtx {
             flagged: None,
             send_log: None,
         }
+    }
+
+    /// A hash of what tells `node` apart from the other processors
+    /// *without naming any node a symmetry permutation can move*:
+    /// its fuel, outstanding miss and pending completion; its resident
+    /// lines as a set of `(addr, state)`; its redelivery queue as
+    /// a sequence of `(addr, message kind)`; for every node `f` with
+    /// `fixed[f]`, in id order, the channels `node → f` and `f → node` as
+    /// such sequences; and the traffic between `node` and the non-fixed
+    /// nodes as an order-free sum over them of the same channel pair's
+    /// hash (which free node is at the other end is exactly what may not
+    /// go in). Message payloads and `src` carry node ids and stay out;
+    /// addresses never move under the group and go in.
+    ///
+    /// That makes it equivariant under every `σ` that fixes the `fixed`
+    /// nodes — `σ(s).node_signature(σ(i)) == s.node_signature(i)` — which
+    /// is all [`CheckState::canonicalize`](crate::state::CheckState::canonicalize)
+    /// needs to sort by it. A hash collision between two different nodes
+    /// only makes them tie there.
+    pub fn node_signature(&self, node: NodeId, fixed: &[bool]) -> u64 {
+        fn shape(h: &mut FxHasher, q: &VecDeque<Msg>) {
+            h.write_usize(q.len());
+            for m in q {
+                h.write_u64(m.addr);
+                std::mem::discriminant(&m.kind).hash(h);
+            }
+        }
+        let mut h = FxHasher::default();
+        let i = node as usize;
+        self.fuel[i].hash(&mut h);
+        self.outstanding[i].hash(&mut h);
+        self.completion[i].hash(&mut h);
+        // Order-free over the tag map's iteration order, like `with_free`.
+        let mut lines = 0u64;
+        for (&(n, addr), st) in &self.lines {
+            if n == node {
+                let mut g = FxHasher::default();
+                (addr, st).hash(&mut g);
+                lines = lines.wrapping_add(g.finish());
+            }
+        }
+        h.write_u64(lines);
+        shape(&mut h, &self.local[i]);
+        let mut with_free = 0u64;
+        for other in 0..self.nodes {
+            let (out, back) = (
+                &self.channels[self.ch(node, other)],
+                &self.channels[self.ch(other, node)],
+            );
+            if fixed[other as usize] {
+                shape(&mut h, out);
+                shape(&mut h, back);
+            } else {
+                let mut g = FxHasher::default();
+                shape(&mut g, out);
+                shape(&mut g, back);
+                with_free = with_free.wrapping_add(g.finish());
+            }
+        }
+        h.write_u64(with_free);
+        h.finish()
     }
 
     /// Canonical digest of everything that can influence future behavior.

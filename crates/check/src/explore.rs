@@ -14,9 +14,18 @@
 //! for protocols that do not certify the required properties):
 //!
 //! * **Processor-permutation symmetry.** States are deduplicated by their
-//!   *canonical* digest: the minimum ordinary digest over the group of
-//!   node renamings that fix every in-play home node
-//!   ([`dirtree_core::fingerprint::home_fixing_perms`]). This is sound
+//!   *canonical* digest: the ordinary digest of one fixed member of the
+//!   state's orbit under the group of node renamings that fix every
+//!   in-play home node
+//!   ([`dirtree_core::fingerprint::home_fixing_perms`]). The member is
+//!   found by sorting, not by trying the whole group: the free nodes are
+//!   ordered by a node-id-free signature of what the checker sees of them
+//!   ([`CheckCtx::node_signature`](crate::ctx::CheckCtx::node_signature)),
+//!   and the minimum digest is taken over the renamings that sort — one
+//!   per ordering of the ties, about two of 24 at P = 5
+//!   ([`CheckState::canonicalize`] carries the argument that this is the
+//!   same quotient and the same sleep sets;
+//!   [`ExploreStats::perms_tried`] counts). The reduction is sound
 //!   exactly when the protocol is equivariant — relabeling a state and
 //!   then handling a relabeled message equals handling and then
 //!   relabeling — which protocols certify via
@@ -126,7 +135,31 @@ pub struct ExploreStats {
     pub sleep_pruned: u64,
     /// Symmetry group order (1 = reduction inert for this protocol).
     pub sym_group: u64,
+    /// Calls to [`CheckState::canonicalize`]: one per successor plus the
+    /// root.
+    pub canon_calls: u64,
+    /// Permutations those calls relabeled and digested, the identity
+    /// included — `canon_calls` when the group is trivial, at most
+    /// `sym_group` per call. The mean is the clock-free measure of how
+    /// well the node signatures tell processors apart.
+    pub perms_tried: u64,
+    /// Choice slots a sleep mask would need for this shape, when that is
+    /// more than the mask's [`SLEEP_MASK_BITS`] and the sleep-set
+    /// reduction — asked for and certified by the protocol — was therefore
+    /// left off. 0 otherwise.
+    pub por_off_slots: u32,
 }
+
+impl ExploreStats {
+    /// Mean permutations tried per canonicalization.
+    pub fn mean_perms_tried(&self) -> f64 {
+        self.perms_tried as f64 / self.canon_calls.max(1) as f64
+    }
+}
+
+/// Width of a sleep mask: one bit per choice slot
+/// ([`CheckState::sleep_bits`]).
+pub const SLEEP_MASK_BITS: u32 = u64::BITS;
 
 /// The shortest path to a violating state.
 #[derive(Clone, Debug)]
@@ -193,10 +226,11 @@ const ROOT: usize = usize::MAX;
 struct Succ {
     choice: Choice,
     state: CheckState,
-    /// Canonical digest (minimum over the symmetry group).
+    /// Canonical digest (of the orbit's representative).
     canon: u64,
     /// Sleep mask in canonical coordinates: the intersection of the
-    /// concrete mask's images under every digest-minimizing permutation,
+    /// concrete mask's images under every permutation onto the
+    /// representative,
     /// which makes it invariant under the canonical state's automorphisms
     /// and therefore consistently translatable by *any* arrival (see
     /// [`CheckState::canonicalize`]). The frontier entry expands with
@@ -214,6 +248,9 @@ struct Expanded {
     succs: Vec<Succ>,
     explored: u64,
     sleep_pruned: u64,
+    /// Permutations tried over this expansion's canonicalizations (one
+    /// call per entry of `succs`).
+    perms_tried: u64,
 }
 
 /// A frontier entry awaiting expansion. `argmin` is kept so a same-layer
@@ -238,6 +275,7 @@ fn expand(
     let choices = state.enabled_choices();
     let mut explored = 0u64;
     let mut sleep_pruned = 0u64;
+    let mut perms_tried = 0u64;
     let mut succs = Vec::with_capacity(choices.len());
     // Bit position and (node, block) footprint per enabled choice.
     let info: Vec<(u32, (NodeId, Addr))> = choices
@@ -272,7 +310,8 @@ fn expand(
                         }
                     }
                 }
-                let (canon, argmin, canon_mask) = s.canonicalize(perms, mask);
+                let ((canon, argmin, canon_mask), tried) = s.canonicalize_counted(perms, mask);
+                perms_tried += tried;
                 succs.push(Succ {
                     choice,
                     state: s,
@@ -288,6 +327,7 @@ fn expand(
                     succs: Vec::new(),
                     explored,
                     sleep_pruned,
+                    perms_tried: 0,
                 }
             }
         }
@@ -298,6 +338,7 @@ fn expand(
         succs,
         explored,
         sleep_pruned,
+        perms_tried,
     }
 }
 
@@ -333,17 +374,26 @@ where
     };
     let inverses: Vec<Vec<NodeId>> = perms.iter().map(|p| invert_perm(p)).collect();
     // Sleep sets need one mask bit per choice slot; huge shapes fall back
-    // to the unreduced search rather than a wider mask type.
-    let commute = cfg.por && root.proto.deliveries_commute() && root.sleep_bits() <= 64;
+    // to the unreduced search rather than a wider mask type — and say so
+    // in the stats.
+    let por_wanted = cfg.por && root.proto.deliveries_commute();
+    let commute = por_wanted && root.sleep_bits() <= SLEEP_MASK_BITS;
+    let ((root_canon, _, _), root_tried) = root.canonicalize_counted(&perms, 0);
     let mut stats = ExploreStats {
         sym_group: perms.len() as u64,
+        canon_calls: 1,
+        perms_tried: root_tried,
+        por_off_slots: if por_wanted && !commute {
+            root.sleep_bits()
+        } else {
+            0
+        },
         ..Default::default()
     };
 
     // Visited: canonical digest -> sleep mask (canonical coordinates) the
     // state was last expanded with. An empty mask means "fully expanded".
     let mut visited: FxHashMap<u64, u64> = FxHashMap::default();
-    let (root_canon, _, _) = root.canonicalize(&perms, 0);
     visited.insert(root_canon, 0);
     // (parent arena index, producing choice) per non-root state ever put
     // on a frontier; counterexamples walk this chain back to the root.
@@ -418,6 +468,8 @@ where
         for exp in &expanded {
             stats.explored += exp.explored;
             stats.sleep_pruned += exp.sleep_pruned;
+            stats.canon_calls += exp.succs.len() as u64;
+            stats.perms_tried += exp.perms_tried;
             if let Some((choice, violation)) = &exp.violation {
                 let mut choices = vec![*choice];
                 let mut idx = exp.arena_idx;

@@ -28,7 +28,9 @@
 //! Two sound reductions keep the larger shapes tractable (see
 //! [`explore`] for the soundness arguments): a **processor-permutation
 //! symmetry reduction** that canonicalizes each state digest over the
-//! home-fixing renamings of certified-equivariant protocols, and a
+//! home-fixing renamings of certified-equivariant protocols — by sorting
+//! the processors on what the checker sees of them and digesting only the
+//! renamings that sort, not the whole group — and a
 //! **sleep-set partial-order reduction** that skips commuting delivery
 //! orders (different executing node *and* different block) without
 //! losing any reachable state. Both are per-protocol opt-in

@@ -1,6 +1,6 @@
 //! Human-readable rendering of exploration results.
 
-use crate::explore::{CheckConfig, CheckOutcome, Counterexample};
+use crate::explore::{CheckConfig, CheckOutcome, Counterexample, ExploreStats, SLEEP_MASK_BITS};
 use crate::replay::ReplayReport;
 
 /// One-line summary for a pass/limit result, or the full counterexample
@@ -20,9 +20,8 @@ pub fn render(
             stats,
         } => {
             format!(
-                "PASS  {shape}: {states} states exhausted, max depth {depth} \
-                 (explored {} dedup {} sleep-pruned {} |G|={})",
-                stats.explored, stats.deduped, stats.sleep_pruned, stats.sym_group
+                "PASS  {shape}: {states} states exhausted, max depth {depth} ({})",
+                counters(stats)
             )
         }
         CheckOutcome::ResourceLimit {
@@ -31,9 +30,8 @@ pub fn render(
             reason,
             stats,
         } => format!(
-            "LIMIT {shape}: {reason} (visited {states} states, depth {depth}, \
-             explored {} dedup {} sleep-pruned {})",
-            stats.explored, stats.deduped, stats.sleep_pruned
+            "LIMIT {shape}: {reason} (visited {states} states, depth {depth}, {})",
+            counters(stats)
         ),
         CheckOutcome::Violation(cx) => {
             let mut out = format!("FAIL  {shape}: {}\n", cx.violation);
@@ -41,6 +39,28 @@ pub fn render(
             out
         }
     }
+}
+
+/// The work counters of one exploration: successor computations, the two
+/// reductions' savings, the symmetry group's order with the mean number of
+/// its permutations a canonicalization tried, and — loudly — a sleep-set
+/// reduction that was asked for but did not fit the mask.
+fn counters(stats: &ExploreStats) -> String {
+    let mut out = format!(
+        "explored {} dedup {} sleep-pruned {} |G|={} tried {:.2}",
+        stats.explored,
+        stats.deduped,
+        stats.sleep_pruned,
+        stats.sym_group,
+        stats.mean_perms_tried()
+    );
+    if stats.por_off_slots > 0 {
+        out.push_str(&format!(
+            ", POR off: {} choice slots > {SLEEP_MASK_BITS}",
+            stats.por_off_slots
+        ));
+    }
+    out
 }
 
 /// Render a counterexample, including the replay's per-step narration,

@@ -97,53 +97,124 @@ impl CheckState {
     }
 
     /// Canonicalize this state (and a concrete-coordinates sleep mask)
-    /// over a symmetry group: the canonical digest is the minimum
-    /// ordinary digest across `perms` (which must start with the
-    /// identity), and the canonical mask is the **intersection** of the
-    /// mask's images under *every* permutation achieving that minimum.
-    /// Returns `(digest, argmin index, canonical mask)`.
+    /// over a symmetry group by **sorting, not by trying every
+    /// permutation**. `perms` is what
+    /// [`home_fixing_perms`](dirtree_core::fingerprint::home_fixing_perms)
+    /// returns: the identity first, then every other permutation of the
+    /// nodes the group moves (the *free* nodes; a node is *fixed* when
+    /// every element of `perms` leaves it in place). Returns `(digest,
+    /// argmin index, canonical mask)`.
     ///
-    /// Two permutations tie exactly when the canonical state has a
-    /// nontrivial automorphism (64-bit digest collisions aside). The
-    /// intersection makes the canonical mask invariant under that
-    /// automorphism group — the images of the mask under the tying
-    /// permutations differ by automorphisms, and intersecting over the
-    /// whole coset is a group-closed operation — so *any* arrival at this
-    /// canonical class can translate the stored mask back through its own
-    /// argmin inverse and get a consistent (and, being an intersection, a
-    /// conservative subset) sleep set. Without this, automorphic states
-    /// would have to fall back to a full expansion, which in practice
-    /// guts the sleep-set reduction at P = 4 where lightly-differentiated
-    /// states (several idle, interchangeable processors) dominate.
+    /// Every free node gets a node-id-free signature
+    /// ([`CheckCtx::node_signature`]). A permutation `π` is *admissible*
+    /// when the relabeled state's signatures come out sorted over the free
+    /// positions — for all free `a`, `b`: `π[a] < π[b] ⇒ sig[a] ≤ sig[b]`.
+    /// A sorting permutation always exists, and nodes with equal
+    /// signatures can be ordered either way, so there is one admissible
+    /// permutation per ordering of the ties. Only those are relabeled and
+    /// digested: the canonical digest is the minimum ordinary digest over
+    /// the admissible permutations, `argmin` indexes the first one in
+    /// `perms` that achieves it, and the canonical mask is the
+    /// **intersection** of the mask's images under *every* admissible
+    /// permutation achieving it.
+    ///
+    /// Why this is the same quotient and the same sleep sets as taking the
+    /// minimum over the whole group:
+    ///
+    /// * *Exact orbit representative.* The signature is equivariant:
+    ///   `sig_{σ(s)}(σ(i)) = sig_s(i)` for every `σ` in the group. So `π`
+    ///   is admissible for `σ(s)` iff `π∘σ` is admissible for `s`, both
+    ///   give the same image, and `s` and `σ(s)` have the same *set* of
+    ///   admissible images — hence the same minimum. Two states get equal
+    ///   canonical digests iff they are in one orbit (64-bit digest
+    ///   collisions aside), exactly as before; only which member of the
+    ///   orbit represents it changed.
+    /// * *The minimisers are still a whole coset.* Let `π₀` be an
+    ///   admissible minimiser with image `c`. Any `π` with `π(s) = c` is
+    ///   `α∘π₀` for an automorphism `α` of `c`; its image is `c`, whose
+    ///   signatures are sorted, so it is admissible too. The permutations
+    ///   tying at the minimum are therefore all of `{π : π(s) = c}`, as
+    ///   they were when every permutation was tried.
+    /// * *Same concrete sleep mask.* Intersecting the mask's images over
+    ///   that coset is invariant under `c`'s automorphisms — so *any*
+    ///   arrival at this canonical class can translate the stored mask
+    ///   back through its own `argmin` inverse and get a consistent (and,
+    ///   being an intersection, conservative) sleep set — and mapping it
+    ///   back through any minimiser's inverse gives the intersection of
+    ///   the mask's images under the automorphisms of `s` itself, which
+    ///   does not depend on the representative. Without the intersection,
+    ///   automorphic states would have to fall back to a full expansion,
+    ///   which guts the sleep-set reduction at P = 4 where
+    ///   lightly-differentiated states (several idle, interchangeable
+    ///   processors) dominate.
+    ///
+    /// A signature collision between two different nodes only adds a tie
+    /// (one more permutation tried), never unsoundness; a signature that
+    /// distinguishes nothing degrades to the full enumeration.
     ///
     /// Panics if the protocol does not certify [`Protocol::relabeled`]
     /// and `perms` has more than the identity (the explorer only builds a
-    /// nontrivial group after probing the protocol).
+    /// nontrivial group after probing the protocol), or if `perms` is not
+    /// the full symmetric group on the nodes it moves (no permutation
+    /// sorts).
     pub fn canonicalize(&self, perms: &[Vec<NodeId>], mask: u64) -> (u64, usize, u64) {
+        self.canonicalize_counted(perms, mask).0
+    }
+
+    /// [`canonicalize`](Self::canonicalize) plus the number of
+    /// permutations it relabeled and digested (the identity counts).
+    pub(crate) fn canonicalize_counted(
+        &self,
+        perms: &[Vec<NodeId>],
+        mask: u64,
+    ) -> ((u64, usize, u64), u64) {
         if perms.len() == 1 {
-            return (self.digest(), 0, mask);
+            return ((self.digest(), 0, mask), 1);
         }
-        let mut digests = Vec::with_capacity(perms.len());
-        digests.push(self.digest());
-        for perm in &perms[1..] {
-            digests.push(
-                self.relabeled(perm)
-                    .expect("symmetry group built for a protocol without relabeled()")
-                    .digest(),
-            );
+        let n = self.ctx.nodes() as usize;
+        let fixed: Vec<bool> = (0..n)
+            .map(|i| perms.iter().all(|p| p[i] as usize == i))
+            .collect();
+        let free: Vec<usize> = (0..n).filter(|&i| !fixed[i]).collect();
+        let mut sig = vec![0u64; n];
+        for &i in &free {
+            sig[i] = self.ctx.node_signature(i as NodeId, &fixed);
         }
-        let best = *digests.iter().min().expect("identity is always present");
+        let mut image = vec![0u64; n];
+        let mut best = u64::MAX;
         let mut argmin = usize::MAX;
         let mut canon_mask = u64::MAX;
-        for (i, &d) in digests.iter().enumerate() {
-            if d == best {
-                if argmin == usize::MAX {
-                    argmin = i;
-                }
-                canon_mask &= self.map_mask(mask, &perms[i]);
+        let mut tried = 0u64;
+        for (i, perm) in perms.iter().enumerate() {
+            for (from, &to) in perm.iter().enumerate() {
+                image[to as usize] = sig[from];
+            }
+            let admissible = free.windows(2).all(|w| image[w[0]] <= image[w[1]]);
+            if !admissible {
+                continue;
+            }
+            tried += 1;
+            let d = if i == 0 {
+                self.digest()
+            } else {
+                self.relabeled(perm)
+                    .expect("symmetry group built for a protocol without relabeled()")
+                    .digest()
+            };
+            if argmin == usize::MAX || d < best {
+                best = d;
+                argmin = i;
+                canon_mask = self.map_mask(mask, perm);
+            } else if d == best {
+                canon_mask &= self.map_mask(mask, perm);
             }
         }
-        (best, argmin, canon_mask)
+        assert!(
+            tried > 0,
+            "no permutation sorts the node signatures: `perms` is not the full \
+             symmetric group on the nodes it moves"
+        );
+        ((best, argmin, canon_mask), tried)
     }
 
     /// The `(executing node, block)` footprint of a choice in this state:
@@ -175,7 +246,8 @@ impl CheckState {
 
     /// Total number of distinct sleep-mask bit positions for this shape
     /// (`n²` channels + `n` local queues + `n·|addrs|·3` processor ops).
-    /// The explorer disables the sleep-set reduction when this exceeds 64.
+    /// The explorer disables the sleep-set reduction when this exceeds
+    /// [`SLEEP_MASK_BITS`](crate::explore::SLEEP_MASK_BITS).
     pub fn sleep_bits(&self) -> u32 {
         let n = self.ctx.nodes();
         n * n + n + n * self.addrs.len() as u32 * 3
@@ -471,6 +543,153 @@ impl CheckState {
                 ProcOp::Write(a) => format!("proc {node} write {a:#x}"),
                 ProcOp::Evict(a) => format!("proc {node} evict {a:#x}"),
             },
+        }
+    }
+}
+
+/// The canonicalization this module used to have — the minimum ordinary
+/// digest over *every* permutation of the group — kept as the oracle the
+/// sorting rule is checked against.
+#[cfg(test)]
+impl CheckState {
+    fn canonicalize_min_over_group(&self, perms: &[Vec<NodeId>], mask: u64) -> (u64, usize, u64) {
+        if perms.len() == 1 {
+            return (self.digest(), 0, mask);
+        }
+        let mut digests = Vec::with_capacity(perms.len());
+        digests.push(self.digest());
+        for perm in &perms[1..] {
+            digests.push(
+                self.relabeled(perm)
+                    .expect("symmetry group built for a protocol without relabeled()")
+                    .digest(),
+            );
+        }
+        let best = *digests.iter().min().expect("identity is always present");
+        let mut argmin = usize::MAX;
+        let mut canon_mask = u64::MAX;
+        for (i, &d) in digests.iter().enumerate() {
+            if d == best {
+                if argmin == usize::MAX {
+                    argmin = i;
+                }
+                canon_mask &= self.map_mask(mask, &perms[i]);
+            }
+        }
+        (best, argmin, canon_mask)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::CheckConfig;
+    use dirtree_core::ctx::ProtoCtx;
+    use dirtree_core::fingerprint::{home_fixing_perms, invert_perm};
+    use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
+    use dirtree_sim::{FxHashMap, SimRng};
+
+    /// Lock step against the min-over-group oracle on seeded random walks
+    /// (back to the root on quiescence) over the symmetric `check_mix`
+    /// shapes, a two-block P=4 shape where sleep masks are not empty, and
+    /// LimitLESS. At every step:
+    ///
+    /// * **orbit invariance** — every `σ(s)` canonicalizes to the digest
+    ///   `s` does;
+    /// * **same partition** — two visited states get equal new canonical
+    ///   digests iff they got equal old ones;
+    /// * **same concrete sleep mask** — a random non-empty mask, made
+    ///   canonical and mapped back through `argmin`'s inverse, reads the
+    ///   same under both rules.
+    ///
+    /// Fails when `node_signature` mixes in the node's own id (the first
+    /// and the third) and when the mask is intersected over the first
+    /// minimiser only (the third).
+    #[test]
+    fn sorting_canonicalization_matches_min_over_group_in_lock_step() {
+        let tree = |pointers, arity| ProtocolKind::DirTreeUpdate { pointers, arity };
+        let shapes = [
+            (tree(1, 2), 3, 1, 1),
+            (tree(3, 3), 5, 1, 1),
+            (
+                ProtocolKind::DirTreeAdaptive {
+                    pointers: 3,
+                    arity: 3,
+                },
+                5,
+                1,
+                1,
+            ),
+            (ProtocolKind::FullMap, 4, 2, 4),
+            (ProtocolKind::LimitLess { pointers: 2 }, 4, 1, 1),
+        ];
+        for (seed, (kind, nodes, blocks, stride)) in shapes.into_iter().enumerate() {
+            let name = format!("{} P={nodes} B={blocks}", kind.name());
+            let cfg = CheckConfig {
+                addr_stride: stride,
+                ..CheckConfig::small(nodes, blocks)
+            };
+            let root = CheckState::new(
+                nodes,
+                cfg.fuel,
+                cfg.addrs(),
+                build_protocol(kind, ProtocolParams::default()),
+            );
+            let homes: Vec<NodeId> = root.addrs.iter().map(|&a| root.ctx.home_of(a)).collect();
+            let perms = home_fixing_perms(nodes, &homes);
+            assert!(perms.len() > 1, "{name}: trivial group");
+            let inverses: Vec<Vec<NodeId>> = perms.iter().map(|p| invert_perm(p)).collect();
+            let slots = (1u64 << root.sleep_bits()) - 1;
+            let mut rng = SimRng::new(1996 + seed as u64);
+            let mut new_of_old: FxHashMap<u64, u64> = FxHashMap::default();
+            let mut old_of_new: FxHashMap<u64, u64> = FxHashMap::default();
+            let mut ties = 0u32;
+            let mut cur = root.clone();
+            for step in 0..2_000 {
+                let choices = cur.enabled_choices();
+                if choices.is_empty() {
+                    cur = root.clone();
+                    continue;
+                }
+                cur.apply(choices[rng.gen_index(choices.len())])
+                    .unwrap_or_else(|v| panic!("{name}: walk hit a violation: {v}"));
+                let mask = (rng.next_u64() & slots).max(1);
+                let (new, new_arg, new_mask) = cur.canonicalize(&perms, mask);
+                let (old, old_arg, old_mask) = cur.canonicalize_min_over_group(&perms, mask);
+                for sigma in &perms[1..] {
+                    let moved = cur.relabeled(sigma).expect("certified protocol");
+                    assert_eq!(
+                        moved.canonicalize(&perms, 0).0,
+                        new,
+                        "{name} step {step}: orbit split under {sigma:?}"
+                    );
+                }
+                assert_eq!(
+                    *new_of_old.entry(old).or_insert(new),
+                    new,
+                    "{name} step {step}: one old class, two new ones"
+                );
+                assert_eq!(
+                    *old_of_new.entry(new).or_insert(old),
+                    old,
+                    "{name} step {step}: two old classes merged"
+                );
+                assert_eq!(
+                    cur.map_mask(new_mask, &inverses[new_arg]),
+                    cur.map_mask(old_mask, &inverses[old_arg]),
+                    "{name} step {step}: concrete sleep masks differ"
+                );
+                ties += u32::from(old_mask != cur.map_mask(mask, &perms[old_arg]));
+            }
+            assert!(
+                new_of_old.len() > 50,
+                "{name}: the walk saw only {} classes",
+                new_of_old.len()
+            );
+            assert!(
+                ties > 0,
+                "{name}: no automorphism ever shrank a mask; the third check is vacuous"
+            );
         }
     }
 }

@@ -3,9 +3,12 @@
 //! deterministic regardless of worker count, and budgets come back as
 //! structured resource reports instead of hangs.
 
+use dirtree_check::explore::SLEEP_MASK_BITS;
+use dirtree_check::report;
 use dirtree_check::{
     explore, replay, CheckConfig, CheckOutcome, CheckState, Choice, MutantKind, Mutated,
 };
+use dirtree_core::fingerprint::home_fixing_perms;
 use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
 use dirtree_core::types::NodeId;
 
@@ -318,42 +321,48 @@ fn p4_reduced_exploration_is_deterministic_across_jobs() {
 
 /// Empirical equivariance check behind the symmetry reduction's soundness
 /// argument: running a choice sequence and then relabeling the state must
-/// equal relabeling first and running the renamed sequence. Walked over a
-/// deterministic pseudo-random path through each certifying family's choice
-/// graph — Dir_1Tree_2 and the four flat-directory overflow policies, i = 2
-/// so that three processors overflow the pointers — comparing full state
-/// digests at every step.
+/// equal relabeling first and running the renamed sequence — and the node
+/// signatures the canonicalization sorts by must move with the nodes
+/// (`node_signature` of `π(i)` in `π(s)` equals that of `i` in `s`). Walked
+/// over a deterministic pseudo-random path through each certifying family's
+/// choice graph, comparing full state digests at every step: Dir_1Tree_2
+/// and the four flat-directory overflow policies (i = 2, so that three
+/// processors overflow the pointers) at P = 3 under the one swap, and the
+/// shapes `check_mix` actually quotients — update, adaptive and ternary
+/// trees — at P = 5 under all 24 home-fixing permutations.
 #[test]
 fn relabeling_commutes_with_execution() {
     let params = ProtocolParams::default();
-    let perm: Vec<NodeId> = vec![0, 2, 1];
-    let map_choice = |c: Choice| match c {
-        Choice::Deliver { src, dst } => Choice::Deliver {
-            src: perm[src as usize],
-            dst: perm[dst as usize],
-        },
-        Choice::Local { node } => Choice::Local {
-            node: perm[node as usize],
-        },
-        Choice::Op { node, op } => Choice::Op {
-            node: perm[node as usize],
-            op,
-        },
-    };
-    for kind in [
-        ProtocolKind::DirTree {
-            pointers: 1,
-            arity: 2,
-        },
+    let tree = |pointers, arity| ProtocolKind::DirTree { pointers, arity };
+    let update = |pointers, arity| ProtocolKind::DirTreeUpdate { pointers, arity };
+    let adaptive = |pointers, arity| ProtocolKind::DirTreeAdaptive { pointers, arity };
+    let p3 = [
+        tree(1, 2),
         ProtocolKind::FullMap,
         ProtocolKind::LimitedNB { pointers: 2 },
         ProtocolKind::LimitedB { pointers: 2 },
         ProtocolKind::LimitLess { pointers: 2 },
-    ] {
-        let name = kind.name();
-        let mut a = CheckState::new(3, 2, vec![0], build_protocol(kind, params));
-        let mut b = CheckState::new(3, 2, vec![0], build_protocol(kind, params));
-        for step in 0..60usize {
+    ];
+    let p5 = [
+        update(1, 2),
+        adaptive(2, 2),
+        tree(3, 3),
+        update(3, 3),
+        adaptive(3, 3),
+    ];
+    let shapes = p3
+        .into_iter()
+        .map(|kind| (kind, 3, 60usize))
+        .chain(p5.into_iter().map(|kind| (kind, 5, 40)));
+    for (kind, nodes, steps) in shapes {
+        let name = format!("{} P={nodes}", kind.name());
+        // One block homed at node 0: every other node is free.
+        let perms = &home_fixing_perms(nodes, &[0])[1..];
+        let fixed: Vec<bool> = (0..nodes).map(|i| i == 0).collect();
+        let fresh = || CheckState::new(nodes, 2, vec![0], build_protocol(kind, params));
+        let mut a = fresh();
+        let mut renamed: Vec<CheckState> = perms.iter().map(|_| fresh()).collect();
+        for step in 0..steps {
             let choices = a.enabled_choices();
             if choices.is_empty() {
                 assert!(step > 10, "{name}: walk quiesced suspiciously early");
@@ -363,16 +372,34 @@ fn relabeling_commutes_with_execution() {
             let c = choices[(step * 7 + 3) % choices.len()];
             a.apply(c)
                 .unwrap_or_else(|v| panic!("{name}: walk hit a violation: {v}"));
-            b.apply(map_choice(c))
+            for (perm, b) in perms.iter().zip(&mut renamed) {
+                let at = |node: NodeId| perm[node as usize];
+                b.apply(match c {
+                    Choice::Deliver { src, dst } => Choice::Deliver {
+                        src: at(src),
+                        dst: at(dst),
+                    },
+                    Choice::Local { node } => Choice::Local { node: at(node) },
+                    Choice::Op { node, op } => Choice::Op { node: at(node), op },
+                })
                 .unwrap_or_else(|v| panic!("{name}: renamed walk diverged into a violation: {v}"));
-            let ra = a
-                .relabeled(&perm)
-                .unwrap_or_else(|| panic!("{name} does not certify Protocol::relabeled"));
-            assert_eq!(
-                ra.digest(),
-                b.digest(),
-                "{name}: relabel(run(s)) != run(relabel(s)) at step {step}"
-            );
+                let ra = a
+                    .relabeled(perm)
+                    .unwrap_or_else(|| panic!("{name} does not certify Protocol::relabeled"));
+                assert_eq!(
+                    ra.digest(),
+                    b.digest(),
+                    "{name}: relabel(run(s)) != run(relabel(s)) at step {step} under {perm:?}"
+                );
+                for node in 0..nodes {
+                    assert_eq!(
+                        ra.ctx.node_signature(at(node), &fixed),
+                        a.ctx.node_signature(node, &fixed),
+                        "{name}: signature of node {node} did not follow it under {perm:?} \
+                         at step {step}"
+                    );
+                }
+            }
         }
     }
 }
@@ -435,5 +462,136 @@ fn baseline_tree_protocols_keep_their_state_counts() {
             assert!(outcome.is_pass(), "{shape}: {outcome:?}");
             assert_eq!(outcome.states(), want, "{shape}");
         }
+    }
+}
+
+/// Where symmetry and sleep sets meet: two blocks both homed at node 0 of
+/// four (`addr_stride` 4), so the group is S₃ on the other three *and* the
+/// sleep masks are non-empty — the masks cross the canonicalization on
+/// every successor. All four counters as measured with the minimum taken
+/// over every permutation of the group; the sorting rule must reproduce
+/// them exactly (same orbits, same minimiser cosets, same sleep sets).
+#[test]
+fn symmetric_two_block_shapes_keep_all_four_counters() {
+    let params = ProtocolParams::default();
+    for (kind, states, explored, deduped, sleep_pruned) in [
+        (ProtocolKind::FullMap, 22_984, 63_192, 40_209, 126),
+        (
+            ProtocolKind::DirTree {
+                pointers: 2,
+                arity: 2,
+            },
+            22_712,
+            61_726,
+            39_015,
+            126,
+        ),
+        (
+            ProtocolKind::DirTreeAdaptive {
+                pointers: 1,
+                arity: 2,
+            },
+            25_526,
+            66_740,
+            41_215,
+            126,
+        ),
+    ] {
+        let mut cfg = CheckConfig::small(4, 2);
+        cfg.addr_stride = 4;
+        cfg.fuel = 1;
+        let outcome = explore(&cfg, || build_protocol(kind, params));
+        let name = kind.name();
+        assert!(outcome.is_pass(), "{name}: {outcome:?}");
+        let stats = outcome.stats().unwrap();
+        assert_eq!(stats.sym_group, 6, "{name}");
+        assert_eq!(
+            (
+                outcome.states(),
+                stats.explored,
+                stats.deduped,
+                stats.sleep_pruned
+            ),
+            (states, explored, deduped, sleep_pruned),
+            "{name} P=4 B=2 stride 4"
+        );
+    }
+}
+
+/// The regression guard for the canonicalization that does not depend on a
+/// clock: the mean number of permutations relabeled and digested per call.
+/// A signature that silently degrades to "everything ties" reads |G| here
+/// (24 and 2), where a 2x timing gate might not notice.
+#[test]
+fn canonicalization_tries_few_permutations() {
+    let params = ProtocolParams::default();
+    let update = |pointers, arity| ProtocolKind::DirTreeUpdate { pointers, arity };
+    for (kind, nodes, blocks, group, at_most) in [
+        (update(3, 3), 5, 1, 24, 2.5),
+        (update(1, 2), 3, 1, 2, 1.1),
+        (ProtocolKind::FullMap, 2, 2, 1, 1.0),
+    ] {
+        let cfg = CheckConfig::small(nodes, blocks);
+        let outcome = explore(&cfg, || build_protocol(kind, params));
+        let name = format!("{} P={nodes} B={blocks}", kind.name());
+        assert!(outcome.is_pass(), "{name}: {outcome:?}");
+        let stats = outcome.stats().unwrap();
+        assert_eq!(stats.sym_group, group, "{name}");
+        assert_eq!(stats.canon_calls, stats.explored + 1, "{name}");
+        let mean = stats.mean_perms_tried();
+        assert!(
+            (1.0..=at_most).contains(&mean),
+            "{name}: {mean:.3} permutations tried per canonicalization, expected <= {at_most}"
+        );
+        let line = report::render(&name, &cfg, &outcome, None);
+        assert!(
+            line.contains(&format!("|G|={group} tried {mean:.2}")),
+            "{line}"
+        );
+    }
+}
+
+/// The sleep-set reduction needs one mask bit per choice slot. A shape
+/// with more slots than bits falls back to the unreduced search — and must
+/// say so in its stats and on its report line rather than quietly doing
+/// less than it was asked to.
+#[test]
+fn por_fallback_is_reported() {
+    let factory = || build_protocol(ProtocolKind::FullMap, ProtocolParams::default());
+    let mut cfg = CheckConfig::small(6, 2);
+    cfg.max_states = 200;
+    let outcome = explore(&cfg, factory);
+    let stats = outcome.stats().expect("a budget stop carries stats");
+    assert_eq!(stats.por_off_slots, 6 * 6 + 6 + 6 * 2 * 3);
+    assert_eq!(stats.sleep_pruned, 0);
+    let line = report::render("FullMap", &cfg, &outcome, None);
+    assert!(line.contains("POR off: 78 choice slots > 64"), "{line}");
+
+    // Asked not to reduce, or reducing: nothing to report.
+    cfg.por = false;
+    assert_eq!(explore(&cfg, factory).stats().unwrap().por_off_slots, 0);
+    let small = explore(&CheckConfig::small(2, 2), factory);
+    assert_eq!(small.stats().unwrap().por_off_slots, 0);
+    assert!(!report::render("FullMap", &cfg, &small, None).contains("POR off"));
+}
+
+/// Every shape `check_all` explores — P=2 and P=3 with one or two blocks,
+/// P=4 and P=5 with one — fits the sleep mask, so the roster never runs
+/// with the reduction silently off.
+#[test]
+fn roster_shapes_fit_the_sleep_mask() {
+    for (nodes, blocks) in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1), (5, 1)] {
+        let cfg = CheckConfig::small(nodes, blocks);
+        let root = CheckState::new(
+            nodes,
+            cfg.fuel,
+            cfg.addrs(),
+            build_protocol(ProtocolKind::FullMap, ProtocolParams::default()),
+        );
+        assert!(
+            root.sleep_bits() <= SLEEP_MASK_BITS,
+            "P={nodes} B={blocks}: {} choice slots",
+            root.sleep_bits()
+        );
     }
 }

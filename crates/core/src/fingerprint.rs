@@ -19,8 +19,8 @@ use std::hash::{Hash, Hasher};
 /// This is the model checker's processor-permutation symmetry group: home
 /// nodes are structural (`home_of(addr) = addr % nodes` pins each block's
 /// directory to a node), so only renamings that keep every in-play home in
-/// place map reachable states to reachable states. The canonical form of a
-/// state digest is the minimum ordinary digest over this group.
+/// place map reachable states to reachable states. The checker's canonical
+/// state digest is that of one member of the state's orbit under this group.
 pub fn home_fixing_perms(nodes: u32, fixed: &[NodeId]) -> Vec<Vec<NodeId>> {
     let n = nodes as usize;
     let mut is_fixed = vec![false; n];
