@@ -142,12 +142,12 @@ ledger_gate lu_p32_families
 # state counts for the update, adaptive and ternary shapes. policies_p256
 # is correctness only (its times are the PR-14 row of BENCH_layers.json,
 # ungated). check_mix is timed at the same 2x ratio since PR 24: the level
-# committed is the one with canonicalization by sorting; going back to
-# relabeling every permutation of the group is 1.5x on host_s (the P=2
-# two-block shapes, which have no symmetry to lose, are most of it), so
-# what this catches is a checker layer going quadratic, and what catches
-# the canonicalization itself is the clock-free `tried`-per-call pin in
-# crates/check/tests/exhaustive.rs.
+# committed since PR 25 is the one with windowed expand-and-merge over the
+# flat CheckCtx (4.44 s); going back to whole-layer expansion over the
+# map-and-deque context is 2.2x on host_s and fails here. Going back to
+# relabeling every permutation of the group would not (1.5x in PR 24);
+# what catches the canonicalization is the clock-free `tried`-per-call pin
+# in crates/check/tests/exhaustive.rs.
 ledger_gate policies_p256
 ledger_gate check_mix
 # The depth the VC send path is about: no step above takes the

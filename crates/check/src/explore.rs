@@ -1,14 +1,32 @@
 //! Exhaustive breadth-first exploration of the choice graph.
 //!
-//! Layer-synchronous BFS over [`CheckState`]s: each layer's states expand
-//! on a scoped worker pool (`jobs` threads claiming frontier indices from
-//! an atomic counter, the same pattern as the sweep runner), and results
-//! merge back sequentially in frontier order. Deduplication uses the
-//! canonical 64-bit state digest; two states with equal digests are
-//! assumed identical and one is pruned (a digest collision could in
-//! principle hide a state — at the few-million-state scale of these runs
-//! the probability is ~1e-7, and a collision can only cause a *missed*
-//! path, never a false alarm).
+//! Layer-synchronous BFS over [`CheckState`]s, in **bounded windows**: a
+//! layer's frontier is taken `WINDOW_PER_JOB × jobs` states at a time
+//! (64 per job), and each window is expanded — on the calling thread and
+//! `jobs − 1` scoped helpers claiming states in frontier order, nothing
+//! spawned at one job — scanned for violations in frontier order and
+//! merged into the visited set and the next frontier in frontier order,
+//! before the next window is expanded. Only one window's successors are
+//! alive at a time, so a duplicate is dropped while its memory is still
+//! hot instead of after the whole layer has been cloned.
+//!
+//! The windows cannot change the result, at any `jobs`: `expand` is a
+//! pure function of `(state, mask, perms, commute)` and never reads the
+//! visited set, the same-layer duplicate map or either frontier, and a
+//! merge only touches the *next* layer's entries — never a mask of the
+//! layer being expanded. The merge therefore sees the same successors in
+//! the same order as a whole-layer expansion, so the visited set, every
+//! sleep mask, the next frontier's order and all four counters are
+//! identical. The first violation in frontier order is still the first
+//! one found (no earlier window had one), and its `states` is
+//! `visited.len()` as the layer began, recorded before the first window.
+//! The state and depth budgets are checked between layers.
+//!
+//! Deduplication uses the canonical 64-bit state digest; two states with
+//! equal digests are assumed identical and one is pruned (a digest
+//! collision could in principle hide a state — at the few-million-state
+//! scale of these runs the probability is ~1e-7, and a collision can only
+//! cause a *missed* path, never a false alarm).
 //!
 //! Two sound reductions shrink the search (both on by default, both inert
 //! for protocols that do not certify the required properties):
@@ -47,17 +65,16 @@
 //!   (witness, invariants, deadlock, quiescence sweep) are checked
 //!   exactly as in the unreduced search.
 //!
-//! BFS + in-order merge make the result independent of `jobs`, and the
-//! first reported counterexample is *minimal* in choice count (under the
-//! reductions: minimal up to commuting-step reordering and node renaming,
-//! both of which preserve trace length).
+//! BFS + in-order merge make the result independent of `jobs` and of the
+//! window size, and the first reported counterexample is *minimal* in
+//! choice count (under the reductions: minimal up to commuting-step
+//! reordering and node renaming, both of which preserve trace length).
 
 use crate::state::{CheckState, Choice};
 use dirtree_core::fingerprint::{home_fixing_perms, invert_perm};
 use dirtree_core::protocol::Protocol;
 use dirtree_core::types::{Addr, NodeId};
 use dirtree_sim::FxHashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One exploration's shape and budgets.
@@ -91,10 +108,12 @@ pub struct CheckConfig {
 impl CheckConfig {
     /// Defaults for the small exhaustively-checkable configurations: fuel
     /// 3 per node at P=2, fuel 2 at P=3, fuel 1 at P≥4 (the update-family
-    /// state spaces at P=4 exceed the default state budget at fuel 2 —
-    /// Dir_1Tree_2U visits >4M states without exhausting — so the P≥4
-    /// tier trades op depth for processor count; the deeper histories are
-    /// covered by the P=2/P=3 tiers). Both reductions on.
+    /// state spaces at P=4 are too large at fuel 2 — Dir_1Tree_2U passed
+    /// 4M states without exhausting — so the P≥4 tier trades op depth for
+    /// processor count; the deeper histories are covered by the P=2/P=3
+    /// tiers). The 8M-state budget is what the largest two-block P=3
+    /// shapes of `check_all --deep` need to exhaust (Dir2Tree2A up1/dn0:
+    /// 6.8M). Both reductions on.
     pub fn small(nodes: u32, blocks: u64) -> Self {
         Self {
             nodes,
@@ -105,7 +124,7 @@ impl CheckConfig {
                 3 => 2,
                 _ => 1,
             },
-            max_states: 4_000_000,
+            max_states: 8_000_000,
             max_depth: 500,
             jobs: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -170,7 +189,7 @@ pub struct Counterexample {
     /// The violation message (witness, invariant, deadlock, or protocol
     /// misbehavior flagged by the context).
     pub violation: String,
-    /// States visited before the violation surfaced.
+    /// States visited before the violating layer was expanded.
     pub states: u64,
 }
 
@@ -342,6 +361,46 @@ fn expand(
     }
 }
 
+/// Frontier states per worker in one expand-and-merge window.
+const WINDOW_PER_JOB: usize = 64;
+
+/// Expand one window of the frontier on `jobs` workers — the calling
+/// thread and `jobs − 1` scoped helpers claiming states in order from a
+/// shared iterator — and return the expansions in frontier order,
+/// whichever worker finished when.
+fn expand_window(
+    window: Vec<Pending>,
+    jobs: usize,
+    perms: &[Vec<NodeId>],
+    commute: bool,
+) -> Vec<Expanded> {
+    let len = window.len();
+    let claims = Mutex::new(window.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = claims
+                .lock()
+                .expect("a worker panicked while claiming a state")
+                .next();
+            let Some((i, p)) = next else {
+                break done;
+            };
+            done.push((i, expand(p.arena_idx, &p.state, p.mask, perms, commute)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..jobs.clamp(1, len)).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().expect("expansion worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, exp)| exp).collect()
+}
+
 /// Exhaustively explore every interleaving of `factory()`'s protocol
 /// under `cfg`, checking coherence, deadlock-freedom, and the protocol's
 /// structural invariants at every state.
@@ -434,108 +493,95 @@ where
             };
         }
 
-        // Expand the layer on the worker pool; slot per frontier index so
-        // the merge below is deterministic regardless of which worker
-        // finished when.
-        let items = frontier.len();
-        let in_slots: Vec<Mutex<Option<Pending>>> =
-            frontier.drain(..).map(|x| Mutex::new(Some(x))).collect();
-        let out_slots: Vec<Mutex<Option<Expanded>>> =
-            (0..items).map(|_| Mutex::new(None)).collect();
-        let jobs = cfg.jobs.clamp(1, items);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= items {
-                        break;
-                    }
-                    let p = in_slots[t].lock().unwrap().take().unwrap();
-                    *out_slots[t].lock().unwrap() =
-                        Some(expand(p.arena_idx, &p.state, p.mask, &perms, commute));
-                });
-            }
-        });
-        let expanded: Vec<Expanded> = out_slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("worker left a slot empty"))
-            .collect();
-
-        // Violations first: any hit in this layer is depth-minimal, and
-        // taking the first in frontier order keeps the result independent
-        // of the worker schedule.
-        for exp in &expanded {
-            stats.explored += exp.explored;
-            stats.sleep_pruned += exp.sleep_pruned;
-            stats.canon_calls += exp.succs.len() as u64;
-            stats.perms_tried += exp.perms_tried;
-            if let Some((choice, violation)) = &exp.violation {
-                let mut choices = vec![*choice];
-                let mut idx = exp.arena_idx;
-                while idx != ROOT {
-                    let (parent, c) = arena[idx];
-                    choices.push(c);
-                    idx = parent;
-                }
-                choices.reverse();
-                return CheckOutcome::Violation(Counterexample {
-                    choices,
-                    violation: violation.clone(),
-                    states: visited.len() as u64,
-                });
-            }
-        }
+        // The layer expands and merges in windows of frontier order, so
+        // only one window's successors are alive at a time (module docs on
+        // why the result cannot depend on the window size).
+        let layer_start_states = visited.len() as u64;
+        let window_len = WINDOW_PER_JOB * cfg.jobs.max(1);
+        let mut rest = std::mem::take(&mut frontier).into_iter();
         // Same-layer duplicate arrivals intersect their sleep masks into
         // the pending frontier entry instead of queueing a second
         // expansion of the same state — without this, convergent graphs
         // (many same-depth predecessors per state) re-expand constantly
-        // and the sleep-set reduction costs more work than it saves.
+        // and the sleep-set reduction costs more work than it saves. It
+        // spans the whole layer, not one window.
         let mut layer: FxHashMap<u64, usize> = FxHashMap::default();
-        for exp in expanded {
-            for succ in exp.succs {
-                match visited.get(&succ.canon).copied() {
-                    None => {
-                        visited.insert(succ.canon, succ.canon_mask);
-                        arena.push((exp.arena_idx, succ.choice));
-                        layer.insert(succ.canon, frontier.len());
-                        let mask = succ.state.map_mask(succ.canon_mask, &inverses[succ.argmin]);
-                        frontier.push(Pending {
-                            arena_idx: arena.len() - 1,
-                            state: succ.state,
-                            mask,
-                            argmin: succ.argmin,
-                        });
+        loop {
+            let window: Vec<Pending> = rest.by_ref().take(window_len).collect();
+            if window.is_empty() {
+                break;
+            }
+            let expanded = expand_window(window, cfg.jobs, &perms, commute);
+
+            // Violations first, in frontier order: any hit in this layer is
+            // depth-minimal, and the first one is the one a whole-layer
+            // scan would find (no earlier window had one).
+            for exp in &expanded {
+                stats.explored += exp.explored;
+                stats.sleep_pruned += exp.sleep_pruned;
+                stats.canon_calls += exp.succs.len() as u64;
+                stats.perms_tried += exp.perms_tried;
+                if let Some((choice, violation)) = &exp.violation {
+                    let mut choices = vec![*choice];
+                    let mut idx = exp.arena_idx;
+                    while idx != ROOT {
+                        let (parent, c) = arena[idx];
+                        choices.push(c);
+                        idx = parent;
                     }
-                    Some(stored) => {
-                        // State-matching sleep rule: the earlier expansion
-                        // (skipping `stored`) covers this arrival iff it
-                        // explored at least everything this arrival needs,
-                        // i.e. stored ⊆ canon_mask. Otherwise re-expand
-                        // with the intersection (strictly smaller than
-                        // `stored`, so re-expansion terminates).
-                        if stored & !succ.canon_mask == 0 {
-                            stats.deduped += 1;
-                            continue;
-                        }
-                        let inter = stored & succ.canon_mask;
-                        visited.insert(succ.canon, inter);
-                        if let Some(&pos) = layer.get(&succ.canon) {
-                            // Still pending in this layer: shrink its mask
-                            // in place (its own coordinates).
-                            let p = &mut frontier[pos];
-                            p.mask = p.state.map_mask(inter, &inverses[p.argmin]);
-                            stats.deduped += 1;
-                        } else {
-                            let concrete = succ.state.map_mask(inter, &inverses[succ.argmin]);
+                    choices.reverse();
+                    return CheckOutcome::Violation(Counterexample {
+                        choices,
+                        violation: violation.clone(),
+                        states: layer_start_states,
+                    });
+                }
+            }
+            for exp in expanded {
+                for succ in exp.succs {
+                    match visited.get(&succ.canon).copied() {
+                        None => {
+                            visited.insert(succ.canon, succ.canon_mask);
                             arena.push((exp.arena_idx, succ.choice));
                             layer.insert(succ.canon, frontier.len());
+                            let mask = succ.state.map_mask(succ.canon_mask, &inverses[succ.argmin]);
                             frontier.push(Pending {
                                 arena_idx: arena.len() - 1,
                                 state: succ.state,
-                                mask: concrete,
+                                mask,
                                 argmin: succ.argmin,
                             });
+                        }
+                        Some(stored) => {
+                            // State-matching sleep rule: the earlier expansion
+                            // (skipping `stored`) covers this arrival iff it
+                            // explored at least everything this arrival needs,
+                            // i.e. stored ⊆ canon_mask. Otherwise re-expand
+                            // with the intersection (strictly smaller than
+                            // `stored`, so re-expansion terminates).
+                            if stored & !succ.canon_mask == 0 {
+                                stats.deduped += 1;
+                                continue;
+                            }
+                            let inter = stored & succ.canon_mask;
+                            visited.insert(succ.canon, inter);
+                            if let Some(&pos) = layer.get(&succ.canon) {
+                                // Still pending in the next layer: shrink its
+                                // mask in place (its own coordinates).
+                                let p = &mut frontier[pos];
+                                p.mask = p.state.map_mask(inter, &inverses[p.argmin]);
+                                stats.deduped += 1;
+                            } else {
+                                let concrete = succ.state.map_mask(inter, &inverses[succ.argmin]);
+                                arena.push((exp.arena_idx, succ.choice));
+                                layer.insert(succ.canon, frontier.len());
+                                frontier.push(Pending {
+                                    arena_idx: arena.len() - 1,
+                                    state: succ.state,
+                                    mask: concrete,
+                                    argmin: succ.argmin,
+                                });
+                            }
                         }
                     }
                 }

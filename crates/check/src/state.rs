@@ -49,7 +49,6 @@ pub enum Choice {
 pub struct CheckState {
     pub ctx: CheckCtx,
     pub proto: Box<dyn Protocol>,
-    addrs: Vec<Addr>,
 }
 
 impl Clone for CheckState {
@@ -57,22 +56,23 @@ impl Clone for CheckState {
         Self {
             ctx: self.ctx.clone(),
             proto: self.proto.boxed_clone(),
-            addrs: self.addrs.clone(),
         }
     }
 }
 
 impl CheckState {
+    /// The initial state over the blocks `addrs` (strictly ascending, as
+    /// [`CheckConfig::addrs`](crate::explore::CheckConfig::addrs) makes
+    /// them); every state derived from it shares the one copy.
     pub fn new(nodes: u32, fuel: u32, addrs: Vec<Addr>, proto: Box<dyn Protocol>) -> Self {
         Self {
-            ctx: CheckCtx::new(nodes, fuel),
+            ctx: CheckCtx::new(nodes, fuel, addrs.into()),
             proto,
-            addrs,
         }
     }
 
     pub fn addrs(&self) -> &[Addr] {
-        &self.addrs
+        self.ctx.addrs()
     }
 
     /// Canonical digest of the complete state (context + protocol).
@@ -92,7 +92,6 @@ impl CheckState {
         Some(CheckState {
             ctx: self.ctx.relabeled(perm),
             proto,
-            addrs: self.addrs.clone(),
         })
     }
 
@@ -250,7 +249,7 @@ impl CheckState {
     /// [`SLEEP_MASK_BITS`](crate::explore::SLEEP_MASK_BITS).
     pub fn sleep_bits(&self) -> u32 {
         let n = self.ctx.nodes();
-        n * n + n + n * self.addrs.len() as u32 * 3
+        n * n + n + n * self.addrs().len() as u32 * 3
     }
 
     /// Stable bit position identifying a choice in a sleep mask. The
@@ -270,12 +269,12 @@ impl CheckState {
                     ProcOp::Evict(a) => (a, 2),
                 };
                 let a_idx = self
-                    .addrs
+                    .addrs()
                     .iter()
                     .position(|&a| a == addr)
                     .expect("op on an address outside the configured set")
                     as u32;
-                n * n + n + (node * self.addrs.len() as u32 + a_idx) * 3 + kind
+                n * n + n + (node * self.addrs().len() as u32 + a_idx) * 3 + kind
             }
         }
     }
@@ -289,7 +288,7 @@ impl CheckState {
             return 0;
         }
         let n = self.ctx.nodes();
-        let na = self.addrs.len() as u32;
+        let na = self.addrs().len() as u32;
         let mut out = 0u64;
         let mut rest = mask;
         while rest != 0 {
@@ -312,28 +311,28 @@ impl CheckState {
     }
 
     /// Every choice enabled in this state, in a fixed deterministic order
-    /// (channels by (src, dst), then locals, completions, and processor
-    /// ops by node and block).
+    /// (channels by (src, dst), then locals, and processor ops by node and
+    /// block).
     pub fn enabled_choices(&self) -> Vec<Choice> {
         let n = self.ctx.nodes();
         let mut out = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                if self.ctx.channel_len(src, dst) > 0 {
-                    out.push(Choice::Deliver { src, dst });
+        // One walk over the messages in flight: a queue's number is its
+        // choice's sleep-mask bit, channels first.
+        for q in self.ctx.busy_queues() {
+            out.push(if q < n * n {
+                Choice::Deliver {
+                    src: q / n,
+                    dst: q % n,
                 }
-            }
+            } else {
+                Choice::Local { node: q - n * n }
+            });
         }
-        for node in 0..n {
-            if self.ctx.local_len(node) > 0 {
-                out.push(Choice::Local { node });
-            }
-        }
-        for node in 0..n {
-            if self.ctx.outstanding[node as usize].is_some() || self.ctx.fuel[node as usize] == 0 {
+        for (node, p) in (0..n).zip(&self.ctx.procs) {
+            if p.outstanding.is_some() || p.fuel == 0 {
                 continue;
             }
-            for &addr in &self.addrs {
+            for &addr in self.addrs() {
                 let st = self.line_state(node, addr);
                 // A transient line would only make the machine retry the
                 // op — a no-op loop the exploration can skip.
@@ -387,7 +386,7 @@ impl CheckState {
         // Retire whatever the handler completed before anything else can
         // happen (see the module docs on why this is synchronous).
         for node in 0..self.ctx.nodes() {
-            if self.ctx.completion[node as usize].is_some() {
+            if self.ctx.procs[node as usize].completion.is_some() {
                 self.retire(node)?;
             }
         }
@@ -397,10 +396,12 @@ impl CheckState {
     /// Retire a completion the protocol announced — the checker's
     /// equivalent of the simulator's `OpDone` event.
     fn retire(&mut self, node: NodeId) -> Result<(), String> {
-        let (addr, op) = self.ctx.completion[node as usize]
+        let p = &mut self.ctx.procs[node as usize];
+        let (addr, op) = p
+            .completion
             .take()
             .expect("retire without a pending completion");
-        match self.ctx.outstanding[node as usize].take() {
+        match p.outstanding.take() {
             Some((a, o)) if a == addr && o == op => {}
             other => {
                 return Err(format!(
@@ -432,8 +433,8 @@ impl CheckState {
     /// A processor issues one operation, mirroring the machine's
     /// `issue_access` hit/upgrade/miss split.
     fn issue(&mut self, node: NodeId, op: ProcOp) -> Result<(), String> {
-        debug_assert!(self.ctx.outstanding[node as usize].is_none());
-        self.ctx.fuel[node as usize] -= 1;
+        debug_assert!(self.ctx.procs[node as usize].outstanding.is_none());
+        self.ctx.procs[node as usize].fuel -= 1;
         match op {
             ProcOp::Read(addr) => {
                 let st = self.line_state(node, addr);
@@ -447,7 +448,7 @@ impl CheckState {
                         .map_err(|v| v.to_string())?;
                 } else {
                     self.ctx.set_line(node, addr, LineState::RmIp);
-                    self.ctx.outstanding[node as usize] = Some((addr, OpKind::Read));
+                    self.ctx.procs[node as usize].outstanding = Some((addr, OpKind::Read));
                     self.proto
                         .start_miss(&mut self.ctx, node, addr, OpKind::Read);
                 }
@@ -470,7 +471,7 @@ impl CheckState {
                     // Upgrade (V) and genuine miss share the same entry
                     // point, exactly like the machine.
                     self.ctx.set_line(node, addr, LineState::WmIp);
-                    self.ctx.outstanding[node as usize] = Some((addr, OpKind::Write));
+                    self.ctx.procs[node as usize].outstanding = Some((addr, OpKind::Write));
                     self.proto
                         .start_miss(&mut self.ctx, node, addr, OpKind::Write);
                 }
@@ -497,10 +498,10 @@ impl CheckState {
         if !pending && !quiescent {
             let blocked: Vec<(NodeId, (Addr, OpKind))> = self
                 .ctx
-                .outstanding
+                .procs
                 .iter()
                 .enumerate()
-                .filter_map(|(n, o)| o.map(|o| (n as NodeId, o)))
+                .filter_map(|(n, p)| p.outstanding.map(|o| (n as NodeId, o)))
                 .collect();
             return Err(format!(
                 "deadlock: processors {blocked:?} blocked with no message or \
@@ -514,7 +515,7 @@ impl CheckState {
                 .map_err(|v| format!("at quiescence: {v}"))?;
         }
         self.proto
-            .check_invariants(&self.ctx, &self.addrs, quiescent)
+            .check_invariants(&self.ctx, self.ctx.addrs(), quiescent)
             .map_err(|e| format!("invariant violation: {e}"))
     }
 
@@ -635,7 +636,7 @@ mod tests {
                 cfg.addrs(),
                 build_protocol(kind, ProtocolParams::default()),
             );
-            let homes: Vec<NodeId> = root.addrs.iter().map(|&a| root.ctx.home_of(a)).collect();
+            let homes: Vec<NodeId> = root.addrs().iter().map(|&a| root.ctx.home_of(a)).collect();
             let perms = home_fixing_perms(nodes, &homes);
             assert!(perms.len() > 1, "{name}: trivial group");
             let inverses: Vec<Vec<NodeId>> = perms.iter().map(|p| invert_perm(p)).collect();

@@ -302,21 +302,102 @@ fn ternary_update_merge_does_not_diverge_from_binary_at_p5() {
     assert_eq!(ternary.stats(), binary.stats());
 }
 
-/// With both reductions enabled, the layer-synchronous merge keeps the
-/// P=4 exploration bit-identical regardless of worker count: verdict,
-/// state count, and every work counter must match between 1 and 8 jobs.
+/// With both reductions enabled the result is bit-identical at any worker
+/// count: verdict, state count and every work counter must match across
+/// 1, 2, 3 and 8 jobs. The explorer expands and merges a layer in windows
+/// of 64 frontier states per job, so FullMap P=3's widest layer (4 737
+/// states) is 75 windows at one job and 10 at eight, and the window
+/// boundaries fall at different places in it for every count; P=4 adds
+/// the order-6 symmetry group.
 #[test]
 fn p4_reduced_exploration_is_deterministic_across_jobs() {
     let factory = || build_protocol(ProtocolKind::FullMap, ProtocolParams::default());
-    let mut cfg = CheckConfig::small(4, 1);
-    assert!(cfg.symmetry && cfg.por, "reductions must default on");
-    cfg.jobs = 1;
-    let serial = explore(&cfg, factory);
-    cfg.jobs = 8;
-    let parallel = explore(&cfg, factory);
-    assert!(serial.is_pass(), "{serial:?}");
-    assert_eq!(serial.states(), parallel.states());
-    assert_eq!(serial.stats(), parallel.stats());
+    for nodes in [4, 3] {
+        let mut cfg = CheckConfig::small(nodes, 1);
+        assert!(cfg.symmetry && cfg.por, "reductions must default on");
+        cfg.jobs = 1;
+        let serial = explore(&cfg, factory);
+        assert!(serial.is_pass(), "P={nodes}: {serial:?}");
+        for jobs in [2, 3, 8] {
+            cfg.jobs = jobs;
+            let parallel = explore(&cfg, factory);
+            assert_eq!(serial.states(), parallel.states(), "P={nodes} jobs={jobs}");
+            assert_eq!(serial.stats(), parallel.stats(), "P={nodes} jobs={jobs}");
+        }
+    }
+}
+
+/// Every mutant's counterexample, as the whole-layer merge reported it
+/// before the explorer worked in windows, at the shapes
+/// `tests/witness_catches_bugs.rs` and the tests above explore them: the
+/// choice count, the violation, and `states` — `visited.len()` when the
+/// violating layer *began*, not when its window did — at one job and at
+/// three.
+#[test]
+fn mutant_counterexamples_are_pinned() {
+    let tree = |pointers, arity| ProtocolKind::DirTree { pointers, arity };
+    let writer_not_exclusive = |node, other| {
+        format!(
+            "coherence violation at node {node} addr 0x0: WriterNotExclusive {{ other: {other} }}"
+        )
+    };
+    for (proto, kind, nodes, choices, states, violation) in [
+        (
+            ProtocolKind::FullMap,
+            MutantKind::DropInv,
+            2,
+            8,
+            399,
+            writer_not_exclusive(1, 0),
+        ),
+        (
+            ProtocolKind::FullMap,
+            MutantKind::PrematureAck,
+            2,
+            9,
+            609,
+            writer_not_exclusive(1, 0),
+        ),
+        (
+            tree(1, 2),
+            MutantKind::StaleTreePointer,
+            2,
+            8,
+            398,
+            "invariant violation: valid copy at node 0 for 0x0 unreachable from the forest".into(),
+        ),
+        (
+            tree(2, 2),
+            MutantKind::StaleWaveScratch,
+            2,
+            20,
+            9_381,
+            writer_not_exclusive(0, 1),
+        ),
+        (
+            ProtocolKind::FullMap,
+            MutantKind::AsymmetricDropInv,
+            3,
+            8,
+            1_208,
+            writer_not_exclusive(0, 2),
+        ),
+    ] {
+        let factory = Mutated::factory(proto, ProtocolParams::default(), kind);
+        for jobs in [1, 3] {
+            let mut cfg = CheckConfig::small(nodes, 1);
+            cfg.jobs = jobs;
+            let at = format!("{kind:?} on {} P={nodes} jobs={jobs}", proto.name());
+            let CheckOutcome::Violation(cx) = explore(&cfg, &factory) else {
+                panic!("{at}: survived exploration");
+            };
+            assert_eq!(
+                (cx.choices.len(), cx.states, cx.violation.as_str()),
+                (choices, states, violation.as_str()),
+                "{at}"
+            );
+        }
+    }
 }
 
 /// Empirical equivariance check behind the symmetry reduction's soundness
