@@ -51,9 +51,10 @@ fi
 # inside a generous wall-clock budget (catches order-of-magnitude
 # simulator regressions, not noise) and its records must stay
 # byte-identical to the committed golden — the determinism gate for the
-# whole record/replay + cached-sweep pipeline.
+# whole record/replay + parallel-sweep pipeline, from simulation to the
+# JSONL writer.
 timeout 300 ./target/release/dirtree-bench scale_up \
-  --filter P=64 --no-cache --jobs 2 --out-dir target/perf_smoke >/dev/null
+  --filter P=64 --jobs 2 --out-dir target/perf_smoke >/dev/null
 cmp target/perf_smoke/scale_up.jsonl tests/golden/scale_up_p64.jsonl
 echo "perf-smoke: records match tests/golden/scale_up_p64.jsonl"
 # The same slice on the virtual-channel machine (3 VCs, adaptive e-cube):
@@ -74,19 +75,16 @@ echo "perf-smoke: records match tests/golden/scale_up_p64_vc_credited.jsonl"
 # pattern workload); the cmp pins the records — including the detector
 # counters and mode-flip counts — byte-for-byte.
 timeout 300 ./target/release/dirtree-bench adaptive_ablation \
-  --filter P=16 --no-cache --jobs 2 --out-dir target/adaptive_smoke >/dev/null
+  --filter P=16 --jobs 2 --out-dir target/adaptive_smoke >/dev/null
 cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.jsonl
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 
-# Front-end smoke: every experiment name shares one executable and so one
-# sweep cache — what `fig10_floyd` simulated, `all` must serve from the
-# cache — and an unknown experiment name is a usage error (exit 64), not
-# a run with defaults.
-rm -rf target/cache_smoke
-./target/release/dirtree-bench fig10_floyd --jobs 2 --out-dir target/cache_smoke >/dev/null
-./target/release/dirtree-bench all --filter fig10 --jobs 2 --out-dir target/cache_smoke \
-  2>&1 >/dev/null | grep ': 0 simulations run, ' >/dev/null
-echo "cache-smoke: \`all\` re-used every result of \`fig10_floyd\`"
+# Front-end smoke: the whole one-command reproduction (every experiment
+# of `all`, about 4 s) must exit 0 — a panicking experiment or a failed
+# simulation fails it — and an unknown experiment name is a usage error
+# (exit 64), not a run with defaults.
+./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke >/dev/null
+echo "all-smoke: \`dirtree-bench all\` exits 0"
 status=0
 ./target/release/dirtree-bench no_such_experiment >/dev/null 2>&1 || status=$?
 [[ $status -eq 64 ]]

@@ -4,11 +4,9 @@
 //! flags:
 //!
 //! - `--jobs N` — worker threads (default: available parallelism)
-//! - `--no-cache` — ignore cached results, re-simulate everything
 //! - `--out-dir PATH` — sweep output root (default `target/sweep`)
 //! - `--trace` — dump a Chrome-trace-format event timeline per config
-//!   under `<out-dir>/trace/` (forces re-simulation; cached records
-//!   carry no timeline)
+//!   under `<out-dir>/trace/`
 //! - `--full` — the paper's exact workload sizes instead of scaled-down
 //! - `--filter SUBSTR` — `all`: run the experiments whose name contains
 //!   the substring; `scale_up` / `adaptive_ablation`: keep the machine
@@ -36,7 +34,6 @@ pub enum Target {
 pub struct Cli {
     pub target: Target,
     pub jobs: Option<usize>,
-    pub no_cache: bool,
     pub trace: bool,
     pub full: bool,
     pub filter: Option<String>,
@@ -49,7 +46,7 @@ impl Cli {
     pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut target = None;
         let (mut jobs, mut filter, mut out_dir) = (None, None, None);
-        let (mut no_cache, mut trace, mut full) = (false, false, false);
+        let (mut trace, mut full) = (false, false);
         while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
                 if target.is_some() {
@@ -88,10 +85,9 @@ impl Cli {
                 }
                 "--filter" => filter = Some(value()?),
                 "--out-dir" => out_dir = Some(PathBuf::from(value()?)),
-                "--no-cache" | "--trace" | "--full" if inline.is_some() => {
+                "--trace" | "--full" if inline.is_some() => {
                     return Err(format!("{flag} takes no value"));
                 }
-                "--no-cache" => no_cache = true,
                 "--trace" => trace = true,
                 "--full" => full = true,
                 other => return Err(format!("unknown flag {other}")),
@@ -100,7 +96,6 @@ impl Cli {
         Ok(Cli {
             target: target.ok_or("no experiment named")?,
             jobs,
-            no_cache,
             trace,
             full,
             filter,
@@ -114,7 +109,6 @@ impl Cli {
         if let Some(jobs) = self.jobs {
             opts.jobs = jobs;
         }
-        opts.no_cache = self.no_cache;
         opts.trace = self.trace;
         if let Some(dir) = &self.out_dir {
             opts.out_dir = dir.clone();
@@ -132,7 +126,7 @@ pub fn list() -> String {
 /// Usage text: the grammar plus the `list` output.
 pub fn usage() -> String {
     format!(
-        "usage: dirtree-bench <experiment|all|list> [--jobs N] [--no-cache] [--trace] \
+        "usage: dirtree-bench <experiment|all|list> [--jobs N] [--trace] \
          [--full] [--filter SUBSTR] [--out-dir PATH]\n\
          experiments:\n{}",
         list()
@@ -153,7 +147,6 @@ mod tests {
             "all",
             "--jobs",
             "4",
-            "--no-cache",
             "--trace",
             "--full",
             "--filter=fig",
@@ -163,14 +156,12 @@ mod tests {
         .unwrap();
         assert!(matches!(cli.target, Target::All));
         assert_eq!(cli.jobs, Some(4));
-        assert!(cli.no_cache);
         assert!(cli.trace);
         assert!(cli.full);
         assert_eq!(cli.filter.as_deref(), Some("fig"));
         assert_eq!(cli.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
         let opts = cli.sweep_options();
         assert_eq!(opts.jobs, 4);
-        assert!(opts.no_cache);
         assert!(opts.trace);
     }
 
@@ -179,7 +170,7 @@ mod tests {
         let cli = parse(&["--jobs=2", "fig10_floyd"]).unwrap();
         assert!(matches!(cli.target, Target::One(e) if e.name == "fig10_floyd"));
         assert_eq!(cli.jobs, Some(2));
-        assert!(!cli.no_cache && !cli.trace && !cli.full && cli.filter.is_none());
+        assert!(!cli.trace && !cli.full && cli.filter.is_none());
         let cli = parse(&["list"]).unwrap();
         assert!(matches!(cli.target, Target::List));
         assert!(cli.jobs.is_none());
@@ -190,6 +181,7 @@ mod tests {
     fn every_malformed_command_line_is_rejected() {
         for (args, reason) in [
             (&["table1", "--frobnicate"][..], "unknown flag --frobnicate"),
+            (&["all", "--no-cache"], "unknown flag --no-cache"),
             (
                 &["table1", "--jobs", "zero"],
                 "--jobs needs a positive integer",

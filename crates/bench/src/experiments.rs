@@ -1,7 +1,7 @@
 //! Every experiment of the reproduction as a library function.
 //!
 //! Each function builds its configurations, runs them through the shared
-//! sweep [`Runner`] (parallel + cached), and returns the report text.
+//! sweep [`Runner`] (parallel), and returns the report text.
 //! [`REGISTRY`] names them all; the `dirtree-bench` binary (`main.rs`)
 //! runs one entry by name, or every `in_all` entry in-process under
 //! `all`, where a panic in one experiment is caught, reported in the
@@ -10,7 +10,7 @@
 //! Analytic experiments (Tables 3/4, tree shapes, memory overhead) and
 //! the controlled-sharing-degree measurements (Table 1, the latency
 //! model) do not go through the runner: they are closed-form or
-//! millisecond-scale scripted runs with no caching value.
+//! millisecond-scale scripted runs.
 
 use crate::cli::Cli;
 use crate::figures::{record_grid, run_figure, RecordCell};
@@ -1688,7 +1688,8 @@ mod tests {
         // cycles) is a constant chosen from the measured delay
         // distribution: no event of the first scale_up golden row (Floyd
         // 64v, P=64, full map) is scheduled further ahead than that, so
-        // the overflow heap is never touched.
+        // the overflow heap is never touched. The record it writes is that
+        // golden row byte for byte, which pins the writer in `cargo test`.
         use dirtree_machine::Machine;
         use dirtree_workloads::{record_ops, ReplayDriver};
         let (_, _, [nodes, ..], machine) = SCALE_UP_GRIDS[0];
@@ -1701,6 +1702,12 @@ mod tests {
         let out = m.run(&mut ReplayDriver::new(trace.into()));
         assert_eq!(out.cycles, 1_175_847, "tests/golden/scale_up_p64.jsonl");
         assert_eq!(m.queue_overflowed(), 0);
+        let config = SweepConfig::new(machine(nodes), SCALE_UP_PROTOCOLS[0], floyd);
+        let golden = include_str!("../../../tests/golden/scale_up_p64.jsonl");
+        assert_eq!(
+            RunRecord::from_outcome(&config, &out).to_json(),
+            golden.lines().next().unwrap()
+        );
     }
 
     #[test]
@@ -1725,8 +1732,8 @@ mod tests {
         assert_eq!(m.nodes, vc.nodes);
         assert_eq!(m.mem_latency, vc.mem_latency);
         assert_eq!(m.net.switch_delay, vc.net.switch_delay);
-        // Distinct fingerprints, so the sweep cache and the golden files
-        // can never confuse the credited and idealized grids.
+        // Distinct fingerprints, so the records and the golden files can
+        // never confuse the credited and idealized grids.
         assert_ne!(m.fingerprint(), vc.fingerprint());
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The Figures 8–11 presentation (protocols × machine sizes, execution
 //! time normalized to full-map per size) is one [`record_grid`] call
-//! that the parallel, cached [`Runner`] serves.
+//! that the parallel [`Runner`] serves.
 
 use crate::runner::Runner;
 use crate::sweep::{RunRecord, SweepConfig, SweepSpec};

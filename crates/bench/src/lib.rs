@@ -6,13 +6,13 @@
 //!
 //! - [`sweep`] — configuration enumeration ([`sweep::SweepSpec`]) and the
 //!   JSON-lines [`sweep::RunRecord`] each simulation produces
-//! - [`runner`] — the parallel, cached, deterministic executor
+//! - [`runner`] — the parallel, deterministic executor
 //! - [`figures`] — record-based figure grids (normalized execution time)
 //! - [`experiments`] — every table/figure/ablation as a function
 //!   returning its report text, named by [`experiments::REGISTRY`]
 //! - [`miss_cost`] — controlled-sharing-degree marginal measurements
 //! - [`cli`] — the experiment name and the shared
-//!   `--jobs/--no-cache/--filter/--full` flags
+//!   `--jobs/--filter/--full` flags
 
 pub mod cli;
 pub mod experiments;

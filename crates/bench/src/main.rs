@@ -11,13 +11,12 @@
 //! a final `FAILED: [...]` summary.
 //!
 //! All simulations go through the shared sweep runner: they execute on a
-//! worker pool (`--jobs`, default: all cores) and results are cached
-//! under `<out-dir>/cache/` keyed by this executable's bytes, so a rerun
-//! that changes nothing simulates nothing — whichever experiment name
-//! first produced the result.
+//! worker pool (`--jobs`, default: all cores), and every run simulates
+//! from scratch — nothing is kept between runs but the `<out-dir>/*.jsonl`
+//! records it writes.
 //!
 //! Run: `cargo run --release -p dirtree-bench -- all
-//!       [--full] [--jobs N] [--no-cache] [--filter SUBSTR]`
+//!       [--full] [--jobs N] [--filter SUBSTR]`
 
 use dirtree_bench::cli::{self, Cli, Target};
 use dirtree_bench::experiments::{Experiment, REGISTRY};
@@ -45,10 +44,10 @@ fn main() {
 
 /// The end-of-run summary: wall time and what the runner did.
 fn totals(runner: &Runner, t0: Instant) -> String {
-    let (executed, cached) = runner.totals();
     format!(
-        "in {:.1?}: {executed} simulations run, {cached} served from cache ({} jobs)",
+        "in {:.1?}: {} simulations run ({} jobs)",
         t0.elapsed(),
+        runner.totals(),
         runner.options().jobs,
     )
 }

@@ -1,21 +1,17 @@
-//! Parallel, cached, deterministic execution of [`SweepSpec`]s.
+//! Parallel, deterministic execution of [`SweepSpec`]s.
 //!
-//! A [`Runner`] owns a worker pool policy (`--jobs`), a result cache under
-//! `target/sweep/cache/`, and an output directory for JSON-lines records.
-//! Executing a spec:
+//! A [`Runner`] owns a worker pool policy (`--jobs`) and an output
+//! directory for JSON-lines records. Executing a spec:
 //!
-//! 1. Each config is looked up in the cache by
-//!    `(config_hash, code_hash)` — `code_hash` fingerprints the running
-//!    executable, so results are invalidated whenever the simulator code
-//!    changes.
-//! 2. Cache misses are simulated in-process on a `std::thread::scope`
+//! 1. Every config is simulated in-process on a `std::thread::scope`
 //!    pool; workers pull config indices from a shared atomic counter.
-//! 3. Records are assembled **in spec order** (never completion order) and
+//! 2. Records are assembled **in spec order** (never completion order) and
 //!    written as one JSONL file per spec, so output is byte-identical
 //!    regardless of `--jobs`.
 //!
+//! Nothing is kept between runs: a rerun simulates every config again.
 //! Panicking simulations are caught per-config: the failure is recorded in
-//! the outcome (and never cached), the rest of the sweep continues.
+//! the outcome, the rest of the sweep continues.
 
 use crate::sweep::{workload_key, RunRecord, SweepConfig, SweepSpec};
 use dirtree_machine::{Machine, MsgTrace};
@@ -33,14 +29,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct SweepOptions {
     /// Worker threads. Defaults to the machine's available parallelism.
     pub jobs: usize,
-    /// Ignore (but still refresh) the result cache.
-    pub no_cache: bool,
-    /// Root for results: JSONL under `<out_dir>/`, cache under
-    /// `<out_dir>/cache/`.
+    /// Root for results: JSONL under `<out_dir>/`.
     pub out_dir: PathBuf,
     /// Dump a Chrome-trace (`trace_events`) JSON per config under
-    /// `<out_dir>/trace/`. Forces every config to simulate (a cached
-    /// record carries no event timeline to dump).
+    /// `<out_dir>/trace/`.
     pub trace: bool,
 }
 
@@ -50,7 +42,6 @@ impl Default for SweepOptions {
             jobs: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            no_cache: false,
             out_dir: PathBuf::from("target/sweep"),
             trace: false,
         }
@@ -69,22 +60,18 @@ pub struct RunFailure {
 pub struct SweepOutcome {
     /// One record per non-failed config, in spec order.
     pub records: Vec<RunRecord>,
-    /// Configs actually simulated this call.
+    /// Configs simulated this call (every config of the spec).
     pub executed: usize,
-    /// Configs served from the result cache.
-    pub cached: usize,
     pub failures: Vec<RunFailure>,
 }
 
-/// Parallel cached sweep executor. Cheap to share by reference; all
-/// methods take `&self`.
+/// Parallel sweep executor. Cheap to share by reference; all methods
+/// take `&self`.
 pub struct Runner {
     opts: SweepOptions,
-    code_hash: u64,
-    /// Lifetime counters across all specs this runner has executed, for
+    /// Lifetime counter across all specs this runner has executed, for
     /// the end-of-run summary line of `dirtree-bench`.
     total_executed: AtomicUsize,
-    total_cached: AtomicUsize,
     all_failures: Mutex<Vec<RunFailure>>,
 }
 
@@ -92,9 +79,7 @@ impl Runner {
     pub fn new(opts: SweepOptions) -> Self {
         Self {
             opts,
-            code_hash: code_hash(),
             total_executed: AtomicUsize::new(0),
-            total_cached: AtomicUsize::new(0),
             all_failures: Mutex::new(Vec::new()),
         }
     }
@@ -103,12 +88,9 @@ impl Runner {
         &self.opts
     }
 
-    /// Total (executed, cached) across every spec run so far.
-    pub fn totals(&self) -> (usize, usize) {
-        (
-            self.total_executed.load(Ordering::Relaxed),
-            self.total_cached.load(Ordering::Relaxed),
-        )
+    /// Simulations run across every spec so far.
+    pub fn totals(&self) -> usize {
+        self.total_executed.load(Ordering::Relaxed)
     }
 
     /// Every failure across every spec run so far.
@@ -116,81 +98,52 @@ impl Runner {
         self.all_failures.lock().unwrap().clone()
     }
 
-    /// Run every config of `spec` (cache-aware, parallel) and write
+    /// Simulate every config of `spec` in parallel and write
     /// `<out_dir>/<spec.name>.jsonl`. Records come back in spec order.
     pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
-        let n = spec.configs.len();
-        // Resolve cache hits up front, single-threaded and in order.
-        let mut slots: Vec<Option<Result<RunRecord, String>>> = Vec::with_capacity(n);
-        let mut todo: Vec<usize> = Vec::new();
-        for (i, config) in spec.configs.iter().enumerate() {
-            let hit = if self.opts.trace {
-                None // tracing re-simulates: cached records have no timeline
-            } else {
-                self.cache_lookup(config)
-            };
-            match hit {
-                Some(record) => slots.push(Some(Ok(record))),
-                None => {
-                    slots.push(None);
-                    todo.push(i);
-                }
-            }
-        }
-        let cached = n - todo.len();
-
-        // Simulate the misses on a scoped worker pool. Workers claim
-        // indices from `next`; each result lands in its own slot, so the
-        // final assembly below is in spec order no matter which worker
-        // finished when.
+        // Workers claim indices from `next`; each result lands in its own
+        // slot, so the assembly below is in spec order no matter which
+        // worker finished when.
         type ConfigResult = Result<(RunRecord, Option<String>), String>;
-        let results: Vec<Mutex<Option<ConfigResult>>> =
-            todo.iter().map(|_| Mutex::new(None)).collect();
-        let jobs = self.opts.jobs.clamp(1, todo.len().max(1));
+        let n = spec.configs.len();
+        let results: Vec<OnceLock<ConfigResult>> = (0..n).map(|_| OnceLock::new()).collect();
+        let jobs = self.opts.jobs.clamp(1, n.max(1));
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = todo.get(t) else { break };
-                    let outcome = run_config(&spec.configs[i], self.opts.trace);
-                    *results[t].lock().unwrap() = Some(outcome);
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(config) = spec.configs.get(i) else {
+                        break;
+                    };
+                    let _ = results[i].set(run_config(config, self.opts.trace));
                 });
             }
         });
-        for (t, &i) in todo.iter().enumerate() {
-            let outcome = results[t]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("worker pool exited without producing a result");
-            if let Ok((record, trace)) = &outcome {
-                self.cache_store(&spec.configs[i], record);
-                if let Some(trace_json) = trace {
-                    self.write_trace(spec, i, &spec.configs[i], trace_json);
-                }
-            }
-            slots[i] = Some(outcome.map(|(record, _)| record));
-        }
 
         let mut outcome = SweepOutcome {
-            executed: todo.len(),
-            cached,
+            executed: n,
             ..SweepOutcome::default()
         };
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every slot is filled above") {
-                Ok(record) => outcome.records.push(record),
+        for (i, slot) in results.into_iter().enumerate() {
+            let config = &spec.configs[i];
+            match slot
+                .into_inner()
+                .expect("worker pool exited without producing a result")
+            {
+                Ok((record, trace)) => {
+                    if let Some(trace_json) = trace {
+                        self.write_trace(spec, i, config, &trace_json);
+                    }
+                    outcome.records.push(record);
+                }
                 Err(message) => outcome.failures.push(RunFailure {
-                    key: spec.configs[i].key(),
+                    key: config.key(),
                     message,
                 }),
             }
         }
-        self.total_executed
-            .fetch_add(outcome.executed, Ordering::Relaxed);
-        self.total_cached
-            .fetch_add(outcome.cached, Ordering::Relaxed);
+        self.total_executed.fetch_add(n, Ordering::Relaxed);
         self.all_failures
             .lock()
             .unwrap()
@@ -198,33 +151,6 @@ impl Runner {
 
         self.write_jsonl(spec, &outcome.records);
         outcome
-    }
-
-    fn cache_dir(&self) -> PathBuf {
-        self.opts.out_dir.join("cache")
-    }
-
-    fn cache_path(&self, config: &SweepConfig) -> PathBuf {
-        self.cache_dir().join(format!(
-            "{:016x}-{:016x}.json",
-            config.config_hash(),
-            self.code_hash
-        ))
-    }
-
-    fn cache_lookup(&self, config: &SweepConfig) -> Option<RunRecord> {
-        if self.opts.no_cache {
-            return None;
-        }
-        let text = fs::read_to_string(self.cache_path(config)).ok()?;
-        let record = RunRecord::from_json(text.trim_end()).ok()?;
-        // Guard against config-hash collisions: the stored key must match.
-        (record.key == config.key()).then_some(record)
-    }
-
-    fn cache_store(&self, config: &SweepConfig, record: &RunRecord) {
-        // Best-effort: a cache write failure only costs a re-simulation.
-        let _ = write_atomic(&self.cache_path(config), &record.to_json());
     }
 
     /// Write one config's Chrome-trace JSON. The filename is fully
@@ -321,7 +247,7 @@ fn op_trace_for(config: &SweepConfig) -> Arc<OpTrace> {
 /// Write `text` (plus trailing newline) atomically: tmp file + rename, so
 /// concurrent runners and killed processes never leave torn files.
 fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let dir = path.parent().expect("cache paths always have a parent");
+    let dir = path.parent().expect("output paths always have a parent");
     fs::create_dir_all(dir)?;
     let tmp = dir.join(format!(
         ".tmp-{}-{:x}",
@@ -336,23 +262,6 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
         }
     }
     fs::rename(&tmp, path)
-}
-
-/// Fingerprint of the running executable (FxHash over its bytes), so cache
-/// entries are keyed to the exact simulator build that produced them.
-fn code_hash() -> u64 {
-    static HASH: OnceLock<u64> = OnceLock::new();
-    *HASH.get_or_init(|| {
-        use std::hash::Hasher;
-        let mut h = dirtree_sim::hash::FxHasher::default();
-        match std::env::current_exe().and_then(fs::read) {
-            Ok(bytes) => h.write(&bytes),
-            // No executable to fingerprint (odd platform): fall back to a
-            // constant, losing only cache invalidation on rebuild.
-            Err(_) => h.write(b"dirtree-code-hash-unavailable"),
-        }
-        h.finish()
-    })
 }
 
 #[cfg(test)]
@@ -438,87 +347,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_executes_zero_simulations() {
-        let dir = scratch_dir("cache");
-        let spec = tiny_spec("warm");
-        let cold = runner_in(&dir, 4).run(&spec);
-        assert_eq!(cold.executed, spec.configs.len());
-        assert_eq!(cold.cached, 0);
-        // Fresh runner, same out_dir and same code hash: all hits.
-        let warm = runner_in(&dir, 4).run(&spec);
-        assert_eq!(warm.executed, 0, "warm rerun must simulate nothing");
-        assert_eq!(warm.cached, spec.configs.len());
-        // The records and JSONL are identical either way.
-        assert_eq!(
-            cold.records
-                .iter()
-                .map(RunRecord::to_json)
-                .collect::<Vec<_>>(),
-            warm.records
-                .iter()
-                .map(RunRecord::to_json)
-                .collect::<Vec<_>>(),
-        );
-        // no_cache bypasses lookups again.
-        let mut opts = SweepOptions {
-            jobs: 4,
-            no_cache: true,
-            out_dir: dir.clone(),
-            ..SweepOptions::default()
-        };
-        let bypass = Runner::new(opts.clone()).run(&spec);
-        assert_eq!(bypass.executed, spec.configs.len());
-        opts.no_cache = false;
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_cache_entries_are_misses_that_get_overwritten() {
-        let dir = scratch_dir("corrupt");
-        let spec = tiny_spec("corrupt");
-        let runner = runner_in(&dir, 2);
-        let cold = runner.run(&spec);
-        let paths: Vec<PathBuf> = spec.configs.iter().map(|c| runner.cache_path(c)).collect();
-        let valid = fs::read_to_string(&paths[1]).unwrap();
-        // Empty file; record truncated mid-histogram; a valid record whose
-        // `key` is another config's; deep-nesting garbage.
-        fs::write(&paths[0], "").unwrap();
-        let cut = valid.find("\"buckets\":[[").expect("a non-empty histogram") + 12;
-        fs::write(&paths[1], &valid[..cut]).unwrap();
-        fs::copy(&paths[3], &paths[2]).unwrap();
-        fs::write(&paths[3], "[".repeat(1 << 20)).unwrap();
-
-        let again = runner_in(&dir, 2).run(&spec);
-        assert_eq!(again.executed, spec.configs.len(), "every entry is a miss");
-        assert_eq!(again.cached, 0);
-        assert!(again.failures.is_empty());
-        for ((config, path), before) in spec.configs.iter().zip(&paths).zip(&cold.records) {
-            let text = fs::read_to_string(path).unwrap();
-            let stored = RunRecord::from_json(text.trim_end()).expect("entry was overwritten");
-            assert_eq!(stored.key, config.key());
-            assert_eq!(stored.to_json(), before.to_json());
-        }
-        let healed = runner_in(&dir, 2).run(&spec);
-        assert_eq!(healed.cached, spec.configs.len());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_option_dumps_deterministic_chrome_traces_and_skips_cache_hits() {
+    fn trace_option_dumps_deterministic_chrome_traces() {
         let dir = scratch_dir("trace");
         let spec = tiny_spec("traced");
-        // Warm the cache first, then run with tracing: every config must
-        // re-simulate (cached records have no timeline).
-        runner_in(&dir, 2).run(&spec);
         let traced = Runner::new(SweepOptions {
             jobs: 2,
             out_dir: dir.clone(),
             trace: true,
-            ..SweepOptions::default()
         })
         .run(&spec);
         assert_eq!(traced.executed, spec.configs.len());
-        assert_eq!(traced.cached, 0);
+        assert!(traced.failures.is_empty());
         let trace_dir = dir.join("trace");
         let mut files: Vec<_> = fs::read_dir(&trace_dir)
             .expect("trace dir exists")
@@ -535,7 +374,6 @@ mod tests {
             jobs: 1,
             out_dir: dir.clone(),
             trace: true,
-            ..SweepOptions::default()
         })
         .run(&spec);
         assert_eq!(fs::read_to_string(&files[0]).unwrap(), first);
@@ -543,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn failures_are_reported_not_cached_and_do_not_abort_the_sweep() {
+    fn failures_are_reported_and_do_not_abort_the_sweep() {
         let dir = scratch_dir("failures");
         let runner = runner_in(&dir, 2);
         let mut spec = tiny_spec("with-failure");
@@ -557,10 +395,12 @@ mod tests {
         assert_eq!(out.records.len(), spec.configs.len() - 1);
         assert!(out.failures[0].key.contains("nodes=3"));
         assert_eq!(runner.failures().len(), 1);
-        // The failed config is never cached: rerunning executes it again.
+        // Nothing is kept between runs: a rerun executes every config
+        // again, the failed one included.
         let again = runner_in(&dir, 2).run(&spec);
-        assert_eq!(again.executed, 1);
+        assert_eq!(again.executed, spec.configs.len());
         assert_eq!(again.failures.len(), 1);
+        assert_eq!(again.records.len(), out.records.len());
         let _ = fs::remove_dir_all(&dir);
     }
 }

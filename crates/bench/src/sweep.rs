@@ -5,8 +5,8 @@
 //! (`runner.rs`) executes each config's `Machine` simulation in-process
 //! and produces one [`RunRecord`] per config — a flat, deterministic
 //! snapshot of the outcome that serializes to one JSON line (hand-rolled;
-//! the build environment has no serde) and round-trips through the
-//! on-disk result cache.
+//! the build environment has no serde). Records are written, never read
+//! back.
 //!
 //! Determinism contract: a config's canonical [`SweepConfig::key`] fixes
 //! every semantic input of the simulation. The per-config RNG salt is
@@ -18,7 +18,7 @@ use dirtree_core::protocol::ProtocolKind;
 use dirtree_machine::{MachineConfig, RunOutcome, TopologyKind};
 use dirtree_net::Fabric;
 use dirtree_sim::hash::FxHasher;
-use dirtree_sim::metrics::{ClassCounts, MetricsSnapshot, MsgClass};
+use dirtree_sim::metrics::{MetricsSnapshot, MsgClass};
 use dirtree_sim::Histogram;
 use dirtree_workloads::WorkloadKind;
 use std::fmt::Write as _;
@@ -47,8 +47,8 @@ impl SweepConfig {
     }
 
     /// Canonical single-line key spelling out every semantic field of the
-    /// configuration. This is the cache identity: two configs with equal
-    /// keys must simulate identically.
+    /// configuration. This is the record's identity: two configs with
+    /// equal keys must simulate identically.
     pub fn key(&self) -> String {
         let m = &self.machine;
         let net = &m.net;
@@ -86,7 +86,7 @@ impl SweepConfig {
             self.seed,
         );
         // Virtual-channel parameters extend the key only when non-default,
-        // so every pre-VC cache entry and golden file keeps its identity.
+        // so every pre-VC record and golden file keeps its identity.
         if net.vc_nondefault() {
             let _ = write!(
                 key,
@@ -206,19 +206,19 @@ impl SweepSpec {
 /// When a scalar counter appears in the serialized record.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Presence {
-    /// Always written; a record without it does not parse.
+    /// Always written.
     Always,
     /// Written only when non-zero (the adaptive-protocol counters, zero
     /// for static protocols), so every pre-adaptive record and golden
-    /// file keeps its exact bytes. Absent parses as 0.
+    /// file keeps its exact bytes.
     NonZero,
     /// Written only on multi-channel runs (`net_vcs > 1`), keeping legacy
     /// single-channel records byte-stable.
     VcOnly,
 }
 
-/// One row of the scalar field list: everything `from_outcome`, `to_json`
-/// and `from_json` need to know about a `u64` counter of [`RunRecord`].
+/// One row of the scalar field list: everything `from_outcome` and
+/// `to_json` need to know about a `u64` counter of [`RunRecord`].
 struct Scalar {
     name: &'static str,
     presence: Presence,
@@ -241,7 +241,7 @@ macro_rules! scalar_source {
 /// Declares [`RunRecord`] and its scalar field list from one table, in
 /// serialization order: `name: Presence [= |outcome| source],`. Adding a
 /// counter is one line here; the struct field, the snapshot from
-/// `RunOutcome`, the writer and the parser all follow from it.
+/// `RunOutcome` and the writer all follow from it.
 macro_rules! run_record {
     ($($(#[$doc:meta])* $name:ident: $presence:ident $(= $src:expr)?,)*) => {
         /// The deterministic, serializable outcome of one config's simulation.
@@ -412,72 +412,6 @@ impl RunRecord {
         out.push('}');
         out
     }
-
-    /// Parse a record previously produced by [`Self::to_json`].
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let v = json::parse(line)?;
-        let obj = v.as_object().ok_or("record is not a JSON object")?;
-        let get = |name: &str| -> Result<&json::Value, String> {
-            obj.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {name}"))
-        };
-        let get_u64 = |name: &str| -> Result<u64, String> {
-            get(name)?
-                .as_u64()
-                .ok_or_else(|| format!("field {name} is not a u64"))
-        };
-        let opt_u64 = |name: &str| -> Option<u64> { get(name).ok().and_then(json::Value::as_u64) };
-        let to_u32 = |name: &str, v: u64| -> Result<u32, String> {
-            u32::try_from(v).map_err(|_| format!("field {name} = {v} does not fit a u32"))
-        };
-        let get_str = |name: &str| -> Result<String, String> {
-            Ok(get(name)?
-                .as_str()
-                .ok_or_else(|| format!("field {name} is not a string"))?
-                .to_string())
-        };
-        let get_hist = |name: &str| -> Result<Histogram, String> { parse_hist(get(name)?) };
-        let mut record = Self {
-            key: get_str("key")?,
-            config_hash: get_u64("config_hash")?,
-            protocol: get_str("protocol")?,
-            workload: get_str("workload")?,
-            nodes: to_u32("nodes", get_u64("nodes")?)?,
-            seed: get_u64("seed")?,
-            net_vcs: to_u32("net_vcs", opt_u64("net_vcs").unwrap_or(1))?,
-            net_vc_wait_cycles: match get("net_vc_wait_cycles") {
-                Ok(v) => v
-                    .as_array()
-                    .ok_or("net_vc_wait_cycles is not an array")?
-                    .iter()
-                    .map(|w| w.as_u64().ok_or("net_vc_wait_cycles entry is not a u64"))
-                    .collect::<Result<_, _>>()?,
-                Err(_) => Vec::new(),
-            },
-            read_miss_latency: get_hist("read_miss_latency")?,
-            write_miss_latency: get_hist("write_miss_latency")?,
-            sharers_at_write: get_hist("sharers_at_write")?,
-            metrics: parse_metrics(get("metrics")?)?,
-            ..Self::default()
-        };
-        for f in SCALARS {
-            let v = match f.presence {
-                Presence::Always => get_u64(f.name)?,
-                Presence::NonZero | Presence::VcOnly => opt_u64(f.name).unwrap_or(0),
-            };
-            (f.set)(&mut record, v);
-        }
-        // VC fields are absent from legacy (single-channel) records: the
-        // split is unrecoverable there, so the whole aggregate is
-        // attributed to injection and the serialized sum round-trips.
-        let contention = get_u64("net_contention_cycles")?;
-        if opt_u64("net_inject_wait_cycles").is_none() {
-            record.net_inject_wait_cycles = contention;
-        }
-        Ok(record)
-    }
 }
 
 fn json_escape(out: &mut String, s: &str) {
@@ -594,337 +528,6 @@ fn json_metrics(out: &mut String, name: &str, m: &MetricsSnapshot) {
     out.push_str("]},");
 }
 
-fn parse_metrics(v: &json::Value) -> Result<MetricsSnapshot, String> {
-    let obj = v.as_object().ok_or("metrics is not an object")?;
-    let get = |name: &str| -> Result<&json::Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("metrics field {name} missing"))
-    };
-    let mut m = MetricsSnapshot::default();
-    for entry in get("classes")?
-        .as_array()
-        .ok_or("classes is not an array")?
-    {
-        let e = entry.as_array().ok_or("class entry is not an array")?;
-        let label = e
-            .first()
-            .and_then(json::Value::as_str)
-            .ok_or("class entry has no label")?;
-        let class = MsgClass::from_label(label)
-            .ok_or_else(|| format!("unknown message class {label:?}"))?;
-        let num = |i: usize| -> Result<u64, String> {
-            e.get(i)
-                .and_then(json::Value::as_u64)
-                .ok_or_else(|| format!("class {label} entry [{i}] is not a u64"))
-        };
-        m.classes[class.index()] = ClassCounts {
-            count: num(1)?,
-            bytes: num(2)?,
-            to_dir: num(3)?,
-        };
-    }
-    m.read_tx_latency = parse_hist(get("read_tx_latency")?)?;
-    m.write_tx_latency = parse_hist(get("write_tx_latency")?)?;
-    m.inv_wave_depth = parse_hist(get("inv_wave_depth")?)?;
-    m.inv_wave_acks = parse_hist(get("inv_wave_acks")?)?;
-    let scalar = |name: &str| -> Result<u64, String> {
-        get(name)?
-            .as_u64()
-            .ok_or_else(|| format!("metrics field {name} is not a u64"))
-    };
-    m.links = scalar("links")?;
-    m.max_link_busy = scalar("max_link_busy")?;
-    m.total_link_busy = scalar("total_link_busy")?;
-    m.inject_queue = parse_hist(get("inject_queue")?)?;
-    m.link_queue = parse_hist(get("link_queue")?)?;
-    if let Ok(v) = get("vc_queue") {
-        for h in v.as_array().ok_or("vc_queue is not an array")? {
-            m.vc_queue.push(parse_hist(h)?);
-        }
-    }
-    for pair in get("top_blocks")?
-        .as_array()
-        .ok_or("top_blocks is not an array")?
-    {
-        let pair = pair.as_array().ok_or("top_blocks entry is not an array")?;
-        match (
-            pair.first().and_then(json::Value::as_u64),
-            pair.get(1).and_then(json::Value::as_u64),
-        ) {
-            (Some(addr), Some(msgs)) => m.top_blocks.push((addr, msgs)),
-            _ => return Err("top_blocks entry is not [addr, messages]".into()),
-        }
-    }
-    Ok(m)
-}
-
-fn parse_hist(v: &json::Value) -> Result<Histogram, String> {
-    let obj = v.as_object().ok_or("histogram is not an object")?;
-    let field = |name: &str| -> Result<u64, String> {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_u64())
-            .ok_or_else(|| format!("histogram field {name} missing or not a u64"))
-    };
-    let mut buckets = [0u64; 65];
-    let pairs = obj
-        .iter()
-        .find(|(k, _)| k == "buckets")
-        .and_then(|(_, v)| v.as_array())
-        .ok_or("histogram buckets missing")?;
-    for pair in pairs {
-        let pair = pair.as_array().ok_or("bucket entry is not an array")?;
-        let (b, n) = match (
-            pair.first().and_then(json::Value::as_u64),
-            pair.get(1).and_then(json::Value::as_u64),
-        ) {
-            (Some(b), Some(n)) => (b as usize, n),
-            _ => return Err("bucket entry is not [index, count]".into()),
-        };
-        if b >= 65 {
-            return Err(format!("bucket index {b} out of range"));
-        }
-        buckets[b] = n;
-    }
-    Ok(Histogram::from_parts(
-        buckets,
-        field("count")?,
-        field("sum")?,
-        field("min")?,
-        field("max")?,
-    ))
-}
-
-/// Minimal JSON parser — just enough for the records this module writes.
-pub mod json {
-    /// A parsed JSON value. Numbers keep their lexical form split into
-    /// unsigned integers (the only numeric type the records use) and a
-    /// float fallback.
-    #[derive(Clone, Debug)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        U64(u64),
-        F64(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::U64(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Deepest container nesting [`parse`] accepts. A record nests six
-    /// deep (record → metrics → vc_queue → histogram → buckets → pair);
-    /// the cap turns a file of a million `[` into a parse error instead of
-    /// a stack overflow.
-    const MAX_DEPTH: usize = 16;
-
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
-        }
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos, depth),
-            Some(b'[') => parse_array(b, pos, depth),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            let name = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, b':')?;
-            let value = parse_value(b, pos, depth + 1)?;
-            fields.push((name, value));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos, depth + 1)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
-                            *pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                        }
-                        _ => return Err(format!("bad escape \\{}", esc as char)),
-                    }
-                }
-                c => {
-                    // Re-decode multi-byte UTF-8 sequences.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = *pos - 1;
-                        let len = match c {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let slice = b
-                            .get(start..start + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        out.push_str(std::str::from_utf8(slice).map_err(|e| e.to_string())?);
-                        *pos = start + len;
-                    }
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        if text.is_empty() {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        if !text.contains(['.', 'e', 'E', '-']) {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::U64(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -969,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn record_roundtrips_through_json() {
+    fn record_serializes_its_metrics_block() {
         use dirtree_machine::Machine;
         let config = sample_config();
         let mut machine = Machine::new(config.machine, config.protocol);
@@ -977,32 +580,14 @@ mod tests {
         let outcome = machine.run(&mut driver);
         let record = RunRecord::from_outcome(&config, &outcome);
         let line = record.to_json();
-        let parsed = RunRecord::from_json(&line).expect("parse");
-        assert_eq!(parsed.to_json(), line, "roundtrip must be byte-identical");
-        assert_eq!(parsed.cycles, record.cycles);
-        assert_eq!(parsed.key, record.key);
-        assert_eq!(
-            parsed.write_miss_latency.mean(),
-            record.write_miss_latency.mean()
-        );
-        assert_eq!(
-            parsed.sharers_at_write.percentile(90.0),
-            record.sharers_at_write.percentile(90.0)
-        );
+        assert!(line.starts_with(&format!("{{\"key\":\"{}\",", record.key)));
+        assert!(line.contains(&format!("\"cycles\":{},", record.cycles)));
         // This crate builds the machine with the `trace` feature, so the
         // record's metrics are populated and agree with the message total.
         assert!(record.metrics.total_messages() > 0);
         assert_eq!(record.metrics.total_messages(), record.messages);
         assert!(line.contains("\"metrics\":{\"classes\":["));
-        assert_eq!(
-            parsed.metrics.total_messages(),
-            record.metrics.total_messages()
-        );
-        assert_eq!(parsed.metrics.top_blocks, record.metrics.top_blocks);
-        assert_eq!(
-            parsed.metrics.inv_wave_depth.max(),
-            record.metrics.inv_wave_depth.max()
-        );
+        assert!(line.ends_with("]}}"), "top_blocks closes the record");
     }
 
     #[test]
@@ -1020,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn vc_record_roundtrips_with_split_wait_and_per_vc_metrics() {
+    fn vc_record_writes_split_wait_and_per_vc_metrics() {
         use dirtree_machine::Machine;
         let mut config = sample_config();
         config.machine.net.vcs = 3;
@@ -1038,18 +623,16 @@ mod tests {
         );
         let line = record.to_json();
         assert!(line.contains("\"net_vcs\":3"));
-        assert!(line.contains("\"net_inject_wait_cycles\":"));
+        assert!(line.contains(&format!(
+            "\"net_inject_wait_cycles\":{},\"net_link_wait_cycles\":{},",
+            record.net_inject_wait_cycles, record.net_link_wait_cycles
+        )));
+        assert_eq!(record.metrics.vc_queue.len(), 3);
         assert!(line.contains("\"vc_queue\":["));
-        let parsed = RunRecord::from_json(&line).expect("parse");
-        assert_eq!(parsed.to_json(), line, "roundtrip must be byte-identical");
-        assert_eq!(parsed.net_inject_wait_cycles, record.net_inject_wait_cycles);
-        assert_eq!(parsed.net_link_wait_cycles, record.net_link_wait_cycles);
-        assert_eq!(parsed.net_vc_wait_cycles, record.net_vc_wait_cycles);
-        assert_eq!(parsed.metrics.vc_queue.len(), record.metrics.vc_queue.len());
     }
 
     #[test]
-    fn legacy_single_channel_records_parse_without_vc_fields() {
+    fn single_channel_records_keep_the_legacy_shape() {
         use dirtree_machine::Machine;
         let config = sample_config();
         let mut machine = Machine::new(config.machine, config.protocol);
@@ -1059,90 +642,20 @@ mod tests {
         let line = record.to_json();
         // Single-channel records keep the exact legacy shape: the
         // aggregate scalar, no VC fields.
-        assert!(line.contains("\"net_contention_cycles\":"));
+        assert!(line.contains(&format!(
+            "\"net_contention_cycles\":{},",
+            record.net_contention_cycles()
+        )));
         assert!(!line.contains("net_vcs"));
+        assert!(!line.contains("wait_cycles\":"), "no split wait fields");
         assert!(!line.contains("vc_queue"));
-        let parsed = RunRecord::from_json(&line).expect("parse");
-        assert_eq!(parsed.net_vcs, 1);
-        assert_eq!(
-            parsed.net_contention_cycles(),
-            record.net_contention_cycles(),
-            "the sum must survive the split being unrecoverable"
-        );
-        assert_eq!(parsed.to_json(), line, "roundtrip must be byte-identical");
-    }
-
-    /// The committed goldens cover every record shape: legacy
-    /// single-channel, VC, credited VC, and the sparse adaptive counters.
-    #[test]
-    fn golden_records_reserialize_to_identical_bytes() {
-        for (name, text) in [
-            (
-                "scale_up_p64",
-                include_str!("../../../tests/golden/scale_up_p64.jsonl"),
-            ),
-            (
-                "scale_up_p64_vc",
-                include_str!("../../../tests/golden/scale_up_p64_vc.jsonl"),
-            ),
-            (
-                "scale_up_p64_vc_credited",
-                include_str!("../../../tests/golden/scale_up_p64_vc_credited.jsonl"),
-            ),
-            (
-                "adaptive_p16",
-                include_str!("../../../tests/golden/adaptive_p16.jsonl"),
-            ),
-        ] {
-            assert!(!text.is_empty(), "{name} is empty");
-            for (i, line) in text.lines().enumerate() {
-                let record = RunRecord::from_json(line)
-                    .unwrap_or_else(|e| panic!("{name} line {}: {e}", i + 1));
-                assert_eq!(record.to_json(), line, "{name} line {}", i + 1);
-            }
-        }
     }
 
     #[test]
-    fn a_record_missing_any_required_scalar_is_rejected() {
-        let line = include_str!("../../../tests/golden/scale_up_p64.jsonl")
-            .lines()
-            .next()
-            .unwrap();
-        for f in SCALARS.iter().filter(|f| f.presence == Presence::Always) {
-            let renamed = line.replacen(&format!("\"{}\":", f.name), "\"renamed\":", 1);
-            assert_ne!(renamed, line, "{} is not in the golden line", f.name);
-            let err = RunRecord::from_json(&renamed).unwrap_err();
-            assert!(err.contains(f.name), "{}: {err}", f.name);
-        }
-    }
-
-    #[test]
-    fn out_of_range_node_count_is_a_parse_error() {
-        let line = include_str!("../../../tests/golden/scale_up_p64.jsonl")
-            .lines()
-            .next()
-            .unwrap();
-        let huge = line.replacen("\"nodes\":64,", "\"nodes\":4294967360,", 1);
-        assert_ne!(huge, line);
-        let err = RunRecord::from_json(&huge).unwrap_err();
-        assert!(err.contains("nodes"), "{err}");
-    }
-
-    #[test]
-    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
-        assert!(json::parse(&"[".repeat(1 << 20)).is_err());
-        assert!(json::parse(&"{\"a\":".repeat(1 << 20)).is_err());
-        // The deepest shape a record has still parses.
-        assert!(json::parse(r#"{"m":{"q":[{"buckets":[[1,2]]}]}}"#).is_ok());
-    }
-
-    #[test]
-    fn json_escapes_roundtrip() {
-        let v = json::parse(r#"{"a":"x\"y\\z\nw","b":[1,2],"c":3.5,"d":true}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj[0].1.as_str(), Some("x\"y\\z\nw"));
-        assert_eq!(obj[1].1.as_array().unwrap().len(), 2);
+    fn json_str_escapes_quotes_backslashes_and_control_characters() {
+        let mut out = String::new();
+        json_str(&mut out, "a", "x\"y\\z\nw");
+        assert_eq!(out, r#""a":"x\"y\\z\nw","#);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl MsgClass {
             MsgClass::Mgmt => "mgmt",
         }
     }
-
-    /// Inverse of [`MsgClass::label`] (JSON parsing).
-    pub fn from_label(label: &str) -> Option<MsgClass> {
-        MsgClass::ALL.into_iter().find(|c| c.label() == label)
-    }
 }
 
 /// Per-class message totals.
@@ -336,15 +331,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_labels_roundtrip_and_are_distinct() {
+    fn class_labels_are_distinct_and_in_index_order() {
         let mut seen = std::collections::HashSet::new();
         for (i, c) in MsgClass::ALL.into_iter().enumerate() {
             assert_eq!(c.index(), i, "ALL must follow index order");
             assert!(seen.insert(c.label()), "duplicate label {}", c.label());
-            assert_eq!(MsgClass::from_label(c.label()), Some(c));
         }
         assert_eq!(seen.len(), NUM_MSG_CLASSES);
-        assert_eq!(MsgClass::from_label("nonsense"), None);
     }
 
     #[test]

@@ -143,28 +143,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Rebuild a histogram from serialized parts. `min` is the *reported*
-    /// minimum (0 for an empty histogram), as produced by [`Self::min`].
-    ///
-    /// Debug builds cross-check that the bucket vector is consistent with
-    /// `count`, so a sweep record corrupted on disk fails loudly at parse
-    /// time instead of poisoning downstream merges.
-    pub fn from_parts(buckets: [u64; 65], count: u64, sum: u64, min: u64, max: u64) -> Self {
-        debug_assert_eq!(
-            buckets.iter().fold(0u64, |a, &n| a.saturating_add(n)),
-            count,
-            "histogram parts disagree: bucket total != count"
-        );
-        debug_assert!(count == 0 || min <= max, "histogram parts: min > max");
-        Self {
-            buckets,
-            count,
-            sum,
-            min: if count == 0 { u64::MAX } else { min },
-            max,
-        }
-    }
-
     /// Merge another histogram in. The two always agree on bucket geometry
     /// (the log₂ boundaries are fixed, not range-derived), so merging
     /// histograms built from runs of very different magnitudes — e.g.
@@ -317,11 +295,13 @@ mod tests {
     #[test]
     fn histogram_merge_saturates_instead_of_wrapping() {
         let mut big = Histogram::new();
-        // Build a near-overflow histogram via from_parts with a consistent
-        // bucket vector: u64::MAX samples of value 0 in bucket 0.
-        let mut buckets = [0u64; 65];
-        buckets[0] = u64::MAX;
-        let huge = Histogram::from_parts(buckets, u64::MAX, u64::MAX, 0, 0);
+        // A near-overflow histogram with a consistent bucket vector:
+        // u64::MAX samples of value 0 in bucket 0.
+        let mut huge = Histogram::new();
+        huge.buckets[0] = u64::MAX;
+        huge.count = u64::MAX;
+        huge.sum = u64::MAX;
+        huge.min = 0;
         big.merge(&huge);
         big.merge(&huge);
         assert_eq!(big.count(), u64::MAX, "count saturates");
@@ -406,36 +386,6 @@ mod tests {
             parts.iter().for_each(|p| merged.merge(p));
             prop_assert_eq!(raw(&merged), raw(&whole));
         }
-    }
-
-    #[test]
-    fn histogram_from_parts_roundtrip() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 5, 1023, 1024, u64::MAX] {
-            h.record(v);
-        }
-        let r = Histogram::from_parts(*h.buckets(), h.count(), h.sum(), h.min(), h.max());
-        assert_eq!(r.count(), h.count());
-        assert_eq!(r.sum(), h.sum());
-        assert_eq!(r.min(), h.min());
-        assert_eq!(r.max(), h.max());
-        assert_eq!(r.buckets(), h.buckets());
-        // Empty round-trip restores the sentinel min so later merges work.
-        let e = Histogram::from_parts([0; 65], 0, 0, 0, 0);
-        let mut m = Histogram::new();
-        m.record(9);
-        let mut merged = e.clone();
-        merged.merge(&m);
-        assert_eq!(merged.min(), 9, "empty from_parts min must not pin 0");
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket total != count")]
-    #[cfg(debug_assertions)]
-    fn histogram_from_parts_rejects_inconsistent_count() {
-        let mut buckets = [0u64; 65];
-        buckets[1] = 2;
-        let _ = Histogram::from_parts(buckets, 3, 10, 1, 4);
     }
 
     #[test]
