@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, build, the full workspace test suite
-# (which includes the paper-claims and cross-protocol differential
-# suites), the feature-off observability check, and the model checker's
-# default tier (every roster protocol — figure set, Dir2B and LimitLESS2,
-# update, adaptive, and the ternary-tree shapes — exhaustively explored at
+# Tier-1 gate: formatting, lints, build, a run of every example, the full
+# workspace test suite (which includes the paper-claims and
+# cross-protocol differential suites), the feature-off observability
+# check, and the model checker's default tier (every roster protocol —
+# figure set, Dir2B and LimitLESS2, update, adaptive, and the
+# ternary-tree shapes — exhaustively explored at
 # P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
 # counts printed), then the perf gates: golden byte-compares and the
@@ -29,6 +30,11 @@ fi
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
+# `cargo test` compiles the examples but never runs them; each must exit 0
+# (under a second for all five on a 2-CPU host).
+for example in examples/*.rs; do
+  cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
+done
 # Workspace tests build with the `trace` feature unified in (dirtree-bench
 # always enables it), so the observability layer is exercised end to end —
 # including tests/paper_claims.rs and tests/protocol_differential.rs.

@@ -1593,6 +1593,7 @@ pub fn adaptive_ablation(runner: &Runner, filter: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{records_to_csv, render_record_grid};
     use crate::runner::SweepOptions;
 
     #[test]
@@ -1823,13 +1824,14 @@ mod tests {
             pointers: 4,
             arity: 2,
         };
+        let workload = WorkloadKind::Floyd {
+            vertices: 8,
+            seed: 1996,
+        };
         let cells = record_grid(
             &runner,
             "tiny",
-            WorkloadKind::Floyd {
-                vertices: 8,
-                seed: 1996,
-            },
+            workload,
             &[4],
             &[ProtocolKind::FullMap, t4],
             MachineConfig::test_default,
@@ -1839,6 +1841,38 @@ mod tests {
         assert!(cell(&cells, t4, 4).normalized > 0.0);
         assert!(runner.failures().is_empty());
         assert!(dir.join("tiny.jsonl").exists());
+
+        // One row per protocol, in the order the cells first name them
+        // (not sorted: "Dir4Tree2" < "FullMap"), under a column per size.
+        let table = render_record_grid("tiny", &cells, &[4]);
+        let rows: Vec<&str> = table.lines().filter(|l| l.starts_with('|')).collect();
+        assert!(rows[0].contains("4 procs"), "{table}");
+        assert_eq!(rows.len(), 3, "{table}");
+        assert!(rows[1].contains("FullMap") && rows[2].contains("Dir4Tree2"));
+
+        let csv = records_to_csv(&cells);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 1 + cells.len());
+        assert!(lines[0].starts_with("protocol,figure_label,nodes,cycles,normalized"));
+        assert!(lines[1].starts_with("FullMap,fm,4,"), "{csv}");
+
+        // Full-map is simulated as the baseline even when the grid omits it.
+        let only_t4 = record_grid(
+            &runner,
+            "tiny_no_fm",
+            workload,
+            &[4],
+            &[t4],
+            MachineConfig::test_default,
+        );
+        let jsonl = std::fs::read_to_string(dir.join("tiny_no_fm.jsonl")).unwrap();
+        assert_eq!(jsonl.lines().count(), 2);
+        assert_eq!(only_t4.len(), 1);
+        let fm_cycles = cell(&cells, ProtocolKind::FullMap, 4).record.cycles;
+        assert_eq!(
+            only_t4[0].normalized,
+            cell(&cells, t4, 4).record.cycles as f64 / fm_cycles as f64
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

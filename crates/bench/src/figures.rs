@@ -112,8 +112,8 @@ pub fn render_record_grid(title: &str, cells: &[RecordCell], node_counts: &[u32]
     format!("{title}\n{}", t.render())
 }
 
-/// Machine-readable companion CSV (same columns as the pre-runner
-/// `grid_to_csv`, fed from records).
+/// Machine-readable companion CSV: one row per cell with the headline
+/// counters of its record.
 pub fn records_to_csv(cells: &[RecordCell]) -> String {
     let mut out = String::from(
         "protocol,figure_label,nodes,cycles,normalized,messages,fill_acks,\
@@ -149,7 +149,7 @@ pub fn records_to_csv(cells: &[RecordCell]) -> String {
 /// Run one figure: the workload across the paper's nine protocol
 /// configurations and three machine sizes. Returns the report text
 /// (normalized grid + companion stats) and writes the CSV companion
-/// under `target/figures/`.
+/// under `<out_dir>/figures/`.
 pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> String {
     let protocols: Vec<ProtocolKind> = ProtocolKind::figure_set();
     let slug = workload.name().replace(['(', ')', ',', 'x'], "_");
@@ -176,11 +176,13 @@ pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> Strin
     );
     report.push('\n');
     // Machine-readable companion (for external plotting).
-    let csv_dir = std::path::Path::new("target/figures");
-    let _ = std::fs::create_dir_all(csv_dir);
+    let csv_dir = runner.options().out_dir.join("figures");
     let csv_path = csv_dir.join(format!("{slug}.csv"));
-    if std::fs::write(&csv_path, records_to_csv(&cells)).is_ok() {
-        eprintln!("wrote {}", csv_path.display());
+    match std::fs::create_dir_all(&csv_dir)
+        .and_then(|()| std::fs::write(&csv_path, records_to_csv(&cells)))
+    {
+        Ok(()) => eprintln!("wrote {}", csv_path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", csv_path.display()),
     }
     // Companion statistics the paper discusses qualitatively.
     let _ = writeln!(

@@ -1,56 +1,13 @@
 //! Visualize how Dir₄Tree₂ builds its forest (Figures 1 and 5): drive the
-//! real protocol implementation read-by-read with a tiny in-process
-//! context and dump the forest shape after every insertion.
+//! real protocol implementation read-by-read with the zero-latency
+//! `testkit::MockCtx` and dump the forest shape after every insertion.
 //!
 //! Run: `cargo run --example tree_visualization`
 
-use dirtree::coherence::ctx::{ProtoCtx, ProtoEvent};
 use dirtree::coherence::dir::dir_tree::DirTree;
-use dirtree::coherence::msg::Msg;
-use dirtree::coherence::protocol::{Protocol, ProtocolParams};
-use dirtree::coherence::types::{Addr, LineState, NodeId, OpKind};
-use dirtree::sim::FxHashMap;
-use std::collections::VecDeque;
-
-/// A minimal zero-latency context (like the crate-internal test mock).
-#[derive(Default)]
-struct MiniCtx {
-    lines: FxHashMap<(NodeId, Addr), LineState>,
-    queue: VecDeque<(NodeId, Msg)>,
-    now: u64,
-}
-
-impl ProtoCtx for MiniCtx {
-    fn now(&self) -> u64 {
-        self.now
-    }
-    fn num_nodes(&self) -> u32 {
-        32
-    }
-    fn home_of(&self, addr: Addr) -> NodeId {
-        (addr % 32) as NodeId
-    }
-    fn send(&mut self, dst: NodeId, msg: Msg) {
-        self.queue.push_back((dst, msg));
-    }
-    fn redeliver(&mut self, node: NodeId, msg: Msg, _delay: u64) {
-        self.queue.push_back((node, msg));
-    }
-    fn occupy(&mut self, _node: NodeId, cycles: u64) {
-        self.now += cycles;
-    }
-    fn line_state(&self, node: NodeId, addr: Addr) -> LineState {
-        self.lines
-            .get(&(node, addr))
-            .copied()
-            .unwrap_or(LineState::NotPresent)
-    }
-    fn set_line_state(&mut self, node: NodeId, addr: Addr, state: LineState) {
-        self.lines.insert((node, addr), state);
-    }
-    fn complete(&mut self, _node: NodeId, _addr: Addr, _op: OpKind) {}
-    fn note(&mut self, _event: ProtoEvent) {}
-}
+use dirtree::coherence::protocol::ProtocolParams;
+use dirtree::coherence::testkit::MockCtx;
+use dirtree::coherence::types::{Addr, NodeId};
 
 fn print_tree(p: &DirTree, root: NodeId, addr: Addr, depth: usize) {
     println!("{}node {root}", "    ".repeat(depth + 1));
@@ -61,16 +18,11 @@ fn print_tree(p: &DirTree, root: NodeId, addr: Addr, depth: usize) {
 
 fn main() {
     const A: Addr = 0; // home = node 0
-    let mut ctx = MiniCtx::default();
+    let mut ctx = MockCtx::new(32);
     let mut proto = DirTree::new(4, 2, ProtocolParams::default());
 
     for reader in 1..=15u32 {
-        ctx.lines.insert((reader, A), LineState::RmIp);
-        proto.start_miss(&mut ctx, reader, A, OpKind::Read);
-        while let Some((node, msg)) = ctx.queue.pop_front() {
-            ctx.now += 1;
-            proto.handle(&mut ctx, node, msg);
-        }
+        ctx.read(&mut proto, reader, A);
         println!("after read miss #{reader}:");
         for (i, ptr) in proto.forest(A).iter().enumerate() {
             match ptr {

@@ -15,7 +15,10 @@
 //!   lives in [`coherence::dir::dir_tree`]),
 //! * [`machine`] — the simulated multiprocessor,
 //! * [`workloads`] — execution-driven applications,
-//! * [`analysis`] — analytic models and the experiment harness.
+//! * [`analysis`] — analytic models of the paper's tables.
+//!
+//! [`run_workload`] runs one workload on one protocol at one machine size;
+//! the parallel figure harness is `dirtree-bench`.
 //!
 //! ## Quickstart
 //!
@@ -39,9 +42,24 @@ pub use dirtree_net as net;
 pub use dirtree_sim as sim;
 pub use dirtree_workloads as workloads;
 
+use dirtree_core::protocol::ProtocolKind;
+use dirtree_machine::{Machine, MachineConfig, RunOutcome};
+use dirtree_workloads::WorkloadKind;
+
+/// Run one workload on one protocol at one machine size.
+pub fn run_workload(
+    config: &MachineConfig,
+    protocol: ProtocolKind,
+    workload: WorkloadKind,
+) -> RunOutcome {
+    let mut machine = Machine::new(*config, protocol);
+    let mut driver = workload.build(config.nodes);
+    machine.run(&mut driver)
+}
+
 /// Convenient re-exports for examples and downstream users.
 pub mod prelude {
-    pub use dirtree_analysis::experiments::run_workload;
+    pub use crate::run_workload;
     pub use dirtree_core::protocol::ProtocolKind;
     pub use dirtree_machine::{Machine, MachineConfig};
     pub use dirtree_net::{Network, NetworkConfig, Topology};

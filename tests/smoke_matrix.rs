@@ -84,7 +84,7 @@ fn every_workload_runs_on_every_protocol() {
 #[test]
 fn stats_are_internally_consistent() {
     for kind in protocols() {
-        let out = dirtree::analysis::experiments::run_workload(
+        let out = run_workload(
             &MachineConfig::test_default(4),
             kind,
             WorkloadKind::Floyd {

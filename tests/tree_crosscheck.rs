@@ -1,66 +1,20 @@
 //! Cross-check the two independent implementations of the Figure 6
 //! insertion algorithm: the analytic replay in `dirtree-analysis` and the
-//! real protocol in `dirtree-core`, driven by a minimal context.
+//! real protocol in `dirtree-core`, driven by the zero-latency
+//! `testkit::MockCtx`.
 
 use dirtree::analysis::tree_capacity::TreeBuilder;
-use dirtree::coherence::ctx::{ProtoCtx, ProtoEvent};
 use dirtree::coherence::dir::dir_tree::DirTree;
-use dirtree::coherence::msg::Msg;
-use dirtree::coherence::protocol::{Protocol, ProtocolParams};
-use dirtree::coherence::types::{Addr, LineState, NodeId, OpKind};
-use dirtree::sim::FxHashMap;
-use std::collections::VecDeque;
-
-#[derive(Default)]
-struct MiniCtx {
-    lines: FxHashMap<(NodeId, Addr), LineState>,
-    queue: VecDeque<(NodeId, Msg)>,
-    now: u64,
-}
-
-impl ProtoCtx for MiniCtx {
-    fn now(&self) -> u64 {
-        self.now
-    }
-    fn num_nodes(&self) -> u32 {
-        1024
-    }
-    fn home_of(&self, addr: Addr) -> NodeId {
-        (addr % 1024) as NodeId
-    }
-    fn send(&mut self, dst: NodeId, msg: Msg) {
-        self.queue.push_back((dst, msg));
-    }
-    fn redeliver(&mut self, node: NodeId, msg: Msg, _d: u64) {
-        self.queue.push_back((node, msg));
-    }
-    fn occupy(&mut self, _n: NodeId, c: u64) {
-        self.now += c;
-    }
-    fn line_state(&self, node: NodeId, addr: Addr) -> LineState {
-        self.lines
-            .get(&(node, addr))
-            .copied()
-            .unwrap_or(LineState::NotPresent)
-    }
-    fn set_line_state(&mut self, node: NodeId, addr: Addr, state: LineState) {
-        self.lines.insert((node, addr), state);
-    }
-    fn complete(&mut self, _n: NodeId, _a: Addr, _o: OpKind) {}
-    fn note(&mut self, _e: ProtoEvent) {}
-}
+use dirtree::coherence::protocol::ProtocolParams;
+use dirtree::coherence::testkit::MockCtx;
+use dirtree::coherence::types::{Addr, NodeId};
 
 fn drive_reads(pointers: u32, count: u32) -> DirTree {
-    let mut ctx = MiniCtx::default();
+    let mut ctx = MockCtx::new(1024);
     let mut proto = DirTree::new(pointers, 2, ProtocolParams::default());
     const A: Addr = 0;
     for reader in 1..=count {
-        ctx.lines.insert((reader, A), LineState::RmIp);
-        proto.start_miss(&mut ctx, reader, A, OpKind::Read);
-        while let Some((node, msg)) = ctx.queue.pop_front() {
-            ctx.now += 1;
-            proto.handle(&mut ctx, node, msg);
-        }
+        ctx.read(&mut proto, reader, A);
     }
     proto
 }
