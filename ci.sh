@@ -128,11 +128,11 @@ sys.exit(0 if ok else 1)
 ' "$1"
 }
 # The protocol-family workload also carries the time ratios. host_s may
-# not exceed twice the value committed in BENCH_layers.json — since PR 21
-# the level with the calendar-ring event queue (1.76 s; 2.41 s with the
-# binary heap) — wide enough for a slower machine or a noisy neighbour,
-# tight enough to catch a handler going back to O(machine) per call (that
-# was 3.4x). It does not catch the event queue going back to a heap: that
+# not exceed twice the value committed in BENCH_layers.json — the level
+# with 48-byte events and node lists out of line (1.41 s; 1.76 s with
+# 64-byte events, 2.41 s with the binary heap event queue) — wide enough
+# for a slower machine or a noisy neighbour, tight enough to catch a
+# handler going back to O(machine) per call (that was 3.4x). It does not catch the event queue going back to a heap: that
 # is 1.47x, and shows as sim.queue_hold_ns (21-32 ns -> 77-102 ns) in a
 # `--trace 1` pass and in the PR-21 ledger row, not here. setup_s
 # (spawn 32 threads, record LU(80x80), join) gets ten times its committed
@@ -144,8 +144,11 @@ ledger_gate lu_p32_families
 # policies (lu_p32_families is static invalidate throughout): the twelve
 # invalidate/update/adaptive digests at P=256 and the checker's pinned
 # state counts for the update, adaptive and ternary shapes. policies_p256
-# is correctness only (its times are the PR-14 row of BENCH_layers.json,
-# ungated). check_mix is timed at the same 2x ratio since PR 24: the level
+# is timed at the same 2x ratio (3.89 s committed). It sends the most
+# messages per operation, so a message growing back to 56 bytes (an event
+# to 64) shows there first, but at 1.21x on host_s, inside the gate: the
+# compile-time size asserts beside Msg and Ev catch that one. check_mix
+# is timed at the same 2x ratio since PR 24: the level
 # committed since PR 25 is the one with windowed expand-and-merge over the
 # flat CheckCtx (4.44 s); going back to whole-layer expansion over the
 # map-and-deque context is 2.2x on host_s and fails here. Going back to

@@ -130,14 +130,16 @@ impl ProtoCtx for MutCtx<'_> {
                     if !adopt.is_empty() =>
                 {
                     *self.tripped = true;
-                    let mut adopt = adopt.clone();
+                    let mut adopt = adopt.to_vec();
                     adopt.pop();
                     self.inner.send(
                         dst,
                         Msg {
                             addr: msg.addr,
                             src: msg.src,
-                            kind: MsgKind::ReadReply { adopt },
+                            kind: MsgKind::ReadReply {
+                                adopt: adopt.into(),
+                            },
                         },
                     );
                     return;

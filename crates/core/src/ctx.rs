@@ -64,8 +64,10 @@ pub trait ProtoCtx {
     /// default expansion suits mocks, whose delivery is immediate.
     ///
     /// The original message is moved into the final send rather than
-    /// cloned once more — broadcast payloads that carry heap data (adopt
-    /// lists) would otherwise allocate per recipient on the hot path.
+    /// cloned once more. Only the snooping protocol broadcasts, and its
+    /// `BusRead`/`BusReadX` carry no [`crate::msg::NodeList`], so each clone
+    /// is a plain copy; a message with a non-empty list would allocate per
+    /// clone.
     fn broadcast(&mut self, msg: Msg) -> Cycle {
         let last = (0..self.num_nodes()).rev().find(|&d| d != msg.src);
         for dst in 0..self.num_nodes() {

@@ -76,7 +76,7 @@
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::dir::util::{AckCollectors, TxnGate};
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::{FxHashMap, FxHashSet};
@@ -361,12 +361,7 @@ impl DirTree {
 
     /// Figure 6: insert `requester` into the forest, returning the roots it
     /// must adopt as children (empty for cases 1 and 2).
-    fn insert_sharer(
-        &mut self,
-        ctx: &mut dyn ProtoCtx,
-        addr: Addr,
-        requester: NodeId,
-    ) -> Vec<NodeId> {
+    fn insert_sharer(&mut self, ctx: &mut dyn ProtoCtx, addr: Addr, requester: NodeId) -> NodeList {
         // Policy point 3 of 4. Update blocks merge pairs only: the k > 2
         // generalisation below never reached the update variant while it
         // was a file of its own, and `benchmark/expected.json` pins the
@@ -380,7 +375,7 @@ impl DirTree {
         let e = self.entry(addr);
         // Case 1: already recorded (e.g. silently replaced, now re-reading).
         if e.ptrs.iter().flatten().any(|p| p.node == requester) {
-            return vec![];
+            return NodeList::default();
         }
         // Case 2: a free pointer.
         if let Some(slot) = e.ptrs.iter().position(Option::is_none) {
@@ -388,7 +383,7 @@ impl DirTree {
                 node: requester,
                 level: 1,
             });
-            return vec![];
+            return NodeList::default();
         }
         // Case 3: merge equal-height trees of maximal equal height. The
         // paper always merges exactly two ("two pointers are selected");
@@ -418,7 +413,7 @@ impl DirTree {
                 e.ptrs[i] = None;
             }
             ctx.note(ProtoEvent::TreeMerge);
-            return adopt;
+            return adopt.into();
         }
         // Case 4: all levels distinct — push down the smallest tree.
         let (slot, ptr) = e
@@ -433,7 +428,7 @@ impl DirTree {
             level: ptr.level + 1,
         });
         ctx.note(ProtoEvent::TreePushDown);
-        vec![ptr.node]
+        vec![ptr.node].into()
     }
 
     fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -832,7 +827,7 @@ impl DirTree {
         );
         debug_assert!(adopt.len() <= self.arity as usize);
         if !adopt.is_empty() {
-            self.children.insert((node, addr), adopt);
+            self.children.insert((node, addr), adopt.into_vec());
         }
         ctx.set_line_state(node, addr, LineState::V);
         ctx.complete(node, addr, OpKind::Read);
@@ -857,7 +852,7 @@ impl DirTree {
         debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
         if !adopt.is_empty() {
             let slot = self.children.entry((node, addr)).or_default();
-            for a in adopt {
+            for &a in adopt.iter() {
                 if !slot.contains(&a) && a != node {
                     slot.push(a);
                 }

@@ -13,7 +13,7 @@
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::dir::util::{ack, NodeSet, TxnGate};
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::{Cycle, FxHashMap};
@@ -231,7 +231,9 @@ impl FlatDir {
     }
 
     fn send_read_reply(ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, requester: NodeId) {
-        let kind = MsgKind::ReadReply { adopt: vec![] };
+        let kind = MsgKind::ReadReply {
+            adopt: NodeList::default(),
+        };
         send(ctx, home, requester, addr, kind);
         // Transaction stays open until the FillAck.
     }

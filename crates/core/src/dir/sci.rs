@@ -15,7 +15,7 @@
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::dir::util::TxnGate;
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::FxHashMap;
@@ -425,7 +425,9 @@ impl Protocol for Sci {
                     Msg {
                         addr,
                         src: node,
-                        kind: MsgKind::ReadReply { adopt: vec![] },
+                        kind: MsgKind::ReadReply {
+                            adopt: NodeList::default(),
+                        },
                     },
                 );
             }

@@ -16,7 +16,7 @@
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::dir::util::{ack, AckCollectors, TxnGate};
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::FxHashMap;
@@ -396,7 +396,9 @@ impl SciTree {
                 Msg {
                     addr,
                     src: home,
-                    kind: MsgKind::SctFixup { children },
+                    kind: MsgKind::SctFixup {
+                        children: children.into(),
+                    },
                 },
             );
             fixups += 1;
@@ -444,7 +446,9 @@ impl SciTree {
                 Msg {
                     addr,
                     src: home,
-                    kind: MsgKind::ReadReply { adopt: vec![] },
+                    kind: MsgKind::ReadReply {
+                        adopt: NodeList::default(),
+                    },
                 },
             );
         } else {
@@ -461,7 +465,7 @@ impl SciTree {
                     src: home,
                     kind: MsgKind::SctDescend {
                         requester,
-                        path: path[1..].to_vec(),
+                        path: path[1..].to_vec().into(),
                     },
                 },
             );
@@ -557,7 +561,9 @@ impl SciTree {
                         Msg {
                             addr,
                             src: home,
-                            kind: MsgKind::ReadReply { adopt: vec![] },
+                            kind: MsgKind::ReadReply {
+                                adopt: NodeList::default(),
+                            },
                         },
                     );
                 }
@@ -702,7 +708,7 @@ impl Protocol for SciTree {
                 if children.is_empty() {
                     self.children.remove(&(node, addr));
                 } else {
-                    self.children.insert((node, addr), children);
+                    self.children.insert((node, addr), children.into_vec());
                 }
                 let home = ctx.home_of(addr);
                 ctx.send(
@@ -732,7 +738,7 @@ impl Protocol for SciTree {
                             src: node,
                             kind: MsgKind::SctDescend {
                                 requester,
-                                path: path[1..].to_vec(),
+                                path: path[1..].to_vec().into(),
                             },
                         },
                     );

@@ -17,7 +17,7 @@
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::dir::util::TxnGate;
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::FxHashMap;
@@ -88,7 +88,9 @@ impl SinglyList {
                     Msg {
                         addr,
                         src: home,
-                        kind: MsgKind::ReadReply { adopt: vec![] },
+                        kind: MsgKind::ReadReply {
+                            adopt: NodeList::default(),
+                        },
                     },
                 );
                 e.head = Some(requester);
@@ -101,7 +103,9 @@ impl SinglyList {
                     Msg {
                         addr,
                         src: home,
-                        kind: MsgKind::ReadReply { adopt: vec![] },
+                        kind: MsgKind::ReadReply {
+                            adopt: NodeList::default(),
+                        },
                     },
                 );
                 e.dirty = false;
@@ -317,7 +321,9 @@ impl SinglyList {
             Msg {
                 addr,
                 src: home,
-                kind: MsgKind::ReadReply { adopt: vec![] },
+                kind: MsgKind::ReadReply {
+                    adopt: NodeList::default(),
+                },
             },
         );
         self.maybe_finish(ctx, home, addr);

@@ -425,7 +425,7 @@ impl Stp {
                     kind: MsgKind::StpMove {
                         replacing: leaver,
                         new_parent: new_parent.filter(|&p| p != mover),
-                        new_children,
+                        new_children: new_children.into(),
                     },
                 },
             );
@@ -447,7 +447,7 @@ impl Stp {
         // so we had none of our own).
         let mut inherited = self.children.take(replacing, addr);
         inherited.retain(|&c| c != node);
-        for c in new_children {
+        for &c in new_children.iter() {
             if !inherited.contains(&c) && c != node {
                 inherited.push(c);
             }

@@ -8,6 +8,9 @@
 
 use crate::types::{Addr, NodeId, OpKind};
 use dirtree_sim::metrics::MsgClass;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// A protocol message in flight.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -18,6 +21,54 @@ pub struct Msg {
     /// otherwise).
     pub src: NodeId,
     pub kind: MsgKind,
+}
+
+// Every message is moved several times between its send and its handler
+// (queue slab, batch, controller queue, handler), so its size is paid per
+// event; see DESIGN.md §6, "Message layout".
+const _: () = assert!(std::mem::size_of::<Msg>() <= 40);
+
+/// A node list carried by a message (tree hand-offs, descent paths, fix-up
+/// child sets), kept out of line: one pointer wide, and no allocation when
+/// empty, so the common message that carries none stays small. Hashes,
+/// compares and prints exactly like the `Vec<NodeId>` it replaces, which
+/// keeps the checker's state digests unchanged.
+#[derive(Clone, Default, PartialEq, Eq)]
+// The box is the point: `Vec` is three words inline and `Box<[NodeId]>` two.
+// Never `Some` of an empty `Vec`, so the derived `Eq` is the `Vec`'s.
+#[allow(clippy::box_collection)]
+pub struct NodeList(Option<Box<Vec<NodeId>>>);
+
+impl NodeList {
+    /// The list as an owned `Vec`, reusing its allocation.
+    pub fn into_vec(self) -> Vec<NodeId> {
+        self.0.map_or_else(Vec::new, |v| *v)
+    }
+}
+
+impl From<Vec<NodeId>> for NodeList {
+    fn from(v: Vec<NodeId>) -> Self {
+        NodeList((!v.is_empty()).then(|| Box::new(v)))
+    }
+}
+
+impl Deref for NodeList {
+    type Target = [NodeId];
+    fn deref(&self) -> &[NodeId] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl Hash for NodeList {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl fmt::Debug for NodeList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 impl Msg {
@@ -43,7 +94,7 @@ pub enum MsgKind {
     /// Home → cache: read data. `adopt` carries the Dir_iTree_k pointer
     /// hand-off: the listed nodes become children of the requester (empty
     /// for non-tree protocols).
-    ReadReply { adopt: Vec<NodeId> },
+    ReadReply { adopt: NodeList },
     /// Home → cache: write grant + data (sent after invalidations finish).
     /// `kill_self_subtree` tells a writer that was itself a recorded tree
     /// root to invalidate its own children locally before completing
@@ -77,7 +128,7 @@ pub enum MsgKind {
     UpdateAck { dir: bool },
     /// Update-protocol write grant: data + any tree hand-off for a writer
     /// that was not yet recorded (mirrors `ReadReply`'s `adopt`).
-    UpdateGrant { adopt: Vec<NodeId> },
+    UpdateGrant { adopt: NodeList },
     /// Home → exclusive owner: write the block back for a pending `for_op`
     /// by `requester` (downgrade to V on read, invalidate on write).
     WbReq { for_op: OpKind, requester: NodeId },
@@ -154,7 +205,7 @@ pub enum MsgKind {
     StpMove {
         replacing: NodeId,
         new_parent: Option<NodeId>,
-        new_children: Vec<NodeId>,
+        new_children: NodeList,
     },
     /// Mover (or home) → affected node: children-map fix-up (`remove`,
     /// then `add`). `from_home` routes the ack to the home's directory
@@ -173,15 +224,12 @@ pub enum MsgKind {
     // ---- SCI tree extension (AVL) ----
     /// Hop-by-hop descent toward the insertion point for `requester`;
     /// `path` is the remaining route (the final node supplies the data).
-    SctDescend {
-        requester: NodeId,
-        path: Vec<NodeId>,
-    },
+    SctDescend { requester: NodeId, path: NodeList },
     /// Insertion-point parent → requester: data + inserted.
     SctInsertResp,
     /// Rotation / deletion pointer fix-up: the node's new (absolute)
     /// children set. Acknowledged to the home with `StpFixupAck`.
-    SctFixup { children: Vec<NodeId> },
+    SctFixup { children: NodeList },
     /// Evicted node → home: AVL delete me (triggers fix-up traffic).
     SctLeave,
 }
@@ -254,7 +302,7 @@ impl MsgKind {
 
     /// Coarse observability class ([`MsgClass`]) for the metrics layer.
     ///
-    /// This is the single mapping from the full 40-kind wire vocabulary
+    /// This is the single mapping from the full 46-kind wire vocabulary
     /// onto the paper's 10-class accounting; every protocol's messages
     /// classify through it (the machine's shared send hook calls it), so
     /// no protocol carries its own instrumentation.
@@ -323,7 +371,12 @@ impl MsgKind {
     pub fn relabeled(&self, perm: &[NodeId]) -> MsgKind {
         let p = |n: NodeId| perm[n as usize];
         let po = |n: Option<NodeId>| n.map(|n| perm[n as usize]);
-        let pv = |v: &Vec<NodeId>| v.iter().map(|&n| perm[n as usize]).collect();
+        let pv = |v: &NodeList| -> NodeList {
+            v.iter()
+                .map(|&n| perm[n as usize])
+                .collect::<Vec<_>>()
+                .into()
+        };
         match self {
             MsgKind::ReadReq { requester } => MsgKind::ReadReq {
                 requester: p(*requester),
@@ -497,7 +550,9 @@ mod tests {
 
     #[test]
     fn data_messages_are_bigger() {
-        let data = MsgKind::ReadReply { adopt: vec![] };
+        let data = MsgKind::ReadReply {
+            adopt: NodeList::default(),
+        };
         let ctrl = MsgKind::InvAck { dir: false };
         assert_eq!(data.wire_bytes(8, 8), 16);
         assert_eq!(ctrl.wire_bytes(8, 8), 8);
@@ -509,7 +564,10 @@ mod tests {
         assert!(MsgKind::WriteReq { requester: 1 }.to_directory());
         assert!(MsgKind::InvAck { dir: true }.to_directory());
         assert!(!MsgKind::InvAck { dir: false }.to_directory());
-        assert!(!MsgKind::ReadReply { adopt: vec![] }.to_directory());
+        assert!(!MsgKind::ReadReply {
+            adopt: NodeList::default()
+        }
+        .to_directory());
         assert!(!MsgKind::Inv {
             also: None,
             from_dir: true
@@ -523,7 +581,9 @@ mod tests {
         let kinds = [
             MsgKind::ReadReq { requester: 0 },
             MsgKind::WriteReq { requester: 0 },
-            MsgKind::ReadReply { adopt: vec![] },
+            MsgKind::ReadReply {
+                adopt: NodeList::default(),
+            },
             MsgKind::WriteReply {
                 kill_self_subtree: false,
             },
@@ -548,15 +608,24 @@ mod tests {
         // A read reply without tree hand-off is plain data; with a
         // non-empty adopt list it is the Dir_iTree_k adoption message.
         assert_eq!(
-            MsgKind::ReadReply { adopt: vec![] }.class(),
+            MsgKind::ReadReply {
+                adopt: NodeList::default()
+            }
+            .class(),
             MsgClass::DataReply
         );
         assert_eq!(
-            MsgKind::ReadReply { adopt: vec![3, 5] }.class(),
+            MsgKind::ReadReply {
+                adopt: vec![3, 5].into()
+            }
+            .class(),
             MsgClass::Adopt
         );
         assert_eq!(
-            MsgKind::UpdateGrant { adopt: vec![3] }.class(),
+            MsgKind::UpdateGrant {
+                adopt: vec![3].into()
+            }
+            .class(),
             MsgClass::Adopt
         );
         // Both ablation flavors of replacement traffic share a class, so
@@ -591,5 +660,94 @@ mod tests {
         }
         .carries_data());
         assert!(!MsgKind::ReplaceInv.carries_data());
+    }
+
+    // The checker digests in-flight messages with the derived `Hash`, so a
+    // list must feed the hasher exactly what the `Vec` it replaced did.
+    #[test]
+    fn node_list_hashes_like_its_vec() {
+        use dirtree_sim::hash::FxHasher;
+        fn fx(x: &impl Hash) -> u64 {
+            let mut h = FxHasher::default();
+            x.hash(&mut h);
+            h.finish()
+        }
+        for v in [vec![], vec![3], vec![3, 5, 7]] {
+            assert_eq!(fx(&NodeList::from(v.clone())), fx(&v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn empty_node_list_is_unallocated_and_equal_to_an_empty_vec() {
+        let empty = NodeList::from(Vec::with_capacity(8));
+        assert!(empty.0.is_none());
+        assert_eq!(empty, NodeList::default());
+        assert_eq!(empty, Vec::new().into());
+        assert_ne!(empty, vec![3].into());
+        assert_eq!(empty.into_vec().capacity(), 0);
+    }
+
+    #[test]
+    fn node_list_debug_prints_like_a_vec() {
+        assert_eq!(format!("{:?}", NodeList::from(vec![3, 5])), "[3, 5]");
+        assert_eq!(
+            format!(
+                "{:?}",
+                MsgKind::ReadReply {
+                    adopt: vec![3, 5].into()
+                }
+            ),
+            "ReadReply { adopt: [3, 5] }"
+        );
+    }
+
+    #[test]
+    fn relabeled_maps_every_node_list_in_order() {
+        let perm: Vec<NodeId> = (0..8).rev().collect(); // n -> 7 - n
+        let list = || NodeList::from(vec![1, 2, 5]);
+        let mapped = || NodeList::from(vec![6, 5, 2]);
+        let cases = [
+            (
+                MsgKind::ReadReply { adopt: list() },
+                MsgKind::ReadReply { adopt: mapped() },
+            ),
+            (
+                MsgKind::UpdateGrant { adopt: list() },
+                MsgKind::UpdateGrant { adopt: mapped() },
+            ),
+            (
+                MsgKind::StpMove {
+                    replacing: 0,
+                    new_parent: Some(3),
+                    new_children: list(),
+                },
+                MsgKind::StpMove {
+                    replacing: 7,
+                    new_parent: Some(4),
+                    new_children: mapped(),
+                },
+            ),
+            (
+                MsgKind::SctDescend {
+                    requester: 4,
+                    path: list(),
+                },
+                MsgKind::SctDescend {
+                    requester: 3,
+                    path: mapped(),
+                },
+            ),
+            (
+                MsgKind::SctFixup { children: list() },
+                MsgKind::SctFixup { children: mapped() },
+            ),
+        ];
+        for (kind, want) in cases {
+            assert_eq!(kind.relabeled(&perm), want);
+        }
+        let empty = MsgKind::ReadReply {
+            adopt: NodeList::default(),
+        };
+        assert_eq!(empty.relabeled(&perm), empty);
     }
 }

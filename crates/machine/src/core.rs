@@ -51,6 +51,10 @@ pub enum Ev {
     OpDone(NodeId, Addr, OpKind),
 }
 
+// Paid on every queue write, batch read and controller hand-off; see
+// DESIGN.md §6, "Message layout".
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
+
 pub struct MachineCore {
     pub config: MachineConfig,
     pub queue: EventQueue<Ev>,
