@@ -135,16 +135,21 @@ sys.exit(0 if ok else 1)
 # handler going back to O(machine) per call (that was 3.4x). It does not catch the event queue going back to a heap: that
 # is 1.47x, and shows as sim.queue_hold_ns (21-32 ns -> 77-102 ns) in a
 # `--trace 1` pass and in the PR-21 ledger row, not here. setup_s
-# (spawn 32 threads, record LU(80x80), join) gets ten times its committed
-# value, not two: at a twentieth of a second it doubles under a noisy
-# neighbour, and the regression it guards — trace recording going back to
-# one thread rendezvous per operation — is 28x at best (1.45 s pinned).
+# (record LU(80x80) at P=32 by polling its 32 async programs on this
+# thread, then build eight machines) gets ten times its committed value,
+# not two: at a few hundredths of a second it doubles under a noisy
+# neighbour, and the regression it guards — recording going back to one
+# rendezvous per operation — is far above ten times (1.45 s pinned).
 ledger_gate lu_p32_families
 # The two workloads that run Dir_iTree_k's update and per-block write
 # policies (lu_p32_families is static invalidate throughout): the twelve
 # invalidate/update/adaptive digests at P=256 and the checker's pinned
 # state counts for the update, adaptive and ternary shapes. policies_p256
-# is timed at the same 2x ratio (3.89 s committed). It sends the most
+# is timed at the same 2x ratio (3.89 s committed). Its setup_s (record
+# four traces at P=256, ~490 k barrier arrivals) is gated at ten times
+# 0.33 s: recording them on one OS thread per program took 2.7-4.7 s and
+# fails on most runs; the clock-free guard against threads coming back is
+# rendezvous::tests::programs_run_on_the_polling_thread. It sends the most
 # messages per operation, so a message growing back to 56 bytes (an event
 # to 64) shows there first, but at 1.21x on host_s, inside the gate: the
 # compile-time size asserts beside Msg and Ev catch that one. check_mix

@@ -219,11 +219,11 @@ fn run_config(config: &SweepConfig, trace: bool) -> Result<(RunRecord, Option<St
 
 /// Process-wide operation-trace cache: one recording per
 /// `(workload, nodes)` pair, shared by every protocol config and every
-/// spec the process runs. Recording spawns the application threads and
-/// costs one thread hand-off per barrier arrival or contended lock (not
+/// spec the process runs. Recording polls the application programs on
+/// the calling thread, one poll per barrier arrival or contended lock (not
 /// per operation); it is paid once, and all simulations replay the result
-/// with zero context switches — see `dirtree_workloads::trace` for why
-/// the streams are config-independent.
+/// — see `dirtree_workloads::trace` for why the streams are
+/// config-independent.
 /// The per-key `OnceLock` lets distinct workloads record concurrently
 /// under `--jobs` while duplicate requests block on the first recorder;
 /// the trace content is a pure function of the key either way, so sweep

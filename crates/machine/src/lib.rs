@@ -9,7 +9,8 @@
 //! Workloads drive the machine through the [`Driver`] trait: the machine
 //! asks the driver for the next operation of a processor whenever that
 //! processor becomes ready. `dirtree-workloads` implements an
-//! execution-driven driver on top of rendezvous threads; [`ScriptDriver`]
+//! execution-driven driver on top of `async` programs polled on the
+//! machine's thread; [`ScriptDriver`]
 //! provides scripted per-node operation lists for tests and
 //! microbenchmarks.
 //!

@@ -8,7 +8,7 @@
 //! bit-reversal pass is needed.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 
 /// One butterfly assignment: `dst[o] = src[a] ± src[b]`, the `-` branch
 /// additionally multiplied by the twiddle `w`.
@@ -134,8 +134,8 @@ impl Fft {
         let mut alloc = Alloc::new();
         let re = [alloc.array(self.points), alloc.array(self.points)];
         let im = [alloc.array(self.points), alloc.array(self.points)];
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let n = params.points;
                 let p = nprocs as u64;
                 let chunk = n / p;
@@ -146,35 +146,34 @@ impl Fft {
                 // Initialize owned slice of buffer 0.
                 for i in lo..hi {
                     let (xr, xi) = params.input(i);
-                    env.write_f(re[0].at(i), xr);
-                    env.write_f(im[0].at(i), xi);
+                    env.write_f(re[0].at(i), xr).await;
+                    env.write_f(im[0].at(i), xi).await;
                 }
-                env.barrier();
+                env.barrier().await;
 
                 let mut cur = 0usize;
                 for stage in 0..params.stages() {
                     let nxt = cur ^ 1;
                     for o in lo..hi {
                         let m = stockham_map(n, stage, o);
-                        let ar = env.read_f(re[cur].at(m.a));
-                        let ai = env.read_f(im[cur].at(m.a));
-                        let br = env.read_f(re[cur].at(m.b));
-                        let bi = env.read_f(im[cur].at(m.b));
+                        let ar = env.read_f(re[cur].at(m.a)).await;
+                        let ai = env.read_f(im[cur].at(m.a)).await;
+                        let br = env.read_f(re[cur].at(m.b)).await;
+                        let bi = env.read_f(im[cur].at(m.b)).await;
                         let (or_, oi) = if m.subtract {
                             let (dr, di) = (ar - br, ai - bi);
                             (dr * m.w.0 - di * m.w.1, dr * m.w.1 + di * m.w.0)
                         } else {
                             (ar + br, ai + bi)
                         };
-                        env.write_f(re[nxt].at(o), or_);
-                        env.write_f(im[nxt].at(o), oi);
-                        env.work(2);
+                        env.write_f(re[nxt].at(o), or_).await;
+                        env.write_f(im[nxt].at(o), oi).await;
+                        env.work(2).await;
                     }
                     cur = nxt;
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 

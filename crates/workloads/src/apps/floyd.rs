@@ -7,7 +7,7 @@
 //! sharing" the paper highlights for this workload.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 use dirtree_sim::SimRng;
 
 /// Edge-absent marker (saturating adds keep it below overflow).
@@ -79,9 +79,9 @@ impl Floyd {
         let graph = std::sync::Arc::new(self.graph());
         let mut alloc = Alloc::new();
         let dist = alloc.matrix(self.vertices, self.vertices);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
             let graph = graph.clone();
-            let program: AppFn = Box::new(move |env| {
+            Box::pin(async move {
                 let v = params.vertices;
                 let p = nprocs as u64;
                 let mine = |row: u64| row % p == tid as u64;
@@ -89,10 +89,10 @@ impl Floyd {
                 // Initialize owned rows.
                 for i in (0..v).filter(|&i| mine(i)) {
                     for j in 0..v {
-                        env.write(dist.at(i, j), graph[(i * v + j) as usize]);
+                        env.write(dist.at(i, j), graph[(i * v + j) as usize]).await;
                     }
                 }
-                env.barrier();
+                env.barrier().await;
 
                 for k in 0..v {
                     // The classic triple loop: row k is re-read through the
@@ -101,21 +101,24 @@ impl Floyd {
                     // victim-invalidating the sharers (the paper's "large
                     // degree of data sharing" stressor).
                     for i in (0..v).filter(|&i| mine(i)) {
-                        let dik = if i == k { 0 } else { env.read(dist.at(i, k)) };
+                        let dik = if i == k {
+                            0
+                        } else {
+                            env.read(dist.at(i, k)).await
+                        };
                         for j in 0..v {
-                            let dij = env.read(dist.at(i, j));
-                            let dkj = env.read(dist.at(k, j));
+                            let dij = env.read(dist.at(i, j)).await;
+                            let dkj = env.read(dist.at(k, j)).await;
                             let alt = dik.saturating_add(dkj);
                             if alt < dij {
-                                env.write(dist.at(i, j), alt);
+                                env.write(dist.at(i, j), alt).await;
                             }
                         }
-                        env.work(v / 4 + 1);
+                        env.work(v / 4 + 1).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }

@@ -8,7 +8,7 @@
 //! workload: the paper's protocols should all tie here.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 
 /// Parameters for the Jacobi workload.
 #[derive(Clone, Copy, Debug)]
@@ -68,8 +68,8 @@ impl Jacobi {
             alloc.matrix(self.grid, self.grid),
             alloc.matrix(self.grid, self.grid),
         ];
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let g = params.grid;
                 let p = nprocs as u64;
                 let me = tid as u64;
@@ -88,11 +88,11 @@ impl Jacobi {
                 for &r in &init_rows {
                     for c in 0..g {
                         let v = params.input(r, c);
-                        env.write_f(buf[0].at(r, c), v);
-                        env.write_f(buf[1].at(r, c), v);
+                        env.write_f(buf[0].at(r, c), v).await;
+                        env.write_f(buf[1].at(r, c), v).await;
                     }
                 }
-                env.barrier();
+                env.barrier().await;
 
                 let mut cur = 0usize;
                 for _sweep in 0..params.sweeps {
@@ -101,19 +101,19 @@ impl Jacobi {
                         // Read the row above once (may belong to a
                         // neighbour processor), then stream.
                         for c in 1..g - 1 {
-                            let up = env.read_f(buf[cur].at(r - 1, c));
-                            let down = env.read_f(buf[cur].at(r + 1, c));
-                            let left = env.read_f(buf[cur].at(r, c - 1));
-                            let right = env.read_f(buf[cur].at(r, c + 1));
-                            env.write_f(buf[nxt].at(r, c), 0.25 * (up + down + left + right));
+                            let up = env.read_f(buf[cur].at(r - 1, c)).await;
+                            let down = env.read_f(buf[cur].at(r + 1, c)).await;
+                            let left = env.read_f(buf[cur].at(r, c - 1)).await;
+                            let right = env.read_f(buf[cur].at(r, c + 1)).await;
+                            env.write_f(buf[nxt].at(r, c), 0.25 * (up + down + left + right))
+                                .await;
                         }
-                        env.work(g / 4 + 1);
+                        env.work(g / 4 + 1).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                     cur = nxt;
                 }
-            });
-            program
+            })
         })
     }
 }

@@ -7,7 +7,7 @@
 //! the read-shared hot data.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 
 /// Parameters for the LU workload.
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +65,8 @@ impl Lu {
         let params = *self;
         let mut alloc = Alloc::new();
         let a = alloc.matrix(self.n, self.n);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let n = params.n;
                 let p = nprocs as u64;
                 let me = tid as u64;
@@ -75,42 +75,42 @@ impl Lu {
                 // Initialize owned columns.
                 for j in (0..n).filter(|&j| mine(j)) {
                     for i in 0..n {
-                        env.write_f(a.at(i, j), params.input(i, j));
+                        env.write_f(a.at(i, j), params.input(i, j)).await;
                     }
                 }
-                env.barrier();
+                env.barrier().await;
 
                 for k in 0..n {
                     if mine(k) {
                         // Scale the pivot subcolumn.
-                        let pivot = env.read_f(a.at(k, k));
+                        let pivot = env.read_f(a.at(k, k)).await;
                         for i in k + 1..n {
-                            let v = env.read_f(a.at(i, k));
-                            env.write_f(a.at(i, k), v / pivot);
+                            let v = env.read_f(a.at(i, k)).await;
+                            env.write_f(a.at(i, k), v / pivot).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                     // Everyone reads the pivot column once (read-shared),
                     // then updates its own trailing columns.
                     let owned_trailing: Vec<u64> = (k + 1..n).filter(|&j| mine(j)).collect();
                     if !owned_trailing.is_empty() {
                         let mut col_k = Vec::with_capacity((n - k - 1) as usize);
                         for i in k + 1..n {
-                            col_k.push(env.read_f(a.at(i, k)));
+                            col_k.push(env.read_f(a.at(i, k)).await);
                         }
                         for &j in &owned_trailing {
-                            let akj = env.read_f(a.at(k, j));
+                            let akj = env.read_f(a.at(k, j)).await;
                             for i in k + 1..n {
-                                let aij = env.read_f(a.at(i, j));
-                                env.write_f(a.at(i, j), aij - col_k[(i - k - 1) as usize] * akj);
+                                let aij = env.read_f(a.at(i, j)).await;
+                                env.write_f(a.at(i, j), aij - col_k[(i - k - 1) as usize] * akj)
+                                    .await;
                             }
-                            env.work((n - k) / 8 + 1);
+                            env.work((n - k) / 8 + 1).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }

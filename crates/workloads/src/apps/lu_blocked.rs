@@ -12,7 +12,7 @@
 //! the simpler column variant.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 
 /// Parameters for the blocked LU workload.
 #[derive(Clone, Copy, Debug)]
@@ -80,8 +80,8 @@ impl LuBlocked {
         let params = *self;
         let mut alloc = Alloc::new();
         let a = alloc.matrix(self.n, self.n);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let _n = params.n;
                 let b = params.block;
                 let nb = params.nb();
@@ -95,36 +95,36 @@ impl LuBlocked {
                         if mine(bi, bj) {
                             for i in bi * b..(bi + 1) * b {
                                 for j in bj * b..(bj + 1) * b {
-                                    env.write_f(a.at(i, j), params.input(i, j));
+                                    env.write_f(a.at(i, j), params.input(i, j)).await;
                                 }
                             }
                         }
                     }
                 }
-                env.barrier();
+                env.barrier().await;
 
                 for bk in 0..nb {
                     let k0 = bk * b;
                     // Phase 1: factorize the diagonal block (its owner).
                     if mine(bk, bk) {
                         for k in k0..k0 + b {
-                            let pivot = env.read_f(a.at(k, k));
+                            let pivot = env.read_f(a.at(k, k)).await;
                             for i in k + 1..k0 + b {
-                                let v = env.read_f(a.at(i, k));
-                                env.write_f(a.at(i, k), v / pivot);
+                                let v = env.read_f(a.at(i, k)).await;
+                                env.write_f(a.at(i, k), v / pivot).await;
                             }
                             for i in k + 1..k0 + b {
-                                let l = env.read_f(a.at(i, k));
+                                let l = env.read_f(a.at(i, k)).await;
                                 for j in k + 1..k0 + b {
-                                    let akj = env.read_f(a.at(k, j));
-                                    let v = env.read_f(a.at(i, j));
-                                    env.write_f(a.at(i, j), v - l * akj);
+                                    let akj = env.read_f(a.at(k, j)).await;
+                                    let v = env.read_f(a.at(i, j)).await;
+                                    env.write_f(a.at(i, j), v - l * akj).await;
                                 }
                             }
-                            env.work(b / 2 + 1);
+                            env.work(b / 2 + 1).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                     // Phase 2: perimeter blocks solve against the diagonal
                     // block (read-shared by every perimeter owner).
                     for bi in bk + 1..nb {
@@ -132,38 +132,38 @@ impl LuBlocked {
                             // Column perimeter: A(bi,bk) := A(bi,bk) U⁻¹,
                             // with the division by the pivot folded in.
                             for k in k0..k0 + b {
-                                let pivot = env.read_f(a.at(k, k));
+                                let pivot = env.read_f(a.at(k, k)).await;
                                 for i in bi * b..(bi + 1) * b {
-                                    let v = env.read_f(a.at(i, k));
-                                    env.write_f(a.at(i, k), v / pivot);
+                                    let v = env.read_f(a.at(i, k)).await;
+                                    env.write_f(a.at(i, k), v / pivot).await;
                                 }
                                 for i in bi * b..(bi + 1) * b {
-                                    let l = env.read_f(a.at(i, k));
+                                    let l = env.read_f(a.at(i, k)).await;
                                     for j in k + 1..k0 + b {
-                                        let akj = env.read_f(a.at(k, j));
-                                        let v = env.read_f(a.at(i, j));
-                                        env.write_f(a.at(i, j), v - l * akj);
+                                        let akj = env.read_f(a.at(k, j)).await;
+                                        let v = env.read_f(a.at(i, j)).await;
+                                        env.write_f(a.at(i, j), v - l * akj).await;
                                     }
                                 }
                             }
-                            env.work(b + 1);
+                            env.work(b + 1).await;
                         }
                         if mine(bk, bi) {
                             // Row perimeter: A(bk,bi) := L⁻¹ A(bk,bi).
                             for k in k0..k0 + b {
                                 for i in k + 1..k0 + b {
-                                    let l = env.read_f(a.at(i, k));
+                                    let l = env.read_f(a.at(i, k)).await;
                                     for j in bi * b..(bi + 1) * b {
-                                        let akj = env.read_f(a.at(k, j));
-                                        let v = env.read_f(a.at(i, j));
-                                        env.write_f(a.at(i, j), v - l * akj);
+                                        let akj = env.read_f(a.at(k, j)).await;
+                                        let v = env.read_f(a.at(i, j)).await;
+                                        env.write_f(a.at(i, j), v - l * akj).await;
                                     }
                                 }
                             }
-                            env.work(b + 1);
+                            env.work(b + 1).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                     // Phase 3: interior update — each interior owner reads
                     // its row and column perimeter blocks (read-shared).
                     for bi in bk + 1..nb {
@@ -171,22 +171,21 @@ impl LuBlocked {
                             if mine(bi, bj) {
                                 for k in k0..k0 + b {
                                     for i in bi * b..(bi + 1) * b {
-                                        let l = env.read_f(a.at(i, k));
+                                        let l = env.read_f(a.at(i, k)).await;
                                         for j in bj * b..(bj + 1) * b {
-                                            let akj = env.read_f(a.at(k, j));
-                                            let v = env.read_f(a.at(i, j));
-                                            env.write_f(a.at(i, j), v - l * akj);
+                                            let akj = env.read_f(a.at(k, j)).await;
+                                            let v = env.read_f(a.at(i, j)).await;
+                                            env.write_f(a.at(i, j), v - l * akj).await;
                                         }
                                     }
                                 }
-                                env.work(b + 1);
+                                env.work(b + 1).await;
                             }
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }

@@ -13,7 +13,7 @@
 //! units) stored in shared words.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 use dirtree_sim::SimRng;
 
 /// Fixed-point scale: 1024 units per cell side.
@@ -132,8 +132,8 @@ impl Mp3d {
         let mut alloc = Alloc::new();
         let pstate = alloc.array(6 * self.particles);
         let cells = [alloc.array(self.cells()), alloc.array(self.cells())];
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let p = nprocs as u64;
                 let me = tid as u64;
                 let per = params.particles.div_ceil(p);
@@ -146,16 +146,16 @@ impl Mp3d {
                     let st = params.initial(id);
                     let base = pstate.at(6 * id);
                     for d in 0..3 {
-                        env.write(base + d as u64, Mp3d::enc(st.pos[d]));
-                        env.write(base + 3 + d as u64, Mp3d::enc(st.vel[d]));
+                        env.write(base + d as u64, Mp3d::enc(st.pos[d])).await;
+                        env.write(base + 3 + d as u64, Mp3d::enc(st.vel[d])).await;
                     }
                 }
                 // Zero owned slice of both cell arrays.
                 for c in (0..ncells).filter(|c| c % p == me) {
-                    env.write(cells[0].at(c), 0);
-                    env.write(cells[1].at(c), 0);
+                    env.write(cells[0].at(c), 0).await;
+                    env.write(cells[1].at(c), 0).await;
                 }
-                env.barrier();
+                env.barrier().await;
 
                 let mut cur = 0usize;
                 for _step in 0..params.steps {
@@ -167,34 +167,33 @@ impl Mp3d {
                             vel: [0; 3],
                         };
                         for d in 0..3 {
-                            part.pos[d] = Mp3d::dec(env.read(base + d as u64));
-                            part.vel[d] = Mp3d::dec(env.read(base + 3 + d as u64));
+                            part.pos[d] = Mp3d::dec(env.read(base + d as u64).await);
+                            part.vel[d] = Mp3d::dec(env.read(base + 3 + d as u64).await);
                         }
                         let cell = params.cell_of(&part.pos);
                         // The notorious shared read-modify-write, locked
                         // per cell as in the original MP3D.
-                        env.lock(cell as u32);
-                        let occ = env.read(cells[cur].at(cell));
-                        env.write(cells[cur].at(cell), occ + 1);
-                        env.unlock(cell as u32);
-                        let prev_occ = env.read(cells[prev].at(cell));
+                        env.lock(cell as u32).await;
+                        let occ = env.read(cells[cur].at(cell)).await;
+                        env.write(cells[cur].at(cell), occ + 1).await;
+                        env.unlock(cell as u32).await;
+                        let prev_occ = env.read(cells[prev].at(cell)).await;
                         params.advance(&mut part, prev_occ);
                         for d in 0..3 {
-                            env.write(base + d as u64, Mp3d::enc(part.pos[d]));
-                            env.write(base + 3 + d as u64, Mp3d::enc(part.vel[d]));
+                            env.write(base + d as u64, Mp3d::enc(part.pos[d])).await;
+                            env.write(base + 3 + d as u64, Mp3d::enc(part.vel[d])).await;
                         }
-                        env.work(4);
+                        env.work(4).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                     // Clear the previous-step array for reuse next step.
                     for c in (0..ncells).filter(|c| c % p == me) {
-                        env.write(cells[prev].at(c), 0);
+                        env.write(cells[prev].at(c), 0).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                     cur = prev;
                 }
-            });
-            program
+            })
         })
     }
 }

@@ -12,7 +12,7 @@
 //! | [`FalseShare`]| write-shared      | invalidate         |
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 
 /// Producer–consumer pipeline: processor `s` publishes into buffer `s`
 /// each round, and processor `s+1` consumes it. One stable writer and one
@@ -35,24 +35,23 @@ impl PcPipeline {
         let stages = self.buffers.min(nprocs as u64);
         let mut alloc = Alloc::new();
         let bufs = alloc.array(self.buffers);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let t = tid as u64;
                 for round in 0..params.rounds {
                     if t < stages {
-                        env.write(bufs.at(t), round * stages + t + 1);
+                        env.write(bufs.at(t), round * stages + t + 1).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                     if t < stages {
                         // Consume the upstream stage's buffer.
                         let up = (t + stages - 1) % stages;
-                        let v = env.read(bufs.at(up));
-                        env.work(1 + v % 3);
+                        let v = env.read(bufs.at(up)).await;
+                        env.work(1 + v % 3).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }
@@ -76,22 +75,21 @@ impl TokenRing {
         let params = *self;
         let mut alloc = Alloc::new();
         let toks = alloc.array(self.tokens);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 for lap in 0..params.laps {
                     for holder in 0..nprocs as u64 {
                         if tid as u64 == holder {
                             for t in 0..params.tokens {
-                                let v = env.read(toks.at(t));
-                                env.write(toks.at(t), v + 1);
+                                let v = env.read(toks.at(t)).await;
+                                env.write(toks.at(t), v + 1).await;
                             }
                         }
-                        env.barrier();
+                        env.barrier().await;
                     }
                     let _ = lap;
                 }
-            });
-            program
+            })
         })
     }
 }
@@ -117,26 +115,25 @@ impl Broadcast {
         let params = *self;
         let mut alloc = Alloc::new();
         let table = alloc.array(self.blocks);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 for round in 0..params.rounds {
                     if tid == 0 {
                         for b in 0..params.blocks {
-                            env.write(table.at(b), round * params.blocks + b);
+                            env.write(table.at(b), round * params.blocks + b).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                     let mut acc = 0u64;
                     for _ in 0..params.scans {
                         for b in 0..params.blocks {
-                            acc = acc.wrapping_add(env.read(table.at(b)));
+                            acc = acc.wrapping_add(env.read(table.at(b)).await);
                         }
                     }
-                    env.work(1 + acc % 3); // keep `acc` live
-                    env.barrier();
+                    env.work(1 + acc % 3).await; // keep `acc` live
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }
@@ -162,27 +159,26 @@ impl FalseShare {
         let params = *self;
         let mut alloc = Alloc::new();
         let data = alloc.array(self.blocks);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 // Seed wide sharing once.
                 let mut acc = 0u64;
                 for b in 0..params.blocks {
-                    acc = acc.wrapping_add(env.read(data.at(b)));
+                    acc = acc.wrapping_add(env.read(data.at(b)).await);
                 }
-                env.work(1 + acc % 3);
-                env.barrier();
+                env.work(1 + acc % 3).await;
+                env.barrier().await;
                 // Then pure writer ping-pong: round r's writer rewrites the
                 // whole table, nobody reads it again.
                 for round in 0..params.rounds {
                     if tid as u64 == round % nprocs.min(4) as u64 {
                         for b in 0..params.blocks {
-                            env.write(data.at(b), round * params.blocks + b);
+                            env.write(data.at(b), round * params.blocks + b).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }

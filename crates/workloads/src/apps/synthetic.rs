@@ -2,7 +2,7 @@
 //! ablation experiments and stress tests.
 
 use crate::layout::Alloc;
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 
 /// `readers` processors repeatedly read a window of shared blocks; one
 /// writer periodically overwrites them. Controls the sharing degree seen
@@ -22,25 +22,24 @@ impl Sharing {
         let params = *self;
         let mut alloc = Alloc::new();
         let data = alloc.array(self.blocks);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 for round in 0..params.rounds {
                     if tid == 0 {
                         // The writer invalidates every reader each round.
                         for b in 0..params.blocks {
-                            env.write(data.at(b), round * params.blocks + b);
+                            env.write(data.at(b), round * params.blocks + b).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                     let mut acc = 0u64;
                     for b in 0..params.blocks {
-                        acc = acc.wrapping_add(env.read(data.at(b)));
+                        acc = acc.wrapping_add(env.read(data.at(b)).await);
                     }
-                    env.work(1 + acc % 3); // keep `acc` live
-                    env.barrier();
+                    env.work(1 + acc % 3).await; // keep `acc` live
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }
@@ -62,21 +61,20 @@ impl Migratory {
         let params = *self;
         let mut alloc = Alloc::new();
         let data = alloc.array(self.blocks);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let p = nprocs as u64;
                 for round in 0..params.rounds {
                     // Token passing by turn: proc (round % p) owns this round.
                     if round % p == tid as u64 {
                         for b in 0..params.blocks {
-                            let v = env.read(data.at(b));
-                            env.write(data.at(b), v + 1);
+                            let v = env.read(data.at(b)).await;
+                            env.write(data.at(b), v + 1).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }
@@ -99,23 +97,22 @@ impl Storm {
         let params = *self;
         let mut alloc = Alloc::new();
         let data = alloc.array(self.words);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
+        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
+            Box::pin(async move {
                 let stride = 1 + tid as u64;
                 for pass in 0..params.passes {
                     for i in 0..params.words {
                         let a = (i * stride + pass) % params.words;
                         if (i + pass) % 13 == 0 {
-                            let v = env.read(data.at(a));
-                            env.write(data.at(a), v ^ 1);
+                            let v = env.read(data.at(a)).await;
+                            env.write(data.at(a), v ^ 1).await;
                         } else {
-                            env.read(data.at(a));
+                            env.read(data.at(a)).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-            });
-            program
+            })
         })
     }
 }

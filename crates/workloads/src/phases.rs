@@ -12,7 +12,7 @@
 //! integration tests, the model-checker harnesses, and future fuzz drivers
 //! all stress protocols with the same trace family.
 
-use crate::rendezvous::{AppFn, ThreadedWorkload};
+use crate::rendezvous::ThreadedWorkload;
 use dirtree_sim::SimRng;
 
 /// Parameters of one phase-structured trace.
@@ -51,28 +51,27 @@ impl PhasedTrace {
 
     pub fn build(&self) -> ThreadedWorkload {
         let t = *self;
-        ThreadedWorkload::new(self.nodes, self.shared_words(), move |tid| {
-            let program: AppFn = Box::new(move |env| {
-                // Each thread draws its read pattern from a private stream,
+        ThreadedWorkload::new(self.nodes, self.shared_words(), move |tid, mut env| {
+            Box::pin(async move {
+                // Each processor draws its read pattern from a private stream,
                 // so the trace is random but identical across protocols.
                 let mut rng = SimRng::new(t.seed ^ (tid as u64).wrapping_mul(0x9e37_79b9));
                 let mut acc = 0u64;
                 for phase in 0..t.phases {
                     for block in 0..t.blocks {
                         if t.owner(phase, block) == tid as u64 {
-                            env.write(block, t.published(phase, block));
+                            env.write(block, t.published(phase, block)).await;
                         }
                     }
-                    env.barrier();
+                    env.barrier().await;
                     for _ in 0..t.reads_per_phase {
                         let block = rng.gen_range(t.blocks);
-                        acc = acc.wrapping_mul(31).wrapping_add(env.read(block));
+                        acc = acc.wrapping_mul(31).wrapping_add(env.read(block).await);
                     }
-                    env.barrier();
+                    env.barrier().await;
                 }
-                env.write(t.checksum_addr(tid as u64), acc);
-            });
-            program
+                env.write(t.checksum_addr(tid as u64), acc).await;
+            })
         })
     }
 }

@@ -1,36 +1,32 @@
 //! Record-once / replay-many operation traces.
 //!
-//! Running an application live under the machine ([`ThreadedWorkload`] as
-//! a [`Driver`]) pays two OS context switches per operation — on a sweep
-//! that runs the *same* application under nine protocols, that thread
-//! ping-pong would dominate wall-clock while contributing nothing after
-//! the first run. This module exploits a structural property of the
-//! bundled applications: a [`DriverOp`] carries addresses and sync ids but
-//! never data values, and every app's control flow and addressing depend
-//! only on values ordered by barriers (data-race-free), never on
-//! lock-grant order — MP3D's lock-protected occupancy increment is
-//! commutative and the value it reads back feeds no branch or address.
-//! Each node's operation stream is therefore independent of the machine's
-//! interleaving, so a stream recorded once under *any* correct schedule
-//! drives every protocol config to a bit-identical simulation.
+//! A sweep runs the *same* application under many protocol configs. This
+//! module exploits a structural property of the bundled applications: a
+//! [`DriverOp`] carries addresses and sync ids but never data values, and
+//! every app's control flow and addressing depend only on values ordered
+//! by barriers (data-race-free), never on lock-grant order — MP3D's
+//! lock-protected occupancy increment is commutative and the value it
+//! reads back feeds no branch or address. Each node's operation stream is
+//! therefore independent of the machine's interleaving, so a stream
+//! recorded once under *any* correct schedule drives every protocol config
+//! to a bit-identical simulation.
 //!
-//! [`record_ops`] runs a workload's threads under a deterministic
+//! [`record_ops`] polls a workload's programs under a deterministic
 //! round-robin scheduler (no machine, no simulated timing) and returns the
-//! per-node streams; [`ReplayDriver`] feeds them back with zero context
-//! switches. Recording costs one thread hand-off per *blocking point*
-//! (barrier arrival, contended lock, thread exit), not per operation: the
-//! running thread owns the architectural memory and the lock table (the
-//! baton of [`crate::rendezvous`]) and records its own operations until it
-//! has to wait. What remains is barrier-bound: a trace that is mostly
-//! barrier arrivals (the token-ring and false-sharing patterns at P=256)
-//! still pays ~6 µs per arrival.
+//! per-node streams; [`ReplayDriver`] feeds them back. Recording costs one
+//! poll per *blocking point* (barrier arrival, contended lock, program
+//! end), on the caller's thread: a polled program performs its own
+//! operations on the recorder of [`crate::rendezvous`] until it has to
+//! wait. The four `policies_p256` traces (1.62 M operations, ~490 k
+//! barrier arrivals at P=256) record in ~0.08 s on a 2-CPU x86-64 host,
+//! where one OS thread per program took 3.9–4.5 s.
 //!
 //! The `replay_matches_execution_driven` tests below pin the equivalence
 //! of replay and live execution for every application family, including
 //! the lock-heavy MP3D; `matches_reference_recorder` pins `record_ops`
 //! op for op against a per-operation recorder built on the live path.
 
-use crate::rendezvous::{Baton, Blocked, ThreadedWorkload};
+use crate::rendezvous::{Blocked, LockTable, ThreadedWorkload};
 use dirtree_core::types::NodeId;
 use dirtree_machine::{Driver, DriverOp};
 use dirtree_sim::Cycle;
@@ -47,26 +43,26 @@ enum St {
     Done,
 }
 
-/// Run `w`'s application threads to completion under a deterministic
-/// round-robin scheduler, recording each node's operation stream. `w`
-/// must not have started running.
+/// Run `w`'s programs to completion under a deterministic round-robin
+/// scheduler, recording each node's operation stream. `w` must not have
+/// started running.
 ///
 /// Sync semantics mirror the machine's: barriers release when every
 /// node has arrived, locks grant FIFO. The schedule differs from any
 /// simulated one, but per-node streams do not (see module docs), and the
 /// round-robin is fixed — each runnable node in turn runs until it blocks,
-/// alone, because it holds the only copy of the memory — so the returned
-/// trace is a pure function of the workload: safe to share across
-/// protocol configs and `--jobs` levels.
+/// alone, on the caller's thread — so the returned trace is a pure
+/// function of the workload: safe to share across protocol configs and
+/// `--jobs` levels.
 ///
 /// # Panics
-/// With the application's own payload if one of its threads panics, and
-/// with a report of who waits for what if the program deadlocks.
+/// With the program's own payload if one panics (an unlock by a node that
+/// does not own the lock is one), and with a report of who waits for what
+/// if the program deadlocks.
 pub fn record_ops(w: &mut ThreadedWorkload) -> OpTrace {
     let n = w.nprocs();
     let mut st = vec![St::Run; n];
-    let mut ops: OpTrace = vec![Vec::new(); n];
-    let mut baton = w.start_recording();
+    w.start_recording();
     let (mut at_barrier, mut done) = (0usize, 0usize);
     while done < n {
         let mut progressed = false;
@@ -75,21 +71,18 @@ pub fn record_ops(w: &mut ThreadedWorkload) -> OpTrace {
                 continue;
             }
             progressed = true;
-            let why;
-            (baton, why) = w.run_slice(i, baton);
-            match why {
+            match w.run_slice(i) {
                 Blocked::Barrier => {
                     st[i] = St::AtBarrier;
                     at_barrier += 1;
                 }
                 Blocked::Lock => st[i] = St::WaitLock,
-                Blocked::Done(stream) => {
-                    ops[i] = stream;
+                Blocked::Done => {
                     st[i] = St::Done;
                     done += 1;
                 }
             }
-            for next in baton.woken.drain(..) {
+            for next in w.recorder().woken.drain(..) {
                 st[next] = St::Run;
             }
         }
@@ -107,19 +100,18 @@ pub fn record_ops(w: &mut ThreadedWorkload) -> OpTrace {
         assert!(
             progressed || done == n,
             "workload deadlocked during trace recording ({done}/{n} done): {}",
-            blocked_report(&st, &baton)
+            blocked_report(&st, &w.recorder().locks)
         );
     }
-    w.finish_recording(baton);
-    ops
+    w.finish_recording()
 }
 
 /// Who waits for what, for the deadlock panic: the nodes at the barrier,
 /// then every held lock with its owner and FIFO waiters, by lock id.
-fn blocked_report(st: &[St], baton: &Baton) -> String {
+fn blocked_report(st: &[St], locks: &LockTable) -> String {
     let at_barrier: Vec<usize> = (0..st.len()).filter(|&i| st[i] == St::AtBarrier).collect();
     let mut report = format!("nodes at the barrier: {at_barrier:?}");
-    let mut held: Vec<_> = baton.locks.iter().collect();
+    let mut held: Vec<_> = locks.iter().collect();
     held.sort_by_key(|(id, _)| **id);
     for (id, (owner, waiters)) in held {
         if let Some(owner) = owner {
@@ -131,8 +123,8 @@ fn blocked_report(st: &[St], baton: &Baton) -> String {
 
 /// Replays a recorded [`OpTrace`]. The trace is behind an `Arc` so a
 /// sweep replays one recording across many protocol configs without
-/// cloning megabytes of ops per simulation — and without spawning a
-/// single application thread.
+/// cloning megabytes of ops per simulation — and without polling a
+/// single program.
 pub struct ReplayDriver {
     trace: Arc<OpTrace>,
     pos: Vec<usize>,
@@ -165,7 +157,7 @@ impl Driver for ReplayDriver {
 mod tests {
     use super::*;
     use crate::phases::PhasedTrace;
-    use crate::rendezvous::AppFn;
+    use crate::rendezvous::{Env, Program};
     use crate::WorkloadKind;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig, RunOutcome};
@@ -173,8 +165,7 @@ mod tests {
 
     /// The recorder `record_ops` replaced, kept verbatim as the oracle: the
     /// same scheduler, but driving the execution-driven path one
-    /// `next_op` rendezvous per operation (11–70 µs each on an unpinned
-    /// host, so keep what it records small).
+    /// `next_op` per operation.
     fn reference_record_ops(w: &mut ThreadedWorkload) -> OpTrace {
         let n = w.nprocs();
         let mut st = vec![St::Run; n];
@@ -252,72 +243,76 @@ mod tests {
         trace.iter().map(Vec::len).sum()
     }
 
-    /// A hand-written program: name, nodes, per-thread code.
-    type Shape = (&'static str, u32, fn(usize) -> AppFn);
+    /// A hand-written program: name, nodes, per-processor code.
+    type Shape = (&'static str, u32, fn(usize, Env) -> Program);
 
     /// Small programs with the shapes the recording fast path makes special.
     fn special_shapes() -> Vec<Shape> {
-        fn bump(env: &mut crate::Env, addr: u64) {
-            let v = env.read(addr);
-            env.write(addr, v * 3 + env.tid() as u64 + 1);
+        async fn bump(env: &mut Env, addr: u64) {
+            let v = env.read(addr).await;
+            env.write(addr, v * 3 + env.tid() as u64 + 1).await;
         }
         vec![
-            ("lock held across a barrier", 4, |tid| {
-                Box::new(move |env| {
+            ("lock held across a barrier", 4, |tid, mut env| {
+                Box::pin(async move {
                     if tid == 1 {
-                        env.lock(7);
+                        env.lock(7).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                     if tid != 1 {
-                        env.lock(7);
+                        env.lock(7).await;
                     }
-                    bump(env, 0);
-                    env.unlock(7);
-                    env.barrier();
-                    bump(env, 1 + tid as u64);
+                    bump(&mut env, 0).await;
+                    env.unlock(7).await;
+                    env.barrier().await;
+                    bump(&mut env, 1 + tid as u64).await;
                 })
             }),
             // Node 3 takes both locks before the barrier, so nodes 0, 1
             // and 2 queue on lock 1 in that order before it releases.
-            ("nested locks, three FIFO waiters", 4, |tid| {
-                Box::new(move |env| {
+            ("nested locks, three FIFO waiters", 4, |tid, mut env| {
+                Box::pin(async move {
                     if tid == 3 {
-                        env.lock(1);
-                        env.lock(2);
+                        env.lock(1).await;
+                        env.lock(2).await;
                     }
-                    env.barrier();
+                    env.barrier().await;
                     if tid != 3 {
-                        env.lock(1);
-                        env.lock(2);
+                        env.lock(1).await;
+                        env.lock(2).await;
                     }
-                    bump(env, 0);
-                    env.unlock(2);
-                    bump(env, 1);
-                    env.unlock(1);
-                    env.barrier();
-                    bump(env, 2 + tid as u64);
+                    bump(&mut env, 0).await;
+                    env.unlock(2).await;
+                    bump(&mut env, 1).await;
+                    env.unlock(1).await;
+                    env.barrier().await;
+                    bump(&mut env, 2 + tid as u64).await;
                 })
             }),
-            ("a node exits while others are at a barrier", 4, |tid| {
-                Box::new(move |env| {
-                    bump(env, tid as u64);
-                    if tid == 2 {
-                        return;
-                    }
-                    env.barrier();
-                    bump(env, 2);
-                    env.work(5);
-                    env.barrier();
-                })
-            }),
-            ("a node with an empty program", 3, |tid| {
-                Box::new(move |env| {
+            (
+                "a node exits while others are at a barrier",
+                4,
+                |tid, mut env| {
+                    Box::pin(async move {
+                        bump(&mut env, tid as u64).await;
+                        if tid == 2 {
+                            return;
+                        }
+                        env.barrier().await;
+                        bump(&mut env, 2).await;
+                        env.work(5).await;
+                        env.barrier().await;
+                    })
+                },
+            ),
+            ("a node with an empty program", 3, |tid, mut env| {
+                Box::pin(async move {
                     if tid == 1 {
                         return;
                     }
                     for round in 0..3 {
-                        bump(env, round);
-                        env.barrier();
+                        bump(&mut env, round).await;
+                        env.barrier().await;
                     }
                 })
             }),
@@ -536,17 +531,37 @@ mod tests {
         }
     }
 
-    /// A panic in an application thread fails the recording with the
-    /// application's own message instead of truncating that node's stream.
+    /// A panicking program fails the recording with its own message
+    /// instead of truncating that node's stream.
     #[test]
     #[should_panic(expected = "node 2 fell over")]
     fn app_panic_fails_the_recording() {
-        let mut w = ThreadedWorkload::new(4, 4, |tid| {
-            Box::new(move |env| {
-                env.write(tid as u64, 1);
-                env.barrier();
+        let mut w = ThreadedWorkload::new(4, 4, |tid, mut env| {
+            Box::pin(async move {
+                env.write(tid as u64, 1).await;
+                env.barrier().await;
                 assert!(tid != 2, "node {tid} fell over");
-                env.barrier();
+                env.barrier().await;
+            })
+        });
+        record_ops(&mut w);
+    }
+
+    /// An unlock by a node that does not own the lock fails the recording,
+    /// with the machine's message, instead of recording a trace the
+    /// machine would reject at replay.
+    #[test]
+    #[should_panic(expected = "unlock by non-owner 1 of lock 5")]
+    fn unlock_by_non_owner_fails_the_recording() {
+        let mut w = ThreadedWorkload::new(2, 1, |tid, mut env| {
+            Box::pin(async move {
+                if tid == 0 {
+                    env.lock(5).await;
+                }
+                env.barrier().await;
+                if tid == 1 {
+                    env.unlock(5).await;
+                }
             })
         });
         record_ops(&mut w);
@@ -556,15 +571,15 @@ mod tests {
     /// takes its first lock before the barrier, the other's after it).
     #[test]
     fn deadlock_report_names_owners_and_waiters() {
-        let mut w = ThreadedWorkload::new(3, 1, |tid| {
-            Box::new(move |env| {
+        let mut w = ThreadedWorkload::new(3, 1, |tid, mut env| {
+            Box::pin(async move {
                 let (first, second) = [(1, 2), (2, 1), (3, 3)][tid];
-                env.lock(first);
-                env.barrier();
+                env.lock(first).await;
+                env.barrier().await;
                 if tid < 2 {
-                    env.lock(second);
+                    env.lock(second).await;
                 }
-                env.barrier();
+                env.barrier().await;
             })
         });
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| record_ops(&mut w)))
@@ -581,28 +596,27 @@ mod tests {
         }
     }
 
-    fn run_threaded(kind: WorkloadKind, nodes: u32, proto: ProtocolKind) -> RunOutcome {
-        let mut w = kind.build(nodes);
-        let mut m = Machine::new(MachineConfig::test_default(nodes), proto);
+    fn run_live(build: impl Fn() -> ThreadedWorkload, proto: ProtocolKind) -> RunOutcome {
+        let mut w = build();
+        let mut m = Machine::new(MachineConfig::test_default(w.nprocs() as u32), proto);
         m.run(&mut w)
     }
 
-    fn run_replayed(kind: WorkloadKind, nodes: u32, proto: ProtocolKind) -> RunOutcome {
-        let trace = {
-            let mut w = kind.build(nodes);
-            Arc::new(record_ops(&mut w))
-        };
-        let mut d = ReplayDriver::new(trace);
-        let mut m = Machine::new(MachineConfig::test_default(nodes), proto);
+    fn run_replayed(build: impl Fn() -> ThreadedWorkload, proto: ProtocolKind) -> RunOutcome {
+        let trace = Arc::new(record_ops(&mut build()));
+        let mut d = ReplayDriver::new(trace.clone());
+        let mut m = Machine::new(MachineConfig::test_default(trace.len() as u32), proto);
         m.run(&mut d)
     }
 
     /// The load-bearing property: a replayed trace produces the same
     /// simulation — cycles, stats, histograms, network counters — as the
-    /// live application threads, for every application family.
+    /// live programs, for every application family, the sharing patterns
+    /// and the phased trace, under invalidate, update and adaptive
+    /// protocols.
     #[test]
     fn replay_matches_execution_driven() {
-        let cases = [
+        let kinds = [
             // Lock-heavy, migratory sharing: exercises the recorder's
             // FIFO lock grant against the machine's.
             WorkloadKind::Mp3d {
@@ -632,8 +646,34 @@ mod tests {
                 words: 96,
                 passes: 2,
             },
+            WorkloadKind::PcPipeline {
+                buffers: 4,
+                rounds: 6,
+            },
+            WorkloadKind::TokenRing { tokens: 2, laps: 2 },
+            WorkloadKind::Broadcast {
+                blocks: 4,
+                rounds: 6,
+                scans: 2,
+            },
+            WorkloadKind::FalseShare {
+                blocks: 4,
+                rounds: 12,
+            },
         ];
-        for kind in cases {
+        let phased = PhasedTrace {
+            nodes: 4,
+            blocks: 16,
+            phases: 4,
+            reads_per_phase: 12,
+            seed: 1996,
+        };
+        let mut cases: Vec<(String, Box<dyn Fn() -> ThreadedWorkload>)> = kinds
+            .into_iter()
+            .map(|kind| (kind.name(), Box::new(move || kind.build(4)) as Box<_>))
+            .collect();
+        cases.push(("phased".into(), Box::new(move || phased.build())));
+        for (what, build) in cases {
             for proto in [
                 ProtocolKind::FullMap,
                 ProtocolKind::DirTree {
@@ -641,14 +681,21 @@ mod tests {
                     arity: 2,
                 },
                 ProtocolKind::LimitedNB { pointers: 1 },
+                ProtocolKind::DirTreeUpdate {
+                    pointers: 4,
+                    arity: 2,
+                },
+                ProtocolKind::DirTreeAdaptive {
+                    pointers: 4,
+                    arity: 2,
+                },
             ] {
-                let live = run_threaded(kind, 4, proto);
-                let replay = run_replayed(kind, 4, proto);
+                let live = run_live(&build, proto);
+                let replay = run_replayed(&build, proto);
                 assert_eq!(
                     format!("{live:?}"),
                     format!("{replay:?}"),
-                    "{} under {proto:?}: replay diverged from execution-driven",
-                    kind.name()
+                    "{what} under {proto:?}: replay diverged from execution-driven"
                 );
             }
         }
@@ -682,8 +729,8 @@ mod tests {
             .filter(|op| matches!(op, DriverOp::Lock(_)))
             .count();
         assert!(locks > 0 || trace.iter().flatten().count() > 0);
-        let live = run_threaded(kind, 8, ProtocolKind::FullMap);
-        let replay = run_replayed(kind, 8, ProtocolKind::FullMap);
+        let live = run_live(|| kind.build(8), ProtocolKind::FullMap);
+        let replay = run_replayed(|| kind.build(8), ProtocolKind::FullMap);
         assert_eq!(format!("{live:?}"), format!("{replay:?}"));
     }
 
@@ -699,8 +746,8 @@ mod tests {
         };
         let trace = record_ops(&mut kind.build(16));
         assert_eq!(trace.len(), 16);
-        let live = run_threaded(kind, 16, ProtocolKind::FullMap);
-        let replay = run_replayed(kind, 16, ProtocolKind::FullMap);
+        let live = run_live(|| kind.build(16), ProtocolKind::FullMap);
+        let replay = run_replayed(|| kind.build(16), ProtocolKind::FullMap);
         assert_eq!(format!("{live:?}"), format!("{replay:?}"));
     }
 }
