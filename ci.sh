@@ -7,7 +7,8 @@
 # ternary-tree shapes — exhaustively explored at
 # P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
-# counts printed), then the perf gates: golden byte-compares and the
+# counts printed, the P=2/P=3 lines compared with their golden), then the
+# perf gates: golden byte-compares and the
 # benchmark's ledger gates (four workloads' digests and state counts
 # against benchmark/expected.json, plus host_s and setup_s ratio checks
 # for the workloads BENCH_layers.json's ci_gate names). Run from the
@@ -47,11 +48,19 @@ cargo test -q -p dirtree-sim -p dirtree-net -p dirtree-machine
 # directly even when some other workspace test fails first.
 cargo test -q --test paper_claims
 
+mkdir -p target
 if (( deep )); then
-  cargo run --release -p dirtree-check --bin check_all -- --deep
+  cargo run --release -p dirtree-check --bin check_all -- --deep | tee target/check_all.txt
 else
-  cargo run --release -p dirtree-check --bin check_all -- --budget 60
+  cargo run --release -p dirtree-check --bin check_all -- --budget 60 | tee target/check_all.txt
 fi
+# The checker's "same partition" bar, made mechanical: the P=2 and P=3
+# one-block lines (every roster shape's states, depth and four counters;
+# the deterministic part of the default tier) must match the committed
+# golden byte for byte, at any --jobs. The trailing wall time is dropped.
+grep -E ' P=[23] B=1 ' target/check_all.txt | sed -E 's/  \[[^]]*\]$//' \
+  | cmp - tests/golden/check_all_p2_p3.txt
+echo "check-golden: P=2/P=3 lines match tests/golden/check_all_p2_p3.txt"
 
 # Perf smoke: the P=64 slice of the hot-path scaling study must finish
 # inside a generous wall-clock budget (catches order-of-magnitude

@@ -33,7 +33,7 @@
 //!
 //! **Digest.** [`CheckCtx::digest`] feeds the hasher the byte stream of
 //! the map-and-deque context it replaced: the resident-tag count and then
-//! `(node, addr)` and state in key order (what `digest_map` wrote), every
+//! `(node, addr)` and state in key order (the sorted map digest), every
 //! queue's length and messages (the n² channels, then the n local
 //! queues), the three per-node sequences hashed as the `Vec`s they were,
 //! then the witness. Digests — and so canonical representatives, the
@@ -374,8 +374,8 @@ impl CheckCtx {
     pub fn digest(&self, h: &mut dyn Hasher) {
         let mut h = h;
         h.write_u32(self.nodes);
-        // `digest_map` over the (node, addr) → state map: the count, then
-        // the entries in key order.
+        // The (node, addr) → state map: the count, then the entries in key
+        // order.
         h.write_usize(self.resident().count());
         for (node, addr, st) in self.resident() {
             (node, addr).hash(&mut h);

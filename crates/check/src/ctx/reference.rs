@@ -5,7 +5,6 @@
 //! log, which is neither digested nor compared, is left out. Test-only.
 
 use dirtree_core::ctx::{ProtoCtx, ProtoEvent};
-use dirtree_core::fingerprint::digest_map;
 use dirtree_core::msg::Msg;
 use dirtree_core::protocol::Protocol;
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
@@ -206,7 +205,14 @@ impl RefCtx {
     pub(crate) fn digest(&self, h: &mut dyn Hasher) {
         let mut h = h;
         h.write_u32(self.nodes);
-        digest_map(h, &self.lines);
+        // The tag map in key order: the count, then the entries.
+        let mut lines: Vec<_> = self.lines.iter().collect();
+        lines.sort_unstable_by_key(|(k, _)| **k);
+        h.write_usize(lines.len());
+        for (k, v) in lines {
+            k.hash(&mut h);
+            v.hash(&mut h);
+        }
         for q in &self.channels {
             h.write_usize(q.len());
             for m in q {

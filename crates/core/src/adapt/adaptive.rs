@@ -21,13 +21,30 @@
 //! block. [`Protocol::check_invariants`] pins the forest's reachability
 //! invariants under whichever policy each block currently has.
 
-use crate::adapt::detector::PatternDetector;
+use crate::adapt::detector::{BlockPattern, PatternDetector};
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::dir::dir_tree::{DirTree, WritePolicy};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::{Cycle, FxHashMap};
+use dirtree_sim::{BlockTable, Cycle};
+
+/// One block's state outside the tree.
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Row {
+    /// In-flight message count: incremented when the tree sends or
+    /// redelivers, decremented on every arrival. A block may only flip at
+    /// zero.
+    inflight: u32,
+    /// Completions handed to the machine whose processor-side retirement
+    /// has not been confirmed yet ([`Protocol::note_op_retired`]). A write
+    /// that completed under update semantics must also retire under them,
+    /// so a block may only flip at zero.
+    pending_retire: u32,
+    /// The detector's observations, once the home saw a request or a read
+    /// hit was noted.
+    pattern: Option<BlockPattern>,
+}
 
 /// The adaptive hybrid protocol (see module docs).
 #[derive(Clone)]
@@ -35,15 +52,7 @@ pub struct DirTreeAdaptive {
     /// The forest, holding each block's write-policy bit.
     tree: DirTree,
     detector: PatternDetector,
-    /// In-flight message count per block: incremented when the tree sends
-    /// or redelivers, decremented on every arrival. A block may only flip
-    /// at zero.
-    inflight: FxHashMap<Addr, u32>,
-    /// Completions handed to the machine whose processor-side retirement
-    /// has not been confirmed yet ([`Protocol::note_op_retired`]). A write
-    /// that completed under update semantics must also retire under them,
-    /// so a block may only flip at zero.
-    pending_retire: FxHashMap<Addr, u32>,
+    rows: BlockTable<Row>,
     /// Machine size, latched from the context (the detector sizes reader
     /// bitsets with it). Constant per machine, so not fingerprinted.
     nodes: u32,
@@ -54,8 +63,7 @@ pub struct DirTreeAdaptive {
 /// drained; everything else passes through.
 struct CountingCtx<'a> {
     inner: &'a mut dyn ProtoCtx,
-    inflight: &'a mut FxHashMap<Addr, u32>,
-    pending_retire: &'a mut FxHashMap<Addr, u32>,
+    rows: &'a mut BlockTable<Row>,
 }
 
 impl ProtoCtx for CountingCtx<'_> {
@@ -69,11 +77,11 @@ impl ProtoCtx for CountingCtx<'_> {
         self.inner.home_of(addr)
     }
     fn send(&mut self, dst: NodeId, msg: Msg) {
-        *self.inflight.entry(msg.addr).or_insert(0) += 1;
+        self.rows.get_mut_or_grow(msg.addr).inflight += 1;
         self.inner.send(dst, msg);
     }
     fn redeliver(&mut self, node: NodeId, msg: Msg, delay: Cycle) {
-        *self.inflight.entry(msg.addr).or_insert(0) += 1;
+        self.rows.get_mut_or_grow(msg.addr).inflight += 1;
         self.inner.redeliver(node, msg, delay);
     }
     fn occupy(&mut self, node: NodeId, cycles: Cycle) {
@@ -86,7 +94,7 @@ impl ProtoCtx for CountingCtx<'_> {
         self.inner.set_line_state(node, addr, state);
     }
     fn complete(&mut self, node: NodeId, addr: Addr, op: OpKind) {
-        *self.pending_retire.entry(addr).or_insert(0) += 1;
+        self.rows.get_mut_or_grow(addr).pending_retire += 1;
         self.inner.complete(node, addr, op);
     }
     fn note(&mut self, event: ProtoEvent) {
@@ -98,20 +106,17 @@ macro_rules! counting {
     ($self:ident, $ctx:ident) => {
         CountingCtx {
             inner: $ctx,
-            inflight: &mut $self.inflight,
-            pending_retire: &mut $self.pending_retire,
+            rows: &mut $self.rows,
         }
     };
 }
 
 /// One counted message arrived / completion retired for `addr`.
-fn count_down(counts: &mut FxHashMap<Addr, u32>, addr: Addr, what: &str) {
-    match counts.get_mut(&addr) {
-        Some(c) if *c > 1 => *c -= 1,
-        Some(_) => {
-            counts.remove(&addr);
-        }
-        None => debug_assert!(false, "uncounted {what} for {addr:#x}"),
+fn count_down(count: &mut u32, addr: Addr, what: &str) {
+    if *count == 0 {
+        debug_assert!(false, "uncounted {what} for {addr:#x}");
+    } else {
+        *count -= 1;
     }
 }
 
@@ -124,8 +129,7 @@ impl DirTreeAdaptive {
                 params.adapt_flip_down,
                 params.adapt_saturation,
             ),
-            inflight: FxHashMap::default(),
-            pending_retire: FxHashMap::default(),
+            rows: BlockTable::new(),
             nodes: 0,
         }
     }
@@ -137,7 +141,11 @@ impl DirTreeAdaptive {
 
     /// Current detector score for `addr` (diagnostics / tests).
     pub fn score(&self, addr: Addr) -> i32 {
-        self.detector.score(addr)
+        self.pattern(addr).map_or(0, BlockPattern::score)
+    }
+
+    fn pattern(&self, addr: Addr) -> Option<&BlockPattern> {
+        self.rows.get(addr)?.pattern.as_ref()
     }
 
     /// Force `addr`'s mode bit *without* the drain check. This is a fault
@@ -156,10 +164,11 @@ impl DirTreeAdaptive {
     fn maybe_flip(&mut self, ctx: &mut dyn ProtoCtx, addr: Addr) {
         debug_assert!(self.tree.flip_idle(addr));
         let in_update = self.tree.updates(addr);
-        if self.detector.prefers_update(addr, in_update) == in_update {
+        if self.detector.prefers_update(self.pattern(addr), in_update) == in_update {
             return;
         }
-        if self.inflight.contains_key(&addr) || self.pending_retire.contains_key(&addr) {
+        let row = self.rows.get_mut_or_grow(addr);
+        if row.inflight != 0 || row.pending_retire != 0 {
             return;
         }
         self.tree.flip(addr, !in_update);
@@ -184,12 +193,14 @@ impl Protocol for DirTreeAdaptive {
 
     fn note_read_hit(&mut self, node: NodeId, addr: Addr) {
         debug_assert!(self.nodes > 0, "read hit before any miss");
-        self.detector.record_read(addr, node, self.nodes);
+        let pattern = &mut self.rows.get_mut_or_grow(addr).pattern;
+        self.detector.record_read(pattern, node, self.nodes);
     }
 
     fn note_op_retired(&mut self, node: NodeId, addr: Addr, op: OpKind) {
         let _ = (node, op);
-        count_down(&mut self.pending_retire, addr, "retirement");
+        let row = self.rows.get_mut_or_grow(addr);
+        count_down(&mut row.pending_retire, addr, "retirement");
     }
 
     fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
@@ -201,7 +212,8 @@ impl Protocol for DirTreeAdaptive {
     fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         self.nodes = ctx.num_nodes();
         let addr = msg.addr;
-        count_down(&mut self.inflight, addr, "arrival");
+        let row = self.rows.get_mut_or_grow(addr);
+        count_down(&mut row.inflight, addr, "arrival");
         // Fresh requests at the home: feed the detector and consider a mode
         // flip before the tree serves them under the (possibly new) mode.
         // Reads are recorded even when the request will be deferred by the
@@ -210,13 +222,16 @@ impl Protocol for DirTreeAdaptive {
         // closes exactly one interval.
         match msg.kind {
             MsgKind::ReadReq { requester } => {
-                self.detector.record_read(addr, requester, self.nodes);
+                self.detector
+                    .record_read(&mut row.pattern, requester, self.nodes);
                 if self.tree.flip_idle(addr) {
                     self.maybe_flip(ctx, addr);
                 }
             }
             MsgKind::WriteReq { requester } if self.tree.flip_idle(addr) => {
-                let pattern = self.detector.record_write(addr, requester, self.nodes);
+                let pattern = self
+                    .detector
+                    .record_write(&mut row.pattern, requester, self.nodes);
                 ctx.note(ProtoEvent::PatternSample(pattern));
                 self.maybe_flip(ctx, addr);
             }
@@ -246,23 +261,21 @@ impl Protocol for DirTreeAdaptive {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
         self.tree.fingerprint(h);
-        digest_map(h, &self.inflight);
-        digest_map(h, &self.pending_retire);
-        self.detector.digest(h);
+        crate::fingerprint::digest_rows(h, &self.rows);
     }
 
     fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
-        // In-flight and retire counts are keyed by address only; the
-        // node-bearing state lives in the tree and the detector, both of
+        // In-flight and retire counts are node-free; the node-bearing
+        // state lives in the tree and the detector's observations, both of
         // which certify equivariance concretely.
         Some(Box::new(DirTreeAdaptive {
             tree: self.tree.relabeled_concrete(perm),
-            detector: self.detector.relabeled(perm),
-            inflight: self.inflight.clone(),
-            pending_retire: self.pending_retire.clone(),
-            nodes: self.nodes,
+            rows: self.rows.map(|r| Row {
+                pattern: r.pattern.as_ref().map(|b| b.relabeled(perm)),
+                ..*r
+            }),
+            ..*self
         }))
     }
 
@@ -278,15 +291,19 @@ impl Protocol for DirTreeAdaptive {
     ) -> Result<(), String> {
         self.tree.check_invariants(ctx, addrs, quiescent)?;
         if quiescent {
-            if let Some((&addr, &c)) = self.inflight.iter().next() {
-                return Err(format!(
-                    "quiescent but {c} in-flight messages counted for {addr:#x}"
-                ));
-            }
-            if let Some((&addr, &c)) = self.pending_retire.iter().next() {
-                return Err(format!(
-                    "quiescent but {c} unretired completions counted for {addr:#x}"
-                ));
+            for (addr, row) in self.rows.iter_nonempty() {
+                if row.inflight != 0 {
+                    return Err(format!(
+                        "quiescent but {} in-flight messages counted for {addr:#x}",
+                        row.inflight
+                    ));
+                }
+                if row.pending_retire != 0 {
+                    return Err(format!(
+                        "quiescent but {} unretired completions counted for {addr:#x}",
+                        row.pending_retire
+                    ));
+                }
             }
         }
         Ok(())

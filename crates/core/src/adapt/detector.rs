@@ -14,9 +14,7 @@
 //! oscillates between two adjacent scores and never flips at all.
 
 use crate::dir::util::NodeSet;
-use crate::fingerprint::digest_map;
-use crate::types::{Addr, NodeId};
-use dirtree_sim::FxHashMap;
+use crate::types::NodeId;
 
 /// How a block was shared during one write interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,23 +47,42 @@ impl SharingPattern {
 }
 
 /// Per-block observation state: the readers of the current write interval,
-/// the last writer, and the running pattern score.
-#[derive(Clone, Debug, Hash)]
-struct BlockState {
+/// the last writer, and the running pattern score. It lives in the block's
+/// row of the protocol, as an `Option` that the first observation fills.
+#[derive(Clone, Debug, PartialEq, Hash)]
+pub struct BlockPattern {
     readers: NodeSet,
     last_writer: Option<NodeId>,
     score: i32,
 }
 
-/// The per-block sharing-pattern detector (one per home-node protocol
-/// instance; blocks are keyed by address, so one detector serves every
-/// home).
-#[derive(Clone, Debug)]
+impl BlockPattern {
+    /// Current score (diagnostics / tests).
+    pub fn score(&self) -> i32 {
+        self.score
+    }
+
+    /// The state with every observed node id mapped through `perm`
+    /// (`perm[old] = new`) — classification depends only on reader-set
+    /// cardinality and writer identity *equality*, never on id magnitude,
+    /// so this is an exact equivariance (checker symmetry support).
+    pub fn relabeled(&self, perm: &[NodeId]) -> BlockPattern {
+        BlockPattern {
+            readers: self.readers.relabeled(perm),
+            last_writer: self.last_writer.map(|n| perm[n as usize]),
+            score: self.score,
+        }
+    }
+}
+
+/// The sharing-pattern classifier: the Schmitt-trigger thresholds, applied
+/// to one block's [`BlockPattern`] at a time (the home protocol keeps one
+/// per block; one detector serves every home).
+#[derive(Clone, Copy, Debug)]
 pub struct PatternDetector {
     flip_up: i32,
     flip_down: i32,
     saturation: i32,
-    blocks: FxHashMap<Addr, BlockState>,
 }
 
 impl PatternDetector {
@@ -79,30 +96,34 @@ impl PatternDetector {
             flip_up,
             flip_down,
             saturation,
-            blocks: FxHashMap::default(),
         }
     }
 
-    fn block(&mut self, addr: Addr, nodes: u32) -> &mut BlockState {
-        self.blocks.entry(addr).or_insert_with(|| BlockState {
+    fn block(block: &mut Option<BlockPattern>, nodes: u32) -> &mut BlockPattern {
+        block.get_or_insert_with(|| BlockPattern {
             readers: NodeSet::new(nodes),
             last_writer: None,
             score: 0,
         })
     }
 
-    /// A read of `addr` by `reader` was observed (home request or machine
-    /// read-hit note). Idempotent within an interval: the reader set is a
-    /// bitset, so hot readers do not outweigh wide sharing.
-    pub fn record_read(&mut self, addr: Addr, reader: NodeId, nodes: u32) {
-        self.block(addr, nodes).readers.insert(reader);
+    /// A read of the block by `reader` was observed (home request or
+    /// machine read-hit note). Idempotent within an interval: the reader
+    /// set is a bitset, so hot readers do not outweigh wide sharing.
+    pub fn record_read(&self, block: &mut Option<BlockPattern>, reader: NodeId, nodes: u32) {
+        Self::block(block, nodes).readers.insert(reader);
     }
 
-    /// A write of `addr` by `writer` closed the current interval: classify
-    /// it, fold it into the score, and start the next interval.
-    pub fn record_write(&mut self, addr: Addr, writer: NodeId, nodes: u32) -> SharingPattern {
+    /// A write of the block by `writer` closed the current interval:
+    /// classify it, fold it into the score, and start the next interval.
+    pub fn record_write(
+        &self,
+        block: &mut Option<BlockPattern>,
+        writer: NodeId,
+        nodes: u32,
+    ) -> SharingPattern {
         let sat = self.saturation;
-        let b = self.block(addr, nodes);
+        let b = Self::block(block, nodes);
         let r = b.readers.len();
         let writer_changed = b.last_writer != Some(writer);
         let pattern = if r == 0 {
@@ -124,52 +145,16 @@ impl PatternDetector {
         pattern
     }
 
-    /// Which mode does the detector want for `addr`, given the block's
-    /// current mode? The Schmitt trigger: an invalidate-mode block flips up
-    /// only at `score >= flip_up`; an update-mode block flips down only at
+    /// Which mode does the detector want for the block, given its current
+    /// mode? The Schmitt trigger: an invalidate-mode block flips up only at
+    /// `score >= flip_up`; an update-mode block flips down only at
     /// `score <= flip_down`.
-    pub fn prefers_update(&self, addr: Addr, currently_update: bool) -> bool {
-        let score = self.blocks.get(&addr).map_or(0, |b| b.score);
+    pub fn prefers_update(&self, block: Option<&BlockPattern>, currently_update: bool) -> bool {
+        let score = block.map_or(0, BlockPattern::score);
         if currently_update {
             score > self.flip_down
         } else {
             score >= self.flip_up
-        }
-    }
-
-    /// Current score (diagnostics / tests).
-    pub fn score(&self, addr: Addr) -> i32 {
-        self.blocks.get(&addr).map_or(0, |b| b.score)
-    }
-
-    /// Canonical digest of the full detector state (model-checker support).
-    pub fn digest(&self, h: &mut dyn std::hash::Hasher) {
-        digest_map(h, &self.blocks);
-    }
-
-    /// The detector with every observed node id mapped through `perm`
-    /// (`perm[old] = new`) — classification depends only on reader-set
-    /// cardinality and writer identity *equality*, never on id magnitude,
-    /// so this is an exact equivariance (checker symmetry support).
-    pub fn relabeled(&self, perm: &[NodeId]) -> PatternDetector {
-        PatternDetector {
-            flip_up: self.flip_up,
-            flip_down: self.flip_down,
-            saturation: self.saturation,
-            blocks: self
-                .blocks
-                .iter()
-                .map(|(&a, b)| {
-                    (
-                        a,
-                        BlockState {
-                            readers: b.readers.relabeled(perm),
-                            last_writer: b.last_writer.map(|n| perm[n as usize]),
-                            score: b.score,
-                        },
-                    )
-                })
-                .collect(),
         }
     }
 }
@@ -177,12 +162,47 @@ impl PatternDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Addr;
+    use dirtree_sim::BlockTable;
 
     const P: u32 = 16;
 
-    fn det() -> PatternDetector {
+    /// The detector with a per-block table, as the protocol holds it.
+    struct Blocks {
+        d: PatternDetector,
+        rows: BlockTable<Option<BlockPattern>>,
+    }
+
+    impl Blocks {
+        fn record_read(&mut self, addr: Addr, reader: NodeId, nodes: u32) {
+            self.d
+                .record_read(self.rows.get_mut_or_grow(addr), reader, nodes);
+        }
+
+        fn record_write(&mut self, addr: Addr, writer: NodeId, nodes: u32) -> SharingPattern {
+            self.d
+                .record_write(self.rows.get_mut_or_grow(addr), writer, nodes)
+        }
+
+        fn block(&self, addr: Addr) -> Option<&BlockPattern> {
+            self.rows.get(addr).and_then(Option::as_ref)
+        }
+
+        fn prefers_update(&self, addr: Addr, currently_update: bool) -> bool {
+            self.d.prefers_update(self.block(addr), currently_update)
+        }
+
+        fn score(&self, addr: Addr) -> i32 {
+            self.block(addr).map_or(0, BlockPattern::score)
+        }
+    }
+
+    fn det() -> Blocks {
         // The protocol's defaults: flip up at +2, down at -2, saturate at 4.
-        PatternDetector::new(2, -2, 4)
+        Blocks {
+            d: PatternDetector::new(2, -2, 4),
+            rows: BlockTable::new(),
+        }
     }
 
     #[test]
@@ -307,9 +327,9 @@ mod tests {
         use std::hash::Hasher;
         let mut a = det();
         let mut b = det();
-        let run = |d: &PatternDetector| {
+        let run = |d: &Blocks| {
             let mut h = dirtree_sim::hash::FxHasher::default();
-            d.digest(&mut h);
+            crate::fingerprint::digest_rows(&mut h, &d.rows);
             h.finish()
         };
         assert_eq!(run(&a), run(&b));

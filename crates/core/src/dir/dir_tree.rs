@@ -75,12 +75,11 @@
 //! ```
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{AckCollectors, TxnGate};
+use crate::dir::util::{read_fill, send, send_home, wb_req, Collector, NodeRecs, TxnGate};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::{FxHashMap, FxHashSet};
-use std::collections::BTreeSet;
+use dirtree_sim::BlockTable;
 
 /// A directory pointer: the root of one sharer tree and its recorded level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -99,7 +98,7 @@ pub(crate) enum WritePolicy {
     PerBlock,
 }
 
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     dirty: bool,
     owner: NodeId,
@@ -112,8 +111,88 @@ struct Entry {
     grant_self_root: bool,
 }
 
-/// Per-`(node, block)` edge lists: child pointers, or zombie edges.
-type Edges = FxHashMap<(NodeId, Addr), Vec<NodeId>>;
+impl Entry {
+    fn relabeled(&self, perm: &[NodeId]) -> Entry {
+        let node = |n: NodeId| perm[n as usize];
+        Entry {
+            owner: node(self.owner),
+            ptrs: self
+                .ptrs
+                .iter()
+                .map(|p| {
+                    p.map(|p| Ptr {
+                        node: node(p.node),
+                        ..p
+                    })
+                })
+                .collect(),
+            pending: self.pending.map(|(n, op)| (node(n), op)),
+            ..*self
+        }
+    }
+}
+
+/// One node's records for one block.
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Rec {
+    /// Cache-side child pointers (up to `arity`).
+    children: Vec<NodeId>,
+    /// Edges of a disbanded subtree: children this node has already sent
+    /// an *unacknowledged* `ReplaceInv`, remembered until an acknowledged
+    /// wave re-traverses them. Nothing orders a silent kill before a later
+    /// write grant except per-channel FIFO — so the wave's message must
+    /// follow the same channels the `ReplaceInv` took. Dropping these
+    /// edges at replacement time lets a write complete while the kill is
+    /// still in flight (the model checker finds the race in 12 steps at
+    /// P=2).
+    zombies: Vec<NodeId>,
+    collector: Option<Collector>,
+    /// A writeback request that arrived while this owner was still killing
+    /// its own subtree (`WmLip`); served when it becomes exclusive.
+    pending_wb: Option<(OpKind, NodeId)>,
+    /// A `Replace_INV` that landed on an update block while this node's
+    /// update grant was in flight (state `WmIp`): the kill is deferred to
+    /// grant time, because the edge that led here is already gone — a copy
+    /// the grant made valid would be unreachable from the roots forever.
+    kill: bool,
+}
+
+impl Rec {
+    fn relabeled(&self, perm: &[NodeId]) -> Rec {
+        let nodes = |v: &[NodeId]| v.iter().map(|&n| perm[n as usize]).collect();
+        Rec {
+            children: nodes(&self.children),
+            zombies: nodes(&self.zombies),
+            collector: self.collector.as_ref().map(|c| c.relabeled(perm)),
+            pending_wb: self.pending_wb.map(|(op, req)| (op, perm[req as usize])),
+            kill: self.kill,
+        }
+    }
+}
+
+/// One block's row.
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Row {
+    /// The per-block write-policy bit: set while a `PerBlock` instance
+    /// writes this block with updates (clear = invalidate, the default).
+    /// Always clear under the two static policies.
+    update: bool,
+    /// The directory entry, once a request created it.
+    entry: Option<Entry>,
+    gate: TxnGate,
+    nodes: NodeRecs<Rec>,
+}
+
+impl Row {
+    fn relabeled(&self, perm: &[NodeId]) -> Row {
+        Row {
+            update: self.update,
+            entry: self.entry.as_ref().map(|e| e.relabeled(perm)),
+            gate: self.gate.relabeled(perm),
+            nodes: self.nodes.relabeled(perm, |r| r.relabeled(perm)),
+        }
+    }
+}
 
 /// The Dir_iTree_k protocol.
 #[derive(Clone)]
@@ -122,34 +201,7 @@ pub struct DirTree {
     arity: u32,
     params: ProtocolParams,
     policy: WritePolicy,
-    /// The per-block write-policy bit: blocks a `PerBlock` instance
-    /// currently writes with updates (absent = invalidate, the default).
-    /// Always empty under the two static policies.
-    update_blocks: FxHashSet<Addr>,
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
-    /// Cache-side child pointers (up to `arity` per line).
-    children: Edges,
-    /// Edges of a disbanded subtree: children a node has already sent an
-    /// *unacknowledged* `ReplaceInv`, remembered until an acknowledged
-    /// wave re-traverses them. Nothing orders a silent kill before a later
-    /// write grant except per-channel FIFO — so the wave's message must
-    /// follow the same channels the `ReplaceInv` took. Dropping these
-    /// edges at replacement time lets a write complete while the kill is
-    /// still in flight (the model checker finds the race in 12 steps at
-    /// P=2).
-    zombies: Edges,
-    collectors: AckCollectors,
-    /// Writeback requests that arrived while the owner was still killing
-    /// its own subtree (`WmLip`); served when it becomes exclusive.
-    pending_wb: FxHashMap<(NodeId, Addr), (OpKind, NodeId)>,
-    /// `Replace_INV`s that landed on an update block while the target's
-    /// update grant was in flight (state `WmIp`): the kill is deferred to
-    /// grant time, because the edge that led here is already gone — a copy
-    /// the grant made valid would be unreachable from the roots forever.
-    /// Block-major and ordered, so [`Self::flip_idle`] asks about one block
-    /// with a range lookup and the digest needs no sorting.
-    pending_kill: BTreeSet<(Addr, NodeId)>,
+    rows: BlockTable<Row>,
     /// Reusable scratch for one wave's `(target, partner)` root fan-out —
     /// cleared before every use, so its carry-over contents are *not*
     /// protocol state: it is excluded from [`Protocol::fingerprint`] (the
@@ -175,14 +227,7 @@ fn send_ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: b
     } else {
         MsgKind::InvAck { dir }
     };
-    ctx.send(
-        to,
-        Msg {
-            addr,
-            src: node,
-            kind,
-        },
-    );
+    send(ctx, node, to, addr, kind);
 }
 
 impl DirTree {
@@ -204,16 +249,21 @@ impl DirTree {
             arity,
             params,
             policy,
-            update_blocks: FxHashSet::default(),
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
-            children: FxHashMap::default(),
-            zombies: FxHashMap::default(),
-            collectors: AckCollectors::new(),
-            pending_wb: FxHashMap::default(),
-            pending_kill: BTreeSet::new(),
+            rows: BlockTable::new(),
             wave_scratch: Vec::new(),
         }
+    }
+
+    fn row(&mut self, addr: Addr) -> &mut Row {
+        self.rows.get_mut_or_grow(addr)
+    }
+
+    fn rec(&self, node: NodeId, addr: Addr) -> Option<&Rec> {
+        self.rows.get(addr)?.nodes.get(node)
+    }
+
+    fn edit<T>(&mut self, node: NodeId, addr: Addr, f: impl FnOnce(&mut Rec) -> T) -> T {
+        self.row(addr).nodes.edit(node, f)
     }
 
     /// Does a write to `addr` update the other copies (rather than
@@ -222,7 +272,7 @@ impl DirTree {
         match self.policy {
             WritePolicy::Invalidate => false,
             WritePolicy::Update => true,
-            WritePolicy::PerBlock => self.update_blocks.contains(&addr),
+            WritePolicy::PerBlock => self.rows.get(addr).is_some_and(|r| r.update),
         }
     }
 
@@ -231,11 +281,7 @@ impl DirTree {
     /// this is the fault injector behind `DirTreeAdaptive::force_mode`.
     pub(crate) fn set_update_bit(&mut self, addr: Addr, update: bool) {
         debug_assert_eq!(self.policy, WritePolicy::PerBlock);
-        if update {
-            self.update_blocks.insert(addr);
-        } else {
-            self.update_blocks.remove(&addr);
-        }
+        self.row(addr).update = update;
     }
 
     /// Flip a drained block ([`Self::flip_idle`]) to the other write
@@ -248,9 +294,10 @@ impl DirTree {
     /// it).
     pub(crate) fn flip(&mut self, addr: Addr, to_update: bool) {
         debug_assert!(self.flip_idle(addr));
-        if let Some(e) = self.entries.get_mut(&addr) {
+        let row = self.row(addr);
+        if let Some(e) = &mut row.entry {
             if e.ptrs.iter().all(Option::is_none) {
-                self.entries.remove(&addr);
+                row.entry = None;
             } else {
                 e.owner = NodeId::default();
             }
@@ -260,7 +307,7 @@ impl DirTree {
 
     fn entry(&mut self, addr: Addr) -> &mut Entry {
         let i = self.pointers as usize;
-        self.entries.entry(addr).or_insert_with(|| Entry {
+        self.row(addr).entry.get_or_insert_with(|| Entry {
             ptrs: vec![None; i],
             ..Entry::default()
         })
@@ -270,27 +317,22 @@ impl DirTree {
     /// in pointer-index order (for tests, analysis cross-checks, and the
     /// tree-shape experiment).
     pub fn forest(&self, addr: Addr) -> Vec<Option<Ptr>> {
-        self.entries
-            .get(&addr)
+        self.rows
+            .get(addr)
+            .and_then(|r| r.entry.as_ref())
             .map(|e| e.ptrs.clone())
             .unwrap_or_else(|| vec![None; self.pointers as usize])
     }
 
     /// Cache-side children of `(node, addr)`.
     pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.children
-            .get(&(node, addr))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.rec(node, addr).map_or(&[], |r| &r.children)
     }
 
     /// Disbanded-subtree edges of `(node, addr)` still awaiting an
-    /// acknowledged re-traversal (see the `zombies` field).
+    /// acknowledged re-traversal (see `Rec::zombies`).
     pub fn zombies_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.zombies
-            .get(&(node, addr))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.rec(node, addr).map_or(&[], |r| &r.zombies)
     }
 
     /// The drain predicate of a policy flip: no home transaction or
@@ -302,14 +344,15 @@ impl DirTree {
     /// exists, which [`Protocol::check_invariants`] pins.) The adaptive
     /// hybrid additionally requires zero in-flight messages.
     pub(crate) fn flip_idle(&self, addr: Addr) -> bool {
-        !self.gate.has_traffic(addr)
-            && !self.collectors.open_at_addr(addr)
-            && self
-                .pending_kill
-                .range((addr, NodeId::MIN)..=(addr, NodeId::MAX))
-                .next()
-                .is_none()
-            && self.entries.get(&addr).is_none_or(|e| {
+        let Some(row) = self.rows.get(addr) else {
+            return true;
+        };
+        !row.gate.has_traffic()
+            && row
+                .nodes
+                .iter()
+                .all(|(_, r)| r.collector.is_none() && !r.kill)
+            && row.entry.as_ref().is_none_or(|e| {
                 !e.dirty
                     && e.pending.is_none()
                     && e.wait_acks == 0
@@ -322,23 +365,17 @@ impl DirTree {
     /// `ReplaceInv` per child, with the edges moved to the zombie set so
     /// the next acknowledged wave still covers them.
     fn disband(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        let kids = self.children.remove(&(node, addr)).unwrap_or_default();
-        if kids.is_empty() {
-            return;
-        }
-        let z = self.zombies.entry((node, addr)).or_default();
-        for k in kids {
-            ctx.send(
-                k,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::ReplaceInv,
-                },
-            );
-            if !z.contains(&k) {
-                z.push(k);
+        let kids = self.edit(node, addr, |r| {
+            let kids = std::mem::take(&mut r.children);
+            for &k in &kids {
+                if !r.zombies.contains(&k) {
+                    r.zombies.push(k);
+                }
             }
+            kids
+        });
+        for k in kids {
+            send(ctx, node, k, addr, MsgKind::ReplaceInv);
         }
     }
 
@@ -436,7 +473,7 @@ impl DirTree {
         let MsgKind::ReadReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.row(addr).gate.admit(&msg) {
             return;
         }
         if self.entry(addr).dirty {
@@ -445,27 +482,19 @@ impl DirTree {
             e.pending = Some((requester, OpKind::Read));
             e.wait_wb = true;
             let owner = e.owner;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 owner,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::WbReq {
-                        for_op: OpKind::Read,
-                        requester,
-                    },
+                addr,
+                MsgKind::WbReq {
+                    for_op: OpKind::Read,
+                    requester,
                 },
             );
         } else {
             let adopt = self.insert_sharer(ctx, addr, requester);
-            ctx.send(
-                requester,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::ReadReply { adopt },
-                },
-            );
+            send(ctx, home, requester, addr, MsgKind::ReadReply { adopt });
             // Transaction stays open until the FillAck.
         }
     }
@@ -486,7 +515,12 @@ impl DirTree {
         // write's fan-out list never allocates on the hot path.
         let mut sends = std::mem::take(&mut self.wave_scratch);
         sends.clear();
-        let ptrs = &self.entries[&addr].ptrs;
+        let ptrs = &self
+            .rows
+            .get(addr)
+            .and_then(|r| r.entry.as_ref())
+            .expect("a wave for a block with no directory entry")
+            .ptrs;
         let root = |slot: usize| {
             let node = ptrs.get(slot).copied().flatten()?.node;
             (Some(node) != skip).then_some(node)
@@ -505,14 +539,7 @@ impl DirTree {
             sends.extend((0..ptrs.len()).filter_map(root).map(|n| (n, None)));
         }
         for &(dst, also) in &sends {
-            ctx.send(
-                dst,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: wave_msg(update, also, true),
-                },
-            );
+            send(ctx, home, dst, addr, wave_msg(update, also, true));
         }
         let expected = sends.len() as u32;
         self.wave_scratch = sends;
@@ -520,36 +547,29 @@ impl DirTree {
     }
 
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let e = self.entries.get_mut(&addr).unwrap();
+        let row = self.row(addr);
+        let e = row.entry.as_mut().unwrap();
         e.dirty = true;
         e.owner = writer;
         e.ptrs.iter_mut().for_each(|p| *p = None);
         let kill_self_subtree = e.grant_self_root;
         e.grant_self_root = false;
-        ctx.send(
+        send(
+            ctx,
+            home,
             writer,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::WriteReply { kill_self_subtree },
-            },
+            addr,
+            MsgKind::WriteReply { kill_self_subtree },
         );
-        self.gate.finish_txn(ctx, home, addr);
+        row.gate.finish_txn(ctx, home);
     }
 
     /// Grant an update write: the writer keeps a valid copy, so it joins
     /// the forest like any other sharer.
     fn grant_update(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
         let adopt = self.insert_sharer(ctx, addr, writer);
-        ctx.send(
-            writer,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::UpdateGrant { adopt },
-            },
-        );
-        self.gate.finish_txn(ctx, home, addr);
+        send(ctx, home, writer, addr, MsgKind::UpdateGrant { adopt });
+        self.row(addr).gate.finish_txn(ctx, home);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -557,7 +577,7 @@ impl DirTree {
         let MsgKind::WriteReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.row(addr).gate.admit(&msg) {
             return;
         }
         // Policy point 1 of 4: which wave this write launches.
@@ -570,15 +590,14 @@ impl DirTree {
             e.pending = Some((requester, OpKind::Write));
             e.wait_wb = true;
             let owner = e.owner;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 owner,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::WbReq {
-                        for_op: OpKind::Write,
-                        requester,
-                    },
+                addr,
+                MsgKind::WbReq {
+                    for_op: OpKind::Write,
+                    requester,
                 },
             );
             return;
@@ -641,14 +660,7 @@ impl DirTree {
                         });
                     }
                     let adopt = self.insert_sharer(ctx, addr, requester);
-                    ctx.send(
-                        requester,
-                        Msg {
-                            addr,
-                            src: home,
-                            kind: MsgKind::ReadReply { adopt },
-                        },
-                    );
+                    send(ctx, home, requester, addr, MsgKind::ReadReply { adopt });
                     // Transaction stays open until the FillAck.
                 }
                 OpKind::Write => {
@@ -657,7 +669,7 @@ impl DirTree {
             }
         } else {
             debug_assert!(evict);
-            let e = self.entries.get_mut(&addr).unwrap();
+            let e = self.row(addr).entry.as_mut().unwrap();
             debug_assert!(e.dirty && e.owner == src);
             e.dirty = false;
         }
@@ -665,7 +677,7 @@ impl DirTree {
 
     /// A root acknowledged the home's wave; the last ack grants the write.
     fn handle_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, update: bool) {
-        let e = self.entries.get_mut(&addr).expect("ack without entry");
+        let e = self.row(addr).entry.as_mut().expect("ack without entry");
         debug_assert!(e.wait_acks > 0);
         e.wait_acks -= 1;
         if e.wait_acks == 0 {
@@ -701,10 +713,13 @@ impl DirTree {
         // ex-ancestor). Immediate acks make every wait edge follow
         // first-visit order, which is acyclic. A pairing duty ('also') is
         // the one thing that must still be discharged and awaited.
-        if self.collectors.is_open(node, addr) {
+        if self.rec(node, addr).is_some_and(|r| r.collector.is_some()) {
             if let Some(partner) = also {
                 ctx.send(partner, forward());
-                self.collectors.absorb(node, addr, msg.src, dir, 1);
+                self.edit(node, addr, |r| {
+                    let c = r.collector.as_mut().expect("absorb on closed collector");
+                    c.absorb(msg.src, dir, 1);
+                });
             } else {
                 send_ack(ctx, node, addr, msg.src, dir, update);
             }
@@ -728,20 +743,28 @@ impl DirTree {
         // flight) has no copy and no children, but its zombie edges and its
         // pairing duty are still owed. An upgrading writer (`WmIp`) loses
         // its old copy's subtree to an `Inv` and keeps it under an `Update`;
-        // its line stays transient awaiting the grant either way.
-        let mut targets = if !update {
-            self.children.remove(&(node, addr)).unwrap_or_default()
-        } else if matches!(state, LineState::V | LineState::WmIp) {
-            self.children_of(node, addr).to_vec()
-        } else {
-            Vec::new()
-        };
-        for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
-            if !targets.contains(&z) {
-                targets.push(z);
+        // its line stays transient awaiting the grant either way. The
+        // collector, if anything was forwarded, opens in the same edit.
+        let keeps_copy = matches!(state, LineState::V | LineState::WmIp);
+        let targets = self.edit(node, addr, |r| {
+            let mut targets = if !update {
+                std::mem::take(&mut r.children)
+            } else if keeps_copy {
+                r.children.clone()
+            } else {
+                Vec::new()
+            };
+            for z in std::mem::take(&mut r.zombies) {
+                if !targets.contains(&z) {
+                    targets.push(z);
+                }
             }
-        }
-        targets.extend(also);
+            targets.extend(also);
+            if !targets.is_empty() {
+                Collector::open(&mut r.collector, msg.src, dir, targets.len() as u32);
+            }
+            targets
+        });
         for &t in &targets {
             ctx.send(t, forward());
         }
@@ -751,19 +774,16 @@ impl DirTree {
                 ctx.set_line_state(node, addr, LineState::Iv);
             }
             send_ack(ctx, node, addr, msg.src, dir, update);
-        } else {
-            if dies {
-                ctx.set_line_state(node, addr, LineState::InvIp);
-            }
-            self.collectors
-                .open(node, addr, msg.src, dir, targets.len() as u32);
+        } else if dies {
+            ctx.set_line_state(node, addr, LineState::InvIp);
         }
     }
 
     /// A forwarded wave message was acknowledged; the last ack settles
     /// every debt the collector absorbed.
     fn handle_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, update: bool) {
-        let Some(targets) = self.collectors.ack(node, addr) else {
+        let done = self.edit(node, addr, |r| Collector::ack(&mut r.collector));
+        let Some(targets) = done else {
             return;
         };
         if ctx.line_state(node, addr) == LineState::InvIp {
@@ -775,7 +795,8 @@ impl DirTree {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
                 ctx.set_line_state(node, addr, LineState::E);
                 ctx.complete(node, addr, OpKind::Write);
-                if let Some((for_op, requester)) = self.pending_wb.remove(&(node, addr)) {
+                let parked = self.edit(node, addr, |r| r.pending_wb.take());
+                if let Some((for_op, requester)) = parked {
                     self.serve_wb_req(ctx, node, addr, for_op, requester);
                 }
             } else {
@@ -786,33 +807,16 @@ impl DirTree {
 
     /// Serve a home recall at the exclusive owner.
     fn serve_wb_req(
-        &mut self,
+        &self,
         ctx: &mut dyn ProtoCtx,
         node: NodeId,
         addr: Addr,
         for_op: OpKind,
         requester: NodeId,
     ) {
-        use crate::types::LineState as S;
-        debug_assert_eq!(ctx.line_state(node, addr), S::E);
+        debug_assert_eq!(ctx.line_state(node, addr), LineState::E);
         debug_assert!(self.children_of(node, addr).is_empty());
-        ctx.set_line_state(
-            node,
-            addr,
-            match for_op {
-                OpKind::Read => S::V,
-                OpKind::Write => S::Iv,
-            },
-        );
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::WbData { for_op, requester },
-            },
-        );
+        wb_req(ctx, node, addr, for_op, requester);
     }
 
     fn handle_read_reply(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
@@ -827,19 +831,9 @@ impl DirTree {
         );
         debug_assert!(adopt.len() <= self.arity as usize);
         if !adopt.is_empty() {
-            self.children.insert((node, addr), adopt.into_vec());
+            self.edit(node, addr, |r| r.children = adopt.into_vec());
         }
-        ctx.set_line_state(node, addr, LineState::V);
-        ctx.complete(node, addr, OpKind::Read);
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::FillAck,
-            },
-        );
+        read_fill(ctx, node, addr);
     }
 
     /// The update writer's grant: adopt the roots the home handed over and
@@ -850,15 +844,15 @@ impl DirTree {
             unreachable!()
         };
         debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-        if !adopt.is_empty() {
-            let slot = self.children.entry((node, addr)).or_default();
+        let killed = self.edit(node, addr, |r| {
             for &a in adopt.iter() {
-                if !slot.contains(&a) && a != node {
-                    slot.push(a);
+                if !r.children.contains(&a) && a != node {
+                    r.children.push(a);
                 }
             }
-        }
-        if self.pending_kill.remove(&(addr, node)) {
+            std::mem::take(&mut r.kill)
+        });
+        if killed {
             // A `Replace_INV` raced this grant (see `handle_replace_inv`).
             // The write itself is done — the home applied the value when it
             // processed the request — but the local copy must go the way
@@ -891,7 +885,7 @@ impl DirTree {
             // time instead. An invalidate grant makes the line exclusive,
             // which is no longer the copy the stale parent meant.
             LineState::WmIp if self.updates(addr) => {
-                self.pending_kill.insert((addr, node));
+                self.edit(node, addr, |r| r.kill = true);
             }
             // Any other transient, invalid or exclusive line is not the
             // copy the stale parent thought it was killing.
@@ -901,7 +895,7 @@ impl DirTree {
 
     fn handle_repl_notify(&mut self, _ctx: &mut dyn ProtoCtx, addr: Addr, src: NodeId) {
         // Ablation policy E12: clear a stale root pointer eagerly.
-        if let Some(e) = self.entries.get_mut(&addr) {
+        if let Some(e) = self.rows.get_mut(addr).and_then(|r| r.entry.as_mut()) {
             for p in e.ptrs.iter_mut() {
                 if p.map(|q| q.node) == Some(src) {
                     *p = None;
@@ -938,49 +932,53 @@ impl Protocol for DirTree {
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, msg.src, true),
             MsgKind::InvAck { dir: true } => self.handle_ack_home(ctx, node, addr, false),
             MsgKind::UpdateAck { dir: true } => self.handle_ack_home(ctx, node, addr, true),
-            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.row(addr).gate.finish_txn(ctx, node),
             MsgKind::InvAck { dir: false } => self.handle_ack_cache(ctx, node, addr, false),
             MsgKind::UpdateAck { dir: false } => self.handle_ack_cache(ctx, node, addr, true),
             MsgKind::ReadReply { .. } => self.handle_read_reply(ctx, node, msg),
             MsgKind::UpdateGrant { .. } => self.handle_update_grant(ctx, node, msg),
             MsgKind::WriteReply { kill_self_subtree } => {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                let mut kids = if kill_self_subtree {
-                    self.children.remove(&(node, addr)).unwrap_or_default()
-                } else {
-                    // Any children the writer had were killed when the
-                    // invalidation reached it through the forest (before
-                    // its subtree acked, hence before this grant).
-                    debug_assert!(self.children_of(node, addr).is_empty());
-                    Vec::new()
-                };
-                // A subtree this writer disbanded earlier (silent
-                // replacement, then re-miss) may still have its
-                // `ReplaceInv`s in flight: re-kill it with acknowledged
-                // invalidations so the write cannot complete first.
-                for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
-                    if !kids.contains(&z) {
-                        kids.push(z);
+                // Without `kill_self_subtree`, any children the writer had
+                // were killed when the invalidation reached it through the
+                // forest (before its subtree acked, hence before this
+                // grant).
+                debug_assert!(kill_self_subtree || self.children_of(node, addr).is_empty());
+                let kids = self.edit(node, addr, |r| {
+                    let mut kids = if kill_self_subtree {
+                        std::mem::take(&mut r.children)
+                    } else {
+                        Vec::new()
+                    };
+                    // A subtree this writer disbanded earlier (silent
+                    // replacement, then re-miss) may still have its
+                    // `ReplaceInv`s in flight: re-kill it with acknowledged
+                    // invalidations so the write cannot complete first.
+                    for z in std::mem::take(&mut r.zombies) {
+                        if !kids.contains(&z) {
+                            kids.push(z);
+                        }
                     }
-                }
+                    if !kids.is_empty() {
+                        // Kill our own subtree before the write completes.
+                        Collector::open(&mut r.collector, node, false, kids.len() as u32);
+                    }
+                    kids
+                });
                 if kids.is_empty() {
                     ctx.set_line_state(node, addr, LineState::E);
                     ctx.complete(node, addr, OpKind::Write);
                 } else {
-                    // Kill our own subtree before the write completes.
                     ctx.set_line_state(node, addr, LineState::WmLip);
-                    self.collectors
-                        .open(node, addr, node, false, kids.len() as u32);
                     for k in kids {
-                        ctx.send(
+                        send(
+                            ctx,
+                            node,
                             k,
-                            Msg {
-                                addr,
-                                src: node,
-                                kind: MsgKind::Inv {
-                                    also: None,
-                                    from_dir: false,
-                                },
+                            addr,
+                            MsgKind::Inv {
+                                also: None,
+                                from_dir: false,
                             },
                         );
                     }
@@ -996,7 +994,8 @@ impl Protocol for DirTree {
                     // Still killing our own subtree after the grant: serve
                     // the recall once exclusive.
                     S::WmLip => {
-                        self.pending_wb.insert((node, addr), (for_op, requester));
+                        let parked = Some((for_op, requester));
+                        self.edit(node, addr, |r| r.pending_wb = parked);
                     }
                     // Evicted: the WbEvict in flight satisfies the home.
                     _ => {}
@@ -1011,30 +1010,14 @@ impl Protocol for DirTree {
             LineState::V => {
                 self.disband(ctx, node, addr);
                 if !self.params.dir_tree_silent_replace {
-                    let home = ctx.home_of(addr);
-                    ctx.send(
-                        home,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::ReplNotify,
-                        },
-                    );
+                    send_home(ctx, node, addr, MsgKind::ReplNotify);
                 }
             }
             // Policy point 4 of 4: an update block has no exclusive state
             // (memory is always current), so only an invalidate block can
             // be evicting one.
             LineState::E if !self.updates(addr) => {
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::WbEvict,
-                    },
-                );
+                send_home(ctx, node, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
         }
@@ -1056,15 +1039,7 @@ impl Protocol for DirTree {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::{digest, digest_map, digest_set};
-        digest_set(h, &self.update_blocks);
-        digest_map(h, &self.entries);
-        self.gate.digest(h);
-        digest_map(h, &self.children);
-        digest_map(h, &self.zombies);
-        self.collectors.digest(h);
-        digest_map(h, &self.pending_wb);
-        digest(h, &self.pending_kill);
+        crate::fingerprint::digest_rows(h, &self.rows);
     }
 
     fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
@@ -1113,9 +1088,20 @@ impl Protocol for DirTree {
         quiescent: bool,
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
-        check_edges(&self.children, "child pointer", self.arity as usize, nodes)?;
-        check_edges(&self.zombies, "zombie edge", nodes as usize, nodes)?;
-        for (&addr, e) in &self.entries {
+        for (addr, row) in self.rows.iter_nonempty() {
+            for (node, r) in row.nodes.iter() {
+                let arity = self.arity as usize;
+                check_edges(node, addr, &r.children, "child pointer", arity, nodes)?;
+                check_edges(node, addr, &r.zombies, "zombie edge", nodes as usize, nodes)?;
+                if r.pending_wb.is_some() && !row.entry.as_ref().is_some_and(|e| e.wait_wb) {
+                    return Err(format!(
+                        "recall parked at node {node} for {addr:#x} but the home is not waiting for it"
+                    ));
+                }
+            }
+            let Some(e) = &row.entry else {
+                continue;
+            };
             if e.ptrs.len() != self.pointers as usize {
                 return Err(format!(
                     "directory entry for {addr:#x} has {} pointer slots, expected {}",
@@ -1136,13 +1122,6 @@ impl Protocol for DirTree {
                 }
             }
         }
-        for &(node, addr) in self.pending_wb.keys() {
-            if !self.entries.get(&addr).is_some_and(|e| e.wait_wb) {
-                return Err(format!(
-                    "recall parked at node {node} for {addr:#x} but the home is not waiting for it"
-                ));
-            }
-        }
         for &addr in addrs {
             if self.updates(addr) {
                 if let Some(n) = (0..nodes).find(|&n| ctx.line_state(n, addr) == LineState::E) {
@@ -1155,33 +1134,42 @@ impl Protocol for DirTree {
         if !quiescent {
             return Ok(());
         }
-        if self.collectors.open_count() != 0 {
+        let recs = || {
+            self.rows
+                .iter_nonempty()
+                .flat_map(|(addr, row)| row.nodes.iter().map(move |(n, r)| (addr, n, r)))
+        };
+        let open = recs().filter(|(_, _, r)| r.collector.is_some()).count();
+        if open != 0 {
+            return Err(format!("{open} ack collector(s) still open at quiescence"));
+        }
+        let busy = self
+            .rows
+            .iter_nonempty()
+            .filter(|(_, r)| r.gate.is_busy())
+            .count();
+        if busy != 0 {
             return Err(format!(
-                "{} ack collector(s) still open at quiescence",
-                self.collectors.open_count()
+                "{busy} home transaction(s) still open at quiescence"
             ));
         }
-        if self.gate.open_transactions() != 0 {
-            return Err(format!(
-                "{} home transaction(s) still open at quiescence",
-                self.gate.open_transactions()
-            ));
-        }
-        for (&addr, e) in &self.entries {
-            if e.pending.is_some() || e.wait_acks != 0 {
+        for (addr, row) in self.rows.iter_nonempty() {
+            if row
+                .entry
+                .as_ref()
+                .is_some_and(|e| e.pending.is_some() || e.wait_acks != 0)
+            {
                 return Err(format!("quiescent but write pending for {addr:#x}"));
             }
         }
-        if let Some((addr, node)) = self.pending_kill.first() {
+        if let Some((addr, node, _)) = recs().find(|(_, _, r)| r.kill) {
             return Err(format!(
                 "quiescent but deferred kill at {node} for {addr:#x}"
             ));
         }
-        let has_edges = |map: &Edges, addr: Addr| {
-            (0..nodes).any(|n| map.get(&(n, addr)).is_some_and(|kids| !kids.is_empty()))
-        };
         for &addr in addrs {
-            let e = self.entries.get(&addr);
+            let row = self.rows.get(addr);
+            let e = row.and_then(|r| r.entry.as_ref());
             if let Some(e) = e.filter(|e| e.dirty) {
                 if e.ptrs.iter().any(Option::is_some) {
                     return Err(format!("dirty block {addr:#x} still records roots"));
@@ -1192,10 +1180,13 @@ impl Protocol for DirTree {
                         e.owner
                     ));
                 }
-                if has_edges(&self.children, addr) {
+                let has_edges = |edges: fn(&Rec) -> &Vec<NodeId>| {
+                    row.is_some_and(|r| r.nodes.iter().any(|(_, r)| !edges(r).is_empty()))
+                };
+                if has_edges(|r| &r.children) {
                     return Err(format!("dirty block {addr:#x} still has child edges"));
                 }
-                if has_edges(&self.zombies, addr) {
+                if has_edges(|r| &r.zombies) {
                     return Err(format!("dirty block {addr:#x} still has zombie edges"));
                 }
                 continue;
@@ -1233,41 +1224,34 @@ impl Protocol for DirTree {
     }
 }
 
-/// Shape check shared by the child and zombie tables: every list holds at
-/// most `max` distinct in-range nodes, never the owning node itself.
-fn check_edges(map: &Edges, what: &str, max: usize, nodes: u32) -> Result<(), String> {
-    for (&(node, addr), kids) in map {
-        if kids.len() > max {
-            return Err(format!(
-                "node {node} holds {} {what}s for {addr:#x}, limit is {max}",
-                kids.len()
-            ));
+/// Shape check shared by child and zombie lists: `node`'s list holds at
+/// most `max` distinct in-range nodes, never `node` itself.
+fn check_edges(
+    node: NodeId,
+    addr: Addr,
+    kids: &[NodeId],
+    what: &str,
+    max: usize,
+    nodes: u32,
+) -> Result<(), String> {
+    if kids.len() > max {
+        return Err(format!(
+            "node {node} holds {} {what}s for {addr:#x}, limit is {max}",
+            kids.len()
+        ));
+    }
+    for (i, &k) in kids.iter().enumerate() {
+        if k == node {
+            return Err(format!("self-loop {what} at node {node} for {addr:#x}"));
         }
-        for (i, &k) in kids.iter().enumerate() {
-            if k == node {
-                return Err(format!("self-loop {what} at node {node} for {addr:#x}"));
-            }
-            if k >= nodes {
-                return Err(format!("out-of-range {what} at node {node} for {addr:#x}"));
-            }
-            if kids[..i].contains(&k) {
-                return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
-            }
+        if k >= nodes {
+            return Err(format!("out-of-range {what} at node {node} for {addr:#x}"));
+        }
+        if kids[..i].contains(&k) {
+            return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
         }
     }
     Ok(())
-}
-
-/// Relabel an edge table through `perm`, preserving each list's order.
-fn relabel_edges(map: &Edges, perm: &[NodeId]) -> Edges {
-    map.iter()
-        .map(|(&(n, a), kids)| {
-            (
-                (perm[n as usize], a),
-                kids.iter().map(|&k| perm[k as usize]).collect(),
-            )
-        })
-        .collect()
 }
 
 impl DirTree {
@@ -1279,51 +1263,10 @@ impl DirTree {
     /// `wave_scratch` is cleared before every use and is not protocol
     /// state, so the clone starts with it empty.
     pub(crate) fn relabeled_concrete(&self, perm: &[NodeId]) -> DirTree {
-        let relabel_ptr = |p: &Option<Ptr>| {
-            p.map(|p| Ptr {
-                node: perm[p.node as usize],
-                level: p.level,
-            })
-        };
         DirTree {
-            pointers: self.pointers,
-            arity: self.arity,
-            params: self.params,
-            policy: self.policy,
-            update_blocks: self.update_blocks.clone(),
-            entries: self
-                .entries
-                .iter()
-                .map(|(&a, e)| {
-                    (
-                        a,
-                        Entry {
-                            dirty: e.dirty,
-                            owner: perm[e.owner as usize],
-                            ptrs: e.ptrs.iter().map(relabel_ptr).collect(),
-                            pending: e.pending.map(|(n, op)| (perm[n as usize], op)),
-                            wait_acks: e.wait_acks,
-                            wait_wb: e.wait_wb,
-                            grant_self_root: e.grant_self_root,
-                        },
-                    )
-                })
-                .collect(),
-            gate: self.gate.relabeled(perm),
-            children: relabel_edges(&self.children, perm),
-            zombies: relabel_edges(&self.zombies, perm),
-            collectors: self.collectors.relabeled(perm),
-            pending_wb: self
-                .pending_wb
-                .iter()
-                .map(|(&(n, a), &(op, req))| ((perm[n as usize], a), (op, perm[req as usize])))
-                .collect(),
-            pending_kill: self
-                .pending_kill
-                .iter()
-                .map(|&(a, n)| (a, perm[n as usize]))
-                .collect(),
+            rows: self.rows.map(|r| r.relabeled(perm)),
             wave_scratch: Vec::new(),
+            ..*self
         }
     }
 }
@@ -1827,13 +1770,13 @@ mod tests {
             assert_eq!(p.children_of(3, A), &[1, 2]);
             ctx.evict(&mut p, 3, A);
             assert_eq!(
-                p.zombies.get(&(3, A)).map(Vec::as_slice),
-                Some(&[1u32, 2][..]),
+                p.zombies_of(3, A),
+                &[1, 2],
                 "disbanded edges are retained as zombies"
             );
             do_write(&mut ctx, &mut p, 5);
             assert!(
-                p.zombies.is_empty(),
+                (0..32).all(|n| p.zombies_of(n, A).is_empty()),
                 "the acked update wave consumes zombie edges"
             );
             assert!(!ctx.line_state(1, A).readable());

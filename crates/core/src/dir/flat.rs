@@ -12,11 +12,11 @@
 //! the cache side are shared.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, NodeSet, TxnGate};
+use crate::dir::util::{ack, read_fill, send, send_home, wb_req, NodeSet, Rows};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::{Cycle, FxHashMap};
+use dirtree_sim::Cycle;
 
 /// What the home does with a new reader once every pointer is in use.
 #[derive(Clone, Copy)]
@@ -40,20 +40,11 @@ enum Overflow {
     Spill { trap_cycles: Cycle },
 }
 
-fn send(ctx: &mut dyn ProtoCtx, src: NodeId, dst: NodeId, addr: Addr, kind: MsgKind) {
-    ctx.send(dst, Msg { addr, src, kind });
-}
-
-fn send_home(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, kind: MsgKind) {
-    let home = ctx.home_of(addr);
-    send(ctx, node, home, addr, kind);
-}
-
 /// A block's recorded sharers, in the shape its policy needs: full-map's
 /// ascending-id `Inv` order and O(1) membership at P=1024 come from the
 /// bit-vector, the limited directories' FIFO victim choice from the
 /// arrival-ordered pointer list.
-#[derive(Clone, Hash)]
+#[derive(Clone, PartialEq, Hash)]
 enum Sharers {
     /// Presence vector, allocated by the block's first reader. `None` and
     /// `Some(∅)` digest differently, and the pinned full-map state counts
@@ -130,7 +121,7 @@ impl Sharers {
 
 /// One block's directory state. Fields a policy never touches stay at
 /// their default and add a constant to the digest.
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     dirty: bool,
     owner: NodeId,
@@ -176,8 +167,7 @@ pub struct FlatDir {
     overflow: Overflow,
     /// The empty sharer set in this policy's representation.
     blank: Sharers,
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
+    rows: Rows<Entry, ()>,
 }
 
 impl FlatDir {
@@ -218,14 +208,14 @@ impl FlatDir {
             pointers,
             overflow,
             blank,
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
+            rows: Rows::default(),
         }
     }
 
     fn entry(&mut self, addr: Addr) -> &mut Entry {
-        self.entries.entry(addr).or_insert_with(|| Entry {
-            sharers: self.blank.clone(),
+        let blank = &self.blank;
+        self.rows.row(addr).entry.get_or_insert_with(|| Entry {
+            sharers: blank.clone(),
             ..Entry::default()
         })
     }
@@ -262,7 +252,8 @@ impl FlatDir {
     }
 
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let e = self.entries.get_mut(&addr).unwrap();
+        let row = self.rows.row(addr);
+        let e = row.entry.as_mut().unwrap();
         e.dirty = true;
         e.owner = writer;
         e.forget_sharers();
@@ -270,7 +261,7 @@ impl FlatDir {
             kill_self_subtree: false,
         };
         send(ctx, home, writer, addr, kind);
-        self.gate.finish_txn(ctx, home, addr);
+        row.gate.finish_txn(ctx, home);
     }
 
     fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -278,7 +269,7 @@ impl FlatDir {
         let MsgKind::ReadReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.rows.row(addr).gate.admit(&msg) {
             return;
         }
         let (pointers, overflow) = (self.pointers as usize, self.overflow);
@@ -323,7 +314,7 @@ impl FlatDir {
         let MsgKind::WriteReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.rows.row(addr).gate.admit(&msg) {
             return;
         }
         let overflow = self.overflow;
@@ -365,7 +356,12 @@ impl FlatDir {
 
     fn handle_wb(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
         let (addr, evict) = (msg.addr, msg.kind == MsgKind::WbEvict);
-        let e = self.entries.get_mut(&addr).expect("wb without entry");
+        let e = self
+            .rows
+            .row(addr)
+            .entry
+            .as_mut()
+            .expect("wb without entry");
         // Either the owner's spontaneous eviction, or the answer to a
         // recall — which a racing eviction writeback gives just as well.
         debug_assert!(e.dirty && (e.wait_wb || (evict && e.owner == msg.src)));
@@ -390,7 +386,12 @@ impl FlatDir {
     }
 
     fn handle_inv_ack(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self.entries.get_mut(&addr).expect("ack without entry");
+        let e = self
+            .rows
+            .row(addr)
+            .entry
+            .as_mut()
+            .expect("ack without entry");
         debug_assert!(e.wait_acks > 0, "unexpected InvAck");
         e.wait_acks -= 1;
         if e.wait_acks > 0 {
@@ -421,12 +422,7 @@ impl FlatDir {
     /// equivariance for all four policies.
     fn relabeled_concrete(&self, perm: &[NodeId]) -> FlatDir {
         FlatDir {
-            entries: self
-                .entries
-                .iter()
-                .map(|(&a, e)| (a, e.relabeled(perm)))
-                .collect(),
-            gate: self.gate.relabeled(perm),
+            rows: self.rows.relabeled(perm, |e| e.relabeled(perm), |_| ()),
             blank: self.blank.clone(),
             ..*self
         }
@@ -435,16 +431,6 @@ impl FlatDir {
 
 // Cache side. Flat directories keep no coherence metadata in the caches, so
 // a cache only fills lines, answers invalidations and serves recalls.
-
-/// `ReadReply`: fill the line, complete the processor, and confirm the fill
-/// to the home (which holds the read transaction open until then, so no
-/// invalidation can race this fill).
-fn read_fill(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-    debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
-    ctx.set_line_state(node, addr, LineState::V);
-    ctx.complete(node, addr, OpKind::Read);
-    send_home(ctx, node, addr, MsgKind::FillAck);
-}
 
 /// `WriteReply`: the writer becomes exclusive.
 fn write_fill(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
@@ -474,20 +460,6 @@ fn inv(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, from: NodeId, dir: bool
     ack(ctx, node, addr, from, dir);
 }
 
-/// `WbReq` at the (possibly former) owner.
-fn wb_req(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, for_op: OpKind, requester: NodeId) {
-    if ctx.line_state(node, addr) == LineState::E {
-        let after = match for_op {
-            OpKind::Read => LineState::V,
-            OpKind::Write => LineState::Iv,
-        };
-        ctx.set_line_state(node, addr, after);
-        send_home(ctx, node, addr, MsgKind::WbData { for_op, requester });
-    }
-    // Otherwise the line was evicted: the WbEvict already in flight (FIFO
-    // ahead of any new request from this node) satisfies the home.
-}
-
 impl Protocol for FlatDir {
     fn kind(&self) -> ProtocolKind {
         self.kind
@@ -500,7 +472,7 @@ impl Protocol for FlatDir {
             MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
             MsgKind::WbData { .. } | MsgKind::WbEvict => self.handle_wb(ctx, node, msg),
             MsgKind::InvAck { dir: true } => self.handle_inv_ack(ctx, node, addr),
-            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.rows.row(addr).gate.finish_txn(ctx, node),
             MsgKind::ReadReply { .. } => read_fill(ctx, node, addr),
             MsgKind::WriteReply { .. } => write_fill(ctx, node, addr),
             MsgKind::Inv { from_dir, .. } => inv(ctx, node, addr, msg.src, from_dir),
@@ -540,8 +512,7 @@ impl Protocol for FlatDir {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        crate::fingerprint::digest_map(h, &self.entries);
-        self.gate.digest(h);
+        self.rows.digest(h);
     }
 
     fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {

@@ -8,8 +8,10 @@
 //! * [`singly`], [`sci`] — linked-list baselines;
 //! * [`stp`], [`sci_tree`] — tree-structured baselines;
 //! * [`snoop`] — the §1 snooping-MSI bus baseline;
-//! * [`util`] — shared building blocks (per-block transaction gate,
-//!   invalidation-ack collector, node bitset).
+//! * [`util`] — shared building blocks: the block-major state every
+//!   protocol keeps (a row per block: directory entry, transaction gate,
+//!   per-node records sorted by node id), the invalidation-ack collector,
+//!   the node bitset and the common cache-side steps.
 
 pub mod dir_tree;
 pub mod flat;

@@ -14,55 +14,65 @@
 //! redirected requester or purge walk can still reach the departed node.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::TxnGate;
+use crate::dir::util::{read_fill, send, send_home, Rows};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::FxHashMap;
 
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     head: Option<NodeId>,
     dirty: bool,
     wait_fill: bool,
 }
 
-#[derive(Default, Clone, Copy, Hash)]
+#[derive(Default, Clone, Copy, PartialEq, Hash)]
 struct Links {
     prev: Option<NodeId>,
     next: Option<NodeId>,
 }
 
+/// One node's place in a block's list. Both fields keep "absent" apart
+/// from their empty value: a head-and-tail member has `Some` links with no
+/// neighbours, and `Some(None)` is a departed node with no successor.
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Rec {
+    links: Option<Links>,
+    /// Roll-out tombstone: where the departed node's successor went.
+    tombstone: Option<Option<NodeId>>,
+}
+
 /// The SCI doubly-linked-list protocol.
 #[derive(Clone)]
 pub struct Sci {
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
-    links: FxHashMap<(NodeId, Addr), Links>,
-    /// Roll-out tombstones: where a departed node's successor went.
-    tombstone: FxHashMap<(NodeId, Addr), Option<NodeId>>,
+    rows: Rows<Entry, Rec>,
 }
 
 impl Sci {
     pub fn new() -> Self {
         Self {
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
-            links: FxHashMap::default(),
-            tombstone: FxHashMap::default(),
+            rows: Rows::default(),
         }
+    }
+
+    /// Set `node`'s links to `links`.
+    fn link(&mut self, node: NodeId, addr: Addr, links: Links) {
+        self.rows.edit(node, addr, |r| r.links = Some(links));
     }
 
     /// The list from the home pointer (diagnostics).
     pub fn chain(&self, addr: Addr, max: usize) -> Vec<NodeId> {
         let mut out = Vec::new();
-        let mut cur = self.entries.get(&addr).and_then(|e| e.head);
+        let Some(row) = self.rows.get(addr) else {
+            return out;
+        };
+        let mut cur = row.entry.as_ref().and_then(|e| e.head);
         while let Some(n) = cur {
             if out.contains(&n) || out.len() >= max {
                 break;
             }
             out.push(n);
-            cur = self.links.get(&(n, addr)).and_then(|l| l.next);
+            cur = row.nodes.get(n).and_then(|r| r.links?.next);
         }
         out
     }
@@ -72,51 +82,49 @@ impl Sci {
         let MsgKind::ReadReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         e.wait_fill = true;
         let old = e.head;
         e.head = Some(requester);
         match old {
             None => {
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     requester,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::SciReadResp { old_head: None },
-                    },
+                    addr,
+                    MsgKind::SciReadResp { old_head: None },
                 );
             }
             Some(h) if h == requester => {
                 // A racing roll-out left a stale self-pointer (our
                 // SciNewHead carried a neighbour that has itself departed).
                 // Bridge through the requester's own tombstone if any.
-                let next = self
-                    .tombstone
-                    .get(&(requester, addr))
-                    .copied()
+                let next = row
+                    .nodes
+                    .get(requester)
+                    .and_then(|r| r.tombstone)
                     .flatten()
                     .filter(|&n| n != requester);
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     requester,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::SciReadResp { old_head: next },
-                    },
+                    addr,
+                    MsgKind::SciReadResp { old_head: next },
                 );
             }
             Some(h) => {
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     requester,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::SciReadResp { old_head: Some(h) },
-                    },
+                    addr,
+                    MsgKind::SciReadResp { old_head: Some(h) },
                 );
             }
         }
@@ -127,27 +135,27 @@ impl Sci {
         let MsgKind::WriteReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         let old = e.head.filter(|&h| h != requester);
         // If the upgrading writer is already the head, its successors are
         // purged starting from its own `next`.
         let start = if e.head == Some(requester) {
-            self.links.get(&(requester, addr)).and_then(|l| l.next)
+            row.nodes.get(requester).and_then(|r| r.links?.next)
         } else {
             old
         };
         e.head = Some(requester);
         e.dirty = true;
-        ctx.send(
+        send(
+            ctx,
+            home,
             requester,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::SciWriteResp { old_head: start },
-            },
+            addr,
+            MsgKind::SciWriteResp { old_head: start },
         );
         // The transaction stays open until the writer reports purge
         // completion (SciPurgeDone), including the empty-list case, so a
@@ -156,35 +164,15 @@ impl Sci {
 
     /// The writer drives the purge: invalidate `target`, follow its next.
     fn send_purge(ctx: &mut dyn ProtoCtx, writer: NodeId, addr: Addr, target: NodeId) {
-        ctx.send(
-            target,
-            Msg {
-                addr,
-                src: writer,
-                kind: MsgKind::SciPurgeReq,
-            },
-        );
+        send(ctx, writer, target, addr, MsgKind::SciPurgeReq);
     }
 
     fn purge_done(&mut self, ctx: &mut dyn ProtoCtx, writer: NodeId, addr: Addr) {
         let home = ctx.home_of(addr);
-        self.links.insert(
-            (writer, addr),
-            Links {
-                prev: None,
-                next: None,
-            },
-        );
+        self.link(writer, addr, Links::default());
         ctx.set_line_state(writer, addr, LineState::E);
         ctx.complete(writer, addr, OpKind::Write);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: writer,
-                kind: MsgKind::SciPurgeDone { writer },
-            },
-        );
+        send(ctx, writer, home, addr, MsgKind::SciPurgeDone { writer });
     }
 
     fn handle_write_resp(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
@@ -211,24 +199,23 @@ impl Sci {
             LineState::V | LineState::E => {
                 ctx.note(ProtoEvent::Invalidation);
                 ctx.set_line_state(node, addr, LineState::Iv);
-                self.links.remove(&(node, addr)).and_then(|l| l.next)
+                self.rows
+                    .edit(node, addr, |r| r.links.take())
+                    .and_then(|l| l.next)
             }
             // The upgrading writer's own old position mid-list: pass the
             // walk through to its successor (its copy dies with the grant).
             LineState::WmIp | LineState::WmLip => {
-                self.links.get(&(node, addr)).and_then(|l| l.next)
+                self.rows.rec(node, addr).and_then(|r| r.links?.next)
             }
             // Dead node bridged by a roll-out tombstone (or a cold trail).
-            _ => self.tombstone.get(&(node, addr)).copied().unwrap_or(None),
+            _ => self
+                .rows
+                .rec(node, addr)
+                .and_then(|r| r.tombstone)
+                .flatten(),
         };
-        ctx.send(
-            writer,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::SciPurgeResp { next },
-            },
-        );
+        send(ctx, node, writer, addr, MsgKind::SciPurgeResp { next });
     }
 
     fn handle_purge_resp(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
@@ -253,24 +240,11 @@ impl Sci {
         debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
         match old_head {
             None => {
-                self.links.insert(
-                    (node, addr),
-                    Links {
-                        prev: None,
-                        next: None,
-                    },
-                );
-                self.fill(ctx, node, addr);
+                self.link(node, addr, Links::default());
+                read_fill(ctx, node, addr);
             }
             Some(h) => {
-                ctx.send(
-                    h,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SciAttachReq,
-                    },
-                );
+                send(ctx, node, h, addr, MsgKind::SciAttachReq);
             }
         }
     }
@@ -293,70 +267,40 @@ impl Sci {
                 if ctx.line_state(node, addr) == LineState::E {
                     // Owner downgrade: memory must be refreshed.
                     ctx.set_line_state(node, addr, LineState::V);
-                    ctx.send(
+                    send(
+                        ctx,
+                        node,
                         home,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::WbData {
-                                for_op: OpKind::Read,
-                                requester,
-                            },
+                        addr,
+                        MsgKind::WbData {
+                            for_op: OpKind::Read,
+                            requester,
                         },
                     );
                 }
-                let l = self.links.entry((node, addr)).or_default();
-                l.prev = Some(requester);
-                ctx.send(
-                    requester,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SciAttachResp,
-                    },
-                );
+                self.rows.edit(node, addr, |r| {
+                    r.links.get_or_insert_default().prev = Some(requester);
+                });
+                send(ctx, node, requester, addr, MsgKind::SciAttachResp);
             }
             _ => {
                 // Rolled out: bridge via the tombstone, or fall back to the
                 // home's memory if the trail is cold.
-                match self.tombstone.get(&(node, addr)).copied().unwrap_or(None) {
+                match self
+                    .rows
+                    .rec(node, addr)
+                    .and_then(|r| r.tombstone)
+                    .flatten()
+                {
                     Some(nx) if nx != requester => {
-                        ctx.send(
-                            nx,
-                            Msg {
-                                addr,
-                                src: requester,
-                                kind: MsgKind::SciAttachReq,
-                            },
-                        );
+                        send(ctx, requester, nx, addr, MsgKind::SciAttachReq);
                     }
                     _ => {
-                        ctx.send(
-                            home,
-                            Msg {
-                                addr,
-                                src: node,
-                                kind: MsgKind::SllSupplyFail { requester },
-                            },
-                        );
+                        send(ctx, node, home, addr, MsgKind::SllSupplyFail { requester });
                     }
                 }
             }
         }
-    }
-
-    fn fill(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        ctx.set_line_state(node, addr, LineState::V);
-        ctx.complete(node, addr, OpKind::Read);
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::FillAck,
-            },
-        );
     }
 }
 
@@ -386,14 +330,12 @@ impl Protocol for Sci {
                 // We are the new head; our successor is the supplier.
                 let supplier = msg.src;
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
-                self.links.insert(
-                    (node, addr),
-                    Links {
-                        prev: None,
-                        next: Some(supplier),
-                    },
-                );
-                self.fill(ctx, node, addr);
+                let links = Links {
+                    prev: None,
+                    next: Some(supplier),
+                };
+                self.link(node, addr, links);
+                read_fill(ctx, node, addr);
             }
             MsgKind::SciPurgeReq => self.handle_purge_req(ctx, node, msg),
             MsgKind::SciPurgeResp { .. } => self.handle_purge_resp(ctx, node, msg),
@@ -401,71 +343,66 @@ impl Protocol for Sci {
                 // Writer finished; grant any attaches that queued at the
                 // writer while it was WmIp (they were deferred there, not
                 // here), and retire the transaction.
-                self.gate.finish_txn(ctx, node, addr);
+                self.rows.row(addr).gate.finish_txn(ctx, node);
             }
             MsgKind::WriteReply { .. } => unreachable!("SCI uses SciWriteResp"),
             MsgKind::ReadReply { .. } => {
                 // Home fallback supply (dead redirect trail).
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
-                self.links.insert(
-                    (node, addr),
-                    Links {
-                        prev: None,
-                        next: None,
-                    },
-                );
-                self.fill(ctx, node, addr);
+                self.link(node, addr, Links::default());
+                read_fill(ctx, node, addr);
             }
             MsgKind::SllSupplyFail { requester } => {
                 // Home-side: serve the requester from memory.
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 e.dirty = false;
-                ctx.send(
+                send(
+                    ctx,
+                    node,
                     requester,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::ReadReply {
-                            adopt: NodeList::default(),
-                        },
+                    addr,
+                    MsgKind::ReadReply {
+                        adopt: NodeList::default(),
                     },
                 );
             }
             MsgKind::WbData { .. } => {
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 e.dirty = false;
             }
             MsgKind::WbEvict => {
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 if e.head == Some(msg.src) {
                     e.head = None;
                 }
                 e.dirty = false;
             }
             MsgKind::FillAck => {
-                let e = self.entries.entry(addr).or_default();
-                e.wait_fill = false;
-                self.gate.finish_txn(ctx, node, addr);
+                let row = self.rows.row(addr);
+                row.entry.get_or_insert_default().wait_fill = false;
+                row.gate.finish_txn(ctx, node);
             }
             MsgKind::SciNewHead { new_head } => {
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 if e.head == Some(msg.src) {
                     e.head = new_head;
                 }
             }
             MsgKind::SciUnlinkPrev { new_next } => {
-                if let Some(l) = self.links.get_mut(&(node, addr)) {
-                    if ctx.line_state(node, addr).readable() {
+                let readable = ctx.line_state(node, addr).readable();
+                self.rows.edit(node, addr, |r| {
+                    if let Some(l) = r.links.as_mut().filter(|_| readable) {
                         l.next = new_next;
                     }
-                }
+                });
             }
             MsgKind::SciUnlinkNext { new_prev } => {
-                if let Some(l) = self.links.get_mut(&(node, addr)) {
-                    if ctx.line_state(node, addr).readable() {
+                let readable = ctx.line_state(node, addr).readable();
+                self.rows.edit(node, addr, |r| {
+                    if let Some(l) = r.links.as_mut().filter(|_| readable) {
                         l.prev = new_prev;
                     }
-                }
+                });
             }
             other => unreachable!("SCI received {other:?}"),
         }
@@ -475,53 +412,40 @@ impl Protocol for Sci {
         match state {
             LineState::V => {
                 // Roll-out: splice around us.
-                let l = self.links.remove(&(node, addr)).unwrap_or_default();
-                self.tombstone.insert((node, addr), l.next);
+                let l = self.rows.edit(node, addr, |r| {
+                    let l = r.links.take().unwrap_or_default();
+                    r.tombstone = Some(l.next);
+                    l
+                });
                 ctx.note(ProtoEvent::ReplacementInvalidation);
                 if let Some(p) = l.prev {
-                    ctx.send(
+                    send(
+                        ctx,
+                        node,
                         p,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::SciUnlinkPrev { new_next: l.next },
-                        },
+                        addr,
+                        MsgKind::SciUnlinkPrev { new_next: l.next },
                     );
                 } else {
                     // We were the head: conditionally update the home.
-                    let home = ctx.home_of(addr);
-                    ctx.send(
-                        home,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::SciNewHead { new_head: l.next },
-                        },
-                    );
+                    send_home(ctx, node, addr, MsgKind::SciNewHead { new_head: l.next });
                 }
                 if let Some(nx) = l.next {
-                    ctx.send(
+                    send(
+                        ctx,
+                        node,
                         nx,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::SciUnlinkNext { new_prev: l.prev },
-                        },
+                        addr,
+                        MsgKind::SciUnlinkNext { new_prev: l.prev },
                     );
                 }
             }
             LineState::E => {
-                self.links.remove(&(node, addr));
-                self.tombstone.insert((node, addr), None);
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::WbEvict,
-                    },
-                );
+                self.rows.edit(node, addr, |r| {
+                    r.links = None;
+                    r.tombstone = Some(None);
+                });
+                send_home(ctx, node, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
         }
@@ -540,11 +464,7 @@ impl Protocol for Sci {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
-        digest_map(h, &self.entries);
-        self.gate.digest(h);
-        digest_map(h, &self.links);
-        digest_map(h, &self.tombstone);
+        self.rows.digest(h);
     }
 }
 

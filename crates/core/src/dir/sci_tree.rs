@@ -15,7 +15,7 @@
 //! rotation.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, AckCollectors, TxnGate};
+use crate::dir::util::{ack, read_fill, send, send_home, wb_req, Collector, Rows};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -36,7 +36,7 @@ struct AvlN {
 pub type Touched = Vec<(NodeId, Option<(Option<NodeId>, Option<NodeId>)>)>;
 
 /// An AVL tree of node ids (the sharing set).
-#[derive(Default, Clone)]
+#[derive(Default, Clone, PartialEq)]
 pub struct Avl {
     nodes: FxHashMap<NodeId, AvlN>,
     root: Option<NodeId>,
@@ -320,7 +320,7 @@ impl Avl {
     }
 }
 
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     dirty: bool,
     owner: NodeId,
@@ -332,13 +332,18 @@ struct Entry {
     wait_parts: u32,
 }
 
+/// One node's part in a block's tree.
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Rec {
+    /// Cache-side child pointers.
+    children: Vec<NodeId>,
+    collector: Option<Collector>,
+}
+
 /// The SCI tree extension protocol.
 #[derive(Clone)]
 pub struct SciTree {
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
-    children: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
-    collectors: AckCollectors,
+    rows: Rows<Entry, Rec>,
     /// Scratch for `mutate_tree`, reused across calls; empty between them,
     /// so not part of the fingerprint.
     touched: Touched,
@@ -347,31 +352,26 @@ pub struct SciTree {
 impl SciTree {
     pub fn new() -> Self {
         Self {
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
-            children: FxHashMap::default(),
-            collectors: AckCollectors::new(),
+            rows: Rows::default(),
             touched: Touched::new(),
         }
     }
 
     pub fn tree(&self, addr: Addr) -> Option<&Avl> {
-        self.entries.get(&addr).map(|e| &e.tree)
+        self.rows.get(addr)?.entry.as_ref().map(|e| &e.tree)
     }
 
     pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.children
-            .get(&(node, addr))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.rows.rec(node, addr).map_or(&[], |r| &r.children)
     }
 
     fn part_done(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self.entries.get_mut(&addr).expect("part ack without entry");
+        let row = self.rows.row(addr);
+        let e = row.entry.as_mut().expect("part ack without entry");
         debug_assert!(e.wait_parts > 0, "unexpected structural ack");
         e.wait_parts -= 1;
         if e.wait_parts == 0 {
-            self.gate.finish_txn(ctx, home, addr);
+            row.gate.finish_txn(ctx, home);
         }
     }
 
@@ -385,20 +385,19 @@ impl SciTree {
         addr: Addr,
         mutate: impl FnOnce(&mut Avl, &mut Touched),
     ) -> u32 {
-        let e = self.entries.get_mut(&addr).unwrap();
+        let e = self.rows.row(addr).entry.as_mut().unwrap();
         mutate(&mut e.tree, &mut self.touched);
         #[cfg(debug_assertions)]
         e.tree.validate();
         let mut fixups = 0;
         e.tree.diff_touched(&mut self.touched, |id, children| {
-            ctx.send(
+            send(
+                ctx,
+                home,
                 id,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::SctFixup {
-                        children: children.into(),
-                    },
+                addr,
+                MsgKind::SctFixup {
+                    children: children.into(),
                 },
             );
             fixups += 1;
@@ -412,24 +411,23 @@ impl SciTree {
         let MsgKind::ReadReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.rows.row(addr).gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         if e.dirty {
             debug_assert_ne!(e.owner, requester);
             e.pending = Some((requester, OpKind::Read));
             e.wait_wb = true;
             let owner = e.owner;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 owner,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::WbReq {
-                        for_op: OpKind::Read,
-                        requester,
-                    },
+                addr,
+                MsgKind::WbReq {
+                    for_op: OpKind::Read,
+                    requester,
                 },
             );
             return;
@@ -439,55 +437,53 @@ impl SciTree {
             // leave is queued): home supplies directly.
             e.wait_parts = 1; // the FillAck
             let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.insert(requester, log));
-            let e = self.entries.get_mut(&addr).unwrap();
+            let e = self.rows.row(addr).entry.as_mut().unwrap();
             e.wait_parts += fixups;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 requester,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::ReadReply {
-                        adopt: NodeList::default(),
-                    },
+                addr,
+                MsgKind::ReadReply {
+                    adopt: NodeList::default(),
                 },
             );
         } else {
             let path = e.tree.descent_path(requester);
             e.wait_parts = 1; // the FillAck
             let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.insert(requester, log));
-            let e = self.entries.get_mut(&addr).unwrap();
+            let e = self.rows.row(addr).entry.as_mut().unwrap();
             e.wait_parts += fixups;
             let first = path[0];
-            ctx.send(
+            send(
+                ctx,
+                home,
                 first,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::SctDescend {
-                        requester,
-                        path: path[1..].to_vec().into(),
-                    },
+                addr,
+                MsgKind::SctDescend {
+                    requester,
+                    path: path[1..].to_vec().into(),
                 },
             );
         }
     }
 
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let e = self.entries.get_mut(&addr).unwrap();
+        let row = self.rows.row(addr);
+        let e = row.entry.as_mut().unwrap();
         e.dirty = true;
         e.owner = writer;
         e.tree.clear();
-        ctx.send(
+        send(
+            ctx,
+            home,
             writer,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::WriteReply {
-                    kill_self_subtree: false,
-                },
+            addr,
+            MsgKind::WriteReply {
+                kill_self_subtree: false,
             },
         );
-        self.gate.finish_txn(ctx, home, addr);
+        row.gate.finish_txn(ctx, home);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -495,23 +491,22 @@ impl SciTree {
         let MsgKind::WriteReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.rows.row(addr).gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         if e.dirty {
             e.pending = Some((requester, OpKind::Write));
             e.wait_wb = true;
             let owner = e.owner;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 owner,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::WbReq {
-                        for_op: OpKind::Write,
-                        requester,
-                    },
+                addr,
+                MsgKind::WbReq {
+                    for_op: OpKind::Write,
+                    requester,
                 },
             );
             return;
@@ -522,15 +517,14 @@ impl SciTree {
                 e.pending = Some((requester, OpKind::Write));
                 e.wait_acks = 1;
                 e.tree.clear();
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     root,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::Inv {
-                            also: None,
-                            from_dir: true,
-                        },
+                    addr,
+                    MsgKind::Inv {
+                        also: None,
+                        from_dir: true,
                     },
                 );
             }
@@ -538,7 +532,7 @@ impl SciTree {
     }
 
     fn handle_wb(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, evict: bool) {
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         if e.wait_wb {
             e.wait_wb = false;
             let (requester, op) = e.pending.take().expect("wait_wb without pending");
@@ -554,16 +548,15 @@ impl SciTree {
                         }
                         t.insert(requester, log);
                     });
-                    let e = self.entries.get_mut(&addr).unwrap();
+                    let e = self.rows.row(addr).entry.as_mut().unwrap();
                     e.wait_parts += fixups;
-                    ctx.send(
+                    send(
+                        ctx,
+                        home,
                         requester,
-                        Msg {
-                            addr,
-                            src: home,
-                            kind: MsgKind::ReadReply {
-                                adopt: NodeList::default(),
-                            },
+                        addr,
+                        MsgKind::ReadReply {
+                            adopt: NodeList::default(),
                         },
                     );
                 }
@@ -581,7 +574,11 @@ impl SciTree {
         let MsgKind::Inv { from_dir, .. } = msg.kind else {
             unreachable!()
         };
-        if self.collectors.is_open(node, addr) {
+        if self
+            .rows
+            .rec(node, addr)
+            .is_some_and(|r| r.collector.is_some())
+        {
             // Already collecting: the subtree is covered by the first
             // invalidation path; waiting here risks ack cycles. Answer
             // immediately (see dir_tree.rs for the acyclicity argument).
@@ -589,7 +586,9 @@ impl SciTree {
             return;
         }
         let state = ctx.line_state(node, addr);
-        let kids = self.children.remove(&(node, addr)).unwrap_or_default();
+        let kids = self
+            .rows
+            .edit(node, addr, |r| std::mem::take(&mut r.children));
         match state {
             LineState::V => {
                 ctx.note(ProtoEvent::Invalidation);
@@ -609,18 +608,19 @@ impl SciTree {
         if kids.is_empty() {
             ack(ctx, node, addr, msg.src, from_dir);
         } else {
-            self.collectors
-                .open(node, addr, msg.src, from_dir, kids.len() as u32);
+            let remaining = kids.len() as u32;
+            self.rows.edit(node, addr, |r| {
+                Collector::open(&mut r.collector, msg.src, from_dir, remaining);
+            });
             for k in kids {
-                ctx.send(
+                send(
+                    ctx,
+                    node,
                     k,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::Inv {
-                            also: None,
-                            from_dir: false,
-                        },
+                    addr,
+                    MsgKind::Inv {
+                        also: None,
+                        from_dir: false,
                     },
                 );
             }
@@ -630,37 +630,23 @@ impl SciTree {
     fn handle_leave(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
         let addr = msg.addr;
         let leaver = msg.src;
-        if !self.gate.admit(addr, &msg) {
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         if !e.tree.contains(leaver) {
-            self.gate.finish_txn(ctx, home, addr);
+            row.gate.finish_txn(ctx, home);
             return;
         }
         ctx.note(ProtoEvent::ReplacementInvalidation);
         e.wait_parts = 0;
         let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.remove(leaver, log));
-        let e = self.entries.get_mut(&addr).unwrap();
-        e.wait_parts = fixups;
+        let row = self.rows.row(addr);
+        row.entry.as_mut().unwrap().wait_parts = fixups;
         if fixups == 0 {
-            self.gate.finish_txn(ctx, home, addr);
+            row.gate.finish_txn(ctx, home);
         }
-    }
-
-    fn fill(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
-        ctx.set_line_state(node, addr, LineState::V);
-        ctx.complete(node, addr, OpKind::Read);
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::FillAck,
-            },
-        );
     }
 }
 
@@ -683,7 +669,12 @@ impl Protocol for SciTree {
             MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, false),
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, true),
             MsgKind::InvAck { dir: true } => {
-                let e = self.entries.get_mut(&addr).expect("ack without entry");
+                let e = self
+                    .rows
+                    .row(addr)
+                    .entry
+                    .as_mut()
+                    .expect("ack without entry");
                 debug_assert!(e.wait_acks > 0);
                 e.wait_acks -= 1;
                 if e.wait_acks == 0 {
@@ -693,7 +684,10 @@ impl Protocol for SciTree {
                 }
             }
             MsgKind::InvAck { dir: false } => {
-                if let Some(targets) = self.collectors.ack(node, addr) {
+                let done = self
+                    .rows
+                    .edit(node, addr, |r| Collector::ack(&mut r.collector));
+                if let Some(targets) = done {
                     if ctx.line_state(node, addr) == LineState::InvIp {
                         ctx.set_line_state(node, addr, LineState::Iv);
                     }
@@ -705,76 +699,36 @@ impl Protocol for SciTree {
             MsgKind::FillAck => self.part_done(ctx, node, addr),
             MsgKind::StpFixupAck { .. } => self.part_done(ctx, node, addr),
             MsgKind::SctFixup { children } => {
-                if children.is_empty() {
-                    self.children.remove(&(node, addr));
-                } else {
-                    self.children.insert((node, addr), children.into_vec());
-                }
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::StpFixupAck { dir: true },
-                    },
-                );
+                self.rows
+                    .edit(node, addr, |r| r.children = children.into_vec());
+                send_home(ctx, node, addr, MsgKind::StpFixupAck { dir: true });
             }
             MsgKind::SctDescend { requester, path } => {
                 if path.is_empty() {
-                    ctx.send(
-                        requester,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::SctInsertResp,
-                        },
-                    );
+                    send(ctx, node, requester, addr, MsgKind::SctInsertResp);
                 } else {
-                    ctx.send(
+                    send(
+                        ctx,
+                        node,
                         path[0],
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::SctDescend {
-                                requester,
-                                path: path[1..].to_vec().into(),
-                            },
+                        addr,
+                        MsgKind::SctDescend {
+                            requester,
+                            path: path[1..].to_vec().into(),
                         },
                     );
                 }
             }
-            MsgKind::SctInsertResp | MsgKind::ReadReply { .. } => self.fill(ctx, node, addr),
+            MsgKind::SctInsertResp | MsgKind::ReadReply { .. } => read_fill(ctx, node, addr),
             MsgKind::WriteReply { .. } => {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                self.children.remove(&(node, addr));
+                self.rows.edit(node, addr, |r| r.children.clear());
                 ctx.set_line_state(node, addr, LineState::E);
                 ctx.complete(node, addr, OpKind::Write);
             }
             MsgKind::Inv { .. } => self.handle_inv(ctx, node, msg),
             MsgKind::SctLeave => self.handle_leave(ctx, node, msg),
-            MsgKind::WbReq { for_op, requester } => {
-                use crate::types::LineState as S;
-                if ctx.line_state(node, addr) == S::E {
-                    ctx.set_line_state(
-                        node,
-                        addr,
-                        match for_op {
-                            OpKind::Read => S::V,
-                            OpKind::Write => S::Iv,
-                        },
-                    );
-                    let home = ctx.home_of(addr);
-                    ctx.send(
-                        home,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::WbData { for_op, requester },
-                        },
-                    );
-                }
-            }
+            MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
             other => unreachable!("SCI tree extension received {other:?}"),
         }
     }
@@ -783,24 +737,10 @@ impl Protocol for SciTree {
         let home = ctx.home_of(addr);
         match state {
             LineState::V => {
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SctLeave,
-                    },
-                );
+                send(ctx, node, home, addr, MsgKind::SctLeave);
             }
             LineState::E => {
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::WbEvict,
-                    },
-                );
+                send(ctx, node, home, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
         }
@@ -821,11 +761,7 @@ impl Protocol for SciTree {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
-        digest_map(h, &self.entries);
-        self.gate.digest(h);
-        digest_map(h, &self.children);
-        self.collectors.digest(h);
+        self.rows.digest(h);
     }
 }
 

@@ -16,13 +16,12 @@
 //! walk-termination tests).
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::TxnGate;
+use crate::dir::util::{read_fill, send, send_home, Rows};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::FxHashMap;
 
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     head: Option<NodeId>,
     dirty: bool,
@@ -35,39 +34,45 @@ struct Entry {
 /// The singly-linked-list protocol.
 #[derive(Clone)]
 pub struct SinglyList {
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
-    /// Cache-side forward pointer (`None` = tail).
-    next: FxHashMap<(NodeId, Addr), Option<NodeId>>,
+    /// Per listed node, its cache-side forward pointer: `Some(None)` is
+    /// the tail, `None` not listed.
+    rows: Rows<Entry, Option<Option<NodeId>>>,
 }
 
 impl SinglyList {
     pub fn new() -> Self {
         Self {
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
-            next: FxHashMap::default(),
+            rows: Rows::default(),
         }
+    }
+
+    /// Unlink `node`, returning its forward pointer if it was listed.
+    fn take_next(&mut self, node: NodeId, addr: Addr) -> Option<Option<NodeId>> {
+        self.rows.edit(node, addr, Option::take)
     }
 
     /// The list as seen from the home (diagnostics; stops at dead ends).
     pub fn chain(&self, addr: Addr, max: usize) -> Vec<NodeId> {
         let mut out = Vec::new();
-        let mut cur = self.entries.get(&addr).and_then(|e| e.head);
+        let Some(row) = self.rows.get(addr) else {
+            return out;
+        };
+        let mut cur = row.entry.as_ref().and_then(|e| e.head);
         while let Some(n) = cur {
             if out.contains(&n) || out.len() >= max {
                 break;
             }
             out.push(n);
-            cur = self.next.get(&(n, addr)).copied().flatten();
+            cur = row.nodes.get(n).copied().flatten().flatten();
         }
         out
     }
 
     fn maybe_finish(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self.entries.get_mut(&addr).unwrap();
+        let row = self.rows.row(addr);
+        let e = row.entry.as_ref().unwrap();
         if !e.wait_fill && !e.wait_wbdata {
-            self.gate.finish_txn(ctx, home, addr);
+            row.gate.finish_txn(ctx, home);
         }
     }
 
@@ -76,21 +81,20 @@ impl SinglyList {
         let MsgKind::ReadReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.rows.row(addr).gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         e.wait_fill = true;
         match e.head {
             None => {
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     requester,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::ReadReply {
-                            adopt: NodeList::default(),
-                        },
+                    addr,
+                    MsgKind::ReadReply {
+                        adopt: NodeList::default(),
                     },
                 );
                 e.head = Some(requester);
@@ -98,14 +102,13 @@ impl SinglyList {
             Some(old_head) if old_head == requester => {
                 // Stale self-pointer: the requester was the head, silently
                 // lost its copy (its tail died with it), and is re-reading.
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     requester,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::ReadReply {
-                            adopt: NodeList::default(),
-                        },
+                    addr,
+                    MsgKind::ReadReply {
+                        adopt: NodeList::default(),
                     },
                 );
                 e.dirty = false;
@@ -116,14 +119,7 @@ impl SinglyList {
                 if e.dirty {
                     e.wait_wbdata = true;
                 }
-                ctx.send(
-                    old_head,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::SllSupply { requester },
-                    },
-                );
+                send(ctx, home, old_head, addr, MsgKind::SllSupply { requester });
             }
         }
     }
@@ -133,84 +129,59 @@ impl SinglyList {
         let MsgKind::WriteReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         match e.head {
             None => {
                 e.head = Some(requester);
                 e.dirty = true;
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     requester,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::WriteReply {
-                            kill_self_subtree: false,
-                        },
+                    addr,
+                    MsgKind::WriteReply {
+                        kill_self_subtree: false,
                     },
                 );
-                self.gate.finish_txn(ctx, home, addr);
+                row.gate.finish_txn(ctx, home);
             }
             Some(head) => {
                 e.pending_writer = Some(requester);
-                ctx.send(
-                    head,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::SllInv { writer: requester },
-                    },
-                );
+                send(ctx, home, head, addr, MsgKind::SllInv { writer: requester });
             }
         }
     }
 
     fn handle_chain_done(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self
-            .entries
-            .get_mut(&addr)
-            .expect("chain done without entry");
+        let row = self.rows.row(addr);
+        let e = row.entry.as_mut().expect("chain done without entry");
         let writer = e.pending_writer.take().expect("chain done without writer");
         e.head = Some(writer);
         e.dirty = true;
-        ctx.send(
+        send(
+            ctx,
+            home,
             writer,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::WriteReply {
-                    kill_self_subtree: false,
-                },
+            addr,
+            MsgKind::WriteReply {
+                kill_self_subtree: false,
             },
         );
-        self.gate.finish_txn(ctx, home, addr);
+        row.gate.finish_txn(ctx, home);
     }
 
     /// A node's slot in the chain has ended (invalidated or dead): either
     /// forward the walk or report completion to the home.
     fn walk_step(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, writer: NodeId) {
-        let next = self.next.remove(&(node, addr)).flatten();
+        let next = self.take_next(node, addr).flatten();
         match next {
-            Some(nx) => ctx.send(
-                nx,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::SllInv { writer },
-                },
-            ),
+            Some(nx) => send(ctx, node, nx, addr, MsgKind::SllInv { writer }),
             None => {
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SllChainDone { writer },
-                    },
-                );
+                send_home(ctx, node, addr, MsgKind::SllChainDone { writer });
             }
         }
     }
@@ -236,15 +207,7 @@ impl SinglyList {
             // Dead end (evicted, or never served): the downstream tail was
             // killed by the eviction's ReplaceInv, so the walk ends here.
             _ => {
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SllChainDone { writer },
-                    },
-                );
+                send_home(ctx, node, addr, MsgKind::SllChainDone { writer });
             }
         }
     }
@@ -262,44 +225,29 @@ impl SinglyList {
             LineState::V | LineState::E | LineState::WmIp | LineState::WmLip => {
                 if ctx.line_state(node, addr) == LineState::E {
                     ctx.set_line_state(node, addr, LineState::V);
-                    ctx.send(
+                    send(
+                        ctx,
+                        node,
                         home,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::WbData {
-                                for_op: OpKind::Read,
-                                requester,
-                            },
+                        addr,
+                        MsgKind::WbData {
+                            for_op: OpKind::Read,
+                            requester,
                         },
                     );
                 }
-                ctx.send(
-                    requester,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SllData,
-                    },
-                );
+                send(ctx, node, requester, addr, MsgKind::SllData);
             }
             _ => {
                 // Dead head (silent replacement race): the home supplies.
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::SllSupplyFail { requester },
-                    },
-                );
+                send(ctx, node, home, addr, MsgKind::SllSupplyFail { requester });
             }
         }
     }
 
     /// Dirty-read writeback from a live supplier: memory is fresh again.
     fn handle_wbdata(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         e.dirty = false;
         e.wait_wbdata = false;
         self.maybe_finish(ctx, home, addr);
@@ -313,17 +261,16 @@ impl SinglyList {
         addr: Addr,
         requester: NodeId,
     ) {
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         e.dirty = false;
         e.wait_wbdata = false;
-        ctx.send(
+        send(
+            ctx,
+            home,
             requester,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::ReadReply {
-                    adopt: NodeList::default(),
-                },
+            addr,
+            MsgKind::ReadReply {
+                adopt: NodeList::default(),
             },
         );
         self.maybe_finish(ctx, home, addr);
@@ -331,18 +278,8 @@ impl SinglyList {
 
     fn fill(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, next: Option<NodeId>) {
         debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
-        self.next.insert((node, addr), next);
-        ctx.set_line_state(node, addr, LineState::V);
-        ctx.complete(node, addr, OpKind::Read);
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::FillAck,
-            },
-        );
+        self.rows.edit(node, addr, |r| *r = Some(next));
+        read_fill(ctx, node, addr);
     }
 }
 
@@ -372,7 +309,7 @@ impl Protocol for SinglyList {
             MsgKind::ReadReply { .. } => self.fill(ctx, node, addr, None),
             MsgKind::WriteReply { .. } => {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                self.next.insert((node, addr), None);
+                self.rows.edit(node, addr, |r| *r = Some(None));
                 ctx.set_line_state(node, addr, LineState::E);
                 ctx.complete(node, addr, OpKind::Write);
             }
@@ -381,14 +318,14 @@ impl Protocol for SinglyList {
                 self.handle_supply_fail(ctx, node, addr, requester)
             }
             MsgKind::WbEvict => {
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 if e.head == Some(msg.src) {
                     e.head = None;
                 }
                 e.dirty = false;
             }
             MsgKind::FillAck => {
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 e.wait_fill = false;
                 self.maybe_finish(ctx, node, addr);
             }
@@ -396,15 +333,8 @@ impl Protocol for SinglyList {
                 if ctx.line_state(node, addr) == LineState::V {
                     ctx.note(ProtoEvent::ReplacementInvalidation);
                     ctx.set_line_state(node, addr, LineState::Iv);
-                    if let Some(Some(nx)) = self.next.remove(&(node, addr)) {
-                        ctx.send(
-                            nx,
-                            Msg {
-                                addr,
-                                src: node,
-                                kind: MsgKind::ReplaceInv,
-                            },
-                        );
+                    if let Some(Some(nx)) = self.take_next(node, addr) {
+                        send(ctx, node, nx, addr, MsgKind::ReplaceInv);
                     }
                 }
             }
@@ -416,28 +346,13 @@ impl Protocol for SinglyList {
         match state {
             LineState::V => {
                 // Forward pointers cannot splice: kill the tail downstream.
-                if let Some(Some(nx)) = self.next.remove(&(node, addr)) {
-                    ctx.send(
-                        nx,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::ReplaceInv,
-                        },
-                    );
+                if let Some(Some(nx)) = self.take_next(node, addr) {
+                    send(ctx, node, nx, addr, MsgKind::ReplaceInv);
                 }
             }
             LineState::E => {
-                self.next.remove(&(node, addr));
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::WbEvict,
-                    },
-                );
+                self.take_next(node, addr);
+                send_home(ctx, node, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
         }
@@ -456,10 +371,7 @@ impl Protocol for SinglyList {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
-        digest_map(h, &self.entries);
-        self.gate.digest(h);
-        digest_map(h, &self.next);
+        self.rows.digest(h);
     }
 }
 

@@ -16,18 +16,18 @@
 //! unicasts, which is exactly the §1 argument for directories.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::TxnGate;
+use crate::dir::util::{send, send_home, Rows};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::{Cycle, FxHashMap};
+use dirtree_sim::Cycle;
 
 /// Cycles between the snoop broadcast and the data supply: long enough for
 /// every snooper to have retired the invalidation/downgrade (cache latency
 /// plus slack), modeling the synchronous wired snoop-result lines.
 const SNOOP_WINDOW: Cycle = 4;
 
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     /// The memory controller snoops the bus too, so it always knows the
     /// modified owner.
@@ -37,15 +37,13 @@ struct Entry {
 /// The snooping MSI protocol.
 #[derive(Clone)]
 pub struct Snoop {
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
+    rows: Rows<Entry, ()>,
 }
 
 impl Snoop {
     pub fn new() -> Self {
         Self {
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
+            rows: Rows::default(),
         }
     }
 
@@ -55,7 +53,7 @@ impl Snoop {
             MsgKind::ReadReq { requester } | MsgKind::WriteReq { requester } => requester,
             _ => unreachable!(),
         };
-        if !self.gate.admit(addr, &msg) {
+        if !self.rows.row(addr).gate.admit(&msg) {
             return;
         }
         // Broadcast the snoop; every cache (including the old owner and an
@@ -81,7 +79,7 @@ impl Snoop {
             },
             1,
         );
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         if write {
             e.owner = Some(requester);
         } else {
@@ -145,14 +143,7 @@ impl Protocol for Snoop {
                 exclusive,
             } => {
                 // The snoop window elapsed at the memory: supply the data.
-                ctx.send(
-                    requester,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::BusData { exclusive },
-                    },
-                );
+                send(ctx, node, requester, addr, MsgKind::BusData { exclusive });
             }
             MsgKind::BusData { exclusive } => {
                 ctx.set_line_state(
@@ -173,19 +164,11 @@ impl Protocol for Snoop {
                         OpKind::Read
                     },
                 );
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::FillAck,
-                    },
-                );
+                send_home(ctx, node, addr, MsgKind::FillAck);
             }
-            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.rows.row(addr).gate.finish_txn(ctx, node),
             MsgKind::WbEvict => {
-                let e = self.entries.entry(addr).or_default();
+                let e = self.rows.row(addr).entry.get_or_insert_default();
                 if e.owner == Some(msg.src) {
                     e.owner = None;
                 }
@@ -199,15 +182,7 @@ impl Protocol for Snoop {
             LineState::V => {}
             LineState::E => {
                 // Flush on the bus (one data transaction to memory).
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::WbEvict,
-                    },
-                );
+                send_home(ctx, node, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
         }
@@ -227,8 +202,7 @@ impl Protocol for Snoop {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        crate::fingerprint::digest_map(h, &self.entries);
-        self.gate.digest(h);
+        self.rows.digest(h);
     }
 }
 

@@ -15,13 +15,12 @@
 //! repair.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, AckCollectors, TxnGate};
+use crate::dir::util::{ack, read_fill, send, send_home, wb_req, Collector, Rows};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::FxHashMap;
 
-#[derive(Clone, Default, Hash)]
+#[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
     dirty: bool,
     owner: NodeId,
@@ -32,78 +31,21 @@ struct Entry {
     wait_acks: u32,
 }
 
-/// Cache-side child pointers, stored block-major (`addr → node → kids`)
-/// so that a repair's "who lists me as a child?" reads the edges of its
-/// own block only. Canonical: no empty child list and no empty per-block
-/// table is ever stored, so equal edge sets have one representation.
-#[derive(Clone, Default)]
-struct Edges(FxHashMap<Addr, FxHashMap<NodeId, Vec<NodeId>>>);
-
-impl Edges {
-    fn get(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.0
-            .get(&addr)
-            .and_then(|block| block.get(&node))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    fn take(&mut self, node: NodeId, addr: Addr) -> Vec<NodeId> {
-        let Some(block) = self.0.get_mut(&addr) else {
-            return Vec::new();
-        };
-        let kids = block.remove(&node).unwrap_or_default();
-        if block.is_empty() {
-            self.0.remove(&addr);
-        }
-        kids
-    }
-
-    /// Edit `node`'s child list in place.
-    fn edit(&mut self, node: NodeId, addr: Addr, f: impl FnOnce(&mut Vec<NodeId>)) {
-        let block = self.0.entry(addr).or_default();
-        let kids = block.entry(node).or_default();
-        f(kids);
-        if kids.is_empty() {
-            self.take(node, addr);
-        }
-    }
-
-    /// Every node other than `child` whose list for `addr` names `child`,
-    /// in ascending node id order.
-    fn parents_of(&self, child: NodeId, addr: Addr) -> Vec<NodeId> {
-        let Some(block) = self.0.get(&addr) else {
-            return Vec::new();
-        };
-        let mut parents: Vec<NodeId> = block
-            .iter()
-            .filter(|(&p, kids)| p != child && kids.contains(&child))
-            .map(|(&p, _)| p)
-            .collect();
-        parents.sort_unstable();
-        parents
-    }
-
-    /// The flat `(node, addr) → kids` map this table replaced, which is the
-    /// shape the state digest is defined over. Walks the whole table: for
-    /// `fingerprint` and `check_invariants` only.
-    fn flat(&self) -> FxHashMap<(NodeId, Addr), &Vec<NodeId>> {
-        self.0
-            .iter()
-            .flat_map(|(&addr, block)| block.iter().map(move |(&node, kids)| ((node, addr), kids)))
-            .collect()
-    }
+/// One node's part in a block's tree.
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Rec {
+    /// Cache-side child pointers.
+    children: Vec<NodeId>,
+    collector: Option<Collector>,
+    /// Mover-side count of outstanding repair fix-up acks.
+    fixups: u32,
 }
 
 /// The STP protocol with `arity`-ary trees.
 #[derive(Clone)]
 pub struct Stp {
     arity: u32,
-    entries: FxHashMap<Addr, Entry>,
-    gate: TxnGate,
-    children: Edges,
-    collectors: AckCollectors,
-    /// Mover-side count of outstanding repair fix-up acks.
-    fixups: FxHashMap<(NodeId, Addr), u32>,
+    rows: Rows<Entry, Rec>,
 }
 
 impl Stp {
@@ -111,24 +53,44 @@ impl Stp {
         assert!(arity >= 2);
         Self {
             arity,
-            entries: FxHashMap::default(),
-            gate: TxnGate::new(),
-            children: Edges::default(),
-            collectors: AckCollectors::new(),
-            fixups: FxHashMap::default(),
+            rows: Rows::default(),
         }
+    }
+
+    /// Take `node`'s child list, leaving it empty.
+    fn take_children(&mut self, node: NodeId, addr: Addr) -> Vec<NodeId> {
+        self.rows
+            .edit(node, addr, |r| std::mem::take(&mut r.children))
+    }
+
+    /// Edit `node`'s child list in place.
+    fn edit_children(&mut self, node: NodeId, addr: Addr, f: impl FnOnce(&mut Vec<NodeId>)) {
+        self.rows.edit(node, addr, |r| f(&mut r.children));
+    }
+
+    /// Every node other than `child` whose list for `addr` names `child`,
+    /// in ascending node id order.
+    fn parents_of(&self, child: NodeId, addr: Addr) -> Vec<NodeId> {
+        self.rows.get(addr).map_or_else(Vec::new, |row| {
+            row.nodes
+                .iter()
+                .filter(|(p, r)| *p != child && r.children.contains(&child))
+                .map(|(p, _)| p)
+                .collect()
+        })
     }
 
     /// Arrival list (diagnostics).
     pub fn members(&self, addr: Addr) -> Vec<NodeId> {
-        self.entries
-            .get(&addr)
+        self.rows
+            .get(addr)
+            .and_then(|r| r.entry.as_ref())
             .map(|e| e.members.clone())
             .unwrap_or_default()
     }
 
     pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.children.get(node, addr)
+        self.rows.rec(node, addr).map_or(&[], |r| &r.children)
     }
 
     fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -136,25 +98,25 @@ impl Stp {
         let MsgKind::ReadReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        let arity = self.arity as usize;
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let arity = self.arity as usize;
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         if e.dirty {
             debug_assert_ne!(e.owner, requester);
             e.pending = Some((requester, OpKind::Read));
             e.wait_wb = true;
             let owner = e.owner;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 owner,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::WbReq {
-                        for_op: OpKind::Read,
-                        requester,
-                    },
+                addr,
+                MsgKind::WbReq {
+                    for_op: OpKind::Read,
+                    requester,
                 },
             );
             return;
@@ -176,34 +138,27 @@ impl Stp {
                 Some(e.members[(j - 1) / arity])
             }
         };
-        ctx.send(
-            requester,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::StpJoinResp { parent },
-            },
-        );
+        send(ctx, home, requester, addr, MsgKind::StpJoinResp { parent });
         // Transaction stays open until the FillAck (sent after the attach
         // handshake completes).
     }
 
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let e = self.entries.get_mut(&addr).unwrap();
+        let row = self.rows.row(addr);
+        let e = row.entry.as_mut().unwrap();
         e.dirty = true;
         e.owner = writer;
         e.members.clear();
-        ctx.send(
+        send(
+            ctx,
+            home,
             writer,
-            Msg {
-                addr,
-                src: home,
-                kind: MsgKind::WriteReply {
-                    kill_self_subtree: false,
-                },
+            addr,
+            MsgKind::WriteReply {
+                kill_self_subtree: false,
             },
         );
-        self.gate.finish_txn(ctx, home, addr);
+        row.gate.finish_txn(ctx, home);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -211,23 +166,23 @@ impl Stp {
         let MsgKind::WriteReq { requester } = msg.kind else {
             unreachable!()
         };
-        if !self.gate.admit(addr, &msg) {
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         if e.dirty {
             e.pending = Some((requester, OpKind::Write));
             e.wait_wb = true;
             let owner = e.owner;
-            ctx.send(
+            send(
+                ctx,
+                home,
                 owner,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::WbReq {
-                        for_op: OpKind::Write,
-                        requester,
-                    },
+                addr,
+                MsgKind::WbReq {
+                    for_op: OpKind::Write,
+                    requester,
                 },
             );
             return;
@@ -239,22 +194,21 @@ impl Stp {
             e.pending = Some((requester, OpKind::Write));
             e.wait_acks = 1;
             e.members.clear();
-            ctx.send(
+            send(
+                ctx,
+                home,
                 root,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::Inv {
-                        also: None,
-                        from_dir: true,
-                    },
+                addr,
+                MsgKind::Inv {
+                    also: None,
+                    from_dir: true,
                 },
             );
         }
     }
 
     fn handle_wb(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, evict: bool) {
-        let e = self.entries.entry(addr).or_default();
+        let e = self.rows.row(addr).entry.get_or_insert_default();
         if e.wait_wb {
             e.wait_wb = false;
             let (requester, op) = e.pending.take().expect("wait_wb without pending");
@@ -268,14 +222,7 @@ impl Stp {
                     }
                     let parent = e.members.first().copied();
                     e.members.push(requester);
-                    ctx.send(
-                        requester,
-                        Msg {
-                            addr,
-                            src: home,
-                            kind: MsgKind::StpJoinResp { parent },
-                        },
-                    );
+                    send(ctx, home, requester, addr, MsgKind::StpJoinResp { parent });
                 }
                 OpKind::Write => self.grant_write(ctx, home, addr, requester),
             }
@@ -294,7 +241,11 @@ impl Stp {
         let MsgKind::Inv { from_dir, .. } = msg.kind else {
             unreachable!()
         };
-        if self.collectors.is_open(node, addr) {
+        if self
+            .rows
+            .rec(node, addr)
+            .is_some_and(|r| r.collector.is_some())
+        {
             // Already collecting: the subtree is covered by the first
             // invalidation path; waiting here risks ack cycles. Answer
             // immediately (see dir_tree.rs for the acyclicity argument).
@@ -302,7 +253,7 @@ impl Stp {
             return;
         }
         let state = ctx.line_state(node, addr);
-        let kids = self.children.take(node, addr);
+        let kids = self.take_children(node, addr);
         match state {
             LineState::V => {
                 ctx.note(ProtoEvent::Invalidation);
@@ -322,18 +273,19 @@ impl Stp {
         if kids.is_empty() {
             ack(ctx, node, addr, msg.src, from_dir);
         } else {
-            self.collectors
-                .open(node, addr, msg.src, from_dir, kids.len() as u32);
+            let remaining = kids.len() as u32;
+            self.rows.edit(node, addr, |r| {
+                Collector::open(&mut r.collector, msg.src, from_dir, remaining);
+            });
             for k in kids {
-                ctx.send(
+                send(
+                    ctx,
+                    node,
                     k,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::Inv {
-                            also: None,
-                            from_dir: false,
-                        },
+                    addr,
+                    MsgKind::Inv {
+                        also: None,
+                        from_dir: false,
                     },
                 );
             }
@@ -341,7 +293,10 @@ impl Stp {
     }
 
     fn handle_inv_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        if let Some(targets) = self.collectors.ack(node, addr) {
+        let done = self
+            .rows
+            .edit(node, addr, |r| Collector::ack(&mut r.collector));
+        if let Some(targets) = done {
             if ctx.line_state(node, addr) == LineState::InvIp {
                 ctx.set_line_state(node, addr, LineState::Iv);
             }
@@ -352,7 +307,12 @@ impl Stp {
     }
 
     fn handle_inv_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self.entries.get_mut(&addr).expect("ack without entry");
+        let e = self
+            .rows
+            .row(addr)
+            .entry
+            .as_mut()
+            .expect("ack without entry");
         debug_assert!(e.wait_acks > 0);
         e.wait_acks -= 1;
         if e.wait_acks == 0 {
@@ -367,40 +327,40 @@ impl Stp {
     fn handle_leave(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
         let addr = msg.addr;
         let leaver = msg.src;
-        if !self.gate.admit(addr, &msg) {
+        let arity = self.arity as usize;
+        let row = self.rows.row(addr);
+        if !row.gate.admit(&msg) {
             return;
         }
-        let arity = self.arity as usize;
-        let e = self.entries.entry(addr).or_default();
+        let e = row.entry.get_or_insert_default();
         let Some(j) = e.members.iter().position(|&m| m == leaver) else {
             // Already gone (a write transaction cleared the tree first).
-            self.gate.finish_txn(ctx, home, addr);
+            row.gate.finish_txn(ctx, home);
             return;
         };
         let last = e.members.len() - 1;
         ctx.note(ProtoEvent::ReplacementInvalidation);
         if j == last {
             e.members.pop();
-            self.children.take(leaver, addr);
-            if j == 0 {
-                // Sole member: nothing to fix.
-                self.gate.finish_txn(ctx, home, addr);
-            } else {
+            let parent = (j > 0).then(|| e.members[(j - 1) / arity]);
+            row.nodes.edit(leaver, |r| r.children.clear());
+            if let Some(parent) = parent {
                 // Tell the parent to forget the leaver; its ack closes the
                 // transaction.
-                let parent = e.members[(j - 1) / arity];
-                ctx.send(
+                send(
+                    ctx,
+                    home,
                     parent,
-                    Msg {
-                        addr,
-                        src: home,
-                        kind: MsgKind::StpFixup {
-                            remove: Some(leaver),
-                            add: None,
-                            from_home: true,
-                        },
+                    addr,
+                    MsgKind::StpFixup {
+                        remove: Some(leaver),
+                        add: None,
+                        from_home: true,
                     },
                 );
+            } else {
+                // Sole member: nothing to fix.
+                row.gate.finish_txn(ctx, home);
             }
         } else {
             let mover = e.members[last];
@@ -417,16 +377,15 @@ impl Stp {
                 .filter(|&c| c < e.members.len())
                 .map(|c| e.members[c])
                 .collect();
-            ctx.send(
+            send(
+                ctx,
+                home,
                 mover,
-                Msg {
-                    addr,
-                    src: home,
-                    kind: MsgKind::StpMove {
-                        replacing: leaver,
-                        new_parent: new_parent.filter(|&p| p != mover),
-                        new_children: new_children.into(),
-                    },
+                addr,
+                MsgKind::StpMove {
+                    replacing: leaver,
+                    new_parent: new_parent.filter(|&p| p != mover),
+                    new_children: new_children.into(),
                 },
             );
         }
@@ -445,58 +404,49 @@ impl Stp {
         let home = ctx.home_of(addr);
         // Take over the leaver's children locally (we were the last member
         // so we had none of our own).
-        let mut inherited = self.children.take(replacing, addr);
+        let mut inherited = self.take_children(replacing, addr);
         inherited.retain(|&c| c != node);
         for &c in new_children.iter() {
             if !inherited.contains(&c) && c != node {
                 inherited.push(c);
             }
         }
-        self.children.edit(node, addr, |kids| *kids = inherited);
+        self.edit_children(node, addr, |kids| *kids = inherited);
         // Fix both parents; their acks close the leave transaction. Our
         // old parent is whoever currently lists us as a child.
         let mut outstanding = 0;
-        for p in self.children.parents_of(node, addr) {
-            ctx.send(
+        for p in self.parents_of(node, addr) {
+            send(
+                ctx,
+                node,
                 p,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::StpFixup {
-                        remove: Some(node),
-                        add: None,
-                        from_home: false,
-                    },
+                addr,
+                MsgKind::StpFixup {
+                    remove: Some(node),
+                    add: None,
+                    from_home: false,
                 },
             );
             outstanding += 1;
         }
         if let Some(np) = new_parent {
-            ctx.send(
+            send(
+                ctx,
+                node,
                 np,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::StpFixup {
-                        remove: Some(replacing),
-                        add: Some(node),
-                        from_home: false,
-                    },
+                addr,
+                MsgKind::StpFixup {
+                    remove: Some(replacing),
+                    add: Some(node),
+                    from_home: false,
                 },
             );
             outstanding += 1;
         }
         if outstanding == 0 {
-            ctx.send(
-                home,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::StpLeaveDone,
-                },
-            );
+            send(ctx, node, home, addr, MsgKind::StpLeaveDone);
         } else {
-            self.fixups.insert((node, addr), outstanding);
+            self.rows.edit(node, addr, |r| r.fixups = outstanding);
         }
     }
 
@@ -510,7 +460,7 @@ impl Stp {
         else {
             unreachable!()
         };
-        self.children.edit(node, addr, |kids| {
+        self.edit_children(node, addr, |kids| {
             if let Some(r) = remove {
                 kids.retain(|&c| c != r);
             }
@@ -520,37 +470,27 @@ impl Stp {
                 }
             }
         });
-        ctx.send(
+        send(
+            ctx,
+            node,
             msg.src,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::StpFixupAck { dir: from_home },
-            },
+            addr,
+            MsgKind::StpFixupAck { dir: from_home },
         );
     }
 
     fn handle_fixup_ack(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, dir: bool) {
         if dir {
             // Home-issued fix-up (leaver-was-last case): close the txn.
-            self.gate.finish_txn(ctx, node, addr);
+            self.rows.row(addr).gate.finish_txn(ctx, node);
         } else {
-            let remaining = self
-                .fixups
-                .get_mut(&(node, addr))
-                .expect("fixup ack without pending repair");
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.fixups.remove(&(node, addr));
-                let home = ctx.home_of(addr);
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::StpLeaveDone,
-                    },
-                );
+            let repaired = self.rows.edit(node, addr, |r| {
+                assert!(r.fixups > 0, "fixup ack without pending repair");
+                r.fixups -= 1;
+                r.fixups == 0
+            });
+            if repaired {
+                send_home(ctx, node, addr, MsgKind::StpLeaveDone);
             }
         }
     }
@@ -564,31 +504,10 @@ impl Stp {
         match parent {
             Some(p) if p != node => {
                 // Attach handshake before the miss completes.
-                ctx.send(
-                    p,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::StpAttach,
-                    },
-                );
+                send(ctx, node, p, addr, MsgKind::StpAttach);
             }
-            _ => self.fill(ctx, node, addr),
+            _ => read_fill(ctx, node, addr),
         }
-    }
-
-    fn fill(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        ctx.set_line_state(node, addr, LineState::V);
-        ctx.complete(node, addr, OpKind::Read);
-        let home = ctx.home_of(addr);
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind: MsgKind::FillAck,
-            },
-        );
     }
 }
 
@@ -606,59 +525,31 @@ impl Protocol for Stp {
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, true),
             MsgKind::InvAck { dir: true } => self.handle_inv_ack_home(ctx, node, addr),
             MsgKind::InvAck { dir: false } => self.handle_inv_ack_cache(ctx, node, addr),
-            MsgKind::FillAck => self.gate.finish_txn(ctx, node, addr),
+            MsgKind::FillAck => self.rows.row(addr).gate.finish_txn(ctx, node),
             MsgKind::StpJoinResp { .. } => self.handle_join_resp(ctx, node, msg),
             MsgKind::StpAttach => {
                 let child = msg.src;
-                self.children.edit(node, addr, |kids| {
+                self.edit_children(node, addr, |kids| {
                     if !kids.contains(&child) {
                         kids.push(child);
                     }
                 });
-                ctx.send(
-                    child,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::StpAttachAck,
-                    },
-                );
+                send(ctx, node, child, addr, MsgKind::StpAttachAck);
             }
-            MsgKind::StpAttachAck => self.fill(ctx, node, addr),
+            MsgKind::StpAttachAck => read_fill(ctx, node, addr),
             MsgKind::StpLeave => self.handle_leave(ctx, node, msg),
-            MsgKind::StpLeaveDone => self.gate.finish_txn(ctx, node, addr),
+            MsgKind::StpLeaveDone => self.rows.row(addr).gate.finish_txn(ctx, node),
             MsgKind::StpMove { .. } => self.handle_move(ctx, node, msg),
             MsgKind::StpFixup { .. } => self.handle_fixup(ctx, node, msg),
             MsgKind::StpFixupAck { dir } => self.handle_fixup_ack(ctx, node, addr, dir),
             MsgKind::Inv { .. } => self.handle_inv(ctx, node, msg),
             MsgKind::WriteReply { .. } => {
                 debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                self.children.take(node, addr);
+                self.take_children(node, addr);
                 ctx.set_line_state(node, addr, LineState::E);
                 ctx.complete(node, addr, OpKind::Write);
             }
-            MsgKind::WbReq { for_op, requester } => {
-                use crate::types::LineState as S;
-                if ctx.line_state(node, addr) == S::E {
-                    ctx.set_line_state(
-                        node,
-                        addr,
-                        match for_op {
-                            OpKind::Read => S::V,
-                            OpKind::Write => S::Iv,
-                        },
-                    );
-                    let home = ctx.home_of(addr);
-                    ctx.send(
-                        home,
-                        Msg {
-                            addr,
-                            src: node,
-                            kind: MsgKind::WbData { for_op, requester },
-                        },
-                    );
-                }
-            }
+            MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
             other => unreachable!("STP received {other:?}"),
         }
     }
@@ -668,24 +559,10 @@ impl Protocol for Stp {
         match state {
             LineState::V => {
                 // The tree is repaired by the home; children survive.
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::StpLeave,
-                    },
-                );
+                send(ctx, node, home, addr, MsgKind::StpLeave);
             }
             LineState::E => {
-                ctx.send(
-                    home,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::WbEvict,
-                    },
-                );
+                send(ctx, node, home, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
         }
@@ -705,24 +582,13 @@ impl Protocol for Stp {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
-        digest_map(h, &self.entries);
-        self.gate.digest(h);
-        digest_map(h, &self.children.flat());
-        self.collectors.digest(h);
-        digest_map(h, &self.fixups);
+        self.rows.digest(h);
     }
 
     /// STP structural invariants.
     ///
-    /// Checked at **every** state:
-    /// * the edge table is canonical — no empty per-block table and no
-    ///   empty child list — so the flat digest in `fingerprint` sees every
-    ///   stored key and equal edge sets digest equally;
-    /// * child lists hold ≤ `k` distinct valid nodes, never the node
-    ///   itself;
-    /// * the per-block parent lookup a repair uses agrees with a scan of
-    ///   every edge in the machine.
+    /// Checked at **every** state: child lists hold ≤ `k` distinct valid
+    /// nodes, never the node itself.
     ///
     /// Checked only at **quiescence**:
     /// * no ack collector, home transaction or repair is left open;
@@ -744,18 +610,13 @@ impl Protocol for Stp {
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
         let arity = self.arity as usize;
-        if self.children.0.values().any(FxHashMap::is_empty) {
-            return Err("empty per-block edge table stored".into());
-        }
-        let flat = self.children.flat();
-        // Reverse index built from a scan of every edge in the machine.
-        let mut listed_by: FxHashMap<(NodeId, Addr), Vec<NodeId>> = FxHashMap::default();
-        for (&(node, addr), &kids) in &flat {
-            if kids.is_empty() {
-                return Err(format!(
-                    "empty child list stored at node {node} for {addr:#x}"
-                ));
-            }
+        let recs = || {
+            self.rows
+                .iter()
+                .flat_map(|(addr, row)| row.nodes.iter().map(move |(n, r)| (addr, n, r)))
+        };
+        for (addr, node, rec) in recs() {
+            let kids = &rec.children;
             if kids.len() > arity {
                 return Err(format!(
                     "node {node} holds {} children for {addr:#x}, arity is {arity}",
@@ -771,41 +632,27 @@ impl Protocol for Stp {
                     "malformed child list {kids:?} at node {node} for {addr:#x}"
                 ));
             }
-            for &k in kids.iter().filter(|&&k| k != node) {
-                listed_by.entry((k, addr)).or_default().push(node);
-            }
-        }
-        for ((k, addr), mut scan) in listed_by {
-            scan.sort_unstable();
-            if scan != self.children.parents_of(k, addr) {
-                return Err(format!(
-                    "per-block parent lookup of node {k} for {addr:#x} disagrees with a full scan"
-                ));
-            }
         }
         if !quiescent {
             return Ok(());
         }
-        if self.collectors.open_count() != 0 {
+        let open = recs().filter(|(_, _, r)| r.collector.is_some()).count();
+        if open != 0 {
+            return Err(format!("{open} ack collector(s) still open at quiescence"));
+        }
+        let busy = self.rows.iter().filter(|(_, r)| r.gate.is_busy()).count();
+        if busy != 0 {
             return Err(format!(
-                "{} ack collector(s) still open at quiescence",
-                self.collectors.open_count()
+                "{busy} home transaction(s) still open at quiescence"
             ));
         }
-        if self.gate.open_transactions() != 0 {
-            return Err(format!(
-                "{} home transaction(s) still open at quiescence",
-                self.gate.open_transactions()
-            ));
-        }
-        if !self.fixups.is_empty() {
-            return Err(format!(
-                "{} repair(s) still open at quiescence",
-                self.fixups.len()
-            ));
+        let repairs = recs().filter(|(_, _, r)| r.fixups != 0).count();
+        if repairs != 0 {
+            return Err(format!("{repairs} repair(s) still open at quiescence"));
         }
         for &addr in addrs {
-            let entry = self.entries.get(&addr);
+            let row = self.rows.get(addr);
+            let entry = row.and_then(|r| r.entry.as_ref());
             let members: &[NodeId] = entry.map_or(&[], |e| &e.members);
             let dirty = entry.filter(|e| e.dirty);
             if let Some(e) = dirty {
@@ -823,7 +670,7 @@ impl Protocol for Stp {
                 let first = (arity * j + 1).min(members.len());
                 let last = (arity * j + 1 + arity).min(members.len());
                 let mut want = members[first..last].to_vec();
-                let mut have = self.children.get(m, addr).to_vec();
+                let mut have = self.children_of(m, addr).to_vec();
                 want.sort_unstable();
                 have.sort_unstable();
                 if want != have {
@@ -832,11 +679,12 @@ impl Protocol for Stp {
                     ));
                 }
             }
-            if let Some(stray) = flat
-                .keys()
-                .find(|(n, a)| *a == addr && !members.contains(n))
-                .map(|&(n, _)| n)
-            {
+            let stray = row.and_then(|r| {
+                r.nodes
+                    .iter()
+                    .find(|(n, r)| !r.children.is_empty() && !members.contains(n))
+            });
+            if let Some((stray, _)) = stray {
                 return Err(format!(
                     "non-member {stray} of {addr:#x} still holds child edges"
                 ));
@@ -1086,20 +934,17 @@ mod tests {
     }
 
     #[test]
-    fn invariants_reject_non_canonical_and_misshapen_edge_tables() {
+    fn invariants_reject_misshapen_edge_tables() {
         let (mut ctx, mut p) = setup(16);
         for n in 1..=3 {
             ctx.read(&mut p, n, A);
         }
         p.check_invariants(&ctx, &[A], true).unwrap();
-        let mut empty_list = p.clone();
-        empty_list.children.0.get_mut(&A).unwrap().insert(3, vec![]);
-        assert!(empty_list.check_invariants(&ctx, &[A], false).is_err());
-        let mut empty_block = p.clone();
-        empty_block.children.0.insert(5, FxHashMap::default());
-        assert!(empty_block.check_invariants(&ctx, &[A], false).is_err());
+        let mut self_loop = p.clone();
+        self_loop.edit_children(3, A, |kids| kids.push(3));
+        assert!(self_loop.check_invariants(&ctx, &[A], false).is_err());
         let mut wrong_shape = p.clone();
-        wrong_shape.children.edit(2, A, |kids| kids.push(3));
+        wrong_shape.edit_children(2, A, |kids| kids.push(3));
         assert!(wrong_shape.check_invariants(&ctx, &[A], false).is_ok());
         assert!(wrong_shape.check_invariants(&ctx, &[A], true).is_err());
     }

@@ -2,11 +2,13 @@
 
 use crate::ctx::ProtoCtx;
 use crate::msg::{Msg, MsgKind};
-use crate::types::{Addr, NodeId};
-use dirtree_sim::FxHashMap;
+use crate::types::{Addr, LineState, NodeId, OpKind};
+use dirtree_sim::BlockTable;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
-/// Per-block transaction serialization at the home directory.
+/// Per-block transaction serialization at the home directory: one lives in
+/// every block's row.
 ///
 /// Real directory controllers (Alewife, DASH) process one transaction per
 /// block at a time and NAK or defer the rest; we defer. A protocol calls
@@ -14,93 +16,75 @@ use std::collections::VecDeque;
 /// block is busy the request is queued and `admit` returns `false`. When the
 /// transaction retires, [`TxnGate::finish`] releases the block and returns
 /// the next queued request (if any) for the protocol to redeliver to itself.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TxnGate {
-    waiting: FxHashMap<Addr, VecDeque<Msg>>,
-    busy: dirtree_sim::FxHashSet<Addr>,
+    busy: bool,
+    waiting: VecDeque<Msg>,
 }
 
 impl TxnGate {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Try to open a transaction for `addr`. Returns `true` if the caller
-    /// may proceed; otherwise the message is queued for later redelivery.
-    pub fn admit(&mut self, addr: Addr, msg: &Msg) -> bool {
-        if self.busy.contains(&addr) {
-            self.waiting.entry(addr).or_default().push_back(msg.clone());
+    /// Try to open a transaction. Returns `true` if the caller may
+    /// proceed; otherwise the message is queued for later redelivery.
+    pub fn admit(&mut self, msg: &Msg) -> bool {
+        if self.busy {
+            self.waiting.push_back(msg.clone());
             false
         } else {
-            self.busy.insert(addr);
+            self.busy = true;
             true
         }
     }
 
-    /// Retire the transaction for `addr`. Returns the next deferred request
-    /// to redeliver (its redelivery will call [`TxnGate::admit`] again).
+    /// Retire the transaction. Returns the next deferred request to
+    /// redeliver (its redelivery will call [`TxnGate::admit`] again).
     #[must_use]
-    pub fn finish(&mut self, addr: Addr) -> Option<Msg> {
-        let was_busy = self.busy.remove(&addr);
-        debug_assert!(was_busy, "finish without matching admit for {addr:#x}");
-        let q = self.waiting.get_mut(&addr)?;
-        let next = q.pop_front();
-        if q.is_empty() {
-            self.waiting.remove(&addr);
+    pub fn finish(&mut self) -> Option<Msg> {
+        debug_assert!(self.busy, "finish without matching admit");
+        self.busy = false;
+        let next = self.waiting.pop_front();
+        if self.waiting.is_empty() {
+            // A hot block can queue a deferral per node; give the buffer
+            // back rather than keep it for every block ever contended.
+            self.waiting = VecDeque::new();
         }
         next
     }
 
-    /// Retire the transaction for `addr` at `home` and hand the next
-    /// deferred request, if any, back to the home for redelivery.
-    pub fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        if let Some(next) = self.finish(addr) {
+    /// Retire the transaction at `home` and hand the next deferred
+    /// request, if any, back to the home for redelivery.
+    pub fn finish_txn(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId) {
+        if let Some(next) = self.finish() {
             ctx.redeliver(home, next, 0);
         }
     }
 
-    /// Is a transaction in flight for `addr`?
-    pub fn is_busy(&self, addr: Addr) -> bool {
-        self.busy.contains(&addr)
+    /// Is a transaction in flight?
+    pub fn is_busy(&self) -> bool {
+        self.busy
     }
 
-    /// Any traffic for `addr` at all — an open transaction *or* deferred
-    /// requests awaiting redelivery. This is the adaptive hybrid's drain
-    /// check: between [`TxnGate::finish`] popping one deferred request and
-    /// its redelivery re-admitting, `busy` is clear while later arrivals
-    /// still sit in the queue; flipping the block's mode then would strand
-    /// them in an instance that never retires another transaction.
-    pub fn has_traffic(&self, addr: Addr) -> bool {
-        self.busy.contains(&addr) || self.waiting.contains_key(&addr)
-    }
-
-    /// Number of blocks with open transactions (diagnostics / quiescence).
-    pub fn open_transactions(&self) -> usize {
-        self.busy.len()
-    }
-
-    /// Canonical digest of the gate state (model-checker support).
-    pub fn digest(&self, h: &mut dyn std::hash::Hasher) {
-        crate::fingerprint::digest_map(h, &self.waiting);
-        crate::fingerprint::digest_set(h, &self.busy);
+    /// Any traffic at all — an open transaction *or* deferred requests
+    /// awaiting redelivery. This is the adaptive hybrid's drain check:
+    /// between [`TxnGate::finish`] popping one deferred request and its
+    /// redelivery re-admitting, `busy` is clear while later arrivals still
+    /// sit in the queue; flipping the block's mode then would strand them
+    /// in an instance that never retires another transaction.
+    pub fn has_traffic(&self) -> bool {
+        self.busy || !self.waiting.is_empty()
     }
 
     /// The gate with deferred requests relabeled through `perm`
-    /// (`perm[old] = new`); per-block busy flags are node-free. Queue order
-    /// is preserved — a relabeled execution defers in the same order.
+    /// (`perm[old] = new`). Queue order is preserved — a relabeled
+    /// execution defers in the same order.
     pub fn relabeled(&self, perm: &[NodeId]) -> TxnGate {
         TxnGate {
-            waiting: self
-                .waiting
-                .iter()
-                .map(|(&a, q)| (a, q.iter().map(|m| m.relabeled(perm)).collect()))
-                .collect(),
-            busy: self.busy.clone(),
+            busy: self.busy,
+            waiting: self.waiting.iter().map(|m| m.relabeled(perm)).collect(),
         }
     }
 }
 
-/// Cache-side invalidation-ack collector for tree protocols.
+/// Cache-side invalidation-ack collection of one tree node for one block.
 ///
 /// When a tree node receives an `Inv`, it forwards the invalidation to its
 /// children (and, for Dir_iTree_k even-numbered roots, to the paired odd
@@ -109,130 +93,282 @@ impl TxnGate {
 /// re-join the forest while stale parent edges still point at them, a node
 /// can receive *several* `Inv`s for the same block concurrently; each one
 /// deserves exactly one ack, so the collector keeps a list of ack targets.
-#[derive(Clone, Default)]
-pub struct AckCollectors {
-    map: FxHashMap<(NodeId, Addr), Collector>,
-}
-
-#[derive(Clone, Hash)]
-struct Collector {
+/// It lives in the node's record of the block's row, as an `Option` that
+/// is `Some` exactly while a collection is open.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Collector {
     /// `(target, dir)` pairs: who to ack and whether the ack is
     /// directory-bound.
     targets: Vec<(NodeId, bool)>,
     remaining: u32,
 }
 
-impl AckCollectors {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Open a collection at `(node, addr)` owing one ack to `target`, with
+impl Collector {
+    /// Open a collection in `slot` owing one ack to `target`, with
     /// `remaining` forwarded invalidations outstanding. `remaining` must be
     /// nonzero (acks with nothing outstanding should be sent immediately).
-    pub fn open(&mut self, node: NodeId, addr: Addr, target: NodeId, dir: bool, remaining: u32) {
+    pub fn open(slot: &mut Option<Collector>, target: NodeId, dir: bool, remaining: u32) {
         assert!(remaining > 0);
-        let prev = self.map.insert(
-            (node, addr),
-            Collector {
-                targets: vec![(target, dir)],
-                remaining,
-            },
-        );
-        assert!(
-            prev.is_none(),
-            "collector already open at ({node}, {addr:#x})"
-        );
-    }
-
-    /// Is a collection in progress at `(node, addr)`?
-    pub fn is_open(&self, node: NodeId, addr: Addr) -> bool {
-        self.map.contains_key(&(node, addr))
+        assert!(slot.is_none(), "collector already open");
+        *slot = Some(Collector {
+            targets: vec![(target, dir)],
+            remaining,
+        });
     }
 
     /// A second `Inv` arrived while collecting: owe its sender an ack too,
     /// and optionally add more outstanding forwards (e.g. a late `also`).
-    pub fn absorb(
-        &mut self,
-        node: NodeId,
-        addr: Addr,
-        target: NodeId,
-        dir: bool,
-        extra_remaining: u32,
-    ) {
-        let c = self
-            .map
-            .get_mut(&(node, addr))
-            .expect("absorb on closed collector");
-        c.targets.push((target, dir));
-        c.remaining += extra_remaining;
+    pub fn absorb(&mut self, target: NodeId, dir: bool, extra_remaining: u32) {
+        self.targets.push((target, dir));
+        self.remaining += extra_remaining;
     }
 
-    /// An ack arrived. Returns the targets to acknowledge when the
-    /// collection completes (empty `None` while still waiting).
+    /// An ack arrived at `slot`. Returns the targets to acknowledge when
+    /// the collection completes (`None` while still waiting, or if no
+    /// collection is open).
     #[must_use]
-    pub fn ack(&mut self, node: NodeId, addr: Addr) -> Option<Vec<(NodeId, bool)>> {
-        let c = self.map.get_mut(&(node, addr))?;
+    pub fn ack(slot: &mut Option<Collector>) -> Option<Vec<(NodeId, bool)>> {
+        let c = slot.as_mut()?;
         debug_assert!(c.remaining > 0);
         c.remaining -= 1;
         if c.remaining == 0 {
-            let c = self.map.remove(&(node, addr)).unwrap();
-            Some(c.targets)
+            slot.take().map(|c| c.targets)
         } else {
             None
         }
     }
 
-    pub fn open_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Is a collection in progress for `addr` at *any* node? (Used by the
-    /// adaptive hybrid's transition-drain check.)
-    pub fn open_at_addr(&self, addr: Addr) -> bool {
-        self.map.keys().any(|&(_, a)| a == addr)
-    }
-
-    /// Canonical digest of all open collections (model-checker support).
-    pub fn digest(&self, h: &mut dyn std::hash::Hasher) {
-        crate::fingerprint::digest_map(h, &self.map);
-    }
-
-    /// The collectors with every node id (keys and ack targets) mapped
-    /// through `perm` (`perm[old] = new`). Target order is preserved.
-    pub fn relabeled(&self, perm: &[NodeId]) -> AckCollectors {
-        AckCollectors {
-            map: self
-                .map
+    /// The collector with every ack target mapped through `perm`
+    /// (`perm[old] = new`). Target order is preserved.
+    pub fn relabeled(&self, perm: &[NodeId]) -> Collector {
+        Collector {
+            targets: self
+                .targets
                 .iter()
-                .map(|(&(n, a), c)| {
-                    (
-                        (perm[n as usize], a),
-                        Collector {
-                            targets: c
-                                .targets
-                                .iter()
-                                .map(|&(t, d)| (perm[t as usize], d))
-                                .collect(),
-                            remaining: c.remaining,
-                        },
-                    )
-                })
+                .map(|&(t, d)| (perm[t as usize], d))
                 .collect(),
+            remaining: self.remaining,
         }
     }
 }
 
+/// One block's per-node records (child lists, collectors, list links, ...),
+/// kept sorted by node id.
+///
+/// A record equal to `R::default()` means "nothing recorded" and is
+/// invisible: [`NodeRecs::get`], [`NodeRecs::iter`], equality and the hash
+/// all skip it, so equal states compare and hash equal, and the derived
+/// `Hash` of a row holding this is a canonical digest with no sorting. The
+/// slot itself is kept for reuse rather than removed: tree and list
+/// protocols empty and refill the same nodes' records on every write
+/// wave, and shifting a sorted vector of a widely shared block on each of
+/// those edits would cost O(sharers) per message.
+#[derive(Clone, Debug)]
+pub struct NodeRecs<R> {
+    ids: Vec<NodeId>,
+    recs: Vec<R>,
+}
+
+impl<R> Default for NodeRecs<R> {
+    fn default() -> Self {
+        Self {
+            ids: Vec::new(),
+            recs: Vec::new(),
+        }
+    }
+}
+
+impl<R: Default + PartialEq> NodeRecs<R> {
+    /// `node`'s record, if it holds anything.
+    pub fn get(&self, node: NodeId) -> Option<&R> {
+        let i = self.ids.binary_search(&node).ok()?;
+        Some(&self.recs[i]).filter(|r| **r != R::default())
+    }
+
+    /// Edit `node`'s record in place — a default one if it has none.
+    pub fn edit<T>(&mut self, node: NodeId, f: impl FnOnce(&mut R) -> T) -> T {
+        match self.ids.binary_search(&node) {
+            Ok(i) => f(&mut self.recs[i]),
+            Err(i) => {
+                let mut rec = R::default();
+                let out = f(&mut rec);
+                if rec != R::default() {
+                    self.ids.insert(i, node);
+                    self.recs.insert(i, rec);
+                }
+                out
+            }
+        }
+    }
+
+    /// `(node, record)` for every record that holds anything, in
+    /// ascending node order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &R)> + '_ {
+        let empty = R::default();
+        self.ids
+            .iter()
+            .copied()
+            .zip(&self.recs)
+            .filter(move |(_, r)| **r != empty)
+    }
+
+    /// The records with every node id — the keys, and inside each record
+    /// whatever `f` maps — taken through `perm` (`perm[old] = new`), then
+    /// re-sorted by the new ids. Empty slots are dropped on the way.
+    pub fn relabeled(&self, perm: &[NodeId], f: impl Fn(&R) -> R) -> NodeRecs<R> {
+        let mut recs: Vec<(NodeId, R)> =
+            self.iter().map(|(n, r)| (perm[n as usize], f(r))).collect();
+        recs.sort_unstable_by_key(|&(n, _)| n);
+        let (ids, recs) = recs.into_iter().unzip();
+        NodeRecs { ids, recs }
+    }
+}
+
+impl<R: Default + PartialEq> PartialEq for NodeRecs<R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<R: Default + Eq> Eq for NodeRecs<R> {}
+
+impl<R: Default + PartialEq + Hash> Hash for NodeRecs<R> {
+    /// Every record that holds anything, then `NodeId::MAX` (never a node)
+    /// to end the list.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for (n, r) in self.iter() {
+            n.hash(state);
+            r.hash(state);
+        }
+        NodeId::MAX.hash(state);
+    }
+}
+
+/// One block's row in a protocol's [`Rows`]: the home's directory entry —
+/// `None` until a request creates it, since a default entry left behind by
+/// a late writeback is a different state from none — its transaction gate,
+/// and the per-node records.
+#[derive(Clone, Debug, Default)]
+pub struct Row<E, R> {
+    pub entry: Option<E>,
+    pub gate: TxnGate,
+    pub nodes: NodeRecs<R>,
+}
+
+// By hand: `NodeRecs` compares and hashes only records that hold
+// something, which needs `R: Default` — a bound the derives would not add.
+impl<E: PartialEq, R: Default + PartialEq> PartialEq for Row<E, R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.entry == other.entry && self.gate == other.gate && self.nodes == other.nodes
+    }
+}
+
+impl<E: Hash, R: Default + PartialEq + Hash> Hash for Row<E, R> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entry.hash(state);
+        self.gate.hash(state);
+        self.nodes.hash(state);
+    }
+}
+
+/// A protocol's state, block-major: one [`Row`] per block address.
+#[derive(Clone, Debug)]
+pub struct Rows<E, R>(BlockTable<Row<E, R>>);
+
+impl<E: Default, R: Default> Default for Rows<E, R> {
+    fn default() -> Self {
+        Self(BlockTable::new())
+    }
+}
+
+impl<E: Default + PartialEq, R: Default + PartialEq> Rows<E, R> {
+    pub fn get(&self, addr: Addr) -> Option<&Row<E, R>> {
+        self.0.get(addr)
+    }
+
+    /// The row of `addr`, created empty if need be.
+    pub fn row(&mut self, addr: Addr) -> &mut Row<E, R> {
+        self.0.get_mut_or_grow(addr)
+    }
+
+    /// `node`'s record for `addr`, if it holds anything.
+    pub fn rec(&self, node: NodeId, addr: Addr) -> Option<&R> {
+        self.get(addr)?.nodes.get(node)
+    }
+
+    /// Edit `node`'s record for `addr` in place ([`NodeRecs::edit`]).
+    pub fn edit<T>(&mut self, node: NodeId, addr: Addr, f: impl FnOnce(&mut R) -> T) -> T {
+        self.row(addr).nodes.edit(node, f)
+    }
+
+    /// `(addr, row)` for every row that holds anything, in address order.
+    pub fn iter(&self) -> impl Iterator<Item = (Addr, &Row<E, R>)> + '_ {
+        self.0.iter_nonempty()
+    }
+
+    /// The rows with every node id mapped through `perm` (`perm[old] =
+    /// new`): entries by `entry`, records by `rec`, deferred requests as
+    /// messages.
+    pub fn relabeled(
+        &self,
+        perm: &[NodeId],
+        entry: impl Fn(&E) -> E,
+        rec: impl Fn(&R) -> R,
+    ) -> Rows<E, R> {
+        Rows(self.0.map(|r| Row {
+            entry: r.entry.as_ref().map(&entry),
+            gate: r.gate.relabeled(perm),
+            nodes: r.nodes.relabeled(perm, &rec),
+        }))
+    }
+}
+
+impl<E: Default + PartialEq + Hash, R: Default + PartialEq + Hash> Rows<E, R> {
+    /// Canonical digest of every row ([`crate::fingerprint::digest_rows`]).
+    pub fn digest(&self, h: &mut dyn Hasher) {
+        crate::fingerprint::digest_rows(h, &self.0);
+    }
+}
+
+/// Send `kind` about `addr` from `src` to `dst`.
+pub fn send(ctx: &mut dyn ProtoCtx, src: NodeId, dst: NodeId, addr: Addr, kind: MsgKind) {
+    ctx.send(dst, Msg { addr, src, kind });
+}
+
+/// Send `kind` about `addr` from `node` to the block's home.
+pub fn send_home(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, kind: MsgKind) {
+    let home = ctx.home_of(addr);
+    send(ctx, node, home, addr, kind);
+}
+
+/// A read miss's data arrived: the line becomes valid, the processor
+/// completes, and the home — which holds the read transaction open until
+/// then, so no invalidation can race this fill — hears `FillAck`.
+pub fn read_fill(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
+    debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
+    ctx.set_line_state(node, addr, LineState::V);
+    ctx.complete(node, addr, OpKind::Read);
+    send_home(ctx, node, addr, MsgKind::FillAck);
+}
+
+/// `WbReq` at the (possibly former) owner: an exclusive copy is written
+/// back and downgraded (read) or invalidated (write).
+pub fn wb_req(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, for_op: OpKind, requester: NodeId) {
+    if ctx.line_state(node, addr) == LineState::E {
+        let after = match for_op {
+            OpKind::Read => LineState::V,
+            OpKind::Write => LineState::Iv,
+        };
+        ctx.set_line_state(node, addr, after);
+        send_home(ctx, node, addr, MsgKind::WbData { for_op, requester });
+    }
+    // Otherwise the line was evicted: the WbEvict already in flight (FIFO
+    // ahead of any new request from this node) satisfies the home.
+}
+
 /// Send an invalidation acknowledgement.
 pub fn ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool) {
-    ctx.send(
-        to,
-        Msg {
-            addr,
-            src: node,
-            kind: MsgKind::InvAck { dir },
-        },
-    );
+    send(ctx, node, to, addr, MsgKind::InvAck { dir });
 }
 
 /// A dense bitset of node ids (the full-map presence vector).
@@ -329,68 +465,108 @@ mod tests {
 
     #[test]
     fn gate_admits_first_and_queues_rest() {
-        let mut g = TxnGate::new();
-        assert!(g.admit(5, &msg(5)));
-        assert!(!g.admit(5, &msg(5)));
-        assert!(!g.admit(5, &msg(5)));
-        assert!(g.admit(6, &msg(6)), "different blocks are independent");
-        assert!(g.is_busy(5));
-        assert_eq!(g.open_transactions(), 2);
+        let mut g = TxnGate::default();
+        assert!(g.admit(&msg(5)));
+        assert!(!g.admit(&msg(5)));
+        assert!(!g.admit(&msg(5)));
+        assert!(g.is_busy());
+        assert!(
+            TxnGate::default().admit(&msg(6)),
+            "each block has its own gate"
+        );
     }
 
     #[test]
     fn gate_finish_releases_and_pops_fifo() {
-        let mut g = TxnGate::new();
-        assert!(g.admit(5, &msg(5)));
+        let mut g = TxnGate::default();
+        assert!(g.admit(&msg(5)));
         let m1 = Msg { src: 2, ..msg(5) };
         let m2 = Msg { src: 3, ..msg(5) };
-        g.admit(5, &m1);
-        g.admit(5, &m2);
-        let next = g.finish(5).expect("queued request");
+        assert!(!g.admit(&m1));
+        assert!(!g.admit(&m2));
+        let next = g.finish().expect("queued request");
         assert_eq!(next.src, 2);
-        assert!(!g.is_busy(5));
+        assert!(!g.is_busy());
+        assert!(g.has_traffic(), "the second request still waits");
         // The redelivered request re-admits.
-        assert!(g.admit(5, &next));
-        let next2 = g.finish(5).expect("second queued request");
+        assert!(g.admit(&next));
+        let next2 = g.finish().expect("second queued request");
         assert_eq!(next2.src, 3);
-        assert!(g.admit(5, &next2));
-        assert!(g.finish(5).is_none());
+        assert!(g.admit(&next2));
+        assert!(g.finish().is_none());
+        assert_eq!(g, TxnGate::default(), "a drained gate is back at default");
     }
 
     #[test]
     fn collector_completes_after_all_acks() {
-        let mut c = AckCollectors::new();
-        c.open(4, 100, 9, true, 2);
-        assert!(c.is_open(4, 100));
-        assert!(c.ack(4, 100).is_none());
-        let targets = c.ack(4, 100).expect("complete");
+        let mut c = None;
+        Collector::open(&mut c, 9, true, 2);
+        assert!(c.is_some());
+        assert!(Collector::ack(&mut c).is_none());
+        let targets = Collector::ack(&mut c).expect("complete");
         assert_eq!(targets, vec![(9, true)]);
-        assert!(!c.is_open(4, 100));
+        assert!(c.is_none());
     }
 
     #[test]
     fn collector_absorbs_concurrent_invs() {
-        let mut c = AckCollectors::new();
-        c.open(4, 100, 9, true, 1);
+        let mut c = None;
+        Collector::open(&mut c, 9, true, 1);
         // A stale-parent Inv arrives mid-collection with one extra forward.
-        c.absorb(4, 100, 7, false, 1);
-        assert!(c.ack(4, 100).is_none());
-        let targets = c.ack(4, 100).expect("complete");
+        c.as_mut().unwrap().absorb(7, false, 1);
+        assert!(Collector::ack(&mut c).is_none());
+        let targets = Collector::ack(&mut c).expect("complete");
         assert_eq!(targets, vec![(9, true), (7, false)]);
     }
 
     #[test]
     fn collector_ack_on_closed_is_none() {
-        let mut c = AckCollectors::new();
-        assert!(c.ack(1, 1).is_none());
+        assert!(Collector::ack(&mut None).is_none());
     }
 
     #[test]
     #[should_panic(expected = "already open")]
     fn collector_double_open_panics() {
-        let mut c = AckCollectors::new();
-        c.open(1, 1, 2, false, 1);
-        c.open(1, 1, 3, false, 1);
+        let mut c = None;
+        Collector::open(&mut c, 2, false, 1);
+        Collector::open(&mut c, 3, false, 1);
+    }
+
+    #[test]
+    fn node_records_stay_sorted_and_hide_defaults() {
+        let mut r: NodeRecs<u32> = NodeRecs::default();
+        r.edit(7, |v| *v = 70);
+        r.edit(2, |v| *v = 20);
+        r.edit(5, |v| *v = 0); // stays default: never stored
+        r.edit(4, |v| *v = 40);
+        let got: Vec<(NodeId, u32)> = r.iter().map(|(n, v)| (n, *v)).collect();
+        assert_eq!(got, vec![(2, 20), (4, 40), (7, 70)]);
+        assert_eq!(r.get(4), Some(&40));
+        assert_eq!(r.get(5), None);
+        assert_eq!(
+            r.edit(4, std::mem::take),
+            40,
+            "edit returns the closure's value"
+        );
+        assert_eq!(r.get(4), None, "a record edited back to default is empty");
+        let mut fresh: NodeRecs<u32> = NodeRecs::default();
+        fresh.edit(7, |v| *v = 70);
+        fresh.edit(2, |v| *v = 20);
+        assert_eq!(r, fresh, "an emptied slot is invisible to equality");
+        let digest = |recs: &NodeRecs<u32>| {
+            let mut h = dirtree_sim::hash::FxHasher::default();
+            recs.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(&r), digest(&fresh), "and to the hash");
+        // Relabeling maps the keys and re-sorts: 2 -> 9, 7 -> 1.
+        let perm: Vec<NodeId> = (0..10).map(|n| [0, 7, 9, 3, 4, 5, 6, 1, 8, 2][n]).collect();
+        let moved = r.relabeled(&perm, |v| v + 1);
+        let got: Vec<(NodeId, u32)> = moved.iter().map(|(n, v)| (n, *v)).collect();
+        assert_eq!(got, vec![(1, 71), (9, 21)]);
+        r.edit(2, |v| *v = 0);
+        r.edit(7, |v| *v = 0);
+        assert_eq!(r, NodeRecs::default());
     }
 
     #[test]

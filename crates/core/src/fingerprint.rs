@@ -1,15 +1,14 @@
 //! Canonical state digests for model checking.
 //!
 //! The model checker (`dirtree-check`) dedups explored states by a single
-//! `u64` digest of the *complete* machine + protocol state. Protocol
-//! metadata lives in hash maps whose iteration order is unspecified, so a
-//! naive `for (k, v) in map` hash would make the digest depend on insertion
-//! history — two identical states could digest differently and the visited
-//! set would leak. These helpers sort by key first, making the digest a
-//! pure function of the state's *content*.
+//! `u64` digest of the *complete* machine + protocol state, so the digest
+//! must be a pure function of the state's *content*, never of its history.
+//! Protocol state is block-major — one [`BlockTable`] row per block, with
+//! per-node records sorted by node id — so walking the rows in address
+//! order ([`digest_rows`]) is canonical as it stands.
 
 use crate::types::NodeId;
-use std::collections::HashMap;
+use dirtree_sim::BlockTable;
 use std::hash::{Hash, Hasher};
 
 /// All permutations of `0..nodes` that fix every node in `fixed`
@@ -74,47 +73,25 @@ pub fn invert_perm(perm: &[NodeId]) -> Vec<NodeId> {
     inv
 }
 
-/// Digest a map canonically: length, then `(key, value)` pairs in key order.
-pub fn digest_map<K, V, S>(h: &mut dyn Hasher, map: &HashMap<K, V, S>)
-where
-    K: Ord + Hash,
-    V: Hash,
-{
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    h.write_usize(entries.len());
+/// Digest a per-block table canonically: every row that differs from the
+/// default, as `(addr, row)` in address order, then `u64::MAX` — which no
+/// block address reaches (`BlockTable` refuses addresses of 2³² and up), so
+/// the stream stays uniquely decodable when more state follows it. A row's
+/// derived `Hash` is already canonical when its per-node records are kept
+/// sorted ([`crate::dir::util::NodeRecs`]), so nothing is sorted here.
+pub fn digest_rows<T: Hash + Default + PartialEq>(h: &mut dyn Hasher, rows: &BlockTable<T>) {
     let mut h = h;
-    for (k, v) in entries {
-        k.hash(&mut h);
-        v.hash(&mut h);
+    for (addr, row) in rows.iter_nonempty() {
+        addr.hash(&mut h);
+        row.hash(&mut h);
     }
-}
-
-/// Digest a set canonically: length, then elements in order.
-pub fn digest_set<K, S>(h: &mut dyn Hasher, set: &std::collections::HashSet<K, S>)
-where
-    K: Ord + Hash,
-{
-    let mut keys: Vec<&K> = set.iter().collect();
-    keys.sort();
-    h.write_usize(keys.len());
-    let mut h = h;
-    for k in keys {
-        k.hash(&mut h);
-    }
-}
-
-/// Digest any `Hash` value (slices, tuples, options, ...) through the
-/// object-safe hasher.
-pub fn digest<T: Hash + ?Sized>(h: &mut dyn Hasher, value: &T) {
-    let mut h = h;
-    value.hash(&mut h);
+    h.write_u64(u64::MAX);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dirtree_sim::hash::{FxHashMap, FxHashSet, FxHasher};
+    use dirtree_sim::hash::FxHasher;
 
     fn run<F: Fn(&mut dyn Hasher)>(f: F) -> u64 {
         let mut h = FxHasher::default();
@@ -123,29 +100,27 @@ mod tests {
     }
 
     #[test]
-    fn map_digest_ignores_insertion_order() {
-        let mut a = FxHashMap::<u64, u32>::default();
-        let mut b = FxHashMap::<u64, u32>::default();
-        for i in 0..100 {
-            a.insert(i, (i * 7) as u32);
-        }
-        for i in (0..100).rev() {
-            b.insert(i, (i * 7) as u32);
-        }
-        assert_eq!(run(|h| digest_map(h, &a)), run(|h| digest_map(h, &b)));
-        b.insert(3, 999);
-        assert_ne!(run(|h| digest_map(h, &a)), run(|h| digest_map(h, &b)));
-    }
-
-    #[test]
-    fn set_digest_ignores_insertion_order() {
-        let mut a = FxHashSet::<u32>::default();
-        let mut b = FxHashSet::<u32>::default();
-        for i in 0..50 {
-            a.insert(i);
-            b.insert(49 - i);
-        }
-        assert_eq!(run(|h| digest_set(h, &a)), run(|h| digest_set(h, &b)));
+    fn row_digest_skips_default_rows_and_terminates() {
+        let mut a: BlockTable<u32> = BlockTable::new();
+        let mut b: BlockTable<u32> = BlockTable::new();
+        *a.get_mut_or_grow(3) = 7;
+        *b.get_mut_or_grow(9) = 0; // grown but default: invisible
+        *b.get_mut_or_grow(3) = 7;
+        assert_eq!(run(|h| digest_rows(h, &a)), run(|h| digest_rows(h, &b)));
+        *b.get_mut_or_grow(9) = 1;
+        assert_ne!(run(|h| digest_rows(h, &a)), run(|h| digest_rows(h, &b)));
+        // The terminator keeps two tables in a row from running together.
+        let empty: BlockTable<u32> = BlockTable::new();
+        assert_ne!(
+            run(|h| {
+                digest_rows(h, &a);
+                digest_rows(h, &empty);
+            }),
+            run(|h| {
+                digest_rows(h, &empty);
+                digest_rows(h, &a);
+            })
+        );
     }
 
     #[test]
@@ -180,13 +155,5 @@ mod tests {
         for i in 0..4 {
             assert_eq!(inv[p[i] as usize], i as u32);
         }
-    }
-
-    #[test]
-    fn empty_and_missing_differ_from_present() {
-        let empty = FxHashMap::<u64, u32>::default();
-        let mut one = FxHashMap::<u64, u32>::default();
-        one.insert(0, 0);
-        assert_ne!(run(|h| digest_map(h, &empty)), run(|h| digest_map(h, &one)));
     }
 }

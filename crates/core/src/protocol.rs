@@ -37,9 +37,10 @@ pub struct ProtocolParams {
 
 impl ProtocolParams {
     /// Do the adaptive-protocol fields differ from their defaults? Sweep
-    /// cache keys and config fingerprints only include them when they do,
-    /// so records written before the adaptive protocol existed keep their
-    /// identity (same conditional-extension idiom as the VC fields).
+    /// record keys (`SweepConfig::key` in `dirtree-bench`) and config
+    /// fingerprints only include them when they do, so records written
+    /// before the adaptive protocol existed keep their identity (same
+    /// conditional-extension idiom as the VC fields).
     pub fn adapt_nondefault(&self) -> bool {
         self.adapt_flip_up != 2 || self.adapt_flip_down != -2 || self.adapt_saturation != 4
     }
@@ -241,11 +242,12 @@ pub trait Protocol: Send {
     fn boxed_clone(&self) -> Box<dyn Protocol>;
 
     /// Feed a canonical digest of the internal state to `h`, for the model
-    /// checker's visited-set dedup. The digest must be independent of hash
-    /// map iteration order (use [`crate::fingerprint`]) and must cover
-    /// *every* field that can influence future behavior: two states with
-    /// equal digests are assumed to behave identically and one of them is
-    /// pruned.
+    /// checker's visited-set dedup. The digest must be a function of the
+    /// state's content, never of its history (the bundled protocols hash
+    /// their per-block rows with [`crate::fingerprint::digest_rows`]), and
+    /// must cover *every* field that can influence future behavior: two
+    /// states with equal digests are assumed to behave identically and one
+    /// of them is pruned.
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher);
 
     /// A clone of the complete protocol state with every node id mapped

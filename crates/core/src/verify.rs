@@ -19,18 +19,41 @@
 //! independent of the protocol under test. Keeping one implementation here
 //! means the execution witness and the exhaustive checker can never drift.
 
-use crate::fingerprint::digest_map;
+use crate::dir::util::NodeRecs;
+use crate::fingerprint::digest_rows;
 use crate::types::{Addr, NodeId};
-use dirtree_sim::FxHashMap;
+use dirtree_sim::BlockTable;
 use std::hash::Hasher;
 
-/// The witness state.
+/// The witness state, one row per block.
 #[derive(Default, Clone)]
 pub struct Verifier {
-    /// Global per-block write counter.
-    version: FxHashMap<Addr, u64>,
-    /// Version each cached copy was filled/written at.
-    copy_version: FxHashMap<(NodeId, Addr), u64>,
+    blocks: BlockTable<Block>,
+}
+
+#[derive(Clone, Default, PartialEq, Hash)]
+struct Block {
+    /// Global write counter.
+    version: u64,
+    /// Version each cached copy was filled/written at (`Some(0)`: filled
+    /// before the first write, which is not the same as never filled).
+    copies: NodeRecs<Option<u64>>,
+}
+
+impl Block {
+    fn copy_version(&self, node: NodeId) -> u64 {
+        self.copies.get(node).copied().flatten().unwrap_or(0)
+    }
+
+    /// Bump the write counter and return the new version.
+    fn write(&mut self) -> u64 {
+        self.version += 1;
+        self.version
+    }
+
+    fn record(&mut self, node: NodeId, version: u64) {
+        self.copies.edit(node, |c| *c = Some(version));
+    }
 }
 
 /// A detected coherence violation.
@@ -67,7 +90,12 @@ impl Verifier {
     }
 
     pub fn version_of(&self, addr: Addr) -> u64 {
-        self.version.get(&addr).copied().unwrap_or(0)
+        self.blocks.get(addr).map_or(0, |b| b.version)
+    }
+
+    /// Version the copy at `node` was filled/written at (0 if never).
+    fn copy_version(&self, node: NodeId, addr: Addr) -> u64 {
+        self.blocks.get(addr).map_or(0, |b| b.copy_version(node))
     }
 
     /// A write by `node` completed. `other_holders` must be the nodes (≠
@@ -85,35 +113,34 @@ impl Verifier {
                 kind: ViolationKind::WriterNotExclusive { other },
             });
         }
-        let v = self.version.entry(addr).or_insert(0);
-        *v += 1;
-        self.copy_version.insert((node, addr), *v);
+        let b = self.blocks.get_mut_or_grow(addr);
+        let v = b.write();
+        b.record(node, v);
         Ok(())
     }
 
     /// A write by `node` completed under an *update* protocol: all listed
     /// holders received the new value synchronously within the transaction.
     pub fn on_write_complete_update(&mut self, node: NodeId, addr: Addr, holders: &[NodeId]) {
-        let v = self.version.entry(addr).or_insert(0);
-        *v += 1;
-        let v = *v;
-        self.copy_version.insert((node, addr), v);
+        let b = self.blocks.get_mut_or_grow(addr);
+        let v = b.write();
+        b.record(node, v);
         for &h in holders {
-            self.copy_version.insert((h, addr), v);
+            b.record(h, v);
         }
     }
 
     /// A read by `node` completed (miss fill) — the filled copy carries the
     /// current version by construction of the strong-consistency ordering.
     pub fn on_read_fill(&mut self, node: NodeId, addr: Addr) {
-        let v = self.version_of(addr);
-        self.copy_version.insert((node, addr), v);
+        let b = self.blocks.get_mut_or_grow(addr);
+        b.record(node, b.version);
     }
 
     /// A read hit at `node`: its copy must be current.
     pub fn on_read_hit(&self, node: NodeId, addr: Addr) -> Result<(), Violation> {
         let current = self.version_of(addr);
-        let seen = self.copy_version.get(&(node, addr)).copied().unwrap_or(0);
+        let seen = self.copy_version(node, addr);
         if seen != current {
             return Err(Violation {
                 node,
@@ -131,7 +158,7 @@ impl Verifier {
     ) -> Result<(), Violation> {
         for (node, addr) in survivors {
             let current = self.version_of(addr);
-            let seen = self.copy_version.get(&(node, addr)).copied().unwrap_or(0);
+            let seen = self.copy_version(node, addr);
             if seen != current {
                 return Err(Violation {
                     node,
@@ -146,8 +173,7 @@ impl Verifier {
     /// Canonical (iteration-order independent) digest of the witness state,
     /// for the model checker's visited-set hashing.
     pub fn digest(&self, h: &mut dyn Hasher) {
-        digest_map(h, &self.version);
-        digest_map(h, &self.copy_version);
+        digest_rows(h, &self.blocks);
     }
 
     /// The witness with every node id mapped through `perm`
@@ -155,12 +181,10 @@ impl Verifier {
     /// are per-block and unaffected; only copy ownership moves.
     pub fn relabeled(&self, perm: &[NodeId]) -> Verifier {
         Verifier {
-            version: self.version.clone(),
-            copy_version: self
-                .copy_version
-                .iter()
-                .map(|(&(n, a), &v)| ((perm[n as usize], a), v))
-                .collect(),
+            blocks: self.blocks.map(|b| Block {
+                version: b.version,
+                copies: b.copies.relabeled(perm, |&v| v),
+            }),
         }
     }
 }

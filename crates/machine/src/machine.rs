@@ -5,6 +5,7 @@ use crate::core::{Ev, MachineCore};
 use crate::driver::{Driver, DriverOp};
 use crate::stats::MachineStats;
 use crate::trace::MsgTrace;
+use crate::verify::Violation;
 use dirtree_core::cache::AllocOutcome;
 use dirtree_core::protocol::{build_protocol, Protocol, ProtocolKind};
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
@@ -67,6 +68,14 @@ pub enum StallError {
         parked_sends: Vec<(u32, String)>,
         protocol: ProtocolKind,
     },
+    /// The sequential-consistency witness (`MachineConfig::verify`)
+    /// caught a coherence violation: the protocol is broken, the run
+    /// stopped at the offending operation.
+    Witness {
+        /// The rendered [`Violation`](crate::verify::Violation).
+        violation: String,
+        protocol: ProtocolKind,
+    },
 }
 
 impl std::fmt::Display for StallError {
@@ -83,9 +92,10 @@ impl std::fmt::Display for StallError {
                 parked_sends,
                 protocol,
             } => {
+                let unfinished = nodes - finished;
                 write!(
                     f,
-                    "deadlock: event queue drained with {finished} of {nodes} processors \
+                    "deadlock: event queue drained with {unfinished} of {nodes} processors \
                      unfinished (blocked procs: {blocked:?}, protocol {protocol:?})"
                 )?;
                 if !parked_sends.is_empty() {
@@ -98,6 +108,10 @@ impl std::fmt::Display for StallError {
                 }
                 Ok(())
             }
+            StallError::Witness {
+                violation,
+                protocol,
+            } => write!(f, "{violation} (protocol {protocol:?})"),
         }
     }
 }
@@ -208,8 +222,8 @@ impl Machine {
     ///
     /// # Panics
     /// Panics on coherence violations (when verification is enabled) and on
-    /// stalls (livelock or deadlock); see [`Machine::try_run`] for the
-    /// non-panicking variant with a structured [`StallError`].
+    /// stalls (livelock or deadlock), with the [`StallError`]'s text; see
+    /// [`Machine::try_run`] for the non-panicking variant.
     pub fn run(&mut self, driver: &mut dyn Driver) -> RunOutcome {
         match self.try_run(driver) {
             Ok(out) => out,
@@ -219,12 +233,9 @@ impl Machine {
 
     /// Run the machine to completion under `driver`, reporting stalls
     /// (livelock: bounded-step cap exceeded without quiescence; deadlock:
-    /// event queue drained with processors still blocked) as a structured
-    /// [`StallError`] instead of panicking.
-    ///
-    /// # Panics
-    /// Still panics on coherence violations when verification is enabled —
-    /// those indicate a broken protocol, not a stalled run.
+    /// event queue drained with processors still blocked) and, when
+    /// verification is enabled, the witness's first coherence violation as
+    /// a structured [`StallError`] instead of panicking.
     pub fn try_run(&mut self, driver: &mut dyn Driver) -> Result<RunOutcome, StallError> {
         for n in 0..self.core.config.nodes {
             self.reschedule(n, 0);
@@ -244,7 +255,7 @@ impl Machine {
                     });
                 }
                 match ev {
-                    Ev::Proc(n) => self.step_processor(n, driver),
+                    Ev::Proc(n) => self.step_processor(n, driver)?,
                     Ev::Deliver(n, msg) => {
                         if msg.kind.is_snoop() {
                             // Dedicated snoop port: handled at delivery time.
@@ -263,7 +274,7 @@ impl Machine {
                         self.protocol.handle(&mut self.core, n, msg);
                         self.core.ctrl_finish(n);
                     }
-                    Ev::OpDone(n, addr, op) => self.op_done(n, addr, op),
+                    Ev::OpDone(n, addr, op) => self.op_done(n, addr, op)?,
                 }
             }
         }
@@ -283,9 +294,8 @@ impl Machine {
             });
         }
         if let Some(v) = &self.core.verifier {
-            if let Err(violation) = v.on_finish(self.core.survivors()) {
-                panic!("{violation} (protocol {:?})", self.protocol.kind());
-            }
+            v.on_finish(self.core.survivors())
+                .map_err(|viol| self.witness(viol))?;
         }
         self.core.stats.cycles = self.core.queue.now();
         let (busy_max, busy_sum, nodes) = {
@@ -316,6 +326,14 @@ impl Machine {
         })
     }
 
+    /// The run-ending error for a witness violation.
+    fn witness(&self, violation: Violation) -> StallError {
+        StallError::Witness {
+            violation: violation.to_string(),
+            protocol: self.protocol.kind(),
+        }
+    }
+
     fn reschedule(&mut self, n: NodeId, delay: Cycle) {
         #[cfg(debug_assertions)]
         {
@@ -328,7 +346,7 @@ impl Machine {
             .push(self.core.queue.now() + delay, Ev::Proc(n));
     }
 
-    fn step_processor(&mut self, n: NodeId, driver: &mut dyn Driver) {
+    fn step_processor(&mut self, n: NodeId, driver: &mut dyn Driver) -> Result<(), StallError> {
         #[cfg(debug_assertions)]
         {
             self.proc_pending[n as usize] = false;
@@ -339,8 +357,8 @@ impl Machine {
         };
         self.procs[n as usize] = ProcState::Running;
         match op {
-            DriverOp::Read(addr) => self.issue_access(n, addr, OpKind::Read, op),
-            DriverOp::Write(addr) => self.issue_access(n, addr, OpKind::Write, op),
+            DriverOp::Read(addr) => return self.issue_access(n, addr, OpKind::Read, op),
+            DriverOp::Write(addr) => return self.issue_access(n, addr, OpKind::Write, op),
             DriverOp::Work(c) => self.reschedule(n, c.max(1)),
             DriverOp::Barrier(id) => self.arrive_barrier(n, id),
             DriverOp::Lock(id) => self.acquire_lock(n, id),
@@ -350,6 +368,7 @@ impl Machine {
                 self.done_count += 1;
             }
         }
+        Ok(())
     }
 
     fn retry(&mut self, n: NodeId, op: DriverOp) {
@@ -358,7 +377,13 @@ impl Machine {
         self.reschedule(n, 1);
     }
 
-    fn issue_access(&mut self, n: NodeId, addr: Addr, kind: OpKind, op: DriverOp) {
+    fn issue_access(
+        &mut self,
+        n: NodeId,
+        addr: Addr,
+        kind: OpKind,
+        op: DriverOp,
+    ) -> Result<(), StallError> {
         let cache_latency = self.core.config.cache_latency;
         // One tag lookup: the state, and the MRU mark if this is a hit.
         let state = self.core.access_line(n, addr, kind == OpKind::Write);
@@ -372,12 +397,10 @@ impl Machine {
                         self.protocol.note_read_hit(n, addr);
                     }
                     if let Some(v) = &self.core.verifier {
-                        if let Err(viol) = v.on_read_hit(n, addr) {
-                            panic!("{viol} (protocol {:?})", self.protocol.kind());
-                        }
+                        v.on_read_hit(n, addr).map_err(|viol| self.witness(viol))?;
                     }
                     self.reschedule(n, cache_latency);
-                    return;
+                    return Ok(());
                 }
                 self.core.stats.reads -= 1; // re-counted on the miss path
             }
@@ -393,12 +416,11 @@ impl Machine {
                         self.core
                             .other_holders_into(addr, n, &mut self.holders_scratch);
                         let v = self.core.verifier.as_mut().unwrap();
-                        if let Err(viol) = v.on_write_complete(n, addr, &self.holders_scratch) {
-                            panic!("{viol} (protocol {:?})", self.protocol.kind());
-                        }
+                        v.on_write_complete(n, addr, &self.holders_scratch)
+                            .map_err(|viol| self.witness(viol))?;
                     }
                     self.reschedule(n, cache_latency);
-                    return;
+                    return Ok(());
                 }
                 self.core.stats.writes -= 1;
             }
@@ -408,20 +430,20 @@ impl Machine {
         // upgrade in progress) cannot accept a new transaction yet.
         if state.transient() {
             self.retry(n, op);
-            return;
+            return Ok(());
         }
 
         // Upgrade: write to a valid shared copy — no allocation needed.
         if kind == OpKind::Write && state == LineState::V {
             self.begin_miss(n, addr, OpKind::Write);
-            return;
+            return Ok(());
         }
 
         // Genuine miss: allocate a line (possibly evicting a victim).
         match self.core.allocate_line(n, addr) {
             AllocOutcome::Stalled => {
                 self.retry(n, op);
-                return;
+                return Ok(());
             }
             AllocOutcome::Evicted { victim, state } => {
                 self.core.stats.evictions += 1;
@@ -430,6 +452,7 @@ impl Machine {
             AllocOutcome::Fresh | AllocOutcome::AlreadyResident => {}
         }
         self.begin_miss(n, addr, kind);
+        Ok(())
     }
 
     fn begin_miss(&mut self, n: NodeId, addr: Addr, kind: OpKind) {
@@ -451,7 +474,7 @@ impl Machine {
         self.protocol.start_miss(&mut self.core, n, addr, kind);
     }
 
-    fn op_done(&mut self, n: NodeId, addr: Addr, op: OpKind) {
+    fn op_done(&mut self, n: NodeId, addr: Addr, op: OpKind) -> Result<(), StallError> {
         let lat = self.core.retire_miss(n, addr);
         match op {
             OpKind::Read => {
@@ -474,8 +497,9 @@ impl Machine {
                     let v = self.core.verifier.as_mut().unwrap();
                     if self.protocol.is_update_for(addr) {
                         v.on_write_complete_update(n, addr, &self.holders_scratch);
-                    } else if let Err(viol) = v.on_write_complete(n, addr, &self.holders_scratch) {
-                        panic!("{viol} (protocol {:?})", self.protocol.kind());
+                    } else {
+                        v.on_write_complete(n, addr, &self.holders_scratch)
+                            .map_err(|viol| self.witness(viol))?;
                     }
                 }
             }
@@ -483,6 +507,7 @@ impl Machine {
         self.protocol.note_op_retired(n, addr, op);
         self.procs[n as usize] = ProcState::Running;
         self.reschedule(n, 0);
+        Ok(())
     }
 
     fn arrive_barrier(&mut self, n: NodeId, id: u32) {
@@ -943,18 +968,27 @@ mod tests {
 
     #[test]
     fn try_run_reports_deadlock_structurally() {
-        let mut m = Machine::new(MachineConfig::test_default(2), ProtocolKind::FullMap);
-        let mut d = ScriptDriver::new(vec![vec![DriverOp::Barrier(0)], vec![]]);
-        match m.try_run(&mut d) {
-            Err(StallError::Deadlock {
+        // Node 0 waits at a barrier the other three never reach: three of
+        // four finish, so "3 of 4 unfinished" would be the wrong count.
+        let mut m = Machine::new(MachineConfig::test_default(4), ProtocolKind::FullMap);
+        let mut d = ScriptDriver::new(vec![vec![DriverOp::Barrier(0)], vec![], vec![], vec![]]);
+        let err = m.try_run(&mut d).unwrap_err();
+        let text = err.to_string();
+        match err {
+            StallError::Deadlock {
                 finished,
                 nodes,
                 blocked,
                 ..
-            }) => {
-                assert_eq!(nodes, 2);
-                assert!(finished < nodes);
-                assert!(!blocked.is_empty());
+            } => {
+                assert_eq!((finished, nodes), (3, 4));
+                assert_eq!(blocked, vec![(0, "Blocked".to_string())]);
+                assert!(
+                    text.starts_with(
+                        "deadlock: event queue drained with 1 of 4 processors unfinished"
+                    ),
+                    "{text}"
+                );
             }
             other => panic!("expected deadlock, got {other:?}"),
         }

@@ -65,6 +65,16 @@ impl<T: Default> BlockTable<T> {
     }
 }
 
+impl<T> BlockTable<T> {
+    /// The table with every row, default ones included, mapped through
+    /// `f` at the same address.
+    pub fn map<U>(&self, f: impl FnMut(&T) -> U) -> BlockTable<U> {
+        BlockTable {
+            rows: self.rows.iter().map(f).collect(),
+        }
+    }
+}
+
 impl<T: Default + PartialEq> BlockTable<T> {
     /// `(addr, row)` for every row that differs from `T::default()`, in
     /// ascending address order.
@@ -109,6 +119,16 @@ mod tests {
         *t.get_mut_or_grow(4) = 0; // back to default: skipped
         let got: Vec<(u64, u32)> = t.iter_nonempty().map(|(a, v)| (a, *v)).collect();
         assert_eq!(got, vec![(3, 7), (9, 2)]);
+    }
+
+    #[test]
+    fn map_keeps_every_row_at_its_address() {
+        let mut t: BlockTable<u32> = BlockTable::new();
+        *t.get_mut_or_grow(2) = 5;
+        let doubled = t.map(|v| v * 2);
+        assert_eq!(doubled.get(2), Some(&10));
+        assert_eq!(doubled.get(3), Some(&0));
+        assert_eq!(doubled.get(4), None);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Mutation tests for the sequential-consistency witness: deliberately
-//! sabotaged protocols must be *caught*. If these tests ever pass without
-//! panicking, the verifier has lost its teeth and every other green test
-//! means less.
+//! sabotaged protocols must be *caught* — `Machine::run` panics, and
+//! `Machine::try_run` returns `StallError::Witness`. If these tests ever
+//! pass without that, the verifier has lost its teeth and every other
+//! green test means less.
 
 use dirtree::coherence::ctx::{ProtoCtx, ProtoEvent};
 use dirtree::coherence::msg::{Msg, MsgKind};
 use dirtree::coherence::protocol::{build_protocol, Protocol, ProtocolKind, ProtocolParams};
 use dirtree::coherence::types::{Addr, LineState, NodeId, OpKind};
-use dirtree::machine::{DriverOp, Machine, MachineConfig, ScriptDriver};
+use dirtree::machine::{DriverOp, Machine, MachineConfig, ScriptDriver, StallError};
 use dirtree::sim::Cycle;
 
 /// A context shim that forges acknowledgements: the first `Inv` a home
@@ -327,18 +328,16 @@ impl Protocol for FlipMidWave {
     }
 }
 
-#[test]
-#[should_panic(expected = "coherence violation")]
-fn mode_flip_dropping_an_update_wave_is_caught() {
-    // Two consumers read, the producer writes: the detector flips the
-    // block to update mode and launches an update wave; the mutant forces
-    // the mode bit back mid-wave. The readers keep valid copies (update
-    // semantics), but the write retires with `is_update_for` = false, so
-    // the witness demands writer exclusivity and trips.
+/// Two consumers read, the producer writes: the detector flips the block
+/// to update mode and launches an update wave; the mutant forces the mode
+/// bit back mid-wave. The readers keep valid copies (update semantics), but
+/// the write retires with `is_update_for` = false, so the witness demands
+/// writer exclusivity and trips.
+fn flip_mid_wave_run() -> (Machine, ScriptDriver) {
     let mut config = MachineConfig::test_default(4);
     config.verify = true;
-    let mut machine = Machine::with_protocol(config, Box::new(FlipMidWave::new()));
-    let mut driver = ScriptDriver::new(vec![
+    let machine = Machine::with_protocol(config, Box::new(FlipMidWave::new()));
+    let driver = ScriptDriver::new(vec![
         vec![
             DriverOp::Barrier(0),
             DriverOp::Write(0),
@@ -356,7 +355,39 @@ fn mode_flip_dropping_an_update_wave_is_caught() {
         ],
         vec![DriverOp::Barrier(0), DriverOp::Barrier(1)],
     ]);
+    (machine, driver)
+}
+
+#[test]
+#[should_panic(expected = "coherence violation")]
+fn mode_flip_dropping_an_update_wave_is_caught() {
+    let (mut machine, mut driver) = flip_mid_wave_run();
     machine.run(&mut driver);
+}
+
+#[test]
+fn try_run_returns_the_witness_violation() {
+    let (mut machine, mut driver) = flip_mid_wave_run();
+    match machine.try_run(&mut driver) {
+        Err(StallError::Witness {
+            violation,
+            protocol,
+        }) => {
+            assert!(
+                violation.starts_with("coherence violation")
+                    && violation.contains("WriterNotExclusive"),
+                "{violation}"
+            );
+            assert_eq!(
+                protocol,
+                ProtocolKind::DirTreeAdaptive {
+                    pointers: 4,
+                    arity: 2
+                }
+            );
+        }
+        other => panic!("expected a witness violation, got {other:?}"),
+    }
 }
 
 #[test]
