@@ -9,7 +9,7 @@
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
 # counts printed, the P=2/P=3 lines compared with their golden), then the
 # perf gates: golden byte-compares and the
-# benchmark's ledger gates (four workloads' digests and state counts
+# benchmark's ledger gates (five workloads' digests and state counts
 # against benchmark/expected.json, plus host_s and setup_s ratio checks
 # for the workloads BENCH_layers.json's ci_gate names). Run from the
 # repository root; fails fast on the first problem.
@@ -181,3 +181,8 @@ ledger_gate check_mix
 # Correctness only (about half a minute); its times are the PR-22 row of
 # BENCH_layers.json, ungated.
 ledger_gate floyd_p1024_vc
+# The scale_up P=64 anchor: the one benchmark workload whose `correct`
+# flag no step above read — its records were pinned only through the
+# scale_up golden. Its digests against benchmark/expected.json, untimed
+# (BENCH_layers.json's ci_gate does not name it).
+ledger_gate floyd_p64

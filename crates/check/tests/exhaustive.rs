@@ -521,13 +521,16 @@ fn flat_directories_keep_their_state_counts() {
     assert!(reduced.states() < 85_547);
 }
 
-/// The two baseline tree protocols, which `check_all` does not carry
+/// The two home-held tree protocols, which `check_all` does not carry
 /// (both lose SWMR to a stale queued leave at P = 2 with three ops per
-/// processor — ROADMAP), on shapes they do survive. `Stp`'s block-major
-/// edge table is validated against a full scan and against the home's
-/// arrival list at every reachable state, and the state counts — those of
-/// the flat-map representation it replaced — pin that neither it nor
-/// `SciTree`'s touched-node scratch leaks into the fingerprint.
+/// processor — the next test, and ROADMAP), on shapes they do survive.
+/// Their shared `check_invariants` runs at every reachable state: child
+/// lists within the arity and, at quiescence, every node's list against
+/// the home's tree (STP's arrival order, the extension's AVL). The state
+/// counts, measured before the two became one shell with two shapes, pin
+/// that the merge moved no transition and that neither the shell's count
+/// of outstanding parts nor the AVL's touched-node scratch changes which
+/// states the fingerprint tells apart.
 #[test]
 fn baseline_tree_protocols_keep_their_state_counts() {
     let params = ProtocolParams::default();
@@ -543,6 +546,33 @@ fn baseline_tree_protocols_keep_their_state_counts() {
             assert!(outcome.is_pass(), "{shape}: {outcome:?}");
             assert_eq!(outcome.states(), want, "{shape}");
         }
+    }
+}
+
+/// The stale-leave bug both home-held tree protocols carry (ROADMAP): at
+/// P = 2, one block, three ops per processor, a leave queued behind a
+/// write and a re-read removes the re-joined member, and a later writer
+/// is granted the block beside a surviving copy. BFS returns a shortest
+/// counterexample, so its length is fixed by the protocol, not by hash
+/// order. The join-generation fix turns both into passes.
+#[test]
+fn baseline_tree_protocols_lose_swmr_to_a_stale_leave() {
+    let params = ProtocolParams::default();
+    for (kind, steps) in [
+        (ProtocolKind::Stp { arity: 2 }, 21),
+        (ProtocolKind::SciTree, 23),
+    ] {
+        let outcome = explore(&CheckConfig::small(2, 1), || build_protocol(kind, params));
+        let CheckOutcome::Violation(cx) = outcome else {
+            panic!("{}: expected a violation, got {outcome:?}", kind.name());
+        };
+        assert!(
+            cx.violation.contains("WriterNotExclusive"),
+            "{}: {}",
+            kind.name(),
+            cx.violation
+        );
+        assert_eq!(cx.choices.len(), steps, "{}", kind.name());
     }
 }
 

@@ -6,7 +6,10 @@
 //!   Dir<sub>i</sub>B and LimitLESS<sub>i</sub> as one state machine with
 //!   an overflow policy;
 //! * [`singly`], [`sci`] — linked-list baselines;
-//! * [`stp`], [`sci_tree`] — tree-structured baselines;
+//! * [`home_tree`] — the tree-structured baselines, whose home holds the
+//!   sharing tree: one protocol shell with two tree shapes, STP's
+//!   arrival-order k-ary tree ([`stp`]) and the SCI tree extension's AVL
+//!   tree ([`sci_tree`]);
 //! * [`snoop`] — the §1 snooping-MSI bus baseline;
 //! * [`util`] — shared building blocks: the block-major state every
 //!   protocol keeps (a row per block: directory entry, transaction gate,
@@ -15,6 +18,7 @@
 
 pub mod dir_tree;
 pub mod flat;
+pub mod home_tree;
 pub mod sci;
 pub mod sci_tree;
 pub mod singly;

@@ -1,5 +1,6 @@
 //! SCI tree extension, IEEE P1596.2 (Johnson, 1993; §2.2 of the paper) —
-//! Dir₂Tree₂ with an AVL-balanced sharing tree.
+//! Dir₂Tree₂ with an AVL-balanced sharing tree: the AVL [`Shape`] of a
+//! [`HomeTree`](super::home_tree::HomeTree).
 //!
 //! Sharers form an AVL tree keyed by node id. A read miss descends the
 //! tree hop-by-hop to the insertion point (the paper's "4 to 2·log P"
@@ -7,18 +8,13 @@
 //! messages; a write miss invalidates down the balanced tree in
 //! logarithmic time; a replacement is an AVL delete with its own fix-up
 //! traffic — the "high replacement overhead" of Table 2.
-//!
-//! As with STP, the home holds the authoritative tree as a simulation
-//! convenience; all structural changes are still paid for in messages,
-//! and structural fix-ups are acknowledged before the enclosing home
-//! transaction closes so invalidation walks never observe a half-applied
-//! rotation.
 
-use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, read_fill, send, send_home, wb_req, Collector, Rows};
+use crate::ctx::ProtoCtx;
+use crate::dir::home_tree::{Rec, Shape};
+use crate::dir::util::{read_fill, send, send_home, NodeRecs};
 use crate::msg::{Msg, MsgKind, NodeList};
-use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
-use crate::types::{Addr, LineState, NodeId, OpKind};
+use crate::protocol::{ptr_bits, ProtocolKind};
+use crate::types::{Addr, NodeId};
 use dirtree_sim::FxHashMap;
 
 /// A node of the home-side AVL tree.
@@ -280,10 +276,10 @@ impl Avl {
         }
     }
 
-    /// `(node → children)` snapshot of the whole tree: the oracle the
-    /// touched-node diff is tested against.
-    #[cfg(test)]
-    fn children_snapshot(&self) -> FxHashMap<NodeId, Vec<NodeId>> {
+    /// `(node → children)` snapshot of the whole tree: the cache-side
+    /// child lists at quiescence, and the oracle the touched-node diff is
+    /// tested against.
+    pub fn children_snapshot(&self) -> FxHashMap<NodeId, Vec<NodeId>> {
         self.nodes
             .iter()
             .map(|(&id, n)| {
@@ -320,435 +316,51 @@ impl Avl {
     }
 }
 
-#[derive(Clone, Default, PartialEq, Hash)]
-struct Entry {
-    dirty: bool,
-    owner: NodeId,
-    tree: Avl,
-    pending: Option<(NodeId, OpKind)>,
-    wait_wb: bool,
-    wait_acks: u32,
-    /// Outstanding structural fix-up acks + fill ack before txn close.
-    wait_parts: u32,
-}
-
-/// One node's part in a block's tree.
-#[derive(Clone, Default, PartialEq, Hash)]
-struct Rec {
-    /// Cache-side child pointers.
-    children: Vec<NodeId>,
-    collector: Option<Collector>,
-}
-
-/// The SCI tree extension protocol.
-#[derive(Clone)]
-pub struct SciTree {
-    rows: Rows<Entry, Rec>,
-    /// Scratch for `mutate_tree`, reused across calls; empty between them,
-    /// so not part of the fingerprint.
+/// The SCI tree extension's shape: an AVL tree keyed by node id.
+#[derive(Clone, Default)]
+pub struct AvlShape {
+    /// Scratch for [`AvlShape::mutate`], reused across calls; empty
+    /// between them, so not part of the fingerprint.
     touched: Touched,
 }
 
-impl SciTree {
-    pub fn new() -> Self {
-        Self {
-            rows: Rows::default(),
-            touched: Touched::new(),
-        }
-    }
-
-    pub fn tree(&self, addr: Addr) -> Option<&Avl> {
-        self.rows.get(addr)?.entry.as_ref().map(|e| &e.tree)
-    }
-
-    pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.rows.rec(node, addr).map_or(&[], |r| &r.children)
-    }
-
-    fn part_done(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let row = self.rows.row(addr);
-        let e = row.entry.as_mut().expect("part ack without entry");
-        debug_assert!(e.wait_parts > 0, "unexpected structural ack");
-        e.wait_parts -= 1;
-        if e.wait_parts == 0 {
-            row.gate.finish_txn(ctx, home);
-        }
-    }
-
-    /// Apply a structural mutation to the home tree and send each node
+impl AvlShape {
+    /// Apply a structural mutation to the home's tree and send each node
     /// whose child pointers it changed its new children, in ascending node
-    /// id order. Returns the number of fix-ups sent.
-    fn mutate_tree(
+    /// id order. Returns the number of fix-ups sent; each is acked to the
+    /// home.
+    fn mutate(
         &mut self,
         ctx: &mut dyn ProtoCtx,
         home: NodeId,
         addr: Addr,
+        tree: &mut Avl,
         mutate: impl FnOnce(&mut Avl, &mut Touched),
     ) -> u32 {
-        let e = self.rows.row(addr).entry.as_mut().unwrap();
-        mutate(&mut e.tree, &mut self.touched);
+        mutate(tree, &mut self.touched);
         #[cfg(debug_assertions)]
-        e.tree.validate();
+        tree.validate();
         let mut fixups = 0;
-        e.tree.diff_touched(&mut self.touched, |id, children| {
-            send(
-                ctx,
-                home,
-                id,
-                addr,
-                MsgKind::SctFixup {
-                    children: children.into(),
-                },
-            );
+        tree.diff_touched(&mut self.touched, |id, children| {
+            let children = children.into();
+            send(ctx, home, id, addr, MsgKind::SctFixup { children });
             fixups += 1;
         });
         self.touched.clear();
         fixups
     }
-
-    fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::ReadReq { requester } = msg.kind else {
-            unreachable!()
-        };
-        if !self.rows.row(addr).gate.admit(&msg) {
-            return;
-        }
-        let e = self.rows.row(addr).entry.get_or_insert_default();
-        if e.dirty {
-            debug_assert_ne!(e.owner, requester);
-            e.pending = Some((requester, OpKind::Read));
-            e.wait_wb = true;
-            let owner = e.owner;
-            send(
-                ctx,
-                home,
-                owner,
-                addr,
-                MsgKind::WbReq {
-                    for_op: OpKind::Read,
-                    requester,
-                },
-            );
-            return;
-        }
-        if e.tree.is_empty() || e.tree.contains(requester) {
-            // Root insertion (or a re-read by a still-recorded node whose
-            // leave is queued): home supplies directly.
-            e.wait_parts = 1; // the FillAck
-            let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.insert(requester, log));
-            let e = self.rows.row(addr).entry.as_mut().unwrap();
-            e.wait_parts += fixups;
-            send(
-                ctx,
-                home,
-                requester,
-                addr,
-                MsgKind::ReadReply {
-                    adopt: NodeList::default(),
-                },
-            );
-        } else {
-            let path = e.tree.descent_path(requester);
-            e.wait_parts = 1; // the FillAck
-            let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.insert(requester, log));
-            let e = self.rows.row(addr).entry.as_mut().unwrap();
-            e.wait_parts += fixups;
-            let first = path[0];
-            send(
-                ctx,
-                home,
-                first,
-                addr,
-                MsgKind::SctDescend {
-                    requester,
-                    path: path[1..].to_vec().into(),
-                },
-            );
-        }
-    }
-
-    fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let row = self.rows.row(addr);
-        let e = row.entry.as_mut().unwrap();
-        e.dirty = true;
-        e.owner = writer;
-        e.tree.clear();
-        send(
-            ctx,
-            home,
-            writer,
-            addr,
-            MsgKind::WriteReply {
-                kill_self_subtree: false,
-            },
-        );
-        row.gate.finish_txn(ctx, home);
-    }
-
-    fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::WriteReq { requester } = msg.kind else {
-            unreachable!()
-        };
-        if !self.rows.row(addr).gate.admit(&msg) {
-            return;
-        }
-        let e = self.rows.row(addr).entry.get_or_insert_default();
-        if e.dirty {
-            e.pending = Some((requester, OpKind::Write));
-            e.wait_wb = true;
-            let owner = e.owner;
-            send(
-                ctx,
-                home,
-                owner,
-                addr,
-                MsgKind::WbReq {
-                    for_op: OpKind::Write,
-                    requester,
-                },
-            );
-            return;
-        }
-        match e.tree.root() {
-            None => self.grant_write(ctx, home, addr, requester),
-            Some(root) => {
-                e.pending = Some((requester, OpKind::Write));
-                e.wait_acks = 1;
-                e.tree.clear();
-                send(
-                    ctx,
-                    home,
-                    root,
-                    addr,
-                    MsgKind::Inv {
-                        also: None,
-                        from_dir: true,
-                    },
-                );
-            }
-        }
-    }
-
-    fn handle_wb(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, evict: bool) {
-        let e = self.rows.row(addr).entry.get_or_insert_default();
-        if e.wait_wb {
-            e.wait_wb = false;
-            let (requester, op) = e.pending.take().expect("wait_wb without pending");
-            e.dirty = false;
-            let old_owner = e.owner;
-            match op {
-                OpKind::Read => {
-                    e.tree.clear();
-                    e.wait_parts = 1;
-                    let fixups = self.mutate_tree(ctx, home, addr, |t, log| {
-                        if !evict {
-                            t.insert(old_owner, log);
-                        }
-                        t.insert(requester, log);
-                    });
-                    let e = self.rows.row(addr).entry.as_mut().unwrap();
-                    e.wait_parts += fixups;
-                    send(
-                        ctx,
-                        home,
-                        requester,
-                        addr,
-                        MsgKind::ReadReply {
-                            adopt: NodeList::default(),
-                        },
-                    );
-                }
-                OpKind::Write => self.grant_write(ctx, home, addr, requester),
-            }
-        } else {
-            debug_assert!(evict);
-            e.dirty = false;
-            e.tree.clear();
-        }
-    }
-
-    fn handle_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::Inv { from_dir, .. } = msg.kind else {
-            unreachable!()
-        };
-        if self
-            .rows
-            .rec(node, addr)
-            .is_some_and(|r| r.collector.is_some())
-        {
-            // Already collecting: the subtree is covered by the first
-            // invalidation path; waiting here risks ack cycles. Answer
-            // immediately (see dir_tree.rs for the acyclicity argument).
-            ack(ctx, node, addr, msg.src, from_dir);
-            return;
-        }
-        let state = ctx.line_state(node, addr);
-        let kids = self
-            .rows
-            .edit(node, addr, |r| std::mem::take(&mut r.children));
-        match state {
-            LineState::V => {
-                ctx.note(ProtoEvent::Invalidation);
-                ctx.set_line_state(
-                    node,
-                    addr,
-                    if kids.is_empty() {
-                        LineState::Iv
-                    } else {
-                        LineState::InvIp
-                    },
-                );
-            }
-            LineState::E => unreachable!("Inv reached an exclusive owner"),
-            _ => {}
-        }
-        if kids.is_empty() {
-            ack(ctx, node, addr, msg.src, from_dir);
-        } else {
-            let remaining = kids.len() as u32;
-            self.rows.edit(node, addr, |r| {
-                Collector::open(&mut r.collector, msg.src, from_dir, remaining);
-            });
-            for k in kids {
-                send(
-                    ctx,
-                    node,
-                    k,
-                    addr,
-                    MsgKind::Inv {
-                        also: None,
-                        from_dir: false,
-                    },
-                );
-            }
-        }
-    }
-
-    fn handle_leave(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let leaver = msg.src;
-        let row = self.rows.row(addr);
-        if !row.gate.admit(&msg) {
-            return;
-        }
-        let e = row.entry.get_or_insert_default();
-        if !e.tree.contains(leaver) {
-            row.gate.finish_txn(ctx, home);
-            return;
-        }
-        ctx.note(ProtoEvent::ReplacementInvalidation);
-        e.wait_parts = 0;
-        let fixups = self.mutate_tree(ctx, home, addr, |t, log| t.remove(leaver, log));
-        let row = self.rows.row(addr);
-        row.entry.as_mut().unwrap().wait_parts = fixups;
-        if fixups == 0 {
-            row.gate.finish_txn(ctx, home);
-        }
-    }
 }
 
-impl Default for SciTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Shape for AvlShape {
+    type Tree = Avl;
+    const LEAVE: MsgKind = MsgKind::SctLeave;
 
-impl Protocol for SciTree {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::SciTree
     }
 
-    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        match msg.kind {
-            MsgKind::ReadReq { .. } => self.handle_read_req(ctx, node, msg),
-            MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
-            MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, false),
-            MsgKind::WbEvict => self.handle_wb(ctx, node, addr, true),
-            MsgKind::InvAck { dir: true } => {
-                let e = self
-                    .rows
-                    .row(addr)
-                    .entry
-                    .as_mut()
-                    .expect("ack without entry");
-                debug_assert!(e.wait_acks > 0);
-                e.wait_acks -= 1;
-                if e.wait_acks == 0 {
-                    let (requester, op) = e.pending.take().expect("acks without pending");
-                    debug_assert_eq!(op, OpKind::Write);
-                    self.grant_write(ctx, node, addr, requester);
-                }
-            }
-            MsgKind::InvAck { dir: false } => {
-                let done = self
-                    .rows
-                    .edit(node, addr, |r| Collector::ack(&mut r.collector));
-                if let Some(targets) = done {
-                    if ctx.line_state(node, addr) == LineState::InvIp {
-                        ctx.set_line_state(node, addr, LineState::Iv);
-                    }
-                    for (to, dir) in targets {
-                        ack(ctx, node, addr, to, dir);
-                    }
-                }
-            }
-            MsgKind::FillAck => self.part_done(ctx, node, addr),
-            MsgKind::StpFixupAck { .. } => self.part_done(ctx, node, addr),
-            MsgKind::SctFixup { children } => {
-                self.rows
-                    .edit(node, addr, |r| r.children = children.into_vec());
-                send_home(ctx, node, addr, MsgKind::StpFixupAck { dir: true });
-            }
-            MsgKind::SctDescend { requester, path } => {
-                if path.is_empty() {
-                    send(ctx, node, requester, addr, MsgKind::SctInsertResp);
-                } else {
-                    send(
-                        ctx,
-                        node,
-                        path[0],
-                        addr,
-                        MsgKind::SctDescend {
-                            requester,
-                            path: path[1..].to_vec().into(),
-                        },
-                    );
-                }
-            }
-            MsgKind::SctInsertResp | MsgKind::ReadReply { .. } => read_fill(ctx, node, addr),
-            MsgKind::WriteReply { .. } => {
-                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                self.rows.edit(node, addr, |r| r.children.clear());
-                ctx.set_line_state(node, addr, LineState::E);
-                ctx.complete(node, addr, OpKind::Write);
-            }
-            MsgKind::Inv { .. } => self.handle_inv(ctx, node, msg),
-            MsgKind::SctLeave => self.handle_leave(ctx, node, msg),
-            MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
-            other => unreachable!("SCI tree extension received {other:?}"),
-        }
-    }
-
-    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
-        let home = ctx.home_of(addr);
-        match state {
-            LineState::V => {
-                send(ctx, node, home, addr, MsgKind::SctLeave);
-            }
-            LineState::E => {
-                send(ctx, node, home, addr, MsgKind::WbEvict);
-            }
-            other => unreachable!("evicting line in state {other:?}"),
-        }
-    }
-
-    fn dir_bits_per_mem_block(&self, nodes: u32) -> u64 {
-        // Root + head pointers (Dir₂Tree₂) + dirty.
-        2 * ptr_bits(nodes) + 1
+    fn arity(&self) -> usize {
+        2
     }
 
     fn cache_bits_per_line(&self, nodes: u32) -> u64 {
@@ -756,25 +368,121 @@ impl Protocol for SciTree {
         2 * ptr_bits(nodes) + 2 + 3
     }
 
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
+    fn root(tree: &Avl) -> Option<NodeId> {
+        tree.root()
     }
 
-    fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        self.rows.digest(h);
+    fn contains(tree: &Avl, node: NodeId) -> bool {
+        tree.contains(node)
+    }
+
+    fn clear(tree: &mut Avl) {
+        tree.clear();
+    }
+
+    /// The home inserts the requester and sends the fix-ups its rotations
+    /// need. A requester that becomes the root (or re-reads while its
+    /// leave is still queued) gets the data from the home; any other
+    /// descends the tree hop by hop to its insertion point.
+    fn join(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        tree: &mut Avl,
+        keep: Option<NodeId>,
+        requester: NodeId,
+    ) -> u32 {
+        let path = if tree.is_empty() || tree.contains(requester) {
+            Vec::new()
+        } else {
+            tree.descent_path(requester)
+        };
+        let fixups = self.mutate(ctx, home, addr, tree, |t, log| {
+            if let Some(keep) = keep {
+                t.insert(keep, log);
+            }
+            t.insert(requester, log);
+        });
+        match path.split_first() {
+            None => {
+                let adopt = NodeList::default();
+                send(ctx, home, requester, addr, MsgKind::ReadReply { adopt });
+            }
+            Some((&first, rest)) => {
+                let path = rest.to_vec().into();
+                send(
+                    ctx,
+                    home,
+                    first,
+                    addr,
+                    MsgKind::SctDescend { requester, path },
+                );
+            }
+        }
+        fixups
+    }
+
+    /// An AVL delete, paid for in fix-ups.
+    fn leave(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        tree: &mut Avl,
+        _nodes: &mut NodeRecs<Rec>,
+        leaver: NodeId,
+    ) -> u32 {
+        self.mutate(ctx, home, addr, tree, |t, log| t.remove(leaver, log))
+    }
+
+    fn handle(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        msg: Msg,
+        nodes: &mut NodeRecs<Rec>,
+    ) {
+        let addr = msg.addr;
+        match msg.kind {
+            MsgKind::SctFixup { children } => {
+                nodes.edit(node, |r| r.children = children.into_vec());
+                send_home(ctx, node, addr, MsgKind::StpFixupAck { dir: true });
+            }
+            MsgKind::SctDescend { requester, path } => match path.split_first() {
+                None => send(ctx, node, requester, addr, MsgKind::SctInsertResp),
+                Some((&next, rest)) => {
+                    let path = rest.to_vec().into();
+                    send(
+                        ctx,
+                        node,
+                        next,
+                        addr,
+                        MsgKind::SctDescend { requester, path },
+                    );
+                }
+            },
+            MsgKind::SctInsertResp | MsgKind::ReadReply { .. } => read_fill(ctx, node, addr),
+            other => unreachable!("SCI tree extension received {other:?}"),
+        }
+    }
+
+    fn edges(&self, tree: &Avl) -> Vec<(NodeId, Vec<NodeId>)> {
+        tree.children_snapshot().into_iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dir::home_tree::HomeTree;
     use crate::testutil::MockCtx;
     use dirtree_sim::SimRng;
 
     const A: Addr = 0;
 
-    fn setup(nodes: u32) -> (MockCtx, SciTree) {
-        (MockCtx::new(nodes), SciTree::new())
+    fn setup(nodes: u32) -> (MockCtx, HomeTree<AvlShape>) {
+        (MockCtx::new(nodes), HomeTree::new(AvlShape::default()))
     }
 
     #[test]
@@ -885,27 +593,9 @@ mod tests {
     }
 
     #[test]
-    fn reads_descend_and_writes_invalidate_tree() {
+    fn later_reads_descend_to_their_insertion_point() {
         let (mut ctx, mut p) = setup(32);
-        for n in 1..=10 {
-            ctx.read(&mut p, n, A);
-        }
-        p.tree(A).unwrap().validate();
-        assert_eq!(p.tree(A).unwrap().len(), 10);
-        ctx.write(&mut p, 15, A);
-        for n in 1..=10 {
-            assert!(!ctx.line_state(n, A).readable(), "node {n} survived");
-        }
-        ctx.assert_swmr(A);
-        assert!(p.tree(A).unwrap().is_empty());
-    }
-
-    #[test]
-    fn first_read_costs_two_messages_later_reads_descend() {
-        let (mut ctx, mut p) = setup(32);
-        let mark = ctx.mark();
         ctx.read(&mut p, 5, A);
-        assert_eq!(ctx.critical_since(mark), 2);
         let mark = ctx.mark();
         ctx.read(&mut p, 3, A);
         // req + descend(1 hop: root=5) + insert resp = 3 critical, plus
@@ -914,114 +604,24 @@ mod tests {
     }
 
     #[test]
-    fn home_collects_exactly_one_inv_ack() {
+    fn reads_and_leaves_keep_the_avl_balanced() {
         let (mut ctx, mut p) = setup(32);
-        for n in 1..=7 {
+        for n in 1..=10 {
             ctx.read(&mut p, n, A);
         }
+        p.tree(A).unwrap().validate();
+        assert_eq!(p.tree(A).unwrap().len(), 10);
         let mark = ctx.mark();
-        ctx.write(&mut p, 9, A);
-        let dir_acks = ctx
-            .sent_since(mark)
-            .iter()
-            .filter(|(_, m)| matches!(m.kind, MsgKind::InvAck { dir: true }))
-            .count();
-        assert_eq!(dir_acks, 1);
-    }
-
-    #[test]
-    fn replacement_is_an_avl_delete_with_fixups() {
-        let (mut ctx, mut p) = setup(32);
-        for n in 1..=7 {
-            ctx.read(&mut p, n, A);
-        }
-        let before = p.tree(A).unwrap().len();
         ctx.evict(&mut p, 4, A); // interior node
         let t = p.tree(A).unwrap();
         t.validate();
-        assert_eq!(t.len(), before - 1);
+        assert_eq!(t.len(), 9);
         assert!(!t.contains(4));
-        // Invalidation still reaches everyone.
-        ctx.write(&mut p, 20, A);
-        for n in [1, 2, 3, 5, 6, 7] {
-            assert!(!ctx.line_state(n, A).readable(), "node {n} survived");
-        }
-        ctx.assert_swmr(A);
-    }
-
-    #[test]
-    fn root_replacement_keeps_tree_reachable() {
-        let (mut ctx, mut p) = setup(32);
-        for n in 1..=7 {
-            ctx.read(&mut p, n, A);
-        }
-        let root = p.tree(A).unwrap().root().unwrap();
-        ctx.evict(&mut p, root, A);
-        p.tree(A).unwrap().validate();
-        ctx.write(&mut p, 20, A);
-        for n in (1..=7).filter(|&n| n != root) {
-            assert!(!ctx.line_state(n, A).readable(), "node {n} survived");
-        }
-        ctx.assert_swmr(A);
-    }
-
-    #[test]
-    fn dirty_read_recalls_owner() {
-        let (mut ctx, mut p) = setup(32);
-        ctx.write(&mut p, 2, A);
-        ctx.read(&mut p, 5, A);
-        assert_eq!(ctx.line_state(2, A), LineState::V);
-        assert_eq!(ctx.line_state(5, A), LineState::V);
-        assert_eq!(p.tree(A).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn upgrade_write_from_inside_tree() {
-        let (mut ctx, mut p) = setup(32);
-        for n in 1..=5 {
-            ctx.read(&mut p, n, A);
-        }
-        ctx.write(&mut p, 3, A);
-        assert_eq!(ctx.line_state(3, A), LineState::E);
-        ctx.assert_swmr(A);
-    }
-
-    #[test]
-    fn sequential_writers_chain_ownership() {
-        let (mut ctx, mut p) = setup(8);
-        for n in 0..8 {
-            ctx.write(&mut p, n, A);
-            ctx.assert_swmr(A);
-            assert_eq!(ctx.holders(A), vec![n]);
-        }
-    }
-
-    #[test]
-    fn churn_storm_keeps_avl_and_caches_consistent() {
-        let (mut ctx, mut p) = setup(32);
-        let mut rng = SimRng::new(7);
-        for round in 0..100 {
-            let n = 1 + rng.gen_range(30) as NodeId;
-            match rng.gen_range(10) {
-                0..=5 => {
-                    if !ctx.line_state(n, A).readable() {
-                        ctx.read(&mut p, n, A);
-                    }
-                }
-                6..=7 => {
-                    if ctx.line_state(n, A) == LineState::V {
-                        ctx.evict(&mut p, n, A);
-                    }
-                }
-                _ => {
-                    ctx.write(&mut p, n, A);
-                    ctx.assert_swmr(A);
-                }
-            }
-            if let Some(t) = p.tree(A) {
-                t.validate();
-            }
-            let _ = round;
-        }
+        let fixups = ctx
+            .sent_since(mark)
+            .iter()
+            .filter(|(_, m)| matches!(m.kind, MsgKind::SctFixup { .. }))
+            .count();
+        assert!(fixups > 0, "the delete pays in fix-ups");
     }
 }

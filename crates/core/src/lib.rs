@@ -11,8 +11,10 @@
 //!   the LimitLESS<sub>i</sub> software-extended directory,
 //! * [`dir::singly`] — Stanford singly-linked-list protocol,
 //! * [`dir::sci`] — IEEE 1596 SCI doubly-linked list,
-//! * [`dir::stp`] — the Scalable Tree Protocol (balanced top-down trees),
-//! * [`dir::sci_tree`] — the P1596.2 SCI tree extension (AVL-balanced).
+//! * [`dir::home_tree`] — the home-held tree protocols, one shell with two
+//!   tree shapes: the Scalable Tree Protocol (balanced top-down trees,
+//!   [`dir::stp`]) and the P1596.2 SCI tree extension (AVL-balanced,
+//!   [`dir::sci_tree`]).
 //!
 //! Protocols are written against the [`protocol::Protocol`] trait and the
 //! [`ctx::ProtoCtx`] context, so they are independent of the event loop in

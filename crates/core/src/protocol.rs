@@ -2,6 +2,9 @@
 
 use crate::ctx::ProtoCtx;
 use crate::dir::flat::FlatDir;
+use crate::dir::home_tree::HomeTree;
+use crate::dir::sci_tree::AvlShape;
+use crate::dir::stp::Arrival;
 use crate::msg::{Msg, MsgKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::Cycle;
@@ -309,8 +312,8 @@ pub fn build_protocol(kind: ProtocolKind, params: ProtocolParams) -> Box<dyn Pro
         }
         ProtocolKind::SinglyList => Box::new(crate::dir::singly::SinglyList::new()),
         ProtocolKind::Sci => Box::new(crate::dir::sci::Sci::new()),
-        ProtocolKind::Stp { arity } => Box::new(crate::dir::stp::Stp::new(arity)),
-        ProtocolKind::SciTree => Box::new(crate::dir::sci_tree::SciTree::new()),
+        ProtocolKind::Stp { arity } => Box::new(HomeTree::new(Arrival::new(arity))),
+        ProtocolKind::SciTree => Box::new(HomeTree::new(AvlShape::default())),
         ProtocolKind::DirTree { pointers, arity } => {
             Box::new(crate::dir::dir_tree::DirTree::new(pointers, arity, params))
         }

@@ -460,6 +460,11 @@ impl MachineCore {
         self.note_readable(addr, was, transient);
     }
 
+    /// Address and issue time of `node`'s outstanding miss, if any.
+    pub fn pending_miss(&self, node: NodeId) -> Option<(Addr, Cycle)> {
+        self.pending_miss[node as usize]
+    }
+
     /// The outstanding miss of `node` completed: its latency in cycles.
     ///
     /// # Panics

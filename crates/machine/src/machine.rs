@@ -7,6 +7,7 @@ use crate::stats::MachineStats;
 use crate::trace::MsgTrace;
 use crate::verify::Violation;
 use dirtree_core::cache::AllocOutcome;
+use dirtree_core::ctx::ProtoCtx;
 use dirtree_core::protocol::{build_protocol, Protocol, ProtocolKind};
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_net::NetworkStats;
@@ -59,7 +60,10 @@ pub enum StallError {
     Deadlock {
         finished: u32,
         nodes: u32,
-        /// `(node, state)` for every unfinished processor.
+        /// `(node, what it waits on)` for every unfinished processor: its
+        /// outstanding miss (`miss on 0x40 (Write, issued at cycle 812,
+        /// line WmIp)`), the barrier or lock it queues at, or else its
+        /// scheduling state.
         blocked: Vec<(u32, String)>,
         /// `(node, description)` for every send parked on a full virtual
         /// channel — non-empty exactly when the stall is a channel
@@ -287,7 +291,7 @@ impl Machine {
                     .iter()
                     .enumerate()
                     .filter(|(_, s)| **s != ProcState::Done)
-                    .map(|(i, s)| (i as u32, format!("{s:?}")))
+                    .map(|(i, &s)| (i as u32, self.waiting_on(i as NodeId, s)))
                     .collect(),
                 parked_sends: self.core.parked_summary(),
                 protocol: self.protocol.kind(),
@@ -453,6 +457,29 @@ impl Machine {
         }
         self.begin_miss(n, addr, kind);
         Ok(())
+    }
+
+    /// What unfinished processor `n`, in `state`, waits on — read off the
+    /// outstanding miss, the cache and the synchronization wait lists when
+    /// a deadlock is reported, so the event loop keeps no extra record.
+    fn waiting_on(&self, n: NodeId, state: ProcState) -> String {
+        if let Some((addr, issued)) = self.core.pending_miss(n) {
+            let line = self.core.line_state(n, addr);
+            let op = match line {
+                LineState::RmIp => "Read, ",
+                LineState::WmIp => "Write, ",
+                _ => "",
+            };
+            return format!("miss on {addr:#x} ({op}issued at cycle {issued}, line {line:?})");
+        }
+        if let Some((id, _)) = self.barriers.iter().find(|(_, b)| b.waiting.contains(&n)) {
+            return format!("barrier {id}");
+        }
+        if let Some((id, l)) = self.locks.iter().find(|(_, l)| l.waiters.contains(&n)) {
+            let owner = l.owner.map_or("nobody".to_string(), |o| o.to_string());
+            return format!("lock {id} (held by {owner})");
+        }
+        format!("{state:?}")
     }
 
     fn begin_miss(&mut self, n: NodeId, addr: Addr, kind: OpKind) {
@@ -982,13 +1009,29 @@ mod tests {
                 ..
             } => {
                 assert_eq!((finished, nodes), (3, 4));
-                assert_eq!(blocked, vec![(0, "Blocked".to_string())]);
+                assert_eq!(blocked, vec![(0, "barrier 0".to_string())]);
                 assert!(
                     text.starts_with(
                         "deadlock: event queue drained with 1 of 4 processors unfinished"
                     ),
                     "{text}"
                 );
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deadlock_report_names_the_lock_a_processor_queues_at() {
+        // Node 0 finishes still holding lock 3; node 1 waits for it forever.
+        let mut m = Machine::new(MachineConfig::test_default(2), ProtocolKind::FullMap);
+        let mut d = ScriptDriver::new(vec![
+            vec![DriverOp::Lock(3)],
+            vec![DriverOp::Work(50), DriverOp::Lock(3)],
+        ]);
+        match m.try_run(&mut d) {
+            Err(StallError::Deadlock { blocked, .. }) => {
+                assert_eq!(blocked, vec![(1, "lock 3 (held by 0)".to_string())]);
             }
             other => panic!("expected deadlock, got {other:?}"),
         }

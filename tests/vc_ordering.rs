@@ -11,8 +11,9 @@
 //! on the paper's machine (16 KB caches, so no evictions, and no channel
 //! credits), witness on. At `vcs = 1` all nine protocols below finish. At
 //! `vcs` ∈ {2, 3}, under deterministic and adaptive routing alike, seven
-//! of them deadlock with all four processors blocked and no send parked on
-//! a full channel — a protocol-level hang, not a buffer cycle. Only SCI
+//! of them deadlock with all four processors blocked — two on a miss on the
+//! storm's block, two at the barrier waiting for them — and no send parked
+//! on a full channel: a protocol-level hang, not a buffer cycle. Only SCI
 //! and Dir4Tree2U finish.
 //!
 //! This test pins that behaviour as it stands. The protocol fix (a
@@ -91,10 +92,13 @@ fn more_channels_deadlock_seven_protocols_with_every_processor_blocked() {
                         ..
                     }) if !finishes => {
                         assert_eq!((finished, nodes), (0, 4), "{at}");
-                        assert!(
-                            blocked.iter().all(|(_, state)| state == "Blocked"),
-                            "{at}: {blocked:?}"
-                        );
+                        // Each names what it waits on: two hang on a miss
+                        // on the storm's block, two wait for them at the
+                        // barrier.
+                        let on_miss = |on: &str| on.starts_with("miss on 0x0 (");
+                        let misses = blocked.iter().filter(|(_, on)| on_miss(on)).count();
+                        let at_barrier = blocked.iter().filter(|(_, on)| on == "barrier 0").count();
+                        assert_eq!((misses, at_barrier), (2, 2), "{at}: {blocked:?}");
                         assert!(parked_sends.is_empty(), "{at}: {parked_sends:?}");
                     }
                     other => panic!("{at}: unexpected {other:?}"),
