@@ -1,6 +1,8 @@
 //! Exhaustively model-check every protocol of the paper's figure set, the
 //! other two flat directories (Dir2B, LimitLESS2) and the update, adaptive
-//! and ternary Dir_iTree_k shapes.
+//! and ternary Dir_iTree_k shapes — the roster of
+//! [`dirtree_check::roster`], which also names the protocols left off it
+//! and why.
 //!
 //! Usage:
 //!   cargo run --release -p dirtree-check --bin check_all [-- FLAGS]
@@ -30,6 +32,7 @@
 //! Exit status: 0 all pass, 1 a violation was found, 2 a resource limit
 //! stopped an exploration before exhaustion.
 
+use dirtree_check::roster::{roster, RosterEntry};
 use dirtree_check::{explore, replay, report, CheckConfig, CheckOutcome};
 use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
 use dirtree_machine::{Driver, DriverOp, Machine, MachineConfig, ScriptDriver, StallError};
@@ -77,92 +80,10 @@ fn main() {
         shapes.push((3, 2));
     }
 
-    // The figure-set protocols under default parameters, plus the shapes
-    // the figure set does not cover: Dir2B and LimitLESS2 (below), the
-    // update protocol at both pointer counts and the adaptive hybrid. The
-    // aggressive Schmitt thresholds (flip up at +1, back down below 0)
-    // force mode flips in the middle of explored histories, so the
-    // drained-transition machinery itself — not just each inner protocol —
-    // is model-checked.
-    let aggressive = ProtocolParams {
-        adapt_flip_up: 1,
-        adapt_flip_down: 0,
-        ..ProtocolParams::default()
-    };
-    let mut roster: Vec<(String, ProtocolKind, ProtocolParams)> = ProtocolKind::figure_set()
+    let roster: Vec<RosterEntry> = roster()
         .into_iter()
-        .map(|kind| (kind.name(), kind, ProtocolParams::default()))
-        .collect();
-    // The two flat-directory overflow policies the figure set leaves out
-    // (it carries full-map and Dir_iNB): broadcast and software spill, at
-    // i = 2 so that P=3 already overflows the pointers. LimitLESS4 is in
-    // the benchmark's and `crates/bench`'s published comparisons.
-    for kind in [
-        ProtocolKind::LimitedB { pointers: 2 },
-        ProtocolKind::LimitLess { pointers: 2 },
-    ] {
-        roster.push((kind.name(), kind, ProtocolParams::default()));
-    }
-    for pointers in [1u32, 2] {
-        let kind = ProtocolKind::DirTreeUpdate { pointers, arity: 2 };
-        roster.push((kind.name(), kind, ProtocolParams::default()));
-    }
-    let adp2 = ProtocolKind::DirTreeAdaptive {
-        pointers: 2,
-        arity: 2,
-    };
-    roster.push((adp2.name(), adp2, ProtocolParams::default()));
-    roster.push((format!("{} up1/dn0", adp2.name()), adp2, aggressive));
-    let adp1 = ProtocolKind::DirTreeAdaptive {
-        pointers: 1,
-        arity: 2,
-    };
-    roster.push((format!("{} up1/dn0", adp1.name()), adp1, aggressive));
-    // Ternary (k=3) tree shapes. Arity only binds at the Figure-6 case-3
-    // merge, which fires when all `i` pointers are full and a new
-    // requester arrives — so it takes i ≥ 3 for a k=3 tree to behave
-    // differently from k=2 at all (for i ≤ 2 at most two equal-height
-    // roots ever merge, and the state graphs are identical). The i=3
-    // entries below are the smallest shapes where a P=4 frontier adopts
-    // *three* equal-height roots in one merge, covering the generalized
-    // wave/adoption fan-out the arity-2 sweep cannot reach. That holds for
-    // `tree3` and for the invalidate-mode blocks of `adp3` only: update
-    // blocks merge pairs whatever the arity (`DirTree::insert_sharer`), so
-    // `upd3` explores exactly the k=2 graph — pinned by `exhaustive.rs`'s
-    // `ternary_update_merge_does_not_diverge_from_binary_at_p5` — and
-    // stays on the roster as the shape to re-baseline when the merge width
-    // is unified (ROADMAP).
-    let tree3 = ProtocolKind::DirTree {
-        pointers: 3,
-        arity: 3,
-    };
-    roster.push((tree3.name(), tree3, ProtocolParams::default()));
-    let upd3 = ProtocolKind::DirTreeUpdate {
-        pointers: 3,
-        arity: 3,
-    };
-    roster.push((upd3.name(), upd3, ProtocolParams::default()));
-    let adp3 = ProtocolKind::DirTreeAdaptive {
-        pointers: 3,
-        arity: 3,
-    };
-    roster.push((adp3.name(), adp3, ProtocolParams::default()));
-    roster.push((format!("{} up1/dn0", adp3.name()), adp3, aggressive));
-    // The home node holds no pointer for itself, so an i=3 merge needs
-    // four *remote* requesters — the ternary entries additionally run at
-    // P=5 (below), the smallest population where the three-way adoption
-    // is reachable at all.
-    let p5_names: Vec<String> = vec![
-        tree3.name(),
-        upd3.name(),
-        adp3.name(),
-        format!("{} up1/dn0", adp3.name()),
-    ];
-
-    let roster: Vec<(String, ProtocolKind, ProtocolParams)> = roster
-        .into_iter()
-        .filter(|(name, _, _)| match &filter {
-            Some(f) => name.to_lowercase().contains(&f.to_lowercase()),
+        .filter(|e| match &filter {
+            Some(f) => e.name.to_lowercase().contains(&f.to_lowercase()),
             None => true,
         })
         .collect();
@@ -204,9 +125,9 @@ fn main() {
             elapsed
         );
     };
-    for (name, kind, params) in &roster {
+    for e in &roster {
         for &(nodes, blocks) in &shapes {
-            run_one(name, *kind, *params, nodes, blocks);
+            run_one(&e.name, e.kind, e.params, nodes, blocks);
         }
     }
     // The P≥4 tier: the order-6 (P=4) / order-24 (P=5) home-fixing
@@ -227,13 +148,11 @@ fn main() {
                 run();
             }
         };
-        for (name, kind, params) in &roster {
-            budgeted(&mut || run_one(name, *kind, *params, 4, 1));
+        for e in &roster {
+            budgeted(&mut || run_one(&e.name, e.kind, e.params, 4, 1));
         }
-        for (name, kind, params) in &roster {
-            if p5_names.contains(name) {
-                budgeted(&mut || run_one(name, *kind, *params, 5, 1));
-            }
+        for e in roster.iter().filter(|e| e.p5) {
+            budgeted(&mut || run_one(&e.name, e.kind, e.params, 5, 1));
         }
         if skipped > 0 {
             println!(

@@ -41,7 +41,8 @@
 //!
 //! Entry points: [`explore::explore`] for one protocol/configuration,
 //! the `check_all` binary for the full figure-set sweep
-//! (`cargo run -p dirtree-check --bin check_all`), and
+//! (`cargo run -p dirtree-check --bin check_all`) over [`roster::roster`],
+//! and
 //! [`mutants::Mutated`] for the checker's own mutation tests.
 
 pub mod ctx;
@@ -49,6 +50,7 @@ pub mod explore;
 pub mod mutants;
 pub mod replay;
 pub mod report;
+pub mod roster;
 pub mod state;
 
 pub use ctx::CheckCtx;

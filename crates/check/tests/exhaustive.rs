@@ -5,12 +5,15 @@
 
 use dirtree_check::explore::SLEEP_MASK_BITS;
 use dirtree_check::report;
+use dirtree_check::roster::{exclusion, roster};
 use dirtree_check::{
-    explore, replay, CheckConfig, CheckOutcome, CheckState, Choice, MutantKind, Mutated,
+    explore, replay, CheckConfig, CheckOutcome, CheckState, Choice, MutantKind, Mutated, ProcOp,
 };
+use dirtree_core::ctx::ProtoCtx;
 use dirtree_core::fingerprint::home_fixing_perms;
+use dirtree_core::msg::MsgKind;
 use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
-use dirtree_core::types::NodeId;
+use dirtree_core::types::{LineState, NodeId, OpKind};
 
 /// Every protocol of the paper's figure set survives exhaustive
 /// exploration at P = 2, one block (the CI fast tier; `check_all` covers
@@ -574,6 +577,160 @@ fn baseline_tree_protocols_lose_swmr_to_a_stale_leave() {
         );
         assert_eq!(cx.choices.len(), steps, "{}", kind.name());
     }
+}
+
+/// The other two baselines `check_all` leaves out fail at P = 2 already
+/// (ROADMAP item 3), with BFS-shortest counterexamples: SinglyLinkedList
+/// deadlocks in 12 choices at P=2 (one block or two) and loses SWMR in 15
+/// at P=3; SnoopMSI loses SWMR in 12 at all three shapes, because the
+/// checker delivers its bus broadcast point to point. A fix, or a bus
+/// channel model, flips these to passes and puts the protocol on the
+/// roster.
+#[test]
+fn list_and_snoop_counterexamples_are_pinned() {
+    let params = ProtocolParams::default();
+    for (kind, nodes, blocks, violation, steps) in [
+        (ProtocolKind::SinglyList, 2, 1, "deadlock", 12),
+        (ProtocolKind::SinglyList, 3, 1, "WriterNotExclusive", 15),
+        (ProtocolKind::SinglyList, 2, 2, "deadlock", 12),
+        (ProtocolKind::Snoop, 2, 1, "WriterNotExclusive", 12),
+        (ProtocolKind::Snoop, 3, 1, "WriterNotExclusive", 12),
+        (ProtocolKind::Snoop, 2, 2, "WriterNotExclusive", 12),
+    ] {
+        let cfg = CheckConfig::small(nodes, blocks);
+        let outcome = explore(&cfg, || build_protocol(kind, params));
+        let shape = format!("{} P={nodes} B={blocks}", kind.name());
+        let CheckOutcome::Violation(cx) = outcome else {
+            panic!("{shape}: expected a violation, got {outcome:?}");
+        };
+        assert!(
+            cx.violation.contains(violation),
+            "{shape}: {}",
+            cx.violation
+        );
+        assert_eq!(cx.choices.len(), steps, "{shape}");
+    }
+}
+
+/// A recall can find its line `WmIp` and still be stale. Node 1 owns the
+/// block; node 0's write makes the home recall it; node 1 evicts (its
+/// `WbEvict` is in flight) and writes again before the `WbReq` arrives.
+/// Under pair-FIFO channels the eviction writeback answers the recall, so
+/// the `WbReq` must be dropped: it sends nothing, and the run drains to
+/// quiescence with node 1 the final owner. A recall that overtakes its
+/// grant on another virtual channel also finds `WmIp` (ROADMAP item 1), so
+/// line state alone cannot tell the two apart; the home has to say which
+/// grant a recall follows.
+#[test]
+fn a_stale_recall_meets_a_write_miss_and_is_dropped() {
+    let params = ProtocolParams::default();
+    for kind in [
+        ProtocolKind::FullMap,
+        ProtocolKind::Stp { arity: 2 },
+        ProtocolKind::SciTree,
+        ProtocolKind::DirTree {
+            pointers: 2,
+            arity: 2,
+        },
+    ] {
+        let name = kind.name();
+        let mut s = CheckState::new(2, 3, vec![0], build_protocol(kind, params));
+        s.ctx.enable_send_log();
+        let step = |s: &mut CheckState, c: Choice| {
+            s.apply(c)
+                .unwrap_or_else(|v| panic!("{name}: {} failed: {v}", s.describe(c)))
+        };
+        let deliver = |src, dst| Choice::Deliver { src, dst };
+        let op = |node, op| Choice::Op { node, op };
+        for c in [
+            op(1, ProcOp::Write(0)),
+            deliver(1, 0),
+            deliver(0, 1),
+            op(0, ProcOp::Write(0)),
+            deliver(0, 0),
+            op(1, ProcOp::Evict(0)),
+            op(1, ProcOp::Write(0)),
+        ] {
+            step(&mut s, c);
+        }
+        let recall = MsgKind::WbReq {
+            for_op: OpKind::Write,
+            requester: 0,
+        };
+        assert_eq!(
+            s.ctx.peek_channel(0, 1).map(|m| &m.kind),
+            Some(&recall),
+            "{name}"
+        );
+        assert_eq!(s.ctx.line_state(1, 0), LineState::WmIp, "{name}");
+        let sent = s.ctx.send_log().len();
+        step(&mut s, deliver(0, 1));
+        assert_eq!(
+            s.ctx.send_log().len(),
+            sent,
+            "{name}: the stale recall sent something"
+        );
+        // Drain the channels in order, each FIFO.
+        while let Some(c) = s
+            .enabled_choices()
+            .into_iter()
+            .find(|c| !matches!(c, Choice::Op { .. }))
+        {
+            step(&mut s, c);
+        }
+        assert!(s.ctx.quiescent(), "{name}: drained but not quiescent");
+        let lines = (s.ctx.line_state(0, 0), s.ctx.line_state(1, 0));
+        assert_eq!(lines, (LineState::Iv, LineState::E), "{name}");
+    }
+}
+
+/// Every `ProtocolKind` is either on the `check_all` roster or excluded by
+/// name with a reason that cites the test pinning it. The match has no
+/// wildcard, so a new variant does not compile until it is placed.
+#[test]
+fn every_protocol_kind_is_on_the_roster_or_excluded_with_its_pin() {
+    let variant = |kind: ProtocolKind| match kind {
+        ProtocolKind::FullMap => 0,
+        ProtocolKind::LimitedNB { .. } => 1,
+        ProtocolKind::LimitedB { .. } => 2,
+        ProtocolKind::LimitLess { .. } => 3,
+        ProtocolKind::SinglyList => 4,
+        ProtocolKind::Sci => 5,
+        ProtocolKind::Stp { .. } => 6,
+        ProtocolKind::SciTree => 7,
+        ProtocolKind::DirTree { .. } => 8,
+        ProtocolKind::Snoop => 9,
+        ProtocolKind::DirTreeUpdate { .. } => 10,
+        ProtocolKind::DirTreeAdaptive { .. } => 11,
+    };
+    let excluded = [
+        ProtocolKind::SinglyList,
+        ProtocolKind::Snoop,
+        ProtocolKind::Stp { arity: 2 },
+        ProtocolKind::SciTree,
+        ProtocolKind::Sci,
+    ];
+    let roster = roster();
+    let mut placed = [false; 12];
+    for e in &roster {
+        assert_eq!(exclusion(e.kind), None, "{} is on the roster", e.name);
+        placed[variant(e.kind)] = true;
+    }
+    for kind in excluded {
+        let reason = exclusion(kind).unwrap_or_else(|| panic!("{} has no reason", kind.name()));
+        assert!(
+            reason.contains(".rs: ") && reason.ends_with(')'),
+            "{}: the reason must cite its pin: {reason}",
+            kind.name()
+        );
+        assert!(
+            !placed[variant(kind)],
+            "{} is also on the roster",
+            kind.name()
+        );
+        placed[variant(kind)] = true;
+    }
+    assert!(placed.iter().all(|&p| p), "unplaced variants: {placed:?}");
 }
 
 /// Where symmetry and sleep sets meet: two blocks both homed at node 0 of

@@ -75,7 +75,7 @@
 //! ```
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{read_fill, send, send_home, wb_req, Collector, NodeRecs, TxnGate};
+use crate::dir::util::{read_fill, send, send_home, wb_req, Collector, NodeRecs, Owner, TxnGate};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -100,12 +100,8 @@ pub(crate) enum WritePolicy {
 
 #[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
-    dirty: bool,
-    owner: NodeId,
+    own: Owner,
     ptrs: Vec<Option<Ptr>>,
-    pending: Option<(NodeId, OpKind)>,
-    wait_acks: u32,
-    wait_wb: bool,
     /// The pending writer was itself a recorded root: the grant will tell
     /// it to kill its own subtree locally.
     grant_self_root: bool,
@@ -115,7 +111,7 @@ impl Entry {
     fn relabeled(&self, perm: &[NodeId]) -> Entry {
         let node = |n: NodeId| perm[n as usize];
         Entry {
-            owner: node(self.owner),
+            own: self.own.relabeled(perm),
             ptrs: self
                 .ptrs
                 .iter()
@@ -126,7 +122,6 @@ impl Entry {
                     })
                 })
                 .collect(),
-            pending: self.pending.map(|(n, op)| (node(n), op)),
             ..*self
         }
     }
@@ -299,7 +294,7 @@ impl DirTree {
             if e.ptrs.iter().all(Option::is_none) {
                 row.entry = None;
             } else {
-                e.owner = NodeId::default();
+                e.own.owner = NodeId::default();
             }
         }
         self.set_update_bit(addr, to_update);
@@ -340,7 +335,7 @@ impl DirTree {
     /// with no write in progress and no exclusive owner — a dirty block is
     /// *not* idle, because update blocks have no exclusive state and the
     /// owner must write back first. (A recall parked in `pending_wb` needs
-    /// no clause of its own: the home's `wait_wb` is set for as long as it
+    /// no clause of its own: the home is recalling for as long as it
     /// exists, which [`Protocol::check_invariants`] pins.) The adaptive
     /// hybrid additionally requires zero in-flight messages.
     pub(crate) fn flip_idle(&self, addr: Addr) -> bool {
@@ -352,13 +347,10 @@ impl DirTree {
                 .nodes
                 .iter()
                 .all(|(_, r)| r.collector.is_none() && !r.kill)
-            && row.entry.as_ref().is_none_or(|e| {
-                !e.dirty
-                    && e.pending.is_none()
-                    && e.wait_acks == 0
-                    && !e.wait_wb
-                    && !e.grant_self_root
-            })
+            && row
+                .entry
+                .as_ref()
+                .is_none_or(|e| e.own.is_idle() && !e.grant_self_root)
     }
 
     /// Silently disband `(node, addr)`'s subtree: one unacknowledged
@@ -476,27 +468,20 @@ impl DirTree {
         if !self.row(addr).gate.admit(&msg) {
             return;
         }
-        if self.entry(addr).dirty {
-            let e = self.entry(addr);
-            debug_assert_ne!(e.owner, requester);
-            e.pending = Some((requester, OpKind::Read));
-            e.wait_wb = true;
-            let owner = e.owner;
-            send(
-                ctx,
-                home,
-                owner,
-                addr,
-                MsgKind::WbReq {
-                    for_op: OpKind::Read,
-                    requester,
-                },
-            );
+        let e = self.entry(addr);
+        if e.own.dirty {
+            debug_assert_ne!(e.own.owner, requester);
+            e.own.recall(ctx, home, addr, requester, OpKind::Read);
         } else {
-            let adopt = self.insert_sharer(ctx, addr, requester);
-            send(ctx, home, requester, addr, MsgKind::ReadReply { adopt });
-            // Transaction stays open until the FillAck.
+            self.serve_read(ctx, home, addr, requester);
         }
+    }
+
+    /// Insert a reader into the forest and send it the data; the
+    /// transaction stays open until its `FillAck`.
+    fn serve_read(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, reader: NodeId) {
+        let adopt = self.insert_sharer(ctx, addr, reader);
+        send(ctx, home, reader, addr, MsgKind::ReadReply { adopt });
     }
 
     /// Launch one write wave from the home: a message to every forest root
@@ -549,8 +534,7 @@ impl DirTree {
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
         let row = self.row(addr);
         let e = row.entry.as_mut().unwrap();
-        e.dirty = true;
-        e.owner = writer;
+        e.own.grant(writer);
         e.ptrs.iter_mut().for_each(|p| *p = None);
         let kill_self_subtree = e.grant_self_root;
         e.grant_self_root = false;
@@ -562,14 +546,6 @@ impl DirTree {
             MsgKind::WriteReply { kill_self_subtree },
         );
         row.gate.finish_txn(ctx, home);
-    }
-
-    /// Grant an update write: the writer keeps a valid copy, so it joins
-    /// the forest like any other sharer.
-    fn grant_update(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let adopt = self.insert_sharer(ctx, addr, writer);
-        send(ctx, home, writer, addr, MsgKind::UpdateGrant { adopt });
-        self.row(addr).gate.finish_txn(ctx, home);
     }
 
     fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
@@ -586,20 +562,8 @@ impl DirTree {
         let expected = if update {
             // Every recorded copy is refreshed, the writer's included.
             self.wave_roots(ctx, home, addr, None, true)
-        } else if e.dirty {
-            e.pending = Some((requester, OpKind::Write));
-            e.wait_wb = true;
-            let owner = e.owner;
-            send(
-                ctx,
-                home,
-                owner,
-                addr,
-                MsgKind::WbReq {
-                    for_op: OpKind::Write,
-                    requester,
-                },
-            );
+        } else if e.own.dirty {
+            e.own.recall(ctx, home, addr, requester, OpKind::Write);
             return;
         } else {
             // The wave consumes the forest. A root that is the writer
@@ -614,12 +578,13 @@ impl DirTree {
         if expected == 0 {
             self.grant(ctx, home, addr, requester, update);
         } else {
-            let e = self.entry(addr);
-            e.pending = Some((requester, OpKind::Write));
-            e.wait_acks = expected;
+            let own = &mut self.entry(addr).own;
+            own.await_acks(requester, OpKind::Write, expected);
         }
     }
 
+    /// Grant a write. An update writer keeps a valid copy, so it joins the
+    /// forest like any other sharer.
     fn grant(
         &mut self,
         ctx: &mut dyn ProtoCtx,
@@ -628,11 +593,12 @@ impl DirTree {
         writer: NodeId,
         update: bool,
     ) {
-        if update {
-            self.grant_update(ctx, home, addr, writer);
-        } else {
-            self.grant_write(ctx, home, addr, writer);
+        if !update {
+            return self.grant_write(ctx, home, addr, writer);
         }
+        let adopt = self.insert_sharer(ctx, addr, writer);
+        send(ctx, home, writer, addr, MsgKind::UpdateGrant { adopt });
+        self.row(addr).gate.finish_txn(ctx, home);
     }
 
     fn handle_wb(
@@ -644,44 +610,26 @@ impl DirTree {
         evict: bool,
     ) {
         let e = self.entry(addr);
-        if e.wait_wb {
-            e.wait_wb = false;
-            let (requester, op) = e.pending.take().expect("wait_wb without pending");
-            e.dirty = false;
-            let old_owner = e.owner;
-            match op {
-                OpKind::Read => {
-                    // The downgraded owner becomes the first root; then the
-                    // requester joins through the normal insertion path.
-                    if !evict {
-                        e.ptrs[0] = Some(Ptr {
-                            node: old_owner,
-                            level: 1,
-                        });
-                    }
-                    let adopt = self.insert_sharer(ctx, addr, requester);
-                    send(ctx, home, requester, addr, MsgKind::ReadReply { adopt });
-                    // Transaction stays open until the FillAck.
+        let Some((requester, op, keep)) = e.own.writeback(src, evict) else {
+            return;
+        };
+        match op {
+            OpKind::Read => {
+                // The downgraded owner becomes the first root; then the
+                // requester joins through the normal insertion path.
+                if let Some(node) = keep {
+                    e.ptrs[0] = Some(Ptr { node, level: 1 });
                 }
-                OpKind::Write => {
-                    self.grant_write(ctx, home, addr, requester);
-                }
+                self.serve_read(ctx, home, addr, requester);
             }
-        } else {
-            debug_assert!(evict);
-            let e = self.row(addr).entry.as_mut().unwrap();
-            debug_assert!(e.dirty && e.owner == src);
-            e.dirty = false;
+            OpKind::Write => self.grant_write(ctx, home, addr, requester),
         }
     }
 
     /// A root acknowledged the home's wave; the last ack grants the write.
     fn handle_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, update: bool) {
         let e = self.row(addr).entry.as_mut().expect("ack without entry");
-        debug_assert!(e.wait_acks > 0);
-        e.wait_acks -= 1;
-        if e.wait_acks == 0 {
-            let (requester, op) = e.pending.take().expect("acks without pending");
+        if let Some((requester, op)) = e.own.ack() {
             debug_assert_eq!(op, OpKind::Write);
             self.grant(ctx, home, addr, requester, update);
         }
@@ -971,16 +919,7 @@ impl Protocol for DirTree {
                 } else {
                     ctx.set_line_state(node, addr, LineState::WmLip);
                     for k in kids {
-                        send(
-                            ctx,
-                            node,
-                            k,
-                            addr,
-                            MsgKind::Inv {
-                                also: None,
-                                from_dir: false,
-                            },
-                        );
+                        send(ctx, node, k, addr, wave_msg(false, None, false));
                     }
                 }
             }
@@ -1061,21 +1000,20 @@ impl Protocol for DirTree {
     /// * zombie (disbanded-subtree) edge lists hold distinct valid nodes,
     ///   never the node itself;
     /// * a recall parked at a self-killing owner (`pending_wb`) has the
-    ///   home waiting for it (`wait_wb`) — what lets [`Self::flip_idle`]
-    ///   read the entry alone;
+    ///   home waiting for it ([`Owner::recalling`]) — what lets
+    ///   [`Self::flip_idle`] read the entry alone;
     /// * an update block has no exclusive copy.
     ///
     /// Checked only at **quiescence** (no message in flight — mid-
     /// transaction these are legitimately violated, e.g. while a recalled
     /// owner's data is on the wire):
-    /// * no ack collector, home transaction, pending write or deferred
-    ///   kill is left open;
-    /// * `dirty` entries have an empty forest, no child or zombie edges
-    ///   (the granting wave drains both), and the recorded owner exclusive;
-    /// * clean blocks have no exclusive copy, and every valid copy is
-    ///   reachable from the recorded roots through child and zombie
-    ///   pointers — a sharer the forest cannot see would silently survive
-    ///   the next write wave.
+    /// * no ack collector, home transaction or deferred kill is left open;
+    /// * [`Owner::check`];
+    /// * `dirty` entries have an empty forest and no child or zombie edges
+    ///   (the granting wave drains both);
+    /// * on a clean block every valid copy is reachable from the recorded
+    ///   roots through child and zombie pointers — a sharer the forest
+    ///   cannot see would silently survive the next write wave.
     ///
     /// Note the *absence* of a height-vs-level claim: recorded levels are
     /// upper bounds at insertion time, and silent replacement + rejoin can
@@ -1089,11 +1027,12 @@ impl Protocol for DirTree {
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
         for (addr, row) in self.rows.iter_nonempty() {
+            let recalling = row.entry.as_ref().is_some_and(|e| e.own.recalling());
             for (node, r) in row.nodes.iter() {
                 let arity = self.arity as usize;
                 check_edges(node, addr, &r.children, "child pointer", arity, nodes)?;
                 check_edges(node, addr, &r.zombies, "zombie edge", nodes as usize, nodes)?;
-                if r.pending_wb.is_some() && !row.entry.as_ref().is_some_and(|e| e.wait_wb) {
+                if r.pending_wb.is_some() && !recalling {
                     return Err(format!(
                         "recall parked at node {node} for {addr:#x} but the home is not waiting for it"
                     ));
@@ -1153,15 +1092,6 @@ impl Protocol for DirTree {
                 "{busy} home transaction(s) still open at quiescence"
             ));
         }
-        for (addr, row) in self.rows.iter_nonempty() {
-            if row
-                .entry
-                .as_ref()
-                .is_some_and(|e| e.pending.is_some() || e.wait_acks != 0)
-            {
-                return Err(format!("quiescent but write pending for {addr:#x}"));
-            }
-        }
         if let Some((addr, node, _)) = recs().find(|(_, _, r)| r.kill) {
             return Err(format!(
                 "quiescent but deferred kill at {node} for {addr:#x}"
@@ -1170,15 +1100,10 @@ impl Protocol for DirTree {
         for &addr in addrs {
             let row = self.rows.get(addr);
             let e = row.and_then(|r| r.entry.as_ref());
-            if let Some(e) = e.filter(|e| e.dirty) {
+            e.map_or(Owner::default(), |e| e.own).check(ctx, addr)?;
+            if let Some(e) = e.filter(|e| e.own.dirty) {
                 if e.ptrs.iter().any(Option::is_some) {
                     return Err(format!("dirty block {addr:#x} still records roots"));
-                }
-                if ctx.line_state(e.owner, addr) != LineState::E {
-                    return Err(format!(
-                        "dirty block {addr:#x}: recorded owner {} is not exclusive",
-                        e.owner
-                    ));
                 }
                 let has_edges = |edges: fn(&Rec) -> &Vec<NodeId>| {
                     row.is_some_and(|r| r.nodes.iter().any(|(_, r)| !edges(r).is_empty()))
@@ -1191,8 +1116,8 @@ impl Protocol for DirTree {
                 }
                 continue;
             }
-            // Clean block: no exclusive copy, and every valid copy must be
-            // reachable from the recorded roots.
+            // Clean block: every valid copy must be reachable from the
+            // recorded roots.
             let mut reachable = vec![false; nodes as usize];
             let mut frontier: Vec<NodeId> = e
                 .map(|e| e.ptrs.iter().flatten().map(|p| p.node).collect())
@@ -1204,20 +1129,12 @@ impl Protocol for DirTree {
                 frontier.extend_from_slice(self.children_of(n, addr));
                 frontier.extend_from_slice(self.zombies_of(n, addr));
             }
-            for n in 0..nodes {
-                match ctx.line_state(n, addr) {
-                    LineState::E => {
-                        return Err(format!(
-                            "clean block {addr:#x} has an exclusive copy at node {n}"
-                        ));
-                    }
-                    LineState::V if !reachable[n as usize] => {
-                        return Err(format!(
-                            "valid copy at node {n} for {addr:#x} unreachable from the forest"
-                        ));
-                    }
-                    _ => {}
-                }
+            if let Some(n) = (0..nodes)
+                .find(|&n| ctx.line_state(n, addr) == LineState::V && !reachable[n as usize])
+            {
+                return Err(format!(
+                    "valid copy at node {n} for {addr:#x} unreachable from the forest"
+                ));
             }
         }
         Ok(())

@@ -8,11 +8,11 @@
 //! all serialized through the home. They differ only in what happens when a
 //! read finds every pointer in use — the `Overflow` policy, consulted at
 //! exactly three points: that read admission, write-target enumeration, and
-//! the directory-bits formula. Dirty recall, ack counting, writebacks and
-//! the cache side are shared.
+//! the directory-bits formula. The cache side is shared, and the exclusive
+//! copy is an [`Owner`] like every other directory's.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, read_fill, send, send_home, wb_req, NodeSet, Rows};
+use crate::dir::util::{ack, read_fill, send, send_home, wb_req, NodeSet, Owner, Rows};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -123,17 +123,12 @@ impl Sharers {
 /// their default and add a constant to the digest.
 #[derive(Clone, Default, PartialEq, Hash)]
 struct Entry {
-    dirty: bool,
-    owner: NodeId,
+    own: Owner,
     sharers: Sharers,
     /// LimitLESS: pointers spilled to software, in arrival order.
     spill: Vec<NodeId>,
     /// Dir_iB: some reader is cached but untracked.
     overflow: bool,
-    /// Requester granted once the outstanding writeback / acks arrive.
-    pending: Option<(NodeId, OpKind)>,
-    wait_acks: u32,
-    wait_wb: bool,
     /// Dir_iNB: a read blocked on the pointer-victim's invalidation ack.
     victim_swap: Option<NodeId>,
 }
@@ -148,10 +143,9 @@ impl Entry {
     fn relabeled(&self, perm: &[NodeId]) -> Entry {
         let node = |n: NodeId| perm[n as usize];
         Entry {
-            owner: node(self.owner),
+            own: self.own.relabeled(perm),
             sharers: self.sharers.relabeled(perm),
             spill: self.spill.iter().map(|&n| node(n)).collect(),
-            pending: self.pending.map(|(n, op)| (node(n), op)),
             victim_swap: self.victim_swap.map(node),
             ..*self
         }
@@ -228,21 +222,6 @@ impl FlatDir {
         // Transaction stays open until the FillAck.
     }
 
-    /// Recall a dirty block from its owner on behalf of `requester`.
-    fn recall(
-        ctx: &mut dyn ProtoCtx,
-        home: NodeId,
-        addr: Addr,
-        e: &mut Entry,
-        requester: NodeId,
-        for_op: OpKind,
-    ) {
-        e.pending = Some((requester, for_op));
-        e.wait_wb = true;
-        let kind = MsgKind::WbReq { for_op, requester };
-        send(ctx, home, e.owner, addr, kind);
-    }
-
     fn send_inv(ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, to: NodeId) {
         let kind = MsgKind::Inv {
             also: None,
@@ -254,8 +233,7 @@ impl FlatDir {
     fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
         let row = self.rows.row(addr);
         let e = row.entry.as_mut().unwrap();
-        e.dirty = true;
-        e.owner = writer;
+        e.own.grant(writer);
         e.forget_sharers();
         let kind = MsgKind::WriteReply {
             kill_self_subtree: false,
@@ -274,9 +252,10 @@ impl FlatDir {
         }
         let (pointers, overflow) = (self.pointers as usize, self.overflow);
         let e = self.entry(addr);
-        if e.dirty {
-            debug_assert_ne!(e.owner, requester, "owner re-reading implies lost WbEvict");
-            Self::recall(ctx, home, addr, e, requester, OpKind::Read);
+        if e.own.dirty {
+            // An owner re-reading would mean a lost WbEvict.
+            debug_assert_ne!(e.own.owner, requester);
+            e.own.recall(ctx, home, addr, requester, OpKind::Read);
             return;
         }
         if e.sharers.contains(requester) || e.spill.contains(&requester) {
@@ -290,9 +269,8 @@ impl FlatDir {
                     // The reply waits for the victim's ack so a subsequent
                     // write cannot leave a stale copy alive.
                     let victim = e.sharers.ptrs()[0];
-                    e.pending = Some((requester, OpKind::Read));
+                    e.own.await_acks(requester, OpKind::Read, 1);
                     e.victim_swap = Some(victim);
-                    e.wait_acks = 1;
                     ctx.note(ProtoEvent::ReplacementInvalidation);
                     Self::send_inv(ctx, home, addr, victim);
                     return;
@@ -319,8 +297,8 @@ impl FlatDir {
         }
         let overflow = self.overflow;
         let e = self.entry(addr);
-        if e.dirty {
-            Self::recall(ctx, home, addr, e, requester, OpKind::Write);
+        if e.own.dirty {
+            e.own.recall(ctx, home, addr, requester, OpKind::Write);
             return;
         }
         let mut targets = e.sharers.others(requester);
@@ -345,8 +323,8 @@ impl FlatDir {
         if targets.is_empty() {
             self.grant_write(ctx, home, addr, requester);
         } else {
-            e.pending = Some((requester, OpKind::Write));
-            e.wait_acks = targets.len() as u32;
+            e.own
+                .await_acks(requester, OpKind::Write, targets.len() as u32);
             e.forget_sharers();
             for t in targets {
                 Self::send_inv(ctx, home, addr, t);
@@ -362,21 +340,15 @@ impl FlatDir {
             .entry
             .as_mut()
             .expect("wb without entry");
-        // Either the owner's spontaneous eviction, or the answer to a
-        // recall — which a racing eviction writeback gives just as well.
-        debug_assert!(e.dirty && (e.wait_wb || (evict && e.owner == msg.src)));
-        e.dirty = false;
         e.forget_sharers();
-        if !e.wait_wb {
+        let Some((requester, op, keep)) = e.own.writeback(msg.src, evict) else {
             return;
-        }
-        e.wait_wb = false;
-        let (requester, op) = e.pending.take().expect("wait_wb without pending");
+        };
         match op {
             OpKind::Read => {
                 let nodes = ctx.num_nodes();
-                if !evict {
-                    e.sharers.push(e.owner, nodes);
+                if let Some(owner) = keep {
+                    e.sharers.push(owner, nodes);
                 }
                 e.sharers.push(requester, nodes);
                 Self::send_read_reply(ctx, home, addr, requester);
@@ -392,12 +364,9 @@ impl FlatDir {
             .entry
             .as_mut()
             .expect("ack without entry");
-        debug_assert!(e.wait_acks > 0, "unexpected InvAck");
-        e.wait_acks -= 1;
-        if e.wait_acks > 0 {
+        let Some((requester, op)) = e.own.ack() else {
             return;
-        }
-        let (requester, op) = e.pending.take().expect("acks without pending grant");
+        };
         if let Some(victim) = e.victim_swap.take() {
             // Dir_iNB pointer replacement completed: swap in the requester.
             debug_assert_eq!(op, OpKind::Read);
@@ -521,6 +490,22 @@ impl Protocol for FlatDir {
 
     fn deliveries_commute(&self) -> bool {
         true
+    }
+
+    /// At quiescence, [`Owner::check`] for every block.
+    fn check_invariants(
+        &self,
+        ctx: &dyn ProtoCtx,
+        addrs: &[Addr],
+        quiescent: bool,
+    ) -> Result<(), String> {
+        if !quiescent {
+            return Ok(());
+        }
+        addrs.iter().try_for_each(|&addr| {
+            let entry = self.rows.get(addr).and_then(|r| r.entry.as_ref());
+            entry.map_or(Owner::default(), |e| e.own).check(ctx, addr)
+        })
     }
 }
 

@@ -12,15 +12,16 @@
 //! leave repair, the messages only it uses, and the child lists its tree
 //! implies. Everything else is [`HomeTree`]:
 //!
-//! * at the home: recall of a dirty owner; a write answered with one `Inv`
-//!   to the root (whose subtree collects every ack) or an immediate grant;
-//!   writebacks; and transaction close through one count of outstanding
-//!   parts, which `FillAck`, `StpLeaveDone` and `StpFixupAck` all retire;
+//! * at the home: a write answered with one `Inv` to the root (whose
+//!   subtree collects every ack) or an immediate grant, the exclusive copy
+//!   kept in an [`Owner`], and transaction close through one count of
+//!   outstanding parts, which `FillAck`, `StpLeaveDone` and `StpFixupAck`
+//!   all retire;
 //! * at the caches: `Inv` forwarding down the cache-side child lists with
 //!   a [`Collector`], the ack, the write grant, `WbReq` and eviction.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, send, send_home, wb_req, Collector, NodeRecs, Row, Rows};
+use crate::dir::util::{ack, send, send_home, wb_req, Collector, NodeRecs, Owner, Row, Rows};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -29,11 +30,7 @@ use std::hash::Hash;
 /// The home's directory entry for one block.
 #[derive(Clone, Default, PartialEq, Hash)]
 struct Entry<T> {
-    dirty: bool,
-    owner: NodeId,
-    pending: Option<(NodeId, OpKind)>,
-    wait_wb: bool,
-    wait_acks: u32,
+    own: Owner,
     /// Parts still owed before the home transaction closes: the reader's
     /// fill ack, structural fix-up acks, a repair's completion.
     wait_parts: u32,
@@ -131,16 +128,9 @@ impl<S: Shape> HomeTree<S> {
             return;
         }
         let e = row.entry.get_or_insert_default();
-        if e.dirty {
-            // Recall the owner's copy; its writeback resumes the request.
-            debug_assert!(op == OpKind::Write || e.owner != requester);
-            e.pending = Some((requester, op));
-            e.wait_wb = true;
-            let recall = MsgKind::WbReq {
-                for_op: op,
-                requester,
-            };
-            send(ctx, home, e.owner, addr, recall);
+        if e.own.dirty {
+            debug_assert!(op == OpKind::Write || e.own.owner != requester);
+            e.own.recall(ctx, home, addr, requester, op);
             return;
         }
         match (op, S::root(&e.tree)) {
@@ -151,8 +141,7 @@ impl<S: Shape> HomeTree<S> {
             }
             (OpKind::Write, None) => Self::grant_write(ctx, home, addr, row, requester),
             (OpKind::Write, Some(root)) => {
-                e.pending = Some((requester, OpKind::Write));
-                e.wait_acks = 1;
+                e.own.await_acks(requester, OpKind::Write, 1);
                 S::clear(&mut e.tree);
                 let inv = MsgKind::Inv {
                     also: None,
@@ -172,8 +161,7 @@ impl<S: Shape> HomeTree<S> {
         writer: NodeId,
     ) {
         let e = row.entry.as_mut().expect("grant without entry");
-        e.dirty = true;
-        e.owner = writer;
+        e.own.grant(writer);
         S::clear(&mut e.tree);
         let reply = MsgKind::WriteReply {
             kill_self_subtree: false,
@@ -182,22 +170,17 @@ impl<S: Shape> HomeTree<S> {
         row.gate.finish_txn(ctx, home);
     }
 
-    /// The owner's copy came back: recalled (`WbData`) or evicted
-    /// (`WbEvict`, which may also answer a recall it crossed).
-    fn writeback(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, evict: bool) {
+    /// The owner's copy came back ([`Owner::writeback`]).
+    fn writeback(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
+        let (addr, evict) = (msg.addr, msg.kind == MsgKind::WbEvict);
         let row = self.rows.row(addr);
         let e = row.entry.get_or_insert_default();
-        e.dirty = false;
         S::clear(&mut e.tree);
-        if !e.wait_wb {
-            debug_assert!(evict);
+        let Some((requester, op, keep)) = e.own.writeback(msg.src, evict) else {
             return;
-        }
-        e.wait_wb = false;
-        let (requester, op) = e.pending.take().expect("wait_wb without pending");
+        };
         match op {
             OpKind::Read => {
-                let keep = (!evict).then_some(e.owner);
                 e.wait_parts = 1 + self
                     .shape
                     .join(ctx, home, addr, &mut e.tree, keep, requester);
@@ -210,10 +193,7 @@ impl<S: Shape> HomeTree<S> {
     fn home_ack(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
         let row = self.rows.row(addr);
         let e = row.entry.as_mut().expect("ack without entry");
-        debug_assert!(e.wait_acks > 0);
-        e.wait_acks -= 1;
-        if e.wait_acks == 0 {
-            let (requester, op) = e.pending.take().expect("acks without pending");
+        if let Some((requester, op)) = e.own.ack() {
             debug_assert_eq!(op, OpKind::Write);
             Self::grant_write(ctx, home, addr, row, requester);
         }
@@ -328,8 +308,7 @@ impl<S: Shape> Protocol for HomeTree<S> {
         let addr = msg.addr;
         match msg.kind {
             MsgKind::ReadReq { .. } | MsgKind::WriteReq { .. } => self.request(ctx, node, msg),
-            MsgKind::WbData { .. } => self.writeback(ctx, node, addr, false),
-            MsgKind::WbEvict => self.writeback(ctx, node, addr, true),
+            MsgKind::WbData { .. } | MsgKind::WbEvict => self.writeback(ctx, node, msg),
             MsgKind::InvAck { dir: true } => self.home_ack(ctx, node, addr),
             MsgKind::InvAck { dir: false } => self.cache_ack(ctx, node, addr),
             MsgKind::FillAck | MsgKind::StpLeaveDone | MsgKind::StpFixupAck { dir: true } => {
@@ -385,8 +364,7 @@ impl<S: Shape> Protocol for HomeTree<S> {
     ///
     /// Checked only at **quiescence**:
     /// * no ack collector, home transaction or repair is left open;
-    /// * a dirty block has an empty tree, and its owner is exclusive;
-    /// * a clean block has no exclusive copy;
+    /// * [`Owner::check`], and a dirty block has an empty tree;
     /// * every member's child list is the one the home's tree gives it
     ///   ([`Shape::edges`]), and non-members hold none.
     ///
@@ -447,17 +425,10 @@ impl<S: Shape> Protocol for HomeTree<S> {
             let row = self.rows.get(addr);
             let entry = row.and_then(|r| r.entry.as_ref());
             let tree = entry.map_or(&empty, |e| &e.tree);
-            let dirty = entry.filter(|e| e.dirty);
-            if let Some(e) = dirty {
-                if S::root(tree).is_some() {
-                    return Err(format!("dirty block {addr:#x} still records a tree"));
-                }
-                if ctx.line_state(e.owner, addr) != LineState::E {
-                    return Err(format!(
-                        "dirty block {addr:#x}: recorded owner {} is not exclusive",
-                        e.owner
-                    ));
-                }
+            let own = entry.map_or(Owner::default(), |e| e.own);
+            own.check(ctx, addr)?;
+            if own.dirty && S::root(tree).is_some() {
+                return Err(format!("dirty block {addr:#x} still records a tree"));
             }
             for (m, mut want) in self.shape.edges(tree) {
                 let mut have = self.children_of(m, addr).to_vec();
@@ -478,13 +449,6 @@ impl<S: Shape> Protocol for HomeTree<S> {
                 return Err(format!(
                     "non-member {stray} of {addr:#x} still holds child edges"
                 ));
-            }
-            if let Some(n) = (0..nodes).find(|&n| ctx.line_state(n, addr) == LineState::E) {
-                if dirty.is_none() {
-                    return Err(format!(
-                        "clean block {addr:#x} has an exclusive copy at node {n}"
-                    ));
-                }
             }
         }
         Ok(())

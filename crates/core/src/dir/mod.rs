@@ -13,8 +13,9 @@
 //! * [`snoop`] — the §1 snooping-MSI bus baseline;
 //! * [`util`] — shared building blocks: the block-major state every
 //!   protocol keeps (a row per block: directory entry, transaction gate,
-//!   per-node records sorted by node id), the invalidation-ack collector,
-//!   the node bitset and the common cache-side steps.
+//!   per-node records sorted by node id), the home's record of a block's
+//!   exclusive copy, the invalidation-ack collector, the node bitset and
+//!   the common cache-side steps.
 
 pub mod dir_tree;
 pub mod flat;

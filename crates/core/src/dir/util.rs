@@ -352,7 +352,8 @@ pub fn read_fill(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
 }
 
 /// `WbReq` at the (possibly former) owner: an exclusive copy is written
-/// back and downgraded (read) or invalidated (write).
+/// back and downgraded (read) or invalidated (write). This is the cache
+/// half of [`Owner::recall`].
 pub fn wb_req(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, for_op: OpKind, requester: NodeId) {
     if ctx.line_state(node, addr) == LineState::E {
         let after = match for_op {
@@ -364,6 +365,133 @@ pub fn wb_req(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, for_op: OpKind, 
     }
     // Otherwise the line was evicted: the WbEvict already in flight (FIFO
     // ahead of any new request from this node) satisfies the home.
+}
+
+/// The home's record of a block's one exclusive copy, which every
+/// directory family keeps the same way whatever shape its sharers take:
+/// recall the copy, take the writeback, count the acks of a write's
+/// invalidations, grant the write.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Owner {
+    /// `owner` holds the block exclusive.
+    pub dirty: bool,
+    /// The last node granted the block. It outlives the writeback: a
+    /// recalled owner that kept a copy is read back from here.
+    pub owner: NodeId,
+    /// The request resumed by the recall's writeback or by the last ack.
+    pending: Option<(NodeId, OpKind)>,
+    wait_wb: bool,
+    wait_acks: u32,
+}
+
+impl Owner {
+    /// A request found the block dirty: recall it from the owner for
+    /// `requester`. The writeback resumes the request
+    /// ([`Owner::writeback`]).
+    pub fn recall(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        requester: NodeId,
+        for_op: OpKind,
+    ) {
+        self.pending = Some((requester, for_op));
+        self.wait_wb = true;
+        let kind = MsgKind::WbReq { for_op, requester };
+        send(ctx, home, self.owner, addr, kind);
+    }
+
+    /// The owner's copy came back from `src`: recalled (`WbData`), or
+    /// evicted (`WbEvict`, which answers a recall it crossed just as
+    /// well). The block is clean. Returns the recalled request to resume,
+    /// with the old owner if it kept a valid copy — `None` if no recall
+    /// was waiting.
+    #[must_use]
+    pub fn writeback(
+        &mut self,
+        src: NodeId,
+        evict: bool,
+    ) -> Option<(NodeId, OpKind, Option<NodeId>)> {
+        debug_assert!(self.dirty && (self.wait_wb || (evict && self.owner == src)));
+        self.dirty = false;
+        if !std::mem::take(&mut self.wait_wb) {
+            return None;
+        }
+        let (requester, op) = self.pending.take().expect("wait_wb without pending");
+        Some((requester, op, (!evict).then_some(self.owner)))
+    }
+
+    /// Resume `requester`'s `op` once `acks` acknowledgements arrive.
+    pub fn await_acks(&mut self, requester: NodeId, op: OpKind, acks: u32) {
+        self.pending = Some((requester, op));
+        self.wait_acks = acks;
+    }
+
+    /// One acknowledgement arrived; the last returns the request to resume.
+    #[must_use]
+    pub fn ack(&mut self) -> Option<(NodeId, OpKind)> {
+        debug_assert!(self.wait_acks > 0, "unexpected ack");
+        self.wait_acks -= 1;
+        if self.wait_acks > 0 {
+            return None;
+        }
+        Some(self.pending.take().expect("acks without pending"))
+    }
+
+    /// `writer` is granted the block exclusive.
+    pub fn grant(&mut self, writer: NodeId) {
+        self.dirty = true;
+        self.owner = writer;
+    }
+
+    /// Is a recall's writeback outstanding?
+    pub fn recalling(&self) -> bool {
+        self.wait_wb
+    }
+
+    /// Is a recall or an ack count open?
+    fn open(&self) -> bool {
+        self.pending.is_some() || self.wait_wb || self.wait_acks != 0
+    }
+
+    /// Clean, with no recall and no ack count open.
+    pub fn is_idle(&self) -> bool {
+        !self.dirty && !self.open()
+    }
+
+    /// The record with its node ids mapped through `perm` (`perm[old] =
+    /// new`).
+    pub fn relabeled(&self, perm: &[NodeId]) -> Owner {
+        Owner {
+            owner: perm[self.owner as usize],
+            pending: self.pending.map(|(n, op)| (perm[n as usize], op)),
+            ..*self
+        }
+    }
+
+    /// The ownership invariants at quiescence: no recall or ack count is
+    /// left open, a dirty block's owner holds it `E`, and a clean block has
+    /// no `E` copy.
+    pub fn check(&self, ctx: &dyn ProtoCtx, addr: Addr) -> Result<(), String> {
+        let exclusive = |n| ctx.line_state(n, addr) == LineState::E;
+        if self.open() {
+            Err(format!(
+                "quiescent but a recall or write is open for {addr:#x}"
+            ))
+        } else if self.dirty && !exclusive(self.owner) {
+            let owner = self.owner;
+            Err(format!(
+                "dirty block {addr:#x}: recorded owner {owner} is not exclusive"
+            ))
+        } else if let Some(n) = (0..ctx.num_nodes()).find(|&n| !self.dirty && exclusive(n)) {
+            Err(format!(
+                "clean block {addr:#x} has an exclusive copy at node {n}"
+            ))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Send an invalidation acknowledgement.
