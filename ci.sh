@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, build, a run of every example, the full
-# workspace test suite (which includes the paper-claims and
+# Tier-1 gate: formatting, lints, doc links, build, a run of every
+# example, the full workspace test suite (which includes the paper-claims and
 # cross-protocol differential suites), the feature-off observability
 # check, and the model checker's default tier (every roster protocol —
-# figure set, Dir2B and LimitLESS2, update, adaptive, and the
+# figure set, Dir2B, LimitLESS2 and LimitLESS1, update, adaptive, and the
 # ternary-tree shapes — exhaustively explored at
 # P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
@@ -30,6 +30,9 @@ fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Every doc comment's intra-doc links must resolve (the message docs live
+# inside the `msg_kinds!` table, so this is what checks they still do).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release --workspace
 # `cargo test` compiles the examples but never runs them; each must exit 0
 # (under a second for all five on a 2-CPU host).

@@ -23,11 +23,6 @@ impl AsciiTable {
         self
     }
 
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     pub fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();

@@ -1,6 +1,6 @@
 //! Exhaustively model-check every protocol of the paper's figure set, the
-//! other two flat directories (Dir2B, LimitLESS2) and the update, adaptive
-//! and ternary Dir_iTree_k shapes — the roster of
+//! other flat directories (Dir2B, LimitLESS2, LimitLESS1) and the update,
+//! adaptive and ternary Dir_iTree_k shapes — the roster of
 //! [`dirtree_check::roster`], which also names the protocols left off it
 //! and why.
 //!

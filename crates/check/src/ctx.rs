@@ -27,7 +27,7 @@
 //! * cache tags are one node-major `Vec<LineState>` over nodes × the
 //!   blocks in play, `NotPresent` meaning no tag;
 //! * each node's pending completion, outstanding miss and fuel are one
-//!   [`Proc`];
+//!   `Proc`;
 //! * the blocks in play are an `Arc<[Addr]>` shared by every state of a
 //!   search.
 //!
@@ -42,6 +42,7 @@
 //! that in lock step.
 
 use dirtree_core::ctx::{ProtoCtx, ProtoEvent};
+use dirtree_core::fingerprint::Relabel;
 use dirtree_core::msg::Msg;
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_core::verify::Verifier;

@@ -5,6 +5,7 @@
 //! log, which is neither digested nor compared, is left out. Test-only.
 
 use dirtree_core::ctx::{ProtoCtx, ProtoEvent};
+use dirtree_core::fingerprint::Relabel;
 use dirtree_core::msg::Msg;
 use dirtree_core::protocol::Protocol;
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};

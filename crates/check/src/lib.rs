@@ -26,7 +26,7 @@
 //! message-level trace.
 //!
 //! Two sound reductions keep the larger shapes tractable (see
-//! [`explore`] for the soundness arguments): a **processor-permutation
+//! [`explore`](mod@explore) for the soundness arguments): a **processor-permutation
 //! symmetry reduction** that canonicalizes each state digest over the
 //! home-fixing renamings of certified-equivariant protocols — by sorting
 //! the processors on what the checker sees of them and digesting only the

@@ -28,8 +28,9 @@ impl RosterEntry {
 
 /// Every roster entry, in the order `check_all` runs and prints them: the
 /// figure-set protocols under default parameters, plus the shapes the
-/// figure set does not cover — Dir2B and LimitLESS2, the update protocol
-/// at both pointer counts, the adaptive hybrid and the ternary trees.
+/// figure set does not cover — Dir2B, LimitLESS2 and LimitLESS1, the
+/// update protocol at both pointer counts, the adaptive hybrid and the
+/// ternary trees.
 pub fn roster() -> Vec<RosterEntry> {
     // The aggressive Schmitt thresholds (flip up at +1, back down below 0)
     // force mode flips in the middle of explored histories, so the
@@ -50,10 +51,13 @@ pub fn roster() -> Vec<RosterEntry> {
         .collect();
     // The two flat-directory overflow policies the figure set leaves out
     // (it carries full-map and Dir_iNB): broadcast and software spill, at
-    // i = 2 so that P=3 already overflows the pointers. LimitLESS4 is in
-    // the benchmark's and `crates/bench`'s published comparisons.
+    // i = 2 so that P=3 already overflows the pointers, and LimitLESS at
+    // i = 1, where a second sharer already traps to software. LimitLESS4
+    // is in the benchmark's and `crates/bench`'s published comparisons.
     roster.push(RosterEntry::new(ProtocolKind::LimitedB { pointers: 2 }));
-    roster.push(RosterEntry::new(ProtocolKind::LimitLess { pointers: 2 }));
+    for pointers in [2u32, 1] {
+        roster.push(RosterEntry::new(ProtocolKind::LimitLess { pointers }));
+    }
     for pointers in [1u32, 2] {
         roster.push(RosterEntry::new(ProtocolKind::DirTreeUpdate {
             pointers,

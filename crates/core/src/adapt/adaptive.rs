@@ -14,7 +14,7 @@
 //! serve a fresh request for it and the block is *drained*: zero in-flight
 //! messages (counted by wrapping the [`ProtoCtx`] the tree sees), zero
 //! pending processor-op retirements (so a write completed under the old
-//! policy also *retires* under it), and [`DirTree::flip_idle`] — no home
+//! policy also *retires* under it), and `DirTree::flip_idle` — no home
 //! transaction or deferred request, no open ack collection, no deferred
 //! kill, and a clean directory entry with no write in progress: an
 //! exclusive owner must write back before its block can become an update

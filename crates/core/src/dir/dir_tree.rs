@@ -1001,7 +1001,7 @@ impl Protocol for DirTree {
     ///   never the node itself;
     /// * a recall parked at a self-killing owner (`pending_wb`) has the
     ///   home waiting for it ([`Owner::recalling`]) — what lets
-    ///   [`Self::flip_idle`] read the entry alone;
+    ///   `Self::flip_idle` read the entry alone;
     /// * an update block has no exclusive copy.
     ///
     /// Checked only at **quiescence** (no message in flight — mid-

@@ -1,6 +1,7 @@
 //! Building blocks shared by the directory protocols.
 
 use crate::ctx::ProtoCtx;
+use crate::fingerprint::Relabel;
 use crate::msg::{Msg, MsgKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::BlockTable;
@@ -363,8 +364,13 @@ pub fn wb_req(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, for_op: OpKind, 
         ctx.set_line_state(node, addr, after);
         send_home(ctx, node, addr, MsgKind::WbData { for_op, requester });
     }
-    // Otherwise the line was evicted: the WbEvict already in flight (FIFO
-    // ahead of any new request from this node) satisfies the home.
+    // Otherwise the line was evicted, and its `WbEvict` answers the home.
+    // That holds under pair-FIFO channels, where the `WbEvict` is in
+    // flight ahead of any new request from this node — also when the node
+    // is back in `WmIp` (`a_stale_recall_meets_a_write_miss_and_is_dropped`).
+    // It does not hold with two or more virtual channels: there a recall
+    // can overtake its own write grant, find `WmIp`, and be dropped while
+    // the home waits for `WbData` (`tests/vc_ordering.rs`).
 }
 
 /// The home's record of a block's one exclusive copy, which every

@@ -1,4 +1,5 @@
-//! Canonical state digests for model checking.
+//! Canonical state digests for model checking, and the node renaming
+//! ([`Relabel`]) its symmetry reduction applies to messages.
 //!
 //! The model checker (`dirtree-check`) dedups explored states by a single
 //! `u64` digest of the *complete* machine + protocol state, so the digest
@@ -7,9 +8,59 @@
 //! per-node records sorted by node id — so walking the rows in address
 //! order ([`digest_rows`]) is canonical as it stands.
 
-use crate::types::NodeId;
+use crate::types::{NodeId, OpKind};
 use dirtree_sim::BlockTable;
 use std::hash::{Hash, Hasher};
+
+/// A value whose node ids can be renamed through a relabeling table
+/// (`perm[old] = new`) — the checker's processor-permutation symmetry.
+///
+/// Implemented for [`NodeId`], for `Option`s and `Vec`s of relabelable
+/// values, and as a no-op for `bool` and [`OpKind`], so a value of any
+/// other type does not relabel until someone decides whether it names a
+/// node. [`NodeId`] is a `u32`: an integer that is *not* a node (a count,
+/// a generation) needs a newtype with a no-op impl, or it is renamed as one.
+pub trait Relabel: Clone {
+    /// Rename every node id inside `self` in place.
+    fn relabel(&mut self, perm: &[NodeId]);
+
+    /// A copy of `self` with every node id renamed.
+    fn relabeled(&self, perm: &[NodeId]) -> Self {
+        let mut copy = self.clone();
+        copy.relabel(perm);
+        copy
+    }
+}
+
+impl Relabel for NodeId {
+    fn relabel(&mut self, perm: &[NodeId]) {
+        *self = perm[*self as usize];
+    }
+}
+
+impl<T: Relabel> Relabel for Option<T> {
+    fn relabel(&mut self, perm: &[NodeId]) {
+        if let Some(x) = self {
+            x.relabel(perm);
+        }
+    }
+}
+
+impl<T: Relabel> Relabel for Vec<T> {
+    fn relabel(&mut self, perm: &[NodeId]) {
+        for x in self {
+            x.relabel(perm);
+        }
+    }
+}
+
+impl Relabel for bool {
+    fn relabel(&mut self, _: &[NodeId]) {}
+}
+
+impl Relabel for OpKind {
+    fn relabel(&mut self, _: &[NodeId]) {}
+}
 
 /// All permutations of `0..nodes` that fix every node in `fixed`
 /// pointwise, as relabeling tables (`perm[old] = new`), in lexicographic

@@ -6,6 +6,7 @@
 //! controller** (charged the 1-cycle cache latency), and how many bytes it
 //! occupies on the wire (control header vs. header + data block).
 
+use crate::fingerprint::Relabel;
 use crate::types::{Addr, NodeId, OpKind};
 use dirtree_sim::metrics::MsgClass;
 use std::fmt;
@@ -71,216 +72,255 @@ impl fmt::Debug for NodeList {
     }
 }
 
-impl Msg {
-    /// The message with every node id (sender and kind payload) mapped
-    /// through `perm` (`perm[old] = new`). See [`MsgKind::relabeled`].
-    pub fn relabeled(&self, perm: &[NodeId]) -> Msg {
-        Msg {
-            addr: self.addr,
-            src: perm[self.src as usize],
-            kind: self.kind.relabeled(perm),
+impl Relabel for NodeList {
+    fn relabel(&mut self, perm: &[NodeId]) {
+        if let Some(v) = &mut self.0 {
+            v.relabel(perm);
         }
     }
 }
 
-/// Every message kind used by any of the nine protocols.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum MsgKind {
+/// The message with every node id (sender and kind payload) mapped
+/// through `perm` (`perm[old] = new`); the address is untouched.
+impl Relabel for Msg {
+    fn relabel(&mut self, perm: &[NodeId]) {
+        self.src.relabel(perm);
+        self.kind.relabel(perm);
+    }
+}
+
+/// Wire size of a kind: a control header, or a header plus the data block.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Size {
+    Ctrl,
+    Data,
+}
+
+/// The controller a kind is handled by at its destination node.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    Dir,
+    Cache,
+}
+
+/// What the simulator and the checker need to know about one kind.
+struct Facts {
+    label: &'static str,
+    class: MsgClass,
+    size: Size,
+    bound: Bound,
+}
+
+/// Declares [`MsgKind`] from one table, one entry per kind:
+/// `Kind { field: Type, .. } => "label", class, size, bound;`. Entry order
+/// is variant order, so it fixes the discriminant that the derived `Hash`
+/// feeds the checker's state digests. The class (a [`MsgClass`] variant)
+/// and the bound (`Dir` or `Cache`) are expressions over the kind's own
+/// fields, bound by reference; the size is `Ctrl` or `Data`. The enum, the facts behind `label`, `class`,
+/// `carries_data` and `to_directory`, and the [`Relabel`] impl all follow
+/// from the table, so a new kind or field is one line here, and the type
+/// of a field decides how the checker's symmetry reduction renames it.
+macro_rules! msg_kinds {
+    ($($(#[$doc:meta])*
+       $kind:ident $({ $($field:ident: $ty:ty),* $(,)? })?
+       => $label:literal, $class:expr, $size:ident, $bound:expr;)*) => {
+        /// Every message kind used by any of the nine protocols.
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        pub enum MsgKind {
+            $($(#[$doc])* $kind $({ $($field: $ty),* })?,)*
+        }
+
+        impl MsgKind {
+            // Inlined into each accessor, so each compiles to a switch over
+            // its own field alone rather than a call that builds all four.
+            #[inline(always)]
+            #[allow(unused_variables)]
+            fn facts(&self) -> Facts {
+                use Bound::*;
+                use MsgClass::*;
+                match self {
+                    $(MsgKind::$kind { $($($field,)*)? .. } => Facts {
+                        label: $label,
+                        class: $class,
+                        size: Size::$size,
+                        bound: $bound,
+                    },)*
+                }
+            }
+        }
+
+        /// Every embedded node id mapped through `perm`; flags and
+        /// operation kinds are untouched. This is the message half of the
+        /// model checker's processor-permutation symmetry: relabeling a
+        /// state must relabel the in-flight traffic too.
+        impl Relabel for MsgKind {
+            fn relabel(&mut self, perm: &[NodeId]) {
+                match self {
+                    $(MsgKind::$kind { $($($field,)*)? .. } => {
+                        $($($field.relabel(perm);)*)?
+                    })*
+                }
+            }
+        }
+    };
+}
+
+msg_kinds! {
     // ---- bit-map family (full-map, Dir_iNB, Dir_iB, LimitLESS, DirTree) ----
     /// Cache → home: read miss request.
-    ReadReq { requester: NodeId },
+    ReadReq { requester: NodeId } => "read_req", ReadReq, Ctrl, Dir;
     /// Cache → home: write miss (or upgrade) request.
-    WriteReq { requester: NodeId },
+    WriteReq { requester: NodeId } => "write_req", WriteReq, Ctrl, Dir;
     /// Home → cache: read data. `adopt` carries the Dir_iTree_k pointer
     /// hand-off: the listed nodes become children of the requester (empty
     /// for non-tree protocols).
-    ReadReply { adopt: NodeList },
+    ReadReply { adopt: NodeList } => "read_reply",
+        if adopt.is_empty() { DataReply } else { Adopt }, Data, Cache;
     /// Home → cache: write grant + data (sent after invalidations finish).
     /// `kill_self_subtree` tells a writer that was itself a recorded tree
     /// root to invalidate its own children locally before completing
     /// (Dir_iTree_k only; the home skips sending the writer an `Inv` it
     /// would only bounce back).
-    WriteReply { kill_self_subtree: bool },
+    WriteReply { kill_self_subtree: bool } => "write_reply", DataReply, Data, Cache;
     /// Invalidate. Acknowledge to `src`. In Dir_iTree_k, `also` carries the
     /// paired odd-numbered root that this (even-numbered) root must also
     /// invalidate on the home's behalf. `from_dir` is true when the home
     /// directory originated the message (the ack must go to the directory
     /// controller, not to a cache collector on the same node).
-    Inv {
-        also: Option<NodeId>,
-        from_dir: bool,
-    },
+    Inv { also: Option<NodeId>, from_dir: bool } => "inv", Inv, Ctrl, Cache;
     /// Invalidation acknowledgement (aggregated: one per subtree). `dir`
     /// mirrors the `from_dir` flag of the `Inv` being answered.
-    InvAck { dir: bool },
+    InvAck { dir: bool } => "inv_ack", Ack, Ctrl, if *dir { Dir } else { Cache };
     /// Silent subtree invalidation on replacement; never acknowledged.
-    ReplaceInv,
+    ReplaceInv => "replace_inv", ReplaceInv, Ctrl, Cache;
     /// Optional (ablation E12) replacement notification to the home: clear
     /// any directory pointer at the evicting node.
-    ReplNotify,
+    ReplNotify => "repl_notify", ReplaceInv, Ctrl, Dir;
     /// Update-protocol variant: carry a freshly-written block down the
     /// sharing trees (paired like `Inv`); copies stay valid.
-    Update {
-        also: Option<NodeId>,
-        from_dir: bool,
-    },
+    Update { also: Option<NodeId>, from_dir: bool } => "update", Inv, Data, Cache;
     /// Acknowledgement for [`MsgKind::Update`] (aggregated per subtree).
-    UpdateAck { dir: bool },
+    UpdateAck { dir: bool } => "update_ack", Ack, Ctrl, if *dir { Dir } else { Cache };
     /// Update-protocol write grant: data + any tree hand-off for a writer
     /// that was not yet recorded (mirrors `ReadReply`'s `adopt`).
-    UpdateGrant { adopt: NodeList },
+    UpdateGrant { adopt: NodeList } => "update_grant",
+        if adopt.is_empty() { DataReply } else { Adopt }, Data, Cache;
     /// Home → exclusive owner: write the block back for a pending `for_op`
     /// by `requester` (downgrade to V on read, invalidate on write).
-    WbReq { for_op: OpKind, requester: NodeId },
+    WbReq { for_op: OpKind, requester: NodeId } => "wb_req", Writeback, Ctrl, Cache;
     /// Owner → home: writeback data in reply to [`MsgKind::WbReq`].
-    WbData { for_op: OpKind, requester: NodeId },
+    WbData { for_op: OpKind, requester: NodeId } => "wb_data", Writeback, Data, Dir;
     /// Cache → home: eviction writeback of an exclusive line (no reply).
-    WbEvict,
+    WbEvict => "wb_evict", Writeback, Data, Dir;
     /// Requester → home: a read fill landed; the home may retire the read
     /// transaction. Off the processor's critical path (the miss completes
     /// at the fill); exists to close the fill/invalidation race — see
     /// DESIGN.md §6.
-    FillAck,
+    FillAck => "fill_ack", FillAck, Ctrl, Dir;
 
     // ---- snooping MSI (bus fabric) ----
     /// Broadcast: a reader wants the block (owners downgrade and flush).
-    BusRead { requester: NodeId },
+    BusRead { requester: NodeId } => "bus_read", ReadReq, Ctrl, Cache;
     /// Broadcast: a writer wants exclusivity (everyone else invalidates).
-    BusReadX { requester: NodeId },
+    BusReadX { requester: NodeId } => "bus_readx", WriteReq, Ctrl, Cache;
     /// Memory (or the previous owner) → requester: the data response.
-    BusData { exclusive: bool },
+    BusData { exclusive: bool } => "bus_data", DataReply, Data, Cache;
     /// Home self-message: the snoop window elapsed; supply the data.
-    BusWindow { requester: NodeId, exclusive: bool },
+    BusWindow { requester: NodeId, exclusive: bool } => "bus_window", Mgmt, Ctrl, Cache;
 
     // ---- singly linked list ----
     /// Home → old head: supply data to `requester`, who becomes the new
     /// head and will point at you.
-    SllSupply { requester: NodeId },
+    SllSupply { requester: NodeId } => "sll_supply", ReadReq, Ctrl, Cache;
     /// Old head → requester: data (requester sets `next = src`).
-    SllData,
+    SllData => "sll_data", DataReply, Data, Cache;
     /// Chain invalidation for a write by `writer`; forwarded `next`-wise.
-    SllInv { writer: NodeId },
+    SllInv { writer: NodeId } => "sll_inv", Inv, Ctrl, Cache;
     /// Tail → home: the chain is fully invalidated.
-    SllChainDone { writer: NodeId },
+    SllChainDone { writer: NodeId } => "sll_chain_done", Ack, Ctrl, Dir;
     /// Dead old head → home: cannot supply; home must serve `requester`
     /// from memory.
-    SllSupplyFail { requester: NodeId },
+    SllSupplyFail { requester: NodeId } => "sll_supply_fail", Mgmt, Ctrl, Dir;
 
     // ---- SCI doubly linked list ----
     /// Home → requester: read response. If `old_head` is `None` the data
     /// comes straight from memory; otherwise attach to the old head.
-    SciReadResp { old_head: Option<NodeId> },
+    SciReadResp { old_head: Option<NodeId> } => "sci_read_resp", DataReply, Data, Cache;
     /// Home → writer: write response (same shape as the read response; the
     /// writer purges the list afterwards).
-    SciWriteResp { old_head: Option<NodeId> },
+    SciWriteResp { old_head: Option<NodeId> } => "sci_write_resp", DataReply, Data, Cache;
     /// New head → old head: set `prev = src`, send me the data.
-    SciAttachReq,
+    SciAttachReq => "sci_attach_req", ReadReq, Ctrl, Cache;
     /// Old head → new head: data + attach acknowledgement.
-    SciAttachResp,
+    SciAttachResp => "sci_attach_resp", DataReply, Data, Cache;
     /// Writer → successor: invalidate yourself, reply with your `next`.
-    SciPurgeReq,
+    SciPurgeReq => "sci_purge_req", Inv, Ctrl, Cache;
     /// Purged node → writer: done; continue with `next`.
-    SciPurgeResp { next: Option<NodeId> },
+    SciPurgeResp { next: Option<NodeId> } => "sci_purge_resp", Ack, Ctrl, Cache;
     /// Writer → home: purge finished (home can retire the transaction).
-    SciPurgeDone { writer: NodeId },
+    SciPurgeDone { writer: NodeId } => "sci_purge_done", Ack, Ctrl, Dir;
     /// Roll-out: tell `src`'s predecessor its new successor.
-    SciUnlinkPrev { new_next: Option<NodeId> },
+    SciUnlinkPrev { new_next: Option<NodeId> } => "sci_unlink_prev", Mgmt, Ctrl, Cache;
     /// Roll-out: tell `src`'s successor its new predecessor.
-    SciUnlinkNext { new_prev: Option<NodeId> },
+    SciUnlinkNext { new_prev: Option<NodeId> } => "sci_unlink_next", Mgmt, Ctrl, Cache;
     /// Evicting head → home: the list head changed.
-    SciNewHead { new_head: Option<NodeId> },
+    SciNewHead { new_head: Option<NodeId> } => "sci_new_head", Mgmt, Ctrl, Dir;
 
     // ---- STP (scalable tree protocol) ----
     /// Home → requester: data + the tree position to attach under
     /// (`None` = you are the root).
-    StpJoinResp { parent: Option<NodeId> },
+    StpJoinResp { parent: Option<NodeId> } => "stp_join_resp", DataReply, Data, Cache;
     /// Requester → parent: record me as your child.
-    StpAttach,
+    StpAttach => "stp_attach", Mgmt, Ctrl, Cache;
     /// Parent → requester: attach acknowledged (miss completes).
-    StpAttachAck,
+    StpAttachAck => "stp_attach_ack", Ack, Ctrl, Cache;
     /// Evicted node → home: leave the tree (triggers repair).
-    StpLeave,
+    StpLeave => "stp_leave", Mgmt, Ctrl, Dir;
     /// Home → mover: take over the place of `replacing` (adopting its
     /// children and parent).
-    StpMove {
-        replacing: NodeId,
-        new_parent: Option<NodeId>,
-        new_children: NodeList,
-    },
+    StpMove { replacing: NodeId, new_parent: Option<NodeId>, new_children: NodeList }
+        => "stp_move", Mgmt, Ctrl, Cache;
     /// Mover (or home) → affected node: children-map fix-up (`remove`,
     /// then `add`). `from_home` routes the ack to the home's directory
     /// controller rather than to the mover's repair collector.
-    StpFixup {
-        remove: Option<NodeId>,
-        add: Option<NodeId>,
-        from_home: bool,
-    },
+    StpFixup { remove: Option<NodeId>, add: Option<NodeId>, from_home: bool }
+        => "stp_fixup", Mgmt, Ctrl, Cache;
     /// Fix-up applied; `dir` routes the ack to the home's controller when
     /// the home itself issued the fix-up.
-    StpFixupAck { dir: bool },
+    StpFixupAck { dir: bool } => "stp_fixup_ack", Ack, Ctrl, if *dir { Dir } else { Cache };
     /// Mover → home: the repair finished; the leave transaction may close.
-    StpLeaveDone,
+    StpLeaveDone => "stp_leave_done", Mgmt, Ctrl, Dir;
 
     // ---- SCI tree extension (AVL) ----
     /// Hop-by-hop descent toward the insertion point for `requester`;
     /// `path` is the remaining route (the final node supplies the data).
-    SctDescend { requester: NodeId, path: NodeList },
+    SctDescend { requester: NodeId, path: NodeList } => "sct_descend", ReadReq, Ctrl, Cache;
     /// Insertion-point parent → requester: data + inserted.
-    SctInsertResp,
+    SctInsertResp => "sct_insert_resp", DataReply, Data, Cache;
     /// Rotation / deletion pointer fix-up: the node's new (absolute)
     /// children set. Acknowledged to the home with `StpFixupAck`.
-    SctFixup { children: NodeList },
+    SctFixup { children: NodeList } => "sct_fixup", Mgmt, Ctrl, Cache;
     /// Evicted node → home: AVL delete me (triggers fix-up traffic).
-    SctLeave,
+    SctLeave => "sct_leave", Mgmt, Ctrl, Dir;
 }
 
+// The machine calls `carries_data`, `to_directory` and `class` on every
+// message; `#[inline]` lets them inline across crates, as the small
+// matches they replaced did unasked.
 impl MsgKind {
     /// Does this message carry the data block (header + block bytes on the
     /// wire) rather than just a control header?
+    #[inline]
     pub fn carries_data(&self) -> bool {
-        matches!(
-            self,
-            MsgKind::ReadReply { .. }
-                | MsgKind::WriteReply { .. }
-                | MsgKind::WbData { .. }
-                | MsgKind::WbEvict
-                | MsgKind::SllData
-                | MsgKind::BusData { .. }
-                | MsgKind::SciReadResp { .. }
-                | MsgKind::SciWriteResp { .. }
-                | MsgKind::SciAttachResp
-                | MsgKind::StpJoinResp { .. }
-                | MsgKind::SctInsertResp
-                | MsgKind::Update { .. }
-                | MsgKind::UpdateGrant { .. }
-        )
+        self.facts().size == Size::Data
     }
 
     /// Is this message handled by the home's directory controller (true) or
     /// by a cache controller (false)? Directory-bound messages are charged
     /// the memory access latency.
+    #[inline]
     pub fn to_directory(&self) -> bool {
-        matches!(
-            self,
-            MsgKind::ReadReq { .. }
-                | MsgKind::WriteReq { .. }
-                | MsgKind::WbData { .. }
-                | MsgKind::WbEvict
-                | MsgKind::FillAck
-                | MsgKind::SllChainDone { .. }
-                | MsgKind::SllSupplyFail { .. }
-                | MsgKind::SciPurgeDone { .. }
-                | MsgKind::SciNewHead { .. }
-                | MsgKind::StpLeave
-                | MsgKind::StpLeaveDone
-                | MsgKind::SctLeave
-                | MsgKind::ReplNotify
-        ) || matches!(
-            self,
-            MsgKind::InvAck { dir: true }
-                | MsgKind::StpFixupAck { dir: true }
-                | MsgKind::UpdateAck { dir: true }
-        )
+        self.facts().bound == Bound::Dir
     }
 
     /// Snoop broadcasts are handled by a dedicated snoop port (dual-tag
@@ -292,6 +332,7 @@ impl MsgKind {
     }
 
     /// Wire size in bytes given the control-header and block sizes.
+    #[inline]
     pub fn wire_bytes(&self, header: u32, block: u32) -> u32 {
         if self.carries_data() {
             header + block
@@ -306,241 +347,14 @@ impl MsgKind {
     /// onto the paper's 10-class accounting; every protocol's messages
     /// classify through it (the machine's shared send hook calls it), so
     /// no protocol carries its own instrumentation.
+    #[inline]
     pub fn class(&self) -> MsgClass {
-        match self {
-            // Read-miss requests, including their protocol-specific
-            // forwards (bus snoop reads, list supplies, tree descents).
-            MsgKind::ReadReq { .. }
-            | MsgKind::BusRead { .. }
-            | MsgKind::SllSupply { .. }
-            | MsgKind::SciAttachReq
-            | MsgKind::SctDescend { .. } => MsgClass::ReadReq,
-            // Write-miss / upgrade requests.
-            MsgKind::WriteReq { .. } | MsgKind::BusReadX { .. } => MsgClass::WriteReq,
-            // Data replies that also hand off sharing-tree pointers.
-            MsgKind::ReadReply { adopt } | MsgKind::UpdateGrant { adopt } if !adopt.is_empty() => {
-                MsgClass::Adopt
-            }
-            MsgKind::ReadReply { .. }
-            | MsgKind::UpdateGrant { .. }
-            | MsgKind::WriteReply { .. }
-            | MsgKind::BusData { .. }
-            | MsgKind::SllData
-            | MsgKind::SciReadResp { .. }
-            | MsgKind::SciWriteResp { .. }
-            | MsgKind::SciAttachResp
-            | MsgKind::StpJoinResp { .. }
-            | MsgKind::SctInsertResp => MsgClass::DataReply,
-            // The write-propagation wave (invalidate or update flavor).
-            MsgKind::Inv { .. }
-            | MsgKind::Update { .. }
-            | MsgKind::SllInv { .. }
-            | MsgKind::SciPurgeReq => MsgClass::Inv,
-            MsgKind::InvAck { .. }
-            | MsgKind::UpdateAck { .. }
-            | MsgKind::SllChainDone { .. }
-            | MsgKind::SciPurgeResp { .. }
-            | MsgKind::SciPurgeDone { .. }
-            | MsgKind::StpAttachAck
-            | MsgKind::StpFixupAck { .. } => MsgClass::Ack,
-            MsgKind::ReplaceInv | MsgKind::ReplNotify => MsgClass::ReplaceInv,
-            MsgKind::WbReq { .. } | MsgKind::WbData { .. } | MsgKind::WbEvict => {
-                MsgClass::Writeback
-            }
-            MsgKind::FillAck => MsgClass::FillAck,
-            // Sharing-structure management and fabric bookkeeping.
-            MsgKind::BusWindow { .. }
-            | MsgKind::SllSupplyFail { .. }
-            | MsgKind::SciUnlinkPrev { .. }
-            | MsgKind::SciUnlinkNext { .. }
-            | MsgKind::SciNewHead { .. }
-            | MsgKind::StpAttach
-            | MsgKind::StpLeave
-            | MsgKind::StpMove { .. }
-            | MsgKind::StpFixup { .. }
-            | MsgKind::StpLeaveDone
-            | MsgKind::SctFixup { .. }
-            | MsgKind::SctLeave => MsgClass::Mgmt,
-        }
-    }
-
-    /// The same message with every embedded node id mapped through `perm`
-    /// (`perm[old] = new`); addresses and flags are untouched. This is the
-    /// message half of the model checker's processor-permutation symmetry:
-    /// relabeling a state must relabel the in-flight traffic too.
-    pub fn relabeled(&self, perm: &[NodeId]) -> MsgKind {
-        let p = |n: NodeId| perm[n as usize];
-        let po = |n: Option<NodeId>| n.map(|n| perm[n as usize]);
-        let pv = |v: &NodeList| -> NodeList {
-            v.iter()
-                .map(|&n| perm[n as usize])
-                .collect::<Vec<_>>()
-                .into()
-        };
-        match self {
-            MsgKind::ReadReq { requester } => MsgKind::ReadReq {
-                requester: p(*requester),
-            },
-            MsgKind::WriteReq { requester } => MsgKind::WriteReq {
-                requester: p(*requester),
-            },
-            MsgKind::ReadReply { adopt } => MsgKind::ReadReply { adopt: pv(adopt) },
-            MsgKind::Inv { also, from_dir } => MsgKind::Inv {
-                also: po(*also),
-                from_dir: *from_dir,
-            },
-            MsgKind::Update { also, from_dir } => MsgKind::Update {
-                also: po(*also),
-                from_dir: *from_dir,
-            },
-            MsgKind::UpdateGrant { adopt } => MsgKind::UpdateGrant { adopt: pv(adopt) },
-            MsgKind::WbReq { for_op, requester } => MsgKind::WbReq {
-                for_op: *for_op,
-                requester: p(*requester),
-            },
-            MsgKind::WbData { for_op, requester } => MsgKind::WbData {
-                for_op: *for_op,
-                requester: p(*requester),
-            },
-            MsgKind::BusRead { requester } => MsgKind::BusRead {
-                requester: p(*requester),
-            },
-            MsgKind::BusReadX { requester } => MsgKind::BusReadX {
-                requester: p(*requester),
-            },
-            MsgKind::BusWindow {
-                requester,
-                exclusive,
-            } => MsgKind::BusWindow {
-                requester: p(*requester),
-                exclusive: *exclusive,
-            },
-            MsgKind::SllSupply { requester } => MsgKind::SllSupply {
-                requester: p(*requester),
-            },
-            MsgKind::SllInv { writer } => MsgKind::SllInv { writer: p(*writer) },
-            MsgKind::SllChainDone { writer } => MsgKind::SllChainDone { writer: p(*writer) },
-            MsgKind::SllSupplyFail { requester } => MsgKind::SllSupplyFail {
-                requester: p(*requester),
-            },
-            MsgKind::SciReadResp { old_head } => MsgKind::SciReadResp {
-                old_head: po(*old_head),
-            },
-            MsgKind::SciWriteResp { old_head } => MsgKind::SciWriteResp {
-                old_head: po(*old_head),
-            },
-            MsgKind::SciPurgeResp { next } => MsgKind::SciPurgeResp { next: po(*next) },
-            MsgKind::SciPurgeDone { writer } => MsgKind::SciPurgeDone { writer: p(*writer) },
-            MsgKind::SciUnlinkPrev { new_next } => MsgKind::SciUnlinkPrev {
-                new_next: po(*new_next),
-            },
-            MsgKind::SciUnlinkNext { new_prev } => MsgKind::SciUnlinkNext {
-                new_prev: po(*new_prev),
-            },
-            MsgKind::SciNewHead { new_head } => MsgKind::SciNewHead {
-                new_head: po(*new_head),
-            },
-            MsgKind::StpJoinResp { parent } => MsgKind::StpJoinResp {
-                parent: po(*parent),
-            },
-            MsgKind::StpMove {
-                replacing,
-                new_parent,
-                new_children,
-            } => MsgKind::StpMove {
-                replacing: p(*replacing),
-                new_parent: po(*new_parent),
-                new_children: pv(new_children),
-            },
-            MsgKind::StpFixup {
-                remove,
-                add,
-                from_home,
-            } => MsgKind::StpFixup {
-                remove: po(*remove),
-                add: po(*add),
-                from_home: *from_home,
-            },
-            MsgKind::SctDescend { requester, path } => MsgKind::SctDescend {
-                requester: p(*requester),
-                path: pv(path),
-            },
-            MsgKind::SctFixup { children } => MsgKind::SctFixup {
-                children: pv(children),
-            },
-            // Kinds with no embedded node ids.
-            MsgKind::WriteReply { .. }
-            | MsgKind::InvAck { .. }
-            | MsgKind::UpdateAck { .. }
-            | MsgKind::ReplaceInv
-            | MsgKind::ReplNotify
-            | MsgKind::WbEvict
-            | MsgKind::FillAck
-            | MsgKind::BusData { .. }
-            | MsgKind::SllData
-            | MsgKind::SciAttachReq
-            | MsgKind::SciAttachResp
-            | MsgKind::SciPurgeReq
-            | MsgKind::StpAttach
-            | MsgKind::StpAttachAck
-            | MsgKind::StpLeave
-            | MsgKind::StpFixupAck { .. }
-            | MsgKind::StpLeaveDone
-            | MsgKind::SctInsertResp
-            | MsgKind::SctLeave => self.clone(),
-        }
+        self.facts().class
     }
 
     /// Short label for statistics.
     pub fn label(&self) -> &'static str {
-        match self {
-            MsgKind::ReadReq { .. } => "read_req",
-            MsgKind::WriteReq { .. } => "write_req",
-            MsgKind::ReadReply { .. } => "read_reply",
-            MsgKind::WriteReply { .. } => "write_reply",
-            MsgKind::Inv { .. } => "inv",
-            MsgKind::InvAck { .. } => "inv_ack",
-            MsgKind::ReplaceInv => "replace_inv",
-            MsgKind::ReplNotify => "repl_notify",
-            MsgKind::Update { .. } => "update",
-            MsgKind::UpdateAck { .. } => "update_ack",
-            MsgKind::UpdateGrant { .. } => "update_grant",
-            MsgKind::WbReq { .. } => "wb_req",
-            MsgKind::WbData { .. } => "wb_data",
-            MsgKind::WbEvict => "wb_evict",
-            MsgKind::FillAck => "fill_ack",
-            MsgKind::BusRead { .. } => "bus_read",
-            MsgKind::BusReadX { .. } => "bus_readx",
-            MsgKind::BusData { .. } => "bus_data",
-            MsgKind::BusWindow { .. } => "bus_window",
-            MsgKind::SllSupply { .. } => "sll_supply",
-            MsgKind::SllData => "sll_data",
-            MsgKind::SllInv { .. } => "sll_inv",
-            MsgKind::SllChainDone { .. } => "sll_chain_done",
-            MsgKind::SllSupplyFail { .. } => "sll_supply_fail",
-            MsgKind::SciReadResp { .. } => "sci_read_resp",
-            MsgKind::SciWriteResp { .. } => "sci_write_resp",
-            MsgKind::SciAttachReq => "sci_attach_req",
-            MsgKind::SciAttachResp => "sci_attach_resp",
-            MsgKind::SciPurgeReq => "sci_purge_req",
-            MsgKind::SciPurgeResp { .. } => "sci_purge_resp",
-            MsgKind::SciPurgeDone { .. } => "sci_purge_done",
-            MsgKind::SciUnlinkPrev { .. } => "sci_unlink_prev",
-            MsgKind::SciUnlinkNext { .. } => "sci_unlink_next",
-            MsgKind::SciNewHead { .. } => "sci_new_head",
-            MsgKind::StpJoinResp { .. } => "stp_join_resp",
-            MsgKind::StpAttach => "stp_attach",
-            MsgKind::StpAttachAck => "stp_attach_ack",
-            MsgKind::StpLeave => "stp_leave",
-            MsgKind::StpMove { .. } => "stp_move",
-            MsgKind::StpFixup { .. } => "stp_fixup",
-            MsgKind::StpFixupAck { .. } => "stp_fixup_ack",
-            MsgKind::StpLeaveDone => "stp_leave_done",
-            MsgKind::SctDescend { .. } => "sct_descend",
-            MsgKind::SctInsertResp => "sct_insert_resp",
-            MsgKind::SctFixup { .. } => "sct_fixup",
-            MsgKind::SctLeave => "sct_leave",
-        }
+        self.facts().label
     }
 }
 
@@ -576,24 +390,92 @@ mod tests {
         assert!(!MsgKind::SciPurgeReq.to_directory());
     }
 
-    #[test]
-    fn labels_are_distinct_for_core_kinds() {
-        let kinds = [
-            MsgKind::ReadReq { requester: 0 },
-            MsgKind::WriteReq { requester: 0 },
-            MsgKind::ReadReply {
-                adopt: NodeList::default(),
+    /// One instance of every kind, in declaration order.
+    fn one_of_each() -> Vec<MsgKind> {
+        use MsgKind::*;
+        let list = || NodeList::from(vec![1, 2, 5]);
+        vec![
+            ReadReq { requester: 1 },
+            WriteReq { requester: 1 },
+            ReadReply { adopt: list() },
+            WriteReply {
+                kill_self_subtree: true,
             },
-            MsgKind::WriteReply {
-                kill_self_subtree: false,
-            },
-            MsgKind::Inv {
-                also: None,
+            Inv {
+                also: Some(1),
                 from_dir: true,
             },
-            MsgKind::InvAck { dir: true },
-            MsgKind::ReplaceInv,
-        ];
+            InvAck { dir: true },
+            ReplaceInv,
+            ReplNotify,
+            Update {
+                also: Some(1),
+                from_dir: true,
+            },
+            UpdateAck { dir: true },
+            UpdateGrant { adopt: list() },
+            WbReq {
+                for_op: OpKind::Write,
+                requester: 1,
+            },
+            WbData {
+                for_op: OpKind::Write,
+                requester: 1,
+            },
+            WbEvict,
+            FillAck,
+            BusRead { requester: 1 },
+            BusReadX { requester: 1 },
+            BusData { exclusive: true },
+            BusWindow {
+                requester: 1,
+                exclusive: true,
+            },
+            SllSupply { requester: 1 },
+            SllData,
+            SllInv { writer: 1 },
+            SllChainDone { writer: 1 },
+            SllSupplyFail { requester: 1 },
+            SciReadResp { old_head: Some(1) },
+            SciWriteResp { old_head: Some(1) },
+            SciAttachReq,
+            SciAttachResp,
+            SciPurgeReq,
+            SciPurgeResp { next: Some(1) },
+            SciPurgeDone { writer: 1 },
+            SciUnlinkPrev { new_next: Some(1) },
+            SciUnlinkNext { new_prev: Some(1) },
+            SciNewHead { new_head: Some(1) },
+            StpJoinResp { parent: Some(1) },
+            StpAttach,
+            StpAttachAck,
+            StpLeave,
+            StpMove {
+                replacing: 0,
+                new_parent: Some(3),
+                new_children: list(),
+            },
+            StpFixup {
+                remove: Some(1),
+                add: Some(2),
+                from_home: true,
+            },
+            StpFixupAck { dir: true },
+            StpLeaveDone,
+            SctDescend {
+                requester: 4,
+                path: list(),
+            },
+            SctInsertResp,
+            SctFixup { children: list() },
+            SctLeave,
+        ]
+    }
+
+    #[test]
+    fn labels_are_distinct_for_core_kinds() {
+        let kinds = one_of_each();
+        assert_eq!(kinds.len(), 46);
         let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());
     }
@@ -701,53 +583,103 @@ mod tests {
         );
     }
 
+    // One case per kind under a fixed-point-free permutation: a node field
+    // the relabeling skips, or a non-node field it maps, fails here.
     #[test]
     fn relabeled_maps_every_node_list_in_order() {
+        use MsgKind::*;
         let perm: Vec<NodeId> = (0..8).rev().collect(); // n -> 7 - n
-        let list = || NodeList::from(vec![1, 2, 5]);
         let mapped = || NodeList::from(vec![6, 5, 2]);
-        let cases = [
-            (
-                MsgKind::ReadReply { adopt: list() },
-                MsgKind::ReadReply { adopt: mapped() },
-            ),
-            (
-                MsgKind::UpdateGrant { adopt: list() },
-                MsgKind::UpdateGrant { adopt: mapped() },
-            ),
-            (
-                MsgKind::StpMove {
-                    replacing: 0,
-                    new_parent: Some(3),
-                    new_children: list(),
-                },
-                MsgKind::StpMove {
-                    replacing: 7,
-                    new_parent: Some(4),
-                    new_children: mapped(),
-                },
-            ),
-            (
-                MsgKind::SctDescend {
-                    requester: 4,
-                    path: list(),
-                },
-                MsgKind::SctDescend {
-                    requester: 3,
-                    path: mapped(),
-                },
-            ),
-            (
-                MsgKind::SctFixup { children: list() },
-                MsgKind::SctFixup { children: mapped() },
-            ),
+        let want = vec![
+            ReadReq { requester: 6 },
+            WriteReq { requester: 6 },
+            ReadReply { adopt: mapped() },
+            WriteReply {
+                kill_self_subtree: true,
+            },
+            Inv {
+                also: Some(6),
+                from_dir: true,
+            },
+            InvAck { dir: true },
+            ReplaceInv,
+            ReplNotify,
+            Update {
+                also: Some(6),
+                from_dir: true,
+            },
+            UpdateAck { dir: true },
+            UpdateGrant { adopt: mapped() },
+            WbReq {
+                for_op: OpKind::Write,
+                requester: 6,
+            },
+            WbData {
+                for_op: OpKind::Write,
+                requester: 6,
+            },
+            WbEvict,
+            FillAck,
+            BusRead { requester: 6 },
+            BusReadX { requester: 6 },
+            BusData { exclusive: true },
+            BusWindow {
+                requester: 6,
+                exclusive: true,
+            },
+            SllSupply { requester: 6 },
+            SllData,
+            SllInv { writer: 6 },
+            SllChainDone { writer: 6 },
+            SllSupplyFail { requester: 6 },
+            SciReadResp { old_head: Some(6) },
+            SciWriteResp { old_head: Some(6) },
+            SciAttachReq,
+            SciAttachResp,
+            SciPurgeReq,
+            SciPurgeResp { next: Some(6) },
+            SciPurgeDone { writer: 6 },
+            SciUnlinkPrev { new_next: Some(6) },
+            SciUnlinkNext { new_prev: Some(6) },
+            SciNewHead { new_head: Some(6) },
+            StpJoinResp { parent: Some(6) },
+            StpAttach,
+            StpAttachAck,
+            StpLeave,
+            StpMove {
+                replacing: 7,
+                new_parent: Some(4),
+                new_children: mapped(),
+            },
+            StpFixup {
+                remove: Some(6),
+                add: Some(5),
+                from_home: true,
+            },
+            StpFixupAck { dir: true },
+            StpLeaveDone,
+            SctDescend {
+                requester: 3,
+                path: mapped(),
+            },
+            SctInsertResp,
+            SctFixup { children: mapped() },
+            SctLeave,
         ];
-        for (kind, want) in cases {
+        let kinds = one_of_each();
+        assert_eq!(kinds.len(), want.len());
+        for (kind, want) in kinds.iter().zip(want) {
             assert_eq!(kind.relabeled(&perm), want);
         }
-        let empty = MsgKind::ReadReply {
+        let empty = ReadReply {
             adopt: NodeList::default(),
         };
         assert_eq!(empty.relabeled(&perm), empty);
+        let msg = Msg {
+            addr: 9,
+            src: 2,
+            kind: SciPurgeReq,
+        };
+        assert_eq!(msg.relabeled(&perm).src, 5);
     }
 }

@@ -231,10 +231,9 @@ pub trait Protocol: Send {
     }
 
     /// The processor-side operation whose completion the protocol signalled
-    /// via [`ProtoCtx::complete`](crate::ctx::ProtoCtx::complete) has now
-    /// retired (the machine's `OpDone`, the checker's retire step). Between
-    /// completion and retirement the write's semantics are still being
-    /// applied, so a mode-switching protocol must not change the block's
+    /// via [`ProtoCtx::complete`] has now retired (the machine's `OpDone`,
+    /// the checker's retire step). Between completion and retirement the
+    /// write's semantics are still being applied, so a mode-switching protocol must not change the block's
     /// policy in that window; this callback closes it.
     fn note_op_retired(&mut self, node: NodeId, addr: Addr, op: OpKind) {
         let _ = (node, addr, op);

@@ -1,8 +1,8 @@
-//! A mock [`ProtoCtx`](crate::ctx::ProtoCtx) for driving protocols in
-//! tests without the machine: zero-latency FIFO message delivery, plain
-//! map-backed caches, and full logs of sends / completions / protocol
-//! events. Public so downstream crates can unit-test custom [`Protocol`]
-//! implementations the same way this crate tests its own.
+//! A mock [`ProtoCtx`] for driving protocols in tests without the
+//! machine: zero-latency FIFO message delivery, plain map-backed caches,
+//! and full logs of sends / completions / protocol events. Public so
+//! downstream crates can unit-test custom [`Protocol`] implementations the
+//! same way this crate tests its own.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::msg::Msg;

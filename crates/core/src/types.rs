@@ -67,24 +67,6 @@ pub enum OpKind {
     Write,
 }
 
-/// Directory (home memory) block states, following Figure 4 of the paper.
-///
-/// Protocols that need richer bookkeeping embed this in their own directory
-/// entry types; it is defined here so tests and the machine can reason about
-/// quiescence uniformly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum DirState {
-    /// No transaction in flight; block clean or dirty per the entry.
-    #[default]
-    Idle,
-    /// Read Miss Waiting for Writeback from the exclusive owner.
-    RmWw,
-    /// Write Miss Waiting for Writeback from the exclusive owner.
-    WmWw,
-    /// Write Miss invalidations in progress (collecting acks).
-    WmLip,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,7 +76,7 @@ pub enum StallError {
     /// caught a coherence violation: the protocol is broken, the run
     /// stopped at the offending operation.
     Witness {
-        /// The rendered [`Violation`](crate::verify::Violation).
+        /// The rendered [`Violation`].
         violation: String,
         protocol: ProtocolKind,
     },
@@ -189,10 +189,6 @@ impl Machine {
 
     pub fn config(&self) -> &MachineConfig {
         &self.core.config
-    }
-
-    pub fn protocol_kind(&self) -> ProtocolKind {
-        self.protocol.kind()
     }
 
     pub fn stats(&self) -> &MachineStats {

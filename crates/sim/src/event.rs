@@ -6,7 +6,7 @@
 //!
 //! # Structure: a calendar ring over one slab
 //!
-//! The queue is a ring of [`WINDOW`] per-cycle FIFO buckets. An event for
+//! The queue is a ring of `WINDOW` per-cycle FIFO buckets. An event for
 //! cycle `t` with `t - now < WINDOW` is appended to bucket
 //! `t & (WINDOW - 1)`; a bucket is a `(head, tail)` pair of indices into
 //! one shared slab (`slots` for the payloads, `next` for the links, a free

@@ -23,4 +23,4 @@ pub use event::{Cycle, EventQueue};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::{ClassCounts, Metrics, MetricsSnapshot, MsgClass, NUM_MSG_CLASSES};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, StatTable};
+pub use stats::Histogram;

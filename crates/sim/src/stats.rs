@@ -1,28 +1,4 @@
-//! Statistics primitives: counters, log₂-bucketed histograms, and an
-//! ordered name → value table used for experiment reports.
-
-use std::fmt;
-
-/// A saturating event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
+//! Statistics primitives: log₂-bucketed histograms.
 
 /// Histogram with log₂ buckets: bucket `b` holds samples in
 /// `[2^(b-1), 2^b)` for `b ≥ 1` and bucket 0 holds the value 0.
@@ -148,7 +124,7 @@ impl Histogram {
     /// histograms built from runs of very different magnitudes — e.g.
     /// latency histograms from different machine shapes in one sweep
     /// summary — is just an element-wise sum. All totals saturate, matching
-    /// [`Counter`] and `record`, so near-overflow inputs degrade to pinned
+    /// `record`, so near-overflow inputs degrade to pinned
     /// values instead of wrapping into nonsense.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -161,69 +137,10 @@ impl Histogram {
     }
 }
 
-/// An insertion-ordered `name → f64` table for experiment reports.
-///
-/// Used by the figure/table binaries to print aligned ASCII tables that
-/// mirror the paper's layout.
-#[derive(Clone, Debug, Default)]
-pub struct StatTable {
-    rows: Vec<(String, f64)>,
-}
-
-impl StatTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn set(&mut self, name: &str, value: f64) {
-        if let Some(row) = self.rows.iter_mut().find(|(n, _)| n == name) {
-            row.1 = value;
-        } else {
-            self.rows.push((name.to_string(), value));
-        }
-    }
-
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.rows.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    pub fn rows(&self) -> &[(String, f64)] {
-        &self.rows
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
-impl fmt::Display for StatTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let width = self.rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, value) in &self.rows {
-            if value.fract() == 0.0 && value.abs() < 1e15 {
-                writeln!(f, "{name:width$}  {:>14}", *value as i64)?;
-            } else {
-                writeln!(f, "{name:width$}  {value:>14.4}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn counter_increments_and_saturates() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        c.add(u64::MAX);
-        assert_eq!(c.get(), u64::MAX);
-    }
 
     #[test]
     fn histogram_tracks_exact_moments() {
@@ -386,19 +303,5 @@ mod tests {
             parts.iter().for_each(|p| merged.merge(p));
             prop_assert_eq!(raw(&merged), raw(&whole));
         }
-    }
-
-    #[test]
-    fn stat_table_orders_and_updates() {
-        let mut t = StatTable::new();
-        t.set("alpha", 1.0);
-        t.set("beta", 2.0);
-        t.set("alpha", 3.0);
-        assert_eq!(t.get("alpha"), Some(3.0));
-        assert_eq!(t.rows().len(), 2);
-        assert_eq!(t.rows()[0].0, "alpha");
-        let out = t.to_string();
-        assert!(out.contains("alpha"));
-        assert!(out.contains("beta"));
     }
 }
