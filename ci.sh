@@ -7,7 +7,8 @@
 # ternary-tree shapes — exhaustively explored at
 # P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
-# counts printed, the P=2/P=3 lines compared with their golden), then the
+# counts printed, the P=2/P=3 lines compared with their golden at the
+# default job count and again at one job), then the
 # perf gates: golden byte-compares and the
 # benchmark's ledger gates (five workloads' digests and state counts
 # against benchmark/expected.json, plus host_s and setup_s ratio checks
@@ -61,9 +62,20 @@ fi
 # one-block lines (every roster shape's states, depth and four counters;
 # the deterministic part of the default tier) must match the committed
 # golden byte for byte, at any --jobs. The trailing wall time is dropped.
-grep -E ' P=[23] B=1 ' target/check_all.txt | sed -E 's/  \[[^]]*\]$//' \
-  | cmp - tests/golden/check_all_p2_p3.txt
+check_golden() {  # check_all output file
+  grep -E ' P=[23] B=1 ' "$1" | sed -E 's/  \[[^]]*\]$//' \
+    | cmp - tests/golden/check_all_p2_p3.txt
+}
+check_golden target/check_all.txt
 echo "check-golden: P=2/P=3 lines match tests/golden/check_all_p2_p3.txt"
+# "At any --jobs", checked: the same lines from one worker, which expands
+# every window on the calling thread (the run above uses all cores, so a
+# window's states are split between threads). --budget 0 defers the whole
+# P>=4 slice, so this pass is the P=2/P=3 roster alone (about 20 s).
+cargo run -q --release -p dirtree-check --bin check_all -- --jobs 1 --budget 0 \
+  > target/check_all_serial.txt
+check_golden target/check_all_serial.txt
+echo "check-golden: P=2/P=3 lines at --jobs 1 match tests/golden/check_all_p2_p3.txt"
 
 # Perf smoke: the P=64 slice of the hot-path scaling study must finish
 # inside a generous wall-clock budget (catches order-of-magnitude

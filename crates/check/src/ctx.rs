@@ -5,10 +5,15 @@
 //! checker keeps all pending work visible — per-(src,dst) FIFO network
 //! channels, per-node local redelivery queues, and not-yet-retired
 //! completions — and lets the explorer pick *which* pending event fires
-//! next. The network model matches the simulator's ordering guarantee:
-//! messages between one (src, dst) pair arrive in send order (protocols
-//! rely on this, e.g. `WbEvict` vs. a later request), but channels are
-//! mutually unordered.
+//! next. The network model is one FIFO channel per (src, dst) pair:
+//! messages between one pair arrive in send order (protocols rely on this,
+//! e.g. `WbEvict` vs. a later request), but channels are mutually
+//! unordered. That is the simulator's ordering guarantee at `vcs = 1` only.
+//! With two or more virtual channels a reply can overtake a request between
+//! one pair (`wormhole::tests::same_vc_serializes_other_vc_overtakes`), and
+//! adaptive routing reorders within a channel, so the simulator can take
+//! paths this model never explores (`tests/vc_ordering.rs` pins seven
+//! protocols that deadlock there).
 //!
 //! Timing is erased: `now` ticks once per applied choice (so replay traces
 //! read chronologically) but is excluded from the state digest, `occupy`
@@ -29,7 +34,10 @@
 //! * each node's pending completion, outstanding miss and fuel are one
 //!   `Proc`;
 //! * the blocks in play are an `Arc<[Addr]>` shared by every state of a
-//!   search.
+//!   search;
+//! * the witness is an `Arc<Verifier>` shared by a state and its successors
+//!   until one of them retires an operation and copies it
+//!   ([`CheckState`](crate::state::CheckState)).
 //!
 //! **Digest.** [`CheckCtx::digest`] feeds the hasher the byte stream of
 //! the map-and-deque context it replaced: the resident-tag count and then
@@ -82,8 +90,12 @@ pub struct CheckCtx {
     tags: Vec<LineState>,
     /// Per-node processor state.
     pub(crate) procs: Vec<Proc>,
-    /// The shared sequential-consistency witness.
-    pub(crate) verifier: Verifier,
+    /// The sequential-consistency witness the simulator uses too, shared
+    /// by a state and its successors until one of them retires an
+    /// operation: a clone copies the pointer, and `Arc::make_mut` in the
+    /// step that changes it copies the witness
+    /// ([`CheckState`](crate::state::CheckState)).
+    pub(crate) verifier: Arc<Verifier>,
     /// Protocol misbehavior detected inside a `ProtoCtx` callback (which
     /// cannot return an error); surfaced by the next post-choice check.
     pub(crate) flagged: Option<String>,
@@ -115,7 +127,7 @@ impl CheckCtx {
                 };
                 n
             ],
-            verifier: Verifier::new(),
+            verifier: Arc::default(),
             flagged: None,
             send_log: None,
         }
@@ -302,7 +314,7 @@ impl CheckCtx {
             msgs,
             tags,
             procs,
-            verifier: self.verifier.relabeled(perm),
+            verifier: Arc::new(self.verifier.relabeled(perm)),
             flagged: None,
             send_log: None,
         }
@@ -372,7 +384,7 @@ impl CheckCtx {
     /// first never feeds back into the protocols under check, the other
     /// two exist only on already-failing or replaying states. The byte
     /// stream is the map-and-deque context's (module docs).
-    pub fn digest(&self, h: &mut dyn Hasher) {
+    pub fn digest<H: Hasher + ?Sized>(&self, h: &mut H) {
         let mut h = h;
         h.write_u32(self.nodes);
         // The (node, addr) → state map: the count, then the entries in key

@@ -11,7 +11,7 @@
 //! hot instead of after the whole layer has been cloned.
 //!
 //! The windows cannot change the result, at any `jobs`: `expand` is a
-//! pure function of `(state, mask, perms, commute)` and never reads the
+//! pure function of `(state, mask, group, commute)` and never reads the
 //! visited set, the same-layer duplicate map or either frontier, and a
 //! merge only touches the *next* layer's entries — never a mask of the
 //! layer being expanded. The merge therefore sees the same successors in
@@ -21,6 +21,17 @@
 //! one found (no earlier window had one), and its `states` is
 //! `visited.len()` as the layer began, recorded before the first window.
 //! The state and depth budgets are checked between layers.
+//!
+//! A frontier state is expanded by value: the worker that claims it owns
+//! it, applies every awake choice but the last to a clone, and applies the
+//! last one to the state itself. Nothing reads a frontier state once its
+//! successors exist — the merge keeps its arena index, not the state — and
+//! a clone behaves exactly like its original
+//! (`exhaustive.rs: clones_behave_like_their_originals`), so the
+//! successors are exactly those that cloning for every choice would give,
+//! and a state with one awake choice is never cloned. The successors share
+//! the parent's witness until one of them writes ([`CheckState`] on the
+//! copy-on-write witness).
 //!
 //! Deduplication uses the canonical 64-bit state digest; two states with
 //! equal digests are assumed identical and one is pruned (a digest
@@ -70,7 +81,7 @@
 //! choice count (under the reductions: minimal up to commuting-step
 //! reordering and node renaming, both of which preserve trace length).
 
-use crate::state::{CheckState, Choice};
+use crate::state::{CheckState, Choice, FreeNodes};
 use dirtree_core::fingerprint::{home_fixing_perms, invert_perm};
 use dirtree_core::protocol::Protocol;
 use dirtree_core::types::{Addr, NodeId};
@@ -284,13 +295,24 @@ struct Pending {
     argmin: usize,
 }
 
-fn expand(
-    arena_idx: usize,
-    state: &CheckState,
-    sleep: u64,
-    perms: &[Vec<NodeId>],
-    commute: bool,
-) -> Expanded {
+/// The symmetry group one exploration canonicalizes over: its
+/// permutations (identity first), their inverses, and which nodes it
+/// moves — all fixed for the whole search.
+struct Group {
+    perms: Vec<Vec<NodeId>>,
+    inverses: Vec<Vec<NodeId>>,
+    free: FreeNodes,
+}
+
+/// Compute a frontier state's successors, consuming the state: the last
+/// awake choice applies to it instead of to a clone (module docs).
+fn expand(pending: Pending, group: &Group, commute: bool) -> Expanded {
+    let Pending {
+        arena_idx,
+        state,
+        mask: sleep,
+        ..
+    } = pending;
     let choices = state.enabled_choices();
     let mut explored = 0u64;
     let mut sleep_pruned = 0u64;
@@ -301,16 +323,24 @@ fn expand(
         .iter()
         .map(|&c| (state.choice_bit(c), state.choice_footprint(c)))
         .collect();
+    let asleep = |bit: u32| commute && sleep & (1u64 << bit) != 0;
+    let last_awake = info.iter().rposition(|&(bit, _)| !asleep(bit));
+    let mut parent = Some(state);
     for (i, &choice) in choices.iter().enumerate() {
         let (bit_i, fp_i) = info[i];
-        if commute && sleep & (1u64 << bit_i) != 0 {
+        if asleep(bit_i) {
             // Provably redundant: an equivalent trace taking this choice
             // first was (or will be) explored from an earlier sibling.
             sleep_pruned += 1;
             continue;
         }
         explored += 1;
-        let mut s = state.clone();
+        let mut s = if Some(i) == last_awake {
+            parent.take()
+        } else {
+            parent.clone()
+        }
+        .expect("the parent is moved only by the last awake choice");
         match s.apply(choice) {
             Ok(()) => {
                 // Successor sleep set: everything already asleep here plus
@@ -329,7 +359,8 @@ fn expand(
                         }
                     }
                 }
-                let ((canon, argmin, canon_mask), tried) = s.canonicalize_counted(perms, mask);
+                let ((canon, argmin, canon_mask), tried) =
+                    s.canonicalize_counted(&group.perms, &group.free, mask);
                 perms_tried += tried;
                 succs.push(Succ {
                     choice,
@@ -368,12 +399,7 @@ const WINDOW_PER_JOB: usize = 64;
 /// thread and `jobs − 1` scoped helpers claiming states in order from a
 /// shared iterator — and return the expansions in frontier order,
 /// whichever worker finished when.
-fn expand_window(
-    window: Vec<Pending>,
-    jobs: usize,
-    perms: &[Vec<NodeId>],
-    commute: bool,
-) -> Vec<Expanded> {
+fn expand_window(window: Vec<Pending>, jobs: usize, group: &Group, commute: bool) -> Vec<Expanded> {
     let len = window.len();
     let claims = Mutex::new(window.into_iter().enumerate());
     let work = || {
@@ -386,7 +412,7 @@ fn expand_window(
             let Some((i, p)) = next else {
                 break done;
             };
-            done.push((i, expand(p.arena_idx, &p.state, p.mask, perms, commute)));
+            done.push((i, expand(p, group, commute)));
         }
     };
     let mut done = std::thread::scope(|scope| {
@@ -431,15 +457,19 @@ where
     } else {
         vec![ident]
     };
-    let inverses: Vec<Vec<NodeId>> = perms.iter().map(|p| invert_perm(p)).collect();
+    let group = Group {
+        inverses: perms.iter().map(|p| invert_perm(p)).collect(),
+        free: FreeNodes::of(&perms),
+        perms,
+    };
     // Sleep sets need one mask bit per choice slot; huge shapes fall back
     // to the unreduced search rather than a wider mask type — and say so
     // in the stats.
     let por_wanted = cfg.por && root.proto.deliveries_commute();
     let commute = por_wanted && root.sleep_bits() <= SLEEP_MASK_BITS;
-    let ((root_canon, _, _), root_tried) = root.canonicalize_counted(&perms, 0);
+    let ((root_canon, _, _), root_tried) = root.canonicalize_counted(&group.perms, &group.free, 0);
     let mut stats = ExploreStats {
-        sym_group: perms.len() as u64,
+        sym_group: group.perms.len() as u64,
         canon_calls: 1,
         perms_tried: root_tried,
         por_off_slots: if por_wanted && !commute {
@@ -511,7 +541,7 @@ where
             if window.is_empty() {
                 break;
             }
-            let expanded = expand_window(window, cfg.jobs, &perms, commute);
+            let expanded = expand_window(window, cfg.jobs, &group, commute);
 
             // Violations first, in frontier order: any hit in this layer is
             // depth-minimal, and the first one is the one a whole-layer
@@ -544,7 +574,9 @@ where
                             visited.insert(succ.canon, succ.canon_mask);
                             arena.push((exp.arena_idx, succ.choice));
                             layer.insert(succ.canon, frontier.len());
-                            let mask = succ.state.map_mask(succ.canon_mask, &inverses[succ.argmin]);
+                            let mask = succ
+                                .state
+                                .map_mask(succ.canon_mask, &group.inverses[succ.argmin]);
                             frontier.push(Pending {
                                 arena_idx: arena.len() - 1,
                                 state: succ.state,
@@ -569,10 +601,11 @@ where
                                 // Still pending in the next layer: shrink its
                                 // mask in place (its own coordinates).
                                 let p = &mut frontier[pos];
-                                p.mask = p.state.map_mask(inter, &inverses[p.argmin]);
+                                p.mask = p.state.map_mask(inter, &group.inverses[p.argmin]);
                                 stats.deduped += 1;
                             } else {
-                                let concrete = succ.state.map_mask(inter, &inverses[succ.argmin]);
+                                let concrete =
+                                    succ.state.map_mask(inter, &group.inverses[succ.argmin]);
                                 arena.push((exp.arena_idx, succ.choice));
                                 layer.insert(succ.canon, frontier.len());
                                 frontier.push(Pending {

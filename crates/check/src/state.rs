@@ -18,6 +18,13 @@
 //! event queue cannot produce (e.g. a `WbReq` downgrading a just-granted
 //! writer before its completion check) and false-positive the witness.
 //!
+//! The witness is copy-on-write. A clone shares its original's
+//! [`Verifier`](dirtree_core::verify::Verifier) behind an `Arc`, and the
+//! only steps that change it — retiring a completion, and a write hit —
+//! copy it first with `Arc::make_mut` (`retire`, `write_completed`). So the
+//! successors of one state share one witness until one of them completes
+//! an operation, and a delivery that retires nothing copies none.
+//!
 //! Every applied choice ends with [`CheckState::post_check`]: witness
 //! errors, protocol-flagged misbehavior, deadlock (a blocked processor
 //! with nothing in flight anywhere), protocol structural invariants, and —
@@ -26,6 +33,7 @@
 use crate::ctx::CheckCtx;
 use dirtree_core::protocol::Protocol;
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
+use std::sync::Arc;
 
 /// A processor action at one node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -43,6 +51,49 @@ pub enum Choice {
     Deliver { src: NodeId, dst: NodeId },
     Local { node: NodeId },
     Op { node: NodeId, op: ProcOp },
+}
+
+/// The most nodes a symmetry group may move. A group that moves `m` nodes
+/// has `m!` elements, each listed as its own table, so no group the
+/// explorer can build comes near this.
+const MAX_FREE_NODES: usize = 16;
+
+/// Which nodes a symmetry group moves — a property of the group, found once
+/// per exploration beside its permutations rather than once per
+/// canonicalization.
+#[derive(Default)]
+pub(crate) struct FreeNodes {
+    /// `fixed[i]`: every permutation leaves node `i` in place.
+    fixed: Vec<bool>,
+    /// The nodes some permutation moves, ascending.
+    nodes: Vec<NodeId>,
+    /// `slot[i]`: the index of free node `i` in `nodes` (0 for fixed ones).
+    slot: Vec<usize>,
+}
+
+impl FreeNodes {
+    /// The split of `perms`; empty for the trivial group, whose
+    /// canonicalization is the plain digest and never reads it.
+    pub(crate) fn of(perms: &[Vec<NodeId>]) -> Self {
+        if perms.len() == 1 {
+            return Self::default();
+        }
+        let n = perms[0].len();
+        let fixed: Vec<bool> = (0..n)
+            .map(|i| perms.iter().all(|p| p[i] as usize == i))
+            .collect();
+        let nodes: Vec<NodeId> = (0..n as NodeId).filter(|&i| !fixed[i as usize]).collect();
+        assert!(
+            nodes.len() <= MAX_FREE_NODES,
+            "a symmetry group moving {} nodes cannot have been listed",
+            nodes.len()
+        );
+        let mut slot = vec![0; n];
+        for (k, &i) in nodes.iter().enumerate() {
+            slot[i as usize] = k;
+        }
+        Self { fixed, nodes, slot }
+    }
 }
 
 /// A protocol instance embedded in the abstract machine.
@@ -157,38 +208,40 @@ impl CheckState {
     /// the full symmetric group on the nodes it moves (no permutation
     /// sorts).
     pub fn canonicalize(&self, perms: &[Vec<NodeId>], mask: u64) -> (u64, usize, u64) {
-        self.canonicalize_counted(perms, mask).0
+        let (canonical, _tried) = self.canonicalize_counted(perms, &FreeNodes::of(perms), mask);
+        canonical
     }
 
-    /// [`canonicalize`](Self::canonicalize) plus the number of
-    /// permutations it relabeled and digested (the identity counts).
+    /// [`canonicalize`](Self::canonicalize) over a group whose free nodes
+    /// `free` has already found, plus the number of permutations it
+    /// relabeled and digested (the identity counts). Allocates nothing but
+    /// the relabeled copies.
     pub(crate) fn canonicalize_counted(
         &self,
         perms: &[Vec<NodeId>],
+        free: &FreeNodes,
         mask: u64,
     ) -> ((u64, usize, u64), u64) {
         if perms.len() == 1 {
             return ((self.digest(), 0, mask), 1);
         }
-        let n = self.ctx.nodes() as usize;
-        let fixed: Vec<bool> = (0..n)
-            .map(|i| perms.iter().all(|p| p[i] as usize == i))
-            .collect();
-        let free: Vec<usize> = (0..n).filter(|&i| !fixed[i]).collect();
-        let mut sig = vec![0u64; n];
-        for &i in &free {
-            sig[i] = self.ctx.node_signature(i as NodeId, &fixed);
+        // Signatures and their images by slot in `free.nodes`: the group
+        // maps free nodes to free nodes, and the slots are in node order.
+        let m = free.nodes.len();
+        let mut sig = [0u64; MAX_FREE_NODES];
+        for (s, &i) in sig.iter_mut().zip(&free.nodes) {
+            *s = self.ctx.node_signature(i, &free.fixed);
         }
-        let mut image = vec![0u64; n];
+        let mut image = [0u64; MAX_FREE_NODES];
         let mut best = u64::MAX;
         let mut argmin = usize::MAX;
         let mut canon_mask = u64::MAX;
         let mut tried = 0u64;
         for (i, perm) in perms.iter().enumerate() {
-            for (from, &to) in perm.iter().enumerate() {
-                image[to as usize] = sig[from];
+            for (&s, &from) in sig.iter().zip(&free.nodes) {
+                image[free.slot[perm[from as usize] as usize]] = s;
             }
-            let admissible = free.windows(2).all(|w| image[w[0]] <= image[w[1]]);
+            let admissible = image[..m].windows(2).all(|w| w[0] <= w[1]);
             if !admissible {
                 continue;
             }
@@ -411,23 +464,28 @@ impl CheckState {
             }
         }
         match op {
-            OpKind::Read => self.ctx.verifier.on_read_fill(node, addr),
-            OpKind::Write => {
-                let others = self.ctx.other_holders(addr, node);
-                if self.proto.is_update_for(addr) {
-                    self.ctx
-                        .verifier
-                        .on_write_complete_update(node, addr, &others);
-                } else {
-                    self.ctx
-                        .verifier
-                        .on_write_complete(node, addr, &others)
-                        .map_err(|v| v.to_string())?;
-                }
-            }
+            OpKind::Read => Arc::make_mut(&mut self.ctx.verifier).on_read_fill(node, addr),
+            OpKind::Write => self.write_completed(node, addr)?,
         }
         self.proto.note_op_retired(node, addr, op);
         Ok(())
+    }
+
+    /// Tell the witness a write by `node` completed — a retired miss or a
+    /// write hit. The witness is shared with the parent state and the
+    /// siblings until here: `Arc::make_mut` copies it for this state alone.
+    fn write_completed(&mut self, node: NodeId, addr: Addr) -> Result<(), String> {
+        let others = self.ctx.other_holders(addr, node);
+        let update = self.proto.is_update_for(addr);
+        let witness = Arc::make_mut(&mut self.ctx.verifier);
+        if update {
+            witness.on_write_complete_update(node, addr, &others);
+            Ok(())
+        } else {
+            witness
+                .on_write_complete(node, addr, &others)
+                .map_err(|v| v.to_string())
+        }
     }
 
     /// A processor issues one operation, mirroring the machine's
@@ -456,17 +514,7 @@ impl CheckState {
             ProcOp::Write(addr) => {
                 let st = self.line_state(node, addr);
                 if st.writable() {
-                    let others = self.ctx.other_holders(addr, node);
-                    if self.proto.is_update_for(addr) {
-                        self.ctx
-                            .verifier
-                            .on_write_complete_update(node, addr, &others);
-                    } else {
-                        self.ctx
-                            .verifier
-                            .on_write_complete(node, addr, &others)
-                            .map_err(|v| v.to_string())?;
-                    }
+                    self.write_completed(node, addr)?;
                 } else {
                     // Upgrade (V) and genuine miss share the same entry
                     // point, exactly like the machine.
@@ -692,5 +740,60 @@ mod tests {
                 "{name}: no automorphism ever shrank a mask; the third check is vacuous"
             );
         }
+    }
+
+    /// The witness is copy-on-write: a successor shares its parent's until
+    /// it completes an operation. On FullMap at P=2, node 1 write-misses on block
+    /// 0 (homed at node 0): the home taking the request retires nothing,
+    /// so that successor still shares the parent's witness. The grant's
+    /// delivery completes the write in one successor; the parent and a
+    /// sibling (node 0 issuing a read) keep version 0 and the old witness
+    /// digest. A write hit after that bumps its own successor alone.
+    #[test]
+    fn successors_share_the_witness_until_one_writes() {
+        fn witness_digest(s: &CheckState) -> u64 {
+            use std::hash::Hasher;
+            let mut h = dirtree_sim::hash::FxHasher::default();
+            s.ctx.verifier.digest(&mut h);
+            h.finish()
+        }
+        let write = |node| Choice::Op {
+            node,
+            op: ProcOp::Write(0),
+        };
+        let mut miss = CheckState::new(
+            2,
+            3,
+            vec![0],
+            build_protocol(ProtocolKind::FullMap, ProtocolParams::default()),
+        );
+        miss.apply(write(1)).unwrap();
+        let mut parent = miss.clone();
+        parent.apply(Choice::Deliver { src: 1, dst: 0 }).unwrap();
+        assert!(
+            Arc::ptr_eq(&miss.ctx.verifier, &parent.ctx.verifier),
+            "a delivery that retired nothing copied the witness"
+        );
+
+        let mut writer = parent.clone();
+        writer.apply(Choice::Deliver { src: 0, dst: 1 }).unwrap();
+        assert_eq!(writer.ctx.verifier.version_of(0), 1);
+        let mut sibling = parent.clone();
+        sibling
+            .apply(Choice::Op {
+                node: 0,
+                op: ProcOp::Read(0),
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&parent.ctx.verifier, &sibling.ctx.verifier));
+        for (name, s) in [("parent", &parent), ("sibling", &sibling)] {
+            assert_eq!(s.ctx.verifier.version_of(0), 0, "{name} saw the write");
+            assert_ne!(witness_digest(s), witness_digest(&writer), "{name}");
+        }
+
+        let mut hit = writer.clone();
+        hit.apply(write(1)).unwrap();
+        assert_eq!(hit.ctx.verifier.version_of(0), 2, "a write hit");
+        assert_eq!(writer.ctx.verifier.version_of(0), 1, "the hit's parent");
     }
 }

@@ -14,6 +14,7 @@ use dirtree_core::fingerprint::home_fixing_perms;
 use dirtree_core::msg::MsgKind;
 use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
 use dirtree_core::types::{LineState, NodeId, OpKind};
+use dirtree_sim::SimRng;
 
 /// Every protocol of the paper's figure set survives exhaustive
 /// exploration at P = 2, one block (the CI fast tier; `check_all` covers
@@ -684,6 +685,15 @@ fn a_stale_recall_meets_a_write_miss_and_is_dropped() {
     }
 }
 
+/// One instance of every protocol family `check_all` leaves off its roster.
+const EXCLUDED: [ProtocolKind; 5] = [
+    ProtocolKind::SinglyList,
+    ProtocolKind::Snoop,
+    ProtocolKind::Stp { arity: 2 },
+    ProtocolKind::SciTree,
+    ProtocolKind::Sci,
+];
+
 /// Every `ProtocolKind` is either on the `check_all` roster or excluded by
 /// name with a reason that cites the test pinning it. The match has no
 /// wildcard, so a new variant does not compile until it is placed.
@@ -703,20 +713,13 @@ fn every_protocol_kind_is_on_the_roster_or_excluded_with_its_pin() {
         ProtocolKind::DirTreeUpdate { .. } => 10,
         ProtocolKind::DirTreeAdaptive { .. } => 11,
     };
-    let excluded = [
-        ProtocolKind::SinglyList,
-        ProtocolKind::Snoop,
-        ProtocolKind::Stp { arity: 2 },
-        ProtocolKind::SciTree,
-        ProtocolKind::Sci,
-    ];
     let roster = roster();
     let mut placed = [false; 12];
     for e in &roster {
         assert_eq!(exclusion(e.kind), None, "{} is on the roster", e.name);
         placed[variant(e.kind)] = true;
     }
-    for kind in excluded {
+    for kind in EXCLUDED {
         let reason = exclusion(kind).unwrap_or_else(|| panic!("{} has no reason", kind.name()));
         assert!(
             reason.contains(".rs: ") && reason.ends_with(')'),
@@ -731,6 +734,63 @@ fn every_protocol_kind_is_on_the_roster_or_excluded_with_its_pin() {
         placed[variant(kind)] = true;
     }
     assert!(placed.iter().all(|&p| p), "unplaced variants: {placed:?}");
+}
+
+/// The explorer applies the last awake choice out of a state to the state
+/// itself and every other choice to a clone of it, which is sound only if a
+/// clone behaves exactly like its original. For every protocol, on the
+/// roster or excluded from it, a seeded walk of 300 steps at P=3 clones
+/// the state before each step and applies the chosen choice to both: the
+/// results (violations included), the digests and the enabled choices
+/// must agree. Every other step the walk goes on from the clone, so clones
+/// of clones are compared too; a dead end or a violation sends it back to
+/// the root. A `boxed_clone` that drops state the protocol acts on fails
+/// here instead of silently moving a counter.
+#[test]
+fn clones_behave_like_their_originals() {
+    let entries = roster()
+        .into_iter()
+        .map(|e| (e.name, e.kind, e.params))
+        .chain(
+            EXCLUDED
+                .into_iter()
+                .map(|kind| (kind.name(), kind, ProtocolParams::default())),
+        );
+    let cfg = CheckConfig::small(3, 1);
+    for (seed, (name, kind, params)) in entries.enumerate() {
+        let root = CheckState::new(3, cfg.fuel, cfg.addrs(), build_protocol(kind, params));
+        let mut rng = SimRng::new(1996 + seed as u64);
+        let mut cur = root.clone();
+        let mut applied_steps = 0u32;
+        for step in 0..300 {
+            let choices = cur.enabled_choices();
+            if choices.is_empty() {
+                cur = root.clone();
+                continue;
+            }
+            let choice = choices[rng.gen_index(choices.len())];
+            let at = format!("{name} P=3 step {step}, {choice:?}");
+            let mut twin = cur.clone();
+            let applied = cur.apply(choice);
+            assert_eq!(twin.apply(choice), applied, "{at}: results differ");
+            assert_eq!(twin.digest(), cur.digest(), "{at}: digests differ");
+            assert_eq!(
+                twin.enabled_choices(),
+                cur.enabled_choices(),
+                "{at}: enabled choices differ"
+            );
+            applied_steps += 1;
+            if applied.is_err() {
+                cur = root.clone();
+            } else if step % 2 == 1 {
+                cur = twin;
+            }
+        }
+        assert!(
+            applied_steps > 200,
+            "{name}: only {applied_steps} steps applied"
+        );
+    }
 }
 
 /// Where symmetry and sleep sets meet: two blocks both homed at node 0 of

@@ -130,7 +130,12 @@ pub fn invert_perm(perm: &[NodeId]) -> Vec<NodeId> {
 /// the stream stays uniquely decodable when more state follows it. A row's
 /// derived `Hash` is already canonical when its per-node records are kept
 /// sorted ([`crate::dir::util::NodeRecs`]), so nothing is sorted here.
-pub fn digest_rows<T: Hash + Default + PartialEq>(h: &mut dyn Hasher, rows: &BlockTable<T>) {
+/// Generic over the hasher so a concrete one is called directly; a
+/// protocol's `&mut dyn Hasher` feeds it the same bytes.
+pub fn digest_rows<H: Hasher + ?Sized, T: Hash + Default + PartialEq>(
+    h: &mut H,
+    rows: &BlockTable<T>,
+) {
     let mut h = h;
     for (addr, row) in rows.iter_nonempty() {
         addr.hash(&mut h);

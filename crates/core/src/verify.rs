@@ -172,7 +172,7 @@ impl Verifier {
 
     /// Canonical (iteration-order independent) digest of the witness state,
     /// for the model checker's visited-set hashing.
-    pub fn digest(&self, h: &mut dyn Hasher) {
+    pub fn digest<H: Hasher + ?Sized>(&self, h: &mut H) {
         digest_rows(h, &self.blocks);
     }
 
