@@ -75,7 +75,10 @@
 //! ```
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{read_fill, send, send_home, wb_req, Collector, NodeRecs, Owner, TxnGate};
+use crate::dir::util::{
+    check_drained, check_edges, read_fill, send, send_home, settle, wave_msg, wave_step, wb_req,
+    write_fill, Collector, NodeRecs, Owner, TxnGate,
+};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -204,25 +207,6 @@ pub struct DirTree {
     /// aliases this buffer across waves is caught by the witness — see
     /// `dirtree-check`'s `MutantKind::StaleWaveScratch`).
     wave_scratch: Vec<(NodeId, Option<NodeId>)>,
-}
-
-/// The message one wave step carries.
-fn wave_msg(update: bool, also: Option<NodeId>, from_dir: bool) -> MsgKind {
-    if update {
-        MsgKind::Update { also, from_dir }
-    } else {
-        MsgKind::Inv { also, from_dir }
-    }
-}
-
-/// Acknowledge one wave message, in the wave's own ack kind.
-fn send_ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool, update: bool) {
-    let kind = if update {
-        MsgKind::UpdateAck { dir }
-    } else {
-        MsgKind::InvAck { dir }
-    };
-    send(ctx, node, to, addr, kind);
 }
 
 impl DirTree {
@@ -635,121 +619,46 @@ impl DirTree {
         }
     }
 
-    /// One step of a write wave at a cache: forward to the subtree and any
-    /// `also` partner, then acknowledge the sender — immediately, or
-    /// through a collector once everything forwarded has acked. An `Inv`
-    /// kills the copy and consumes its child edges; an `Update` refreshes
-    /// the copy in place and keeps them. Both consume the zombie edges:
-    /// FIFO puts this message behind the `Replace_INV` on the same pair, so
-    /// its ack proves the disbanded subtree processed its kill.
+    /// One step of a write wave at a cache ([`wave_step`]). An `Inv` kills
+    /// the copy and consumes its child edges; an `Update` refreshes the
+    /// copy in place and keeps them. Both consume the zombie edges: FIFO
+    /// puts this message behind the `Replace_INV` on the same pair, so its
+    /// ack proves the disbanded subtree processed its kill.
     fn handle_wave(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let (update, also, dir) = match msg.kind {
-            MsgKind::Inv { also, from_dir } => (false, also, from_dir),
-            MsgKind::Update { also, from_dir } => (true, also, from_dir),
-            _ => unreachable!(),
-        };
-        let forward = || Msg {
-            addr,
-            src: node,
-            kind: wave_msg(update, None, false),
-        };
-        // A node already collecting acknowledgements answers immediately:
-        // its subtree is covered by the first wave path, and waiting here
-        // could deadlock on child-pointer *cycles* created by silent
-        // replacement + rejoin (A is replaced, re-reads, and adopts its own
-        // ex-ancestor). Immediate acks make every wait edge follow
-        // first-visit order, which is acyclic. A pairing duty ('also') is
-        // the one thing that must still be discharged and awaited.
-        if self.rec(node, addr).is_some_and(|r| r.collector.is_some()) {
-            if let Some(partner) = also {
-                ctx.send(partner, forward());
-                self.edit(node, addr, |r| {
-                    let c = r.collector.as_mut().expect("absorb on closed collector");
-                    c.absorb(msg.src, dir, 1);
-                });
-            } else {
-                send_ack(ctx, node, addr, msg.src, dir, update);
-            }
-            return;
-        }
-        // `InvIp` is set exactly while a collector is open (handled above),
-        // and no wave reaches an exclusive owner (see the module docs).
-        let state = ctx.line_state(node, addr);
-        debug_assert!(!matches!(state, LineState::InvIp | LineState::E));
-        debug_assert!(
-            matches!(state, LineState::V | LineState::WmIp | LineState::WmLip)
-                || self.children_of(node, addr).is_empty(),
-            "a dead copy still owns children"
-        );
-        if state == LineState::V {
-            // Counted as "copies touched" for an update wave.
-            ctx.note(ProtoEvent::Invalidation);
-        }
-        // A stale target (`Iv`/`NotPresent`, or `RmIp` — the home holds
-        // read transactions open until the FillAck, so no fill can be in
-        // flight) has no copy and no children, but its zombie edges and its
-        // pairing duty are still owed. An upgrading writer (`WmIp`) loses
-        // its old copy's subtree to an `Inv` and keeps it under an `Update`;
-        // its line stays transient awaiting the grant either way. The
-        // collector, if anything was forwarded, opens in the same edit.
-        let keeps_copy = matches!(state, LineState::V | LineState::WmIp);
-        let targets = self.edit(node, addr, |r| {
-            let mut targets = if !update {
-                std::mem::take(&mut r.children)
-            } else if keeps_copy {
-                r.children.clone()
-            } else {
-                Vec::new()
+        let (addr, update) = (msg.addr, matches!(msg.kind, MsgKind::Update { .. }));
+        self.edit(node, addr, |r| {
+            // A stale target (no copy) has no children, but its zombie
+            // edges and its pairing duty are still owed. An upgrading
+            // writer (`WmIp`) loses its old copy's subtree to an `Inv` and
+            // keeps it under an `Update`.
+            let targets = |state| {
+                debug_assert!(
+                    matches!(state, LineState::V | LineState::WmIp | LineState::WmLip)
+                        || r.children.is_empty(),
+                    "a dead copy still owns children"
+                );
+                let kids = if !update {
+                    std::mem::take(&mut r.children)
+                } else if matches!(state, LineState::V | LineState::WmIp) {
+                    r.children.clone()
+                } else {
+                    Vec::new()
+                };
+                with_zombies(kids, &mut r.zombies)
             };
-            for z in std::mem::take(&mut r.zombies) {
-                if !targets.contains(&z) {
-                    targets.push(z);
-                }
-            }
-            targets.extend(also);
-            if !targets.is_empty() {
-                Collector::open(&mut r.collector, msg.src, dir, targets.len() as u32);
-            }
-            targets
+            wave_step(ctx, node, &msg, &mut r.collector, targets);
         });
-        for &t in &targets {
-            ctx.send(t, forward());
-        }
-        let dies = !update && state == LineState::V;
-        if targets.is_empty() {
-            if dies {
-                ctx.set_line_state(node, addr, LineState::Iv);
-            }
-            send_ack(ctx, node, addr, msg.src, dir, update);
-        } else if dies {
-            ctx.set_line_state(node, addr, LineState::InvIp);
-        }
     }
 
-    /// A forwarded wave message was acknowledged; the last ack settles
-    /// every debt the collector absorbed.
+    /// A forwarded wave message was acknowledged ([`settle`]). A write
+    /// that finished killing its own subtree serves the recall it parked.
     fn handle_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, update: bool) {
-        let done = self.edit(node, addr, |r| Collector::ack(&mut r.collector));
-        let Some(targets) = done else {
-            return;
-        };
-        if ctx.line_state(node, addr) == LineState::InvIp {
-            ctx.set_line_state(node, addr, LineState::Iv);
-        }
-        for (to, dir) in targets {
-            if to == node && !dir {
-                // Self-subtree kill finished: the write completes.
-                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
-                ctx.set_line_state(node, addr, LineState::E);
-                ctx.complete(node, addr, OpKind::Write);
-                let parked = self.edit(node, addr, |r| r.pending_wb.take());
-                if let Some((for_op, requester)) = parked {
-                    self.serve_wb_req(ctx, node, addr, for_op, requester);
-                }
-            } else {
-                send_ack(ctx, node, addr, to, dir, update);
-            }
+        let parked = self.edit(node, addr, |r| {
+            let wrote = settle(ctx, node, addr, update, &mut r.collector);
+            r.pending_wb.take_if(|_| wrote)
+        });
+        if let Some((for_op, requester)) = parked {
+            self.serve_wb_req(ctx, node, addr, for_op, requester);
         }
     }
 
@@ -886,14 +795,13 @@ impl Protocol for DirTree {
             MsgKind::ReadReply { .. } => self.handle_read_reply(ctx, node, msg),
             MsgKind::UpdateGrant { .. } => self.handle_update_grant(ctx, node, msg),
             MsgKind::WriteReply { kill_self_subtree } => {
-                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
                 // Without `kill_self_subtree`, any children the writer had
                 // were killed when the invalidation reached it through the
                 // forest (before its subtree acked, hence before this
                 // grant).
                 debug_assert!(kill_self_subtree || self.children_of(node, addr).is_empty());
-                let kids = self.edit(node, addr, |r| {
-                    let mut kids = if kill_self_subtree {
+                self.edit(node, addr, |r| {
+                    let kids = if kill_self_subtree {
                         std::mem::take(&mut r.children)
                     } else {
                         Vec::new()
@@ -902,26 +810,9 @@ impl Protocol for DirTree {
                     // replacement, then re-miss) may still have its
                     // `ReplaceInv`s in flight: re-kill it with acknowledged
                     // invalidations so the write cannot complete first.
-                    for z in std::mem::take(&mut r.zombies) {
-                        if !kids.contains(&z) {
-                            kids.push(z);
-                        }
-                    }
-                    if !kids.is_empty() {
-                        // Kill our own subtree before the write completes.
-                        Collector::open(&mut r.collector, node, false, kids.len() as u32);
-                    }
-                    kids
+                    let kill = with_zombies(kids, &mut r.zombies);
+                    write_fill(ctx, node, addr, &mut r.collector, &kill);
                 });
-                if kids.is_empty() {
-                    ctx.set_line_state(node, addr, LineState::E);
-                    ctx.complete(node, addr, OpKind::Write);
-                } else {
-                    ctx.set_line_state(node, addr, LineState::WmLip);
-                    for k in kids {
-                        send(ctx, node, k, addr, wave_msg(false, None, false));
-                    }
-                }
             }
             MsgKind::Inv { .. } | MsgKind::Update { .. } => self.handle_wave(ctx, node, msg),
             MsgKind::ReplaceInv => self.handle_replace_inv(ctx, node, addr),
@@ -1078,20 +969,8 @@ impl Protocol for DirTree {
                 .iter_nonempty()
                 .flat_map(|(addr, row)| row.nodes.iter().map(move |(n, r)| (addr, n, r)))
         };
-        let open = recs().filter(|(_, _, r)| r.collector.is_some()).count();
-        if open != 0 {
-            return Err(format!("{open} ack collector(s) still open at quiescence"));
-        }
-        let busy = self
-            .rows
-            .iter_nonempty()
-            .filter(|(_, r)| r.gate.is_busy())
-            .count();
-        if busy != 0 {
-            return Err(format!(
-                "{busy} home transaction(s) still open at quiescence"
-            ));
-        }
+        let gates = self.rows.iter_nonempty().map(|(_, r)| &r.gate);
+        check_drained(gates, recs().map(|(_, _, r)| &r.collector))?;
         if let Some((addr, node, _)) = recs().find(|(_, _, r)| r.kill) {
             return Err(format!(
                 "quiescent but deferred kill at {node} for {addr:#x}"
@@ -1141,34 +1020,15 @@ impl Protocol for DirTree {
     }
 }
 
-/// Shape check shared by child and zombie lists: `node`'s list holds at
-/// most `max` distinct in-range nodes, never `node` itself.
-fn check_edges(
-    node: NodeId,
-    addr: Addr,
-    kids: &[NodeId],
-    what: &str,
-    max: usize,
-    nodes: u32,
-) -> Result<(), String> {
-    if kids.len() > max {
-        return Err(format!(
-            "node {node} holds {} {what}s for {addr:#x}, limit is {max}",
-            kids.len()
-        ));
-    }
-    for (i, &k) in kids.iter().enumerate() {
-        if k == node {
-            return Err(format!("self-loop {what} at node {node} for {addr:#x}"));
-        }
-        if k >= nodes {
-            return Err(format!("out-of-range {what} at node {node} for {addr:#x}"));
-        }
-        if kids[..i].contains(&k) {
-            return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
+/// `kids` followed by every zombie edge not among them; the zombie edges
+/// are consumed (an acknowledged wave is about to re-traverse them).
+fn with_zombies(mut kids: Vec<NodeId>, zombies: &mut Vec<NodeId>) -> Vec<NodeId> {
+    for z in std::mem::take(zombies) {
+        if !kids.contains(&z) {
+            kids.push(z);
         }
     }
-    Ok(())
+    kids
 }
 
 impl DirTree {

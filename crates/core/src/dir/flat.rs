@@ -8,11 +8,14 @@
 //! all serialized through the home. They differ only in what happens when a
 //! read finds every pointer in use — the `Overflow` policy, consulted at
 //! exactly three points: that read admission, write-target enumeration, and
-//! the directory-bits formula. The cache side is shared, and the exclusive
-//! copy is an [`Owner`] like every other directory's.
+//! the directory-bits formula. The cache side is every family's — a
+//! [`wave_step`] at a node with no children, [`write_fill`], [`wb_req`] —
+//! and the exclusive copy is an [`Owner`] like every other directory's.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, read_fill, send, send_home, wb_req, NodeSet, Owner, Rows};
+use crate::dir::util::{
+    read_fill, send, send_home, wave_step, wb_req, write_fill, NodeSet, Owner, Rows,
+};
 use crate::msg::{Msg, MsgKind, NodeList};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -398,37 +401,6 @@ impl FlatDir {
     }
 }
 
-// Cache side. Flat directories keep no coherence metadata in the caches, so
-// a cache only fills lines, answers invalidations and serves recalls.
-
-/// `WriteReply`: the writer becomes exclusive.
-fn write_fill(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-    debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-    ctx.set_line_state(node, addr, LineState::E);
-    ctx.complete(node, addr, OpKind::Write);
-}
-
-/// `Inv` at a cache with no children metadata.
-fn inv(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, from: NodeId, dir: bool) {
-    use LineState as S;
-    match ctx.line_state(node, addr) {
-        S::V => {
-            ctx.note(ProtoEvent::Invalidation);
-            ctx.set_line_state(node, addr, S::Iv);
-        }
-        // RmIp: the home holds read transactions open until the fill is
-        // acknowledged, so an Inv here means our request has not been
-        // served yet — there is no copy and no fill in flight. Upgrading
-        // writer / stale target / already invalid: the copy is (or will
-        // be) dead. All ack immediately.
-        S::RmIp | S::WmIp | S::WmLip | S::Iv | S::NotPresent | S::InvIp => {}
-        // Flat directories never invalidate an owner (they recall with
-        // WbReq); reaching here is a protocol bug.
-        S::E => unreachable!("Inv delivered to exclusive owner {node} for {addr:#x}"),
-    }
-    ack(ctx, node, addr, from, dir);
-}
-
 impl Protocol for FlatDir {
     fn kind(&self) -> ProtocolKind {
         self.kind
@@ -442,9 +414,11 @@ impl Protocol for FlatDir {
             MsgKind::WbData { .. } | MsgKind::WbEvict => self.handle_wb(ctx, node, msg),
             MsgKind::InvAck { dir: true } => self.handle_inv_ack(ctx, node, addr),
             MsgKind::FillAck => self.rows.row(addr).gate.finish_txn(ctx, node),
+            // The cache side keeps no records: a wave reaches a node with
+            // no children, and a writer has no subtree to kill.
             MsgKind::ReadReply { .. } => read_fill(ctx, node, addr),
-            MsgKind::WriteReply { .. } => write_fill(ctx, node, addr),
-            MsgKind::Inv { from_dir, .. } => inv(ctx, node, addr, msg.src, from_dir),
+            MsgKind::WriteReply { .. } => write_fill(ctx, node, addr, &mut None, &[]),
+            MsgKind::Inv { .. } => wave_step(ctx, node, &msg, &mut None, |_| Vec::new()),
             MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
             other => unreachable!("flat directory received {other:?}"),
         }

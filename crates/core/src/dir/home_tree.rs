@@ -17,11 +17,14 @@
 //!   kept in an [`Owner`], and transaction close through one count of
 //!   outstanding parts, which `FillAck`, `StpLeaveDone` and `StpFixupAck`
 //!   all retire;
-//! * at the caches: `Inv` forwarding down the cache-side child lists with
-//!   a [`Collector`], the ack, the write grant, `WbReq` and eviction.
+//! * at the caches: every family's [`wave_step`] down the cache-side child
+//!   lists, [`settle`] and [`write_fill`]; `WbReq` and eviction.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, send, send_home, wb_req, Collector, NodeRecs, Owner, Row, Rows};
+use crate::dir::util::{
+    check_drained, check_edges, send, send_home, settle, wave_step, wb_req, write_fill, Collector,
+    NodeRecs, Owner, Row, Rows,
+};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -234,69 +237,6 @@ impl<S: Shape> HomeTree<S> {
             row.gate.finish_txn(ctx, home);
         }
     }
-
-    /// Invalidation at a tree node: forward it down the node's child list
-    /// whatever the line's state (a leave repairs the tree, so a departed
-    /// node's children stay alive), and ack once every child has.
-    fn inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::Inv { from_dir, .. } = msg.kind else {
-            unreachable!()
-        };
-        let nodes = &mut self.rows.row(addr).nodes;
-        if nodes.get(node).is_some_and(|r| r.collector.is_some()) {
-            // Already collecting: the subtree is covered by the first
-            // invalidation path; waiting here risks ack cycles. Answer
-            // immediately (see dir_tree.rs for the acyclicity argument).
-            ack(ctx, node, addr, msg.src, from_dir);
-            return;
-        }
-        let kids = nodes.edit(node, |r| {
-            let kids = std::mem::take(&mut r.children);
-            if !kids.is_empty() {
-                Collector::open(&mut r.collector, msg.src, from_dir, kids.len() as u32);
-            }
-            kids
-        });
-        match ctx.line_state(node, addr) {
-            LineState::V => {
-                ctx.note(ProtoEvent::Invalidation);
-                let after = if kids.is_empty() {
-                    LineState::Iv
-                } else {
-                    LineState::InvIp
-                };
-                ctx.set_line_state(node, addr, after);
-            }
-            LineState::E => unreachable!("Inv reached an exclusive owner"),
-            _ => {}
-        }
-        if kids.is_empty() {
-            ack(ctx, node, addr, msg.src, from_dir);
-        }
-        for k in kids {
-            let inv = MsgKind::Inv {
-                also: None,
-                from_dir: false,
-            };
-            send(ctx, node, k, addr, inv);
-        }
-    }
-
-    /// A child's ack at a collecting node.
-    fn cache_ack(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        let done = self
-            .rows
-            .edit(node, addr, |r| Collector::ack(&mut r.collector));
-        if let Some(targets) = done {
-            if ctx.line_state(node, addr) == LineState::InvIp {
-                ctx.set_line_state(node, addr, LineState::Iv);
-            }
-            for (to, dir) in targets {
-                ack(ctx, node, addr, to, dir);
-            }
-        }
-    }
 }
 
 impl<S: Shape> Protocol for HomeTree<S> {
@@ -310,18 +250,26 @@ impl<S: Shape> Protocol for HomeTree<S> {
             MsgKind::ReadReq { .. } | MsgKind::WriteReq { .. } => self.request(ctx, node, msg),
             MsgKind::WbData { .. } | MsgKind::WbEvict => self.writeback(ctx, node, msg),
             MsgKind::InvAck { dir: true } => self.home_ack(ctx, node, addr),
-            MsgKind::InvAck { dir: false } => self.cache_ack(ctx, node, addr),
+            MsgKind::InvAck { dir: false } => {
+                self.rows.edit(node, addr, |r| {
+                    settle(ctx, node, addr, false, &mut r.collector)
+                });
+            }
             MsgKind::FillAck | MsgKind::StpLeaveDone | MsgKind::StpFixupAck { dir: true } => {
                 self.part_done(ctx, node, addr)
             }
             MsgKind::StpLeave | MsgKind::SctLeave => self.leave(ctx, node, msg),
-            MsgKind::Inv { .. } => self.inv(ctx, node, msg),
-            MsgKind::WriteReply { .. } => {
-                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                self.rows.edit(node, addr, |r| r.children.clear());
-                ctx.set_line_state(node, addr, LineState::E);
-                ctx.complete(node, addr, OpKind::Write);
-            }
+            // A wave goes down the node's child list whatever the line's
+            // state: a leave repairs the tree, so a departed node's
+            // children stay alive.
+            MsgKind::Inv { .. } => self.rows.edit(node, addr, |r| {
+                let kids = |_| std::mem::take(&mut r.children);
+                wave_step(ctx, node, &msg, &mut r.collector, kids);
+            }),
+            MsgKind::WriteReply { .. } => self.rows.edit(node, addr, |r| {
+                r.children.clear();
+                write_fill(ctx, node, addr, &mut r.collector, &[]);
+            }),
             MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
             _ => {
                 let nodes = &mut self.rows.row(addr).nodes;
@@ -386,36 +334,13 @@ impl<S: Shape> Protocol for HomeTree<S> {
                 .flat_map(|(addr, row)| row.nodes.iter().map(move |(n, r)| (addr, n, r)))
         };
         for (addr, node, rec) in recs() {
-            let kids = &rec.children;
-            if kids.len() > arity {
-                return Err(format!(
-                    "node {node} holds {} children for {addr:#x}, arity is {arity}",
-                    kids.len()
-                ));
-            }
-            let mut seen = kids.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != kids.len() || kids.contains(&node) || kids.iter().any(|&k| k >= nodes)
-            {
-                return Err(format!(
-                    "malformed child list {kids:?} at node {node} for {addr:#x}"
-                ));
-            }
+            check_edges(node, addr, &rec.children, "child pointer", arity, nodes)?;
         }
         if !quiescent {
             return Ok(());
         }
-        let open = recs().filter(|(_, _, r)| r.collector.is_some()).count();
-        if open != 0 {
-            return Err(format!("{open} ack collector(s) still open at quiescence"));
-        }
-        let busy = self.rows.iter().filter(|(_, r)| r.gate.is_busy()).count();
-        if busy != 0 {
-            return Err(format!(
-                "{busy} home transaction(s) still open at quiescence"
-            ));
-        }
+        let gates = self.rows.iter().map(|(_, r)| &r.gate);
+        check_drained(gates, recs().map(|(_, _, r)| &r.collector))?;
         let repairs = recs().filter(|(_, _, r)| r.fixups != 0).count();
         if repairs != 0 {
             return Err(format!("{repairs} repair(s) still open at quiescence"));

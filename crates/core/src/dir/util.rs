@@ -1,6 +1,6 @@
 //! Building blocks shared by the directory protocols.
 
-use crate::ctx::ProtoCtx;
+use crate::ctx::{ProtoCtx, ProtoEvent};
 use crate::fingerprint::Relabel;
 use crate::msg::{Msg, MsgKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
@@ -500,9 +500,230 @@ impl Owner {
     }
 }
 
-/// Send an invalidation acknowledgement.
-pub fn ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool) {
-    send(ctx, node, to, addr, MsgKind::InvAck { dir });
+/// The message one wave step carries: an `Inv` kills the copy, an
+/// `Update` refreshes it in place.
+pub fn wave_msg(update: bool, also: Option<NodeId>, from_dir: bool) -> MsgKind {
+    if update {
+        MsgKind::Update { also, from_dir }
+    } else {
+        MsgKind::Inv { also, from_dir }
+    }
+}
+
+/// Acknowledge one wave message to `to` (the home if `dir`), in the wave's
+/// own ack kind.
+fn wave_ack(
+    ctx: &mut dyn ProtoCtx,
+    node: NodeId,
+    addr: Addr,
+    update: bool,
+    (to, dir): (NodeId, bool),
+) {
+    let kind = if update {
+        MsgKind::UpdateAck { dir }
+    } else {
+        MsgKind::InvAck { dir }
+    };
+    send(ctx, node, to, addr, kind);
+}
+
+/// Forward the wave from `node` to `targets` (non-empty) and owe `debt`
+/// one acknowledgement once they have all answered: in the collection open
+/// in `collector`, or in a new one. The only place a cache opens a
+/// [`Collector`] or forwards a wave message.
+fn forward(
+    ctx: &mut dyn ProtoCtx,
+    node: NodeId,
+    addr: Addr,
+    update: bool,
+    collector: &mut Option<Collector>,
+    (to, dir): (NodeId, bool),
+    targets: &[NodeId],
+) {
+    let n = targets.len() as u32;
+    match collector {
+        Some(c) => c.absorb(to, dir, n),
+        None => Collector::open(collector, to, dir, n),
+    }
+    for &t in targets {
+        send(ctx, node, t, addr, wave_msg(update, None, false));
+    }
+}
+
+/// One step of a write wave (`msg`, an `Inv` or an `Update`) at cache
+/// `node`, whose ack collection for the block is `collector` — the cache
+/// half of every directory family's write. A flat directory's cache is a
+/// node with no children.
+///
+/// A node already collecting answers at once: its subtree is covered by
+/// the first wave path, and waiting could deadlock on the child-pointer
+/// cycles that Dir_iTree_k's silent replacement and rejoin create (A is
+/// replaced, re-reads, and adopts its own ex-ancestor). Immediate acks make
+/// every wait edge follow first-visit order, which is acyclic. A pairing
+/// duty (`also`) is the one thing it still discharges and awaits.
+///
+/// Otherwise `targets`, given the line's state, takes from the node's
+/// records what the wave reaches below it. The wave is forwarded there and
+/// to the `also` partner, a valid copy dies under an `Inv` (`InvIp` while
+/// the forwarded messages are answered, `Iv` when nothing was forwarded),
+/// and the sender is acked at once when there is nothing to wait for.
+pub fn wave_step(
+    ctx: &mut dyn ProtoCtx,
+    node: NodeId,
+    msg: &Msg,
+    collector: &mut Option<Collector>,
+    targets: impl FnOnce(LineState) -> Vec<NodeId>,
+) {
+    let (update, also, dir) = match msg.kind {
+        MsgKind::Inv { also, from_dir } => (false, also, from_dir),
+        MsgKind::Update { also, from_dir } => (true, also, from_dir),
+        ref other => unreachable!("{other:?} is not a wave message"),
+    };
+    let (addr, debt) = (msg.addr, (msg.src, dir));
+    if collector.is_some() {
+        match also {
+            Some(partner) => forward(ctx, node, addr, update, collector, debt, &[partner]),
+            None => wave_ack(ctx, node, addr, update, debt),
+        }
+        return;
+    }
+    let state = ctx.line_state(node, addr);
+    match state {
+        // Counted as "copies touched" for an update wave.
+        LineState::V => ctx.note(ProtoEvent::Invalidation),
+        // Every family recalls an exclusive copy with `WbReq` instead.
+        LineState::E => unreachable!("wave reached exclusive owner {node} for {addr:#x}"),
+        // A stale target has no copy: `Iv`, `NotPresent`, or `RmIp`, whose
+        // fill cannot be in flight because the home holds a read open until
+        // its `FillAck`. An upgrading writer (`WmIp`) keeps waiting for its
+        // grant. `InvIp` is set exactly while a collection is open (above).
+        other => debug_assert_ne!(other, LineState::InvIp),
+    }
+    let mut targets = targets(state);
+    targets.extend(also);
+    let dies = !update && state == LineState::V;
+    if targets.is_empty() {
+        if dies {
+            ctx.set_line_state(node, addr, LineState::Iv);
+        }
+        wave_ack(ctx, node, addr, update, debt);
+    } else {
+        if dies {
+            ctx.set_line_state(node, addr, LineState::InvIp);
+        }
+        forward(ctx, node, addr, update, collector, debt, &targets);
+    }
+}
+
+/// A wave message `node` forwarded was acknowledged. The last ack closes
+/// the collection: an `InvIp` line becomes `Iv`, and every debt the
+/// collection took on is paid — an ack to each wave's sender, or, for the
+/// debt a [`write_fill`] owes its own node, the write completes. Returns
+/// whether it did.
+pub fn settle(
+    ctx: &mut dyn ProtoCtx,
+    node: NodeId,
+    addr: Addr,
+    update: bool,
+    collector: &mut Option<Collector>,
+) -> bool {
+    let Some(debts) = Collector::ack(collector) else {
+        return false;
+    };
+    if ctx.line_state(node, addr) == LineState::InvIp {
+        ctx.set_line_state(node, addr, LineState::Iv);
+    }
+    let mut wrote = false;
+    for &debt in &debts {
+        if debt == (node, false) {
+            // No wave reaches a writer between its grant and its
+            // exclusivity (the block is dirty), so nothing joined this one.
+            debug_assert_eq!(debts.len(), 1);
+            debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
+            write_done(ctx, node, addr);
+            wrote = true;
+        } else {
+            wave_ack(ctx, node, addr, update, debt);
+        }
+    }
+    wrote
+}
+
+/// `WriteReply` at the writer. It becomes exclusive and its write
+/// completes — unless it must first kill the subtree `kill` (Dir_iTree_k's
+/// `kill_self_subtree` and zombie edges): then it waits in `WmLip`, owing
+/// the ack to itself, and [`settle`] completes the write.
+pub fn write_fill(
+    ctx: &mut dyn ProtoCtx,
+    node: NodeId,
+    addr: Addr,
+    collector: &mut Option<Collector>,
+    kill: &[NodeId],
+) {
+    debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
+    if kill.is_empty() {
+        write_done(ctx, node, addr);
+    } else {
+        assert!(collector.is_none(), "collector already open");
+        ctx.set_line_state(node, addr, LineState::WmLip);
+        forward(ctx, node, addr, false, collector, (node, false), kill);
+    }
+}
+
+/// The write is done: the line is exclusive.
+fn write_done(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
+    ctx.set_line_state(node, addr, LineState::E);
+    ctx.complete(node, addr, OpKind::Write);
+}
+
+/// Shape check of one cache's edge list (tree children, or Dir_iTree_k's
+/// zombie edges): at most `max` distinct in-range nodes, never `node`
+/// itself.
+pub fn check_edges(
+    node: NodeId,
+    addr: Addr,
+    kids: &[NodeId],
+    what: &str,
+    max: usize,
+    nodes: u32,
+) -> Result<(), String> {
+    if kids.len() > max {
+        return Err(format!(
+            "node {node} holds {} {what}s for {addr:#x}, limit is {max}",
+            kids.len()
+        ));
+    }
+    for (i, &k) in kids.iter().enumerate() {
+        if k == node {
+            return Err(format!("self-loop {what} at node {node} for {addr:#x}"));
+        }
+        if k >= nodes {
+            return Err(format!("out-of-range {what} at node {node} for {addr:#x}"));
+        }
+        if kids[..i].contains(&k) {
+            return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
+        }
+    }
+    Ok(())
+}
+
+/// The quiescence checks of every family whose caches forward waves: no
+/// cache is still collecting acks and no home transaction is open.
+pub fn check_drained<'a>(
+    gates: impl Iterator<Item = &'a TxnGate>,
+    collectors: impl Iterator<Item = &'a Option<Collector>>,
+) -> Result<(), String> {
+    let open = collectors.filter(|c| c.is_some()).count();
+    if open != 0 {
+        return Err(format!("{open} ack collector(s) still open at quiescence"));
+    }
+    let busy = gates.filter(|g| g.is_busy()).count();
+    if busy != 0 {
+        return Err(format!(
+            "{busy} home transaction(s) still open at quiescence"
+        ));
+    }
+    Ok(())
 }
 
 /// A dense bitset of node ids (the full-map presence vector).

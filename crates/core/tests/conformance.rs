@@ -4,9 +4,10 @@
 //! single-writer/multiple-reader invariant and the expected survivor set,
 //! so any new protocol gets the same baseline scrutiny for free.
 
+use dirtree_core::msg::{Msg, MsgKind};
 use dirtree_core::protocol::{build_protocol, Protocol, ProtocolKind, ProtocolParams};
 use dirtree_core::testkit::MockCtx;
-use dirtree_core::types::{Addr, LineState, OpKind};
+use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_core::ProtoCtx;
 
 const A: Addr = 0; // home = node 0 for every machine size used here
@@ -179,6 +180,64 @@ fn scenario_alternating_read_write_pairs() {
             ctx.read(&mut *p, reader, A);
             write(&mut ctx, &mut *p, writer);
             ctx.assert_swmr(A);
+        }
+    }
+}
+
+/// A directory `Inv` that finds nothing to kill — its target never read,
+/// was invalidated already, or still waits for its own miss to be served —
+/// is answered with exactly one `InvAck { dir: true }` to its sender and
+/// leaves the line alone; one that finds a valid copy also kills it. Every
+/// kind whose caches take `Inv`, at a node holding no child records.
+#[test]
+fn scenario_stale_invalidation_is_acked_once() {
+    use LineState::{Iv, NotPresent, RmIp, WmIp, V};
+    const NODE: NodeId = 5;
+    let takes_inv = |k: &ProtocolKind| {
+        !matches!(
+            k,
+            ProtocolKind::SinglyList | ProtocolKind::Sci | ProtocolKind::Snoop
+        )
+    };
+    for kind in kinds().into_iter().filter(takes_inv) {
+        for before in [NotPresent, Iv, RmIp, WmIp, V] {
+            let (mut ctx, mut p) = fresh(kind);
+            match before {
+                RmIp => ctx.begin_miss(&mut *p, NODE, A, OpKind::Read),
+                WmIp => ctx.begin_miss(&mut *p, NODE, A, OpKind::Write),
+                V => ctx.read(&mut *p, NODE, A),
+                Iv => {
+                    ctx.read(&mut *p, NODE, A);
+                    write(&mut ctx, &mut *p, NODE + 1);
+                }
+                _ => {}
+            }
+            assert_eq!(ctx.line_state(NODE, A), before, "{}", kind.name());
+            let mark = ctx.mark();
+            let inv = MsgKind::Inv {
+                also: None,
+                from_dir: true,
+            };
+            let home = ctx.home_of(A);
+            p.handle(
+                &mut ctx,
+                NODE,
+                Msg {
+                    addr: A,
+                    src: home,
+                    kind: inv,
+                },
+            );
+            let ack = MsgKind::InvAck { dir: true };
+            let sent: Vec<_> = ctx
+                .sent_since(mark)
+                .iter()
+                .map(|(dst, m)| (*dst, m.src, m.kind.clone()))
+                .collect();
+            let shape = format!("{} at {before:?}", kind.name());
+            assert_eq!(sent, vec![(home, NODE, ack)], "{shape}");
+            let after = if before == V { Iv } else { before };
+            assert_eq!(ctx.line_state(NODE, A), after, "{shape}");
         }
     }
 }

@@ -63,11 +63,6 @@ impl Floyd {
         d
     }
 
-    /// Base address of the shared distance matrix.
-    pub fn dist_base(&self) -> u64 {
-        0
-    }
-
     /// Total shared words.
     pub fn shared_words(&self) -> u64 {
         self.vertices * self.vertices

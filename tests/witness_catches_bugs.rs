@@ -10,125 +10,7 @@ use dirtree::coherence::protocol::{build_protocol, Protocol, ProtocolKind, Proto
 use dirtree::coherence::types::{Addr, LineState, NodeId, OpKind};
 use dirtree::machine::{DriverOp, Machine, MachineConfig, ScriptDriver, StallError};
 use dirtree::sim::Cycle;
-
-/// A context shim that forges acknowledgements: the first `Inv` a home
-/// would send is swallowed and answered with a fake `InvAck`, leaving a
-/// stale readable copy behind.
-struct ForgeAck<'a> {
-    inner: &'a mut dyn ProtoCtx,
-    forged: &'a mut bool,
-}
-
-impl ProtoCtx for ForgeAck<'_> {
-    fn now(&self) -> Cycle {
-        self.inner.now()
-    }
-    fn num_nodes(&self) -> u32 {
-        self.inner.num_nodes()
-    }
-    fn home_of(&self, addr: Addr) -> NodeId {
-        self.inner.home_of(addr)
-    }
-    fn send(&mut self, dst: NodeId, msg: Msg) {
-        if !*self.forged {
-            if let MsgKind::Inv { from_dir: true, .. } = msg.kind {
-                // Swallow the invalidation; forge the ack to its sender.
-                *self.forged = true;
-                let src = msg.src;
-                self.inner.redeliver(
-                    src,
-                    Msg {
-                        addr: msg.addr,
-                        src: dst,
-                        kind: MsgKind::InvAck { dir: true },
-                    },
-                    1,
-                );
-                return;
-            }
-        }
-        self.inner.send(dst, msg);
-    }
-    fn broadcast(&mut self, msg: Msg) -> Cycle {
-        self.inner.broadcast(msg)
-    }
-    fn redeliver(&mut self, node: NodeId, msg: Msg, delay: Cycle) {
-        self.inner.redeliver(node, msg, delay);
-    }
-    fn occupy(&mut self, node: NodeId, cycles: Cycle) {
-        self.inner.occupy(node, cycles);
-    }
-    fn line_state(&self, node: NodeId, addr: Addr) -> LineState {
-        self.inner.line_state(node, addr)
-    }
-    fn set_line_state(&mut self, node: NodeId, addr: Addr, state: LineState) {
-        self.inner.set_line_state(node, addr, state);
-    }
-    fn complete(&mut self, node: NodeId, addr: Addr, op: OpKind) {
-        self.inner.complete(node, addr, op);
-    }
-    fn note(&mut self, event: ProtoEvent) {
-        self.inner.note(event);
-    }
-}
-
-/// Full-map with one forged invalidation acknowledgement.
-struct Sabotaged {
-    inner: Box<dyn Protocol>,
-    forged: bool,
-}
-
-impl Sabotaged {
-    fn new() -> Self {
-        Self {
-            inner: build_protocol(ProtocolKind::FullMap, ProtocolParams::default()),
-            forged: false,
-        }
-    }
-}
-
-impl Protocol for Sabotaged {
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let mut shim = ForgeAck {
-            inner: ctx,
-            forged: &mut self.forged,
-        };
-        self.inner.start_miss(&mut shim, node, addr, op);
-    }
-    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let mut shim = ForgeAck {
-            inner: ctx,
-            forged: &mut self.forged,
-        };
-        self.inner.handle(&mut shim, node, msg);
-    }
-    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
-        let mut shim = ForgeAck {
-            inner: ctx,
-            forged: &mut self.forged,
-        };
-        self.inner.evict(&mut shim, node, addr, state);
-    }
-    fn dir_bits_per_mem_block(&self, nodes: u32) -> u64 {
-        self.inner.dir_bits_per_mem_block(nodes)
-    }
-    fn cache_bits_per_line(&self, nodes: u32) -> u64 {
-        self.inner.cache_bits_per_line(nodes)
-    }
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(Sabotaged {
-            inner: self.inner.boxed_clone(),
-            forged: self.forged,
-        })
-    }
-    fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        self.inner.fingerprint(h);
-        h.write_u8(self.forged as u8);
-    }
-}
+use dirtree_check::mutants::{MutantKind, Mutated};
 
 /// The same philosophy applied to the model checker: a protocol with one
 /// injected bug ([`dirtree_check::MutantKind`]) must be caught by
@@ -395,10 +277,14 @@ fn try_run_returns_the_witness_violation() {
 fn forged_invalidation_ack_is_caught() {
     // Reader shares; a forged ack lets the write complete while the
     // reader's copy survives → WriterNotExclusive, or the survivor's
-    // stale read / final check trips.
+    // stale read / final check trips. The mutant swallows the first
+    // directory `Inv` and redelivers an `InvAck { dir: true }` to its
+    // sender one cycle later.
     let mut config = MachineConfig::test_default(4);
     config.verify = true;
-    let mut machine = Machine::with_protocol(config, Box::new(Sabotaged::new()));
+    let full_map = build_protocol(ProtocolKind::FullMap, ProtocolParams::default());
+    let forged = Mutated::new(full_map, MutantKind::DropInv);
+    let mut machine = Machine::with_protocol(config, Box::new(forged));
     let mut driver = ScriptDriver::new(vec![
         vec![
             DriverOp::Read(0),
