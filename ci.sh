@@ -2,14 +2,16 @@
 # Tier-1 gate: formatting, lints, doc links, build, a run of every
 # example, the full workspace test suite (which includes the paper-claims and
 # cross-protocol differential suites), the feature-off observability
-# check, and the model checker's default tier (every roster protocol —
+# check, the P=1024 hot-block stress in release, and the model checker's
+# default tier (every roster protocol —
 # figure set, Dir2B, LimitLESS2 and LimitLESS1, update, adaptive, and the
 # ternary-tree shapes — exhaustively explored at
 # P=2 and P=3, plus as much of the P=4 roster as fits a one-minute
 # wall-clock budget, with per-shape explored/deduped/sleep-pruned state
 # counts printed, the P=2/P=3 lines compared with their golden at the
 # default job count and again at one job), then the
-# perf gates: golden byte-compares and the
+# perf gates: golden byte-compares (including the sha256 of every file
+# `dirtree-bench all` writes) and the
 # benchmark's ledger gates (five workloads' digests and state counts
 # against benchmark/expected.json, plus host_s and setup_s ratio checks
 # for the workloads BENCH_layers.json's ci_gate names). Run from the
@@ -48,6 +50,10 @@ cargo test --workspace -q
 # must compile to a zero-sized no-op (pinned by `zero_sized_when_disabled`
 # and `metrics_are_empty_when_trace_feature_is_off`).
 cargo test -q -p dirtree-sim -p dirtree-net -p dirtree-machine
+# The hot-block stress at P=1024 (1000 sharers of one block, every
+# protocol with an ownership record, witness on) is too slow for the
+# debug suite above, which runs it at P=256; here it runs in release.
+cargo test -q --release --test hot_block_stress -- --ignored
 # The paper-claims suite by name, so a claim regression is called out
 # directly even when some other workspace test fails first.
 cargo test -q --test paper_claims
@@ -111,10 +117,16 @@ echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 
 # Front-end smoke: the whole one-command reproduction (every experiment
 # of `all`, about 4 s) must exit 0 — a panicking experiment or a failed
-# simulation fails it — and an unknown experiment name is a usage error
-# (exit 64), not a run with defaults.
+# simulation fails it — and every file it writes (28 JSONL record files
+# and 4 figure CSVs) must match the sha256 pinned in
+# tests/golden/all_outputs.sha256, listed by path in byte order. The
+# outputs are the same at any --jobs. An unknown experiment name is a
+# usage error (exit 64), not a run with defaults.
+rm -rf target/all_smoke
 ./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke >/dev/null
-echo "all-smoke: \`dirtree-bench all\` exits 0"
+(cd target/all_smoke && find . -type f | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum) \
+  | cmp - tests/golden/all_outputs.sha256
+echo "all-smoke: \`dirtree-bench all\` outputs match tests/golden/all_outputs.sha256"
 status=0
 ./target/release/dirtree-bench no_such_experiment >/dev/null 2>&1 || status=$?
 [[ $status -eq 64 ]]

@@ -270,7 +270,7 @@ impl Protocol for DirTreeAdaptive {
         // state lives in the tree and the detector's observations, both of
         // which certify equivariance concretely.
         Some(Box::new(DirTreeAdaptive {
-            tree: self.tree.relabeled_concrete(perm),
+            tree: self.tree.permuted(perm),
             rows: self.rows.map(|r| Row {
                 pattern: r.pattern.as_ref().map(|b| b.relabeled(perm)),
                 ..*r

@@ -24,6 +24,11 @@
 //! after its subtree acks. Even-numbered pointers additionally invalidate
 //! their odd-numbered partners, so the home collects at most `⌈i/2⌉` acks.
 //!
+//! **Home side.** Admission, the dirty recall, the resumed request, the
+//! grant and the close are the transaction every owner-keeping directory
+//! shares ([`super::home`]); this module is its Dir_iTree_k [`Family`],
+//! [`Forest`].
+//!
 //! **Write policy.** §3 allows "either an invalidation or an update
 //! protocol", and both run on this one forest. An *update* write pushes the
 //! new value down the trees with `Update` messages (fanned out and paired
@@ -75,14 +80,14 @@
 //! ```
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
+use crate::dir::home::{Family, Home, HomeRow, HomeRows};
 use crate::dir::util::{
-    check_drained, check_edges, read_fill, send, send_home, settle, wave_msg, wave_step, wb_req,
-    write_fill, Collector, NodeRecs, Owner, TxnGate,
+    check_edges, read_fill, send, send_home, settle, wave_msg, wave_step, wb_req, write_fill,
+    Collector,
 };
 use crate::msg::{Msg, MsgKind, NodeList};
-use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
+use crate::protocol::{ptr_bits, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::BlockTable;
 
 /// A directory pointer: the root of one sharer tree and its recorded level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,8 +97,8 @@ pub struct Ptr {
 }
 
 /// What a write does to the other copies (see the module docs). Static
-/// policies answer [`DirTree::updates`] from this enum alone; only
-/// `PerBlock` looks at the per-block bit.
+/// policies answer [`Home::updates`] from this enum alone; only `PerBlock`
+/// looks at the block's mode bit ([`Row::mode`](crate::dir::util::Row)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WritePolicy {
     Invalidate,
@@ -101,38 +106,18 @@ pub(crate) enum WritePolicy {
     PerBlock,
 }
 
+/// The home's record of one block's forest.
 #[derive(Clone, Default, PartialEq, Hash)]
-struct Entry {
-    own: Owner,
+pub struct Roots {
     ptrs: Vec<Option<Ptr>>,
     /// The pending writer was itself a recorded root: the grant will tell
     /// it to kill its own subtree locally.
     grant_self_root: bool,
 }
 
-impl Entry {
-    fn relabeled(&self, perm: &[NodeId]) -> Entry {
-        let node = |n: NodeId| perm[n as usize];
-        Entry {
-            own: self.own.relabeled(perm),
-            ptrs: self
-                .ptrs
-                .iter()
-                .map(|p| {
-                    p.map(|p| Ptr {
-                        node: node(p.node),
-                        ..p
-                    })
-                })
-                .collect(),
-            ..*self
-        }
-    }
-}
-
 /// One node's records for one block.
 #[derive(Clone, Default, PartialEq, Hash)]
-struct Rec {
+pub struct Rec {
     /// Cache-side child pointers (up to `arity`).
     children: Vec<NodeId>,
     /// Edges of a disbanded subtree: children this node has already sent
@@ -155,59 +140,22 @@ struct Rec {
     kill: bool,
 }
 
-impl Rec {
-    fn relabeled(&self, perm: &[NodeId]) -> Rec {
-        let nodes = |v: &[NodeId]| v.iter().map(|&n| perm[n as usize]).collect();
-        Rec {
-            children: nodes(&self.children),
-            zombies: nodes(&self.zombies),
-            collector: self.collector.as_ref().map(|c| c.relabeled(perm)),
-            pending_wb: self.pending_wb.map(|(op, req)| (op, perm[req as usize])),
-            kill: self.kill,
-        }
-    }
-}
-
-/// One block's row.
-#[derive(Clone, Default, PartialEq, Hash)]
-struct Row {
-    /// The per-block write-policy bit: set while a `PerBlock` instance
-    /// writes this block with updates (clear = invalidate, the default).
-    /// Always clear under the two static policies.
-    update: bool,
-    /// The directory entry, once a request created it.
-    entry: Option<Entry>,
-    gate: TxnGate,
-    nodes: NodeRecs<Rec>,
-}
-
-impl Row {
-    fn relabeled(&self, perm: &[NodeId]) -> Row {
-        Row {
-            update: self.update,
-            entry: self.entry.as_ref().map(|e| e.relabeled(perm)),
-            gate: self.gate.relabeled(perm),
-            nodes: self.nodes.relabeled(perm, |r| r.relabeled(perm)),
-        }
-    }
-}
-
-/// The Dir_iTree_k protocol.
+/// The Dir_iTree_k family.
 #[derive(Clone)]
-pub struct DirTree {
+pub struct Forest {
     pointers: u32,
     arity: u32,
     params: ProtocolParams,
     policy: WritePolicy,
-    rows: BlockTable<Row>,
-    /// Reusable scratch for one wave's `(target, partner)` root fan-out —
-    /// cleared before every use, so its carry-over contents are *not*
-    /// protocol state: it is excluded from [`Protocol::fingerprint`] (the
-    /// model checker must never observe scratch reuse; a mutant that
-    /// aliases this buffer across waves is caught by the witness — see
-    /// `dirtree-check`'s `MutantKind::StaleWaveScratch`).
+    /// Reusable scratch for one wave's `(target, partner)` root fan-out,
+    /// emptied after every use: not protocol state, so not fingerprinted,
+    /// and a clone carries nothing (a mutant that aliases it across waves
+    /// is caught by the witness: `dirtree-check`'s `StaleWaveScratch`).
     wave_scratch: Vec<(NodeId, Option<NodeId>)>,
 }
+
+/// The Dir_iTree_k protocol.
+pub type DirTree = Home<Forest>;
 
 impl DirTree {
     /// Dir_iTree_k with invalidating writes, as the paper evaluates it.
@@ -223,44 +171,21 @@ impl DirTree {
     ) -> Self {
         assert!(pointers >= 1, "need at least one directory pointer");
         assert!(arity >= 2, "cache blocks need at least two child pointers");
-        Self {
+        Home::with(Forest {
             pointers,
             arity,
             params,
             policy,
-            rows: BlockTable::new(),
             wave_scratch: Vec::new(),
-        }
-    }
-
-    fn row(&mut self, addr: Addr) -> &mut Row {
-        self.rows.get_mut_or_grow(addr)
-    }
-
-    fn rec(&self, node: NodeId, addr: Addr) -> Option<&Rec> {
-        self.rows.get(addr)?.nodes.get(node)
-    }
-
-    fn edit<T>(&mut self, node: NodeId, addr: Addr, f: impl FnOnce(&mut Rec) -> T) -> T {
-        self.row(addr).nodes.edit(node, f)
-    }
-
-    /// Does a write to `addr` update the other copies (rather than
-    /// invalidate them)? No map lookup under a static policy.
-    pub(crate) fn updates(&self, addr: Addr) -> bool {
-        match self.policy {
-            WritePolicy::Invalidate => false,
-            WritePolicy::Update => true,
-            WritePolicy::PerBlock => self.rows.get(addr).is_some_and(|r| r.update),
-        }
+        })
     }
 
     /// Set `addr`'s write-policy bit and nothing else — no drain check, no
     /// canonicalisation. [`Self::flip`] is the protocol's path; on its own
     /// this is the fault injector behind `DirTreeAdaptive::force_mode`.
     pub(crate) fn set_update_bit(&mut self, addr: Addr, update: bool) {
-        debug_assert_eq!(self.policy, WritePolicy::PerBlock);
-        self.row(addr).update = update;
+        debug_assert_eq!(self.fam.policy, WritePolicy::PerBlock);
+        self.rows.row(addr).mode = update;
     }
 
     /// Flip a drained block ([`Self::flip_idle`]) to the other write
@@ -273,23 +198,15 @@ impl DirTree {
     /// it).
     pub(crate) fn flip(&mut self, addr: Addr, to_update: bool) {
         debug_assert!(self.flip_idle(addr));
-        let row = self.row(addr);
+        let row = self.rows.row(addr);
         if let Some(e) = &mut row.entry {
-            if e.ptrs.iter().all(Option::is_none) {
+            if e.fam.ptrs.iter().all(Option::is_none) {
                 row.entry = None;
             } else {
                 e.own.owner = NodeId::default();
             }
         }
         self.set_update_bit(addr, to_update);
-    }
-
-    fn entry(&mut self, addr: Addr) -> &mut Entry {
-        let i = self.pointers as usize;
-        self.row(addr).entry.get_or_insert_with(|| Entry {
-            ptrs: vec![None; i],
-            ..Entry::default()
-        })
     }
 
     /// The current forest for `addr`: `(root, level)` per non-null pointer,
@@ -299,19 +216,19 @@ impl DirTree {
         self.rows
             .get(addr)
             .and_then(|r| r.entry.as_ref())
-            .map(|e| e.ptrs.clone())
-            .unwrap_or_else(|| vec![None; self.pointers as usize])
+            .map(|e| e.fam.ptrs.clone())
+            .unwrap_or_else(|| vec![None; self.fam.pointers as usize])
     }
 
     /// Cache-side children of `(node, addr)`.
     pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.rec(node, addr).map_or(&[], |r| &r.children)
+        self.rows.rec(node, addr).map_or(&[], |r| &r.children)
     }
 
     /// Disbanded-subtree edges of `(node, addr)` still awaiting an
     /// acknowledged re-traversal (see `Rec::zombies`).
     pub fn zombies_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
-        self.rec(node, addr).map_or(&[], |r| &r.zombies)
+        self.rows.rec(node, addr).map_or(&[], |r| &r.zombies)
     }
 
     /// The drain predicate of a policy flip: no home transaction or
@@ -320,8 +237,8 @@ impl DirTree {
     /// *not* idle, because update blocks have no exclusive state and the
     /// owner must write back first. (A recall parked in `pending_wb` needs
     /// no clause of its own: the home is recalling for as long as it
-    /// exists, which [`Protocol::check_invariants`] pins.) The adaptive
-    /// hybrid additionally requires zero in-flight messages.
+    /// exists, which [`Family::check`] pins.) The adaptive hybrid
+    /// additionally requires zero in-flight messages.
     pub(crate) fn flip_idle(&self, addr: Addr) -> bool {
         let Some(row) = self.rows.get(addr) else {
             return true;
@@ -334,25 +251,7 @@ impl DirTree {
             && row
                 .entry
                 .as_ref()
-                .is_none_or(|e| e.own.is_idle() && !e.grant_self_root)
-    }
-
-    /// Silently disband `(node, addr)`'s subtree: one unacknowledged
-    /// `ReplaceInv` per child, with the edges moved to the zombie set so
-    /// the next acknowledged wave still covers them.
-    fn disband(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        let kids = self.edit(node, addr, |r| {
-            let kids = std::mem::take(&mut r.children);
-            for &k in &kids {
-                if !r.zombies.contains(&k) {
-                    r.zombies.push(k);
-                }
-            }
-            kids
-        });
-        for k in kids {
-            send(ctx, node, k, addr, MsgKind::ReplaceInv);
-        }
+                .is_none_or(|e| e.own.is_idle() && !e.fam.grant_self_root)
     }
 
     /// Collect the whole tree rooted at `root` by following child pointers
@@ -371,21 +270,31 @@ impl DirTree {
         }
         out
     }
+}
 
-    /// Figure 6: insert `requester` into the forest, returning the roots it
-    /// must adopt as children (empty for cases 1 and 2).
-    fn insert_sharer(&mut self, ctx: &mut dyn ProtoCtx, addr: Addr, requester: NodeId) -> NodeList {
+impl Forest {
+    /// The write policy of a block whose mode bit `bit` reads; no lookup
+    /// under a static policy.
+    fn updates_if(&self, bit: impl FnOnce() -> bool) -> bool {
+        let policy = self.policy;
+        policy == WritePolicy::Update || policy == WritePolicy::PerBlock && bit()
+    }
+
+    /// Figure 6: insert `requester` into the forest `e`, returning the
+    /// roots it must adopt as children (empty for cases 1 and 2).
+    fn insert_sharer(
+        &self,
+        ctx: &mut dyn ProtoCtx,
+        e: &mut Roots,
+        update: bool,
+        requester: NodeId,
+    ) -> NodeList {
         // Policy point 3 of 4. Update blocks merge pairs only: the k > 2
         // generalisation below never reached the update variant while it
         // was a file of its own, and `benchmark/expected.json` pins the
         // state counts that drift produces (Dir3Tree3U/P5B1, Dir3Tree3A/
         // P5B1). Unify the width only together with a re-baseline (ROADMAP).
-        let width = if self.updates(addr) {
-            2
-        } else {
-            self.arity as usize
-        };
-        let e = self.entry(addr);
+        let width = if update { 2 } else { self.arity as usize };
         // Case 1: already recorded (e.g. silently replaced, now re-reading).
         if e.ptrs.iter().flatten().any(|p| p.node == requester) {
             return NodeList::default();
@@ -444,52 +353,22 @@ impl DirTree {
         vec![ptr.node].into()
     }
 
-    fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::ReadReq { requester } = msg.kind else {
-            unreachable!()
-        };
-        if !self.row(addr).gate.admit(&msg) {
-            return;
-        }
-        let e = self.entry(addr);
-        if e.own.dirty {
-            debug_assert_ne!(e.own.owner, requester);
-            e.own.recall(ctx, home, addr, requester, OpKind::Read);
-        } else {
-            self.serve_read(ctx, home, addr, requester);
-        }
-    }
-
-    /// Insert a reader into the forest and send it the data; the
-    /// transaction stays open until its `FillAck`.
-    fn serve_read(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, reader: NodeId) {
-        let adopt = self.insert_sharer(ctx, addr, reader);
-        send(ctx, home, reader, addr, MsgKind::ReadReply { adopt });
-    }
-
-    /// Launch one write wave from the home: a message to every forest root
-    /// except `skip`, even-numbered roots carrying their odd partner when
-    /// pairing is on. Returns the number of acknowledgements the home must
-    /// collect.
+    /// Launch one write wave from the home: a message to every root in
+    /// `ptrs` except `skip`, even-numbered roots carrying their odd partner
+    /// when pairing is on. Returns the number of acknowledgements the home
+    /// must collect.
     fn wave_roots(
         &mut self,
         ctx: &mut dyn ProtoCtx,
         home: NodeId,
         addr: Addr,
+        ptrs: &[Option<Ptr>],
         skip: Option<NodeId>,
         update: bool,
     ) -> u32 {
-        // Reuse the wave scratch buffer (taken, cleared, and put back) so a
-        // write's fan-out list never allocates on the hot path.
-        let mut sends = std::mem::take(&mut self.wave_scratch);
-        sends.clear();
-        let ptrs = &self
-            .rows
-            .get(addr)
-            .and_then(|r| r.entry.as_ref())
-            .expect("a wave for a block with no directory entry")
-            .ptrs;
+        // The scratch buffer keeps its capacity, so a write's fan-out list
+        // never allocates on the hot path.
+        let sends = &mut self.wave_scratch;
         let root = |slot: usize| {
             let node = ptrs.get(slot).copied().flatten()?.node;
             (Some(node) != skip).then_some(node)
@@ -507,262 +386,50 @@ impl DirTree {
         } else {
             sends.extend((0..ptrs.len()).filter_map(root).map(|n| (n, None)));
         }
-        for &(dst, also) in &sends {
+        for &(dst, also) in sends.iter() {
             send(ctx, home, dst, addr, wave_msg(update, also, true));
         }
         let expected = sends.len() as u32;
-        self.wave_scratch = sends;
+        sends.clear();
         expected
     }
 
-    fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let row = self.row(addr);
-        let e = row.entry.as_mut().unwrap();
-        e.own.grant(writer);
-        e.ptrs.iter_mut().for_each(|p| *p = None);
-        let kill_self_subtree = e.grant_self_root;
-        e.grant_self_root = false;
-        send(
-            ctx,
-            home,
-            writer,
-            addr,
-            MsgKind::WriteReply { kill_self_subtree },
-        );
-        row.gate.finish_txn(ctx, home);
-    }
-
-    fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::WriteReq { requester } = msg.kind else {
-            unreachable!()
-        };
-        if !self.row(addr).gate.admit(&msg) {
-            return;
-        }
-        // Policy point 1 of 4: which wave this write launches.
-        let update = self.updates(addr);
-        let e = self.entry(addr);
-        let expected = if update {
-            // Every recorded copy is refreshed, the writer's included.
-            self.wave_roots(ctx, home, addr, None, true)
-        } else if e.own.dirty {
-            e.own.recall(ctx, home, addr, requester, OpKind::Write);
-            return;
-        } else {
-            // The wave consumes the forest. A root that is the writer
-            // itself is skipped: the grant tells it to kill its own subtree
-            // locally (it holds the child pointers; an `Inv` would only
-            // bounce back to it).
-            e.grant_self_root = e.ptrs.iter().flatten().any(|p| p.node == requester);
-            let expected = self.wave_roots(ctx, home, addr, Some(requester), false);
-            self.entry(addr).ptrs.fill(None);
-            expected
-        };
-        if expected == 0 {
-            self.grant(ctx, home, addr, requester, update);
-        } else {
-            let own = &mut self.entry(addr).own;
-            own.await_acks(requester, OpKind::Write, expected);
-        }
-    }
-
-    /// Grant a write. An update writer keeps a valid copy, so it joins the
-    /// forest like any other sharer.
-    fn grant(
-        &mut self,
-        ctx: &mut dyn ProtoCtx,
-        home: NodeId,
-        addr: Addr,
-        writer: NodeId,
-        update: bool,
-    ) {
-        if !update {
-            return self.grant_write(ctx, home, addr, writer);
-        }
-        let adopt = self.insert_sharer(ctx, addr, writer);
-        send(ctx, home, writer, addr, MsgKind::UpdateGrant { adopt });
-        self.row(addr).gate.finish_txn(ctx, home);
-    }
-
-    fn handle_wb(
-        &mut self,
-        ctx: &mut dyn ProtoCtx,
-        home: NodeId,
-        addr: Addr,
-        src: NodeId,
-        evict: bool,
-    ) {
-        let e = self.entry(addr);
-        let Some((requester, op, keep)) = e.own.writeback(src, evict) else {
-            return;
-        };
-        match op {
-            OpKind::Read => {
-                // The downgraded owner becomes the first root; then the
-                // requester joins through the normal insertion path.
-                if let Some(node) = keep {
-                    e.ptrs[0] = Some(Ptr { node, level: 1 });
-                }
-                self.serve_read(ctx, home, addr, requester);
-            }
-            OpKind::Write => self.grant_write(ctx, home, addr, requester),
-        }
-    }
-
-    /// A root acknowledged the home's wave; the last ack grants the write.
-    fn handle_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, update: bool) {
-        let e = self.row(addr).entry.as_mut().expect("ack without entry");
-        if let Some((requester, op)) = e.own.ack() {
-            debug_assert_eq!(op, OpKind::Write);
-            self.grant(ctx, home, addr, requester, update);
-        }
-    }
-
-    /// One step of a write wave at a cache ([`wave_step`]). An `Inv` kills
-    /// the copy and consumes its child edges; an `Update` refreshes the
-    /// copy in place and keeps them. Both consume the zombie edges: FIFO
-    /// puts this message behind the `Replace_INV` on the same pair, so its
-    /// ack proves the disbanded subtree processed its kill.
-    fn handle_wave(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let (addr, update) = (msg.addr, matches!(msg.kind, MsgKind::Update { .. }));
-        self.edit(node, addr, |r| {
-            // A stale target (no copy) has no children, but its zombie
-            // edges and its pairing duty are still owed. An upgrading
-            // writer (`WmIp`) loses its old copy's subtree to an `Inv` and
-            // keeps it under an `Update`.
-            let targets = |state| {
-                debug_assert!(
-                    matches!(state, LineState::V | LineState::WmIp | LineState::WmLip)
-                        || r.children.is_empty(),
-                    "a dead copy still owns children"
-                );
-                let kids = if !update {
-                    std::mem::take(&mut r.children)
-                } else if matches!(state, LineState::V | LineState::WmIp) {
-                    r.children.clone()
-                } else {
-                    Vec::new()
-                };
-                with_zombies(kids, &mut r.zombies)
-            };
-            wave_step(ctx, node, &msg, &mut r.collector, targets);
-        });
-    }
-
-    /// A forwarded wave message was acknowledged ([`settle`]). A write
-    /// that finished killing its own subtree serves the recall it parked.
-    fn handle_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, update: bool) {
-        let parked = self.edit(node, addr, |r| {
-            let wrote = settle(ctx, node, addr, update, &mut r.collector);
-            r.pending_wb.take_if(|_| wrote)
-        });
-        if let Some((for_op, requester)) = parked {
-            self.serve_wb_req(ctx, node, addr, for_op, requester);
-        }
-    }
-
-    /// Serve a home recall at the exclusive owner.
-    fn serve_wb_req(
-        &self,
-        ctx: &mut dyn ProtoCtx,
-        node: NodeId,
-        addr: Addr,
-        for_op: OpKind,
-        requester: NodeId,
-    ) {
-        debug_assert_eq!(ctx.line_state(node, addr), LineState::E);
-        debug_assert!(self.children_of(node, addr).is_empty());
-        wb_req(ctx, node, addr, for_op, requester);
-    }
-
-    fn handle_read_reply(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::ReadReply { adopt } = msg.kind else {
-            unreachable!()
-        };
-        debug_assert_eq!(ctx.line_state(node, addr), LineState::RmIp);
-        debug_assert!(
-            self.children_of(node, addr).is_empty(),
-            "filling a line that still owns children"
-        );
-        debug_assert!(adopt.len() <= self.arity as usize);
-        if !adopt.is_empty() {
-            self.edit(node, addr, |r| r.children = adopt.into_vec());
-        }
-        read_fill(ctx, node, addr);
-    }
-
-    /// The update writer's grant: adopt the roots the home handed over and
-    /// keep a *valid* (not exclusive) copy.
-    fn handle_update_grant(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::UpdateGrant { adopt } = msg.kind else {
-            unreachable!()
-        };
-        debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-        let killed = self.edit(node, addr, |r| {
-            for &a in adopt.iter() {
-                if !r.children.contains(&a) && a != node {
-                    r.children.push(a);
+    /// Silently disband `(node, addr)`'s subtree: one unacknowledged
+    /// `ReplaceInv` per child, with the edges moved to the zombie set so
+    /// the next acknowledged wave still covers them.
+    fn disband(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, rows: &mut HomeRows<Self>) {
+        let kids = rows.edit(node, addr, |r| {
+            let kids = std::mem::take(&mut r.children);
+            for &k in &kids {
+                if !r.zombies.contains(&k) {
+                    r.zombies.push(k);
                 }
             }
-            std::mem::take(&mut r.kill)
+            kids
         });
-        if killed {
-            // A `Replace_INV` raced this grant (see `handle_replace_inv`).
-            // The write itself is done — the home applied the value when it
-            // processed the request — but the local copy must go the way
-            // the kill intended, or it stays valid yet unreachable from the
-            // roots. Adoption came first so adopted subtrees get their own
-            // kills.
-            self.replaced(ctx, node, addr);
-        } else {
-            ctx.set_line_state(node, addr, LineState::V);
+        for k in kids {
+            send(ctx, node, k, addr, MsgKind::ReplaceInv);
         }
-        ctx.complete(node, addr, OpKind::Write);
     }
 
     /// A parent's replacement kills this live copy and, silently, its
     /// subtree.
-    fn replaced(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
+    fn replaced(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, rows: &mut HomeRows<Self>) {
         ctx.note(ProtoEvent::ReplacementInvalidation);
-        self.disband(ctx, node, addr);
+        Self::disband(ctx, node, addr, rows);
         ctx.set_line_state(node, addr, LineState::Iv);
-    }
-
-    fn handle_replace_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        match ctx.line_state(node, addr) {
-            LineState::V => self.replaced(ctx, node, addr),
-            // Policy point 2 of 4. On an update block the kill crossed our
-            // in-flight grant: the parent edge that led here is gone (an
-            // update wave consumes it as a zombie), so the copy the grant
-            // is about to validate would be unreachable from the roots.
-            // Ignoring the kill would leak a live orphan; defer it to grant
-            // time instead. An invalidate grant makes the line exclusive,
-            // which is no longer the copy the stale parent meant.
-            LineState::WmIp if self.updates(addr) => {
-                self.edit(node, addr, |r| r.kill = true);
-            }
-            // Any other transient, invalid or exclusive line is not the
-            // copy the stale parent thought it was killing.
-            _ => {}
-        }
-    }
-
-    fn handle_repl_notify(&mut self, _ctx: &mut dyn ProtoCtx, addr: Addr, src: NodeId) {
-        // Ablation policy E12: clear a stale root pointer eagerly.
-        if let Some(e) = self.rows.get_mut(addr).and_then(|r| r.entry.as_mut()) {
-            for p in e.ptrs.iter_mut() {
-                if p.map(|q| q.node) == Some(src) {
-                    *p = None;
-                }
-            }
-        }
     }
 }
 
-impl Protocol for DirTree {
+impl Family for Forest {
+    type Entry = Roots;
+    type Rec = Rec;
+    /// The per-block write-policy bit: set while a `PerBlock` instance
+    /// writes the block with updates (clear = invalidate, the default).
+    /// Always clear under the two static policies.
+    type Mode = bool;
+    const SYMMETRIC: bool = true;
+
     fn kind(&self) -> ProtocolKind {
         let (pointers, arity) = (self.pointers, self.arity);
         match self.policy {
@@ -772,73 +439,236 @@ impl Protocol for DirTree {
         }
     }
 
+    fn new_entry(&self) -> Roots {
+        Roots {
+            ptrs: vec![None; self.pointers as usize],
+            ..Roots::default()
+        }
+    }
+
     fn is_update(&self) -> bool {
         self.policy == WritePolicy::Update
     }
 
-    fn is_update_for(&self, addr: Addr) -> bool {
-        self.updates(addr)
+    fn updates(&self, rows: &HomeRows<Self>, addr: Addr) -> bool {
+        self.updates_if(|| rows.get(addr).is_some_and(|r| r.mode))
     }
 
-    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+    /// A recalled owner that kept its copy becomes the first root; then the
+    /// reader joins through the Figure-6 insertion.
+    fn serve_read(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        row: &mut HomeRow<Self>,
+        keep: Option<NodeId>,
+        reader: NodeId,
+    ) {
+        let update = self.updates_if(|| row.mode);
+        let e = &mut row.entry.as_mut().expect("a request made the entry").fam;
+        if let Some(node) = keep {
+            e.ptrs[0] = Some(Ptr { node, level: 1 });
+        }
+        let adopt = self.insert_sharer(ctx, e, update, reader);
+        send(ctx, home, reader, addr, MsgKind::ReadReply { adopt });
+    }
+
+    fn launch_write(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        row: &mut HomeRow<Self>,
+        writer: NodeId,
+    ) -> u32 {
+        // Policy point 1 of 4: which wave this write launches.
+        let update = self.updates_if(|| row.mode);
+        let e = &mut row.entry.as_mut().expect("a request made the entry").fam;
+        if update {
+            // Every recorded copy is refreshed, the writer's included.
+            return self.wave_roots(ctx, home, addr, &e.ptrs, None, true);
+        }
+        // The wave consumes the forest. A root that is the writer itself is
+        // skipped: the grant tells it to kill its own subtree locally (it
+        // holds the child pointers; an `Inv` would only bounce back to it).
+        e.grant_self_root = e.ptrs.iter().flatten().any(|p| p.node == writer);
+        let acks = self.wave_roots(ctx, home, addr, &e.ptrs, Some(writer), false);
+        e.ptrs.fill(None);
+        acks
+    }
+
+    fn clear(e: &mut Roots) -> bool {
+        e.ptrs.fill(None);
+        std::mem::take(&mut e.grant_self_root)
+    }
+
+    /// An update writer keeps a valid copy, so it joins the forest like
+    /// any other sharer.
+    fn update_grant(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        row: &mut HomeRow<Self>,
+        writer: NodeId,
+    ) -> MsgKind {
+        let e = &mut row.entry.as_mut().expect("grant without entry").fam;
+        let adopt = self.insert_sharer(ctx, e, true, writer);
+        MsgKind::UpdateGrant { adopt }
+    }
+
+    fn park_recall(r: &mut Rec, for_op: OpKind, requester: NodeId) {
+        r.pending_wb = Some((for_op, requester));
+    }
+
+    fn handle(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        msg: Msg,
+        rows: &mut HomeRows<Self>,
+    ) {
         let addr = msg.addr;
         match msg.kind {
-            MsgKind::ReadReq { .. } => self.handle_read_req(ctx, node, msg),
-            MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
-            MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, msg.src, false),
-            MsgKind::WbEvict => self.handle_wb(ctx, node, addr, msg.src, true),
-            MsgKind::InvAck { dir: true } => self.handle_ack_home(ctx, node, addr, false),
-            MsgKind::UpdateAck { dir: true } => self.handle_ack_home(ctx, node, addr, true),
-            MsgKind::FillAck => self.row(addr).gate.finish_txn(ctx, node),
-            MsgKind::InvAck { dir: false } => self.handle_ack_cache(ctx, node, addr, false),
-            MsgKind::UpdateAck { dir: false } => self.handle_ack_cache(ctx, node, addr, true),
-            MsgKind::ReadReply { .. } => self.handle_read_reply(ctx, node, msg),
-            MsgKind::UpdateGrant { .. } => self.handle_update_grant(ctx, node, msg),
-            MsgKind::WriteReply { kill_self_subtree } => {
+            // A forwarded wave message was acknowledged ([`settle`]). A
+            // write that finished killing its own subtree serves the recall
+            // it parked.
+            MsgKind::InvAck { dir: false } | MsgKind::UpdateAck { dir: false } => {
+                let update = matches!(msg.kind, MsgKind::UpdateAck { .. });
+                let parked = rows.edit(node, addr, |r| {
+                    let wrote = settle(ctx, node, addr, update, &mut r.collector);
+                    r.pending_wb.take_if(|_| wrote)
+                });
+                if let Some((for_op, requester)) = parked {
+                    debug_assert_eq!(ctx.line_state(node, addr), LineState::E);
+                    debug_assert!(rows.rec(node, addr).is_none_or(|r| r.children.is_empty()));
+                    wb_req(ctx, node, addr, for_op, requester);
+                }
+            }
+            MsgKind::ReadReply { adopt } => {
+                debug_assert!(
+                    rows.rec(node, addr).is_none_or(|r| r.children.is_empty()),
+                    "filling a line that still owns children"
+                );
+                debug_assert!(adopt.len() <= self.arity as usize);
+                if !adopt.is_empty() {
+                    rows.edit(node, addr, |r| r.children = adopt.into_vec());
+                }
+                read_fill(ctx, node, addr);
+            }
+            // The update writer's grant: adopt the roots the home handed
+            // over and keep a *valid* (not exclusive) copy.
+            MsgKind::UpdateGrant { adopt } => {
+                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
+                let killed = rows.edit(node, addr, |r| {
+                    for &a in adopt.iter() {
+                        if !r.children.contains(&a) && a != node {
+                            r.children.push(a);
+                        }
+                    }
+                    std::mem::take(&mut r.kill)
+                });
+                if killed {
+                    // A `Replace_INV` raced this grant (below). The write
+                    // itself is done — the home applied the value when it
+                    // processed the request — but the local copy must go the
+                    // way the kill intended, or it stays valid yet
+                    // unreachable from the roots. Adoption came first so
+                    // adopted subtrees get their own kills.
+                    Self::replaced(ctx, node, addr, rows);
+                } else {
+                    ctx.set_line_state(node, addr, LineState::V);
+                }
+                ctx.complete(node, addr, OpKind::Write);
+            }
+            MsgKind::WriteReply { kill_self_subtree } => rows.edit(node, addr, |r| {
                 // Without `kill_self_subtree`, any children the writer had
                 // were killed when the invalidation reached it through the
                 // forest (before its subtree acked, hence before this
                 // grant).
-                debug_assert!(kill_self_subtree || self.children_of(node, addr).is_empty());
-                self.edit(node, addr, |r| {
-                    let kids = if kill_self_subtree {
+                debug_assert!(kill_self_subtree || r.children.is_empty());
+                let kids = if kill_self_subtree {
+                    std::mem::take(&mut r.children)
+                } else {
+                    Vec::new()
+                };
+                // A subtree this writer disbanded earlier (silent
+                // replacement, then re-miss) may still have its
+                // `ReplaceInv`s in flight: re-kill it with acknowledged
+                // invalidations so the write cannot complete first.
+                let kill = with_zombies(kids, &mut r.zombies);
+                write_fill(ctx, node, addr, &mut r.collector, &kill);
+            }),
+            // One step of a write wave at a cache ([`wave_step`]). An `Inv`
+            // kills the copy and consumes its child edges; an `Update`
+            // refreshes the copy in place and keeps them. Both consume the
+            // zombie edges: FIFO puts this message behind the `Replace_INV`
+            // on the same pair, so its ack proves the disbanded subtree
+            // processed its kill.
+            MsgKind::Inv { .. } | MsgKind::Update { .. } => rows.edit(node, addr, |r| {
+                let update = matches!(msg.kind, MsgKind::Update { .. });
+                // A stale target (no copy) has no children, but its zombie
+                // edges and its pairing duty are still owed. An upgrading
+                // writer (`WmIp`) loses its old copy's subtree to an `Inv`
+                // and keeps it under an `Update`.
+                let targets = |state| {
+                    debug_assert!(
+                        matches!(state, LineState::V | LineState::WmIp | LineState::WmLip)
+                            || r.children.is_empty(),
+                        "a dead copy still owns children"
+                    );
+                    let kids = if !update {
                         std::mem::take(&mut r.children)
+                    } else if matches!(state, LineState::V | LineState::WmIp) {
+                        r.children.clone()
                     } else {
                         Vec::new()
                     };
-                    // A subtree this writer disbanded earlier (silent
-                    // replacement, then re-miss) may still have its
-                    // `ReplaceInv`s in flight: re-kill it with acknowledged
-                    // invalidations so the write cannot complete first.
-                    let kill = with_zombies(kids, &mut r.zombies);
-                    write_fill(ctx, node, addr, &mut r.collector, &kill);
-                });
-            }
-            MsgKind::Inv { .. } | MsgKind::Update { .. } => self.handle_wave(ctx, node, msg),
-            MsgKind::ReplaceInv => self.handle_replace_inv(ctx, node, addr),
-            MsgKind::ReplNotify => self.handle_repl_notify(ctx, addr, msg.src),
-            MsgKind::WbReq { for_op, requester } => {
-                use crate::types::LineState as S;
-                match ctx.line_state(node, addr) {
-                    S::E => self.serve_wb_req(ctx, node, addr, for_op, requester),
-                    // Still killing our own subtree after the grant: serve
-                    // the recall once exclusive.
-                    S::WmLip => {
-                        let parked = Some((for_op, requester));
-                        self.edit(node, addr, |r| r.pending_wb = parked);
+                    with_zombies(kids, &mut r.zombies)
+                };
+                wave_step(ctx, node, &msg, &mut r.collector, targets);
+            }),
+            MsgKind::ReplaceInv => match ctx.line_state(node, addr) {
+                LineState::V => Self::replaced(ctx, node, addr, rows),
+                // Policy point 2 of 4. On an update block the kill crossed
+                // our in-flight grant: the parent edge that led here is gone
+                // (an update wave consumes it as a zombie), so the copy the
+                // grant is about to validate would be unreachable from the
+                // roots. Ignoring the kill would leak a live orphan; defer
+                // it to grant time instead. An invalidate grant makes the
+                // line exclusive, which is no longer the copy the stale
+                // parent meant.
+                LineState::WmIp if self.updates(rows, addr) => {
+                    rows.edit(node, addr, |r| r.kill = true);
+                }
+                // Any other transient, invalid or exclusive line is not the
+                // copy the stale parent thought it was killing.
+                _ => {}
+            },
+            MsgKind::ReplNotify => {
+                // Ablation policy E12: clear a stale root pointer eagerly.
+                if let Some(e) = &mut rows.row(addr).entry {
+                    for p in e.fam.ptrs.iter_mut() {
+                        if p.map(|q| q.node) == Some(msg.src) {
+                            *p = None;
+                        }
                     }
-                    // Evicted: the WbEvict in flight satisfies the home.
-                    _ => {}
                 }
             }
             other => unreachable!("Dir_iTree_k received {other:?}"),
         }
     }
 
-    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
+    fn evict(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        addr: Addr,
+        state: LineState,
+        rows: &mut HomeRows<Self>,
+    ) {
         match state {
             LineState::V => {
-                self.disband(ctx, node, addr);
+                Self::disband(ctx, node, addr, rows);
                 if !self.params.dir_tree_silent_replace {
                     send_home(ctx, node, addr, MsgKind::ReplNotify);
                 }
@@ -846,7 +676,7 @@ impl Protocol for DirTree {
             // Policy point 4 of 4: an update block has no exclusive state
             // (memory is always current), so only an invalidate block can
             // be evicting one.
-            LineState::E if !self.updates(addr) => {
+            LineState::E if !self.updates(rows, addr) => {
                 send_home(ctx, node, addr, MsgKind::WbEvict);
             }
             other => unreachable!("evicting line in state {other:?}"),
@@ -864,20 +694,8 @@ impl Protocol for DirTree {
         self.arity as u64 * ptr_bits(nodes) + 3
     }
 
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        crate::fingerprint::digest_rows(h, &self.rows);
-    }
-
-    fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
-        Some(Box::new(self.relabeled_concrete(perm)))
-    }
-
-    fn deliveries_commute(&self) -> bool {
-        true
+    fn collecting(r: &Rec) -> bool {
+        r.collector.is_some()
     }
 
     /// Dir_iTree_k structural invariants (§3 well-formedness).
@@ -891,15 +709,14 @@ impl Protocol for DirTree {
     /// * zombie (disbanded-subtree) edge lists hold distinct valid nodes,
     ///   never the node itself;
     /// * a recall parked at a self-killing owner (`pending_wb`) has the
-    ///   home waiting for it ([`Owner::recalling`]) — what lets
-    ///   `Self::flip_idle` read the entry alone;
+    ///   home waiting for it ([`Owner::recalling`](crate::dir::util::Owner::recalling))
+    ///   — what lets `DirTree::flip_idle` read the entry alone;
     /// * an update block has no exclusive copy.
     ///
     /// Checked only at **quiescence** (no message in flight — mid-
     /// transaction these are legitimately violated, e.g. while a recalled
     /// owner's data is on the wire):
-    /// * no ack collector, home transaction or deferred kill is left open;
-    /// * [`Owner::check`];
+    /// * no deferred kill is left open;
     /// * `dirty` entries have an empty forest and no child or zombie edges
     ///   (the granting wave drains both);
     /// * on a clean block every valid copy is reachable from the recorded
@@ -910,14 +727,15 @@ impl Protocol for DirTree {
     /// upper bounds at insertion time, and silent replacement + rejoin can
     /// leave stale cross-tree edges that make a traversal longer than any
     /// recorded level, so levels are deliberately only sanity-checked.
-    fn check_invariants(
+    fn check(
         &self,
         ctx: &dyn ProtoCtx,
         addrs: &[Addr],
         quiescent: bool,
+        rows: &HomeRows<Self>,
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
-        for (addr, row) in self.rows.iter_nonempty() {
+        for (addr, row) in rows.iter() {
             let recalling = row.entry.as_ref().is_some_and(|e| e.own.recalling());
             for (node, r) in row.nodes.iter() {
                 let arity = self.arity as usize;
@@ -928,18 +746,23 @@ impl Protocol for DirTree {
                         "recall parked at node {node} for {addr:#x} but the home is not waiting for it"
                     ));
                 }
+                if quiescent && r.kill {
+                    return Err(format!(
+                        "quiescent but deferred kill at {node} for {addr:#x}"
+                    ));
+                }
             }
             let Some(e) = &row.entry else {
                 continue;
             };
-            if e.ptrs.len() != self.pointers as usize {
+            if e.fam.ptrs.len() != self.pointers as usize {
                 return Err(format!(
                     "directory entry for {addr:#x} has {} pointer slots, expected {}",
-                    e.ptrs.len(),
+                    e.fam.ptrs.len(),
                     self.pointers
                 ));
             }
-            let roots: Vec<Ptr> = e.ptrs.iter().flatten().copied().collect();
+            let roots: Vec<Ptr> = e.fam.ptrs.iter().flatten().copied().collect();
             for (i, p) in roots.iter().enumerate() {
                 if p.node >= nodes {
                     return Err(format!("pointer at {addr:#x} references node {}", p.node));
@@ -953,7 +776,7 @@ impl Protocol for DirTree {
             }
         }
         for &addr in addrs {
-            if self.updates(addr) {
+            if self.updates(rows, addr) {
                 if let Some(n) = (0..nodes).find(|&n| ctx.line_state(n, addr) == LineState::E) {
                     return Err(format!(
                         "update block {addr:#x} has an exclusive copy at node {n}"
@@ -964,28 +787,15 @@ impl Protocol for DirTree {
         if !quiescent {
             return Ok(());
         }
-        let recs = || {
-            self.rows
-                .iter_nonempty()
-                .flat_map(|(addr, row)| row.nodes.iter().map(move |(n, r)| (addr, n, r)))
-        };
-        let gates = self.rows.iter_nonempty().map(|(_, r)| &r.gate);
-        check_drained(gates, recs().map(|(_, _, r)| &r.collector))?;
-        if let Some((addr, node, _)) = recs().find(|(_, _, r)| r.kill) {
-            return Err(format!(
-                "quiescent but deferred kill at {node} for {addr:#x}"
-            ));
-        }
         for &addr in addrs {
-            let row = self.rows.get(addr);
+            let row = rows.get(addr);
             let e = row.and_then(|r| r.entry.as_ref());
-            e.map_or(Owner::default(), |e| e.own).check(ctx, addr)?;
             if let Some(e) = e.filter(|e| e.own.dirty) {
-                if e.ptrs.iter().any(Option::is_some) {
+                if e.fam.ptrs.iter().any(Option::is_some) {
                     return Err(format!("dirty block {addr:#x} still records roots"));
                 }
-                let has_edges = |edges: fn(&Rec) -> &Vec<NodeId>| {
-                    row.is_some_and(|r| r.nodes.iter().any(|(_, r)| !edges(r).is_empty()))
+                let has_edges = |pick: fn(&Rec) -> &Vec<NodeId>| {
+                    row.is_some_and(|r| r.nodes.iter().any(|(_, r)| !pick(r).is_empty()))
                 };
                 if has_edges(|r| &r.children) {
                     return Err(format!("dirty block {addr:#x} still has child edges"));
@@ -999,14 +809,16 @@ impl Protocol for DirTree {
             // recorded roots.
             let mut reachable = vec![false; nodes as usize];
             let mut frontier: Vec<NodeId> = e
-                .map(|e| e.ptrs.iter().flatten().map(|p| p.node).collect())
+                .map(|e| e.fam.ptrs.iter().flatten().map(|p| p.node).collect())
                 .unwrap_or_default();
             while let Some(n) = frontier.pop() {
                 if std::mem::replace(&mut reachable[n as usize], true) {
                     continue;
                 }
-                frontier.extend_from_slice(self.children_of(n, addr));
-                frontier.extend_from_slice(self.zombies_of(n, addr));
+                if let Some(r) = rows.rec(n, addr) {
+                    frontier.extend_from_slice(&r.children);
+                    frontier.extend_from_slice(&r.zombies);
+                }
             }
             if let Some(n) = (0..nodes)
                 .find(|&n| ctx.line_state(n, addr) == LineState::V && !reachable[n as usize])
@@ -1017,6 +829,36 @@ impl Protocol for DirTree {
             }
         }
         Ok(())
+    }
+
+    /// Every decision the protocol makes — slot selection, level
+    /// comparison, wave pairing (even/odd slots), push-down target — is a
+    /// function of slot indices and levels, never of node-id magnitude, so
+    /// element-wise mapping of ids (preserving slot and edge-list order) is
+    /// an exact equivariance.
+    fn relabel_entry(e: &Roots, perm: &[NodeId]) -> Roots {
+        let node = |n: NodeId| perm[n as usize];
+        let ptrs = e.ptrs.iter().map(|p| {
+            p.map(|p| Ptr {
+                node: node(p.node),
+                ..p
+            })
+        });
+        Roots {
+            ptrs: ptrs.collect(),
+            ..*e
+        }
+    }
+
+    fn relabel_rec(r: &Rec, perm: &[NodeId]) -> Rec {
+        let nodes = |v: &[NodeId]| v.iter().map(|&n| perm[n as usize]).collect();
+        Rec {
+            children: nodes(&r.children),
+            zombies: nodes(&r.zombies),
+            collector: r.collector.as_ref().map(|c| c.relabeled(perm)),
+            pending_wb: r.pending_wb.map(|(op, req)| (op, perm[req as usize])),
+            kill: r.kill,
+        }
     }
 }
 
@@ -1031,27 +873,10 @@ fn with_zombies(mut kids: Vec<NodeId>, zombies: &mut Vec<NodeId>) -> Vec<NodeId>
     kids
 }
 
-impl DirTree {
-    /// Node-relabeled clone ([`Protocol::relabeled`]). Every decision the
-    /// protocol makes — slot selection, level comparison, wave pairing
-    /// (even/odd slots), push-down target — is a function of slot indices
-    /// and levels, never of node-id magnitude, so element-wise mapping of
-    /// ids (preserving slot and edge-list order) is an exact equivariance.
-    /// `wave_scratch` is cleared before every use and is not protocol
-    /// state, so the clone starts with it empty.
-    pub(crate) fn relabeled_concrete(&self, perm: &[NodeId]) -> DirTree {
-        DirTree {
-            rows: self.rows.map(|r| r.relabeled(perm)),
-            wave_scratch: Vec::new(),
-            ..*self
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ProtocolParams;
+    use crate::protocol::{Protocol, ProtocolParams};
     use crate::testutil::MockCtx;
 
     fn setup(nodes: u32, pointers: u32) -> (MockCtx, DirTree) {

@@ -2,22 +2,21 @@
 //! Dir<sub>i</sub>B and LimitLESS<sub>i</sub> (§2.1 of the paper, after
 //! Agarwal et al.'s `Dir_iX` taxonomy).
 //!
-//! The four are one home state machine: per block a dirty bit, an owner and
-//! up to `i` sharer pointers (`n` presence bits for full-map). A read miss
+//! The four are one [`Family`] of the shared home transaction
+//! ([`super::home`]): per block up to `i` sharer pointers (`n` presence
+//! bits for full-map) beside the [`Owner`](super::util::Owner) every family keeps. A read miss
 //! costs 2 messages; a write miss invalidating `P` sharers costs `2P + 2`,
 //! all serialized through the home. They differ only in what happens when a
 //! read finds every pointer in use — the `Overflow` policy, consulted at
 //! exactly three points: that read admission, write-target enumeration, and
 //! the directory-bits formula. The cache side is every family's — a
-//! [`wave_step`] at a node with no children, [`write_fill`], [`wb_req`] —
-//! and the exclusive copy is an [`Owner`] like every other directory's.
+//! [`wave_step`] at a node with no children, [`read_fill`], [`write_fill`].
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{
-    read_fill, send, send_home, wave_step, wb_req, write_fill, NodeSet, Owner, Rows,
-};
+use crate::dir::home::{Family, Home, HomeRow, HomeRows};
+use crate::dir::util::{read_fill, send, send_home, wave_msg, wave_step, write_fill, NodeSet};
 use crate::msg::{Msg, MsgKind, NodeList};
-use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
+use crate::protocol::{ptr_bits, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::Cycle;
 
@@ -122,11 +121,10 @@ impl Sharers {
     }
 }
 
-/// One block's directory state. Fields a policy never touches stay at
-/// their default and add a constant to the digest.
+/// One block's sharers. Fields a policy never touches stay at their
+/// default and add a constant to the digest.
 #[derive(Clone, Default, PartialEq, Hash)]
-struct Entry {
-    own: Owner,
+pub struct Sharing {
     sharers: Sharers,
     /// LimitLESS: pointers spilled to software, in arrival order.
     spill: Vec<NodeId>,
@@ -136,41 +134,24 @@ struct Entry {
     victim_swap: Option<NodeId>,
 }
 
-impl Entry {
-    fn forget_sharers(&mut self) {
-        self.sharers.clear();
-        self.spill.clear();
-        self.overflow = false;
-    }
-
-    fn relabeled(&self, perm: &[NodeId]) -> Entry {
-        let node = |n: NodeId| perm[n as usize];
-        Entry {
-            own: self.own.relabeled(perm),
-            sharers: self.sharers.relabeled(perm),
-            spill: self.spill.iter().map(|&n| node(n)).collect(),
-            victim_swap: self.victim_swap.map(node),
-            ..*self
-        }
-    }
-}
-
-/// A flat (non-tree) directory: Dir_nNB, Dir_iNB, Dir_iB or LimitLESS_i.
+/// The flat (non-tree) family: Dir_nNB, Dir_iNB, Dir_iB or LimitLESS_i.
 #[derive(Clone)]
-pub struct FlatDir {
+pub struct Flat {
     kind: ProtocolKind,
     /// Hardware pointer budget per block (`u32::MAX` for full-map's `n`).
     pointers: u32,
     overflow: Overflow,
     /// The empty sharer set in this policy's representation.
     blank: Sharers,
-    rows: Rows<Entry, ()>,
 }
+
+/// A flat directory.
+pub type FlatDir = Home<Flat>;
 
 impl FlatDir {
     /// The Dir_nNB full bit-map directory.
     pub fn full_map() -> Self {
-        Self::new(
+        Self::flat(
             ProtocolKind::FullMap,
             u32::MAX,
             Overflow::Never,
@@ -185,12 +166,12 @@ impl FlatDir {
         } else {
             (ProtocolKind::LimitedNB { pointers }, Overflow::EvictOldest)
         };
-        Self::new(kind, pointers, overflow, Sharers::default())
+        Self::flat(kind, pointers, overflow, Sharers::default())
     }
 
     /// LimitLESS_i with `trap_cycles` of software-handler occupancy per trap.
     pub fn limitless(pointers: u32, trap_cycles: Cycle) -> Self {
-        Self::new(
+        Self::flat(
             ProtocolKind::LimitLess { pointers },
             pointers,
             Overflow::Spill { trap_cycles },
@@ -198,233 +179,154 @@ impl FlatDir {
         )
     }
 
-    fn new(kind: ProtocolKind, pointers: u32, overflow: Overflow, blank: Sharers) -> Self {
+    fn flat(kind: ProtocolKind, pointers: u32, overflow: Overflow, blank: Sharers) -> Self {
         assert!(pointers >= 1);
-        Self {
+        Home::with(Flat {
             kind,
             pointers,
             overflow,
             blank,
-            rows: Rows::default(),
-        }
-    }
-
-    fn entry(&mut self, addr: Addr) -> &mut Entry {
-        let blank = &self.blank;
-        self.rows.row(addr).entry.get_or_insert_with(|| Entry {
-            sharers: blank.clone(),
-            ..Entry::default()
         })
     }
+}
 
-    fn send_read_reply(ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, requester: NodeId) {
-        let kind = MsgKind::ReadReply {
-            adopt: NodeList::default(),
-        };
-        send(ctx, home, requester, addr, kind);
-        // Transaction stays open until the FillAck.
+impl Family for Flat {
+    type Entry = Sharing;
+    type Rec = ();
+    type Mode = ();
+    const SYMMETRIC: bool = true;
+
+    fn kind(&self) -> ProtocolKind {
+        self.kind
     }
 
-    fn send_inv(ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, to: NodeId) {
-        let kind = MsgKind::Inv {
-            also: None,
-            from_dir: true,
-        };
-        send(ctx, home, to, addr, kind);
-    }
-
-    fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let row = self.rows.row(addr);
-        let e = row.entry.as_mut().unwrap();
-        e.own.grant(writer);
-        e.forget_sharers();
-        let kind = MsgKind::WriteReply {
-            kill_self_subtree: false,
-        };
-        send(ctx, home, writer, addr, kind);
-        row.gate.finish_txn(ctx, home);
-    }
-
-    fn handle_read_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::ReadReq { requester } = msg.kind else {
-            unreachable!()
-        };
-        if !self.rows.row(addr).gate.admit(&msg) {
-            return;
+    fn new_entry(&self) -> Sharing {
+        Sharing {
+            sharers: self.blank.clone(),
+            ..Sharing::default()
         }
-        let (pointers, overflow) = (self.pointers as usize, self.overflow);
-        let e = self.entry(addr);
-        if e.own.dirty {
-            // An owner re-reading would mean a lost WbEvict.
-            debug_assert_ne!(e.own.owner, requester);
-            e.own.recall(ctx, home, addr, requester, OpKind::Read);
-            return;
-        }
-        if e.sharers.contains(requester) || e.spill.contains(&requester) {
+    }
+
+    /// A recalled owner that kept its copy is recorded beside the reader,
+    /// past the pointer budget if need be. A new reader takes a free
+    /// pointer, or meets the overflow policy; Dir_iNB's reader waits for its
+    /// victim's ack and resumes here to take the victim's pointer.
+    fn serve_read(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        row: &mut HomeRow<Self>,
+        keep: Option<NodeId>,
+        reader: NodeId,
+    ) {
+        let e = row.entry.as_mut().expect("a request made the entry");
+        let s = &mut e.fam;
+        if let Some(victim) = s.victim_swap.take() {
+            // Keep FIFO order for future victim selection: drop the victim,
+            // append the newcomer.
+            let ptrs = s.sharers.ptrs();
+            let pos = ptrs.iter().position(|&n| n == victim);
+            ptrs.remove(pos.expect("victim disappeared"));
+            ptrs.push(reader);
+        } else if let Some(owner) = keep {
+            s.sharers.push(owner, ctx.num_nodes());
+            s.sharers.push(reader, ctx.num_nodes());
+        } else if s.sharers.contains(reader) || s.spill.contains(&reader) {
             // Re-read by a recorded sharer (silent clean eviction).
-        } else if e.sharers.len() < pointers {
-            e.sharers.push(requester, ctx.num_nodes());
+        } else if s.sharers.len() < self.pointers as usize {
+            s.sharers.push(reader, ctx.num_nodes());
         } else {
-            match overflow {
+            match self.overflow {
                 Overflow::Never => unreachable!("a bit per node cannot run out"),
                 Overflow::EvictOldest => {
                     // The reply waits for the victim's ack so a subsequent
                     // write cannot leave a stale copy alive.
-                    let victim = e.sharers.ptrs()[0];
-                    e.own.await_acks(requester, OpKind::Read, 1);
-                    e.victim_swap = Some(victim);
+                    let victim = s.sharers.ptrs()[0];
+                    s.victim_swap = Some(victim);
+                    e.own.await_acks(reader, OpKind::Read, 1);
                     ctx.note(ProtoEvent::ReplacementInvalidation);
-                    Self::send_inv(ctx, home, addr, victim);
-                    return;
+                    return send(ctx, home, victim, addr, wave_msg(false, None, true));
                 }
-                // The requester gets data but no pointer.
-                Overflow::Broadcast => e.overflow = true,
+                // The reader gets data but no pointer.
+                Overflow::Broadcast => s.overflow = true,
                 Overflow::Spill { trap_cycles } => {
-                    e.spill.push(requester);
+                    s.spill.push(reader);
                     ctx.note(ProtoEvent::SoftwareTrap);
                     ctx.occupy(home, trap_cycles);
                 }
             }
         }
-        Self::send_read_reply(ctx, home, addr, requester);
+        let adopt = NodeList::default();
+        send(ctx, home, reader, addr, MsgKind::ReadReply { adopt });
     }
 
-    fn handle_write_req(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let MsgKind::WriteReq { requester } = msg.kind else {
-            unreachable!()
-        };
-        if !self.rows.row(addr).gate.admit(&msg) {
-            return;
-        }
-        let overflow = self.overflow;
-        let e = self.entry(addr);
-        if e.own.dirty {
-            e.own.recall(ctx, home, addr, requester, OpKind::Write);
-            return;
-        }
-        let mut targets = e.sharers.others(requester);
-        match overflow {
+    /// One `Inv` per recorded sharer but the writer — every other node
+    /// under Dir_iB's overflow, the spilled pointers too under LimitLESS.
+    fn launch_write(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        row: &mut HomeRow<Self>,
+        writer: NodeId,
+    ) -> u32 {
+        let s = &mut row.entry.as_mut().expect("a request made the entry").fam;
+        let mut targets = s.sharers.others(writer);
+        match self.overflow {
             Overflow::Never | Overflow::EvictOldest => {}
             Overflow::Broadcast => {
-                if e.overflow {
+                if s.overflow {
                     ctx.note(ProtoEvent::Broadcast);
-                    targets = (0..ctx.num_nodes()).filter(|&n| n != requester).collect();
+                    targets = (0..ctx.num_nodes()).filter(|&n| n != writer).collect();
                 }
             }
             Overflow::Spill { trap_cycles } => {
-                if !e.spill.is_empty() {
+                if !s.spill.is_empty() {
                     // Software walk over the spilled pointers: the paper's
                     // "(P − i) software handler delay".
-                    targets.extend(e.spill.iter().copied().filter(|&n| n != requester));
+                    targets.extend(s.spill.iter().copied().filter(|&n| n != writer));
                     ctx.note(ProtoEvent::SoftwareTrap);
-                    ctx.occupy(home, trap_cycles * e.spill.len() as u64);
+                    ctx.occupy(home, trap_cycles * s.spill.len() as u64);
                 }
             }
         }
-        if targets.is_empty() {
-            self.grant_write(ctx, home, addr, requester);
-        } else {
-            e.own
-                .await_acks(requester, OpKind::Write, targets.len() as u32);
-            e.forget_sharers();
-            for t in targets {
-                Self::send_inv(ctx, home, addr, t);
-            }
+        if !targets.is_empty() {
+            Self::clear(s);
         }
-    }
-
-    fn handle_wb(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let (addr, evict) = (msg.addr, msg.kind == MsgKind::WbEvict);
-        let e = self
-            .rows
-            .row(addr)
-            .entry
-            .as_mut()
-            .expect("wb without entry");
-        e.forget_sharers();
-        let Some((requester, op, keep)) = e.own.writeback(msg.src, evict) else {
-            return;
-        };
-        match op {
-            OpKind::Read => {
-                let nodes = ctx.num_nodes();
-                if let Some(owner) = keep {
-                    e.sharers.push(owner, nodes);
-                }
-                e.sharers.push(requester, nodes);
-                Self::send_read_reply(ctx, home, addr, requester);
-            }
-            OpKind::Write => self.grant_write(ctx, home, addr, requester),
+        for &t in &targets {
+            send(ctx, home, t, addr, wave_msg(false, None, true));
         }
+        targets.len() as u32
     }
 
-    fn handle_inv_ack(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let e = self
-            .rows
-            .row(addr)
-            .entry
-            .as_mut()
-            .expect("ack without entry");
-        let Some((requester, op)) = e.own.ack() else {
-            return;
-        };
-        if let Some(victim) = e.victim_swap.take() {
-            // Dir_iNB pointer replacement completed: swap in the requester.
-            debug_assert_eq!(op, OpKind::Read);
-            // Keep FIFO order for future victim selection: drop the victim,
-            // append the newcomer.
-            let ptrs = e.sharers.ptrs();
-            let pos = ptrs.iter().position(|&n| n == victim);
-            ptrs.remove(pos.expect("victim disappeared"));
-            ptrs.push(requester);
-            Self::send_read_reply(ctx, home, addr, requester);
-        } else {
-            debug_assert_eq!(op, OpKind::Write);
-            self.grant_write(ctx, home, addr, requester);
-        }
+    fn clear(s: &mut Sharing) -> bool {
+        s.sharers.clear();
+        s.spill.clear();
+        s.overflow = false;
+        false
     }
 
-    /// Node-relabeled clone ([`Protocol::relabeled`]). Every directory
-    /// decision is a function of set membership, pointer *position*
-    /// (victim choice, `hw`-then-`sw` walk order) and per-address metadata,
-    /// never of node-id magnitude; trap occupancy is node-blind. Mapping
-    /// elements while preserving list order is therefore an exact
-    /// equivariance for all four policies.
-    fn relabeled_concrete(&self, perm: &[NodeId]) -> FlatDir {
-        FlatDir {
-            rows: self.rows.relabeled(perm, |e| e.relabeled(perm), |_| ()),
-            blank: self.blank.clone(),
-            ..*self
-        }
-    }
-}
-
-impl Protocol for FlatDir {
-    fn kind(&self) -> ProtocolKind {
-        self.kind
-    }
-
-    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+    /// The cache side keeps no records: a wave reaches a node with no
+    /// children, and a writer has no subtree to kill.
+    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg, _: &mut HomeRows<Self>) {
         let addr = msg.addr;
         match msg.kind {
-            MsgKind::ReadReq { .. } => self.handle_read_req(ctx, node, msg),
-            MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
-            MsgKind::WbData { .. } | MsgKind::WbEvict => self.handle_wb(ctx, node, msg),
-            MsgKind::InvAck { dir: true } => self.handle_inv_ack(ctx, node, addr),
-            MsgKind::FillAck => self.rows.row(addr).gate.finish_txn(ctx, node),
-            // The cache side keeps no records: a wave reaches a node with
-            // no children, and a writer has no subtree to kill.
             MsgKind::ReadReply { .. } => read_fill(ctx, node, addr),
             MsgKind::WriteReply { .. } => write_fill(ctx, node, addr, &mut None, &[]),
             MsgKind::Inv { .. } => wave_step(ctx, node, &msg, &mut None, |_| Vec::new()),
-            MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
             other => unreachable!("flat directory received {other:?}"),
         }
     }
 
-    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
+    fn evict(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        addr: Addr,
+        state: LineState,
+        _: &mut HomeRows<Self>,
+    ) {
         match state {
             // Clean copies are dropped silently; the stale pointer costs at
             // most one harmless future invalidation.
@@ -450,43 +352,29 @@ impl Protocol for FlatDir {
         3 // state encoding only
     }
 
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        self.rows.digest(h);
-    }
-
-    fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
-        Some(Box::new(self.relabeled_concrete(perm)))
-    }
-
-    fn deliveries_commute(&self) -> bool {
-        true
-    }
-
-    /// At quiescence, [`Owner::check`] for every block.
-    fn check_invariants(
-        &self,
-        ctx: &dyn ProtoCtx,
-        addrs: &[Addr],
-        quiescent: bool,
-    ) -> Result<(), String> {
-        if !quiescent {
-            return Ok(());
+    /// Every directory decision is a function of set membership, pointer
+    /// *position* (victim choice, `hw`-then-`sw` walk order) and
+    /// per-address metadata, never of node-id magnitude; trap occupancy is
+    /// node-blind. Mapping elements while preserving list order is
+    /// therefore an exact equivariance for all four policies.
+    fn relabel_entry(s: &Sharing, perm: &[NodeId]) -> Sharing {
+        let node = |n: NodeId| perm[n as usize];
+        Sharing {
+            sharers: s.sharers.relabeled(perm),
+            spill: s.spill.iter().map(|&n| node(n)).collect(),
+            victim_swap: s.victim_swap.map(node),
+            ..*s
         }
-        addrs.iter().try_for_each(|&addr| {
-            let entry = self.rows.get(addr).and_then(|r| r.entry.as_ref());
-            entry.map_or(Owner::default(), |e| e.own).check(ctx, addr)
-        })
     }
+
+    fn relabel_rec(_: &(), _: &[NodeId]) {}
 }
 
 #[cfg(test)]
 mod tests {
     mod full_map {
         use super::super::*;
+        use crate::protocol::Protocol;
         use crate::testutil::MockCtx;
 
         fn setup(nodes: u32) -> (MockCtx, FlatDir) {
@@ -623,6 +511,25 @@ mod tests {
             }
         }
 
+        /// A read whose `FillAck` never reaches the home leaves its home
+        /// transaction open, and the quiescence check must say so.
+        #[test]
+        fn a_read_without_its_fill_ack_leaves_the_transaction_open() {
+            let (mut ctx, mut p) = setup(8);
+            let (addr, home, reader) = (16, 0, 3);
+            ctx.begin_miss(&mut p, reader, addr, OpKind::Read);
+            let request = MsgKind::ReadReq { requester: reader };
+            let msg = |src, kind| Msg { addr, src, kind };
+            p.handle(&mut ctx, home, msg(reader, request));
+            let adopt = NodeList::default();
+            p.handle(&mut ctx, reader, msg(home, MsgKind::ReadReply { adopt }));
+            assert_eq!(ctx.line_state(reader, addr), LineState::V);
+            assert_eq!(
+                p.check_invariants(&ctx, &[addr], true),
+                Err("1 home transaction(s) still open at quiescence".into())
+            );
+        }
+
         #[test]
         fn interleaved_read_write_mix_maintains_swmr() {
             let (mut ctx, mut p) = setup(8);
@@ -640,6 +547,7 @@ mod tests {
 
     mod limited {
         use super::super::*;
+        use crate::protocol::Protocol;
         use crate::testutil::MockCtx;
 
         const A: Addr = 0;
@@ -816,6 +724,7 @@ mod tests {
 
     mod limitless {
         use super::super::*;
+        use crate::protocol::Protocol;
         use crate::testutil::MockCtx;
 
         const A: Addr = 0;

@@ -1,6 +1,7 @@
-//! Home-held sharing trees: the shell of §2.2's two Dir₂Tree<sub>k</sub>
+//! Home-held sharing trees: the family of §2.2's two Dir₂Tree<sub>k</sub>
 //! baselines, the Scalable Tree Protocol ([`super::stp`]) and the SCI tree
-//! extension ([`super::sci_tree`]).
+//! extension ([`super::sci_tree`]), on the shared home transaction
+//! ([`super::home`]: admission, recall, writeback, grant and close).
 //!
 //! In both, the home keeps the authoritative sharing tree as a simulation
 //! convenience (the real protocols distribute this bookkeeping); every
@@ -10,30 +11,28 @@
 //! shape — arrival-order k-ary for STP, AVL for the SCI extension — and
 //! that is all a [`Shape`] supplies: the root, the read-miss join, the
 //! leave repair, the messages only it uses, and the child lists its tree
-//! implies. Everything else is [`HomeTree`]:
+//! implies. The rest of the family is [`HeldTree`]:
 //!
-//! * at the home: a write answered with one `Inv` to the root (whose
-//!   subtree collects every ack) or an immediate grant, the exclusive copy
-//!   kept in an [`Owner`], and transaction close through one count of
+//! * at the home: a write's wave is one `Inv` to the root (whose subtree
+//!   collects every ack), and a transaction closes through one count of
 //!   outstanding parts, which `FillAck`, `StpLeaveDone` and `StpFixupAck`
-//!   all retire;
+//!   all retire; a leave is a transaction of its own;
 //! * at the caches: every family's [`wave_step`] down the cache-side child
-//!   lists, [`settle`] and [`write_fill`]; `WbReq` and eviction.
+//!   lists, [`settle`] and [`write_fill`]; eviction.
 
 use crate::ctx::{ProtoCtx, ProtoEvent};
+use crate::dir::home::{close_part, Family, Home, HomeRow, HomeRows};
 use crate::dir::util::{
-    check_drained, check_edges, send, send_home, settle, wave_step, wb_req, write_fill, Collector,
-    NodeRecs, Owner, Row, Rows,
+    check_edges, send, send_home, settle, wave_msg, wave_step, write_fill, Collector, NodeRecs,
 };
 use crate::msg::{Msg, MsgKind};
-use crate::protocol::{ptr_bits, Protocol, ProtocolKind};
-use crate::types::{Addr, LineState, NodeId, OpKind};
+use crate::protocol::{ptr_bits, ProtocolKind};
+use crate::types::{Addr, LineState, NodeId};
 use std::hash::Hash;
 
-/// The home's directory entry for one block.
+/// The home's record of one block's tree.
 #[derive(Clone, Default, PartialEq, Hash)]
-struct Entry<T> {
-    own: Owner,
+pub struct TreeEntry<T> {
     /// Parts still owed before the home transaction closes: the reader's
     /// fill ack, structural fix-up acks, a repair's completion.
     wait_parts: u32,
@@ -94,191 +93,139 @@ pub trait Shape: Clone + Send + 'static {
     fn edges(&self, tree: &Self::Tree) -> Vec<(NodeId, Vec<NodeId>)>;
 }
 
-/// A home-held tree protocol of shape `S`.
+/// The home-held tree family of shape `S`.
 #[derive(Clone)]
-pub struct HomeTree<S: Shape> {
+pub struct HeldTree<S: Shape> {
     shape: S,
-    rows: Rows<Entry<S::Tree>, Rec>,
 }
+
+/// A home-held tree protocol of shape `S`.
+pub type HomeTree<S> = Home<HeldTree<S>>;
 
 impl<S: Shape> HomeTree<S> {
     pub fn new(shape: S) -> Self {
-        Self {
-            shape,
-            rows: Rows::default(),
-        }
+        Home::with(HeldTree { shape })
     }
 
     /// The home's tree for `addr` (diagnostics).
     pub fn tree(&self, addr: Addr) -> Option<&S::Tree> {
-        self.rows.get(addr)?.entry.as_ref().map(|e| &e.tree)
+        self.rows.get(addr)?.entry.as_ref().map(|e| &e.fam.tree)
     }
 
     pub fn children_of(&self, node: NodeId, addr: Addr) -> &[NodeId] {
         self.rows.rec(node, addr).map_or(&[], |r| &r.children)
     }
-
-    /// A read or write request at the home.
-    fn request(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let (requester, op) = match msg.kind {
-            MsgKind::ReadReq { requester } => (requester, OpKind::Read),
-            MsgKind::WriteReq { requester } => (requester, OpKind::Write),
-            _ => unreachable!(),
-        };
-        let row = self.rows.row(addr);
-        if !row.gate.admit(&msg) {
-            return;
-        }
-        let e = row.entry.get_or_insert_default();
-        if e.own.dirty {
-            debug_assert!(op == OpKind::Write || e.own.owner != requester);
-            e.own.recall(ctx, home, addr, requester, op);
-            return;
-        }
-        match (op, S::root(&e.tree)) {
-            (OpKind::Read, _) => {
-                e.wait_parts = 1 + self
-                    .shape
-                    .join(ctx, home, addr, &mut e.tree, None, requester);
-            }
-            (OpKind::Write, None) => Self::grant_write(ctx, home, addr, row, requester),
-            (OpKind::Write, Some(root)) => {
-                e.own.await_acks(requester, OpKind::Write, 1);
-                S::clear(&mut e.tree);
-                let inv = MsgKind::Inv {
-                    also: None,
-                    from_dir: true,
-                };
-                send(ctx, home, root, addr, inv);
-            }
-        }
-    }
-
-    /// Make `writer` the owner and answer it; the transaction closes.
-    fn grant_write(
-        ctx: &mut dyn ProtoCtx,
-        home: NodeId,
-        addr: Addr,
-        row: &mut Row<Entry<S::Tree>, Rec>,
-        writer: NodeId,
-    ) {
-        let e = row.entry.as_mut().expect("grant without entry");
-        e.own.grant(writer);
-        S::clear(&mut e.tree);
-        let reply = MsgKind::WriteReply {
-            kill_self_subtree: false,
-        };
-        send(ctx, home, writer, addr, reply);
-        row.gate.finish_txn(ctx, home);
-    }
-
-    /// The owner's copy came back ([`Owner::writeback`]).
-    fn writeback(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let (addr, evict) = (msg.addr, msg.kind == MsgKind::WbEvict);
-        let row = self.rows.row(addr);
-        let e = row.entry.get_or_insert_default();
-        S::clear(&mut e.tree);
-        let Some((requester, op, keep)) = e.own.writeback(msg.src, evict) else {
-            return;
-        };
-        match op {
-            OpKind::Read => {
-                e.wait_parts = 1 + self
-                    .shape
-                    .join(ctx, home, addr, &mut e.tree, keep, requester);
-            }
-            OpKind::Write => Self::grant_write(ctx, home, addr, row, requester),
-        }
-    }
-
-    /// The root's ack: the whole tree is invalidated.
-    fn home_ack(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let row = self.rows.row(addr);
-        let e = row.entry.as_mut().expect("ack without entry");
-        if let Some((requester, op)) = e.own.ack() {
-            debug_assert_eq!(op, OpKind::Write);
-            Self::grant_write(ctx, home, addr, row, requester);
-        }
-    }
-
-    /// One part of the open transaction arrived; the last one closes it.
-    fn part_done(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
-        let row = self.rows.row(addr);
-        let e = row.entry.as_mut().expect("part ack without entry");
-        debug_assert!(e.wait_parts > 0, "unexpected part ack");
-        e.wait_parts -= 1;
-        if e.wait_parts == 0 {
-            row.gate.finish_txn(ctx, home);
-        }
-    }
-
-    /// A reader evicted its copy: the shape repairs the tree, as a home
-    /// transaction through the block's gate.
-    fn leave(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, msg: Msg) {
-        let addr = msg.addr;
-        let leaver = msg.src;
-        let row = self.rows.row(addr);
-        if !row.gate.admit(&msg) {
-            return;
-        }
-        let e = row.entry.get_or_insert_default();
-        if !S::contains(&e.tree, leaver) {
-            // Already gone (a write transaction cleared the tree first).
-            row.gate.finish_txn(ctx, home);
-            return;
-        }
-        ctx.note(ProtoEvent::ReplacementInvalidation);
-        let parts = self
-            .shape
-            .leave(ctx, home, addr, &mut e.tree, &mut row.nodes, leaver);
-        e.wait_parts = parts;
-        if parts == 0 {
-            row.gate.finish_txn(ctx, home);
-        }
-    }
 }
 
-impl<S: Shape> Protocol for HomeTree<S> {
+impl<S: Shape> Family for HeldTree<S> {
+    type Entry = TreeEntry<S::Tree>;
+    type Rec = Rec;
+    type Mode = ();
+
     fn kind(&self) -> ProtocolKind {
         self.shape.kind()
     }
 
-    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+    fn serve_read(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        row: &mut HomeRow<Self>,
+        keep: Option<NodeId>,
+        reader: NodeId,
+    ) {
+        let e = &mut row.entry.as_mut().expect("a request made the entry").fam;
+        e.wait_parts = 1 + self.shape.join(ctx, home, addr, &mut e.tree, keep, reader);
+    }
+
+    /// One `Inv` to the root; its subtree collects every other ack.
+    fn launch_write(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        row: &mut HomeRow<Self>,
+        _: NodeId,
+    ) -> u32 {
+        let e = &mut row.entry.as_mut().expect("a request made the entry").fam;
+        let Some(root) = S::root(&e.tree) else {
+            return 0;
+        };
+        S::clear(&mut e.tree);
+        send(ctx, home, root, addr, wave_msg(false, None, true));
+        1
+    }
+
+    fn clear(e: &mut TreeEntry<S::Tree>) -> bool {
+        S::clear(&mut e.tree);
+        false
+    }
+
+    fn part_done(e: &mut TreeEntry<S::Tree>) -> bool {
+        debug_assert!(e.wait_parts > 0, "unexpected part ack");
+        e.wait_parts -= 1;
+        e.wait_parts == 0
+    }
+
+    fn handle(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        msg: Msg,
+        rows: &mut HomeRows<Self>,
+    ) {
         let addr = msg.addr;
         match msg.kind {
-            MsgKind::ReadReq { .. } | MsgKind::WriteReq { .. } => self.request(ctx, node, msg),
-            MsgKind::WbData { .. } | MsgKind::WbEvict => self.writeback(ctx, node, msg),
-            MsgKind::InvAck { dir: true } => self.home_ack(ctx, node, addr),
             MsgKind::InvAck { dir: false } => {
-                self.rows.edit(node, addr, |r| {
+                rows.edit(node, addr, |r| {
                     settle(ctx, node, addr, false, &mut r.collector)
                 });
             }
-            MsgKind::FillAck | MsgKind::StpLeaveDone | MsgKind::StpFixupAck { dir: true } => {
-                self.part_done(ctx, node, addr)
+            MsgKind::StpLeaveDone | MsgKind::StpFixupAck { dir: true } => {
+                close_part::<Self>(ctx, node, rows.row(addr))
             }
-            MsgKind::StpLeave | MsgKind::SctLeave => self.leave(ctx, node, msg),
+            // A reader evicted its copy: the shape repairs the tree, as a
+            // home transaction through the block's gate.
+            MsgKind::StpLeave | MsgKind::SctLeave => {
+                let row = rows.row(addr);
+                if !row.gate.admit(&msg) {
+                    return;
+                }
+                let e = &mut row.entry.get_or_insert_default().fam;
+                // A leaver a write transaction already cleared owes nothing.
+                if S::contains(&e.tree, msg.src) {
+                    ctx.note(ProtoEvent::ReplacementInvalidation);
+                    let (tree, nodes) = (&mut e.tree, &mut row.nodes);
+                    e.wait_parts = self.shape.leave(ctx, node, addr, tree, nodes, msg.src);
+                }
+                if e.wait_parts == 0 {
+                    row.gate.finish_txn(ctx, node);
+                }
+            }
             // A wave goes down the node's child list whatever the line's
             // state: a leave repairs the tree, so a departed node's
             // children stay alive.
-            MsgKind::Inv { .. } => self.rows.edit(node, addr, |r| {
+            MsgKind::Inv { .. } => rows.edit(node, addr, |r| {
                 let kids = |_| std::mem::take(&mut r.children);
                 wave_step(ctx, node, &msg, &mut r.collector, kids);
             }),
-            MsgKind::WriteReply { .. } => self.rows.edit(node, addr, |r| {
+            MsgKind::WriteReply { .. } => rows.edit(node, addr, |r| {
                 r.children.clear();
                 write_fill(ctx, node, addr, &mut r.collector, &[]);
             }),
-            MsgKind::WbReq { for_op, requester } => wb_req(ctx, node, addr, for_op, requester),
-            _ => {
-                let nodes = &mut self.rows.row(addr).nodes;
-                self.shape.handle(ctx, node, msg, nodes);
-            }
+            _ => self.shape.handle(ctx, node, msg, &mut rows.row(addr).nodes),
         }
     }
 
-    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
+    fn evict(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        addr: Addr,
+        state: LineState,
+        _: &mut HomeRows<Self>,
+    ) {
         let kind = match state {
             // The home repairs the tree; children survive.
             LineState::V => S::LEAVE,
@@ -297,12 +244,8 @@ impl<S: Shape> Protocol for HomeTree<S> {
         self.shape.cache_bits_per_line(nodes)
     }
 
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
-
-    fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        self.rows.digest(h);
+    fn collecting(r: &Rec) -> bool {
+        r.collector.is_some()
     }
 
     /// The structural invariants of both shapes.
@@ -311,8 +254,8 @@ impl<S: Shape> Protocol for HomeTree<S> {
     /// [`Shape::arity`] distinct valid nodes, never the node itself.
     ///
     /// Checked only at **quiescence**:
-    /// * no ack collector, home transaction or repair is left open;
-    /// * [`Owner::check`], and a dirty block has an empty tree;
+    /// * no repair is left open;
+    /// * a dirty block has an empty tree;
     /// * every member's child list is the one the home's tree gives it
     ///   ([`Shape::edges`]), and non-members hold none.
     ///
@@ -320,43 +263,36 @@ impl<S: Shape> Protocol for HomeTree<S> {
     /// behind a write and a re-read by the same node removes the rejoined
     /// member (the checker's P=2 counterexample; see ROADMAP), so that
     /// claim is false of both protocols as they stand.
-    fn check_invariants(
+    fn check(
         &self,
         ctx: &dyn ProtoCtx,
         addrs: &[Addr],
         quiescent: bool,
+        rows: &HomeRows<Self>,
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
         let arity = self.shape.arity();
-        let recs = || {
-            self.rows
-                .iter()
-                .flat_map(|(addr, row)| row.nodes.iter().map(move |(n, r)| (addr, n, r)))
-        };
-        for (addr, node, rec) in recs() {
-            check_edges(node, addr, &rec.children, "child pointer", arity, nodes)?;
+        for (addr, row) in rows.iter() {
+            for (node, rec) in row.nodes.iter() {
+                check_edges(node, addr, &rec.children, "child pointer", arity, nodes)?;
+                if quiescent && rec.fixups != 0 {
+                    return Err(format!("quiescent but node {node} still repairs {addr:#x}"));
+                }
+            }
         }
         if !quiescent {
             return Ok(());
         }
-        let gates = self.rows.iter().map(|(_, r)| &r.gate);
-        check_drained(gates, recs().map(|(_, _, r)| &r.collector))?;
-        let repairs = recs().filter(|(_, _, r)| r.fixups != 0).count();
-        if repairs != 0 {
-            return Err(format!("{repairs} repair(s) still open at quiescence"));
-        }
         let empty = S::Tree::default();
         for &addr in addrs {
-            let row = self.rows.get(addr);
+            let row = rows.get(addr);
             let entry = row.and_then(|r| r.entry.as_ref());
-            let tree = entry.map_or(&empty, |e| &e.tree);
-            let own = entry.map_or(Owner::default(), |e| e.own);
-            own.check(ctx, addr)?;
-            if own.dirty && S::root(tree).is_some() {
+            let tree = entry.map_or(&empty, |e| &e.fam.tree);
+            if entry.is_some_and(|e| e.own.dirty) && S::root(tree).is_some() {
                 return Err(format!("dirty block {addr:#x} still records a tree"));
             }
             for (m, mut want) in self.shape.edges(tree) {
-                let mut have = self.children_of(m, addr).to_vec();
+                let mut have = rows.rec(m, addr).map_or(vec![], |r| r.children.clone());
                 want.sort_unstable();
                 have.sort_unstable();
                 if want != have {
@@ -385,6 +321,7 @@ mod tests {
     use super::*;
     use crate::dir::sci_tree::AvlShape;
     use crate::dir::stp::Arrival;
+    use crate::protocol::Protocol;
     use crate::testutil::MockCtx;
     use dirtree_sim::SimRng;
 

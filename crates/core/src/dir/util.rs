@@ -245,50 +245,44 @@ impl<R: Default + PartialEq + Hash> Hash for NodeRecs<R> {
     }
 }
 
-/// One block's row in a protocol's [`Rows`]: the home's directory entry —
-/// `None` until a request creates it, since a default entry left behind by
-/// a late writeback is a different state from none — its transaction gate,
-/// and the per-node records.
-#[derive(Clone, Debug, Default)]
-pub struct Row<E, R> {
+/// One block's row in a protocol's [`Rows`]: a per-block mode, the home's
+/// directory entry — `None` until a request creates it, since a default
+/// entry left behind by a late writeback is a different state from none —
+/// its transaction gate, and the per-node records.
+///
+/// The mode is Dir_iTree_k's write-policy bit; every other protocol's `M`
+/// is `()`, which hashes to nothing. `R`'s bounds sit on the type so that
+/// the derives take them (`NodeRecs` skips records that hold nothing).
+#[derive(Clone, Debug, Default, PartialEq, Hash)]
+pub struct Row<E, R: Default + PartialEq, M = ()> {
+    pub mode: M,
     pub entry: Option<E>,
     pub gate: TxnGate,
     pub nodes: NodeRecs<R>,
 }
 
-// By hand: `NodeRecs` compares and hashes only records that hold
-// something, which needs `R: Default` — a bound the derives would not add.
-impl<E: PartialEq, R: Default + PartialEq> PartialEq for Row<E, R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.entry == other.entry && self.gate == other.gate && self.nodes == other.nodes
-    }
-}
-
-impl<E: Hash, R: Default + PartialEq + Hash> Hash for Row<E, R> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.entry.hash(state);
-        self.gate.hash(state);
-        self.nodes.hash(state);
-    }
-}
-
 /// A protocol's state, block-major: one [`Row`] per block address.
 #[derive(Clone, Debug)]
-pub struct Rows<E, R>(BlockTable<Row<E, R>>);
+pub struct Rows<E, R: Default + PartialEq, M = ()>(BlockTable<Row<E, R, M>>);
 
-impl<E: Default, R: Default> Default for Rows<E, R> {
+impl<E: Default, R: Default + PartialEq, M: Default> Default for Rows<E, R, M> {
     fn default() -> Self {
         Self(BlockTable::new())
     }
 }
 
-impl<E: Default + PartialEq, R: Default + PartialEq> Rows<E, R> {
-    pub fn get(&self, addr: Addr) -> Option<&Row<E, R>> {
+impl<E, R, M> Rows<E, R, M>
+where
+    E: Default + PartialEq + Hash,
+    R: Default + PartialEq + Hash,
+    M: Copy + Default + PartialEq + Hash,
+{
+    pub fn get(&self, addr: Addr) -> Option<&Row<E, R, M>> {
         self.0.get(addr)
     }
 
     /// The row of `addr`, created empty if need be.
-    pub fn row(&mut self, addr: Addr) -> &mut Row<E, R> {
+    pub fn row(&mut self, addr: Addr) -> &mut Row<E, R, M> {
         self.0.get_mut_or_grow(addr)
     }
 
@@ -303,28 +297,27 @@ impl<E: Default + PartialEq, R: Default + PartialEq> Rows<E, R> {
     }
 
     /// `(addr, row)` for every row that holds anything, in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Addr, &Row<E, R>)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Addr, &Row<E, R, M>)> + '_ {
         self.0.iter_nonempty()
     }
 
     /// The rows with every node id mapped through `perm` (`perm[old] =
     /// new`): entries by `entry`, records by `rec`, deferred requests as
-    /// messages.
+    /// messages. The mode names no node.
     pub fn relabeled(
         &self,
         perm: &[NodeId],
         entry: impl Fn(&E) -> E,
         rec: impl Fn(&R) -> R,
-    ) -> Rows<E, R> {
+    ) -> Rows<E, R, M> {
         Rows(self.0.map(|r| Row {
+            mode: r.mode,
             entry: r.entry.as_ref().map(&entry),
             gate: r.gate.relabeled(perm),
             nodes: r.nodes.relabeled(perm, &rec),
         }))
     }
-}
 
-impl<E: Default + PartialEq + Hash, R: Default + PartialEq + Hash> Rows<E, R> {
     /// Canonical digest of every row ([`crate::fingerprint::digest_rows`]).
     pub fn digest(&self, h: &mut dyn Hasher) {
         crate::fingerprint::digest_rows(h, &self.0);
@@ -703,25 +696,6 @@ pub fn check_edges(
         if kids[..i].contains(&k) {
             return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
         }
-    }
-    Ok(())
-}
-
-/// The quiescence checks of every family whose caches forward waves: no
-/// cache is still collecting acks and no home transaction is open.
-pub fn check_drained<'a>(
-    gates: impl Iterator<Item = &'a TxnGate>,
-    collectors: impl Iterator<Item = &'a Option<Collector>>,
-) -> Result<(), String> {
-    let open = collectors.filter(|c| c.is_some()).count();
-    if open != 0 {
-        return Err(format!("{open} ack collector(s) still open at quiescence"));
-    }
-    let busy = gates.filter(|g| g.is_busy()).count();
-    if busy != 0 {
-        return Err(format!(
-            "{busy} home transaction(s) still open at quiescence"
-        ));
     }
     Ok(())
 }

@@ -193,13 +193,7 @@ fn scenario_alternating_read_write_pairs() {
 fn scenario_stale_invalidation_is_acked_once() {
     use LineState::{Iv, NotPresent, RmIp, WmIp, V};
     const NODE: NodeId = 5;
-    let takes_inv = |k: &ProtocolKind| {
-        !matches!(
-            k,
-            ProtocolKind::SinglyList | ProtocolKind::Sci | ProtocolKind::Snoop
-        )
-    };
-    for kind in kinds().into_iter().filter(takes_inv) {
+    for kind in owner_kinds() {
         for before in [NotPresent, Iv, RmIp, WmIp, V] {
             let (mut ctx, mut p) = fresh(kind);
             match before {
@@ -257,4 +251,75 @@ fn update_variant_keeps_copies_valid() {
         assert!(ctx.line_state(n, A).readable(), "update killed node {n}");
     }
     assert!(ctx.holders(A).len() >= 7);
+}
+
+/// The kinds whose home keeps an exclusive copy in an ownership record and
+/// recalls it with `WbReq`: every directory family but the two lists and
+/// the bus.
+fn owner_kinds() -> impl Iterator<Item = ProtocolKind> {
+    kinds().into_iter().filter(|k| {
+        !matches!(
+            k,
+            ProtocolKind::SinglyList | ProtocolKind::Sci | ProtocolKind::Snoop
+        )
+    })
+}
+
+/// A dirty block's recall, for every kind with an ownership record: node 2
+/// writes, then node 5 reads or writes. The exact messages, in order, and
+/// the end states pin the recall, the writeback and the resumed request
+/// of every family at once. A recalled read leaves both copies valid; a
+/// recalled write moves the one exclusive copy.
+#[test]
+fn scenario_dirty_recall_resumes_the_request() {
+    const OLD: NodeId = 2;
+    const NEW: NodeId = 5;
+    const HOME: NodeId = 0;
+    for kind in owner_kinds() {
+        // (sender, label) after the request reaches the home: the home
+        // recalls, the owner writes back, and the home resumes.
+        let read_tail: &[(NodeId, &str)] = match kind {
+            ProtocolKind::Stp { .. } => &[
+                (HOME, "stp_join_resp"),
+                (NEW, "stp_attach"),
+                (OLD, "stp_attach_ack"),
+                (NEW, "fill_ack"),
+            ],
+            ProtocolKind::SciTree => &[
+                (HOME, "sct_fixup"),
+                (HOME, "read_reply"),
+                (OLD, "stp_fixup_ack"),
+                (NEW, "fill_ack"),
+            ],
+            _ => &[(HOME, "read_reply"), (NEW, "fill_ack")],
+        };
+        for op in [OpKind::Read, OpKind::Write] {
+            let (mut ctx, mut p) = fresh(kind);
+            ctx.write(&mut *p, OLD, A);
+            let mark = ctx.mark();
+            let (request, tail, old_after, new_after) = match op {
+                OpKind::Read => {
+                    ctx.read(&mut *p, NEW, A);
+                    ("read_req", read_tail, LineState::V, LineState::V)
+                }
+                OpKind::Write => {
+                    ctx.write(&mut *p, NEW, A);
+                    let tail = &[(HOME, "write_reply")][..];
+                    ("write_req", tail, LineState::Iv, LineState::E)
+                }
+            };
+            let mut want = vec![(NEW, request), (HOME, "wb_req"), (OLD, "wb_data")];
+            want.extend_from_slice(tail);
+            let sent: Vec<_> = ctx
+                .sent_since(mark)
+                .iter()
+                .map(|(_, m)| (m.src, m.kind.label()))
+                .collect();
+            let shape = format!("{} {op:?}", kind.name());
+            assert_eq!(sent, want, "{shape}");
+            assert_eq!(ctx.line_state(OLD, A), old_after, "{shape}: old owner");
+            assert_eq!(ctx.line_state(NEW, A), new_after, "{shape}: requester");
+            ctx.assert_swmr(A);
+        }
+    }
 }
