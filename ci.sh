@@ -203,10 +203,13 @@ ledger_gate check_mix
 # goldens stop at P=64; the gates above run vcs = 1 or no network at all).
 # Four digests at P=1024 — 3 VCs, adaptive routing, vc_credits 0 and 64 —
 # pin every cycle count, wait counter and link/VC histogram the
-# one-decomposition hop walk and the record-once sampling produce over 10
+# plan-driven hop walk and the record-once sampling produce over 10
 # dimensions, and the credited pair pins the per-channel park queues.
-# Correctness only (about half a minute); its times are the PR-22 row of
-# BENCH_layers.json, ungated.
+# About half a minute. host_s is timed at the same 2x ratio (2.71 s
+# committed, the level with routes read from the digit table). Putting
+# the 2n divisions per send back reads 1.16x, inside the ratio, so this
+# catches a hop walk gone badly wrong, not that; the per-send cost shows
+# as net.send_ns_per_msg in a `--trace 1` pass.
 ledger_gate floyd_p1024_vc
 # The scale_up P=64 anchor: the one benchmark workload whose `correct`
 # flag no step above read — its records were pinned only through the
