@@ -38,7 +38,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release --workspace
 # `cargo test` compiles the examples but never runs them; each must exit 0
-# (under a second for all five on a 2-CPU host).
+# (under a second for all four on a 2-CPU host).
 for example in examples/*.rs; do
   cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
 done
@@ -119,13 +119,14 @@ echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 # of `all`, about 4 s) must exit 0 — a panicking experiment or a failed
 # simulation fails it — and every file it writes (28 JSONL record files
 # and 4 figure CSVs) must match the sha256 pinned in
-# tests/golden/all_outputs.sha256, listed by path in byte order. The
+# tests/golden/all_outputs.sha256, listed by path in byte order (a
+# mismatch prints a unified diff, so the moved paths are named). The
 # outputs are the same at any --jobs. An unknown experiment name is a
 # usage error (exit 64), not a run with defaults.
 rm -rf target/all_smoke
 ./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke >/dev/null
 (cd target/all_smoke && find . -type f | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum) \
-  | cmp - tests/golden/all_outputs.sha256
+  | diff -u tests/golden/all_outputs.sha256 -
 echo "all-smoke: \`dirtree-bench all\` outputs match tests/golden/all_outputs.sha256"
 status=0
 ./target/release/dirtree-bench no_such_experiment >/dev/null 2>&1 || status=$?

@@ -16,8 +16,6 @@ pub fn read_miss_messages(kind: ProtocolKind, p: u64) -> (u64, u64) {
         | ProtocolKind::DirTree { .. }
         | ProtocolKind::DirTreeUpdate { .. }
         | ProtocolKind::DirTreeAdaptive { .. } => (2, 2),
-        // Snooping: request + broadcast + data = 3 bus transactions.
-        ProtocolKind::Snoop => (3, 3),
         ProtocolKind::SinglyList => (3, 3),
         ProtocolKind::Sci => (4, 4),
         ProtocolKind::Stp { .. } => (4, 8),
@@ -45,8 +43,6 @@ pub fn write_miss_messages(kind: ProtocolKind, p: u64) -> (u64, u64) {
         | ProtocolKind::DirTree { .. }
         | ProtocolKind::DirTreeUpdate { .. }
         | ProtocolKind::DirTreeAdaptive { .. } => (2 * p + 2, 2 * p + 2),
-        // One broadcast invalidates everyone: constant bus transactions.
-        ProtocolKind::Snoop => (3, 3),
     }
 }
 
@@ -124,10 +120,6 @@ pub fn write_miss_latency_model(kind: ProtocolKind, p: u64, lp: &LatencyParams) 
         ProtocolKind::SciTree => {
             let depth = pf.max(2.0).log2().ceil();
             2.0 * depth * (lp.ctrl_flight() + lp.cache) + lp.ctrl_flight() + lp.mem
-        }
-        ProtocolKind::Snoop => {
-            // Broadcast + snoop window + data: constant in P.
-            lp.ctrl_flight() + 4.0 + lp.cache
         }
         ProtocolKind::DirTree { pointers, .. }
         | ProtocolKind::DirTreeUpdate { pointers, .. }
@@ -219,9 +211,6 @@ mod tests {
         // The tree wins at high sharing degrees.
         assert!(tree(24) < fm(24));
         assert!(tree(24) < sci(24));
-        // Snooping is flat.
-        let snp = |p| write_miss_latency_model(ProtocolKind::Snoop, p, &lp);
-        assert_eq!(snp(2), snp(24));
     }
 
     #[test]

@@ -594,17 +594,13 @@ pub fn sharing_profile(runner: &Runner) -> String {
 /// n-cube keeps scaling.
 pub fn bus_vs_cube(runner: &Runner) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Snooping bus vs. directory n-cube (Floyd-Warshall 24v):"
-    );
+    let _ = writeln!(out, "Shared bus vs. directory n-cube (Floyd-Warshall 24v):");
     let mut t = AsciiTable::new(&[
         "procs",
-        "snoop/bus cycles",
         "fm/bus cycles",
         "fm/cube cycles",
         "Dir4Tree2/cube cycles",
-        "snoop-bus / tree-cube",
+        "fm-bus / tree-cube",
     ]);
     let w = WorkloadKind::Floyd {
         vertices: 24,
@@ -625,7 +621,7 @@ pub fn bus_vs_cube(runner: &Runner) -> String {
         "bus-vs-cube-bus",
         w,
         &sizes,
-        &[ProtocolKind::Snoop, ProtocolKind::FullMap],
+        &[ProtocolKind::FullMap],
         bus_config,
     );
     let cube_cells = record_grid(
@@ -637,7 +633,6 @@ pub fn bus_vs_cube(runner: &Runner) -> String {
         MachineConfig::paper_default,
     );
     for nodes in sizes {
-        let snoop = cell(&bus_cells, ProtocolKind::Snoop, nodes).record.cycles;
         let fm_bus = cell(&bus_cells, ProtocolKind::FullMap, nodes).record.cycles;
         let fm_cube = cell(&cube_cells, ProtocolKind::FullMap, nodes)
             .record
@@ -645,11 +640,10 @@ pub fn bus_vs_cube(runner: &Runner) -> String {
         let tree_cube = cell(&cube_cells, tree, nodes).record.cycles;
         t.row(&[
             nodes.to_string(),
-            snoop.to_string(),
             fm_bus.to_string(),
             fm_cube.to_string(),
             tree_cube.to_string(),
-            format!("{:.2}", snoop as f64 / tree_cube as f64),
+            format!("{:.2}", fm_bus as f64 / tree_cube as f64),
         ]);
     }
     let _ = writeln!(out, "{}", t.render());

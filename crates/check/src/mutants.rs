@@ -170,9 +170,6 @@ impl ProtoCtx for MutCtx<'_> {
         self.inner.send(dst, msg);
     }
 
-    fn broadcast(&mut self, msg: Msg) -> Cycle {
-        self.inner.broadcast(msg)
-    }
     fn redeliver(&mut self, node: NodeId, msg: Msg, delay: Cycle) {
         self.inner.redeliver(node, msg, delay);
     }

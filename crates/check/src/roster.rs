@@ -113,11 +113,7 @@ pub fn exclusion(kind: ProtocolKind) -> Option<&'static str> {
     match kind {
         ProtocolKind::SinglyList => Some(
             "deadlocks at P=2 and loses SWMR at P=3 \
-             (exhaustive.rs: list_and_snoop_counterexamples_are_pinned)",
-        ),
-        ProtocolKind::Snoop => Some(
-            "loses SWMR at P=2 because the checker delivers a bus broadcast point to point \
-             (exhaustive.rs: list_and_snoop_counterexamples_are_pinned)",
+             (exhaustive.rs: list_counterexamples_are_pinned)",
         ),
         ProtocolKind::Stp { .. } | ProtocolKind::SciTree => Some(
             "loses SWMR to a stale leave at P=2 \

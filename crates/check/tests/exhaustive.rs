@@ -580,23 +580,17 @@ fn baseline_tree_protocols_lose_swmr_to_a_stale_leave() {
     }
 }
 
-/// The other two baselines `check_all` leaves out fail at P = 2 already
-/// (ROADMAP item 3), with BFS-shortest counterexamples: SinglyLinkedList
-/// deadlocks in 12 choices at P=2 (one block or two) and loses SWMR in 15
-/// at P=3; SnoopMSI loses SWMR in 12 at all three shapes, because the
-/// checker delivers its bus broadcast point to point. A fix, or a bus
-/// channel model, flips these to passes and puts the protocol on the
-/// roster.
+/// SinglyLinkedList, which `check_all` leaves out, fails at P = 2 already
+/// (ROADMAP item 3), with BFS-shortest counterexamples: it deadlocks in
+/// 12 choices at P=2 (one block or two) and loses SWMR in 15 at P=3. A fix
+/// flips these to passes and puts the protocol on the roster.
 #[test]
-fn list_and_snoop_counterexamples_are_pinned() {
+fn list_counterexamples_are_pinned() {
     let params = ProtocolParams::default();
     for (kind, nodes, blocks, violation, steps) in [
         (ProtocolKind::SinglyList, 2, 1, "deadlock", 12),
         (ProtocolKind::SinglyList, 3, 1, "WriterNotExclusive", 15),
         (ProtocolKind::SinglyList, 2, 2, "deadlock", 12),
-        (ProtocolKind::Snoop, 2, 1, "WriterNotExclusive", 12),
-        (ProtocolKind::Snoop, 3, 1, "WriterNotExclusive", 12),
-        (ProtocolKind::Snoop, 2, 2, "WriterNotExclusive", 12),
     ] {
         let cfg = CheckConfig::small(nodes, blocks);
         let outcome = explore(&cfg, || build_protocol(kind, params));
@@ -686,9 +680,8 @@ fn a_stale_recall_meets_a_write_miss_and_is_dropped() {
 }
 
 /// One instance of every protocol family `check_all` leaves off its roster.
-const EXCLUDED: [ProtocolKind; 5] = [
+const EXCLUDED: [ProtocolKind; 4] = [
     ProtocolKind::SinglyList,
-    ProtocolKind::Snoop,
     ProtocolKind::Stp { arity: 2 },
     ProtocolKind::SciTree,
     ProtocolKind::Sci,
@@ -709,12 +702,11 @@ fn every_protocol_kind_is_on_the_roster_or_excluded_with_its_pin() {
         ProtocolKind::Stp { .. } => 6,
         ProtocolKind::SciTree => 7,
         ProtocolKind::DirTree { .. } => 8,
-        ProtocolKind::Snoop => 9,
-        ProtocolKind::DirTreeUpdate { .. } => 10,
-        ProtocolKind::DirTreeAdaptive { .. } => 11,
+        ProtocolKind::DirTreeUpdate { .. } => 9,
+        ProtocolKind::DirTreeAdaptive { .. } => 10,
     };
     let roster = roster();
-    let mut placed = [false; 12];
+    let mut placed = [false; 11];
     for e in &roster {
         assert_eq!(exclusion(e.kind), None, "{} is on the roster", e.name);
         placed[variant(e.kind)] = true;

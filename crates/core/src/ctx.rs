@@ -56,18 +56,15 @@ pub trait ProtoCtx {
     /// machine; wire size and contention are derived from the message).
     fn send(&mut self, dst: NodeId, msg: Msg);
 
-    /// Deliver `msg` to every node except the sender. On a bus fabric this
-    /// costs a single bus transaction observed simultaneously by all
-    /// snoopers; elsewhere it expands to unicasts. Returns the cycle by
-    /// which every recipient has the message (so callers can anchor
-    /// snoop-window timing to the actual delivery, not the send). The
-    /// default expansion suits mocks, whose delivery is immediate.
+    /// Deliver `msg` to every node except the sender, one
+    /// [`ProtoCtx::send`] each, and return `now()`. The original message is
+    /// moved into the final send rather than cloned once more.
     ///
-    /// The original message is moved into the final send rather than
-    /// cloned once more. Only the snooping protocol broadcasts, and its
-    /// `BusRead`/`BusReadX` carry no [`crate::msg::NodeList`], so each clone
-    /// is a plain copy; a message with a non-empty list would allocate per
-    /// clone.
+    /// No protocol calls this: Dir_iB's overflow write sends one `Inv` per
+    /// node, so every message takes `send`'s path. The method stays because
+    /// the benchmark's traced context (`benchmark/src/wrap.rs`) overrides
+    /// it, and the benchmark changes only together with its expected
+    /// digests.
     fn broadcast(&mut self, msg: Msg) -> Cycle {
         let last = (0..self.num_nodes()).rev().find(|&d| d != msg.src);
         for dst in 0..self.num_nodes() {

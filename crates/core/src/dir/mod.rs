@@ -13,7 +13,6 @@
 //!   k-ary tree ([`stp`]) and the SCI tree extension's AVL tree
 //!   ([`sci_tree`]);
 //! * [`singly`], [`sci`] — linked-list baselines;
-//! * [`snoop`] — the §1 snooping-MSI bus baseline;
 //! * [`util`] — shared building blocks: the block-major state every
 //!   protocol keeps (a row per block: directory entry, transaction gate,
 //!   per-node records sorted by node id), the home's record of a block's
@@ -27,6 +26,5 @@ pub mod home_tree;
 pub mod sci;
 pub mod sci_tree;
 pub mod singly;
-pub mod snoop;
 pub mod stp;
 pub mod util;

@@ -218,16 +218,6 @@ msg_kinds! {
     /// DESIGN.md §6.
     FillAck => "fill_ack", FillAck, Ctrl, Dir;
 
-    // ---- snooping MSI (bus fabric) ----
-    /// Broadcast: a reader wants the block (owners downgrade and flush).
-    BusRead { requester: NodeId } => "bus_read", ReadReq, Ctrl, Cache;
-    /// Broadcast: a writer wants exclusivity (everyone else invalidates).
-    BusReadX { requester: NodeId } => "bus_readx", WriteReq, Ctrl, Cache;
-    /// Memory (or the previous owner) → requester: the data response.
-    BusData { exclusive: bool } => "bus_data", DataReply, Data, Cache;
-    /// Home self-message: the snoop window elapsed; supply the data.
-    BusWindow { requester: NodeId, exclusive: bool } => "bus_window", Mgmt, Ctrl, Cache;
-
     // ---- singly linked list ----
     /// Home → old head: supply data to `requester`, who becomes the new
     /// head and will point at you.
@@ -323,14 +313,6 @@ impl MsgKind {
         self.facts().bound == Bound::Dir
     }
 
-    /// Snoop broadcasts are handled by a dedicated snoop port (dual-tag
-    /// caches): the machine processes them at delivery without queueing
-    /// behind the regular controller, so invalidations retire within the
-    /// snoop window even under backlog.
-    pub fn is_snoop(&self) -> bool {
-        matches!(self, MsgKind::BusRead { .. } | MsgKind::BusReadX { .. })
-    }
-
     /// Wire size in bytes given the control-header and block sizes.
     #[inline]
     pub fn wire_bytes(&self, header: u32, block: u32) -> u32 {
@@ -343,7 +325,7 @@ impl MsgKind {
 
     /// Coarse observability class ([`MsgClass`]) for the metrics layer.
     ///
-    /// This is the single mapping from the full 46-kind wire vocabulary
+    /// This is the single mapping from the full 42-kind wire vocabulary
     /// onto the paper's 10-class accounting; every protocol's messages
     /// classify through it (the machine's shared send hook calls it), so
     /// no protocol carries its own instrumentation.
@@ -424,13 +406,6 @@ mod tests {
             },
             WbEvict,
             FillAck,
-            BusRead { requester: 1 },
-            BusReadX { requester: 1 },
-            BusData { exclusive: true },
-            BusWindow {
-                requester: 1,
-                exclusive: true,
-            },
             SllSupply { requester: 1 },
             SllData,
             SllInv { writer: 1 },
@@ -475,7 +450,7 @@ mod tests {
     #[test]
     fn labels_are_distinct_for_core_kinds() {
         let kinds = one_of_each();
-        assert_eq!(kinds.len(), 46);
+        assert_eq!(kinds.len(), 42);
         let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());
     }
@@ -620,13 +595,6 @@ mod tests {
             },
             WbEvict,
             FillAck,
-            BusRead { requester: 6 },
-            BusReadX { requester: 6 },
-            BusData { exclusive: true },
-            BusWindow {
-                requester: 6,
-                exclusive: true,
-            },
             SllSupply { requester: 6 },
             SllData,
             SllInv { writer: 6 },

@@ -84,8 +84,6 @@ pub enum ProtocolKind {
     /// The paper's contribution: Dir_iTree_k with `pointers` directory
     /// pointers and `arity`-ary trees.
     DirTree { pointers: u32, arity: u32 },
-    /// Snooping MSI for the bus fabric (the §1 baseline).
-    Snoop,
     /// Extension: Dir_iTree_k with *update* writes instead of
     /// invalidations (§3 mentions the option; the paper evaluates only
     /// the invalidation variant).
@@ -112,7 +110,6 @@ impl ProtocolKind {
             ProtocolKind::DirTree { pointers, .. } => format!("{pointers}"),
             ProtocolKind::DirTreeUpdate { pointers, .. } => format!("U{pointers}"),
             ProtocolKind::DirTreeAdaptive { pointers, .. } => format!("A{pointers}"),
-            ProtocolKind::Snoop => "snp".into(),
         }
     }
 
@@ -134,7 +131,6 @@ impl ProtocolKind {
             ProtocolKind::DirTreeAdaptive { pointers, arity } => {
                 format!("Dir{pointers}Tree{arity}A")
             }
-            ProtocolKind::Snoop => "SnoopMSI".into(),
         }
     }
 
@@ -163,8 +159,8 @@ pub trait Protocol: Send {
     /// A read or write miss began at `node` for `addr`. The machine has
     /// already allocated the line and set it to `RmIp`/`WmIp`; the protocol
     /// sends the request to the home. For a write to a `V` line (upgrade),
-    /// `op == Write` and the old state was `V`. Every directory and the
-    /// snooping baseline open a miss the same way, so that is the default.
+    /// `op == Write` and the old state was `V`. Every protocol opens a miss
+    /// this way, so it is the default.
     fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
         let home = ctx.home_of(addr);
         let kind = match op {
@@ -327,7 +323,6 @@ pub fn build_protocol(kind: ProtocolKind, params: ProtocolParams) -> Box<dyn Pro
         ProtocolKind::DirTreeAdaptive { pointers, arity } => {
             Box::new(crate::adapt::DirTreeAdaptive::new(pointers, arity, params))
         }
-        ProtocolKind::Snoop => Box::new(crate::dir::snoop::Snoop::new()),
     }
 }
 
@@ -396,7 +391,6 @@ mod tests {
                 pointers: 4,
                 arity: 2,
             },
-            ProtocolKind::Snoop,
         ] {
             let p = build_protocol(kind, params);
             assert_eq!(p.kind(), kind);

@@ -44,7 +44,6 @@ fn kinds() -> Vec<ProtocolKind> {
             pointers: 4,
             arity: 4,
         },
-        ProtocolKind::Snoop,
     ]
 }
 
@@ -254,15 +253,11 @@ fn update_variant_keeps_copies_valid() {
 }
 
 /// The kinds whose home keeps an exclusive copy in an ownership record and
-/// recalls it with `WbReq`: every directory family but the two lists and
-/// the bus.
+/// recalls it with `WbReq`: every directory family but the two lists.
 fn owner_kinds() -> impl Iterator<Item = ProtocolKind> {
-    kinds().into_iter().filter(|k| {
-        !matches!(
-            k,
-            ProtocolKind::SinglyList | ProtocolKind::Sci | ProtocolKind::Snoop
-        )
-    })
+    kinds()
+        .into_iter()
+        .filter(|k| !matches!(k, ProtocolKind::SinglyList | ProtocolKind::Sci))
 }
 
 /// A dirty block's recall, for every kind with an ownership record: node 2

@@ -108,4 +108,3 @@ conformance!(
         arity: 2
     }
 );
-conformance!(snoop, ProtocolKind::Snoop);

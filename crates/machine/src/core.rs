@@ -257,22 +257,6 @@ impl MachineCore {
         self.config.net.flit_cost(bytes)
     }
 
-    /// Charge occupancy requested by a handler that ran *outside* the
-    /// [`MachineCore::ctrl_take`] / [`MachineCore::ctrl_finish`] bracket
-    /// (the dedicated snoop port handles messages at delivery time).
-    /// Without this, `ctrl_extra` accrued there would silently leak into
-    /// the next unrelated `ctrl_finish` and bill the wrong node's
-    /// controller. `max` (not overwrite) because this node may also have a
-    /// scheduled controller reservation in the future.
-    pub fn apply_direct_occupancy(&mut self, node: NodeId) {
-        let n = node as usize;
-        if self.ctrl_extra > 0 {
-            self.ctrl_busy[n] += self.ctrl_extra;
-            self.ctrl_free[n] = self.ctrl_free[n].max(self.queue.now()) + self.ctrl_extra;
-            self.ctrl_extra = 0;
-        }
-    }
-
     /// Apply handler-requested extra occupancy and schedule the next
     /// message if any.
     pub fn ctrl_finish(&mut self, node: NodeId) {
@@ -491,7 +475,7 @@ impl MachineCore {
         &self.ctrl_busy
     }
 
-    /// The single observability hook: every unicast protocol message flows
+    /// The single observability hook: every protocol message flows
     /// through here (from [`ProtoCtx::send`]), so no protocol carries its
     /// own instrumentation. With the `trace` feature off, [`Metrics`] is a
     /// no-op ZST and `trace_sink` stays `None`, so this reduces to one
@@ -519,21 +503,6 @@ impl MachineCore {
         let now = self.queue.now();
         if let Some(t) = self.trace_sink.as_mut() {
             t.record_timed(now, arrival, dst, msg);
-        }
-    }
-
-    /// Broadcast counterpart of [`MachineCore::record_msg`]: `wire_msgs`
-    /// is 1 on the bus (all snoopers observe one transaction) and n − 1 on
-    /// a point-to-point fabric.
-    fn record_broadcast(&mut self, msg: &Msg, bytes: u32, wire_msgs: u64, arrival: Cycle) {
-        let class = msg.kind.class();
-        for _ in 0..wire_msgs {
-            self.metrics
-                .on_msg(class, msg.addr, bytes as u64, msg.kind.to_directory());
-        }
-        let now = self.queue.now();
-        if let Some(t) = self.trace_sink.as_mut() {
-            t.record_timed(now, arrival, msg.src, msg);
         }
     }
 
@@ -591,40 +560,6 @@ impl ProtoCtx for MachineCore {
             self.credits[channel] -= cost;
         }
         self.dispatch_send(dst, msg, vc);
-    }
-
-    fn broadcast(&mut self, msg: Msg) -> Cycle {
-        let bytes = msg
-            .kind
-            .wire_bytes(self.config.header_bytes, self.config.block_bytes);
-        // Broadcasts are credit-exempt: the bus snoop is a single atomic
-        // transaction, and the point-to-point fan-out models hardware
-        // multicast rather than n − 1 buffered unicasts.
-        let vc = vc_for(msg.kind.class(), self.config.net.vcs);
-        let arrival = self.net.broadcast_vc(self.queue.now(), msg.src, bytes, vc);
-        // One bus transaction, or n − 1 unicasts on a point-to-point
-        // fabric (§1's argument in a single line of accounting).
-        let wire_msgs = if self.net.config().fabric == dirtree_net::Fabric::Bus {
-            1
-        } else {
-            self.config.nodes as u64 - 1
-        };
-        self.stats.messages += wire_msgs;
-        self.stats.bytes += bytes as u64 * wire_msgs;
-        self.record_broadcast(&msg, bytes, wire_msgs, arrival);
-        // The original message is moved into the last delivery instead of
-        // being cloned once more and dropped: n − 2 clones for n − 1
-        // deliveries, and zero for the degenerate 2-node machine.
-        let last = (0..self.config.nodes).rev().find(|&d| d != msg.src);
-        for dst in 0..self.config.nodes {
-            if dst != msg.src && Some(dst) != last {
-                self.queue.push(arrival, Ev::Deliver(dst, msg.clone()));
-            }
-        }
-        if let Some(dst) = last {
-            self.queue.push(arrival, Ev::Deliver(dst, msg));
-        }
-        arrival
     }
 
     fn redeliver(&mut self, node: NodeId, msg: Msg, delay: Cycle) {

@@ -256,19 +256,7 @@ impl Machine {
                 }
                 match ev {
                     Ev::Proc(n) => self.step_processor(n, driver)?,
-                    Ev::Deliver(n, msg) => {
-                        if msg.kind.is_snoop() {
-                            // Dedicated snoop port: handled at delivery time.
-                            self.protocol.handle(&mut self.core, n, msg);
-                            // This path runs outside the ctrl_take/ctrl_finish
-                            // bracket; occupancy the handler requested must be
-                            // charged to this node now, not leak into the next
-                            // unrelated ctrl_finish.
-                            self.core.apply_direct_occupancy(n);
-                        } else {
-                            self.core.deliver(n, msg);
-                        }
-                    }
+                    Ev::Deliver(n, msg) => self.core.deliver(n, msg),
                     Ev::CtrlExec(n) => {
                         let msg = self.core.ctrl_take(n);
                         self.protocol.handle(&mut self.core, n, msg);
@@ -836,7 +824,7 @@ mod tests {
     #[test]
     fn reset_then_reuse_is_bit_identical_to_fresh() {
         // A dirty machine — advanced queue clock, warm caches, controller
-        // occupancy (including the snoop-path `ctrl_extra` bookkeeping),
+        // occupancy (including handler-requested `ctrl_extra`),
         // protocol directory state — must be indistinguishable from a
         // freshly constructed one after `reset()`. Guards the reset path
         // against the PR-1 class of carry-over bugs.

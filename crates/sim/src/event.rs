@@ -63,9 +63,7 @@
 //! not its trips through the ring: the machine's event moves from slab to
 //! batch to controller queue to handler, so shrinking it from 64 to 48
 //! bytes (node lists out of line, `dirtree_core::msg::NodeList`) cut the
-//! machine loop's cost per event while `sim.queue_hold_ns` stayed put. The
-//! `n - 2` `msg.clone()` of a broadcast is a separate, bus-only cost and
-//! is untouched.
+//! machine loop's cost per event while `sim.queue_hold_ns` stayed put.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

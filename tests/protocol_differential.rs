@@ -81,9 +81,10 @@ fn compared_set() -> Vec<ProtocolKind> {
     kinds
 }
 
+/// Seeds 1996, `0xdead_beef` and 0..16, the small-cache test's range.
 #[test]
 fn all_protocols_agree_on_a_seeded_random_trace() {
-    for seed in [1996, 0xdead_beef] {
+    for seed in [1996, 0xdead_beef].into_iter().chain(0..16) {
         let t = trace(seed);
         let oracle = final_memory(ProtocolKind::FullMap, seed);
         // Sanity on the oracle itself: the last phase's published values

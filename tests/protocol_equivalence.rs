@@ -24,7 +24,6 @@ fn protocols() -> Vec<ProtocolKind> {
             pointers: 4,
             arity: 2,
         },
-        ProtocolKind::Snoop,
     ]
 }
 
@@ -108,7 +107,6 @@ fn blocked_lu_identical_across_protocols() {
         },
         ProtocolKind::LimitedNB { pointers: 1 },
         ProtocolKind::Sci,
-        ProtocolKind::Snoop,
     ] {
         assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
     }

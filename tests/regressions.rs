@@ -202,7 +202,6 @@ fn recorded_counterexample_is_coherent_on_every_protocol() {
         },
         ProtocolKind::FullMap,
         ProtocolKind::LimitLess { pointers: 4 },
-        ProtocolKind::Snoop,
     ] {
         run(kind, recorded_scripts(), 32);
     }

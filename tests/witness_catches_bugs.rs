@@ -133,9 +133,6 @@ impl ProtoCtx for SniffWave<'_> {
         }
         self.inner.send(dst, msg);
     }
-    fn broadcast(&mut self, msg: Msg) -> Cycle {
-        self.inner.broadcast(msg)
-    }
     fn redeliver(&mut self, node: NodeId, msg: Msg, delay: Cycle) {
         self.inner.redeliver(node, msg, delay);
     }
