@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, lints, doc links, build, a run of every
 # example, the full workspace test suite (which includes the paper-claims and
-# cross-protocol differential suites), the feature-off observability
-# check, the P=1024 hot-block stress in release, and the model checker's
+# cross-protocol differential suites), the benchmark crate's unit tests,
+# the feature-off observability check, the P=1024 hot-block stress in release, and the model checker's
 # default tier (every roster protocol —
 # figure set, Dir2B, LimitLESS2 and LimitLESS1, update, adaptive, and the
 # ternary-tree shapes — exhaustively explored at
@@ -50,6 +50,10 @@ cargo test --workspace -q
 # must compile to a zero-sized no-op (pinned by `zero_sized_when_disabled`
 # and `metrics_are_empty_when_trace_feature_is_off`).
 cargo test -q -p dirtree-sim -p dirtree-net -p dirtree-machine
+# The benchmark crate is a workspace of its own, so `--workspace` above
+# never runs its unit tests (the harness's own digests, tables and
+# statistics); here they run against its committed Cargo.lock.
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
 # The hot-block stress at P=1024 (1000 sharers of one block, every
 # protocol with an ownership record, witness on) is too slow for the
 # debug suite above, which runs it at P=256; here it runs in release.

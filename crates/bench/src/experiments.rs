@@ -1665,13 +1665,17 @@ mod tests {
         // goldens; the machines are what those goldens were recorded on.
         let names = SCALE_UP_GRIDS.map(|(name, ..)| name);
         assert_eq!(names, ["scale_up", "scale_up_vc", "scale_up_vc_credited"]);
-        let [base, vc, credited] = SCALE_UP_GRIDS.map(|(_, _, _, machine)| machine(64));
-        assert_eq!(
-            base.fingerprint(),
-            MachineConfig::paper_default(64).fingerprint()
-        );
-        assert_eq!(vc.fingerprint(), vc_default(64).fingerprint());
-        assert_eq!(credited.fingerprint(), vc_credited(64).fingerprint());
+        let key = |m: MachineConfig| {
+            let floyd = WorkloadKind::Floyd {
+                vertices: 64,
+                seed: 1996,
+            };
+            SweepConfig::new(m, SCALE_UP_PROTOCOLS[0], floyd).key()
+        };
+        let [base, vc, credited] = SCALE_UP_GRIDS.map(|(_, _, _, machine)| key(machine(64)));
+        assert_eq!(base, key(MachineConfig::paper_default(64)));
+        assert_eq!(vc, key(vc_default(64)));
+        assert_eq!(credited, key(vc_credited(64)));
         assert!(SCALE_UP_GRIDS[2]
             .1
             .contains(&format!("({VC_CREDITS} credits per pool")));
@@ -1714,7 +1718,7 @@ mod tests {
         let base = MachineConfig::paper_default(512);
         assert_eq!(m.nodes, base.nodes);
         assert_eq!(m.mem_latency, base.mem_latency);
-        assert_eq!(m.net.switch_delay, base.net.switch_delay);
+        assert_eq!(m.net.link_width_bits, base.net.link_width_bits);
     }
 
     #[test]
@@ -1726,10 +1730,15 @@ mod tests {
         assert_eq!(m.net.adaptive, vc.net.adaptive);
         assert_eq!(m.nodes, vc.nodes);
         assert_eq!(m.mem_latency, vc.mem_latency);
-        assert_eq!(m.net.switch_delay, vc.net.switch_delay);
-        // Distinct fingerprints, so the records and the golden files can
-        // never confuse the credited and idealized grids.
-        assert_ne!(m.fingerprint(), vc.fingerprint());
+        assert_eq!(m.net.link_width_bits, vc.net.link_width_bits);
+        // Distinct keys, so the records and the golden files can never
+        // confuse the credited and idealized grids.
+        let floyd = WorkloadKind::Floyd {
+            vertices: 64,
+            seed: 1996,
+        };
+        let key = |m| SweepConfig::new(m, ProtocolKind::FullMap, floyd).key();
+        assert_ne!(key(m), key(vc));
     }
 
     #[test]

@@ -154,11 +154,10 @@ pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> Strin
     let protocols: Vec<ProtocolKind> = ProtocolKind::figure_set();
     let slug = workload.name().replace(['(', ')', ',', 'x'], "_");
     eprintln!(
-        "running {} × {} machine sizes of {} (config fingerprint {:#x}) ...",
+        "running {} × {} machine sizes of {} ...",
         protocols.len(),
         PAPER_SIZES.len(),
         workload.name(),
-        MachineConfig::paper_default(8).fingerprint(),
     );
     let t0 = std::time::Instant::now();
     let cells = record_grid(

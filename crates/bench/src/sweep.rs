@@ -14,8 +14,12 @@
 //! never from worker/thread state, so records are bit-identical regardless
 //! of how many jobs the runner uses.
 
+use dirtree_core::adapt::detector::ADAPT_SATURATION;
+use dirtree_core::dir::flat::SW_TRAP_CYCLES;
 use dirtree_core::protocol::ProtocolKind;
+use dirtree_machine::config::{CACHE_LATENCY, SYNC_LATENCY};
 use dirtree_machine::{MachineConfig, RunOutcome, TopologyKind};
+use dirtree_net::wormhole::{LOCAL_DELAY, SWITCH_DELAY};
 use dirtree_net::Fabric;
 use dirtree_sim::hash::FxHasher;
 use dirtree_sim::metrics::{MetricsSnapshot, MsgClass};
@@ -48,7 +52,9 @@ impl SweepConfig {
 
     /// Canonical single-line key spelling out every semantic field of the
     /// configuration. This is the record's identity: two configs with
-    /// equal keys must simulate identically.
+    /// equal keys must simulate identically. The constants `cl`, `sw`,
+    /// `loc`, `trap`, `sync` and `sat` are printed too: every committed
+    /// record's key, config hash and derived seed includes them.
     pub fn key(&self) -> String {
         let m = &self.machine;
         let net = &m.net;
@@ -74,15 +80,15 @@ impl SweepConfig {
             m.block_bytes,
             m.header_bytes,
             m.mem_latency,
-            m.cache_latency,
-            net.switch_delay,
+            CACHE_LATENCY,
+            SWITCH_DELAY,
             net.link_width_bits,
             net.contention as u8,
-            net.local_delay,
-            m.protocol.sw_trap_cycles,
+            LOCAL_DELAY,
+            SW_TRAP_CYCLES,
             m.protocol.dir_tree_pairing as u8,
             m.protocol.dir_tree_silent_replace as u8,
-            m.sync_latency,
+            SYNC_LATENCY,
             self.seed,
         );
         // Virtual-channel parameters extend the key only when non-default,
@@ -102,7 +108,7 @@ impl SweepConfig {
             let _ = write!(
                 key,
                 "|ap={{up={},down={},sat={}}}",
-                m.protocol.adapt_flip_up, m.protocol.adapt_flip_down, m.protocol.adapt_saturation,
+                m.protocol.adapt_flip_up, m.protocol.adapt_flip_down, ADAPT_SATURATION,
             );
         }
         key
@@ -556,6 +562,112 @@ mod tests {
         c.machine.mem_latency = 6;
         assert_ne!(a.key(), c.key());
         assert_ne!(a.config_hash(), c.config_hash());
+    }
+
+    /// Every settable input of a simulation is in the key: a field left out
+    /// would let two configs that simulate differently share one record
+    /// identity, config hash and derived seed. `verify` and `max_events`
+    /// are left out on purpose: they check or bound a run but never change
+    /// its timing.
+    #[test]
+    fn key_names_every_semantic_field() {
+        use dirtree_core::cache::CacheConfig;
+        use dirtree_core::protocol::ProtocolParams;
+        use dirtree_net::NetworkConfig;
+        let base = sample_config();
+        assert_eq!(
+            base.key(),
+            "v1|proto=Dir4Tree2|wl=floyd{v=8,seed=1996}|nodes=8|cache=2048/2048|blk=8|hdr=8|\
+             mem=5|cl=1|net=cube{sw=1,w=8,cont=1,loc=1}|topo=hypercube|\
+             pp={trap=40,pair=1,silent=1}|sync=4|seed=0"
+        );
+        // Exhaustive patterns: a new config field fails to compile here
+        // until it is given a line below (or a reason to be left out).
+        let MachineConfig {
+            nodes: _,
+            cache:
+                CacheConfig {
+                    lines: _,
+                    associativity: _,
+                },
+            block_bytes: _,
+            header_bytes: _,
+            mem_latency: _,
+            net:
+                NetworkConfig {
+                    fabric: _,
+                    link_width_bits: _,
+                    contention: _,
+                    vcs: _,
+                    adaptive: _,
+                    vc_credits: _,
+                },
+            topology: _,
+            protocol:
+                ProtocolParams {
+                    dir_tree_pairing: _,
+                    dir_tree_silent_replace: _,
+                    adapt_flip_up: _,
+                    adapt_flip_down: _,
+                },
+            verify: _,
+            max_events: _,
+        } = base.machine;
+        type Change = (&'static str, fn(&mut SweepConfig));
+        let changes: [Change; 21] = [
+            ("nodes", |c| c.machine.nodes = 16),
+            ("cache.lines", |c| c.machine.cache.lines = 1024),
+            ("cache.associativity", |c| c.machine.cache.associativity = 4),
+            ("block_bytes", |c| c.machine.block_bytes = 16),
+            ("header_bytes", |c| c.machine.header_bytes = 4),
+            ("mem_latency", |c| c.machine.mem_latency = 6),
+            ("net.fabric", |c| c.machine.net.fabric = Fabric::Bus),
+            ("net.link_width_bits", |c| {
+                c.machine.net.link_width_bits = 16
+            }),
+            ("net.contention", |c| c.machine.net.contention = false),
+            ("net.vcs", |c| c.machine.net.vcs = 3),
+            ("net.adaptive", |c| c.machine.net.adaptive = true),
+            ("net.vc_credits", |c| c.machine.net.vc_credits = 8),
+            ("topology", |c| {
+                c.machine.topology = TopologyKind::KaryNcube { radix: 8 }
+            }),
+            ("topology radix", |c| {
+                c.machine.topology = TopologyKind::KaryNcube { radix: 2 }
+            }),
+            ("protocol.dir_tree_pairing", |c| {
+                c.machine.protocol.dir_tree_pairing = false
+            }),
+            ("protocol.dir_tree_silent_replace", |c| {
+                c.machine.protocol.dir_tree_silent_replace = false
+            }),
+            ("protocol.adapt_flip_up", |c| {
+                c.machine.protocol.adapt_flip_up = 3
+            }),
+            ("protocol.adapt_flip_down", |c| {
+                c.machine.protocol.adapt_flip_down = -3
+            }),
+            ("seed", |c| c.seed = 1),
+            ("protocol kind", |c| c.protocol = ProtocolKind::FullMap),
+            ("workload", |c| {
+                c.workload = WorkloadKind::Floyd {
+                    vertices: 16,
+                    seed: 1996,
+                }
+            }),
+        ];
+        // Each change gives a key no other config here has, so a field
+        // printed under another field's name would show too.
+        let mut seen = std::collections::HashSet::from([base.key()]);
+        for (field, change) in changes {
+            let mut c = sample_config();
+            change(&mut c);
+            assert!(seen.insert(c.key()), "{field} does not change the key");
+        }
+        let mut unkeyed = sample_config();
+        unkeyed.machine.verify = !unkeyed.machine.verify;
+        unkeyed.machine.max_events = 1;
+        assert_eq!(unkeyed.key(), base.key());
     }
 
     #[test]

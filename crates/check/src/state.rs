@@ -12,7 +12,7 @@
 //! Completions the protocol announces (`ProtoCtx::complete`) retire
 //! *synchronously* at the end of the triggering choice — this is where
 //! the witness checks fire. The simulator schedules `OpDone` only
-//! `cache_latency` after the fill, before any causally-subsequent
+//! `CACHE_LATENCY` after the fill, before any causally-subsequent
 //! network delivery can land at the node; modeling retirement as a
 //! separate, arbitrarily-delayed choice would explore interleavings the
 //! event queue cannot produce (e.g. a `WbReq` downgrading a just-granted

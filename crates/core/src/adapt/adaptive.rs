@@ -124,11 +124,7 @@ impl DirTreeAdaptive {
     pub fn new(pointers: u32, arity: u32, params: ProtocolParams) -> Self {
         Self {
             tree: DirTree::with_policy(pointers, arity, params, WritePolicy::PerBlock),
-            detector: PatternDetector::new(
-                params.adapt_flip_up,
-                params.adapt_flip_down,
-                params.adapt_saturation,
-            ),
+            detector: PatternDetector::new(params.adapt_flip_up, params.adapt_flip_down),
             rows: BlockTable::new(),
             nodes: 0,
         }

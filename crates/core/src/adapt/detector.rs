@@ -75,6 +75,11 @@ impl BlockPattern {
     }
 }
 
+/// Pattern score saturation bound: scores are clamped to
+/// `[-ADAPT_SATURATION, +ADAPT_SATURATION]` so a long-established pattern
+/// can still be unlearned in bounded time.
+pub const ADAPT_SATURATION: i32 = 4;
+
 /// The sharing-pattern classifier: the Schmitt-trigger thresholds, applied
 /// to one block's [`BlockPattern`] at a time (the home protocol keeps one
 /// per block; one detector serves every home).
@@ -82,21 +87,16 @@ impl BlockPattern {
 pub struct PatternDetector {
     flip_up: i32,
     flip_down: i32,
-    saturation: i32,
 }
 
 impl PatternDetector {
-    pub fn new(flip_up: i32, flip_down: i32, saturation: i32) -> Self {
+    pub fn new(flip_up: i32, flip_down: i32) -> Self {
         assert!(
             flip_down < flip_up,
             "hysteresis thresholds must be ordered (down {flip_down} < up {flip_up})"
         );
-        assert!(saturation >= flip_up.abs().max(flip_down.abs()));
-        Self {
-            flip_up,
-            flip_down,
-            saturation,
-        }
+        assert!(ADAPT_SATURATION >= flip_up.abs().max(flip_down.abs()));
+        Self { flip_up, flip_down }
     }
 
     fn block(block: &mut Option<BlockPattern>, nodes: u32) -> &mut BlockPattern {
@@ -122,7 +122,7 @@ impl PatternDetector {
         writer: NodeId,
         nodes: u32,
     ) -> SharingPattern {
-        let sat = self.saturation;
+        let sat = ADAPT_SATURATION;
         let b = Self::block(block, nodes);
         let r = b.readers.len();
         let writer_changed = b.last_writer != Some(writer);
@@ -200,7 +200,7 @@ mod tests {
     fn det() -> Blocks {
         // The protocol's defaults: flip up at +2, down at -2, saturate at 4.
         Blocks {
-            d: PatternDetector::new(2, -2, 4),
+            d: PatternDetector::new(2, -2),
             rows: BlockTable::new(),
         }
     }

@@ -196,19 +196,6 @@ impl Cache {
         &self.config
     }
 
-    /// Empty the cache, keeping its allocations (the state of
-    /// [`Cache::new`] with the same geometry).
-    pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.slots.clear();
-            set.invalid.clear();
-            set.mru = NIL;
-            set.lru = NIL;
-        }
-        self.index.clear();
-        self.resident = 0;
-    }
-
     #[inline]
     fn set_of(&self, addr: Addr) -> usize {
         (addr as usize) % self.sets.len()
@@ -723,23 +710,6 @@ mod tests {
         assert_eq!(c.set_state(3, LineState::V), LineState::RmIp);
         assert_eq!(c.set_state_mru(3, LineState::WmIp), LineState::V);
         assert_eq!(c.state(3), LineState::WmIp);
-    }
-
-    #[test]
-    fn clear_is_a_new_cache() {
-        let mut c = small();
-        for a in 0..6 {
-            c.allocate(a);
-            c.set_state(a, LineState::V);
-        }
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.resident().count(), 0);
-        for a in 0..6 {
-            assert_eq!(c.state(a), LineState::NotPresent);
-        }
-        assert_eq!(c.allocate(5), AllocOutcome::Fresh);
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -20,6 +20,10 @@ use crate::protocol::{ptr_bits, ProtocolKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
 use dirtree_sim::Cycle;
 
+/// LimitLESS software-handler occupancy per trap, in cycles. Chaiken et al.
+/// report full-map-emulation traps of a few tens of cycles on Alewife.
+pub const SW_TRAP_CYCLES: Cycle = 40;
+
 /// What the home does with a new reader once every pointer is in use.
 #[derive(Clone, Copy)]
 enum Overflow {
@@ -37,9 +41,9 @@ enum Overflow {
     /// LimitLESS_i (Chaiken, Kubiatowicz & Agarwal, ASPLOS 1991): trap into
     /// software and spill the pointer to ordinary memory, so sharing
     /// information is never lost — but every trap occupies the home for
-    /// `trap_cycles`, and a write pays that per spilled pointer it walks:
-    /// the "(P − i) software handler delay" of the paper's Table 1.
-    Spill { trap_cycles: Cycle },
+    /// [`SW_TRAP_CYCLES`], and a write pays that per spilled pointer it
+    /// walks: the "(P − i) software handler delay" of the paper's Table 1.
+    Spill,
 }
 
 /// A block's recorded sharers, in the shape its policy needs: full-map's
@@ -169,12 +173,13 @@ impl FlatDir {
         Self::flat(kind, pointers, overflow, Sharers::default())
     }
 
-    /// LimitLESS_i with `trap_cycles` of software-handler occupancy per trap.
-    pub fn limitless(pointers: u32, trap_cycles: Cycle) -> Self {
+    /// LimitLESS_i with [`SW_TRAP_CYCLES`] of software-handler occupancy
+    /// per trap.
+    pub fn limitless(pointers: u32) -> Self {
         Self::flat(
             ProtocolKind::LimitLess { pointers },
             pointers,
-            Overflow::Spill { trap_cycles },
+            Overflow::Spill,
             Sharers::default(),
         )
     }
@@ -250,10 +255,10 @@ impl Family for Flat {
                 }
                 // The reader gets data but no pointer.
                 Overflow::Broadcast => s.overflow = true,
-                Overflow::Spill { trap_cycles } => {
+                Overflow::Spill => {
                     s.spill.push(reader);
                     ctx.note(ProtoEvent::SoftwareTrap);
-                    ctx.occupy(home, trap_cycles);
+                    ctx.occupy(home, SW_TRAP_CYCLES);
                 }
             }
         }
@@ -281,13 +286,13 @@ impl Family for Flat {
                     targets = (0..ctx.num_nodes()).filter(|&n| n != writer).collect();
                 }
             }
-            Overflow::Spill { trap_cycles } => {
+            Overflow::Spill => {
                 if !s.spill.is_empty() {
                     // Software walk over the spilled pointers: the paper's
                     // "(P − i) software handler delay".
                     targets.extend(s.spill.iter().copied().filter(|&n| n != writer));
                     ctx.note(ProtoEvent::SoftwareTrap);
-                    ctx.occupy(home, trap_cycles * s.spill.len() as u64);
+                    ctx.occupy(home, SW_TRAP_CYCLES * s.spill.len() as u64);
                 }
             }
         }
@@ -344,7 +349,7 @@ impl Family for Flat {
             Overflow::EvictOldest => ptrs + 1,
             // + the overflow bit / the trap bit; the software spill lives
             // in ordinary memory.
-            Overflow::Broadcast | Overflow::Spill { .. } => ptrs + 2,
+            Overflow::Broadcast | Overflow::Spill => ptrs + 2,
         }
     }
 
@@ -730,7 +735,7 @@ mod tests {
         const A: Addr = 0;
 
         fn setup(nodes: u32, pointers: u32) -> (MockCtx, FlatDir) {
-            (MockCtx::new(nodes), FlatDir::limitless(pointers, 40))
+            (MockCtx::new(nodes), FlatDir::limitless(pointers))
         }
 
         #[test]
@@ -834,7 +839,7 @@ mod tests {
 
         #[test]
         fn hardware_bits_exclude_software_spill() {
-            let p = FlatDir::limitless(4, 40);
+            let p = FlatDir::limitless(4);
             assert_eq!(p.dir_bits_per_mem_block(32), 4 * 5 + 2);
         }
     }

@@ -7,15 +7,10 @@ use crate::dir::sci_tree::AvlShape;
 use crate::dir::stp::Arrival;
 use crate::msg::{Msg, MsgKind};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::Cycle;
 
 /// Tunable constants shared by protocol implementations.
 #[derive(Clone, Copy, Debug)]
 pub struct ProtocolParams {
-    /// LimitLESS software-handler occupancy per trap, in cycles. Chaiken et
-    /// al. report full-map-emulation traps of a few tens of cycles on
-    /// Alewife; 40 is our default.
-    pub sw_trap_cycles: Cycle,
     /// Dir_iTree_k: even-numbered roots forward the invalidation to their
     /// paired odd-numbered roots (the paper's optimization). Disabling it
     /// makes the home send every root its own invalidation (ablation E13).
@@ -32,32 +27,26 @@ pub struct ProtocolParams {
     /// block flips back to invalidate mode (Schmitt trigger lower
     /// threshold). Must be below `adapt_flip_up` or the detector flaps.
     pub adapt_flip_down: i32,
-    /// DirTreeAdaptive: pattern score saturation bound (scores are clamped
-    /// to `[-adapt_saturation, +adapt_saturation]` so a long-established
-    /// pattern can still be unlearned in bounded time).
-    pub adapt_saturation: i32,
 }
 
 impl ProtocolParams {
     /// Do the adaptive-protocol fields differ from their defaults? Sweep
-    /// record keys (`SweepConfig::key` in `dirtree-bench`) and config
-    /// fingerprints only include them when they do, so records written
-    /// before the adaptive protocol existed keep their identity (same
-    /// conditional-extension idiom as the VC fields).
+    /// record keys (`SweepConfig::key` in `dirtree-bench`) only include
+    /// them when they do, so records written before the adaptive protocol
+    /// existed keep their identity (same conditional-extension idiom as the
+    /// VC fields).
     pub fn adapt_nondefault(&self) -> bool {
-        self.adapt_flip_up != 2 || self.adapt_flip_down != -2 || self.adapt_saturation != 4
+        self.adapt_flip_up != 2 || self.adapt_flip_down != -2
     }
 }
 
 impl Default for ProtocolParams {
     fn default() -> Self {
         Self {
-            sw_trap_cycles: 40,
             dir_tree_pairing: true,
             dir_tree_silent_replace: true,
             adapt_flip_up: 2,
             adapt_flip_down: -2,
-            adapt_saturation: 4,
         }
     }
 }
@@ -302,9 +291,7 @@ pub fn build_protocol(kind: ProtocolKind, params: ProtocolParams) -> Box<dyn Pro
         ProtocolKind::FullMap => Box::new(FlatDir::full_map()),
         ProtocolKind::LimitedNB { pointers } => Box::new(FlatDir::limited(pointers, false)),
         ProtocolKind::LimitedB { pointers } => Box::new(FlatDir::limited(pointers, true)),
-        ProtocolKind::LimitLess { pointers } => {
-            Box::new(FlatDir::limitless(pointers, params.sw_trap_cycles))
-        }
+        ProtocolKind::LimitLess { pointers } => Box::new(FlatDir::limitless(pointers)),
         ProtocolKind::SinglyList => Box::new(crate::dir::singly::SinglyList::new()),
         ProtocolKind::Sci => Box::new(crate::dir::sci::Sci::new()),
         ProtocolKind::Stp { arity } => Box::new(HomeTree::new(Arrival::new(arity))),

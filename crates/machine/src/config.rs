@@ -5,6 +5,13 @@ use dirtree_core::protocol::ProtocolParams;
 use dirtree_net::{NetworkConfig, Topology};
 use dirtree_sim::Cycle;
 
+/// Cache access latency, and a cache controller's occupancy per message
+/// (Table 5: 1 cycle).
+pub const CACHE_LATENCY: Cycle = 1;
+
+/// Cost of a barrier release or lock grant by the sync hardware.
+pub const SYNC_LATENCY: Cycle = 4;
+
 /// Which interconnect topology the machine instantiates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopologyKind {
@@ -46,16 +53,12 @@ pub struct MachineConfig {
     pub header_bytes: u32,
     /// Memory access latency at a directory controller (Table 5: 5).
     pub mem_latency: Cycle,
-    /// Cache access latency (Table 5: 1).
-    pub cache_latency: Cycle,
     /// Network timing (Table 5: 8-bit links, 1-cycle switches).
     pub net: NetworkConfig,
     /// Interconnect topology (Table 5: binary n-cube).
     pub topology: TopologyKind,
-    /// Protocol tunables (LimitLESS trap cost, Dir_iTree_k ablations).
+    /// Protocol tunables (Dir_iTree_k ablations, adaptive thresholds).
     pub protocol: ProtocolParams,
-    /// Cost of a barrier release / lock grant by the sync hardware.
-    pub sync_latency: Cycle,
     /// Run the sequential-consistency witness on every operation.
     pub verify: bool,
     /// Abort the run if this many events are processed (livelock guard;
@@ -72,11 +75,9 @@ impl MachineConfig {
             block_bytes: 8,
             header_bytes: 8,
             mem_latency: 5,
-            cache_latency: 1,
             net: NetworkConfig::default(),
             topology: TopologyKind::Hypercube,
             protocol: ProtocolParams::default(),
-            sync_latency: 4,
             verify: false,
             max_events: 20_000_000_000,
         }
@@ -96,38 +97,6 @@ impl MachineConfig {
             ..Self::paper_default(nodes)
         }
     }
-
-    /// A short stable fingerprint of the configuration, printed by the
-    /// experiment binaries for reproducibility.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = dirtree_sim::hash::FxHasher::default();
-        self.nodes.hash(&mut h);
-        self.cache.lines.hash(&mut h);
-        self.cache.associativity.hash(&mut h);
-        self.block_bytes.hash(&mut h);
-        self.header_bytes.hash(&mut h);
-        self.mem_latency.hash(&mut h);
-        self.cache_latency.hash(&mut h);
-        self.net.switch_delay.hash(&mut h);
-        self.net.link_width_bits.hash(&mut h);
-        self.net.contention.hash(&mut h);
-        self.sync_latency.hash(&mut h);
-        // Hashed only when non-default so every fingerprint printed before
-        // virtual channels existed is preserved verbatim.
-        if self.net.vc_nondefault() {
-            self.net.vcs.hash(&mut h);
-            self.net.adaptive.hash(&mut h);
-            self.net.vc_credits.hash(&mut h);
-        }
-        // Same idiom for the adaptive-protocol thresholds.
-        if self.protocol.adapt_nondefault() {
-            self.protocol.adapt_flip_up.hash(&mut h);
-            self.protocol.adapt_flip_down.hash(&mut h);
-            self.protocol.adapt_saturation.hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -140,9 +109,9 @@ mod tests {
         assert_eq!(c.cache.lines * c.block_bytes as usize, 16 * 1024);
         assert_eq!(c.block_bytes, 8);
         assert_eq!(c.mem_latency, 5);
-        assert_eq!(c.cache_latency, 1);
+        assert_eq!(CACHE_LATENCY, 1);
         assert_eq!(c.net.link_width_bits, 8);
-        assert_eq!(c.net.switch_delay, 1);
+        assert_eq!(dirtree_net::wormhole::SWITCH_DELAY, 1);
     }
 
     #[test]
@@ -152,30 +121,5 @@ mod tests {
         assert_eq!(t.num_nodes(), 16);
         assert_eq!(t.radix(), 4);
         assert_eq!(t.dimensions(), 2);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_sensitive() {
-        let a = MachineConfig::paper_default(32);
-        let b = MachineConfig::paper_default(32);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = MachineConfig::paper_default(16);
-        assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn vc_fields_extend_fingerprint_only_when_nondefault() {
-        let a = MachineConfig::paper_default(32);
-        let mut b = a;
-        b.net.vcs = 1; // explicit single channel == the pre-VC default
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.net.vcs = 3;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let mut c = a;
-        c.net.adaptive = true;
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let mut d = a;
-        d.net.vc_credits = 1;
-        assert_ne!(a.fingerprint(), d.fingerprint());
     }
 }

@@ -5,7 +5,7 @@
 //! machine) can borrow the rest of the state mutably while handling a
 //! message.
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, CACHE_LATENCY};
 use crate::stats::MachineStats;
 use crate::trace::MsgTrace;
 use crate::verify::Verifier;
@@ -114,19 +114,9 @@ pub struct MachineCore {
 }
 
 impl MachineCore {
-    /// Initial per-(node, VC) credit pools: empty (unbounded) unless the
-    /// config bounds sends, else `vc_credits` per pool.
-    fn fresh_credits(config: &MachineConfig) -> Vec<u32> {
-        if config.net.vc_credits == 0 {
-            Vec::new()
-        } else {
-            let pools = config.nodes as usize * config.net.vc_count() as usize;
-            vec![config.net.vc_credits; pools]
-        }
-    }
-
     pub fn new(config: MachineConfig) -> Self {
         let n = config.nodes as usize;
+        let pools = n * config.net.vc_count() as usize;
         Self {
             // One pending wake-up per processor plus about one message
             // each: the measured peak depth is P + 1 at P >= 512 and about
@@ -145,10 +135,13 @@ impl MachineCore {
             ctrl_scheduled: vec![false; n],
             ctrl_extra: 0,
             ctrl_busy: vec![0; n],
-            credits: Self::fresh_credits(&config),
-            parked: (0..n * config.net.vc_count() as usize)
-                .map(|_| VecDeque::new())
-                .collect(),
+            // Empty (unbounded) unless the config bounds sends.
+            credits: if config.net.vc_credits == 0 {
+                Vec::new()
+            } else {
+                vec![config.net.vc_credits; pools]
+            },
+            parked: (0..pools).map(|_| VecDeque::new()).collect(),
             handler_parked: vec![0; n],
             deferred_release: vec![None; n],
             in_flight: vec![None; n],
@@ -158,44 +151,13 @@ impl MachineCore {
         }
     }
 
-    /// Restore the core to its post-construction state so the allocation
-    /// (caches, controller queues, route tables) can be reused for another
-    /// run. Every field a simulation mutates is covered — the PR-1
-    /// bus-latency bug came from a reset path drifting away from the send
-    /// path, so the controller-occupancy state (`ctrl_q` / `ctrl_free` /
-    /// `ctrl_scheduled` / `ctrl_extra` / `ctrl_busy`) is reset explicitly
-    /// and pinned by `machine::tests::reset_then_reuse_is_bit_identical_to_fresh`.
-    pub fn reset(&mut self) {
-        self.queue.clear();
-        self.net.reset();
-        self.caches.iter_mut().for_each(Cache::clear);
-        self.readable.clear();
-        self.stats = MachineStats::default();
-        self.verifier = self.config.verify.then(Verifier::new);
-        self.metrics = Metrics::default();
-        self.trace_sink = None;
-        self.pending_miss.iter_mut().for_each(|m| *m = None);
-        self.ctrl_q.iter_mut().for_each(VecDeque::clear);
-        self.ctrl_free.iter_mut().for_each(|c| *c = 0);
-        self.ctrl_scheduled.iter_mut().for_each(|s| *s = false);
-        self.ctrl_extra = 0;
-        self.ctrl_busy.iter_mut().for_each(|c| *c = 0);
-        self.credits = Self::fresh_credits(&self.config);
-        self.parked.iter_mut().for_each(VecDeque::clear);
-        self.handler_parked.iter_mut().for_each(|c| *c = 0);
-        self.deferred_release.iter_mut().for_each(|r| *r = None);
-        self.in_flight.iter_mut().for_each(|r| *r = None);
-        self.current_ctrl = None;
-        self.release_scratch.clear();
-    }
-
     /// Controller occupancy for a message: directory-bound messages pay the
     /// memory access latency, cache-bound ones the cache latency.
     fn occupancy(&self, msg: &Msg) -> Cycle {
         if msg.kind.to_directory() {
             self.config.mem_latency
         } else {
-            self.config.cache_latency
+            CACHE_LATENCY
         }
     }
 
@@ -581,7 +543,7 @@ impl ProtoCtx for MachineCore {
     }
 
     fn complete(&mut self, node: NodeId, addr: Addr, op: OpKind) {
-        let fill = self.queue.now() + self.config.cache_latency;
+        let fill = self.queue.now() + CACHE_LATENCY;
         self.queue.push(fill, Ev::OpDone(node, addr, op));
     }
 

@@ -1,6 +1,6 @@
 //! The top-level machine: processors, synchronization, and the event loop.
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, CACHE_LATENCY, SYNC_LATENCY};
 use crate::core::{Ev, MachineCore};
 use crate::driver::{Driver, DriverOp};
 use crate::stats::MachineStats;
@@ -166,25 +166,6 @@ impl Machine {
             #[cfg(debug_assertions)]
             proc_pending: vec![false; n],
         }
-    }
-
-    /// Restore the machine to its post-construction state so its
-    /// allocations (caches, controller queues, network route tables) can be
-    /// reused for another run. The protocol is rebuilt from its kind, so a
-    /// custom [`Machine::with_protocol`] wrapper is replaced by the
-    /// registry implementation.
-    pub fn reset(&mut self) {
-        self.core.reset();
-        self.protocol = build_protocol(self.protocol.kind(), self.core.config.protocol);
-        self.wants_read_hits = self.protocol.wants_read_hits();
-        self.procs.iter_mut().for_each(|p| *p = ProcState::Running);
-        self.retry_op.iter_mut().for_each(|r| *r = None);
-        self.barriers.clear();
-        self.locks.clear();
-        self.done_count = 0;
-        self.holders_scratch.clear();
-        #[cfg(debug_assertions)]
-        self.proc_pending.iter_mut().for_each(|p| *p = false);
     }
 
     pub fn config(&self) -> &MachineConfig {
@@ -372,7 +353,6 @@ impl Machine {
         kind: OpKind,
         op: DriverOp,
     ) -> Result<(), StallError> {
-        let cache_latency = self.core.config.cache_latency;
         // One tag lookup: the state, and the MRU mark if this is a hit.
         let state = self.core.access_line(n, addr, kind == OpKind::Write);
 
@@ -387,7 +367,7 @@ impl Machine {
                     if let Some(v) = &self.core.verifier {
                         v.on_read_hit(n, addr).map_err(|viol| self.witness(viol))?;
                     }
-                    self.reschedule(n, cache_latency);
+                    self.reschedule(n, CACHE_LATENCY);
                     return Ok(());
                 }
                 self.core.stats.reads -= 1; // re-counted on the miss path
@@ -407,7 +387,7 @@ impl Machine {
                         v.on_write_complete(n, addr, &self.holders_scratch)
                             .map_err(|viol| self.witness(viol))?;
                     }
-                    self.reschedule(n, cache_latency);
+                    self.reschedule(n, CACHE_LATENCY);
                     return Ok(());
                 }
                 self.core.stats.writes -= 1;
@@ -523,7 +503,6 @@ impl Machine {
 
     fn arrive_barrier(&mut self, n: NodeId, id: u32) {
         let nodes = self.core.config.nodes;
-        let sync_latency = self.core.config.sync_latency;
         let b = self.barriers.entry(id).or_default();
         b.waiting.push(n);
         self.procs[n as usize] = ProcState::Blocked;
@@ -532,18 +511,17 @@ impl Machine {
             self.core.stats.barriers += 1;
             for w in waiting {
                 self.procs[w as usize] = ProcState::Running;
-                self.reschedule(w, sync_latency);
+                self.reschedule(w, SYNC_LATENCY);
             }
         }
     }
 
     fn acquire_lock(&mut self, n: NodeId, id: u32) {
-        let sync_latency = self.core.config.sync_latency;
         let l = self.locks.entry(id).or_default();
         if l.owner.is_none() {
             l.owner = Some(n);
             self.core.stats.lock_acquires += 1;
-            self.reschedule(n, sync_latency);
+            self.reschedule(n, SYNC_LATENCY);
         } else {
             l.waiters.push_back(n);
             self.procs[n as usize] = ProcState::Blocked;
@@ -551,7 +529,6 @@ impl Machine {
     }
 
     fn release_lock(&mut self, n: NodeId, id: u32) {
-        let sync_latency = self.core.config.sync_latency;
         let l = self
             .locks
             .get_mut(&id)
@@ -561,7 +538,7 @@ impl Machine {
             l.owner = Some(next);
             self.core.stats.lock_acquires += 1;
             self.procs[next as usize] = ProcState::Running;
-            self.reschedule(next, sync_latency);
+            self.reschedule(next, SYNC_LATENCY);
         } else {
             l.owner = None;
         }
@@ -819,74 +796,6 @@ mod tests {
         let b = mk();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.stats.messages, b.stats.messages);
-    }
-
-    #[test]
-    fn reset_then_reuse_is_bit_identical_to_fresh() {
-        // A dirty machine — advanced queue clock, warm caches, controller
-        // occupancy (including handler-requested `ctrl_extra`),
-        // protocol directory state — must be indistinguishable from a
-        // freshly constructed one after `reset()`. Guards the reset path
-        // against the PR-1 class of carry-over bugs.
-        let kind = ProtocolKind::DirTree {
-            pointers: 4,
-            arity: 2,
-        };
-        let contended: Vec<Vec<DriverOp>> = (0..8u64)
-            .map(|n| {
-                vec![
-                    DriverOp::Read(0),
-                    DriverOp::Work(n + 1),
-                    DriverOp::Write(n % 3),
-                    DriverOp::Barrier(1),
-                    DriverOp::Read(1),
-                    DriverOp::Write(0),
-                ]
-            })
-            .collect();
-        // A 4-line cache swept over 6 blocks, so the run ends with lines
-        // evicted, blocks 4 and 5 readable everywhere and block 0 written
-        // last: stale readable-copy counts, miss stamps or tags from the
-        // first run would change the second's `sharers_at_write` or hits.
-        let mut tiny = MachineConfig::test_default(4);
-        tiny.cache = dirtree_core::cache::CacheConfig {
-            lines: 4,
-            associativity: 4,
-        };
-        let evicting: Vec<Vec<DriverOp>> = (0..4u64)
-            .map(|n| {
-                let mut ops: Vec<DriverOp> = (0..6).map(DriverOp::Read).collect();
-                ops.extend([
-                    DriverOp::Barrier(0),
-                    DriverOp::Write(n),
-                    DriverOp::Barrier(1),
-                    DriverOp::Read(4),
-                    DriverOp::Read(5),
-                ]);
-                if n == 0 {
-                    ops.push(DriverOp::Write(0));
-                }
-                ops
-            })
-            .collect();
-        for (config, scripts) in [
-            (MachineConfig::test_default(8), contended),
-            (tiny, evicting),
-        ] {
-            let mut m = Machine::new(config, kind);
-            let fresh = m.run(&mut ScriptDriver::new(scripts.clone()));
-            assert!(m.core.readable_counts().next().is_some());
-            m.reset();
-            assert!(m.core.readable_counts().next().is_none());
-            let reused = m.run(&mut ScriptDriver::new(scripts));
-            // Debug formatting covers every stat, histogram bucket, network
-            // counter, and metrics field — a full bit-identity proxy.
-            assert_eq!(
-                format!("{fresh:?}"),
-                format!("{reused:?}"),
-                "reset() left state behind"
-            );
-        }
     }
 
     #[test]

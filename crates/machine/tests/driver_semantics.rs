@@ -126,7 +126,7 @@ fn unlock_by_non_owner_panics() {
 
 #[test]
 fn per_node_cycle_accounting_is_plausible() {
-    // One hit = cache_latency; a miss costs far more.
+    // One hit = CACHE_LATENCY; a miss costs far more.
     let out = machine(2).run(&mut ScriptDriver::new(vec![
         vec![DriverOp::Read(0), DriverOp::Read(0)],
         vec![],

@@ -14,6 +14,13 @@
 use crate::topology::{DigitTable, LinkId, NodeId, RouteTable, Topology, MAX_DIMS};
 use dirtree_sim::{Cycle, Histogram};
 
+/// Per-hop switch + wire delay in cycles on the n-cube, and the bus
+/// arbitration delay on the bus (Table 5: 1-cycle switches).
+pub const SWITCH_DELAY: Cycle = 1;
+
+/// Latency charged for a node messaging itself (local loopback).
+pub const LOCAL_DELAY: Cycle = 1;
+
 /// Interconnect style: the paper's wormhole k-ary n-cube, or the single
 /// shared bus Proteus could also be configured with (§1 motivates the
 /// directory protocols by the bus's saturation).
@@ -30,16 +37,11 @@ pub enum Fabric {
 pub struct NetworkConfig {
     /// Interconnect style.
     pub fabric: Fabric,
-    /// Per-hop switch + wire delay in cycles (n-cube), or the bus
-    /// arbitration delay (bus).
-    pub switch_delay: Cycle,
     /// Link width in bits (n-cube links, or the bus itself).
     pub link_width_bits: u32,
     /// Model link/injection contention (true) or use uncontended pipeline
     /// latency only (false). The bus always serializes.
     pub contention: bool,
-    /// Latency charged for a node messaging itself (local loopback).
-    pub local_delay: Cycle,
     /// Virtual channels per physical link (and per injection port). `1` is
     /// the classic single-channel model and the default; with more, message
     /// phases are separated onto channels via [`crate::vc::vc_for`] and
@@ -61,10 +63,8 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         Self {
             fabric: Fabric::KaryNcube,
-            switch_delay: 1,
             link_width_bits: 8,
             contention: true,
-            local_delay: 1,
             vcs: 1,
             adaptive: false,
             vc_credits: 0,
@@ -90,8 +90,8 @@ impl NetworkConfig {
     }
 
     /// True when any virtual-channel feature departs from the classic
-    /// single-channel default (used to keep config keys/fingerprints stable
-    /// for pre-VC records).
+    /// single-channel default (used to keep config keys stable for pre-VC
+    /// records).
     pub fn vc_nondefault(&self) -> bool {
         self.vc_count() > 1 || self.adaptive || self.vc_credits > 0
     }
@@ -233,21 +233,11 @@ impl Network {
                 .then(|| RouteTable::build(&digits)),
             digits,
             topo,
-            stats: Self::fresh_stats(&config),
-            config,
-        }
-    }
-
-    /// Zeroed statistics shaped for `config` (per-VC wait counters sized to
-    /// the channel count when VCs are on).
-    fn fresh_stats(config: &NetworkConfig) -> NetworkStats {
-        NetworkStats {
-            vc_wait_cycles: if config.vc_count() > 1 {
-                vec![0; config.vc_count() as usize]
-            } else {
-                Vec::new()
+            stats: NetworkStats {
+                vc_wait_cycles: if vcs > 1 { vec![0; vcs] } else { Vec::new() },
+                ..NetworkStats::default()
             },
-            ..NetworkStats::default()
+            config,
         }
     }
 
@@ -269,15 +259,15 @@ impl Network {
     /// Uncontended latency from `src` to `dst` for a `bytes`-byte message.
     pub fn base_latency(&self, src: NodeId, dst: NodeId, bytes: u32) -> Cycle {
         if src == dst {
-            return self.config.local_delay;
+            return LOCAL_DELAY;
         }
         if self.config.fabric == Fabric::Bus {
             // One arbitration plus full serialization, distance-independent
             // — must agree with what `send` charges on an idle bus.
-            return self.config.switch_delay + self.serialization_cycles(bytes);
+            return SWITCH_DELAY + self.serialization_cycles(bytes);
         }
         let hops = self.topo.distance(src, dst) as Cycle;
-        hops * self.config.switch_delay + self.serialization_cycles(bytes)
+        hops * SWITCH_DELAY + self.serialization_cycles(bytes)
     }
 
     /// Compute the delivery time of a message injected at `now`, reserving
@@ -296,8 +286,8 @@ impl Network {
         self.stats.bytes += bytes as u64;
 
         if src == dst {
-            let arrival = now + self.config.local_delay;
-            self.stats.latency.record(self.config.local_delay);
+            let arrival = now + LOCAL_DELAY;
+            self.stats.latency.record(LOCAL_DELAY);
             return arrival;
         }
 
@@ -321,9 +311,9 @@ impl Network {
                 // fabric, where both are always populated.
                 self.obs.inject_queue.record(start - now);
                 self.obs.link_queue.record(start - now);
-                self.obs.bus_busy += self.config.switch_delay + ser;
+                self.obs.bus_busy += SWITCH_DELAY + ser;
             }
-            let arrival = start + self.config.switch_delay + ser;
+            let arrival = start + SWITCH_DELAY + ser;
             self.bus_free = arrival;
             self.stats.latency.record(arrival - now);
             return arrival;
@@ -364,7 +354,7 @@ impl Network {
                     self.obs.link_queue.record(free.saturating_sub(head));
                     self.obs.link_busy[link as usize] += ser;
                 }
-                head = enter + self.config.switch_delay;
+                head = enter + SWITCH_DELAY;
             }
             head + ser
         } else {
@@ -374,7 +364,7 @@ impl Network {
             for &link in route {
                 self.obs.link_busy[link as usize] += ser;
             }
-            now + route.len() as Cycle * self.config.switch_delay + ser
+            now + route.len() as Cycle * SWITCH_DELAY + ser
         };
 
         self.routes = Some(routes);
@@ -389,7 +379,7 @@ impl Network {
     ///
     /// * a packet reserves only its own `(link, vc)` horizon;
     /// * if other channels are mid-stream when it is granted, it loses one
-    ///   arbitration slot (`switch_delay`) to the rotation and the busy
+    ///   arbitration slot ([`SWITCH_DELAY`]) to the rotation and the busy
     ///   channels' horizons are pushed back by its serialization time —
     ///   flits interleave, so physical bandwidth is conserved while no
     ///   channel can head-of-line block another outright.
@@ -422,7 +412,7 @@ impl Network {
             self.digits.ecube_walk(src, &plan, |link| {
                 self.obs.link_busy[link as usize] += ser;
             });
-            return now + hops * self.config.switch_delay + ser;
+            return now + hops * SWITCH_DELAY + ser;
         }
 
         // Injection: one port per (node, VC).
@@ -445,7 +435,7 @@ impl Network {
         let mut left = plan.hops;
         let mut productive = plan.productive;
 
-        let t_sw = self.config.switch_delay;
+        let t_sw = SWITCH_DELAY;
         let adaptive = self.config.adaptive;
         let mut head = depart;
         let mut cur = src;
@@ -547,9 +537,9 @@ impl Network {
                 // bus is injection port and only link at once.
                 self.obs.inject_queue.record(start - now);
                 self.obs.link_queue.record(start - now);
-                self.obs.bus_busy += self.config.switch_delay + ser;
+                self.obs.bus_busy += SWITCH_DELAY + ser;
             }
-            let arrival = start + self.config.switch_delay + ser;
+            let arrival = start + SWITCH_DELAY + ser;
             self.bus_free = arrival;
             self.stats.latency.record(arrival - now);
             arrival
@@ -607,25 +597,6 @@ impl Network {
         }
         #[cfg(not(feature = "trace"))]
         LinkMetrics::default()
-    }
-
-    /// Reset link reservations and statistics (for reusing a network across
-    /// experiment repetitions).
-    pub fn reset(&mut self) {
-        self.link_free.iter_mut().for_each(|c| *c = 0);
-        self.inject_free.iter_mut().for_each(|c| *c = 0);
-        self.bus_free = 0;
-        self.stats = Self::fresh_stats(&self.config);
-        #[cfg(feature = "trace")]
-        {
-            self.obs.link_busy.iter_mut().for_each(|c| *c = 0);
-            self.obs.bus_busy = 0;
-            self.obs.inject_queue = Histogram::new();
-            self.obs.link_queue = Histogram::new();
-            for h in self.obs.vc_inject.iter_mut().chain(&mut self.obs.vc_link) {
-                *h = Histogram::new();
-            }
-        }
     }
 }
 
@@ -719,70 +690,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_reservations() {
-        let mut n = net(2, true);
-        n.send(0, 0, 1, 64);
-        n.reset();
-        assert_eq!(n.stats().messages, 0);
-        let t = n.send(0, 0, 1, 8);
-        assert_eq!(t, n.base_latency(0, 1, 8));
-    }
-
-    #[test]
-    fn reset_then_reuse_under_bus_restores_cold_behaviour() {
-        let mut n = Network::new(Topology::hypercube(8), NetworkConfig::bus());
-        // Load the bus so reservations and stats are non-trivial.
-        for src in 0..8u32 {
-            n.send(0, src, (src + 1) % 8, 64);
-        }
-        assert!(n.stats().contention_cycles() > 0);
-        n.reset();
-        // Stats fully cleared, including histogram edge values.
-        let s = n.stats();
-        assert_eq!(s.messages, 0);
-        assert_eq!(s.bytes, 0);
-        assert_eq!(s.total_hops, 0);
-        assert_eq!(s.contention_cycles(), 0);
-        assert_eq!(s.latency.count(), 0);
-        assert_eq!(s.latency.min(), 0);
-        assert_eq!(s.latency.max(), 0);
-        assert_eq!(s.latency.mean(), 0.0);
-        // The first post-reset send sees an idle bus: exactly base latency,
-        // and base latency on the bus is distance-independent.
-        let t = n.send(0, 0, 7, 8);
-        assert_eq!(t, n.base_latency(0, 7, 8));
-        assert_eq!(n.base_latency(0, 7, 8), n.base_latency(0, 1, 8));
-        assert_eq!(n.stats().contention_cycles(), 0);
-    }
-
-    #[test]
     fn bus_uncontended_send_equals_base_latency_at_any_distance() {
         // Regression: base_latency used to charge hop-count latency under
         // Fabric::Bus, disagreeing with what send() charges on an idle bus.
         for (src, dst) in [(0u32, 1u32), (0, 31), (3, 28)] {
             let mut n = Network::new(Topology::hypercube(32), NetworkConfig::bus());
             assert_eq!(n.send(10, src, dst, 8), 10 + n.base_latency(src, dst, 8));
-        }
-    }
-
-    #[test]
-    fn reset_then_reuse_is_bit_identical_to_fresh() {
-        // A reused (reset) network must time a message stream exactly like
-        // a freshly constructed one, on both fabrics.
-        for config in [NetworkConfig::default(), NetworkConfig::bus()] {
-            let mut reused = Network::new(Topology::hypercube(8), config);
-            for i in 0..20u32 {
-                reused.send(i as Cycle, i % 8, (i * 3 + 1) % 8, 8 + i);
-            }
-            reused.reset();
-            let mut fresh = Network::new(Topology::hypercube(8), config);
-            for i in 0..20u32 {
-                let a = reused.send(i as Cycle, i % 8, (i * 3 + 1) % 8, 8 + i);
-                let b = fresh.send(i as Cycle, i % 8, (i * 3 + 1) % 8, 8 + i);
-                assert_eq!(a, b, "send {i} diverged after reset");
-            }
-            assert_eq!(reused.stats().messages, fresh.stats().messages);
-            assert_eq!(reused.stats().latency.sum(), fresh.stats().latency.sum());
         }
     }
 
@@ -837,7 +750,7 @@ mod tests {
 
     #[cfg(feature = "trace")]
     #[test]
-    fn link_metrics_accumulate_and_reset() {
+    fn link_metrics_accumulate() {
         let mut n = net(8, true);
         // 3 hops, 8-byte message: each traversed link streams 8 cycles.
         n.send(0, 0, 7, 8);
@@ -851,8 +764,8 @@ mod tests {
         // A back-to-back send on the same path queues at the injection port.
         n.send(0, 0, 7, 8);
         assert!(n.link_metrics().inject_queue.max() > 0);
-        n.reset();
-        let m = n.link_metrics();
+        // A freshly built network has sampled nothing.
+        let m = net(8, true).link_metrics();
         assert_eq!(m.total_link_busy, 0);
         assert_eq!(m.inject_queue.count(), 0);
         assert_eq!(m.link_queue.count(), 0);
@@ -1092,30 +1005,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reset_restores_vc_state_bit_identically() {
-        for (vcs, adaptive) in [(3, false), (3, true), (1, true)] {
-            let mut reused = vc_net(8, vcs, adaptive);
-            for i in 0..30u32 {
-                reused.send_vc(i as Cycle, i % 8, (i * 3 + 1) % 8, 8 + i, i % vcs.max(1));
-            }
-            reused.reset();
-            assert_eq!(reused.stats().messages, 0);
-            assert!(reused.stats().vc_wait_cycles.iter().all(|&c| c == 0));
-            let mut fresh = vc_net(8, vcs, adaptive);
-            for i in 0..30u32 {
-                let a = reused.send_vc(i as Cycle, i % 8, (i * 3 + 1) % 8, 8 + i, i % vcs.max(1));
-                let b = fresh.send_vc(i as Cycle, i % 8, (i * 3 + 1) % 8, 8 + i, i % vcs.max(1));
-                assert_eq!(a, b, "send {i} diverged after reset (vcs={vcs})");
-            }
-            assert_eq!(
-                reused.stats().latency.sum(),
-                fresh.stats().latency.sum(),
-                "vcs={vcs} adaptive={adaptive}"
-            );
-        }
-    }
-
     #[cfg(feature = "trace")]
     #[test]
     fn vc_queue_metrics_partition_the_samples() {
@@ -1132,8 +1021,10 @@ mod tests {
             m.vc_queue[0].max() > 0,
             "queued VC 0 sends must show backlog"
         );
-        n.reset();
-        assert!(n.link_metrics().vc_queue.iter().all(|h| h.count() == 0));
+        // A freshly built network has one empty histogram per channel.
+        let fresh = vc_net(2, 3, false).link_metrics();
+        assert_eq!(fresh.vc_queue.len(), 3);
+        assert!(fresh.vc_queue.iter().all(|h| h.count() == 0));
     }
 
     /// Found in PR 22, recorded, not fixed there: `links` is
@@ -1178,7 +1069,10 @@ mod tests {
             Self {
                 link_free: vec![0; topo.num_directed_links() as usize * vcs],
                 inject_free: vec![0; topo.num_nodes() as usize * vcs],
-                stats: Network::fresh_stats(&config),
+                stats: NetworkStats {
+                    vc_wait_cycles: if vcs > 1 { vec![0; vcs] } else { Vec::new() },
+                    ..NetworkStats::default()
+                },
                 link_busy: vec![0; topo.num_directed_links() as usize],
                 max_link_busy: 0,
                 total_link_busy: 0,
@@ -1204,8 +1098,8 @@ mod tests {
             self.stats.messages += 1;
             self.stats.bytes += bytes as u64;
             if src == dst {
-                self.stats.latency.record(self.config.local_delay);
-                return now + self.config.local_delay;
+                self.stats.latency.record(LOCAL_DELAY);
+                return now + LOCAL_DELAY;
             }
             let ser = (bytes as u64 * 8)
                 .div_ceil(self.config.link_width_bits as u64)
@@ -1234,7 +1128,7 @@ mod tests {
                 for link in path {
                     self.occupy(link, ser);
                 }
-                return now + hops * self.config.switch_delay + ser;
+                return now + hops * SWITCH_DELAY + ser;
             }
 
             let pi = src as usize * vcs + vc;
@@ -1283,7 +1177,7 @@ mod tests {
                 if vcs > 1 {
                     let shared = (0..vcs).any(|u| u != vc && self.link_free[base + u] > enter);
                     if shared {
-                        enter += self.config.switch_delay;
+                        enter += SWITCH_DELAY;
                         for u in 0..vcs {
                             if u != vc && self.link_free[base + u] > enter {
                                 self.link_free[base + u] += ser;
@@ -1301,7 +1195,7 @@ mod tests {
                     h.record(own.saturating_sub(head));
                 }
                 self.occupy(link, ser);
-                head = enter + self.config.switch_delay;
+                head = enter + SWITCH_DELAY;
                 cur = next;
                 hops += 1;
             }

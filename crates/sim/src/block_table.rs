@@ -58,11 +58,6 @@ impl<T: Default> BlockTable<T> {
         self.rows
             .resize_with((addr as usize + 1).next_power_of_two(), T::default);
     }
-
-    /// Forget every row; the allocation is kept for reuse.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-    }
 }
 
 impl<T> BlockTable<T> {
@@ -129,16 +124,6 @@ mod tests {
         assert_eq!(doubled.get(2), Some(&10));
         assert_eq!(doubled.get(3), Some(&0));
         assert_eq!(doubled.get(4), None);
-    }
-
-    #[test]
-    fn clear_forgets_every_row() {
-        let mut t: BlockTable<u32> = BlockTable::new();
-        *t.get_mut_or_grow(100) = 1;
-        t.clear();
-        assert_eq!(t.get(100), None);
-        assert_eq!(t.iter_nonempty().count(), 0);
-        assert_eq!(*t.get_mut_or_grow(100), 0);
     }
 
     #[test]

@@ -192,23 +192,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Back to the post-construction state — empty, clock and counters at
-    /// zero — keeping the slab's allocation.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.next.clear();
-        self.free = NIL;
-        self.occupied = [0; WORDS];
-        self.in_ring = 0;
-        self.overflow.clear();
-        self.next_seq = 0;
-        self.now = 0;
-        self.pushed = 0;
-        self.popped = 0;
-        self.overflowed = 0;
-        self.peak = 0;
-    }
-
     /// Current simulated time: the timestamp of the most recently popped
     /// event (0 before any pop).
     pub fn now(&self) -> Cycle {
@@ -806,28 +789,5 @@ mod tests {
         assert_eq!(q.pop(), Some((9 * W, c)));
         assert_eq!(q.pop(), None);
         assert_eq!(q.ring.now(), 9 * W);
-    }
-
-    #[test]
-    fn clear_restores_the_post_construction_state() {
-        let mut q = EventQueue::new();
-        q.push(3, 'a');
-        q.push(3, 'b');
-        q.push(5_000, 'c');
-        q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(
-            (q.now(), q.total_pushed(), q.total_popped(), q.peak_len()),
-            (0, 0, 0, 0)
-        );
-        assert_eq!(q.total_overflowed(), 0);
-        // Cycle 1 is behind the cleared queue's last `now`; it is legal again.
-        q.push(1, 'd');
-        q.push(3, 'e');
-        assert_eq!(q.pop(), Some((1, 'd')));
-        assert_eq!(q.pop(), Some((3, 'e')));
-        assert_eq!(q.pop(), None);
     }
 }
