@@ -36,8 +36,7 @@ use std::fmt::Write as _;
 pub struct Experiment {
     pub name: &'static str,
     /// Part of `dirtree-bench all`. The studies beyond the paper's sizes
-    /// (and `all_figures`, which would repeat four entries) run by name
-    /// only.
+    /// run by name only.
     pub in_all: bool,
     pub run: fn(&Runner, &Cli) -> String,
 }
@@ -79,7 +78,6 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment::part_of_all("ablation_pairing", |r, _| ablation_pairing(r)),
     Experiment::part_of_all("ablation_update", |r, _| ablation_update(r)),
     Experiment::part_of_all("ablation_arity", |r, _| ablation_arity(r)),
-    Experiment::opt_in("all_figures", |r, cli| all_figures(r, cli.full)),
     Experiment::opt_in("scaling", |r, _| scaling(r)),
     Experiment::opt_in("scale_up", |r, cli| scale_up(r, cli.filter.as_deref())),
     Experiment::opt_in("adaptive_ablation", |r, cli| {
@@ -138,20 +136,6 @@ pub fn fig11_fft(runner: &Runner, full: bool) -> String {
         WorkloadKind::Fft { points: 512 }
     };
     run_figure(runner, "Figure 11", w)
-}
-
-/// All four figure grids back to back. Opt-in: `all` already runs each
-/// figure as its own entry.
-pub fn all_figures(runner: &Runner, full: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&fig8_mp3d(runner, full));
-    out.push('\n');
-    out.push_str(&fig9_lu(runner, full));
-    out.push('\n');
-    out.push_str(&fig10_floyd(runner));
-    out.push('\n');
-    out.push_str(&fig11_fft(runner, full));
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -906,10 +890,7 @@ pub fn sensitivity(runner: &Runner) -> String {
     rows.push(("64-bit links".into(), wide_links));
 
     let mut small_cache = base;
-    small_cache.cache = CacheConfig {
-        lines: 256,
-        associativity: 256,
-    };
+    small_cache.cache = CacheConfig { lines: 256 };
     rows.push(("2 KB caches (replacement pressure)".into(), small_cache));
 
     let mut slow_memory = base;
@@ -989,10 +970,7 @@ pub fn ablation_replacement(runner: &Runner) -> String {
             let configure = |nodes: u32| {
                 let mut config = MachineConfig::paper_default(nodes);
                 // A small cache makes replacements frequent.
-                config.cache = CacheConfig {
-                    lines: 256,
-                    associativity: 256,
-                };
+                config.cache = CacheConfig { lines: 256 };
                 config.protocol.dir_tree_silent_replace = silent;
                 config
             };
@@ -1622,17 +1600,17 @@ mod tests {
                 "ablation_arity",
             ]
         );
-        for opt_in in ["all_figures", "scaling", "scale_up", "adaptive_ablation"] {
+        for opt_in in ["scaling", "scale_up", "adaptive_ablation"] {
             let e = REGISTRY
                 .iter()
                 .find(|e| e.name == opt_in)
                 .unwrap_or_else(|| panic!("{opt_in} must resolve by name"));
             assert!(!e.in_all, "{opt_in} is opt-in only");
         }
-        assert_eq!(names.len(), 21);
+        assert_eq!(names.len(), 20);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 21, "duplicate experiment name");
+        assert_eq!(names.len(), 20, "duplicate experiment name");
         assert!(!names.contains(&"all") && !names.contains(&"list"));
     }
 

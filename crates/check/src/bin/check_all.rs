@@ -8,7 +8,7 @@
 //!   cargo run --release -p dirtree-check --bin check_all [-- FLAGS]
 //!
 //! Flags:
-//!   --fast          only P=2 / 1 block (the CI fast tier)
+//!   --fast          only P=2 / 1 block (a quick local pass)
 //!   --deep          additionally P=2/P=3 with 2 blocks and the *full*
 //!                   P=4 + ternary-P=5 sweep (no time budget)
 //!   --budget SECS   time budget for the default tier's P>=4 slice
@@ -22,10 +22,11 @@
 //! The default tier runs every roster entry at P=2 and P=3, then as many
 //! P=4 explorations (plus the ternary i=3 entries at P=5) as fit in the
 //! time budget (in roster order, so the slice is deterministic for a
-//! given machine speed); `--deep` runs the whole P>=4 roster. Each line
-//! reports the reduction statistics: states
-//! actually explored (`apply()` calls), canonical-duplicate hits, sleep-
-//! set-pruned transitions, the symmetry group size with the mean number
+//! given machine speed); `--deep` runs the whole P>=4 roster. `ci.sh`
+//! runs the default tier with `--budget 60`, then the P=2/P=3 roster again
+//! with `--jobs 1 --budget 0`. Each line reports the reduction statistics:
+//! states actually explored (`apply()` calls), canonical-duplicate hits,
+//! sleep-set-pruned transitions, the symmetry group size with the mean number
 //! of its permutations a canonicalization tried, and `POR off: …` if the
 //! shape has more choice slots than a sleep mask has bits.
 //!

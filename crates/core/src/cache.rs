@@ -1,4 +1,4 @@
-//! Set-associative cache tag store with O(1) LRU replacement.
+//! Fully associative cache tag store with O(1) LRU replacement.
 //!
 //! The paper's configuration (Table 5) is a 16 KB fully-associative data
 //! cache with 8-byte blocks — 2048 lines in one set — which is the default
@@ -7,8 +7,8 @@
 //! coherence metadata (tree children, list pointers) lives with the
 //! protocol.
 //!
-//! Each set keeps an intrusive doubly-linked LRU list (index-based) plus a
-//! lazy stack of invalidated slots, so `touch` and `allocate` are O(1)
+//! The one set keeps an intrusive doubly-linked LRU list (index-based) plus
+//! a lazy stack of invalidated slots, so `touch` and `allocate` are O(1)
 //! even at the paper's 2048-way associativity — the victim walk only skips
 //! the rare transient line.
 //!
@@ -25,24 +25,14 @@ use dirtree_sim::BlockTable;
 /// Geometry of one processor's cache.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Total lines in the cache.
+    /// Total lines in the cache, all in one set.
     pub lines: usize,
-    /// Lines per set (== `lines` for fully associative).
-    pub associativity: usize,
 }
 
 impl CacheConfig {
-    /// Table 5: 16 KB, 8-byte blocks, fully associative → 2048-way, 1 set.
+    /// Table 5: 16 KB, 8-byte blocks, fully associative → 2048 lines.
     pub fn paper_default() -> Self {
-        Self {
-            lines: 2048,
-            associativity: 2048,
-        }
-    }
-
-    pub fn sets(&self) -> usize {
-        debug_assert_eq!(self.lines % self.associativity, 0);
-        self.lines / self.associativity
+        Self { lines: 2048 }
     }
 }
 
@@ -73,7 +63,7 @@ pub enum AllocOutcome {
     Stalled,
 }
 
-/// One set: slots + MRU/LRU list + lazy invalid stack.
+/// The cache's one set: slots + MRU/LRU list + lazy invalid stack.
 struct Set {
     slots: Vec<Line>,
     mru: u32,
@@ -83,9 +73,9 @@ struct Set {
 }
 
 impl Set {
-    fn new(assoc: usize) -> Self {
+    fn new(lines: usize) -> Self {
         Self {
-            slots: Vec::with_capacity(assoc),
+            slots: Vec::with_capacity(lines),
             mru: NIL,
             lru: NIL,
             invalid: Vec::new(),
@@ -164,56 +154,37 @@ impl Set {
 
 /// One processor's cache.
 pub struct Cache {
-    config: CacheConfig,
-    sets: Vec<Set>,
-    /// Tag index: `index[addr]` is the line's slot within its set plus one,
-    /// 0 (or no row) when `addr` is not resident. The set is not stored —
-    /// it is `set_of(addr)`.
+    set: Set,
+    /// Capacity in lines.
+    lines: usize,
+    /// Tag index: `index[addr]` is the line's slot plus one, 0 (or no row)
+    /// when `addr` is not resident.
     index: BlockTable<u32>,
-    /// Resident tags (slots ever filled: a slot is re-bound, never freed).
-    resident: usize,
 }
 
 impl Cache {
     pub fn new(config: CacheConfig) -> Self {
-        assert!(config.lines > 0 && config.associativity > 0);
-        assert_eq!(
-            config.lines % config.associativity,
-            0,
-            "lines must be a multiple of associativity"
-        );
-        assert!(config.associativity < NIL as usize);
-        let sets = config.sets();
+        assert!(config.lines > 0 && config.lines < NIL as usize);
         Self {
-            config,
-            sets: (0..sets).map(|_| Set::new(config.associativity)).collect(),
+            set: Set::new(config.lines),
+            lines: config.lines,
             index: BlockTable::new(),
-            resident: 0,
         }
     }
 
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
+    /// The one tag lookup: the slot of a resident `addr`.
     #[inline]
-    fn set_of(&self, addr: Addr) -> usize {
-        (addr as usize) % self.sets.len()
-    }
-
-    /// The one tag lookup: `(set, slot)` of a resident `addr`.
-    #[inline]
-    fn find(&self, addr: Addr) -> Option<(usize, u32)> {
+    fn find(&self, addr: Addr) -> Option<u32> {
         match self.index.get(addr) {
             None | Some(0) => None,
-            Some(&tag) => Some((self.set_of(addr), tag - 1)),
+            Some(&tag) => Some(tag - 1),
         }
     }
 
     /// State of `addr`, or `NotPresent`.
     pub fn state(&self, addr: Addr) -> LineState {
         match self.find(addr) {
-            Some((s, i)) => self.sets[s].slots[i as usize].state,
+            Some(i) => self.set.slots[i as usize].state,
             None => LineState::NotPresent,
         }
     }
@@ -223,18 +194,17 @@ impl Cache {
     /// writable for a write). A miss leaves the LRU order alone — the
     /// caller allocates or upgrades, which marks the line itself.
     pub fn access(&mut self, addr: Addr, write: bool) -> LineState {
-        let Some((s, i)) = self.find(addr) else {
+        let Some(i) = self.find(addr) else {
             return LineState::NotPresent;
         };
-        let set = &mut self.sets[s];
-        let state = set.slots[i as usize].state;
+        let state = self.set.slots[i as usize].state;
         let hit = if write {
             state.writable()
         } else {
             state.readable()
         };
         if hit {
-            set.touch(i);
+            self.set.touch(i);
         }
         state
     }
@@ -245,42 +215,39 @@ impl Cache {
     /// Panics if the tag is not resident — protocols must only touch lines
     /// that exist (invalidations for evicted lines are handled before this).
     pub fn set_state(&mut self, addr: Addr, state: LineState) -> LineState {
-        let (s, i) = self.find_resident(addr);
-        self.sets[s].set_state(i, state)
+        let i = self.find_resident(addr);
+        self.set.set_state(i, state)
     }
 
     /// [`Cache::set_state`] plus [`Cache::touch`] through one lookup: what
     /// starting a miss does to its line.
     pub fn set_state_mru(&mut self, addr: Addr, state: LineState) -> LineState {
-        let (s, i) = self.find_resident(addr);
-        let set = &mut self.sets[s];
-        set.touch(i);
-        set.set_state(i, state)
+        let i = self.find_resident(addr);
+        self.set.touch(i);
+        self.set.set_state(i, state)
     }
 
-    fn find_resident(&self, addr: Addr) -> (usize, u32) {
+    fn find_resident(&self, addr: Addr) -> u32 {
         self.find(addr)
             .unwrap_or_else(|| panic!("set_state on non-resident line {addr:#x}"))
     }
 
     /// Mark `addr` most-recently-used (on every processor access).
     pub fn touch(&mut self, addr: Addr) {
-        if let Some((s, i)) = self.find(addr) {
-            self.sets[s].touch(i);
+        if let Some(i) = self.find(addr) {
+            self.set.touch(i);
         }
     }
 
-    /// Ensure a tag exists for `addr`, evicting an LRU victim if the set is
-    /// full. New lines start in `Iv`; the caller transitions them. Victims
-    /// are never transient lines.
+    /// Ensure a tag exists for `addr`, evicting an LRU victim if the cache
+    /// is full. New lines start in `Iv`; the caller transitions them.
+    /// Victims are never transient lines.
     ///
     /// # Panics
     /// Panics if `addr >= 2^32`: the tag index is a table indexed by block
     /// address (see the module docs).
     pub fn allocate(&mut self, addr: Addr) -> AllocOutcome {
-        let set_idx = self.set_of(addr);
-        let assoc = self.config.associativity;
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.set;
         // Growing the index up front makes binding the tag, on either path
         // below, a plain store.
         let tag = self.index.get_mut_or_grow(addr);
@@ -290,7 +257,7 @@ impl Cache {
         }
 
         // Free capacity: grow the set.
-        if set.slots.len() < assoc {
+        if set.slots.len() < self.lines {
             let slot = set.slots.len() as u32;
             set.slots.push(Line {
                 addr,
@@ -303,7 +270,6 @@ impl Cache {
             // it is itself a legal victim for a subsequent allocation.
             set.invalid.push(slot);
             *tag = slot + 1;
-            self.resident += 1;
             return AllocOutcome::Fresh;
         }
 
@@ -330,26 +296,26 @@ impl Cache {
 
     /// All resident `(addr, state)` pairs (for verification).
     pub fn resident(&self) -> impl Iterator<Item = (Addr, LineState)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.slots.iter().map(|l| (l.addr, l.state)))
+        self.set.slots.iter().map(|l| (l.addr, l.state))
     }
 
-    /// Number of resident tags.
+    /// Number of resident tags (slots ever filled: a slot is re-bound,
+    /// never freed).
     pub fn len(&self) -> usize {
-        self.resident
+        self.set.slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.resident == 0
+        self.set.slots.is_empty()
     }
 }
 
 /// The hash-indexed cache this module had before the block-indexed tag
-/// table, kept verbatim (renamed; the two accessors no test calls dropped)
-/// as the reference the block-indexed [`Cache`] is driven against in lock
-/// step. Test-only: it shares `Set`/`Line` with the real cache, so the
-/// differential test isolates the tag index and the calls built on it.
+/// table, kept (renamed; the two accessors no test calls dropped, and cut
+/// to one set with the set-associative geometry) as the reference the
+/// block-indexed [`Cache`] is driven against in lock step. Test-only: it
+/// shares `Set`/`Line` with the real cache, so the differential test
+/// isolates the tag index and the calls built on it.
 #[cfg(test)]
 mod reference {
     use super::{AllocOutcome, CacheConfig, Line, Set, NIL};
@@ -357,37 +323,25 @@ mod reference {
     use dirtree_sim::FxHashMap;
 
     pub struct HashCache {
-        config: CacheConfig,
-        sets: Vec<Set>,
-        index: FxHashMap<Addr, (u32, u32)>,
+        lines: usize,
+        set: Set,
+        index: FxHashMap<Addr, u32>,
     }
 
     impl HashCache {
         pub fn new(config: CacheConfig) -> Self {
-            assert!(config.lines > 0 && config.associativity > 0);
-            assert_eq!(
-                config.lines % config.associativity,
-                0,
-                "lines must be a multiple of associativity"
-            );
-            assert!(config.associativity < NIL as usize);
-            let sets = config.sets();
+            assert!(config.lines > 0 && config.lines < NIL as usize);
             Self {
-                config,
-                sets: (0..sets).map(|_| Set::new(config.associativity)).collect(),
+                lines: config.lines,
+                set: Set::new(config.lines),
                 index: FxHashMap::default(),
             }
-        }
-
-        #[inline]
-        fn set_of(&self, addr: Addr) -> usize {
-            (addr as usize) % self.sets.len()
         }
 
         /// State of `addr`, or `NotPresent`.
         pub fn state(&self, addr: Addr) -> LineState {
             match self.index.get(&addr) {
-                Some(&(s, i)) => self.sets[s as usize].slots[i as usize].state,
+                Some(&i) => self.set.slots[i as usize].state,
                 None => LineState::NotPresent,
             }
         }
@@ -398,11 +352,11 @@ mod reference {
         /// Panics if the tag is not resident — protocols must only touch lines
         /// that exist (invalidations for evicted lines are handled before this).
         pub fn set_state(&mut self, addr: Addr, state: LineState) {
-            let &(s, i) = self
+            let &i = self
                 .index
                 .get(&addr)
                 .unwrap_or_else(|| panic!("set_state on non-resident line {addr:#x}"));
-            let set = &mut self.sets[s as usize];
+            let set = &mut self.set;
             let was_invalid = set.slots[i as usize].state == LineState::Iv;
             set.slots[i as usize].state = state;
             if state == LineState::Iv && !was_invalid {
@@ -412,8 +366,8 @@ mod reference {
 
         /// Mark `addr` most-recently-used (on every processor access).
         pub fn touch(&mut self, addr: Addr) {
-            if let Some(&(s, i)) = self.index.get(&addr) {
-                self.sets[s as usize].touch(i);
+            if let Some(&i) = self.index.get(&addr) {
+                self.set.touch(i);
             }
         }
 
@@ -425,12 +379,10 @@ mod reference {
                 self.touch(addr);
                 return AllocOutcome::AlreadyResident;
             }
-            let set_idx = self.set_of(addr);
-            let assoc = self.config.associativity;
-            let set = &mut self.sets[set_idx];
+            let set = &mut self.set;
 
             // Free capacity: grow the set.
-            if set.slots.len() < assoc {
+            if set.slots.len() < self.lines {
                 let slot = set.slots.len() as u32;
                 set.slots.push(Line {
                     addr,
@@ -442,7 +394,7 @@ mod reference {
                 // The new line is invalid until the caller transitions it, so
                 // it is itself a legal victim for a subsequent allocation.
                 set.invalid.push(slot);
-                self.index.insert(addr, (set_idx as u32, slot));
+                self.index.insert(addr, slot);
                 return AllocOutcome::Fresh;
             }
 
@@ -461,7 +413,7 @@ mod reference {
                 };
                 set.touch(i);
                 set.invalid.push(i); // still invalid until transitioned
-                self.index.insert(addr, (set_idx as u32, i));
+                self.index.insert(addr, i);
                 return AllocOutcome::Fresh;
             }
 
@@ -476,7 +428,7 @@ mod reference {
                     set.slots[i as usize].state = LineState::Iv;
                     set.touch(i);
                     set.invalid.push(i); // still invalid until transitioned
-                    self.index.insert(addr, (set_idx as u32, i));
+                    self.index.insert(addr, i);
                     return AllocOutcome::Evicted {
                         victim: victim_addr,
                         state,
@@ -489,9 +441,7 @@ mod reference {
 
         /// All resident `(addr, state)` pairs (for verification).
         pub fn resident(&self) -> impl Iterator<Item = (Addr, LineState)> + '_ {
-            self.sets
-                .iter()
-                .flat_map(|s| s.slots.iter().map(|l| (l.addr, l.state)))
+            self.set.slots.iter().map(|l| (l.addr, l.state))
         }
 
         /// Number of resident tags.
@@ -506,10 +456,7 @@ mod tests {
     use super::*;
 
     fn small() -> Cache {
-        Cache::new(CacheConfig {
-            lines: 4,
-            associativity: 4,
-        })
+        Cache::new(CacheConfig { lines: 4 })
     }
 
     #[test]
@@ -598,24 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn set_mapping_partitions_addresses() {
-        let mut c = Cache::new(CacheConfig {
-            lines: 4,
-            associativity: 2,
-        });
-        // Addresses 0 and 2 map to set 0; 1 and 3 to set 1.
-        for a in [0u64, 2, 1, 3] {
-            assert_eq!(c.allocate(a), AllocOutcome::Fresh);
-            c.set_state(a, LineState::V);
-        }
-        // 4 maps to set 0 and must evict 0 or 2, not 1 or 3.
-        match c.allocate(4) {
-            AllocOutcome::Evicted { victim, .. } => assert!(victim == 0 || victim == 2),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn resident_iterates_all_lines() {
         let mut c = small();
         c.allocate(1);
@@ -637,16 +566,12 @@ mod tests {
     fn paper_default_geometry() {
         let cfg = CacheConfig::paper_default();
         assert_eq!(cfg.lines, 2048);
-        assert_eq!(cfg.sets(), 1);
     }
 
     #[test]
     fn streaming_far_beyond_capacity_is_stable() {
         // O(1) replacement must keep the books straight over many epochs.
-        let mut c = Cache::new(CacheConfig {
-            lines: 64,
-            associativity: 64,
-        });
+        let mut c = Cache::new(CacheConfig { lines: 64 });
         let mut evictions = 0;
         for a in 0..10_000u64 {
             match c.allocate(a) {
@@ -737,7 +662,7 @@ mod tests {
             let a = rng.gen_range(addrs);
             let at = format!("step {step}, addr {a}, {config:?}");
             match rng.gen_range(8) {
-                // Weighted towards allocate so full sets keep rebinding.
+                // Weighted towards allocate so a full cache keeps rebinding.
                 0..=2 => assert_eq!(new.allocate(a), old.allocate(a), "allocate at {at}"),
                 3 | 4 if old.state(a) != LineState::NotPresent => {
                     let to = STATES[rng.gen_index(STATES.len())];
@@ -793,13 +718,9 @@ mod tests {
 
     #[test]
     fn block_index_matches_the_hash_index_in_lock_step() {
-        let geometry = |lines, associativity| CacheConfig {
-            lines,
-            associativity,
-        };
         for seed in [1996, 31337, 7] {
-            lock_step(geometry(4, 4), 12, 4_000, seed);
-            lock_step(geometry(8, 2), 40, 4_000, seed);
+            lock_step(CacheConfig { lines: 4 }, 12, 4_000, seed);
+            lock_step(CacheConfig { lines: 8 }, 40, 4_000, seed);
         }
         // The paper's geometry, with more addresses than lines so it evicts.
         lock_step(CacheConfig::paper_default(), 3_000, 60_000, 1996);

@@ -6,29 +6,24 @@ use dirtree_core::cache::{AllocOutcome, Cache, CacheConfig};
 use dirtree_core::types::{Addr, LineState};
 use proptest::prelude::*;
 
-/// The slow-but-obvious reference: per-set vector with timestamps.
+/// The slow-but-obvious reference: a vector with timestamps.
 struct RefCache {
-    assoc: usize,
-    sets: Vec<Vec<(Addr, LineState, u64)>>,
+    lines: usize,
+    slots: Vec<(Addr, LineState, u64)>,
     tick: u64,
 }
 
 impl RefCache {
     fn new(config: CacheConfig) -> Self {
         Self {
-            assoc: config.associativity,
-            sets: (0..config.sets()).map(|_| Vec::new()).collect(),
+            lines: config.lines,
+            slots: Vec::new(),
             tick: 0,
         }
     }
 
-    fn set_of(&self, addr: Addr) -> usize {
-        (addr as usize) % self.sets.len()
-    }
-
     fn state(&self, addr: Addr) -> LineState {
-        let s = self.set_of(addr);
-        self.sets[s]
+        self.slots
             .iter()
             .find(|l| l.0 == addr)
             .map(|l| l.1)
@@ -36,8 +31,7 @@ impl RefCache {
     }
 
     fn set_state(&mut self, addr: Addr, st: LineState) {
-        let s = self.set_of(addr);
-        self.sets[s]
+        self.slots
             .iter_mut()
             .find(|l| l.0 == addr)
             .expect("set_state on absent")
@@ -46,9 +40,8 @@ impl RefCache {
 
     fn touch(&mut self, addr: Addr) {
         self.tick += 1;
-        let s = self.set_of(addr);
         let t = self.tick;
-        if let Some(l) = self.sets[s].iter_mut().find(|l| l.0 == addr) {
+        if let Some(l) = self.slots.iter_mut().find(|l| l.0 == addr) {
             l.2 = t;
         }
     }
@@ -60,17 +53,17 @@ impl RefCache {
         }
         self.tick += 1;
         let t = self.tick;
-        let s = self.set_of(addr);
-        if self.sets[s].len() < self.assoc {
-            self.sets[s].push((addr, LineState::Iv, t));
+        if self.slots.len() < self.lines {
+            self.slots.push((addr, LineState::Iv, t));
             return AllocOutcome::Fresh;
         }
         // Any invalid line first; else the LRU stable line.
-        if let Some(pos) = self.sets[s].iter().position(|l| l.1 == LineState::Iv) {
-            self.sets[s][pos] = (addr, LineState::Iv, t);
+        if let Some(pos) = self.slots.iter().position(|l| l.1 == LineState::Iv) {
+            self.slots[pos] = (addr, LineState::Iv, t);
             return AllocOutcome::Fresh;
         }
-        let victim = self.sets[s]
+        let victim = self
+            .slots
             .iter()
             .enumerate()
             .filter(|(_, l)| matches!(l.1, LineState::V | LineState::E))
@@ -78,8 +71,8 @@ impl RefCache {
             .map(|(i, _)| i);
         match victim {
             Some(pos) => {
-                let (vaddr, vstate, _) = self.sets[s][pos];
-                self.sets[s][pos] = (addr, LineState::Iv, t);
+                let (vaddr, vstate, _) = self.slots[pos];
+                self.slots[pos] = (addr, LineState::Iv, t);
                 AllocOutcome::Evicted {
                     victim: vaddr,
                     state: vstate,
@@ -174,9 +167,8 @@ fn run_model(config: CacheConfig, ops: Vec<Op>, addr_space: u64) {
 
 /// Deterministic replay of the shrunken counterexample recorded in
 /// cache_model.proptest-regressions (the vendored proptest shim does not
-/// read that file, so the case is pinned as an ordinary test). Addresses
-/// fit the direct-mapped geometry, but replay under all three geometries
-/// the properties cover.
+/// read that file, so the case is pinned as an ordinary test), on the
+/// fully associative geometry the properties cover.
 #[test]
 fn recorded_counterexample_matches_reference() {
     use Op::{Allocate, SetState, Touch};
@@ -213,22 +205,7 @@ fn recorded_counterexample_matches_reference() {
         SetState(6, 1),
         Allocate(0),
     ];
-    for config in [
-        CacheConfig {
-            lines: 8,
-            associativity: 1,
-        },
-        CacheConfig {
-            lines: 16,
-            associativity: 4,
-        },
-        CacheConfig {
-            lines: 8,
-            associativity: 8,
-        },
-    ] {
-        run_model(config, ops.clone(), 16);
-    }
+    run_model(CacheConfig { lines: 8 }, ops, 16);
 }
 
 proptest! {
@@ -236,16 +213,6 @@ proptest! {
 
     #[test]
     fn fully_associative_matches_reference(ops in arb_ops(24)) {
-        run_model(CacheConfig { lines: 8, associativity: 8 }, ops, 24);
-    }
-
-    #[test]
-    fn set_associative_matches_reference(ops in arb_ops(32)) {
-        run_model(CacheConfig { lines: 16, associativity: 4 }, ops, 32);
-    }
-
-    #[test]
-    fn direct_mapped_matches_reference(ops in arb_ops(16)) {
-        run_model(CacheConfig { lines: 8, associativity: 1 }, ops, 16);
+        run_model(CacheConfig { lines: 8 }, ops, 24);
     }
 }

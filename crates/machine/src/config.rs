@@ -88,10 +88,7 @@ impl MachineConfig {
     pub fn test_default(nodes: u32) -> Self {
         Self {
             nodes,
-            cache: CacheConfig {
-                lines: 64,
-                associativity: 64,
-            },
+            cache: CacheConfig { lines: 64 },
             verify: true,
             max_events: 200_000_000,
             ..Self::paper_default(nodes)

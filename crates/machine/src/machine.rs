@@ -168,10 +168,6 @@ impl Machine {
         }
     }
 
-    pub fn config(&self) -> &MachineConfig {
-        &self.core.config
-    }
-
     pub fn stats(&self) -> &MachineStats {
         &self.core.stats
     }
@@ -832,10 +828,7 @@ mod tests {
             ProtocolKind::DirTreeAdaptive { pointers, arity },
         ];
         let mut config = MachineConfig::test_default(8);
-        config.cache = dirtree_core::cache::CacheConfig {
-            lines: 16,
-            associativity: 16,
-        };
+        config.cache = dirtree_core::cache::CacheConfig { lines: 16 };
         for kind in kinds {
             for seed in [1996, 31337] {
                 let mut rng = SimRng::new(seed);

@@ -245,10 +245,6 @@ impl Network {
         &self.topo
     }
 
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// Serialization time of `bytes` over one link, in cycles (≥ 1).
     #[inline]
     pub fn serialization_cycles(&self, bytes: u32) -> Cycle {

@@ -10,9 +10,7 @@
 
 pub mod fft;
 pub mod floyd;
-pub mod jacobi;
 pub mod lu;
-pub mod lu_blocked;
 pub mod mp3d;
 pub mod patterns;
 pub mod synthetic;

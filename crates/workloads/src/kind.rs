@@ -1,9 +1,6 @@
 //! Uniform workload construction for the experiment harness.
 
-use crate::apps::{
-    fft::Fft, floyd::Floyd, jacobi::Jacobi, lu::Lu, lu_blocked::LuBlocked, mp3d::Mp3d, patterns,
-    synthetic,
-};
+use crate::apps::{fft::Fft, floyd::Floyd, lu::Lu, mp3d::Mp3d, patterns, synthetic};
 use crate::rendezvous::ThreadedWorkload;
 
 /// A workload selector with its parameters.
@@ -13,14 +10,10 @@ pub enum WorkloadKind {
     Mp3d { particles: u64, steps: u64 },
     /// Dense LU factorization, column variant (Figure 9).
     Lu { n: u64 },
-    /// SPLASH-style blocked LU (Figure 9, working-set-faithful variant).
-    LuBlocked { n: u64, block: u64 },
     /// Floyd-Warshall all-pairs shortest paths (Figure 10).
     Floyd { vertices: u64, seed: u64 },
     /// Radix-2 FFT (Figure 11).
     Fft { points: u64 },
-    /// Jacobi stencil (extension: nearest-neighbour-only sharing).
-    Jacobi { grid: u64, sweeps: u64 },
     /// Synthetic: P-reader / 1-writer sharing.
     Sharing { blocks: u64, rounds: u64 },
     /// Synthetic: migratory token passing.
@@ -43,46 +36,12 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    /// The paper's four applications at their published sizes.
-    pub fn paper_apps() -> Vec<WorkloadKind> {
-        vec![
-            WorkloadKind::Mp3d {
-                particles: 3000,
-                steps: 10,
-            },
-            WorkloadKind::Lu { n: 128 },
-            WorkloadKind::Floyd {
-                vertices: 32,
-                seed: 1996,
-            },
-            WorkloadKind::Fft { points: 1024 },
-        ]
-    }
-
-    /// Scaled-down variants for quick runs and CI.
-    pub fn small_apps() -> Vec<WorkloadKind> {
-        vec![
-            WorkloadKind::Mp3d {
-                particles: 300,
-                steps: 4,
-            },
-            WorkloadKind::Lu { n: 32 },
-            WorkloadKind::Floyd {
-                vertices: 16,
-                seed: 1996,
-            },
-            WorkloadKind::Fft { points: 256 },
-        ]
-    }
-
     pub fn name(&self) -> String {
         match self {
             WorkloadKind::Mp3d { particles, steps } => format!("MP3D({particles}p,{steps}s)"),
             WorkloadKind::Lu { n } => format!("LU({n}x{n})"),
-            WorkloadKind::LuBlocked { n, block } => format!("LUb({n}x{n},B{block})"),
             WorkloadKind::Floyd { vertices, .. } => format!("Floyd({vertices}v)"),
             WorkloadKind::Fft { points } => format!("FFT({points})"),
-            WorkloadKind::Jacobi { grid, sweeps } => format!("Jacobi({grid}x{grid},{sweeps}s)"),
             WorkloadKind::Sharing { blocks, rounds } => format!("Sharing({blocks}b,{rounds}r)"),
             WorkloadKind::Migratory { blocks, rounds } => {
                 format!("Migratory({blocks}b,{rounds}r)")
@@ -132,10 +91,8 @@ impl WorkloadKind {
             }
             .build(nprocs),
             WorkloadKind::Lu { n } => Lu { n }.build(nprocs),
-            WorkloadKind::LuBlocked { n, block } => LuBlocked { n, block }.build(nprocs),
             WorkloadKind::Floyd { vertices, seed } => Floyd { vertices, seed }.build(nprocs),
             WorkloadKind::Fft { points } => Fft { points }.build(nprocs),
-            WorkloadKind::Jacobi { grid, sweeps } => Jacobi { grid, sweeps }.build(nprocs),
             WorkloadKind::Sharing { blocks, rounds } => {
                 synthetic::Sharing { blocks, rounds }.build(nprocs)
             }
@@ -188,31 +145,22 @@ mod tests {
     }
 
     #[test]
-    fn paper_apps_match_section4() {
-        let apps = WorkloadKind::paper_apps();
-        assert_eq!(apps.len(), 4);
-        assert!(apps.contains(&WorkloadKind::Lu { n: 128 }));
-        assert!(apps.contains(&WorkloadKind::Floyd {
-            vertices: 32,
-            seed: 1996
-        }));
-    }
-
-    #[test]
     fn every_small_app_runs_verified_on_dirtree() {
-        for app in WorkloadKind::small_apps() {
-            // Even smaller: shrink further for unit-test time.
-            let tiny = match app {
-                WorkloadKind::Mp3d { .. } => WorkloadKind::Mp3d {
-                    particles: 40,
-                    steps: 2,
-                },
-                WorkloadKind::Lu { .. } => WorkloadKind::Lu { n: 10 },
-                WorkloadKind::Floyd { seed, .. } => WorkloadKind::Floyd { vertices: 8, seed },
-                WorkloadKind::Fft { .. } => WorkloadKind::Fft { points: 32 },
-                other => other,
-            };
-            let mut w = tiny.build(4);
+        // The four applications, shrunk for unit-test time.
+        let tiny = [
+            WorkloadKind::Mp3d {
+                particles: 40,
+                steps: 2,
+            },
+            WorkloadKind::Lu { n: 10 },
+            WorkloadKind::Floyd {
+                vertices: 8,
+                seed: 1996,
+            },
+            WorkloadKind::Fft { points: 32 },
+        ];
+        for app in tiny {
+            let mut w = app.build(4);
             let mut m = Machine::new(
                 MachineConfig::test_default(4),
                 ProtocolKind::DirTree {
@@ -221,7 +169,7 @@ mod tests {
                 },
             );
             let out = m.run(&mut w);
-            assert!(out.stats.total_ops() > 0, "{} did nothing", tiny.name());
+            assert!(out.stats.total_ops() > 0, "{} did nothing", app.name());
         }
     }
 }

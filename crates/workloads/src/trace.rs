@@ -332,7 +332,6 @@ mod tests {
                 4,
             ),
             (WorkloadKind::Lu { n: 12 }, 4),
-            (WorkloadKind::LuBlocked { n: 12, block: 4 }, 4),
             (
                 WorkloadKind::Floyd {
                     vertices: 10,
@@ -349,13 +348,6 @@ mod tests {
                 16,
             ),
             (WorkloadKind::Fft { points: 64 }, 4),
-            (
-                WorkloadKind::Jacobi {
-                    grid: 10,
-                    sweeps: 2,
-                },
-                4,
-            ),
             (
                 WorkloadKind::Sharing {
                     blocks: 8,
@@ -624,16 +616,11 @@ mod tests {
                 steps: 3,
             },
             WorkloadKind::Lu { n: 12 },
-            WorkloadKind::LuBlocked { n: 12, block: 4 },
             WorkloadKind::Floyd {
                 vertices: 10,
                 seed: 1996,
             },
             WorkloadKind::Fft { points: 64 },
-            WorkloadKind::Jacobi {
-                grid: 10,
-                sweeps: 2,
-            },
             WorkloadKind::Sharing {
                 blocks: 8,
                 rounds: 4,

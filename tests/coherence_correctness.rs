@@ -91,10 +91,7 @@ impl Driver for RandomMix {
 fn config_with_cache(nodes: u32, lines: usize) -> MachineConfig {
     let mut c = MachineConfig::paper_default(nodes);
     c.verify = true;
-    c.cache = CacheConfig {
-        lines,
-        associativity: lines,
-    };
+    c.cache = CacheConfig { lines };
     c
 }
 

@@ -24,10 +24,7 @@ fn arb_scripts(nodes: usize, addr_space: u64) -> impl Strategy<Value = Vec<Vec<D
 fn run(kind: ProtocolKind, scripts: Vec<Vec<DriverOp>>, cache_lines: usize) -> u64 {
     let mut config = MachineConfig::paper_default(4);
     config.verify = true;
-    config.cache = CacheConfig {
-        lines: cache_lines,
-        associativity: cache_lines,
-    };
+    config.cache = CacheConfig { lines: cache_lines };
     let mut machine = Machine::new(config, kind);
     let mut driver = ScriptDriver::new(scripts);
     machine.run(&mut driver).cycles

@@ -57,10 +57,7 @@ fn small_cache_run(
     let t = trace(seed);
     let mut workload = t.build();
     let mut cfg = MachineConfig::test_default(t.nodes);
-    cfg.cache = CacheConfig {
-        lines,
-        associativity: lines,
-    };
+    cfg.cache = CacheConfig { lines };
     let mut machine = Machine::new(cfg, kind);
     machine.try_run(&mut workload)?;
     Ok((workload.values().to_vec(), machine.stats().evictions))

@@ -85,34 +85,6 @@ fn mp3d_identical_across_protocols() {
 }
 
 #[test]
-fn jacobi_identical_across_protocols() {
-    let w = WorkloadKind::Jacobi {
-        grid: 10,
-        sweeps: 3,
-    };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in protocols() {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
-}
-
-#[test]
-fn blocked_lu_identical_across_protocols() {
-    let w = WorkloadKind::LuBlocked { n: 12, block: 4 };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in [
-        ProtocolKind::DirTree {
-            pointers: 4,
-            arity: 2,
-        },
-        ProtocolKind::LimitedNB { pointers: 1 },
-        ProtocolKind::Sci,
-    ] {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
-}
-
-#[test]
 fn eight_processors_floyd_equivalence() {
     let w = WorkloadKind::Floyd {
         vertices: 12,

@@ -168,10 +168,7 @@ fn recorded_scripts() -> Vec<Vec<DriverOp>> {
 fn run(kind: ProtocolKind, scripts: Vec<Vec<DriverOp>>, cache_lines: usize) -> u64 {
     let mut config = MachineConfig::paper_default(4);
     config.verify = true;
-    config.cache = CacheConfig {
-        lines: cache_lines,
-        associativity: cache_lines,
-    };
+    config.cache = CacheConfig { lines: cache_lines };
     let mut machine = Machine::new(config, kind);
     let mut driver = ScriptDriver::new(scripts);
     machine.run(&mut driver).cycles

@@ -30,41 +30,61 @@ fn protocols() -> Vec<ProtocolKind> {
     ]
 }
 
+/// Every `WorkloadKind` once, at smoke size, as a chain through one
+/// wildcard-free `match`: each arm names the row after its own variant's.
+/// A new variant fails to compile here until it gets an arm, and that arm
+/// is where its row goes.
 fn workloads() -> Vec<WorkloadKind> {
-    vec![
-        WorkloadKind::Mp3d {
-            particles: 30,
-            steps: 2,
-        },
-        WorkloadKind::Lu { n: 8 },
-        WorkloadKind::Floyd {
+    use WorkloadKind::*;
+    let next = |w: &WorkloadKind| match w {
+        Mp3d { .. } => Some(Lu { n: 8 }),
+        Lu { .. } => Some(Floyd {
             vertices: 8,
             seed: 5,
-        },
-        WorkloadKind::Fft { points: 32 },
-        WorkloadKind::Jacobi { grid: 8, sweeps: 2 },
-        WorkloadKind::Sharing {
+        }),
+        Floyd { .. } => Some(Fft { points: 32 }),
+        Fft { .. } => Some(Sharing {
             blocks: 4,
             rounds: 3,
-        },
-        WorkloadKind::Migratory {
+        }),
+        Sharing { .. } => Some(Migratory {
             blocks: 4,
             rounds: 8,
-        },
-        WorkloadKind::Storm {
+        }),
+        Migratory { .. } => Some(Storm {
             words: 96,
             passes: 1,
-        },
-    ]
+        }),
+        Storm { .. } => Some(PcPipeline {
+            buffers: 4,
+            rounds: 3,
+        }),
+        PcPipeline { .. } => Some(TokenRing { tokens: 3, laps: 2 }),
+        TokenRing { .. } => Some(Broadcast {
+            blocks: 4,
+            rounds: 2,
+            scans: 2,
+        }),
+        Broadcast { .. } => Some(FalseShare {
+            blocks: 4,
+            rounds: 4,
+        }),
+        FalseShare { .. } => None,
+    };
+    let first = Mp3d {
+        particles: 30,
+        steps: 2,
+    };
+    let rows: Vec<WorkloadKind> = std::iter::successors(Some(first), next).take(64).collect();
+    let kinds: std::collections::HashSet<_> = rows.iter().map(std::mem::discriminant).collect();
+    assert_eq!(kinds.len(), rows.len(), "the chain visits a variant twice");
+    rows
 }
 
 #[test]
 fn every_workload_runs_on_every_protocol() {
     let mut config = MachineConfig::test_default(4);
-    config.cache = dirtree_core::cache::CacheConfig {
-        lines: 48,
-        associativity: 48,
-    };
+    config.cache = dirtree_core::cache::CacheConfig { lines: 48 };
     for w in workloads() {
         for kind in protocols() {
             let mut machine = Machine::new(config, kind);
