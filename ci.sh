@@ -124,14 +124,19 @@ echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 # simulation fails it — and every file it writes (28 JSONL record files
 # and 4 figure CSVs) must match the sha256 pinned in
 # tests/golden/all_outputs.sha256, listed by path in byte order (a
-# mismatch prints a unified diff, so the moved paths are named). The
-# outputs are the same at any --jobs. An unknown experiment name is a
-# usage error (exit 64), not a run with defaults.
+# mismatch prints a unified diff, so the moved paths are named). Its
+# report on stdout (every table of every experiment, no wall times) must
+# match tests/golden/all_report.txt line for line. Files and report are
+# the same at any --jobs. An unknown experiment name is a usage error
+# (exit 64), not a run with defaults.
 rm -rf target/all_smoke
-./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke >/dev/null
+./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke \
+  > target/all_report.txt
 (cd target/all_smoke && find . -type f | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum) \
   | diff -u tests/golden/all_outputs.sha256 -
 echo "all-smoke: \`dirtree-bench all\` outputs match tests/golden/all_outputs.sha256"
+diff -u tests/golden/all_report.txt target/all_report.txt
+echo "all-smoke: \`dirtree-bench all\` report matches tests/golden/all_report.txt"
 status=0
 ./target/release/dirtree-bench no_such_experiment >/dev/null 2>&1 || status=$?
 [[ $status -eq 64 ]]
