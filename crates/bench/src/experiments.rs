@@ -16,7 +16,7 @@ use crate::cli::Cli;
 use crate::figures::{record_grid, run_figure, RecordCell};
 use crate::miss_cost::{read_miss_cost, write_miss_cost, write_miss_latency_measured};
 use crate::runner::Runner;
-use crate::sweep::{RunRecord, SweepConfig, SweepSpec};
+use crate::sweep::{RunRecord, SweepSpec};
 use dirtree_analysis::formulas::{self, directory_bits, write_miss_latency_model, LatencyParams};
 use dirtree_analysis::tables::AsciiTable;
 use dirtree_analysis::tree_capacity::{
@@ -78,7 +78,6 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment::part_of_all("ablation_pairing", |r, _| ablation_pairing(r)),
     Experiment::part_of_all("ablation_update", |r, _| ablation_update(r)),
     Experiment::part_of_all("ablation_arity", |r, _| ablation_arity(r)),
-    Experiment::opt_in("scaling", |r, _| scaling(r)),
     Experiment::opt_in("scale_up", |r, cli| scale_up(r, cli.filter.as_deref())),
     Experiment::opt_in("adaptive_ablation", |r, cli| {
         adaptive_ablation(r, cli.filter.as_deref())
@@ -640,71 +639,6 @@ pub fn bus_vs_cube(runner: &Runner) -> String {
     out
 }
 
-/// **Beyond the paper (ours)** — the paper stops at 32 processors; this
-/// extends the Figure 10 comparison to 64 and 128 to show the trend the
-/// conclusion claims ("when the number of processors is large, the new
-/// scheme even performs better"). Opt-in: not part of `all`.
-pub fn scaling(runner: &Runner) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Scaling beyond the paper (Floyd-Warshall 64v, normalized to full-map):"
-    );
-    let mut t = AsciiTable::new(&[
-        "procs",
-        "fm cycles",
-        "Dir4Tree2",
-        "Dir8Tree2",
-        "Dir4NB",
-        "fm dir KiB",
-        "Dir4Tree2 dir KiB",
-    ]);
-    let w = WorkloadKind::Floyd {
-        vertices: 64,
-        seed: 1996,
-    };
-    let t4k = ProtocolKind::DirTree {
-        pointers: 4,
-        arity: 2,
-    };
-    let t8k = ProtocolKind::DirTree {
-        pointers: 8,
-        arity: 2,
-    };
-    let l4k = ProtocolKind::LimitedNB { pointers: 4 };
-    let sizes = [8u32, 16, 32, 64, 128];
-    let cells = record_grid(
-        runner,
-        "scaling",
-        w,
-        &sizes,
-        &[ProtocolKind::FullMap, t4k, t8k, l4k],
-        MachineConfig::paper_default,
-    );
-    for nodes in sizes {
-        let fm = cell(&cells, ProtocolKind::FullMap, nodes).record.cycles;
-        let mem_blocks = 16 * 1024;
-        let fm_bits = directory_bits(ProtocolKind::FullMap, nodes, mem_blocks, 0);
-        let t4_bits = directory_bits(t4k, nodes, mem_blocks, 0);
-        t.row(&[
-            nodes.to_string(),
-            fm.to_string(),
-            format!("{:.3}", cell(&cells, t4k, nodes).normalized),
-            format!("{:.3}", cell(&cells, t8k, nodes).normalized),
-            format!("{:.3}", cell(&cells, l4k, nodes).normalized),
-            (fm_bits / 8 / 1024).to_string(),
-            (t4_bits / 8 / 1024).to_string(),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "The performance gap and the directory-memory gap both widen with\n\
-         machine size — the paper's conclusion, extrapolated."
-    );
-    out
-}
-
 /// Protocols shared by the scale-up grids (the paper's Figure-10
 /// shapes: full-map vs Dir_iTree_2 vs Dir_4NB).
 const SCALE_UP_PROTOCOLS: [ProtocolKind; 4] = [
@@ -1034,9 +968,10 @@ pub fn ablation_pairing(runner: &Runner) -> String {
         "hottest controller (busy cyc)",
     ]);
     for (wi, w) in [
-        WorkloadKind::Sharing {
+        WorkloadKind::Broadcast {
             blocks: 16,
             rounds: 40,
+            scans: 1,
         },
         WorkloadKind::Floyd {
             vertices: 24,
@@ -1108,15 +1043,13 @@ pub fn ablation_update(runner: &Runner) -> String {
     let mut t = AsciiTable::new(&["workload", "protocol", "cycles", "msgs", "bytes"]);
     for (wi, w) in [
         // Producer/consumer: one writer, many prompt readers — update's home turf.
-        WorkloadKind::Sharing {
+        WorkloadKind::Broadcast {
             blocks: 8,
             rounds: 30,
+            scans: 1,
         },
         // Migratory RMW: each processor writes in turn — invalidation's home turf.
-        WorkloadKind::Migratory {
-            blocks: 8,
-            rounds: 32,
-        },
+        WorkloadKind::TokenRing { tokens: 8, laps: 2 },
         // A real app mix.
         WorkloadKind::Floyd {
             vertices: 24,
@@ -1269,18 +1202,22 @@ struct AdaptiveCell {
 /// `adaptive_ablation`, so the runner writes a single byte-deterministic
 /// `adaptive_ablation.jsonl` the CI golden compares against.
 fn adaptive_ablation_cells(runner: &Runner, sizes: &[u32]) -> Vec<AdaptiveCell> {
-    let mut spec = SweepSpec::new("adaptive_ablation");
-    for &w in &adaptive_workloads() {
-        for &nodes in sizes {
-            for &protocol in &ADAPTIVE_PROTOCOLS {
-                spec.push(SweepConfig::new(
-                    MachineConfig::paper_default(nodes),
-                    protocol,
+    let spec = SweepSpec {
+        name: "adaptive_ablation".into(),
+        configs: adaptive_workloads()
+            .into_iter()
+            .flat_map(|w| {
+                SweepSpec::grid(
+                    "",
                     w,
-                ));
-            }
-        }
-    }
+                    sizes,
+                    &ADAPTIVE_PROTOCOLS,
+                    MachineConfig::paper_default,
+                )
+                .configs
+            })
+            .collect(),
+    };
     let outcome = runner.run(&spec);
     assert!(
         outcome.failures.is_empty(),
@@ -1291,22 +1228,17 @@ fn adaptive_ablation_cells(runner: &Runner, sizes: &[u32]) -> Vec<AdaptiveCell> 
             .map(|f| f.message.as_str())
             .collect::<Vec<_>>()
     );
-    // No failures, so records line up with the spec push order above.
-    let mut records = outcome.records.into_iter();
-    let mut cells = Vec::new();
-    for &workload in &adaptive_workloads() {
-        for &nodes in sizes {
-            for &protocol in &ADAPTIVE_PROTOCOLS {
-                cells.push(AdaptiveCell {
-                    workload,
-                    protocol,
-                    nodes,
-                    record: records.next().expect("one record per config"),
-                });
-            }
-        }
-    }
-    cells
+    // No failures, so records line up with the spec's configs.
+    spec.configs
+        .iter()
+        .zip(outcome.records)
+        .map(|(config, record)| AdaptiveCell {
+            workload: config.workload,
+            protocol: config.protocol,
+            nodes: config.machine.nodes,
+            record,
+        })
+        .collect()
 }
 
 /// Per-workload verdict: each policy's cycles summed over the machine
@@ -1552,12 +1484,9 @@ pub fn adaptive_ablation(runner: &Runner, filter: Option<&str>) -> String {
         verdicts.iter().filter(|v| v.beats_worst_static()).count(),
     );
     let path = runner.options().out_dir.join("BENCH_adaptive.json");
-    match std::fs::write(
-        &path,
-        adaptive_ablation_json(filter, &sizes, &cells, &verdicts),
-    ) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    let json = adaptive_ablation_json(filter, &sizes, &cells, &verdicts);
+    if runner.write_output(&path, &json) {
+        eprintln!("wrote {}", path.display());
     }
     out
 }
@@ -1567,6 +1496,7 @@ mod tests {
     use super::*;
     use crate::figures::{records_to_csv, render_record_grid};
     use crate::runner::SweepOptions;
+    use crate::sweep::SweepConfig;
 
     #[test]
     fn registry_names_are_unique_and_all_keeps_its_set_and_order() {
@@ -1600,17 +1530,17 @@ mod tests {
                 "ablation_arity",
             ]
         );
-        for opt_in in ["scaling", "scale_up", "adaptive_ablation"] {
+        for opt_in in ["scale_up", "adaptive_ablation"] {
             let e = REGISTRY
                 .iter()
                 .find(|e| e.name == opt_in)
                 .unwrap_or_else(|| panic!("{opt_in} must resolve by name"));
             assert!(!e.in_all, "{opt_in} is opt-in only");
         }
-        assert_eq!(names.len(), 20);
+        assert_eq!(names.len(), 19);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 20, "duplicate experiment name");
+        assert_eq!(names.len(), 19, "duplicate experiment name");
         assert!(!names.contains(&"all") && !names.contains(&"list"));
     }
 
@@ -1676,7 +1606,7 @@ mod tests {
         };
         let trace = record_ops(&mut floyd.build(nodes));
         let mut m = Machine::new(machine(nodes), SCALE_UP_PROTOCOLS[0]);
-        let out = m.run(&mut ReplayDriver::new(trace.into()));
+        let out = m.run(&mut ReplayDriver::new(trace));
         assert_eq!(out.cycles, 1_175_847, "tests/golden/scale_up_p64.jsonl");
         assert_eq!(m.queue_overflowed(), 0);
         let config = SweepConfig::new(machine(nodes), SCALE_UP_PROTOCOLS[0], floyd);

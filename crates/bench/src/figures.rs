@@ -37,19 +37,11 @@ pub fn record_grid(
     protocols: &[ProtocolKind],
     configure: impl Fn(u32) -> MachineConfig,
 ) -> Vec<RecordCell> {
-    let mut spec = SweepSpec::new(spec_name);
-    for &nodes in node_counts {
-        if !protocols.contains(&ProtocolKind::FullMap) {
-            spec.push(SweepConfig::new(
-                configure(nodes),
-                ProtocolKind::FullMap,
-                workload,
-            ));
-        }
-        for &protocol in protocols {
-            spec.push(SweepConfig::new(configure(nodes), protocol, workload));
-        }
+    let mut simulated = protocols.to_vec();
+    if !simulated.contains(&ProtocolKind::FullMap) {
+        simulated.insert(0, ProtocolKind::FullMap);
     }
+    let spec = SweepSpec::grid(spec_name, workload, node_counts, &simulated, &configure);
     let outcome = runner.run(&spec);
     let by_key: FxHashMap<&str, &RunRecord> = outcome
         .records
@@ -175,13 +167,13 @@ pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> Strin
     );
     report.push('\n');
     // Machine-readable companion (for external plotting).
-    let csv_dir = runner.options().out_dir.join("figures");
-    let csv_path = csv_dir.join(format!("{slug}.csv"));
-    match std::fs::create_dir_all(&csv_dir)
-        .and_then(|()| std::fs::write(&csv_path, records_to_csv(&cells)))
-    {
-        Ok(()) => eprintln!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", csv_path.display()),
+    let csv_path = runner
+        .options()
+        .out_dir
+        .join("figures")
+        .join(format!("{slug}.csv"));
+    if runner.write_output(&csv_path, &records_to_csv(&cells)) {
+        eprintln!("wrote {}", csv_path.display());
     }
     // Companion statistics the paper discusses qualitatively.
     let _ = writeln!(

@@ -6,9 +6,10 @@
 //! `list` prints the names. `all` is the one-command reproduction of the
 //! whole paper: every `in_all` entry in-process, a combined report on
 //! stdout and in `target/reproduction_report.txt`. A panic in one
-//! experiment — or any failed simulation inside one — is caught, the
-//! remaining experiments still run, and the process exits non-zero with
-//! a final `FAILED: [...]` summary.
+//! experiment — or any failed simulation or unwritable output file inside
+//! one — is caught, the remaining experiments still run, and the process
+//! exits non-zero with a final `FAILED: [...]` summary. A single
+//! experiment exits non-zero on the same failures.
 //!
 //! All simulations go through the shared sweep runner: they execute on a
 //! worker pool (`--jobs`, default: all cores), and every run simulates
@@ -38,6 +39,13 @@ fn main() {
         Target::One(exp) => {
             print!("{}", (exp.run)(&runner, &cli));
             eprintln!("{} {}", exp.name, totals(&runner, t0));
+            let failures = runner.failures();
+            for f in &failures {
+                eprintln!("FAILED: {}: {}", f.key, f.message);
+            }
+            if !failures.is_empty() {
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -72,19 +80,20 @@ fn run_all(runner: &Runner, cli: &Cli, t0: Instant) {
             Ok(text) => {
                 report.push_str(&text);
                 // Simulations that panicked inside the runner are caught
-                // there and excluded from the report tables; they still
-                // fail the experiment.
+                // there and excluded from the report tables; they, and
+                // output files that could not be written, still fail the
+                // experiment.
                 let all_failures = runner.failures();
-                let sim_failures = &all_failures[failures_before..];
-                if !sim_failures.is_empty() {
+                let run_failures = &all_failures[failures_before..];
+                if !run_failures.is_empty() {
                     failed.push(exp.name);
                     let _ = writeln!(
                         report,
-                        "[{} FAILED: {} simulation(s) panicked]",
+                        "[{} FAILED: {} simulation(s) panicked or output(s) unwritten]",
                         exp.name,
-                        sim_failures.len()
+                        run_failures.len()
                     );
-                    for f in sim_failures {
+                    for f in run_failures {
                         let _ = writeln!(report, "  {}: {}", f.key, f.message);
                     }
                 }

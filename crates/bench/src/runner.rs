@@ -11,7 +11,9 @@
 //!
 //! Nothing is kept between runs: a rerun simulates every config again.
 //! Panicking simulations are caught per-config: the failure is recorded in
-//! the outcome, the rest of the sweep continues.
+//! the outcome, the rest of the sweep continues. An output file that cannot
+//! be written is recorded as a failure too, so the run still exits
+//! non-zero.
 
 use crate::sweep::{workload_key, RunRecord, SweepConfig, SweepSpec};
 use dirtree_machine::{Machine, MsgTrace};
@@ -48,7 +50,8 @@ impl Default for SweepOptions {
     }
 }
 
-/// One config's failure: the canonical key plus the panic message.
+/// One failure: a config's canonical key plus the panic message, or an
+/// output path plus the I/O error.
 #[derive(Clone, Debug)]
 pub struct RunFailure {
     pub key: String,
@@ -93,9 +96,24 @@ impl Runner {
         self.total_executed.load(Ordering::Relaxed)
     }
 
-    /// Every failure across every spec run so far.
+    /// Every failure across every spec run so far, output writes included.
     pub fn failures(&self) -> Vec<RunFailure> {
         self.all_failures.lock().unwrap().clone()
+    }
+
+    /// Write `text` to `path` atomically (creating its directory). A write
+    /// that fails is recorded as a [`RunFailure`] naming the path and the
+    /// I/O error; returns whether the file was written.
+    pub(crate) fn write_output(&self, path: &Path, text: &str) -> bool {
+        let Err(e) = write_atomic(path, text) else {
+            return true;
+        };
+        let mut failures = self.all_failures.lock().expect("failure list poisoned");
+        failures.push(RunFailure {
+            key: path.display().to_string(),
+            message: format!("output not written: {e}"),
+        });
+        false
     }
 
     /// Simulate every config of `spec` in parallel and write
@@ -166,9 +184,7 @@ impl Runner {
             "{name}-{idx:03}-{:016x}.trace.json",
             config.config_hash()
         ));
-        if let Err(e) = write_atomic(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        self.write_output(&path, json);
     }
 
     fn write_jsonl(&self, spec: &SweepSpec, records: &[RunRecord]) {
@@ -181,9 +197,7 @@ impl Runner {
             body.push('\n');
         }
         let path = self.opts.out_dir.join(format!("{}.jsonl", spec.name));
-        if let Err(e) = write_atomic(&path, &body) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        self.write_output(&path, &body);
     }
 }
 
@@ -199,7 +213,7 @@ fn run_config(config: &SweepConfig, trace: bool) -> Result<(RunRecord, Option<St
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut machine = Machine::new(config.machine, config.protocol);
         if trace {
-            machine.set_trace(MsgTrace::new(TRACE_CAPACITY, None));
+            machine.set_trace(MsgTrace::new(TRACE_CAPACITY));
         }
         let mut driver = ReplayDriver::new(op_trace_for(config));
         let outcome = machine.run(&mut driver);
@@ -378,6 +392,23 @@ mod tests {
         .run(&spec);
         assert_eq!(fs::read_to_string(&files[0]).unwrap(), first);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_output_is_a_failure() {
+        // An out_dir that is a regular file: no record file can be written
+        // under it, and the runner must say so instead of only warning.
+        let file = scratch_dir("unwritable");
+        fs::write(&file, "not a directory").unwrap();
+        let runner = runner_in(&file, 1);
+        let out = runner.run(&tiny_spec("blocked"));
+        assert!(out.failures.is_empty(), "every simulation ran");
+        let failures = runner.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        let path = file.join("blocked.jsonl");
+        assert_eq!(failures[0].key, path.display().to_string());
+        assert!(failures[0].message.starts_with("output not written: "));
+        let _ = fs::remove_file(&file);
     }
 
     #[test]

@@ -146,8 +146,6 @@ pub fn workload_key(w: &WorkloadKind) -> String {
         WorkloadKind::Lu { n } => format!("lu{{n={n}}}"),
         WorkloadKind::Floyd { vertices, seed } => format!("floyd{{v={vertices},seed={seed}}}"),
         WorkloadKind::Fft { points } => format!("fft{{n={points}}}"),
-        WorkloadKind::Sharing { blocks, rounds } => format!("sharing{{b={blocks},r={rounds}}}"),
-        WorkloadKind::Migratory { blocks, rounds } => format!("migratory{{b={blocks},r={rounds}}}"),
         WorkloadKind::Storm { words, passes } => format!("storm{{w={words},p={passes}}}"),
         WorkloadKind::PcPipeline { buffers, rounds } => {
             format!("pcpipe{{b={buffers},r={rounds}}}")
@@ -180,18 +178,8 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            configs: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, config: SweepConfig) {
-        self.configs.push(config);
-    }
-
-    /// Grid helper: every (protocol, node count) pair for one workload.
+    /// Every (protocol, node count) pair for one workload, node count
+    /// major.
     pub fn grid(
         name: impl Into<String>,
         workload: WorkloadKind,
@@ -199,13 +187,16 @@ impl SweepSpec {
         protocols: &[ProtocolKind],
         configure: impl Fn(u32) -> MachineConfig,
     ) -> Self {
-        let mut spec = Self::new(name);
+        let mut configs = Vec::with_capacity(node_counts.len() * protocols.len());
         for &nodes in node_counts {
             for &protocol in protocols {
-                spec.push(SweepConfig::new(configure(nodes), protocol, workload));
+                configs.push(SweepConfig::new(configure(nodes), protocol, workload));
             }
         }
-        spec
+        Self {
+            name: name.into(),
+            configs,
+        }
     }
 }
 

@@ -36,7 +36,6 @@
 use dirtree_check::roster::{roster, RosterEntry};
 use dirtree_check::{explore, replay, report, CheckConfig, CheckOutcome};
 use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
-use dirtree_machine::{Driver, DriverOp, Machine, MachineConfig, ScriptDriver, StallError};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -162,67 +161,12 @@ fn main() {
             );
         }
     }
-    // Network-shape check: the request/reply channel deadlock is a
-    // machine-level property (bounded channel buffers), invisible to the
-    // protocol-state exploration above, so it gets its own timed run.
-    if filter.is_none() {
-        match net_shape_deadlock_check() {
-            Ok(line) => {
-                passed += 1;
-                println!("{line}");
-            }
-            Err(line) => {
-                failed += 1;
-                println!("{line}");
-            }
-        }
-    }
-
     println!("\n{passed} passed, {failed} violated, {limited} resource-limited");
     if failed > 0 {
         std::process::exit(1);
     }
     if limited > 0 {
         std::process::exit(2);
-    }
-}
-
-/// Pin the request/reply cyclic wait: crossed remote reads on a 2-node
-/// machine with one buffer per (node, channel) must deadlock — reported
-/// structurally, not as a hang or livelock — on a single channel, and
-/// must complete once request/reply/ack ride separate virtual channels.
-fn net_shape_deadlock_check() -> Result<String, String> {
-    let crossed_reads = || -> Box<dyn Driver> {
-        Box::new(ScriptDriver::new(vec![
-            vec![DriverOp::Read(1)],
-            vec![DriverOp::Read(2)],
-        ]))
-    };
-    let mut cfg = MachineConfig::test_default(2);
-    cfg.net.vc_credits = 1;
-    let start = std::time::Instant::now();
-    let single = Machine::new(cfg, ProtocolKind::FullMap).try_run(crossed_reads().as_mut());
-    let parked = match single {
-        Err(StallError::Deadlock { parked_sends, .. }) if !parked_sends.is_empty() => {
-            parked_sends.len()
-        }
-        other => {
-            return Err(format!(
-                "net-shape request/reply cycle    FAIL: expected a structured deadlock \
-                 on one channel, got {other:?}"
-            ))
-        }
-    };
-    cfg.net.vcs = 3;
-    match Machine::new(cfg, ProtocolKind::FullMap).try_run(crossed_reads().as_mut()) {
-        Ok(_) => Ok(format!(
-            "net-shape request/reply cycle    PASS: 1 VC deadlocks ({parked} parked \
-             sends), 3 VCs complete  [{:.2?}]",
-            start.elapsed()
-        )),
-        Err(e) => Err(format!(
-            "net-shape request/reply cycle    FAIL: still stalls with 3 VCs: {e}"
-        )),
     }
 }
 

@@ -49,7 +49,7 @@ where
         steps.push(state.describe(choice));
         violation = state.apply(choice).err();
     }
-    let mut trace = MsgTrace::new(trace_capacity.max(1), None);
+    let mut trace = MsgTrace::new(trace_capacity.max(1));
     for (at, dst, msg) in state.ctx.send_log() {
         trace.record(*at, *dst, msg);
     }

@@ -8,11 +8,11 @@
 use crate::config::{MachineConfig, CACHE_LATENCY};
 use crate::stats::MachineStats;
 use crate::trace::MsgTrace;
-use crate::verify::Verifier;
 use dirtree_core::cache::{AllocOutcome, Cache};
 use dirtree_core::ctx::{ProtoCtx, ProtoEvent};
 use dirtree_core::msg::{Msg, MsgKind};
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
+use dirtree_core::verify::Verifier;
 use dirtree_net::{vc_for, Network};
 use dirtree_sim::metrics::{Metrics, MsgClass};
 use dirtree_sim::{BlockTable, Cycle, EventQueue};

@@ -2,6 +2,7 @@
 
 use dirtree_core::types::{Addr, NodeId};
 use dirtree_sim::Cycle;
+use std::sync::Arc;
 
 /// One processor operation, as issued by a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,17 +33,21 @@ pub trait Driver {
     fn next_op(&mut self, node: NodeId, now: Cycle) -> DriverOp;
 }
 
-/// A scripted driver: a fixed operation list per node. Used by tests and
-/// by the microbenchmark harnesses (Table 1, tree shapes).
+/// A scripted driver: a fixed operation list per node, read from
+/// per-node positions. The lists sit behind an `Arc`, so a sweep replays
+/// one recorded trace (`dirtree_workloads::trace`) across many protocol
+/// configs without cloning megabytes of ops per simulation. Tests and the
+/// microbenchmark harnesses (Table 1, tree shapes) pass plain `Vec`s.
 pub struct ScriptDriver {
-    scripts: Vec<std::vec::IntoIter<DriverOp>>,
+    scripts: Arc<Vec<Vec<DriverOp>>>,
+    pos: Vec<usize>,
 }
 
 impl ScriptDriver {
-    pub fn new(scripts: Vec<Vec<DriverOp>>) -> Self {
-        Self {
-            scripts: scripts.into_iter().map(Vec::into_iter).collect(),
-        }
+    pub fn new(scripts: impl Into<Arc<Vec<Vec<DriverOp>>>>) -> Self {
+        let scripts = scripts.into();
+        let pos = vec![0; scripts.len()];
+        Self { scripts, pos }
     }
 
     /// A driver for `nodes` processors where only the listed nodes do
@@ -58,7 +63,14 @@ impl ScriptDriver {
 
 impl Driver for ScriptDriver {
     fn next_op(&mut self, node: NodeId, _now: Cycle) -> DriverOp {
-        self.scripts[node as usize].next().unwrap_or(DriverOp::Done)
+        let n = node as usize;
+        match self.scripts[n].get(self.pos[n]) {
+            Some(&op) => {
+                self.pos[n] += 1;
+                op
+            }
+            None => DriverOp::Done,
+        }
     }
 }
 

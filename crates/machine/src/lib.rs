@@ -10,9 +10,9 @@
 //! asks the driver for the next operation of a processor whenever that
 //! processor becomes ready. `dirtree-workloads` implements an
 //! execution-driven driver on top of `async` programs polled on the
-//! machine's thread; [`ScriptDriver`]
-//! provides scripted per-node operation lists for tests and
-//! microbenchmarks.
+//! machine's thread; [`ScriptDriver`] reads per-node operation lists:
+//! scripts written by tests and microbenchmarks, or traces recorded once
+//! and replayed across protocol configs.
 //!
 //! With [`MachineConfig::verify`] enabled, every completed operation is
 //! checked against a sequential-consistency witness: writes assert the
@@ -25,7 +25,6 @@ pub mod driver;
 pub mod machine;
 pub mod stats;
 pub mod trace;
-pub mod verify;
 
 pub use config::{MachineConfig, TopologyKind};
 pub use driver::{Driver, DriverOp, ScriptDriver};

@@ -5,11 +5,11 @@ use crate::core::{Ev, MachineCore};
 use crate::driver::{Driver, DriverOp};
 use crate::stats::MachineStats;
 use crate::trace::MsgTrace;
-use crate::verify::Violation;
 use dirtree_core::cache::AllocOutcome;
 use dirtree_core::ctx::ProtoCtx;
 use dirtree_core::protocol::{build_protocol, Protocol, ProtocolKind};
 use dirtree_core::types::{Addr, LineState, NodeId, OpKind};
+use dirtree_core::verify::Violation;
 use dirtree_net::NetworkStats;
 use dirtree_sim::metrics::{Metrics, MetricsSnapshot};
 use dirtree_sim::{Cycle, FxHashMap};
@@ -964,7 +964,7 @@ mod tests {
                 arity: 2,
             },
         );
-        m.set_trace(MsgTrace::new(64, None));
+        m.set_trace(MsgTrace::new(64));
         let mut d = ScriptDriver::new(vec![vec![], vec![DriverOp::Read(0)]]);
         m.run(&mut d);
         let t = m.take_trace().expect("trace was installed");

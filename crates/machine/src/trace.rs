@@ -1,6 +1,6 @@
 //! Optional protocol message tracing.
 //!
-//! A bounded, address-filterable ring buffer of message events, useful for
+//! A bounded ring buffer of message events, useful for
 //! debugging protocol flows and for the `tree_shapes`-style experiment
 //! narratives. Disabled by default (zero overhead beyond a branch).
 
@@ -32,38 +32,31 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded message trace with an optional address filter.
+/// A bounded message trace.
 pub struct MsgTrace {
-    filter: Option<Addr>,
     capacity: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
 }
 
 impl MsgTrace {
-    /// Trace up to `capacity` events; `filter` limits tracing to one block.
-    pub fn new(capacity: usize, filter: Option<Addr>) -> Self {
+    /// Trace up to `capacity` events.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
-            filter,
             capacity,
             events: VecDeque::with_capacity(capacity),
             dropped: 0,
         }
     }
 
-    /// Record a send if it passes the filter.
+    /// Record a send.
     pub fn record(&mut self, at: Cycle, dst: NodeId, msg: &Msg) {
         self.record_timed(at, at, dst, msg);
     }
 
     /// Record a send with its network delivery time (send hook path).
     pub fn record_timed(&mut self, at: Cycle, arrival: Cycle, dst: NodeId, msg: &Msg) {
-        if let Some(f) = self.filter {
-            if msg.addr != f {
-                return;
-            }
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -146,7 +139,7 @@ mod tests {
 
     #[test]
     fn records_and_renders() {
-        let mut t = MsgTrace::new(8, None);
+        let mut t = MsgTrace::new(8);
         t.record(10, 0, &msg(5, 3));
         t.record(12, 3, &msg(5, 0));
         let s = t.render();
@@ -157,7 +150,7 @@ mod tests {
 
     #[test]
     fn record_timed_keeps_arrival_and_chrome_export_is_valid_shape() {
-        let mut t = MsgTrace::new(8, None);
+        let mut t = MsgTrace::new(8);
         t.record_timed(10, 25, 2, &msg(5, 3));
         t.record(30, 0, &msg(5, 2));
         let evs: Vec<_> = t.events().collect();
@@ -174,16 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_drops_other_addresses() {
-        let mut t = MsgTrace::new(8, Some(5));
-        t.record(1, 0, &msg(5, 1));
-        t.record(2, 0, &msg(6, 1));
-        assert_eq!(t.events().count(), 1);
-    }
-
-    #[test]
     fn ring_bounds_memory() {
-        let mut t = MsgTrace::new(4, None);
+        let mut t = MsgTrace::new(4);
         for i in 0..10 {
             t.record(i, 0, &msg(1, 1));
         }

@@ -256,6 +256,20 @@ mod tests {
     }
 
     #[test]
+    fn one_scan_broadcast_invalidates_readers_every_round() {
+        let mut w = Broadcast {
+            blocks: 4,
+            rounds: 3,
+            scans: 1,
+        }
+        .build(8);
+        let out = Machine::new(MachineConfig::test_default(8), ProtocolKind::FullMap).run(&mut w);
+        // 7 readers × 4 blocks × (rounds-1) writes-after-share at least.
+        assert!(out.stats.invalidations >= 7 * 4 * 2);
+        assert_eq!(w.value_at(3), 2 * 4 + 3);
+    }
+
+    #[test]
     fn false_share_verifies_and_update_pays_more_traffic() {
         let inv = run(8, KINDS[0], |n| {
             FalseShare {

@@ -1,83 +1,10 @@
-//! Synthetic microbenchmarks: controlled sharing patterns used by the
-//! ablation experiments and stress tests.
+//! The replacement storm: a synthetic microbenchmark that thrashes every
+//! cache. The one-writer/many-readers and migratory patterns the ablations
+//! run are the `Broadcast` and `TokenRing` kernels of
+//! [`crate::apps::patterns`].
 
 use crate::layout::Alloc;
 use crate::rendezvous::ThreadedWorkload;
-
-/// `readers` processors repeatedly read a window of shared blocks; one
-/// writer periodically overwrites them. Controls the sharing degree seen
-/// by write invalidations (the knob behind Table 1's `P`).
-#[derive(Clone, Copy, Debug)]
-pub struct Sharing {
-    pub blocks: u64,
-    pub rounds: u64,
-}
-
-impl Sharing {
-    pub fn shared_words(&self) -> u64 {
-        self.blocks
-    }
-
-    pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
-        let params = *self;
-        let mut alloc = Alloc::new();
-        let data = alloc.array(self.blocks);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
-            Box::pin(async move {
-                for round in 0..params.rounds {
-                    if tid == 0 {
-                        // The writer invalidates every reader each round.
-                        for b in 0..params.blocks {
-                            env.write(data.at(b), round * params.blocks + b).await;
-                        }
-                    }
-                    env.barrier().await;
-                    let mut acc = 0u64;
-                    for b in 0..params.blocks {
-                        acc = acc.wrapping_add(env.read(data.at(b)).await);
-                    }
-                    env.work(1 + acc % 3).await; // keep `acc` live
-                    env.barrier().await;
-                }
-            })
-        })
-    }
-}
-
-/// Migratory pattern: a token of blocks is read-modified-written by each
-/// processor in turn. Exercises dirty-block recalls (`WbReq`/`WbData`).
-#[derive(Clone, Copy, Debug)]
-pub struct Migratory {
-    pub blocks: u64,
-    pub rounds: u64,
-}
-
-impl Migratory {
-    pub fn shared_words(&self) -> u64 {
-        self.blocks
-    }
-
-    pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
-        let params = *self;
-        let mut alloc = Alloc::new();
-        let data = alloc.array(self.blocks);
-        ThreadedWorkload::new(nprocs, alloc.used(), move |tid, mut env| {
-            Box::pin(async move {
-                let p = nprocs as u64;
-                for round in 0..params.rounds {
-                    // Token passing by turn: proc (round % p) owns this round.
-                    if round % p == tid as u64 {
-                        for b in 0..params.blocks {
-                            let v = env.read(data.at(b)).await;
-                            env.write(data.at(b), v + 1).await;
-                        }
-                    }
-                    env.barrier().await;
-                }
-            })
-        })
-    }
-}
 
 /// Replacement storm: every processor streams over a working set far
 /// larger than its cache, forcing continuous evictions — the worst case
@@ -132,37 +59,6 @@ mod tests {
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
         let out = m.run(&mut w);
         (out, w)
-    }
-
-    #[test]
-    fn sharing_invalidates_readers_every_round() {
-        let s = Sharing {
-            blocks: 4,
-            rounds: 3,
-        };
-        let (out, w) = run(8, ProtocolKind::FullMap, |n| s.build(n));
-        // 7 readers × 4 blocks × (rounds-1) writes-after-share at least.
-        assert!(out.stats.invalidations >= 7 * 4 * 2);
-        assert_eq!(w.value_at(3), 2 * 4 + 3);
-    }
-
-    #[test]
-    fn migratory_counts_exactly() {
-        let mg = Migratory {
-            blocks: 3,
-            rounds: 8,
-        };
-        let (_, w) = run(
-            4,
-            ProtocolKind::DirTree {
-                pointers: 2,
-                arity: 2,
-            },
-            |n| mg.build(n),
-        );
-        for b in 0..3 {
-            assert_eq!(w.value_at(b), 8, "block {b} missed an increment");
-        }
     }
 
     #[test]

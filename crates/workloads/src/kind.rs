@@ -14,10 +14,6 @@ pub enum WorkloadKind {
     Floyd { vertices: u64, seed: u64 },
     /// Radix-2 FFT (Figure 11).
     Fft { points: u64 },
-    /// Synthetic: P-reader / 1-writer sharing.
-    Sharing { blocks: u64, rounds: u64 },
-    /// Synthetic: migratory token passing.
-    Migratory { blocks: u64, rounds: u64 },
     /// Synthetic: cache-thrashing replacement storm.
     Storm { words: u64, passes: u64 },
     /// Pattern: producer–consumer pipeline (best served by updates).
@@ -42,10 +38,6 @@ impl WorkloadKind {
             WorkloadKind::Lu { n } => format!("LU({n}x{n})"),
             WorkloadKind::Floyd { vertices, .. } => format!("Floyd({vertices}v)"),
             WorkloadKind::Fft { points } => format!("FFT({points})"),
-            WorkloadKind::Sharing { blocks, rounds } => format!("Sharing({blocks}b,{rounds}r)"),
-            WorkloadKind::Migratory { blocks, rounds } => {
-                format!("Migratory({blocks}b,{rounds}r)")
-            }
             WorkloadKind::Storm { words, passes } => format!("Storm({words}w,{passes}p)"),
             WorkloadKind::PcPipeline { buffers, rounds } => {
                 format!("PcPipeline({buffers}b,{rounds}r)")
@@ -93,12 +85,6 @@ impl WorkloadKind {
             WorkloadKind::Lu { n } => Lu { n }.build(nprocs),
             WorkloadKind::Floyd { vertices, seed } => Floyd { vertices, seed }.build(nprocs),
             WorkloadKind::Fft { points } => Fft { points }.build(nprocs),
-            WorkloadKind::Sharing { blocks, rounds } => {
-                synthetic::Sharing { blocks, rounds }.build(nprocs)
-            }
-            WorkloadKind::Migratory { blocks, rounds } => {
-                synthetic::Migratory { blocks, rounds }.build(nprocs)
-            }
             WorkloadKind::Storm { words, passes } => {
                 synthetic::Storm { words, passes }.build(nprocs)
             }

@@ -18,11 +18,12 @@
 //!   [`dirtree_machine::Driver`], or recording, where a polled program
 //!   performs its own operations on the architectural memory;
 //! * [`trace`] — record-once / replay-many op traces for sweeps: the
-//!   recording scheduler and the replay driver;
+//!   recording scheduler, and the machine's scripted driver re-exported
+//!   as the replay driver;
 //! * [`layout`] — a bump allocator + typed views over the shared address
 //!   space;
-//! * [`apps`] — the four paper applications plus synthetic
-//!   microbenchmarks;
+//! * [`apps`] — the four paper applications plus one synthetic kernel
+//!   per sharing pattern and a replacement storm;
 //! * [`WorkloadKind`] — a uniform constructor used by the experiment
 //!   harness.
 

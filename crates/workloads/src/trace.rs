@@ -13,7 +13,8 @@
 //!
 //! [`record_ops`] polls a workload's programs under a deterministic
 //! round-robin scheduler (no machine, no simulated timing) and returns the
-//! per-node streams; [`ReplayDriver`] feeds them back. Recording costs one
+//! per-node streams; [`ReplayDriver`] (the machine's scripted driver,
+//! re-exported under the name its job has here) feeds them back. Recording costs one
 //! poll per *blocking point* (barrier arrival, contended lock, program
 //! end), on the caller's thread: a polled program performs its own
 //! operations on the recorder of [`crate::rendezvous`] until it has to
@@ -27,10 +28,7 @@
 //! op for op against a per-operation recorder built on the live path.
 
 use crate::rendezvous::{Blocked, LockTable, ThreadedWorkload};
-use dirtree_core::types::NodeId;
-use dirtree_machine::{Driver, DriverOp};
-use dirtree_sim::Cycle;
-use std::sync::Arc;
+use dirtree_machine::DriverOp;
 
 /// Per-node operation streams recorded from one workload run.
 pub type OpTrace = Vec<Vec<DriverOp>>;
@@ -121,37 +119,11 @@ fn blocked_report(st: &[St], locks: &LockTable) -> String {
     report
 }
 
-/// Replays a recorded [`OpTrace`]. The trace is behind an `Arc` so a
-/// sweep replays one recording across many protocol configs without
-/// cloning megabytes of ops per simulation — and without polling a
-/// single program.
-pub struct ReplayDriver {
-    trace: Arc<OpTrace>,
-    pos: Vec<usize>,
-}
-
-impl ReplayDriver {
-    pub fn new(trace: Arc<OpTrace>) -> Self {
-        let n = trace.len();
-        Self {
-            trace,
-            pos: vec![0; n],
-        }
-    }
-}
-
-impl Driver for ReplayDriver {
-    fn next_op(&mut self, node: NodeId, _now: Cycle) -> DriverOp {
-        let n = node as usize;
-        match self.trace[n].get(self.pos[n]) {
-            Some(&op) => {
-                self.pos[n] += 1;
-                op
-            }
-            None => DriverOp::Done,
-        }
-    }
-}
+/// Replays a recorded [`OpTrace`]: the machine's scripted driver, which
+/// reads an `Arc`-shared trace from per-node positions, so a sweep replays
+/// one recording across many protocol configs without polling a single
+/// program.
+pub use dirtree_machine::ScriptDriver as ReplayDriver;
 
 #[cfg(test)]
 mod tests {
@@ -160,8 +132,10 @@ mod tests {
     use crate::rendezvous::{Env, Program};
     use crate::WorkloadKind;
     use dirtree_core::protocol::ProtocolKind;
-    use dirtree_machine::{Machine, MachineConfig, RunOutcome};
+    use dirtree_core::types::NodeId;
+    use dirtree_machine::{Driver, Machine, MachineConfig, RunOutcome};
     use std::collections::{HashMap, VecDeque};
+    use std::sync::Arc;
 
     /// The recorder `record_ops` replaced, kept verbatim as the oracle: the
     /// same scheduler, but driving the execution-driven path one
@@ -349,19 +323,14 @@ mod tests {
             ),
             (WorkloadKind::Fft { points: 64 }, 4),
             (
-                WorkloadKind::Sharing {
+                WorkloadKind::Broadcast {
                     blocks: 8,
                     rounds: 4,
+                    scans: 1,
                 },
                 4,
             ),
-            (
-                WorkloadKind::Migratory {
-                    blocks: 4,
-                    rounds: 6,
-                },
-                8,
-            ),
+            (WorkloadKind::TokenRing { tokens: 4, laps: 1 }, 8),
             (
                 WorkloadKind::Storm {
                     words: 96,
@@ -621,14 +590,12 @@ mod tests {
                 seed: 1996,
             },
             WorkloadKind::Fft { points: 64 },
-            WorkloadKind::Sharing {
+            WorkloadKind::Broadcast {
                 blocks: 8,
                 rounds: 4,
+                scans: 1,
             },
-            WorkloadKind::Migratory {
-                blocks: 4,
-                rounds: 6,
-            },
+            WorkloadKind::TokenRing { tokens: 4, laps: 2 },
             WorkloadKind::Storm {
                 words: 96,
                 passes: 2,
@@ -701,24 +668,42 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The recorder's lock queue must not starve or deadlock when every
-    /// node hammers one lock.
+    /// Every node takes one lock `ROUNDS` times to increment one word. The
+    /// recorded `Lock` count and the final word (after recording and after
+    /// the live run, where the nodes contend for the lock) pin that no
+    /// acquire is lost or doubled, and the replay equals the live run.
     #[test]
     fn contended_lock_records_and_replays() {
-        let kind = WorkloadKind::Migratory {
-            blocks: 1,
-            rounds: 8,
+        const NODES: u32 = 8;
+        const ROUNDS: u64 = 5;
+        let total = NODES as u64 * ROUNDS;
+        let build = || {
+            ThreadedWorkload::new(NODES, 1, |_, mut env| {
+                Box::pin(async move {
+                    for _ in 0..ROUNDS {
+                        env.lock(0).await;
+                        let v = env.read(0).await;
+                        env.write(0, v + 1).await;
+                        env.unlock(0).await;
+                    }
+                })
+            })
         };
-        let trace = record_ops(&mut kind.build(8));
+        let mut recorded = build();
+        let trace = record_ops(&mut recorded);
         let locks = trace
             .iter()
             .flatten()
             .filter(|op| matches!(op, DriverOp::Lock(_)))
             .count();
-        assert!(locks > 0 || trace.iter().flatten().count() > 0);
-        let live = run_live(|| kind.build(8), ProtocolKind::FullMap);
-        let replay = run_replayed(|| kind.build(8), ProtocolKind::FullMap);
-        assert_eq!(format!("{live:?}"), format!("{replay:?}"));
+        assert_eq!(locks as u64, total, "recorded lock acquires");
+        assert_eq!(recorded.value_at(0), total, "recording lost an increment");
+        let mut live = build();
+        let live_out =
+            Machine::new(MachineConfig::test_default(NODES), ProtocolKind::FullMap).run(&mut live);
+        assert_eq!(live.value_at(0), total, "live run lost an increment");
+        let replay = run_replayed(build, ProtocolKind::FullMap);
+        assert_eq!(format!("{live_out:?}"), format!("{replay:?}"));
     }
 
     /// A node finishing while others still run must not wedge the

@@ -43,15 +43,7 @@ fn workloads() -> Vec<WorkloadKind> {
             seed: 5,
         }),
         Floyd { .. } => Some(Fft { points: 32 }),
-        Fft { .. } => Some(Sharing {
-            blocks: 4,
-            rounds: 3,
-        }),
-        Sharing { .. } => Some(Migratory {
-            blocks: 4,
-            rounds: 8,
-        }),
-        Migratory { .. } => Some(Storm {
+        Fft { .. } => Some(Storm {
             words: 96,
             passes: 1,
         }),
@@ -173,9 +165,10 @@ fn bus_fabric_end_to_end() {
         arity: 2,
     };
     for kind in [ProtocolKind::FullMap, tree] {
-        let mut driver = WorkloadKind::Sharing {
+        let mut driver = WorkloadKind::Broadcast {
             blocks: 4,
             rounds: 4,
+            scans: 1,
         }
         .build(8);
         Machine::new(config, kind).run(&mut driver);
