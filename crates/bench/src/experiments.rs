@@ -1507,7 +1507,7 @@ mod tests {
             .map(|e| e.name)
             .collect();
         // Report order is part of the byte-identity contract of
-        // `target/reproduction_report.txt`.
+        // `<out-dir>/reproduction_report.txt` (`tests/golden/all_report.txt`).
         assert_eq!(
             in_all,
             [

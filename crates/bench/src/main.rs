@@ -5,11 +5,12 @@
 //! `<experiment>` runs one [`REGISTRY`] entry and prints its report;
 //! `list` prints the names. `all` is the one-command reproduction of the
 //! whole paper: every `in_all` entry in-process, a combined report on
-//! stdout and in `target/reproduction_report.txt`. A panic in one
+//! stdout and in `<out-dir>/reproduction_report.txt`. A panic in one
 //! experiment — or any failed simulation or unwritable output file inside
 //! one — is caught, the remaining experiments still run, and the process
-//! exits non-zero with a final `FAILED: [...]` summary. A single
-//! experiment exits non-zero on the same failures.
+//! exits non-zero with a final `FAILED: [...]` summary; so does a report
+//! that cannot be written. A single experiment exits non-zero on the same
+//! failures.
 //!
 //! All simulations go through the shared sweep runner: they execute on a
 //! worker pool (`--jobs`, default: all cores), and every run simulates
@@ -111,16 +112,19 @@ fn run_all(runner: &Runner, cli: &Cli, t0: Instant) {
         report.push('\n');
     }
 
-    let path = std::path::Path::new("target/reproduction_report.txt");
-    let _ = std::fs::create_dir_all("target");
-    std::fs::write(path, &report).expect("write report");
+    let path = runner.options().out_dir.join("reproduction_report.txt");
+    let written = runner.write_output(&path, &report);
     println!("{report}");
-    eprintln!(
-        "{} experiments {}; report written to {}",
-        selected.len(),
-        totals(runner, t0),
-        path.display()
-    );
+    let ran = format!("{} experiments {}", selected.len(), totals(runner, t0));
+    if written {
+        eprintln!("{ran}; report written to {}", path.display());
+    } else {
+        eprintln!("{ran}");
+        if let Some(f) = runner.failures().last() {
+            eprintln!("FAILED: {}: {}", f.key, f.message);
+        }
+        failed.push("reproduction_report");
+    }
     if selected.is_empty() {
         eprintln!(
             "no experiment matches --filter {:?}",

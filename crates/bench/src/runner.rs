@@ -104,7 +104,7 @@ impl Runner {
     /// Write `text` to `path` atomically (creating its directory). A write
     /// that fails is recorded as a [`RunFailure`] naming the path and the
     /// I/O error; returns whether the file was written.
-    pub(crate) fn write_output(&self, path: &Path, text: &str) -> bool {
+    pub fn write_output(&self, path: &Path, text: &str) -> bool {
         let Err(e) = write_atomic(path, text) else {
             return true;
         };

@@ -63,8 +63,9 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per explored successor on four shapes, each under a bound
-/// about 10 % above what the explorer needs today (5.4, 6.2, 11.9 and
-/// 13.8), so a 20 % drift fails. The trivial-group P=2 shapes measure the
+/// about 10 % above what the explorer needed when it was set (5.4, 6.2,
+/// 11.9 and 13.8; the two tree shapes need 6.1 and 13.4 since their
+/// collectors keep the first debt inline), so a 20 % drift fails. The trivial-group P=2 shapes measure the
 /// clone and the transition; the P=3 shapes (|G| = 2) add the
 /// canonicalization's relabeled copies.
 #[test]

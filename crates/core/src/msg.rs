@@ -45,11 +45,24 @@ impl NodeList {
     pub fn into_vec(self) -> Vec<NodeId> {
         self.0.map_or_else(Vec::new, |v| *v)
     }
+
+    /// The list's boxed storage (`None` when empty), so a sender that
+    /// builds many lists can take the box back and refill it.
+    pub fn into_box(self) -> Option<Box<Vec<NodeId>>> {
+        self.0
+    }
 }
 
 impl From<Vec<NodeId>> for NodeList {
     fn from(v: Vec<NodeId>) -> Self {
         NodeList((!v.is_empty()).then(|| Box::new(v)))
+    }
+}
+
+/// A list in storage that is already boxed: no allocation.
+impl From<Box<Vec<NodeId>>> for NodeList {
+    fn from(v: Box<Vec<NodeId>>) -> Self {
+        NodeList((!v.is_empty()).then_some(v))
     }
 }
 
