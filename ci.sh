@@ -128,15 +128,16 @@ cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.json
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 
 # Front-end smoke: the whole one-command reproduction (every experiment
-# of `all`, about 4 s) must exit 0 — a panicking experiment or a failed
-# simulation fails it — and every file it writes (28 JSONL record files,
-# 4 figure CSVs and the combined report) must match the sha256 pinned in
-# tests/golden/all_outputs.sha256, listed by path in byte order (a
-# mismatch prints a unified diff, so the moved paths are named). Its
-# report on stdout (every table of every experiment, no wall times) must
-# match tests/golden/all_report.txt line for line. Files and report are
-# the same at any --jobs. An unknown experiment name is a usage error
-# (exit 64), not a run with defaults.
+# of `all`, about 20 s on two CPUs) must exit 0 — a panicking experiment
+# or a failed simulation fails it — and every file it writes (28 JSONL
+# record files, 4 figure CSVs and the combined report) must match the
+# sha256 pinned in tests/golden/all_outputs.sha256, listed by path in
+# byte order (a mismatch prints a unified diff, so the moved paths are
+# named). Its report on stdout (every table of every experiment, no wall
+# times) must match tests/golden/all_report.txt line for line. Files and
+# report are the same at any --jobs. An unknown experiment name or flag,
+# `--full` included (every figure runs the paper's own input), is a
+# usage error (exit 64), not a run with defaults.
 rm -rf target/all_smoke
 ./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke \
   > target/all_report.txt
@@ -149,6 +150,10 @@ status=0
 ./target/release/dirtree-bench no_such_experiment >/dev/null 2>&1 || status=$?
 [[ $status -eq 64 ]]
 echo "cli-smoke: unknown experiment name exits 64"
+status=0
+./target/release/dirtree-bench all --full >/dev/null 2>&1 || status=$?
+[[ $status -eq 64 ]]
+echo "cli-smoke: --full is an unknown flag and exits 64"
 
 # Ledger gates (ROADMAP aim 1: "a 2x regression fails CI"). One
 # end-to-end pass of a benchmark workload each; every config digest and

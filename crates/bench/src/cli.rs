@@ -7,7 +7,6 @@
 //! - `--out-dir PATH` — sweep output root (default `target/sweep`)
 //! - `--trace` — dump a Chrome-trace-format event timeline per config
 //!   under `<out-dir>/trace/`
-//! - `--full` — the paper's exact workload sizes instead of scaled-down
 //! - `--filter SUBSTR` — `all`: run the experiments whose name contains
 //!   the substring; `scale_up` / `adaptive_ablation`: keep the machine
 //!   sizes whose `P=<nodes>` contains it
@@ -35,7 +34,6 @@ pub struct Cli {
     pub target: Target,
     pub jobs: Option<usize>,
     pub trace: bool,
-    pub full: bool,
     pub filter: Option<String>,
     pub out_dir: Option<PathBuf>,
 }
@@ -46,7 +44,7 @@ impl Cli {
     pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut target = None;
         let (mut jobs, mut filter, mut out_dir) = (None, None, None);
-        let (mut trace, mut full) = (false, false);
+        let mut trace = false;
         while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
                 if target.is_some() {
@@ -85,11 +83,10 @@ impl Cli {
                 }
                 "--filter" => filter = Some(value()?),
                 "--out-dir" => out_dir = Some(PathBuf::from(value()?)),
-                "--trace" | "--full" if inline.is_some() => {
+                "--trace" if inline.is_some() => {
                     return Err(format!("{flag} takes no value"));
                 }
                 "--trace" => trace = true,
-                "--full" => full = true,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -97,7 +94,6 @@ impl Cli {
             target: target.ok_or("no experiment named")?,
             jobs,
             trace,
-            full,
             filter,
             out_dir,
         })
@@ -127,7 +123,7 @@ pub fn list() -> String {
 pub fn usage() -> String {
     format!(
         "usage: dirtree-bench <experiment|all|list> [--jobs N] [--trace] \
-         [--full] [--filter SUBSTR] [--out-dir PATH]\n\
+         [--filter SUBSTR] [--out-dir PATH]\n\
          experiments:\n{}",
         list()
     )
@@ -148,7 +144,6 @@ mod tests {
             "--jobs",
             "4",
             "--trace",
-            "--full",
             "--filter=fig",
             "--out-dir",
             "/tmp/x",
@@ -157,7 +152,6 @@ mod tests {
         assert!(matches!(cli.target, Target::All));
         assert_eq!(cli.jobs, Some(4));
         assert!(cli.trace);
-        assert!(cli.full);
         assert_eq!(cli.filter.as_deref(), Some("fig"));
         assert_eq!(cli.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
         let opts = cli.sweep_options();
@@ -170,7 +164,7 @@ mod tests {
         let cli = parse(&["--jobs=2", "fig10_floyd"]).unwrap();
         assert!(matches!(cli.target, Target::One(e) if e.name == "fig10_floyd"));
         assert_eq!(cli.jobs, Some(2));
-        assert!(!cli.trace && !cli.full && cli.filter.is_none());
+        assert!(!cli.trace && cli.filter.is_none());
         let cli = parse(&["list"]).unwrap();
         assert!(matches!(cli.target, Target::List));
         assert!(cli.jobs.is_none());
@@ -194,7 +188,8 @@ mod tests {
             (&["table1", "--jobs"], "--jobs needs a value"),
             (&["all", "--filter"], "--filter needs a value"),
             (&["all", "--out-dir"], "--out-dir needs a value"),
-            (&["table1", "--full=yes"], "--full takes no value"),
+            (&["table1", "--trace=yes"], "--trace takes no value"),
+            (&["all", "--full"], "unknown flag --full"),
             (&["reproduce_everything"], "unknown experiment"),
             (&["table1", "table3"], "unexpected second experiment"),
             (&["--jobs", "2"], "no experiment named"),

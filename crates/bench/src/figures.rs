@@ -16,6 +16,26 @@ use std::fmt::Write as _;
 /// Node counts used in the paper's figures.
 pub const PAPER_SIZES: [u32; 3] = [8, 16, 32];
 
+/// **Figure 8**'s input: MP3D, 3000 particles for 10 steps.
+pub const PAPER_MP3D: WorkloadKind = WorkloadKind::Mp3d {
+    particles: 3000,
+    steps: 10,
+};
+
+/// **Figure 9**'s input: LU decomposition of a 128×128 matrix.
+pub const PAPER_LU: WorkloadKind = WorkloadKind::Lu { n: 128 };
+
+/// **Figure 10**'s input: Floyd-Warshall on a 32-vertex random graph.
+pub const PAPER_FLOYD: WorkloadKind = WorkloadKind::Floyd {
+    vertices: 32,
+    seed: 1996,
+};
+
+/// **Figure 11**'s input: a 1024-point radix-2 FFT. The paper does not
+/// state its size; 1K is representative of mid-90s shared-memory FFT
+/// studies.
+pub const PAPER_FFT: WorkloadKind = WorkloadKind::Fft { points: 1024 };
+
 /// One cell of a figure grid: the run's record plus its execution time
 /// relative to full-map at the same node count.
 #[derive(Clone, Debug)]

@@ -15,7 +15,7 @@
 //!   returning its report text, named by [`experiments::REGISTRY`]
 //! - [`miss_cost`] — controlled-sharing-degree marginal measurements
 //! - [`cli`] — the experiment name and the shared
-//!   `--jobs/--filter/--full` flags
+//!   `--jobs/--trace/--filter/--out-dir` flags
 
 pub mod cli;
 pub mod experiments;

@@ -18,7 +18,7 @@
 //! records it writes.
 //!
 //! Run: `cargo run --release -p dirtree-bench -- all
-//!       [--full] [--jobs N] [--filter SUBSTR]`
+//!       [--jobs N] [--filter SUBSTR]`
 
 use dirtree_bench::cli::{self, Cli, Target};
 use dirtree_bench::experiments::{Experiment, REGISTRY};

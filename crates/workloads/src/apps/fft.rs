@@ -72,12 +72,6 @@ pub struct Fft {
 }
 
 impl Fft {
-    /// A 1024-point transform (the paper does not state its size; 1K is
-    /// representative of mid-90s shared-memory FFT studies).
-    pub fn paper() -> Self {
-        Self { points: 1024 }
-    }
-
     fn stages(&self) -> u32 {
         self.points.trailing_zeros()
     }

@@ -21,14 +21,6 @@ pub struct Floyd {
 }
 
 impl Floyd {
-    /// The paper's configuration: a 32-vertex random graph.
-    pub fn paper() -> Self {
-        Self {
-            vertices: 32,
-            seed: 1996,
-        }
-    }
-
     /// Deterministic random adjacency matrix (row-major, `INF` = absent).
     pub fn graph(&self) -> Vec<u64> {
         let v = self.vertices as usize;

@@ -16,12 +16,6 @@ pub struct Lu {
 }
 
 impl Lu {
-    /// The paper's configuration (128×128). Large for unit tests; the
-    /// figure harness uses it in release builds.
-    pub fn paper() -> Self {
-        Self { n: 128 }
-    }
-
     /// Deterministic diagonally-dominant input matrix.
     pub fn input(&self, i: u64, j: u64) -> f64 {
         let n = self.n as f64;

@@ -37,16 +37,6 @@ pub struct Particle {
 }
 
 impl Mp3d {
-    /// The paper's configuration: 3000 particles, 10 steps.
-    pub fn paper() -> Self {
-        Self {
-            particles: 3000,
-            steps: 10,
-            grid: 8,
-            seed: 1996,
-        }
-    }
-
     fn extent(&self) -> i64 {
         self.grid as i64 * FP
     }
