@@ -128,19 +128,24 @@ cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.json
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
 
 # Front-end smoke: the whole one-command reproduction (every experiment
-# of `all`, about 20 s on two CPUs) must exit 0 — a panicking experiment
+# of `all`, 17-22 s on two CPUs) must exit 0 — a panicking experiment
 # or a failed simulation fails it — and every file it writes (28 JSONL
 # record files, 4 figure CSVs and the combined report) must match the
 # sha256 pinned in tests/golden/all_outputs.sha256, listed by path in
 # byte order (a mismatch prints a unified diff, so the moved paths are
 # named). Its report on stdout (every table of every experiment, no wall
 # times) must match tests/golden/all_report.txt line for line. Files and
-# report are the same at any --jobs. An unknown experiment name or flag,
-# `--full` included (every figure runs the paper's own input), is a
-# usage error (exit 64), not a run with defaults.
+# report are the same at any --jobs. The runner simulates each distinct
+# config once, however many experiments name it, so the summary line on
+# stderr must count exactly the 160 distinct configs of `all`: a change
+# that simulates one of them again, or drops one, fails here. An unknown
+# experiment name or flag, `--full` included (every figure runs the
+# paper's own input), is a usage error (exit 64), not a run with defaults.
 rm -rf target/all_smoke
 ./target/release/dirtree-bench all --jobs 2 --out-dir target/all_smoke \
-  > target/all_report.txt
+  2>&1 > target/all_report.txt | tee target/all_stderr.txt
+grep -q ': 160 simulations run' target/all_stderr.txt
+echo "all-smoke: \`dirtree-bench all\` ran 160 simulations, one per distinct config"
 (cd target/all_smoke && find . -type f | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum) \
   | diff -u tests/golden/all_outputs.sha256 -
 echo "all-smoke: \`dirtree-bench all\` outputs match tests/golden/all_outputs.sha256"

@@ -8,7 +8,8 @@
 //!
 //! - [`sweep`] — configuration enumeration ([`sweep::SweepSpec`]) and the
 //!   JSON-lines [`sweep::RunRecord`] each simulation produces
-//! - [`runner`] — the parallel, deterministic executor
+//! - [`runner`] — the parallel, deterministic executor, which simulates
+//!   each distinct config once
 //! - [`figures`] — record-based figure grids (normalized execution time)
 //!   and their CSV companions under `<out_dir>/figures/`
 //! - [`experiments`] — every table/figure/ablation as a function

@@ -12,17 +12,17 @@
 //! that cannot be written. A single experiment exits non-zero on the same
 //! failures.
 //!
-//! All simulations go through the shared sweep runner: they execute on a
-//! worker pool (`--jobs`, default: all cores), and every run simulates
-//! from scratch — nothing is kept between runs but the `<out-dir>/*.jsonl`
-//! records it writes.
+//! All simulations go through the one sweep runner: they execute on a
+//! worker pool (`--jobs`, default: all cores), each distinct config once
+//! per process however many experiments name it; nothing is kept between
+//! runs but the `<out-dir>/*.jsonl` records it writes.
 //!
 //! Run: `cargo run --release -p dirtree-bench -- all
 //!       [--jobs N] [--filter SUBSTR]`
 
 use dirtree_bench::cli::{self, Cli, Target};
 use dirtree_bench::experiments::{Experiment, REGISTRY};
-use dirtree_bench::runner::Runner;
+use dirtree_bench::runner::{panic_message, Runner};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -101,11 +101,7 @@ fn run_all(runner: &Runner, cli: &Cli, t0: Instant) {
             }
             Err(payload) => {
                 failed.push(exp.name);
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".into());
+                let msg = panic_message(payload);
                 let _ = writeln!(report, "[{} FAILED] {msg}", exp.name);
             }
         }

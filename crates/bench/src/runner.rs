@@ -1,25 +1,31 @@
 //! Parallel, deterministic execution of [`SweepSpec`]s.
 //!
-//! A [`Runner`] owns a worker pool policy (`--jobs`) and an output
-//! directory for JSON-lines records. Executing a spec:
+//! A [`Runner`] owns a worker pool policy (`--jobs`), an output directory
+//! for JSON-lines records, and the outcome of every config it has
+//! simulated, keyed by [`SweepConfig::key`]. Executing a spec:
 //!
-//! 1. Every config is simulated in-process on a `std::thread::scope`
-//!    pool; workers pull config indices from a shared atomic counter.
+//! 1. Every config is resolved on a `std::thread::scope` pool; workers
+//!    pull config indices from a shared atomic counter. A config is
+//!    simulated the first time any spec names it; a later spec that names
+//!    it again, in the same experiment or another, gets the same record.
 //! 2. Records are assembled **in spec order** (never completion order) and
 //!    written as one JSONL file per spec, so output is byte-identical
 //!    regardless of `--jobs`.
 //!
-//! Nothing is kept between runs: a rerun simulates every config again.
-//! Panicking simulations are caught per-config: the failure is recorded in
-//! the outcome, the rest of the sweep continues. An output file that cannot
-//! be written is recorded as a failure too, so the run still exits
-//! non-zero.
+//! Each distinct config is simulated once per runner (`dirtree-bench`
+//! builds one per process); nothing is kept between runs. Panicking
+//! simulations are caught per-config: the failure is recorded in the
+//! outcome of every spec that names the config, the rest of the sweep
+//! continues. An output file that cannot be written is recorded as a
+//! failure too, so the run still exits non-zero.
 
 use crate::sweep::{workload_key, RunRecord, SweepConfig, SweepSpec};
 use dirtree_machine::{Machine, MsgTrace};
 use dirtree_workloads::trace::{record_ops, OpTrace, ReplayDriver};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fs;
+use std::hash::Hash;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -63,18 +69,34 @@ pub struct RunFailure {
 pub struct SweepOutcome {
     /// One record per non-failed config, in spec order.
     pub records: Vec<RunRecord>,
-    /// Configs simulated this call (every config of the spec).
-    pub executed: usize,
     pub failures: Vec<RunFailure>,
+}
+
+/// A map whose values are each computed once. The first caller for a key
+/// runs `init`; concurrent callers for the same key wait for it; later
+/// callers get a clone of the stored value. The map lock is held only to
+/// find a key's slot, so distinct keys compute concurrently.
+struct OnceMap<K, V>(Mutex<HashMap<K, Arc<OnceLock<V>>>>);
+
+impl<K: Eq + Hash, V: Clone> OnceMap<K, V> {
+    fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> V {
+        let slot = Arc::clone(self.0.lock().unwrap().entry(key).or_default());
+        slot.get_or_init(init).clone()
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
 }
 
 /// Parallel sweep executor. Cheap to share by reference; all methods
 /// take `&self`.
 pub struct Runner {
     opts: SweepOptions,
-    /// Lifetime counter across all specs this runner has executed, for
-    /// the end-of-run summary line of `dirtree-bench`.
-    total_executed: AtomicUsize,
+    /// Every config's outcome by key: its record or its panic message.
+    records: OnceMap<String, Result<RunRecord, String>>,
+    /// One recorded operation stream per `(workload, nodes)` pair.
+    traces: OnceMap<(String, u32), Arc<OpTrace>>,
     all_failures: Mutex<Vec<RunFailure>>,
 }
 
@@ -82,7 +104,8 @@ impl Runner {
     pub fn new(opts: SweepOptions) -> Self {
         Self {
             opts,
-            total_executed: AtomicUsize::new(0),
+            records: OnceMap(Mutex::default()),
+            traces: OnceMap(Mutex::default()),
             all_failures: Mutex::new(Vec::new()),
         }
     }
@@ -91,9 +114,9 @@ impl Runner {
         &self.opts
     }
 
-    /// Simulations run across every spec so far.
+    /// Simulations run so far: the number of distinct configs resolved.
     pub fn totals(&self) -> usize {
-        self.total_executed.load(Ordering::Relaxed)
+        self.records.len()
     }
 
     /// Every failure across every spec run so far, output writes included.
@@ -116,52 +139,35 @@ impl Runner {
         false
     }
 
-    /// Simulate every config of `spec` in parallel and write
+    /// Resolve every config of `spec` in parallel and write
     /// `<out_dir>/<spec.name>.jsonl`. Records come back in spec order.
     pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
-        // Workers claim indices from `next`; each result lands in its own
-        // slot, so the assembly below is in spec order no matter which
+        // Workers claim indices from `next` and fill the memo; the
+        // assembly below reads it back in spec order, no matter which
         // worker finished when.
-        type ConfigResult = Result<(RunRecord, Option<String>), String>;
-        let n = spec.configs.len();
-        let results: Vec<OnceLock<ConfigResult>> = (0..n).map(|_| OnceLock::new()).collect();
-        let jobs = self.opts.jobs.clamp(1, n.max(1));
+        let jobs = self.opts.jobs.clamp(1, spec.configs.len().max(1));
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(config) = spec.configs.get(i) else {
-                        break;
-                    };
-                    let _ = results[i].set(run_config(config, self.opts.trace));
+                scope.spawn(|| {
+                    while let Some(config) = spec.configs.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let _ = self.resolve(config);
+                    }
                 });
             }
         });
 
-        let mut outcome = SweepOutcome {
-            executed: n,
-            ..SweepOutcome::default()
-        };
-        for (i, slot) in results.into_iter().enumerate() {
-            let config = &spec.configs[i];
-            match slot
-                .into_inner()
-                .expect("worker pool exited without producing a result")
-            {
-                Ok((record, trace)) => {
-                    if let Some(trace_json) = trace {
-                        self.write_trace(spec, i, config, &trace_json);
-                    }
-                    outcome.records.push(record);
-                }
+        let mut outcome = SweepOutcome::default();
+        for config in &spec.configs {
+            match self.resolve(config) {
+                Ok(record) => outcome.records.push(record),
                 Err(message) => outcome.failures.push(RunFailure {
                     key: config.key(),
                     message,
                 }),
             }
         }
-        self.total_executed.fetch_add(n, Ordering::Relaxed);
         self.all_failures
             .lock()
             .unwrap()
@@ -171,20 +177,48 @@ impl Runner {
         outcome
     }
 
-    /// Write one config's Chrome-trace JSON. The filename is fully
-    /// determined by (spec name, spec index, config hash), so repeated
-    /// `--trace` runs overwrite rather than accumulate.
-    fn write_trace(&self, spec: &SweepSpec, idx: usize, config: &SweepConfig, json: &str) {
-        let name = if spec.name.is_empty() {
-            "adhoc"
-        } else {
-            &spec.name
-        };
-        let path = self.opts.out_dir.join("trace").join(format!(
-            "{name}-{idx:03}-{:016x}.trace.json",
-            config.config_hash()
-        ));
-        self.write_output(&path, json);
+    /// The outcome of `config`, simulated only if no earlier call has.
+    fn resolve(&self, config: &SweepConfig) -> Result<RunRecord, String> {
+        self.records
+            .get_or_init(config.key(), || self.run_config(config))
+    }
+
+    /// Simulate one config, catching panics into an `Err` message. With
+    /// `--trace`, the machine records every send and the timeline is
+    /// written to `<out_dir>/trace/<config_hash:016x>.trace.json`.
+    fn run_config(&self, config: &SweepConfig) -> Result<RunRecord, String> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut machine = Machine::new(config.machine, config.protocol);
+            if self.opts.trace {
+                machine.set_trace(MsgTrace::new(TRACE_CAPACITY));
+            }
+            let mut driver = ReplayDriver::new(self.op_trace(config));
+            let outcome = machine.run(&mut driver);
+            if let Some(trace) = machine.take_trace() {
+                let name = format!("{:016x}.trace.json", config.config_hash());
+                let path = self.opts.out_dir.join("trace").join(name);
+                self.write_output(&path, &trace.chrome_trace_json());
+            }
+            RunRecord::from_outcome(config, &outcome)
+        }))
+        .map_err(panic_message)
+    }
+
+    /// The operation stream `config` replays, recorded once per
+    /// `(workload, nodes)` pair and shared by every protocol config and
+    /// every spec of this runner. Recording polls the application programs
+    /// on the calling thread, one poll per barrier arrival or contended
+    /// lock (not per operation); see `dirtree_workloads::trace` for why
+    /// the streams are config-independent. Distinct workloads record
+    /// concurrently under `--jobs`; the stream is a pure function of its
+    /// key either way, so records stay byte-identical at any jobs level.
+    fn op_trace(&self, config: &SweepConfig) -> Arc<OpTrace> {
+        let workload = config.effective_workload();
+        let nodes = config.machine.nodes;
+        self.traces
+            .get_or_init((workload_key(&workload), nodes), || {
+                Arc::new(record_ops(&mut workload.build(nodes)))
+            })
     }
 
     fn write_jsonl(&self, spec: &SweepSpec, records: &[RunRecord]) {
@@ -206,56 +240,15 @@ impl Runner {
 /// (the trace is for inspection, the metrics are exact regardless).
 const TRACE_CAPACITY: usize = 1 << 18;
 
-/// Simulate one config, catching panics into an `Err` message. With
-/// `trace`, the machine records every send and the Chrome-trace JSON is
-/// returned alongside the record.
-fn run_config(config: &SweepConfig, trace: bool) -> Result<(RunRecord, Option<String>), String> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut machine = Machine::new(config.machine, config.protocol);
-        if trace {
-            machine.set_trace(MsgTrace::new(TRACE_CAPACITY));
-        }
-        let mut driver = ReplayDriver::new(op_trace_for(config));
-        let outcome = machine.run(&mut driver);
-        let trace_json = machine.take_trace().map(|t| t.chrome_trace_json());
-        (RunRecord::from_outcome(config, &outcome), trace_json)
-    }));
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
-
-/// Process-wide operation-trace cache: one recording per
-/// `(workload, nodes)` pair, shared by every protocol config and every
-/// spec the process runs. Recording polls the application programs on
-/// the calling thread, one poll per barrier arrival or contended lock (not
-/// per operation); it is paid once, and all simulations replay the result
-/// — see `dirtree_workloads::trace` for why the streams are
-/// config-independent.
-/// The per-key `OnceLock` lets distinct workloads record concurrently
-/// under `--jobs` while duplicate requests block on the first recorder;
-/// the trace content is a pure function of the key either way, so sweep
-/// records stay byte-identical at any jobs level.
-fn op_trace_for(config: &SweepConfig) -> Arc<OpTrace> {
-    type Slot = Arc<OnceLock<Arc<OpTrace>>>;
-    static TRACES: OnceLock<Mutex<HashMap<(String, u32), Slot>>> = OnceLock::new();
-    let workload = config.effective_workload();
-    let key = (workload_key(&workload), config.machine.nodes);
-    let slot: Slot = {
-        let mut map = TRACES.get_or_init(Default::default).lock().unwrap();
-        map.entry(key).or_default().clone()
-    };
-    slot.get_or_init(|| {
-        let mut w = workload.build(config.machine.nodes);
-        Arc::new(record_ops(&mut w))
-    })
-    .clone()
+/// The message of a caught panic.
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Write `text` (plus trailing newline) atomically: tmp file + rename, so
@@ -364,21 +357,29 @@ mod tests {
     fn trace_option_dumps_deterministic_chrome_traces() {
         let dir = scratch_dir("trace");
         let spec = tiny_spec("traced");
-        let traced = Runner::new(SweepOptions {
+        let runner = Runner::new(SweepOptions {
             jobs: 2,
             out_dir: dir.clone(),
             trace: true,
-        })
-        .run(&spec);
-        assert_eq!(traced.executed, spec.configs.len());
-        assert!(traced.failures.is_empty());
+        });
+        assert!(runner.run(&spec).failures.is_empty());
+        // A second spec naming the same configs simulates none of them:
+        // one timeline per distinct config, named by its hash.
+        runner.run(&tiny_spec("traced-again"));
+        assert_eq!(runner.totals(), spec.configs.len());
         let trace_dir = dir.join("trace");
         let mut files: Vec<_> = fs::read_dir(&trace_dir)
             .expect("trace dir exists")
             .map(|e| e.unwrap().path())
             .collect();
         files.sort();
-        assert_eq!(files.len(), spec.configs.len());
+        let mut expected: Vec<_> = spec
+            .configs
+            .iter()
+            .map(|c| trace_dir.join(format!("{:016x}.trace.json", c.config_hash())))
+            .collect();
+        expected.sort();
+        assert_eq!(files, expected);
         let first = fs::read_to_string(&files[0]).unwrap();
         assert!(first.starts_with("{\"displayTimeUnit\""));
         assert!(first.contains("\"traceEvents\":["));
@@ -426,12 +427,69 @@ mod tests {
         assert_eq!(out.records.len(), spec.configs.len() - 1);
         assert!(out.failures[0].key.contains("nodes=3"));
         assert_eq!(runner.failures().len(), 1);
-        // Nothing is kept between runs: a rerun executes every config
-        // again, the failed one included.
-        let again = runner_in(&dir, 2).run(&spec);
-        assert_eq!(again.executed, spec.configs.len());
+        assert_eq!(runner.totals(), spec.configs.len());
+        // A second spec naming the failed config on the same runner does
+        // not simulate it again, but still reports it, so the experiment
+        // that ran that spec fails too.
+        let repeat = SweepSpec {
+            name: "repeat-failure".into(),
+            configs: spec.configs[..2].to_vec(),
+        };
+        let second = runner.run(&repeat);
+        assert_eq!(runner.totals(), spec.configs.len());
+        assert_eq!(second.records.len(), 1);
+        assert_eq!(second.failures.len(), 1);
+        assert_eq!(second.failures[0].key, out.failures[0].key);
+        assert_eq!(second.failures[0].message, out.failures[0].message);
+        assert_eq!(runner.failures().len(), 2);
+        // Nothing is kept between runs: a new runner simulates every
+        // config again, the failed one included.
+        let fresh = runner_in(&dir, 2);
+        let again = fresh.run(&spec);
+        assert_eq!(fresh.totals(), spec.configs.len());
         assert_eq!(again.failures.len(), 1);
         assert_eq!(again.records.len(), out.records.len());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_config_named_by_two_specs_is_simulated_once() {
+        let overlapping = |runner: &Runner| {
+            let a = tiny_spec("overlap-a");
+            let b = SweepSpec::grid(
+                "overlap-b",
+                a.configs[0].workload,
+                &[4, 8],
+                &[
+                    ProtocolKind::FullMap,
+                    ProtocolKind::DirTree {
+                        pointers: 4,
+                        arity: 2,
+                    },
+                ],
+                MachineConfig::test_default,
+            );
+            assert!(runner.run(&a).failures.is_empty());
+            assert!(runner.run(&b).failures.is_empty());
+            // a: P=2 and P=4; b: P=4 and P=8; each on two protocols.
+            assert_eq!(runner.totals(), 6, "P=4's two configs ran twice");
+        };
+        let d1 = scratch_dir("overlap-serial");
+        let d8 = scratch_dir("overlap-parallel");
+        overlapping(&runner_in(&d1, 1));
+        overlapping(&runner_in(&d8, 8));
+        let read = |d: &Path, name: &str| fs::read_to_string(d.join(name)).unwrap();
+        let (a, b) = (read(&d1, "overlap-a.jsonl"), read(&d1, "overlap-b.jsonl"));
+        // The P=4 lines: the last two of a, the first two of b.
+        let a_lines: Vec<&str> = a.lines().collect();
+        let b_lines: Vec<&str> = b.lines().collect();
+        assert_eq!(a_lines.len(), 4);
+        assert_eq!(a_lines[2..], b_lines[..2]);
+        assert!(a_lines[2].contains("|nodes=4|"));
+        for name in ["overlap-a.jsonl", "overlap-b.jsonl"] {
+            assert_eq!(read(&d1, name), read(&d8, name), "{name} depends on --jobs");
+        }
+        let _ = fs::remove_dir_all(&d1);
+        let _ = fs::remove_dir_all(&d8);
     }
 }

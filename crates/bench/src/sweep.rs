@@ -52,7 +52,8 @@ impl SweepConfig {
 
     /// Canonical single-line key spelling out every semantic field of the
     /// configuration. This is the record's identity: two configs with
-    /// equal keys must simulate identically. The constants `cl`, `sw`,
+    /// equal keys must simulate identically, and the runner simulates
+    /// each key once, however many specs name it. The constants `cl`, `sw`,
     /// `loc`, `trap`, `sync` and `sat` are printed too: every committed
     /// record's key, config hash and derived seed includes them. For the
     /// same reason `cache` keeps its `lines/associativity` form, which for

@@ -51,10 +51,11 @@ fn metrics_json_is_byte_identical_across_jobs() {
     let spec = spec();
     let (d1, d8) = (scratch_dir("j1"), scratch_dir("j8"));
 
-    let serial = runner_in(&d1, 1).run(&spec);
-    let parallel = runner_in(&d8, 8).run(&spec);
-    assert_eq!(serial.executed, spec.configs.len());
-    assert_eq!(parallel.executed, spec.configs.len());
+    let (r1, r8) = (runner_in(&d1, 1), runner_in(&d8, 8));
+    let serial = r1.run(&spec);
+    r8.run(&spec);
+    assert_eq!(r1.totals(), spec.configs.len());
+    assert_eq!(r8.totals(), spec.configs.len());
 
     let jsonl = |d: &Path| fs::read_to_string(d.join("metrics-determinism.jsonl")).unwrap();
     let (f1, f8) = (jsonl(&d1), jsonl(&d8));
